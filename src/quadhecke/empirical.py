@@ -12,8 +12,12 @@ the four associates gives 2(1 + (i/varpi)), which kills split primes with
 p = 5 mod 8 in the odd-power sums and leaves a factor 4 elsewhere; odd sums
 therefore loop over rational p = 1 mod 8 (handling conjugate primes
 together through Legendre symbols at a fixed square root of -1 mod p) plus
-inert q.  Per prime, the family symbol vector is one vectorized Legendre
-pass, and every odd j reuses it.
+inert q.  Every odd j shares one family sum of symbols per prime.  Primes
+up to the family norm bound R X take that sum prime by prime, as lookups in
+a Legendre table mod p gathered over the family.  Larger primes divide no
+member, and reciprocity (c/varpi) = (varpi/c) turns their symbols into
+products of lookups in tables mod the prime factors of c, summed member
+by member.
 """
 
 from __future__ import annotations
@@ -43,8 +47,17 @@ class DensityConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.X <= 1.0:
+        if not self.X > 1.0:
             raise ValueError("X must exceed 1")
+        if not (math.isfinite(self.R) and self.R * self.X >= 1.0):
+            # the family runs over N(c) <= R X; below 1 it is empty
+            raise ValueError(f"R must be finite with R X >= 1, got R = {self.R}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
+        if self.prime_cutoff >= 2 ** 31:
+            # the prime sieve takes one byte per integer up to the cutoff
+            raise ValueError(f"prime cutoff X^sigma = {self.prime_cutoff:.4g} "
+                             "must stay below 2^31")
 
     @property
     def L(self) -> float:
@@ -131,21 +144,6 @@ def digamma_integral_term(test: TestFunction, L: float, refine: int = 1) -> floa
 
 # --- prime sums -------------------------------------------------------------------
 
-def _legendre_vec(a: np.ndarray, p: int) -> np.ndarray:
-    """Legendre symbols of a (already >= 0) mod odd prime p < 2^31."""
-    a = a % p
-    e = (p - 1) >> 1
-    out = np.ones_like(a)
-    base = a.copy()
-    while e:
-        if e & 1:
-            out = (out * base) % p
-        e >>= 1
-        if e:
-            base = (base * base) % p
-    return np.where(out == p - 1, -1, out)
-
-
 def _sj_coefs(norms: np.ndarray, L: float, sigma: float, test: TestFunction,
               first_j: int) -> np.ndarray:
     """sum over j = first_j, first_j+2, ... of logN N^{-j/2} phi_hat(j logN / L)."""
@@ -163,6 +161,27 @@ def _sj_coefs(norms: np.ndarray, L: float, sigma: float, test: TestFunction,
     return out
 
 
+class _Pairs:
+    """Legendre symbols ((x + y t)/p) over fixed integer arrays x, y, for many (t, p).
+
+    y t is reduced mod p once per distinct y, and the table mod p is repeated
+    over the range that x + (y t mod p) covers, so no division runs per pair.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x_lo, self.y_lo = int(x.min()), int(y.min())
+        self.x = x - self.x_lo
+        self.y = y - self.y_lo
+        self.x_span = int(self.x.max()) + 1
+        self.y_vals = np.arange(self.y_lo, int(y.max()) + 1, dtype=np.int64)
+
+    def symbols(self, t: int, p: int) -> np.ndarray:
+        reps = -(-(self.x_span + 2 * p) // p)
+        lo = self.x_lo % p
+        tab = np.tile(zint.legendre_table(p), reps)[lo:lo + self.x_span + p]
+        return tab[self.x + (self.y_vals * t % p)[self.y]]
+
+
 def _run_jobs(n: int, worker, threads: int) -> None:
     if threads <= 1 or n < 8:
         worker(0, n)
@@ -175,10 +194,19 @@ def _run_jobs(n: int, worker, threads: int) -> None:
 
 
 def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
-    """Odd-j prime-power aggregate and the count of primes that survive."""
+    """Odd-j prime-power aggregate and the count of primes that survive.
+
+    Each split p = 1 mod 8 enters through T_p = sum_c w0 (c/varpi_p), varpi_p
+    the primary prime above p with i -> s_p, and each inert q through the
+    family sum of (N(c)/q).  Primes up to the family norm bound are summed
+    prime by prime, one Legendre table gathered over the family.  Larger p
+    divide no member, so those T_p are summed member by member through
+    reciprocity, see _member_sums.
+    """
     fam = fam or _family(cfg)
     L, sigma = cfg.L, cfg.test.sigma
     cut = int(cfg.prime_cutoff)
+    bound = int(cfg.R * cfg.X)
 
     jobs: list[tuple[int, int, int]] = []   # (p, sqrt(-1) mod p, symbol factor)
     if cut >= 17:
@@ -198,25 +226,104 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
                         cfg.test, 1) if jobs else np.empty(0)
     coefs_q = _sj_coefs(np.array(inert, dtype=float) ** 2, L, sigma,
                         cfg.test, 1) if inert else np.empty(0)
+    g = coefs_p * 4.0 * np.array([f for _, _, f in jobs], dtype=float)
 
-    contrib = np.zeros(len(jobs) + len(inert))
-    re, im, nrm, w0 = fam.re, fam.im, fam.norm, fam.w0
+    # prime side: every p <= bound and every inert q
+    n_small = sum(1 for p, _, _ in jobs if p <= bound)
+    n_prime_side = n_small + len(inert)
+    contrib = np.zeros(n_prime_side)
+    pairs = _Pairs(fam.re, fam.im)
+    nrm, w0 = fam.norm, fam.w0
 
     def worker(i0: int, i1: int) -> None:
         for k in range(i0, i1):
-            if k < len(jobs):
-                p, s, f = jobs[k]
-                sym = _legendre_vec(re + im * s, p)
-                contrib[k] = coefs_p[k] * 4.0 * f * float(np.dot(w0, sym))
+            if k < n_small:
+                p, s, _ = jobs[k]
+                contrib[k] = g[k] * float(np.dot(w0, pairs.symbols(s, p)))
             else:
-                q = inert[k - len(jobs)]
+                q = inert[k - n_small]
                 ft = zint._legendre(32, q)
-                sym = _legendre_vec(nrm, q)
-                contrib[k] = coefs_q[k - len(jobs)] * 4.0 * ft * float(np.dot(w0, sym))
+                sym = zint.legendre_table(q)[nrm % q]
+                contrib[k] = (coefs_q[k - n_small] * 4.0 * ft
+                              * float(np.dot(w0, sym)))
 
-    _run_jobs(len(jobs) + len(inert), worker, cfg.threads)
-    total = -2.0 / (L * fam.W) * math.fsum(contrib)
+    _run_jobs(n_prime_side, worker, cfg.threads)
+    parts = [contrib]
+    if n_small < len(jobs):
+        big = jobs[n_small:]
+        parts.append(_member_sums(fam, bound, [p for p, _, _ in big],
+                                  [s for _, s, _ in big], g[n_small:], cfg.threads))
+    total = -2.0 / (L * fam.W) * math.fsum(np.concatenate(parts))
     return total, len(jobs) + len(inert)
+
+
+def _member_sums(fam: _Family, bound: int, ps: list[int], ss: list[int],
+                 g: np.ndarray, threads: int) -> np.ndarray:
+    """w0_c sum_k g_k (c/varpi_k) for every member c, all p_k > bound.
+
+    Reciprocity for primary elements gives (c/varpi) = (varpi/c), a product
+    over the prime factors of c.  A split factor pi of norm q, with i -> t
+    in Z[i]/(pi) = F_q, gives ((a + b t)/q) for varpi = a + bi; a rational
+    factor q (inert, or both primes above a split q) gives (p/q).  Either
+    way the factor's vector over the p_k depends only on (q, t), with t None
+    for rational q.  A member has at most one factor with q^2 > bound and
+    it has the largest q, so members are grouped by their largest factor:
+    its vector is built once per group, the smaller ones are shared.
+    """
+    P = np.array(ps, dtype=np.int64)
+    A = np.empty_like(P)
+    B = np.empty_like(P)
+    for k, (p, s) in enumerate(zip(ps, ss)):
+        a, b = zint._cornacchia(p, s)
+        if (a + b * s) % p:
+            b = -b
+        v = zint.primary_associate(zint.GInt(a, b))[1]
+        A[k], B[k] = v.re, v.im
+    pairs = _Pairs(A, B)
+
+    def vector(key: tuple[int, int | None]) -> np.ndarray:
+        q, t = key
+        return zint.legendre_table(q)[P % q] if t is None else pairs.symbols(t, q)
+
+    spf = zint._smallest_prime_factors(bound).tolist()
+    groups: dict[tuple[int, int | None] | None, list] = {}
+    for i, (c_re, c_im, n) in enumerate(zip(fam.re.tolist(), fam.im.tolist(),
+                                            fam.norm.tolist())):
+        keys = []
+        while n > 1:
+            q = spf[n]
+            n //= q
+            if n % q:
+                keys.append((q, -c_re * pow(c_im, -1, q) % q))
+            else:
+                n //= q
+                keys.append((q, None))
+        groups.setdefault(keys[-1] if keys else None, []).append((i, keys[:-1]))
+
+    rests = {key for members in groups.values() for _, rest in members
+             for key in rest}
+    shared = {key: vector(key) for key in rests}
+    items = list(groups.items())
+    out = np.zeros(fam.re.size)
+    w0 = fam.w0
+
+    def worker(i0: int, i1: int) -> None:
+        for key, members in items[i0:i1]:
+            if key is None:
+                h = g
+            else:
+                h = g * (shared[key] if key in shared else vector(key))
+            for i, rest in members:
+                if not rest:
+                    out[i] = w0[i] * float(h.sum())
+                    continue
+                chi = shared[rest[0]]
+                for key2 in rest[1:]:
+                    chi = chi * shared[key2]
+                out[i] = w0[i] * float(np.dot(h, chi))
+
+    _run_jobs(len(items), worker, threads)
+    return out
 
 
 def s_even(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
@@ -393,8 +500,9 @@ def character_average(cfg: DensityConfig, pp: zint.PrimaryPrime) -> float:
     eye = 1 if (pp.norm - 1) % 8 == 0 else -1 if pp.kind == "split" else 1
     if pp.kind == "split":
         p = pp.norm
-        sym = _legendre_vec(fam.re + fam.im * zint.split_i_image(pp), p)
+        idx = fam.re + fam.im * zint.split_i_image(pp)
     else:
-        q = int(math.isqrt(pp.norm))
-        sym = _legendre_vec(fam.norm, q)
+        p = pp.rational()
+        idx = fam.norm
+    sym = zint.legendre_table(p)[idx % p]
     return ft * 2.0 * (1 + eye) * float(np.dot(fam.w0, sym)) / fam.W

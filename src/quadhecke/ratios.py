@@ -410,19 +410,20 @@ def compare(xs, test: TestFunction, weight: WeightFunction,
             M: int = 2, T: float = _T_CAP, h: float = _PANEL_H) -> list[dict]:
     """One row per X: empirical density, prediction integral, first-order
     expansion, descending-log theorem value, and their residuals."""
+    cfgs = [DensityConfig(float(x), test, weight, R=R, threads=threads) for x in xs]
     ctx = ctx or default_context()
     coeffs = expansion_coefficients(M, test, weight, ctx)
     rows = []
-    for x in xs:
-        cfg = DensityConfig(float(x), test, weight, R=R, threads=threads)
+    for cfg in cfgs:
+        x = cfg.X
         emp = one_level_density(cfg)
         rep = ratios_density(cfg, ctx, T=T, h=h)
-        thm = thm_prediction(float(x), coeffs, test)
+        thm = thm_prediction(x, coeffs, test)
         L = cfg.L
         r_int = emp.D_total - rep.D_ratios_integral
         r_fo = emp.D_total - rep.D_ratios_first_order
         rows.append({
-            "X": float(x),
+            "X": x,
             "L": L,
             "D_emp": emp.D_total,
             "D_int": rep.D_ratios_integral,

@@ -227,6 +227,23 @@ def _factor_int(n: int) -> dict[int, int]:
     return out
 
 
+def _smallest_prime_factors(limit: int) -> np.ndarray:
+    """spf[n] = least prime factor of n for 2 <= n <= limit (spf[n] = n if prime)."""
+    spf = np.arange(limit + 1, dtype=np.int64)
+    for p in _sieve(math.isqrt(limit))[::-1]:
+        spf[p * p::p] = p
+    return spf
+
+
+def legendre_table(p: int) -> np.ndarray:
+    """Legendre symbols (r/p) for r = 0, ..., p-1 as int8, p an odd prime."""
+    tab = np.full(p, -1, dtype=np.int8)
+    r = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    tab[r * r % p] = 1
+    tab[0] = 0
+    return tab
+
+
 def _sqrt_minus_one(p: int) -> int:
     """Solution of t^2 = -1 mod p for p = 1 mod 4."""
     d = 2
@@ -235,9 +252,14 @@ def _sqrt_minus_one(p: int) -> int:
     return pow(d, (p - 1) // 4, p)
 
 
-def _cornacchia(p: int) -> tuple[int, int]:
-    """(a, b) with a^2 + b^2 = p, for prime p = 1 mod 4."""
-    t = _sqrt_minus_one(p)
+def _cornacchia(p: int, t: int | None = None) -> tuple[int, int]:
+    """(a, b) with a^2 + b^2 = p, for prime p = 1 mod 4.
+
+    One Euclid pass on (p, t) for a square root t of -1 mod p (found here
+    when not given); then a + b t = 0 or a - b t = 0 mod p.
+    """
+    if t is None:
+        t = _sqrt_minus_one(p)
     r0, r1 = p, t
     bound = math.isqrt(p)
     while r1 > bound:
@@ -397,19 +419,11 @@ def _symbol_table_prime(pp: PrimaryPrime, X: np.ndarray, Y: np.ndarray) -> np.nd
     """Vectorized (x+yi / varpi) over residue arrays."""
     if pp.kind == "split":
         p = pp.norm
-        s = split_i_image(pp)
-        val = (X + Y * s) % p
-        sq = np.zeros(p, dtype=np.int8)
-        r = np.arange(p, dtype=np.int64)
-        sq[(r * r) % p] = 1
-        out = np.where(val == 0, 0, 2 * sq[val].astype(np.int64) - 1)
-        return out
-    q = pp.rational()
-    val = (X * X + Y * Y) % q
-    sq = np.zeros(q, dtype=np.int8)
-    r = np.arange(q, dtype=np.int64)
-    sq[(r * r) % q] = 1
-    return np.where(val == 0, 0, 2 * sq[val].astype(np.int64) - 1)
+        val = X + Y * split_i_image(pp)
+    else:
+        p = pp.rational()
+        val = X * X + Y * Y
+    return legendre_table(p)[val % p].astype(np.int64)
 
 
 def gauss_sum(r: GInt, n: GInt, cap: int = 10 ** 6) -> complex:

@@ -2,9 +2,11 @@
 agreement the package promises, at the advertised tolerances."""
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -267,6 +269,11 @@ def test_small_support_regime(emp_grid_08, coeffs08_m1, fejer08):
 # --- 13: repeat runs are byte-identical ----------------------------------------------
 
 def test_compare_runs_byte_identical(tmp_path):
+    # the subprocesses import this checkout's package, not an installed copy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     blobs = []
     for name in ("one.csv", "two.csv"):
         path = tmp_path / name
@@ -274,7 +281,7 @@ def test_compare_runs_byte_identical(tmp_path):
             [sys.executable, "-m", "quadhecke.cli", "compare",
              "--X-grid", "100,200", "--T-cap", "150", "--M", "1",
              "--out", str(path)],
-            capture_output=True, text=True, timeout=300)
+            capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stderr
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]

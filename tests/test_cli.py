@@ -146,6 +146,20 @@ def test_bad_x(capsys):
     assert "error[config]" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("density", "--X", "100", "--R-mult", "0"),
+    ("density", "--X", "100", "--R-mult", "-1"),
+    ("density", "--X", "100", "--threads", "0"),
+    ("density", "--X", "100000", "--phi", "fejer:1.9"),
+    ("compare", "--X-grid", "100", "--threads", "0"),
+])
+def test_bad_density_config(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("quadhecke: error[config]")
+    assert out == ""
+
+
 def test_bad_format(capsys):
     # argparse rejects the bad choice before the command runs
     code, out, err = _run(capsys, "compare", "--format", "xml")

@@ -8,7 +8,7 @@ import pytest
 
 from quadhecke import empirical, zint
 from quadhecke.empirical import DensityConfig, one_level_density
-from quadhecke.transforms import make_fejer, make_gaussian_weight
+from quadhecke.transforms import make_bump, make_fejer, make_gaussian_weight
 from quadhecke.zint import GInt
 
 
@@ -19,6 +19,23 @@ def test_config_validation():
     cfg = DensityConfig(100.0, make_fejer(1.5), w)
     assert cfg.L == math.log(100.0)
     assert cfg.prime_cutoff == 100.0 ** 1.5
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"R": 0.0}, "R must be finite"),
+    ({"R": -1.0}, "R must be finite"),
+    ({"R": 1e-9}, "R must be finite"),     # empty family, W = 0
+    ({"R": float("inf")}, "R must be finite"),
+    ({"R": float("nan")}, "R must be finite"),
+    ({"X": float("nan")}, "X must exceed 1"),
+    ({"threads": 0}, "threads"),
+    ({"X": 1e5, "test": make_fejer(1.9)}, "2\\^31"),
+])
+def test_config_guards(kwargs, match):
+    args = {"X": 100.0, "test": make_fejer(1.5), "weight": make_gaussian_weight()}
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=match):
+        DensityConfig(**args)
 
 
 def test_family_against_brute(weight):
@@ -82,6 +99,91 @@ def test_s_even_close_to_main_form(weight):
     cfg = DensityConfig(200.0, make_fejer(1.5), weight)
     se, _ = empirical.s_even(cfg)
     assert abs(se - empirical.s_even_main_form(cfg)) < 5e-3
+
+
+# --- S_odd against the per-prime Euler-criterion ladder ---------------------------
+
+def _legendre_ladder(a: np.ndarray, p: int) -> np.ndarray:
+    """a^((p-1)/2) mod p by repeated squaring over the array, as +-1/0."""
+    base = a % p
+    out = np.ones_like(base)
+    e = (p - 1) // 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return np.where(out == p - 1, -1, out)
+
+
+def _s_odd_ladder(cfg: DensityConfig) -> tuple[float, int]:
+    """S_odd prime by prime, one ladder per prime over the whole family."""
+    fam = empirical._family(cfg)
+    L, sigma, cut = cfg.L, cfg.test.sigma, int(cfg.prime_cutoff)
+    acc = []
+    n = 0
+    for p in zint._sieve(cut).tolist():
+        if p % 8 == 1:
+            s = zint._sqrt_minus_one(p)
+            f = zint._legendre(1 - s, p) + zint._legendre(1 + s, p)
+            sym = _legendre_ladder(fam.re + fam.im * s, p)
+            coef = empirical._sj_coefs(np.array([p], float), L, sigma, cfg.test, 1)
+            acc.append(float(coef[0]) * 4.0 * f * float(np.dot(fam.w0, sym)))
+            n += 1
+        elif p % 4 == 3 and p * p <= cut:
+            sym = _legendre_ladder(fam.norm, p)
+            coef = empirical._sj_coefs(np.array([p * p], float), L, sigma,
+                                       cfg.test, 1)
+            acc.append(float(coef[0]) * 4.0 * zint._legendre(32, p)
+                       * float(np.dot(fam.w0, sym)))
+            n += 1
+    return -2.0 / (L * fam.W) * math.fsum(acc), n
+
+
+@pytest.mark.parametrize("X, test, R", [
+    (500.0, make_fejer(1.5), 4.0),      # p <= R X by table, larger p by members
+    (2000.0, make_fejer(1.5), 4.0),
+    (2000.0, make_fejer(0.8), 4.0),     # every prime below R X
+    (2000.0, make_bump(0.8), 0.1),      # sigma < 1 with the member side running
+])
+def test_s_odd_against_ladder(weight, X, test, R):
+    cfg = DensityConfig(X, test, weight, R=R)
+    got, n_got = empirical.s_odd(cfg)
+    want, n_want = _s_odd_ladder(cfg)
+    assert n_got == n_want
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_member_sums_are_exact_symbols(weight):
+    # one prime at a time, the member side must give w0 (c/varpi) exactly,
+    # with varpi the primary prime above p at which i -> s
+    cfg = DensityConfig(100.0, make_fejer(1.5), weight)
+    fam = empirical._family(cfg)
+    bound = int(cfg.R * cfg.X)
+    members = [GInt(int(a), int(b)) for a, b in zip(fam.re, fam.im)]
+    assert any(c.norm() % 9 == 0 for c in members)                # inert 3 | c
+    assert any(c.re % 5 == 0 and c.im % 5 == 0 for c in members)  # 5 | c
+    assert any(c.norm() % 5 == 0 and c.im % 5 for c in members)   # 2 + i | c
+    ps = [p for p in zint._sieve(1000).tolist() if p > bound and p % 8 == 1]
+    ss = [zint._sqrt_minus_one(p) for p in ps]
+    primes = zint.primary_primes_up_to(1000)
+    for k, (p, s) in enumerate(zip(ps, ss)):
+        varpi = [pp for pp in primes
+                 if pp.norm == p and zint.split_i_image(pp) == s][0]
+        g = np.zeros(len(ps))
+        g[k] = 1.0
+        got = empirical._member_sums(fam, bound, ps, ss, g, threads=1)
+        want = [zint.quad_symbol(c, varpi.value) for c in members]
+        assert np.array_equal(got, fam.w0 * np.array(want, dtype=float))
+
+
+def test_s_odd_threads_bitwise_invariant(weight):
+    cfg = DensityConfig(2000.0, make_fejer(1.5), weight, threads=1)
+    assert cfg.R * cfg.X < cfg.prime_cutoff    # the member side runs
+    want = empirical.s_odd(cfg)
+    for threads in (2, 3):
+        cfg = DensityConfig(2000.0, make_fejer(1.5), weight, threads=threads)
+        assert empirical.s_odd(cfg) == want
 
 
 def test_threads_bitwise_invariant(weight):

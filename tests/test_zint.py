@@ -247,3 +247,24 @@ def test_split_i_image():
             continue
         s = zint.split_i_image(pp)
         assert (s * s + 1) % pp.norm == 0
+
+
+def test_legendre_table_matches_euler_criterion():
+    for p in (3, 5, 7, 13, 17, 97, 1009):
+        tab = zint.legendre_table(p)
+        assert tab.dtype == np.int8 and tab.size == p
+        assert [int(v) for v in tab] == [zint._legendre(r, p) for r in range(p)]
+
+
+def test_smallest_prime_factors_against_factor_int():
+    spf = zint._smallest_prime_factors(3000)
+    for n in range(2, 3001):
+        assert spf[n] == min(zint._factor_int(n))
+
+
+def test_cornacchia_from_given_root():
+    for p in (5, 13, 17, 41, 97, 10009):
+        for t in (zint._sqrt_minus_one(p), p - zint._sqrt_minus_one(p)):
+            a, b = zint._cornacchia(p, t)
+            assert a * a + b * b == p
+            assert (a + b * t) % p == 0 or (a - b * t) % p == 0
