@@ -41,13 +41,19 @@ def panel_nodes(a: float, b: float, h: float, n: int = 12,
     edges.append(b)
     xs, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        m = max(1, math.ceil((hi - lo) / h))
-        step = (hi - lo) / m
+        m, step = panel_layout(lo, hi, h)
         for k in range(m):
             x, w = gl_nodes(lo + k * step, lo + (k + 1) * step, n)
             xs.append(x)
             ws.append(w)
     return np.concatenate(xs), np.concatenate(ws)
+
+
+def panel_layout(a: float, b: float, h: float) -> tuple[int, float]:
+    """(m, step): panel_nodes covers [a, b] (no breaks) with m panels of
+    width step <= h; panel k starts at a + k * step."""
+    m = max(1, math.ceil((b - a) / h))
+    return m, (b - a) / m
 
 
 def gl_integrate(f, a: float, b: float, h: float, n: int = 12,

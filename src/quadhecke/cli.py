@@ -12,8 +12,9 @@ truncated artifact.
 Option precedence is flags > config file > built-in defaults.  The config
 file is flat key=value, keys matching the long option names with dashes
 turned into underscores.  Exit codes: 0 success, 1 configuration error,
-2 numerical tolerance failure.  Errors go to stderr with the prefix
-`quadhecke: error[config]:`, `[tolerance]:`, or `[internal]:`.
+2 numerical tolerance failure, 3 unexpected internal error.  Errors go to
+stderr with the prefix `quadhecke: error[config]:`, `[tolerance]:`, or
+`[internal]:`.
 """
 
 from __future__ import annotations
@@ -567,9 +568,9 @@ def run(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         sys.stderr.write(f"quadhecke: error[config]: {exc}\n")
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         sys.stderr.write(f"quadhecke: error[internal]: {exc}\n")
-        return 1
+        return 3
 
 
 def main() -> None:

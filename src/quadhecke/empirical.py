@@ -31,11 +31,8 @@ import numpy as np
 
 from . import zint
 from ._numerics import panel_nodes
-from .specfun import EULER_GAMMA
+from .specfun import _LOG_32_PI2, _PSI_HALF
 from .transforms import TestFunction, WeightFunction
-
-_LOG_32_PI2 = math.log(32.0 / math.pi ** 2)
-_PSI_HALF = -EULER_GAMMA - 2.0 * math.log(2.0)
 
 
 @dataclass

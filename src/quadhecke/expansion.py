@@ -44,12 +44,11 @@ from scipy.special import gammaincc, gammaln
 
 from . import zint
 from ._numerics import CubicTable, cauchy_derivs, panel_nodes
-from .specfun import EULER_GAMMA, ZetaKContext, default_context, hurwitz
+from .specfun import (_LOG_32_PI2, _PSI_HALF, EULER_GAMMA, ZetaKContext,
+                      default_context, hurwitz)
 from .transforms import (TestFunction, WeightFunction, make_gaussian_weight)
 
 _G1_CUT = 112.0          # g1(y) below 1e-13 beyond this
-_LOG_32_PI2 = math.log(32.0 / math.pi ** 2)
-_PSI_HALF = -EULER_GAMMA - 2.0 * math.log(2.0)
 
 
 def prefactor(weight: WeightFunction, ctx: ZetaKContext | None = None) -> float:

@@ -24,6 +24,14 @@ collapses to distinct norms and one cached t-profile serves every config.
 What remains under numerical quadrature is mean-zero in t and is summed on
 fixed GL-12 panels sized to the fastest phase, with an a-posteriori tail
 estimate from the trailing panels.
+
+Both t-dependent pieces are built from shared phase tables.  The profile
+needs zeta_K at 1+2it, 2+2it, 1-2it and 2-2it; per block of nodes one
+cos/sin(2t log(n+a)) table per Hurwitz parameter serves both lines
+(specfun.zeta_K_axis), and the values below the axis are the conjugates.
+The dual phase sum factors by panel: a node is a panel start plus one of
+12 offsets, so exp(-it mu) is a panel-start table times a weighted
+12-row offset table, one complex matrix product per block of panels.
 """
 
 from __future__ import annotations
@@ -37,23 +45,22 @@ import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from . import zint
-from ._numerics import cauchy_derivs, panel_nodes
+from ._numerics import cauchy_derivs, gl_nodes, panel_layout, panel_nodes
 from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         s_even_main_form, _family)
 from .expansion import c_w1_closed, expansion_coefficients, thm_prediction
-from .specfun import (A_alpha_series, A_alpha_diag_it, A_closed_mr, EULER_GAMMA,
-                      X_c, ZetaKContext, default_context, digamma, zeta_K,
-                      zeta_K_log_deriv)
+from .specfun import (_LOG_32_PI2, _PSI_HALF, A_alpha_series, A_alpha_diag_it,
+                      A_closed_mr, X_c, ZetaKContext, default_context, digamma,
+                      zeta_K, zeta_K_axis, zeta_K_log_deriv)
 from .transforms import TestFunction, WeightFunction
-
-_LOG_32_PI2 = math.log(32.0 / math.pi ** 2)
-_PSI_HALF = -EULER_GAMMA - 2.0 * math.log(2.0)
 
 _EPS0 = 1e-3          # Laurent switch radius around the cancelled pole
 _RING_RADIUS = 0.05   # Cauchy ring for the origin data
 _T_CAP = 600.0        # axis truncation; past every stationary phase in range
 _PANEL_H = 0.25       # GL-12 panel width; fastest phase is log(32 N/pi^2)
 _PRIME_CUTOFF = 10 ** 6
+_AXIS_BLOCK = 512     # profile nodes per block: bounds the phase tables, fits K
+_PANEL_BLOCK = 64     # panels per block of the dual phase sum
 
 
 def _cexpm1(z: complex) -> complex:
@@ -144,12 +151,17 @@ class _LaurentData:
     residue_gap: float                # |computed residue - 1| of r Psi(r)
 
 
-_laurent_cache: dict[int, _LaurentData] = {}
+_laurent_cache: dict[tuple, _LaurentData] = {}
+
+
+def _ctx_key(ctx: ZetaKContext) -> tuple:
+    """The context parameters that cached ratios data depend on."""
+    return (ctx.precision, ctx.euler_cutoff)
 
 
 def _laurent_data(ctx: ZetaKContext | None = None) -> _LaurentData:
     ctx = ctx or default_context()
-    got = _laurent_cache.get(id(ctx))
+    got = _laurent_cache.get(_ctx_key(ctx))
     if got is not None:
         return got
 
@@ -175,7 +187,7 @@ def _laurent_data(ctx: ZetaKContext | None = None) -> _LaurentData:
         residue_gap=float(gap))
     if dat.residue_gap > 1e-8:
         raise ArithmeticError(f"pole residue drifted: gap {dat.residue_gap:.2e}")
-    _laurent_cache[id(ctx)] = dat
+    _laurent_cache[_ctx_key(ctx)] = dat
     return dat
 
 
@@ -219,7 +231,7 @@ _profile_cache: dict[tuple, tuple] = {}
 def _axis_profile(T: float, h: float, ctx: ZetaKContext):
     """Conductor-independent integrand data on the [0, T] panel grid:
     (nodes, weights, Re combined(it), 2 Re psi(1/2+it), Psi(it))."""
-    key = (round(float(T), 9), round(float(h), 9), id(ctx))
+    key = (round(float(T), 9), round(float(h), 9)) + _ctx_key(ctx)
     got = _profile_cache.get(key)
     if got is not None:
         return got
@@ -228,31 +240,51 @@ def _axis_profile(T: float, h: float, ctx: ZetaKContext):
     two_psi = np.empty(nodes.size)
     psi_big = np.empty(nodes.size, dtype=complex)
     dat = _laurent_data(ctx)
-    for i0 in range(0, nodes.size, 2048):
-        tc = nodes[i0:i0 + 2048]
+    for i0 in range(0, nodes.size, _AXIS_BLOCK):
+        tc = nodes[i0:i0 + _AXIS_BLOCK]
         small = tc < _EPS0
         big = ~small
         rc = np.empty(tc.size)
         pv = np.empty(tc.size, dtype=complex)
         if big.any():
             tb = tc[big]
-            rc[big] = (2.0 * zeta_K_log_deriv(1.0 + 2j * tb)
-                       + 2.0 * A_alpha_diag_it(tb, ctx)).real
+            z1, ld1, z2, ld2 = zeta_K_axis(tb)
+            rc[big] = (2.0 * ld1 + 2.0 * A_alpha_diag_it(tb, ctx, ld2)).real
             g = np.exp(_loggamma(0.5 - 1j * tb) - _loggamma(0.5 + 1j * tb))
-            pv[big] = -(8.0 / math.pi) * g * zeta_K(1.0 - 2j * tb) \
-                * A_closed_mr(1j * tb, ctx)
+            # zeta_K at 1-2it and 2-2it by Schwarz reflection
+            pv[big] = -(8.0 / math.pi) * g * np.conj(z1) \
+                * A_closed_mr(1j * tb, ctx, np.conj(z2))
         if small.any():
             ts = tc[small]
             # Re of -1/(it) vanishes; odd Taylor term is imaginary as well
             rc[small] = dat.c[0] - dat.c[2] * ts * ts
             z = 1j * ts
             pv[small] = 1.0 / z + dat.psi[0] + dat.psi[1] * z + dat.psi[2] * z * z
-        re_comb[i0:i0 + 2048] = rc
-        psi_big[i0:i0 + 2048] = pv
-        two_psi[i0:i0 + 2048] = 2.0 * digamma(0.5 + 1j * tc).real
+        re_comb[i0:i0 + _AXIS_BLOCK] = rc
+        psi_big[i0:i0 + _AXIS_BLOCK] = pv
+        two_psi[i0:i0 + _AXIS_BLOCK] = 2.0 * digamma(0.5 + 1j * tc).real
     out = (nodes, wts, re_comb, two_psi, psi_big)
     _profile_cache[key] = out
     return out
+
+
+def _dual_phase_average(T: float, h: float, mu: np.ndarray,
+                        weights: np.ndarray) -> np.ndarray:
+    """sum_N weights_N exp(-it mu_N) at every node of the [0, T] GL-12 grid.
+
+    Node j of panel k sits at t = k step + c_j, so the phase factors into
+    a panel-start table and a 12-row offset table that carries the
+    weights; each block of panels is one complex matrix product, with one
+    exponential per panel and norm instead of one per node and norm.
+    """
+    m, step = panel_layout(0.0, float(T), float(h))
+    offsets, _ = gl_nodes(0.0, step, 12)
+    off = (np.exp(-1j * np.multiply.outer(offsets, mu)) * weights).T
+    out = np.empty((m, 12), dtype=complex)
+    for k0 in range(0, m, _PANEL_BLOCK):
+        starts = np.arange(k0, min(k0 + _PANEL_BLOCK, m)) * step
+        out[k0:k0 + starts.size] = np.exp(-1j * np.multiply.outer(starts, mu)) @ off
+    return out.ravel()
 
 
 def _norm_groups(cfg: DensityConfig, group_norms: bool):
@@ -363,13 +395,7 @@ def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
 
     integ = re_comb.copy()
     if with_dual:
-        dual_re = np.empty(nodes.size)
-        for i0 in range(0, nodes.size, 256):
-            tb = nodes[i0:i0 + 256]
-            phase = np.exp(-1j * np.multiply.outer(tb, mu))
-            p_avg = (phase @ wn) / weight_sum
-            dual_re[i0:i0 + 256] = (psi_big[i0:i0 + 256] * p_avg).real
-        integ += dual_re
+        integ += (psi_big * _dual_phase_average(T, h, mu, wn / weight_sum)).real
     contrib = wts * integ * phi_vals
     i_num = float(np.sum(contrib)) / math.pi
 

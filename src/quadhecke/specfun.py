@@ -2,7 +2,9 @@
 
 zeta_K(s) = zeta(s) L(s, chi_-4) with L(s, chi_-4) = 4^-s (zeta(s,1/4) -
 zeta(s,3/4)); both factors come from one Euler-Maclaurin Hurwitz-zeta core
-whose shift grows with |Im s|.  Around s = 1 the regular part
+whose shift grows with |Im s|; along the lines 1+2it and 2+2it that core
+runs on one shared phase table per Hurwitz parameter (zeta_K_axis).
+Around s = 1 the regular part
 Z(s) = (s-1) zeta_K(s) is carried as a Taylor series obtained from Cauchy
 integrals, so Z(1) = pi/4 and Z'(1) = gamma_K double as self-tests.
 
@@ -32,6 +34,9 @@ _B2J = _bernoulli(2 * _EM_ORDER)[2::2]  # B_2, B_4, ..., B_24
 _C2J = _B2J / np.array([math.factorial(2 * j) for j in range(1, _EM_ORDER + 1)])
 
 EULER_GAMMA = float(np.euler_gamma)
+_PSI_HALF = -EULER_GAMMA - 2.0 * math.log(2.0)   # digamma(1/2)
+_LOG_32_PI2 = math.log(32.0 / math.pi ** 2)
+_LOG4 = math.log(4.0)
 
 
 def hurwitz(s, a: float, deriv: bool = False):
@@ -44,23 +49,40 @@ def hurwitz(s, a: float, deriv: bool = False):
     s = np.asarray(s, dtype=complex)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
-    K = int(max(_EM_SHIFT, math.ceil(0.55 * float(np.max(np.abs(s.imag))))))
+    K = _em_shift(s)
     n = np.arange(K, dtype=float) + a
     ln = np.log(n)
     pw = np.exp(-np.multiply.outer(s, ln))
     head = pw.sum(axis=-1)
-    Ka = K + a
+    if deriv:
+        tail, dtail = _em_tail(s, K + a, True)
+        val = head + tail
+        dval = -(pw * ln).sum(axis=-1) + dtail
+        if scalar:
+            return complex(val[0]), complex(dval[0])
+        return val, dval
+    val = head + _em_tail(s, K + a)
+    return complex(val[0]) if scalar else val
+
+
+def _em_shift(s) -> int:
+    """Euler-Maclaurin shift K for the points s: the head sum runs n < K."""
+    return int(max(_EM_SHIFT, math.ceil(0.55 * float(np.max(np.abs(s.imag))))))
+
+
+def _em_tail(s, Ka: float, deriv: bool = False):
+    """Remainder of zeta(s, a) past the head sum over n < K, for complex
+    array s and Ka = K + a: the integral term, the half endpoint term and
+    the Bernoulli corrections.  Returns the remainder, or (remainder,
+    d/ds remainder)."""
     lK = math.log(Ka)
     em = np.exp(-s * lK)  # Ka^-s
     sm1 = s - 1.0
-    val = head + em * Ka / sm1 + 0.5 * em
+    val = em * Ka / sm1 + 0.5 * em
     if deriv:
-        headd = -(pw * ln).sum(axis=-1)
-        dval = headd + em * Ka * (-lK / sm1 - 1.0 / (sm1 * sm1)) - 0.5 * lK * em
+        dval = em * Ka * (-lK / sm1 - 1.0 / (sm1 * sm1)) - 0.5 * lK * em
     rise = s.copy()                      # (s)_1
     drise = np.ones_like(s)              # d/ds (s)_1
-    tail = np.zeros_like(s)
-    dtail = np.zeros_like(s)
     for j in range(1, _EM_ORDER + 1):
         if j > 1:
             f1 = s + (2 * j - 3)
@@ -68,26 +90,26 @@ def hurwitz(s, a: float, deriv: bool = False):
             drise = drise * f1 * f2 + rise * (f1 + f2)
             rise = rise * f1 * f2
         pw_j = np.exp(-(s + (2 * j - 1)) * lK)
-        tail += _C2J[j - 1] * rise * pw_j
+        val = val + _C2J[j - 1] * rise * pw_j
         if deriv:
-            dtail += _C2J[j - 1] * (drise - rise * lK) * pw_j
-    val = val + tail
-    if deriv:
-        dval = dval + dtail
-        if scalar:
-            return complex(val[0]), complex(dval[0])
-        return val, dval
-    return complex(val[0]) if scalar else val
+            dval = dval + _C2J[j - 1] * (drise - rise * lK) * pw_j
+    return (val, dval) if deriv else val
+
+
+def _l4_with_deriv(s, za, dza, zb, dzb):
+    """L(s, chi_-4) = 4^-s (zeta(s,1/4) - zeta(s,3/4)) and its s-derivative
+    from the two Hurwitz values and derivatives."""
+    f = np.exp(-s * _LOG4)
+    val = f * (za - zb)
+    return val, -_LOG4 * val + f * (dza - dzb)
 
 
 def _l4(s, deriv: bool = False):
     if deriv:
         za, dza = hurwitz(s, 0.25, True)
         zb, dzb = hurwitz(s, 0.75, True)
-        f = np.exp(-s * math.log(4.0))
-        val = f * (za - zb)
-        return val, -math.log(4.0) * val + f * (dza - dzb)
-    return np.exp(-s * math.log(4.0)) * (hurwitz(s, 0.25) - hurwitz(s, 0.75))
+        return _l4_with_deriv(s, za, dza, zb, dzb)
+    return np.exp(-s * _LOG4) * (hurwitz(s, 0.25) - hurwitz(s, 0.75))
 
 
 def zeta_K(s):
@@ -111,50 +133,39 @@ def zeta_K_log_deriv(s):
     return dz / z + dl4 / l4
 
 
-def zeta_K_with_log_deriv(s):
-    """(zeta_K(s), zeta_K'/zeta_K(s)) sharing one Euler-Maclaurin pass."""
-    z, dz = hurwitz(s, 1.0, True)
-    l4, dl4 = _l4(s, True)
-    return z * l4, dz / z + dl4 / l4
+def zeta_K_axis(t):
+    """zeta_K and zeta_K'/zeta_K at 1+2it and at 2+2it for a real array t.
 
-
-def _l4_deriv_at_1() -> tuple[float, float]:
-    """(L(1,chi_-4), L'(1,chi_-4)) with the Hurwitz pole pair cancelled.
-
-    The two (K+a)^{1-s}/(s-1) terms are combined before the limit:
-    f(1) = log(B/A), f'(1) = (log^2 A - log^2 B)/2 for A=K+1/4, B=K+3/4.
+    Returns (zeta_K(1+2it), log-derivative there, zeta_K(2+2it), log
+    derivative there); the values at 1-2it and 2-2it are their complex
+    conjugates.  Both lines share Im s = 2t and so one Euler-Maclaurin
+    shift K: per Hurwitz parameter a, one phase table cos/sin(2t log(n+a))
+    gives the head sums and their derivatives at sigma = 1 and 2 as matrix
+    products against the amplitudes (n+a)^-sigma and log(n+a) (n+a)^-sigma.
     """
-    K = 60
-    d = 0.0
-    dd = 0.0
-    for a in (0.25, 0.75):
-        sg = 1.0 if a == 0.25 else -1.0
-        n = np.arange(K) + a
-        d += sg * float(np.sum(1.0 / n))
-        dd += sg * float(np.sum(-np.log(n) / n))
-        Ka = K + a
-        lK = math.log(Ka)
-        d += sg * 0.5 / Ka
-        dd += sg * (-0.5 * lK / Ka)
-        rise = 1.0
-        drise = 1.0
-        for j in range(1, _EM_ORDER + 1):
-            if j == 1:
-                rise, drise = 1.0, 1.0  # (s)_1 = s -> 1 at s=1; d/ds = 1
-            else:
-                f1 = 1.0 + (2 * j - 3)
-                f2 = 1.0 + (2 * j - 2)
-                drise = drise * f1 * f2 + rise * (f1 + f2)
-                rise = rise * f1 * f2
-            pw = Ka ** (-(2.0 * j))
-            d += sg * _C2J[j - 1] * rise * pw
-            dd += sg * _C2J[j - 1] * (drise - rise * lK) * pw
-    A, B = K + 0.25, K + 0.75
-    d += math.log(B / A)
-    dd += (math.log(A) ** 2 - math.log(B) ** 2) / 2.0
-    l41 = 0.25 * d
-    dl41 = -math.log(4.0) * l41 + 0.25 * dd
-    return l41, dl41
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    s1 = 1.0 + 2j * t
+    if np.any(np.abs(s1 - 1.0) < _POLE_GUARD):
+        raise ValueError("zeta_K_axis within pole guard of s = 1")
+    s2 = s1 + 1.0
+    K = _em_shift(s1)
+    parts = []
+    for a in (1.0, 0.25, 0.75):
+        ln = np.log(np.arange(K, dtype=float) + a)
+        ph = np.multiply.outer(2.0 * t, ln)
+        inv = np.exp(-ln)
+        amp = np.stack([inv, ln * inv, inv * inv, ln * inv * inv], axis=1)
+        head = np.cos(ph) @ amp - 1j * (np.sin(ph) @ amp)
+        v1, d1 = _em_tail(s1, K + a, True)
+        v2, d2 = _em_tail(s2, K + a, True)
+        parts.append((head[:, 0] + v1, d1 - head[:, 1],
+                      head[:, 2] + v2, d2 - head[:, 3]))
+    out = []
+    for k, s in ((0, s1), (2, s2)):
+        (z, dz), (za, dza), (zb, dzb) = ((p[k], p[k + 1]) for p in parts)
+        l4, dl4 = _l4_with_deriv(s, za, dza, zb, dzb)
+        out += [z * l4, dz / z + dl4 / l4]
+    return tuple(out)
 
 
 def _l4_deriv_at_1_series(n: int = 40) -> float:
@@ -236,12 +247,17 @@ def A_euler(alpha: complex, beta: complex, ctx: "ZetaKContext | None" = None) ->
     return A_euler_with_error(alpha, beta, ctx)[0]
 
 
-def A_closed_mr(r, ctx: "ZetaKContext | None" = None):
-    """Closed form A(-r, r) = 3(2-2^{2r})/(4-2^{2r}) zeta_K(2)/zeta_K(2-2r)."""
+def A_closed_mr(r, ctx: "ZetaKContext | None" = None, zeta_2m2r=None):
+    """Closed form A(-r, r) = 3(2-2^{2r})/(4-2^{2r}) zeta_K(2)/zeta_K(2-2r).
+
+    zeta_2m2r, when given, supplies zeta_K(2-2r) for every r.
+    """
     ctx = ctx or default_context()
     r = np.asarray(r, dtype=complex)
     num = 3.0 * (2.0 - 2.0 ** (2.0 * r)) / (4.0 - 2.0 ** (2.0 * r))
-    out = num * ctx.zetaK2 / zeta_K(2.0 - 2.0 * r)
+    if zeta_2m2r is None:
+        zeta_2m2r = zeta_K(2.0 - 2.0 * r)
+    out = num * ctx.zetaK2 / zeta_2m2r
     return complex(out) if out.ndim == 0 else out
 
 
@@ -283,17 +299,19 @@ def A_alpha_diag(r, ctx: "ZetaKContext | None" = None, check: bool = True) -> co
 
 _PP_CUT = 1000
 _AIT_CUT = 10 ** 4
+_AIT_CHUNK = 512
 
 
-def odd_prime_power_sum(w):
+def odd_prime_power_sum(w, log_deriv=None):
     """PS(w) = sum over odd primary primes of log N * N^-w, Re w >= 2.
 
-    Extracted from -zeta_K'/zeta_K(w) by removing the (1+i) column and the
-    k >= 2 prime powers (the latter summed directly to N <= 1000; the
-    leftover tail is ~ (Re w - fixed) 3e-10 at Re w = 2).
+    Extracted from -zeta_K'/zeta_K(w) (or the supplied log_deriv at every
+    w) by removing the (1+i) column and the k >= 2 prime powers (the latter
+    summed directly to N <= 1000; the leftover tail is ~ (Re w - fixed)
+    3e-10 at Re w = 2).
     """
     w = np.asarray(w, dtype=complex)
-    lam = -zeta_K_log_deriv(w)
+    lam = -(zeta_K_log_deriv(w) if log_deriv is None else log_deriv)
     lam = lam - math.log(2.0) / (np.exp(w * math.log(2.0)) - 1.0)
     norms = zint.prime_norms_up_to(_PP_CUT).astype(float)
     la = np.log(norms)
@@ -302,29 +320,37 @@ def odd_prime_power_sum(w):
     return lam - pp
 
 
-def A_alpha_diag_it(t, ctx: "ZetaKContext | None" = None):
+def A_alpha_diag_it(t, ctx: "ZetaKContext | None" = None, log_deriv_2=None):
     """A_alpha(it, it) vectorized along real t for oscillatory integrals.
 
-    Series summed directly to N <= 1e4; the remaining tail's leading part
-    sum log N * N^(-2-2it) is restored exactly through odd_prime_power_sum,
-    leaving ~1e-8 absolute error. Chunks internally to cap the outer
-    products.
+    Series summed directly to N <= 1e4, each distinct norm once with its
+    multiplicity (a split norm is shared by two conjugate primes); the
+    remaining tail's leading part sum log N * N^(-2-2it) is restored
+    exactly through odd_prime_power_sum, leaving ~1e-8 absolute error.
+    log_deriv_2, when given, supplies zeta_K'/zeta_K(2+2it) for every t.
+    Chunks internally to cap the outer products.
     """
     ctx = ctx or default_context()
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    norms = zint.prime_norms_up_to(_AIT_CUT).astype(float)
+    if log_deriv_2 is not None:
+        log_deriv_2 = np.atleast_1d(np.asarray(log_deriv_2, dtype=complex))
+    norms, mult = np.unique(zint.prime_norms_up_to(_AIT_CUT), return_counts=True)
+    norms = norms.astype(float)
     la = np.log(norms)
+    w_direct = mult * la / (norms + 1.0)
+    w_head = mult * la / norms
     out = np.empty(t.shape, dtype=complex)
-    for i0 in range(0, t.size, 256):
-        tc = t[i0:i0 + 256]
+    for i0 in range(0, t.size, _AIT_CHUNK):
+        tc = t[i0:i0 + _AIT_CHUNK]
         z = 1.0 + 2j * tc
         nz = np.exp(-np.multiply.outer(z, la))         # N^-z
-        direct = (la / (norms + 1.0) * nz / (1.0 - nz)).sum(axis=-1)
-        head = (la * nz / norms).sum(axis=-1)          # sum_{N<=cut} logN N^-z-1
-        out[i0:i0 + 256] = (math.log(2.0) / (np.exp(z * math.log(2.0)) - 1.0)
-                            + direct + odd_prime_power_sum(z + 1.0) - head)
+        direct = (nz / (1.0 - nz)) @ w_direct
+        head = nz @ w_head                             # sum_{N<=cut} logN N^-z-1
+        ld = None if log_deriv_2 is None else log_deriv_2[i0:i0 + _AIT_CHUNK]
+        out[i0:i0 + _AIT_CHUNK] = (math.log(2.0) / (np.exp(z * math.log(2.0)) - 1.0)
+                                   + direct + odd_prime_power_sum(z + 1.0, ld) - head)
     return complex(out[0]) if scalar else out
 
 

@@ -160,6 +160,15 @@ def test_bad_density_config(capsys, argv):
     assert out == ""
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def boom(ns, cfg):
+        raise RuntimeError("unexpected")
+    monkeypatch.setitem(cli._COMMANDS, "constants", boom)
+    code, out, err = _run(capsys, "constants")
+    assert code == 3
+    assert err.startswith("quadhecke: error[internal]: unexpected")
+
+
 def test_bad_format(capsys):
     # argparse rejects the bad choice before the command runs
     code, out, err = _run(capsys, "compare", "--format", "xml")

@@ -171,6 +171,63 @@ def test_first_order_terms(fejer15, fejer08, weight, ctx):
     assert d["D_ratios_first_order"] == rep.D_ratios_first_order
 
 
+def test_axis_profile_across_block_edges(ctx):
+    # each block fits its own Euler-Maclaurin shift; nodes on both sides of
+    # a block edge must match the pointwise routes
+    from quadhecke.specfun import A_alpha_diag_it, zeta_K, zeta_K_log_deriv
+    nodes, _, re_comb, _, psi_big = ratios._axis_profile(150.0, 0.25, ctx)
+    edge = ratios._AXIS_BLOCK
+    for i in (edge - 2, edge - 1, edge, edge + 1, 8 * edge - 1, 8 * edge):
+        t = float(nodes[i])
+        want = (2.0 * complex(zeta_K_log_deriv(1.0 + 2j * t))
+                + 2.0 * complex(A_alpha_diag_it(t, ctx))).real
+        assert abs(re_comb[i] - want) < 1e-12 * abs(want)
+        g = cmath.exp(complex(ratios._loggamma(0.5 - 1j * t))
+                      - complex(ratios._loggamma(0.5 + 1j * t)))
+        want = (-(8.0 / math.pi) * g * complex(zeta_K(1.0 - 2j * t))
+                * complex(A_closed_mr(1j * t, ctx)))
+        assert abs(psi_big[i] - want) < 1e-12 * abs(want)
+        # Psi(it) is the dual term without its conductor phase
+        norm_c = 5
+        dual = psi_big[i] * cmath.exp(-1j * t * ratios._mu_of(norm_c))
+        assert abs(dual - ratios.dual_term(1j * t, norm_c, ctx)) < 1e-10 * abs(dual)
+
+
+def _dual_average_oracle(T, h, mu, weights):
+    # the direct outer product over every node, in blocks of 256 nodes
+    from quadhecke._numerics import panel_nodes
+    nodes, _ = panel_nodes(0.0, T, h, 12)
+    return np.concatenate([np.exp(-1j * np.multiply.outer(nodes[i:i + 256], mu)) @ weights
+                           for i in range(0, nodes.size, 256)])
+
+
+@pytest.mark.parametrize("T", [150.0, 100.1])
+def test_dual_phase_average_matches_outer_product(fejer15, weight, T):
+    # every term is bounded by its weight, so the scale is sum |w| = 1;
+    # T = 100.1 is not a multiple of h, so the panels are narrower than h
+    cfg = DensityConfig(2000.0, fejer15, weight)
+    norms, wn, fam = ratios._norm_groups(cfg, True)
+    mu = np.log(32.0 * norms / math.pi ** 2)
+    w = wn / fam.W
+    got = ratios._dual_phase_average(T, 0.25, mu, w)
+    want = _dual_average_oracle(T, 0.25, mu, w)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12 * np.sum(np.abs(w))
+
+
+def test_caches_key_on_context_values():
+    # equal parameters share one entry; a different euler_cutoff gets its own
+    from quadhecke.specfun import ZetaKContext
+    a, b = ZetaKContext(), ZetaKContext()
+    pa = ratios._axis_profile(3.7, 0.25, a)
+    assert ratios._axis_profile(3.7, 0.25, b) is pa
+    assert sum(1 for k in ratios._profile_cache if k[:2] == (3.7, 0.25)) == 1
+    coarse = ZetaKContext(euler_cutoff=10 ** 4)
+    da, dc = ratios._laurent_data(a), ratios._laurent_data(coarse)
+    assert ratios._laurent_data(b) is da
+    assert dc is not da and dc.c != da.c
+
+
 def test_norm_grouping_invariant(weight, ctx):
     cfg = DensityConfig(200.0, make_fejer(1.5), weight)
     a = ratios.ratios_density(cfg, ctx, T=150.0, group_norms=True)

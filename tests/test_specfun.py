@@ -45,11 +45,37 @@ def test_zeta_K_log_deriv_vs_mpmath(s):
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
-def test_zeta_K_with_log_deriv_consistent():
-    for s in (2.0, 1.4, 0.8 + 0.3j):
-        v, ld = specfun.zeta_K_with_log_deriv(s)
-        assert abs(v - specfun.zeta_K(s)) < 1e-12 * max(1.0, abs(v))
-        assert abs(ld - specfun.zeta_K_log_deriv(s)) < 1e-10
+def test_zeta_K_axis_consistent():
+    # one phase table per Hurwitz parameter for both lines, and Schwarz
+    # reflection for 1-2it and 2-2it, against the pointwise routines
+    t = np.concatenate([[1e-3, 0.01, 0.3, 1.7], np.linspace(2.0, 600.0, 31)])
+    z1, ld1, z2, ld2 = specfun.zeta_K_axis(t)
+    for sigma, z, ld in ((1.0, z1, ld1), (2.0, z2, ld2)):
+        for sign, zs, lds in ((1.0, z, ld), (-1.0, np.conj(z), np.conj(ld))):
+            for ti, zi, li in zip(t, zs, lds):
+                s = sigma + 2j * sign * ti
+                want = complex(specfun.zeta_K(s))
+                assert abs(zi - want) < 1e-12 * abs(want)
+                want = complex(specfun.zeta_K_log_deriv(s))
+                assert abs(li - want) < 1e-12 * abs(want)
+
+
+def test_zeta_K_axis_vs_mpmath():
+    for ti in (0.05, 3.0, 41.0):
+        z1, ld1, z2, ld2 = (complex(v[0]) for v in specfun.zeta_K_axis([ti]))
+        for s, z, ld in ((1 + 2j * ti, z1, ld1), (2 + 2j * ti, z2, ld2)):
+            want = complex(_zeta_k_mp(s))
+            assert abs(z - want) < 1e-12 * abs(want)
+            want = complex(mp.diff(lambda w: mp.log(_zeta_k_mp(w)), s))
+            assert abs(ld - want) < 1e-10 * abs(want)
+
+
+def test_zeta_K_axis_pole_guard():
+    # s = 1 + 2it sits within the guard for |t| < _POLE_GUARD / 2
+    for t in ([0.0], [3.0, 2e-5], [-1e-5]):
+        with pytest.raises(ValueError):
+            specfun.zeta_K_axis(np.array(t))
+    specfun.zeta_K_axis(np.array([1e-4]))
 
 
 @pytest.mark.parametrize("s", [0.5, 2.0, 0.5 + 3.0j, -1.3, 0.25 - 0.4j])
@@ -126,6 +152,19 @@ def test_A_alpha_diag_it_matches_scalar():
     for ti, vi in zip(t, vec):
         want = specfun.A_alpha_diag(1j * float(ti), ctx)
         assert abs(vi - want) < 1e-8
+
+
+def test_supplied_zeta_values_match():
+    # the axis profile hands in zeta_K values computed once per node
+    ctx = default_context()
+    t = np.array([0.002, 0.7, 13.0, 250.0])
+    z1, ld1, z2, ld2 = specfun.zeta_K_axis(t)
+    got = specfun.A_alpha_diag_it(t, ctx, ld2)
+    want = specfun.A_alpha_diag_it(t, ctx)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+    got = specfun.A_closed_mr(1j * t, ctx, np.conj(z2))
+    want = specfun.A_closed_mr(1j * t, ctx)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
 
 def test_odd_prime_power_sum_small_w():
