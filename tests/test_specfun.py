@@ -45,7 +45,7 @@ def test_zeta_K_log_deriv_vs_mpmath(s):
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
-def test_zeta_K_axis_consistent():
+def test_zeta_K_with_log_deriv_consistent():
     # one phase table per Hurwitz parameter for both lines, and Schwarz
     # reflection for 1-2it and 2-2it, against the pointwise routines
     t = np.concatenate([[1e-3, 0.01, 0.3, 1.7], np.linspace(2.0, 600.0, 31)])
