@@ -8,16 +8,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+def read_only(*arrays):
+    """Mark arrays read-only, so a caller that writes into memoized data
+    fails loudly; returns the one array, or the tuple of them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0] if len(arrays) == 1 else arrays
 
 
+@lru_cache(maxsize=16)
 def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _leggauss_cache:
-        _leggauss_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _leggauss_cache[n]
+    return read_only(*np.polynomial.legendre.leggauss(n))
 
 
 def gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -54,12 +60,6 @@ def panel_layout(a: float, b: float, h: float) -> tuple[int, float]:
     width step <= h; panel k starts at a + k * step."""
     m = max(1, math.ceil((b - a) / h))
     return m, (b - a) / m
-
-
-def gl_integrate(f, a: float, b: float, h: float, n: int = 12,
-                 breaks: tuple[float, ...] = ()) -> float:
-    x, w = panel_nodes(a, b, h, n, breaks)
-    return float(np.dot(w, f(x)))
 
 
 @dataclass(frozen=True)

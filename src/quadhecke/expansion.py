@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from . import zint
-from ._numerics import CubicTable, cauchy_derivs, panel_nodes
+from ._numerics import CubicTable, cauchy_derivs, panel_nodes, read_only
 from .specfun import (_LOG_32_PI2, _PSI_HALF, EULER_GAMMA, ZetaKContext,
                       default_context, hurwitz)
 from .transforms import (TestFunction, WeightFunction, make_gaussian_weight)
@@ -58,9 +58,8 @@ def prefactor(weight: WeightFunction, ctx: ZetaKContext | None = None) -> float:
 
 @lru_cache(maxsize=8)
 def _sf_arrays(bound: int):
-    re, im, norm, mu = zint.primary_squarefree_arrays(bound, with_mu=True)
-    keep = mu != 0
-    return norm[keep].astype(float), mu[keep].astype(float)
+    _, _, norm, mu = zint.primary_squarefree_arrays(bound, with_mu=True)
+    return read_only(norm.astype(float), mu.astype(float))
 
 
 def phi_sf_partial(bound: int) -> float:
@@ -115,11 +114,6 @@ def h2_with_error(x: float, l_max: int = 10 ** 4,
     return prefactor(w, ctx) * (head + tail_const), prefactor(w, ctx) * err
 
 
-def h2(x: float, l_max: int = 10 ** 4, weight: WeightFunction | None = None,
-       ctx: ZetaKContext | None = None) -> float:
-    return h2_with_error(x, l_max, weight, ctx)[0]
-
-
 # --- full lattice sums ------------------------------------------------------------
 
 class _KernelTables:
@@ -134,23 +128,21 @@ class _KernelTables:
         v_min = 1.0 / y_cap
         bound = int(_G1_CUT / v_min) + 1
         norm, mu = _sf_arrays(bound)
-        self._norm, self._wmu = norm, mu / norm
+        wmu = mu / norm
 
         def r_of(v: np.ndarray) -> np.ndarray:
             out = np.empty_like(v)
             for i, vi in enumerate(v):
                 keep = norm * vi <= _G1_CUT
-                out[i] = np.dot(self._wmu[keep], weight.g1(norm[keep] * vi))
+                out[i] = np.dot(wmu[keep], weight.g1(norm[keep] * vi))
             return out
 
         n_nodes = int(math.log(_G1_CUT / v_min) / 0.008) + 8
         self.r_table = CubicTable.build(r_of, v_min, _G1_CUT, n_nodes,
                                         log_x=True, fill=0.0)
-        self.counts = zint.lattice_norm_counts(int(_G1_CUT * y_cap) + 2).astype(float)
-
-    def r_direct(self, v: float) -> float:
-        keep = self._norm * v <= _G1_CUT
-        return float(np.dot(self._wmu[keep], self.weight.g1(self._norm[keep] * v)))
+        read_only(self.r_table.values)
+        self.counts = read_only(
+            zint.lattice_norm_counts(int(_G1_CUT * y_cap) + 2).astype(float))
 
     def H1(self, y: float) -> float:
         if y <= 0.0:
@@ -174,18 +166,17 @@ class _KernelTables:
         return 1.0 + self.pref / y * float(np.dot(self.counts[1:nmax + 1], terms))
 
 
-_kernel_cache: dict[tuple[int, float], _KernelTables] = {}
-
-
 def kernel_tables(weight: WeightFunction | None = None,
                   ctx: ZetaKContext | None = None,
                   y_cap: float = 3000.0) -> _KernelTables:
-    w = weight or make_gaussian_weight()
-    ctx = ctx or default_context()
-    key = (id(w), y_cap)
-    if key not in _kernel_cache:
-        _kernel_cache[key] = _KernelTables(w, ctx, y_cap)
-    return _kernel_cache[key]
+    """The shared tables for (weight, ctx, y_cap), built once per value."""
+    return _kernel_tables(weight or make_gaussian_weight(),
+                          ctx or default_context(), float(y_cap))
+
+
+# keyed on the resolved values: kernel_tables(w, ctx) and
+# kernel_tables(w, ctx, 3000.0) must hit one entry
+_kernel_tables = lru_cache(maxsize=4)(_KernelTables)
 
 
 # --- the tau-integral and its expansion ---------------------------------------------

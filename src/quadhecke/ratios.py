@@ -40,12 +40,13 @@ import cmath
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from . import zint
-from ._numerics import cauchy_derivs, gl_nodes, panel_layout, panel_nodes
+from ._numerics import cauchy_derivs, gl_nodes, panel_layout, panel_nodes, read_only
 from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         s_even_main_form, _family)
 from .expansion import c_w1_closed, expansion_coefficients, thm_prediction
@@ -61,13 +62,6 @@ _PANEL_H = 0.25       # GL-12 panel width; fastest phase is log(32 N/pi^2)
 _PRIME_CUTOFF = 10 ** 6
 _AXIS_BLOCK = 512     # profile nodes per block: bounds the phase tables, fits K
 _PANEL_BLOCK = 64     # panels per block of the dual phase sum
-
-
-def _cexpm1(z: complex) -> complex:
-    """exp(z) - 1 without cancellation for small complex z."""
-    if abs(z) < 1e-4:
-        return z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    return cmath.exp(z) - 1.0
 
 
 def _mu_of(norm_c) -> float:
@@ -151,20 +145,8 @@ class _LaurentData:
     residue_gap: float                # |computed residue - 1| of r Psi(r)
 
 
-_laurent_cache: dict[tuple, _LaurentData] = {}
-
-
-def _ctx_key(ctx: ZetaKContext) -> tuple:
-    """The context parameters that cached ratios data depend on."""
-    return (ctx.precision, ctx.euler_cutoff)
-
-
-def _laurent_data(ctx: ZetaKContext | None = None) -> _LaurentData:
-    ctx = ctx or default_context()
-    got = _laurent_cache.get(_ctx_key(ctx))
-    if got is not None:
-        return got
-
+@lru_cache(maxsize=4)
+def _laurent_data(ctx: ZetaKContext) -> _LaurentData:
     # combined(r) = -1/r + g(r); Z'/Z removes the pole before the ring sees it
     def reg_combined(rs):
         rs = np.asarray(rs, dtype=complex)
@@ -187,85 +169,68 @@ def _laurent_data(ctx: ZetaKContext | None = None) -> _LaurentData:
         residue_gap=float(gap))
     if dat.residue_gap > 1e-8:
         raise ArithmeticError(f"pole residue drifted: gap {dat.residue_gap:.2e}")
-    _laurent_cache[_ctx_key(ctx)] = dat
     return dat
 
 
-# --- pointwise integrand -----------------------------------------------------------
+# --- the bracket on the axis -------------------------------------------------------
+
+def _bracket_parts(t: np.ndarray, ctx: ZetaKContext):
+    """Conductor-independent bracket data at nodes t > 0:
+    (Re combined(it), 2 Re psi(1/2+it), Psi(it)), where the dual term is
+    Psi(it) exp(-it mu(N)).  Below eps0 both singular pieces come from the
+    matched origin series."""
+    small = t < _EPS0
+    big = ~small
+    rc = np.empty(t.size)
+    pv = np.empty(t.size, dtype=complex)
+    if big.any():
+        tb = t[big]
+        z1, ld1, z2, ld2 = zeta_K_axis(tb)
+        rc[big] = (2.0 * ld1 + 2.0 * A_alpha_diag_it(tb, ctx, ld2)).real
+        g = np.exp(_loggamma(0.5 - 1j * tb) - _loggamma(0.5 + 1j * tb))
+        # zeta_K at 1-2it and 2-2it by Schwarz reflection
+        pv[big] = -(8.0 / math.pi) * g * np.conj(z1) \
+            * A_closed_mr(1j * tb, ctx, np.conj(z2))
+    if small.any():
+        dat = _laurent_data(ctx)
+        ts = t[small]
+        # Re of -1/(it) vanishes; odd Taylor term is imaginary as well
+        rc[small] = dat.c[0] - dat.c[2] * ts * ts
+        z = 1j * ts
+        pv[small] = 1.0 / z + dat.psi[0] + dat.psi[1] * z + dat.psi[2] * z * z
+    return rc, 2.0 * digamma(0.5 + 1j * t).real, pv
+
 
 def ratios_integrand(t: float, norm_c: int, test: TestFunction, L: float,
                      ctx: ZetaKContext | None = None) -> float:
     """Bracket at r = it, real part, times phi(tL/2pi).
 
     Only the real part enters: the bracket satisfies conj(B(t)) = B(-t), so
-    the imaginary part is odd and drops from the even integral.  For
-    |t| < eps0 the two singular pieces are evaluated from matched origin
-    series with the pole pair replaced by [exp(-it mu) - 1]/(it).
+    the imaginary part is odd and drops from the even integral.  The value
+    is the profile's per-node bracket at |t|; at t = 0 the pole of Psi(it)
+    is odd, and Re[Psi(it) exp(-it mu)] tends to psi_0 - mu.
     """
     ctx = ctx or default_context()
-    t = float(t)
+    t = abs(float(t))
     mu = _mu_of(norm_c)
-    two_psi = 2.0 * complex(digamma(0.5 + 1j * t)).real
-    if abs(t) < _EPS0:
+    if t == 0.0:
         dat = _laurent_data(ctx)
-        if t == 0.0:
-            f = dat.c[0] + dat.psi[0] - mu
-        else:
-            z = 1j * t
-            ph = cmath.exp(-mu * z)
-            f = (dat.c[0] + dat.c[1] * z + dat.c[2] * z * z
-                 + (dat.psi[0] + dat.psi[1] * z + dat.psi[2] * z * z) * ph
-                 + _cexpm1(-mu * z) / z).real
+        bracket = dat.c[0] + dat.psi[0] + 2.0 * _PSI_HALF
     else:
-        f = (_combined_analytic(1j * t, ctx)
-             + dual_term(1j * t, norm_c, ctx)).real
-    bracket = f + mu + two_psi
+        (rc,), (two_psi,), (pv,) = _bracket_parts(np.array([t]), ctx)
+        bracket = rc + (pv * cmath.exp(-1j * t * mu)).real + mu + two_psi
     return bracket * float(test.phi(t * L / (2.0 * math.pi)))
 
 
-# --- shared axis profile -----------------------------------------------------------
-
-_profile_cache: dict[tuple, tuple] = {}
-
-
+@lru_cache(maxsize=8)
 def _axis_profile(T: float, h: float, ctx: ZetaKContext):
     """Conductor-independent integrand data on the [0, T] panel grid:
-    (nodes, weights, Re combined(it), 2 Re psi(1/2+it), Psi(it))."""
-    key = (round(float(T), 9), round(float(h), 9)) + _ctx_key(ctx)
-    got = _profile_cache.get(key)
-    if got is not None:
-        return got
+    (nodes, weights, Re combined(it), 2 Re psi(1/2+it), Psi(it)), read-only."""
     nodes, wts = panel_nodes(0.0, float(T), float(h), 12)
-    re_comb = np.empty(nodes.size)
-    two_psi = np.empty(nodes.size)
-    psi_big = np.empty(nodes.size, dtype=complex)
-    dat = _laurent_data(ctx)
-    for i0 in range(0, nodes.size, _AXIS_BLOCK):
-        tc = nodes[i0:i0 + _AXIS_BLOCK]
-        small = tc < _EPS0
-        big = ~small
-        rc = np.empty(tc.size)
-        pv = np.empty(tc.size, dtype=complex)
-        if big.any():
-            tb = tc[big]
-            z1, ld1, z2, ld2 = zeta_K_axis(tb)
-            rc[big] = (2.0 * ld1 + 2.0 * A_alpha_diag_it(tb, ctx, ld2)).real
-            g = np.exp(_loggamma(0.5 - 1j * tb) - _loggamma(0.5 + 1j * tb))
-            # zeta_K at 1-2it and 2-2it by Schwarz reflection
-            pv[big] = -(8.0 / math.pi) * g * np.conj(z1) \
-                * A_closed_mr(1j * tb, ctx, np.conj(z2))
-        if small.any():
-            ts = tc[small]
-            # Re of -1/(it) vanishes; odd Taylor term is imaginary as well
-            rc[small] = dat.c[0] - dat.c[2] * ts * ts
-            z = 1j * ts
-            pv[small] = 1.0 / z + dat.psi[0] + dat.psi[1] * z + dat.psi[2] * z * z
-        re_comb[i0:i0 + _AXIS_BLOCK] = rc
-        psi_big[i0:i0 + _AXIS_BLOCK] = pv
-        two_psi[i0:i0 + _AXIS_BLOCK] = 2.0 * digamma(0.5 + 1j * tc).real
-    out = (nodes, wts, re_comb, two_psi, psi_big)
-    _profile_cache[key] = out
-    return out
+    parts = [_bracket_parts(nodes[i0:i0 + _AXIS_BLOCK], ctx)
+             for i0 in range(0, nodes.size, _AXIS_BLOCK)]
+    re_comb, two_psi, psi_big = (np.concatenate(p) for p in zip(*parts))
+    return read_only(nodes, wts, re_comb, two_psi, psi_big)
 
 
 def _dual_phase_average(T: float, h: float, mu: np.ndarray,

@@ -16,6 +16,7 @@ configurable norm cutoff with logarithmic tail corrections.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ from scipy.special import exp1 as _exp1
 from scipy.special import loggamma as _loggamma
 
 from . import zint
-from ._numerics import alternating_sum
+from ._numerics import alternating_sum, read_only
 
 _EM_ORDER = 12  # Bernoulli pairs
 _EM_SHIFT = 20
@@ -313,10 +314,11 @@ def odd_prime_power_sum(w, log_deriv=None):
     w = np.asarray(w, dtype=complex)
     lam = -(zeta_K_log_deriv(w) if log_deriv is None else log_deriv)
     lam = lam - math.log(2.0) / (np.exp(w * math.log(2.0)) - 1.0)
-    norms = zint.prime_norms_up_to(_PP_CUT).astype(float)
-    la = np.log(norms)
+    # each distinct norm once, weighted by its multiplicity
+    norms, mult = np.unique(zint.prime_norms_up_to(_PP_CUT), return_counts=True)
+    la = np.log(norms.astype(float))
     nw = np.exp(-np.multiply.outer(w, la))  # N^-w
-    pp = (la * nw * nw / (1.0 - nw)).sum(axis=-1)
+    pp = (nw * nw / (1.0 - nw)) @ (mult * la)
     return lam - pp
 
 
@@ -356,33 +358,40 @@ def A_alpha_diag_it(t, ctx: "ZetaKContext | None" = None, log_deriv_2=None):
 
 # --- context ---------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ZetaKContext:
-    """Immutable bundle of cached constants and the Z(s) Taylor series at 1."""
+    """Immutable bundle of cached constants and the Z(s) Taylor series at 1.
 
-    precision: float = 1e-10
+    Contexts compare and hash on euler_cutoff, the one parameter; every
+    other field is derived from it, so caches key on the context's value.
+    """
+
     euler_cutoff: int = 10 ** 6
-    gamma: float = field(init=False)
-    gamma_K: float = field(init=False)
-    zetaK2: float = field(init=False)
-    zetaK_logderiv_2: float = field(init=False)
-    zetaK0: float = field(init=False)
-    zetaK0_prime: float = field(init=False)
-    residue: float = field(init=False)
-    z_taylor: np.ndarray = field(init=False, repr=False)
+    gamma: float = field(init=False, compare=False)
+    gamma_K: float = field(init=False, compare=False)
+    zetaK2: float = field(init=False, compare=False)
+    zetaK_logderiv_2: float = field(init=False, compare=False)
+    zetaK0: float = field(init=False, compare=False)
+    zetaK0_prime: float = field(init=False, compare=False)
+    residue: float = field(init=False, compare=False)
+    z_taylor: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.gamma = EULER_GAMMA
-        self.gamma_K = gamma_K()
-        self.zetaK2 = float(np.real(zeta_K(2.0)))
-        self.zetaK_logderiv_2 = float(np.real(zeta_K_log_deriv(2.0)))
         z, dz = hurwitz(0.0, 1.0, True)
         l4, dl4 = _l4(0.0, True)
-        self.zetaK0 = float(np.real(z * l4))
-        self.zetaK0_prime = float(np.real(dz * l4 + z * dl4))
         s = 1.0 + 1e-6
-        self.residue = float(np.real((s - 1.0) * hurwitz(s, 1.0) * _l4(s)))
-        self.z_taylor = _z_taylor_coeffs()
+        derived = {
+            "gamma": EULER_GAMMA,
+            "gamma_K": gamma_K(),
+            "zetaK2": float(np.real(zeta_K(2.0))),
+            "zetaK_logderiv_2": float(np.real(zeta_K_log_deriv(2.0))),
+            "zetaK0": float(np.real(z * l4)),
+            "zetaK0_prime": float(np.real(dz * l4 + z * dl4)),
+            "residue": float(np.real((s - 1.0) * hurwitz(s, 1.0) * _l4(s))),
+            "z_taylor": read_only(_z_taylor_coeffs()),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
         self._check()
 
     def _check(self):
@@ -432,14 +441,9 @@ def _z_taylor_coeffs(nterms: int = 30, radius: float = 0.8, nodes: int = 128) ->
     return np.real(coeffs[:nterms]) / radius ** k
 
 
-_DEFAULT: ZetaKContext | None = None
-
-
+@functools.cache
 def default_context() -> ZetaKContext:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = ZetaKContext()
-    return _DEFAULT
+    return ZetaKContext()
 
 
 def constants_dict(ctx: ZetaKContext | None = None) -> dict[str, float]:

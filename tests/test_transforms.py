@@ -25,14 +25,17 @@ mp.mp.dps = 30
 
 # --- bessel_j0 ------------------------------------------------------------------
 
-def test_bessel_j0_vs_scipy():
-    # straddle the series/asymptotic switch at 12
-    x = np.concatenate([np.linspace(0.0, 11.99, 400),
-                        np.linspace(11.99, 300.0, 800)])
-    got = transforms.bessel_j0(x)
-    want = scipy.special.j0(x)
-    # series cancellation near the switch costs ~e^12 eps; 1e-12 is inherent
-    assert np.max(np.abs(got - want)) < 1e-12
+def test_w_tilde_vs_mpmath():
+    # 2 pi t r crosses 12 inside the support for each t; J0 from mpmath.
+    # A power series for J0 up to 12 loses ~4e-15 here to cancellation.
+    w = make_gaussian_weight()
+    edges = [mp.mpf(k) / 8 for k in range(21)]      # [0, 2.5] in panels
+    for t in (1.0, 2.0, 2.5, 3.0):
+        tt = mp.mpf(t)
+        want = 2 * mp.pi * mp.quad(
+            lambda r: mp.exp(-mp.pi * r ** 4) * mp.besselj(0, 2 * mp.pi * tt * r) * r,
+            edges)
+        assert abs(w.w_tilde(t) - float(want)) < 2e-15
 
 
 def test_bessel_j0_scalar():
@@ -158,6 +161,18 @@ def test_bump_tail_integral():
     want, _ = scipy.integrate.quad(b.phi_hat, 1.0, 1.5, limit=400)
     assert abs(b.phi_hat_tail_integral() - want) < 1e-12
     assert make_bump(0.9).phi_hat_tail_integral() == 0.0
+
+
+def test_test_function_equality():
+    # the lazy quadrature nodes take no part in equality
+    a, b = make_bump(1.5), make_bump(1.5)
+    a.phi(0.3)
+    b.phi(0.7)
+    assert a == b
+    assert a != make_bump(1.2) and a != make_fejer(1.5)
+    # weights compare and hash on their name, so caches key on the value
+    fresh, shared = transforms.WeightFunction(), make_gaussian_weight()
+    assert fresh == shared and hash(fresh) == hash(shared)
 
 
 def test_sigma_below_one_degenerate_values():
