@@ -64,32 +64,25 @@ def panel_layout(a: float, b: float, h: float) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class CubicTable:
-    """Cubic Lagrange interpolation on a uniform grid.
+    """Cubic Lagrange interpolation on a uniform grid over [x0, x1].
 
-    With log_x=True the grid is uniform in log(x); queries must stay inside
-    [x0, x1].  Values outside are clamped to `fill` (no extrapolation).
+    Values outside [x0, x1] are 0 (no extrapolation).
     """
 
     x0: float
     x1: float
     values: np.ndarray
-    log_x: bool = False
-    fill: float = 0.0
 
     @staticmethod
-    def build(f, x0: float, x1: float, n: int, log_x: bool = False,
-              fill: float = 0.0) -> "CubicTable":
-        if log_x:
-            grid = np.exp(np.linspace(math.log(x0), math.log(x1), n))
-        else:
-            grid = np.linspace(x0, x1, n)
-        return CubicTable(x0, x1, np.asarray(f(grid), dtype=float), log_x, fill)
+    def build(f, x0: float, x1: float, n: int) -> "CubicTable":
+        grid = np.linspace(x0, x1, n)
+        return CubicTable(x0, x1, np.asarray(f(grid), dtype=float))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        out = np.full(x.shape, self.fill)
+        out = np.zeros(x.shape)
         inside = (x >= self.x0) & (x <= self.x1)
         if np.any(inside):
             out[inside] = self._eval(x[inside])
@@ -98,12 +91,8 @@ class CubicTable:
     def _eval(self, x: np.ndarray) -> np.ndarray:
         v = self.values
         n = v.size
-        if self.log_x:
-            u = np.log(x) - math.log(self.x0)
-            h = (math.log(self.x1) - math.log(self.x0)) / (n - 1)
-        else:
-            u = x - self.x0
-            h = (self.x1 - self.x0) / (n - 1)
+        u = x - self.x0
+        h = (self.x1 - self.x0) / (n - 1)
         # enclosing interval [i, i+1] with stencil {i-1, i, i+1, i+2}
         i = np.clip((u / h).astype(np.int64), 1, n - 3)
         t = u / h - i

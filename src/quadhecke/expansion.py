@@ -1,27 +1,28 @@
 """Descending powers of log X: kernel lattice sums and expansion coefficients.
 
 The odd prime sum, after Poisson summation and Moebius inversion, reduces to
-a tau-integral J(X) over two kernels built from the weight transforms,
+a tau-integral J(X) over two lattice sums of the nested weight transform g1,
 
-  h1(x) = pref * sum_l mu(l)/N(l) (g1(2 N(l) x) - g1(N(l) x)),
-  h2(x) = pref * sum_l mu(l)/N(l)^2 (g(x/(2N(l)))/2 - g(x/N(l))),
+  H1(y) = pref * sum_n r(n) sum_l mu(l)/N(l) (g1(2 n N(l) y) - g1(n N(l) y)),
+  H2(y) = 1 + (pref/y) sum_n r(n) sum_l mu(l)/N(l) (g1(2 n N(l)/y) - g1(n N(l)/y)),
 
-with pref = 3 zeta_K(2) / (pi w_hat(0)) and l running over primary squarefree
-elements.  g1's hard cutoff makes h1 an exact finite sum vanishing for
-x > 112; h2 converges absolutely and its tail past a norm cutoff T is the
-constant -g(0)/2 times the Moebius tail, restored here in closed form via
-Phi(inf) - Phi(T), so the only error left is the g-variation term O(x/T^2).
+with pref = 3 zeta_K(2) / (pi w_hat(0)), r(n) = #{k in Z[i] : N(k) = n} and
+l running over primary squarefree elements.  H2 is the lattice sum of the
+kernel h2(x) = pref * sum_l mu(l)/N(l)^2 (g(x/(2N(l)))/2 - g(x/N(l))) after
+swapping the two lattice sums through the radial Poisson identity
+sum_k g(N(k) z) = (1/z) sum_j g1(N(j)/z).
 
-Full lattice sums over Z[i] are then
+Grouping the terms by m = n N(l) turns the double sum into one Dirichlet
+convolution c = r * (mu/N), c(m) = sum_{N(l) | m} mu(l)/N(l) r(m/N(l)), and
+folding the g1(2 m z) terms in gives d(m) = c(m/2) [2 | m] - c(m), so
 
-  H1(y) = sum_n r(n) h1(n y),
-  H2(y) = 1 + (pref/y) sum_n r(n) (R(2n/y) - R(n/y)),
+  H1(y) = pref * sum_{m <= 112/y} d(m) g1(m y),
+  H2(y) = 1 + (pref/y) sum_{m <= 112 y} d(m) g1(m/y):
 
-the second obtained by swapping the two lattice sums through the radial
-Poisson identity sum_k g(N(k) z) = (1/z) sum_j g1(N(j)/z); here
-R(v) = sum_l mu(l)/N(l) g1(v N(l)) is univariate and tabulated once.
-H2(y) decays like y^(-3/2), so the tau-integrals are cut at y_cap with a
-fitted-envelope tail estimate reported as error.
+one sum, taken at y and at 1/y.  g1's hard cutoff (below 1e-13 past 112)
+makes both finite and exact.  H2(y) decays like y^(-3/2), so the
+tau-integrals are cut at y_cap with a fitted-envelope tail estimate reported
+as error.
 
 The even prime sum expands into coefficients d_m built from four pieces:
 prime powers j >= 2, the alternating-geometric constants C1, the boundary
@@ -43,7 +44,7 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from . import zint
-from ._numerics import CubicTable, cauchy_derivs, panel_nodes, read_only
+from ._numerics import cauchy_derivs, panel_nodes, read_only
 from .specfun import (_LOG_32_PI2, _PSI_HALF, EULER_GAMMA, ZetaKContext,
                       default_context, hurwitz)
 from .transforms import (TestFunction, WeightFunction, make_gaussian_weight)
@@ -56,16 +57,10 @@ def prefactor(weight: WeightFunction, ctx: ZetaKContext | None = None) -> float:
     return 3.0 * ctx.zetaK2 / (math.pi * weight.w_hat0)
 
 
-@lru_cache(maxsize=8)
-def _sf_arrays(bound: int):
-    _, _, norm, mu = zint.primary_squarefree_arrays(bound, with_mu=True)
-    return read_only(norm.astype(float), mu.astype(float))
-
-
 def phi_sf_partial(bound: int) -> float:
     """Phi(bound) = sum over primary squarefree N(l) <= bound of mu(l)/N(l)^2."""
-    norm, mu = _sf_arrays(bound)
-    return float(np.sum(mu / norm ** 2))
+    _, _, norm, mu = zint.primary_squarefree_arrays(bound, with_mu=True)
+    return float(np.sum(mu / norm.astype(float) ** 2))
 
 
 def phi_sf_limit(ctx: ZetaKContext | None = None) -> float:
@@ -73,51 +68,14 @@ def phi_sf_limit(ctx: ZetaKContext | None = None) -> float:
     return 4.0 / (3.0 * ctx.zetaK2)
 
 
-# --- kernels ----------------------------------------------------------------------
-
-def h1(x: float, weight: WeightFunction | None = None,
-       ctx: ZetaKContext | None = None) -> float:
-    """Exact finite sum; vanishes for x > 112 by the g1 cutoff."""
-    if x <= 0.0:
-        raise ValueError("h1 needs x > 0")
-    w = weight or make_gaussian_weight()
-    if x > _G1_CUT:
-        return 0.0
-    bound = int(_G1_CUT / x) + 1
-    norm, mu = _sf_arrays(bound)
-    keep = norm * x <= _G1_CUT
-    n, m = norm[keep], mu[keep]
-    val = float(np.dot(m / n, w.g1(2.0 * n * x) - w.g1(n * x)))
-    return prefactor(w, ctx) * val
-
-
-def h2_with_error(x: float, l_max: int = 10 ** 4,
-                  weight: WeightFunction | None = None,
-                  ctx: ZetaKContext | None = None) -> tuple[float, float]:
-    """h2 by truncation at N(l) <= l_max plus the closed Moebius-tail constant.
-
-    Past the cutoff the bracket is -g(0)/2 + O(x/N), so the constant part is
-    restored exactly through Phi(inf) - Phi(l_max) and only the variation
-    remains; its size is returned as the error estimate.
-    """
-    if x < 0.0:
-        raise ValueError("h2 needs x >= 0")
-    w = weight or make_gaussian_weight()
-    ctx = ctx or default_context()
-    norm, mu = _sf_arrays(l_max)
-    g0 = float(w.g(0.0))
-    br = 0.5 * w.g(x / (2.0 * norm)) - w.g(x / norm)
-    head = float(np.dot(mu / norm ** 2, br))
-    tail_const = -0.5 * g0 * (phi_sf_limit(ctx) - phi_sf_partial(l_max))
-    # |g(u) - g(0)| <= max|g'| u with max|g'| about 3.2 for the gaussian chain
-    err = 0.3 * 3.2 * 1.5 * x / (4.0 * l_max ** 2) + 1e-12
-    return prefactor(w, ctx) * (head + tail_const), prefactor(w, ctx) * err
-
-
 # --- full lattice sums ------------------------------------------------------------
 
 class _KernelTables:
-    """Per-weight caches: the R(v) table and lattice norm counts."""
+    """H1 and H2 for one (weight, ctx, y_cap), from the shared d(m) array.
+
+    d holds d(m) = c(m/2) [2 | m] - c(m), c = r * (mu/N), for m up to
+    112 y_cap, so H1 is defined for y >= 1/y_cap and H2 for 1 <= y <= y_cap.
+    """
 
     def __init__(self, weight: WeightFunction, ctx: ZetaKContext,
                  y_cap: float = 3000.0):
@@ -125,51 +83,40 @@ class _KernelTables:
         self.ctx = ctx
         self.y_cap = y_cap
         self.pref = prefactor(weight, ctx)
-        v_min = 1.0 / y_cap
-        bound = int(_G1_CUT / v_min) + 1
-        norm, mu = _sf_arrays(bound)
-        wmu = mu / norm
+        m_max = int(_G1_CUT * y_cap) + 1
+        _, _, norm, mu = zint.primary_squarefree_arrays(m_max, with_mu=True)
+        weights = np.zeros(m_max + 1)          # sum of mu(l)/N(l) by norm
+        np.add.at(weights, norm, mu / norm)
+        r = zint.lattice_norm_counts(m_max)
+        c = np.zeros(m_max + 1)
+        for n in np.flatnonzero(weights).tolist():
+            c[n::n] += weights[n] * r[1:m_max // n + 1]
+        d = -c
+        d[2::2] += c[1:m_max // 2 + 1]
+        self.d = read_only(d)
 
-        def r_of(v: np.ndarray) -> np.ndarray:
-            out = np.empty_like(v)
-            for i, vi in enumerate(v):
-                keep = norm * vi <= _G1_CUT
-                out[i] = np.dot(wmu[keep], weight.g1(norm[keep] * vi))
-            return out
-
-        n_nodes = int(math.log(_G1_CUT / v_min) / 0.008) + 8
-        self.r_table = CubicTable.build(r_of, v_min, _G1_CUT, n_nodes,
-                                        log_x=True, fill=0.0)
-        read_only(self.r_table.values)
-        self.counts = read_only(
-            zint.lattice_norm_counts(int(_G1_CUT * y_cap) + 2).astype(float))
+    def _g1_sum(self, x: float) -> float:
+        """sum_{m <= 112/x} d(m) g1(m x): H1 at y = x, H2 at y = 1/x."""
+        k = int(_G1_CUT / x)
+        ms = np.arange(1, k + 1, dtype=float)
+        return float(np.dot(self.d[1:k + 1], self.weight.g1(ms * x)))
 
     def H1(self, y: float) -> float:
-        if y <= 0.0:
-            raise ValueError("H1 needs y > 0")
-        if y > _G1_CUT:
-            return 0.0
-        total = 0.0
-        for n in range(1, int(_G1_CUT / y) + 1):
-            c = self.counts[n]
-            if c:
-                total += c * h1(n * y, self.weight, self.ctx)
-        return total
+        if not y * self.y_cap >= 1.0:
+            raise ValueError("H1 needs y >= 1/y_cap")
+        return self.pref * self._g1_sum(y)
 
     def H2(self, y: float) -> float:
         if not 1.0 <= y <= self.y_cap * (1.0 + 1e-12):
             raise ValueError("H2 tabulated for 1 <= y <= y_cap")
-        nmax = int(_G1_CUT * y)
-        ns = np.arange(1, nmax + 1, dtype=float)
-        v = ns / y
-        terms = self.r_table(2.0 * v) - self.r_table(v)
-        return 1.0 + self.pref / y * float(np.dot(self.counts[1:nmax + 1], terms))
+        return 1.0 + self.pref / y * self._g1_sum(1.0 / y)
 
 
 def kernel_tables(weight: WeightFunction | None = None,
                   ctx: ZetaKContext | None = None,
                   y_cap: float = 3000.0) -> _KernelTables:
-    """The shared tables for (weight, ctx, y_cap), built once per value."""
+    """The kernel lattice sums for (weight, ctx, y_cap): the d(m) array is
+    built once per value and H1, H2 read it."""
     return _kernel_tables(weight or make_gaussian_weight(),
                           ctx or default_context(), float(y_cap))
 

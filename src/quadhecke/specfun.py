@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import bernoulli as _bernoulli
 from scipy.special import exp1 as _exp1
 from scipy.special import loggamma as _loggamma
+from scipy.special import psi as _psi
 
 from . import zint
 from ._numerics import alternating_sum, read_only
@@ -180,28 +181,13 @@ def gamma_K(n: int = 40) -> float:
 
 
 def digamma(s):
-    """psi(s), complex scalar or array; recurrence into Re >= 12 plus the
-    Bernoulli asymptotic series."""
-    arr = np.atleast_1d(np.asarray(s, dtype=complex)).copy()
+    """psi(s), complex scalar or array (scipy.special.psi); raises
+    ValueError at the poles s = 0, -1, -2, ..., where scipy returns NaN."""
+    arr = np.asarray(s, dtype=complex)
     if np.any((arr.real <= 0) & (np.abs(arr - np.round(arr.real)) < 1e-12)):
         raise ValueError("digamma pole")
-    scalar = np.asarray(s).ndim == 0
-    acc = np.zeros_like(arr)
-    shifts = int(max(0, 12.0 - float(np.min(arr.real)))) + 1
-    for _ in range(shifts):
-        mask = arr.real < 12.0
-        if not mask.any():
-            break
-        acc[mask] -= 1.0 / arr[mask]
-        arr[mask] += 1.0
-    inv2 = 1.0 / (arr * arr)
-    out = np.log(arr) - 0.5 / arr
-    pw = inv2.copy()
-    for nn in range(1, 8):
-        out -= _B2J[nn - 1] / (2 * nn) * pw
-        pw = pw * inv2
-    out = out + acc
-    return complex(out[0]) if scalar else out
+    out = _psi(arr)
+    return complex(out) if out.ndim == 0 else out
 
 
 def X_c(s, norm_c: int):

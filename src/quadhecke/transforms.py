@@ -31,8 +31,6 @@ from ._numerics import CubicTable, cauchy_derivs, gl_nodes, panel_nodes, read_on
 
 M_MAX = 8
 
-_SQRT2 = math.sqrt(2.0)
-
 
 # --- Bessel J0 -------------------------------------------------------------------
 
@@ -290,12 +288,6 @@ class WeightFunction:
 def make_gaussian_weight() -> WeightFunction:
     """Shared instance; transform tables are built once per process."""
     return WeightFunction()
-
-
-# --- free-function views (operation names used elsewhere) --------------------------
-
-def w_tilde(w: WeightFunction, t, refine: int = 1):
-    return w.w_tilde(t, refine)
 
 
 # --- numerical Mellin transform ----------------------------------------------------

@@ -16,7 +16,7 @@ from quadhecke.empirical import DensityConfig, poisson_pair, total_weight
 from quadhecke.expansion import J_X, thm_prediction
 from quadhecke.ratios import prime_bridge_check, ratios_first_order
 from quadhecke.specfun import A_closed_mr, A_euler, digamma, hurwitz
-from quadhecke.transforms import mellin_identity_check, w_tilde
+from quadhecke.transforms import mellin_identity_check
 from quadhecke.zint import GInt, I, PrimaryPrime
 
 X_GRID = (500.0, 2000.0, 8000.0)
@@ -214,7 +214,7 @@ def test_a_factor_normalization(ctx):
 def test_mellin_identity(weight):
     assert mellin_identity_check(weight, 0.5) < 1e-4
     assert mellin_identity_check(weight, 0.5 + 1.0j) < 1e-4
-    assert abs(w_tilde(weight, 0.0) - 0.5 * math.pi * weight.w_hat0) < 1e-8
+    assert abs(weight.w_tilde(0.0) - 0.5 * math.pi * weight.w_hat0) < 1e-8
 
 
 # --- 8: family weight density --------------------------------------------------------
@@ -299,8 +299,7 @@ def test_memoized_arrays_read_only(weight, ctx):
     arrays = [*zint.primary_squarefree_arrays(500),
               *zint.primary_squarefree_arrays(500, with_mu=True),
               zint.prime_norms_up_to(500), zint.lattice_norm_counts(50),
-              *_numerics.leggauss(12), *expansion._sf_arrays(500),
-              tab.counts, tab.r_table.values,
+              *_numerics.leggauss(12), tab.d,
               weight._wt_table.values, weight._gt_table.values,
               *make_bump(1.5)._bump_nodes,
               *ratios._axis_profile(3.7, 0.25, ctx), ctx.z_taylor]

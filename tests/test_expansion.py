@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from quadhecke import expansion
+from quadhecke import expansion, zint
 from quadhecke.transforms import make_bump, make_fejer
 
 # reference values for the gaussian weight at M = 2, analytic route,
 # cutoff 1e6; reproduced by this code and cross-checked against the
 # Laurent data of the ratios integrand (d_1 equals its constant term)
 D1_REF = 3.53163815581448
-CW1_REF = 0.773225674480372
+CW1_REF = 0.773225665995813
 RW1_REF = -0.515483829572399
 D2_REF = 8.20292893372279
 CW2_REF = 3.05782650086198
@@ -34,28 +34,60 @@ def test_phi_sf_converges(ctx):
     assert e5 < 1e-4
 
 
+def _sf_terms(bound):
+    """norm and mu / norm of the primary squarefree elements up to bound."""
+    _, _, norm, mu = zint.primary_squarefree_arrays(bound, with_mu=True)
+    return norm.astype(float), mu / norm
+
+
 def test_h1_cutoff_and_value(weight, ctx):
-    assert expansion.h1(113.0, weight, ctx) == 0.0
-    # rebuild from the definition at one point
-    x = 3.0
-    norm, mu = expansion._sf_arrays(int(112.0 / x) + 1)
-    keep = norm * x <= 112.0
-    want = expansion.prefactor(weight, ctx) * float(
-        np.dot(mu[keep] / norm[keep],
-               weight.g1(2.0 * norm[keep] * x) - weight.g1(norm[keep] * x)))
-    assert abs(expansion.h1(x, weight, ctx) - want) < 1e-14
-    with pytest.raises(ValueError):
-        expansion.h1(0.0, weight, ctx)
+    # H1(y) = sum_n r(n) h1(n y), h1 rebuilt from its definition
+    # h1(x) = pref sum_l mu(l)/N(l) (g1(2 N(l) x) - g1(N(l) x))
+    tab = expansion.kernel_tables(weight, ctx)
+    pref = expansion.prefactor(weight, ctx)
+
+    def h1(x):
+        norm, wmu = _sf_terms(int(112.0 / x) + 1)
+        return pref * float(np.dot(wmu, weight.g1(2.0 * norm * x)
+                                   - weight.g1(norm * x)))
+
+    r = zint.lattice_norm_counts(200)
+    for y in (1.0, 1.37, 3.0, 20.5, 111.0):
+        want = sum(int(r[n]) * h1(n * y)
+                   for n in range(1, int(112.0 / y) + 1) if r[n])
+        assert abs(tab.H1(y) - want) < 1e-14
+    assert tab.H1(113.0) == 0.0
+    # d(m) stops at m = 112 y_cap, so H1 needs y >= 1/y_cap
+    for y in (0.0, 0.5 / tab.y_cap):
+        with pytest.raises(ValueError):
+            tab.H1(y)
 
 
-def test_h2_truncation_consistent(weight, ctx):
-    for x in (0.0, 1.7, 20.0):
-        v1, e1 = expansion.h2_with_error(x, 10 ** 4, weight, ctx)
-        v2, e2 = expansion.h2_with_error(x, 4 * 10 ** 4, weight, ctx)
-        assert e2 < e1 or (e1 < 2e-12 and e2 < 2e-12)
-        assert abs(v1 - v2) <= e1 + e2
-    with pytest.raises(ValueError):
-        expansion.h2_with_error(-1.0, weight=weight, ctx=ctx)
+def test_H2_matches_exact_R(weight, ctx):
+    # H2(y) = 1 + (pref/y) sum_n r(n) (R(2n/y) - R(n/y)) with
+    # R(v) = sum_l mu(l)/N(l) g1(v N(l)) summed directly, no table
+    tab = expansion.kernel_tables(weight, ctx)
+    pref = expansion.prefactor(weight, ctx)
+    for y in (1.0, 2.9, 17.0, 64.5, 150.0):
+        norm, wmu = _sf_terms(int(112.0 * y) + 1)
+
+        def R(v):
+            keep = norm * v <= 112.0
+            return float(np.dot(wmu[keep], weight.g1(v * norm[keep])))
+
+        r = zint.lattice_norm_counts(int(112.0 * y))
+        total = sum(int(r[n]) * (R(2.0 * n / y) - R(n / y))
+                    for n in np.flatnonzero(r[1:]) + 1)
+        assert abs(tab.H2(y) - (1.0 + pref / y * total)) < 1e-13
+
+
+def test_kernel_sums_do_not_resieve(fejer15, weight, ctx):
+    # once the tables exist, J_X and c_w read the d array and sieve nothing
+    expansion.kernel_tables(weight, ctx)
+    zint.primary_squarefree_arrays.cache_clear()
+    expansion.J_X(2000.0, fejer15, weight, ctx)
+    expansion.c_w_coefficients(2, weight, ctx)
+    assert zint.primary_squarefree_arrays.cache_info().misses == 0
 
 
 def test_J_X_reference_and_decay(fejer15, weight, ctx):

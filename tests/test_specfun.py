@@ -93,6 +93,13 @@ def test_digamma_vectorized():
         assert abs(vi - complex(mp.digamma(0.5 + 1j * float(ti)))) < 1e-11
 
 
+def test_digamma_pole_guard():
+    # scipy's psi returns NaN at the poles; digamma must raise instead
+    for s in (0.0, -2.0, 0j, np.array([1.5, -2.0])):
+        with pytest.raises(ValueError):
+            specfun.digamma(s)
+
+
 def test_gamma_K_value():
     # gamma_K = Z'(1) for Z(s) = (s-1) zeta_K(s); central difference on the
     # pole-free product (mp.diff through the Hurwitz pole loses digits)
