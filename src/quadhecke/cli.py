@@ -177,8 +177,8 @@ def _parse_grid(spec: str) -> list[float]:
         xs = [float(p) for p in spec.split(",") if p.strip()]
     except ValueError as exc:
         raise _ConfigError(f"bad X grid {spec!r}") from exc
-    if not xs or any(x <= 1.0 for x in xs):
-        raise _ConfigError(f"X grid needs values > 1: {spec!r}")
+    if not xs or not all(1.0 < x < math.inf for x in xs):
+        raise _ConfigError(f"X grid needs finite values > 1: {spec!r}")
     return xs
 
 
@@ -407,6 +407,7 @@ def _cmd_expand(ns, cfg) -> int:
     cutoff = int(_resolve(ns, cfg, "cutoff", 10 ** 6, int))
     if route not in ("analytic", "sieve"):
         raise _ConfigError(f"bad route {route!r}")
+    xs = None if grid is None else _parse_grid(grid)
     try:
         test = parse_test_function(phi)
         wf = parse_weight(weight)
@@ -415,9 +416,9 @@ def _cmd_expand(ns, cfg) -> int:
     ctx = default_context()
     coeffs = expansion_coefficients(m_order, test, wf, ctx, cutoff, route)
     result = {"M": m_order, "coefficients": coeffs.as_rows()}
-    if grid is not None:
+    if xs is not None:
         vals = []
-        for x in _parse_grid(grid):
+        for x in xs:
             jv, je = J_X(x, test, wf, ctx)
             vals.append({"X": x, "J": jv, "J_err_bound": je,
                          "J_first_order": J_first_order(x, test, wf, ctx),

@@ -20,9 +20,14 @@ folding the g1(2 m z) terms in gives d(m) = c(m/2) [2 | m] - c(m), so
   H2(y) = 1 + (pref/y) sum_{m <= 112 y} d(m) g1(m/y):
 
 one sum, taken at y and at 1/y.  g1's hard cutoff (below 1e-13 past 112)
-makes both finite and exact.  H2(y) decays like y^(-3/2), so the
-tau-integrals are cut at y_cap with a fitted-envelope tail estimate reported
-as error.
+makes both finite and exact.  d(m) is zero for 89% of m <= 112 y_cap at
+y_cap = 3000, so the sum runs over its nonzero support only.
+H2(y) decays like y^(-3/2), so the tau-integrals are cut at y_cap with a
+fitted-envelope tail estimate reported as error.  H2 is tabulated once per
+kernel table on the fixed GL-12 panels of [0, 2 log y_cap]; J(X) reads the
+whole panels below its upper limit and sums afresh only the partial panel
+there and the panel holding the kink of phi_hat(1 - tau/L) at tau = L,
+split at the kink.
 
 The even prime sum expands into coefficients d_m built from four pieces:
 prime powers j >= 2, the alternating-geometric constants C1, the boundary
@@ -38,13 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from . import zint
-from ._numerics import cauchy_derivs, panel_nodes, read_only
+from ._numerics import cauchy_derivs, panel_layout, panel_nodes, read_only
 from .specfun import (_LOG_32_PI2, _PSI_HALF, EULER_GAMMA, ZetaKContext,
                       default_context, hurwitz)
 from .transforms import (TestFunction, WeightFunction, make_gaussian_weight)
@@ -71,10 +76,18 @@ def phi_sf_limit(ctx: ZetaKContext | None = None) -> float:
 # --- full lattice sums ------------------------------------------------------------
 
 class _KernelTables:
-    """H1 and H2 for one (weight, ctx, y_cap), from the shared d(m) array.
+    """H1 and H2 for one (weight, ctx, y_cap), from the shared d(m) support.
 
-    d holds d(m) = c(m/2) [2 | m] - c(m), c = r * (mu/N), for m up to
+    d(m) = c(m/2) [2 | m] - c(m), c = r * (mu/N), is built for m up to
     112 y_cap, so H1 is defined for y >= 1/y_cap and H2 for 1 <= y <= y_cap.
+    Only its nonzero terms are kept, as two read-only arrays m and d_m
+    (36841 of the 336002 entries at y_cap = 3000); a lattice sum stops at
+    m <= 112/x by one searchsorted and is one dot product over that prefix.
+
+    h2_profile tabulates H2 once on the branch-2 grid of the tau-integral,
+    the GL-12 panels panel_nodes(0, 2 log y_cap, 0.25, 12) at y = e^(tau/2),
+    and h2_envelope fits the y^(-3/2) tail once; J_X and c_w_coefficients
+    read both instead of summing the lattice again.
     """
 
     def __init__(self, weight: WeightFunction, ctx: ZetaKContext,
@@ -93,13 +106,13 @@ class _KernelTables:
             c[n::n] += weights[n] * r[1:m_max // n + 1]
         d = -c
         d[2::2] += c[1:m_max // 2 + 1]
-        self.d = read_only(d)
+        m = np.flatnonzero(d)
+        self.m, self.d_m = read_only(m.astype(float), d[m])
 
     def _g1_sum(self, x: float) -> float:
         """sum_{m <= 112/x} d(m) g1(m x): H1 at y = x, H2 at y = 1/x."""
-        k = int(_G1_CUT / x)
-        ms = np.arange(1, k + 1, dtype=float)
-        return float(np.dot(self.d[1:k + 1], self.weight.g1(ms * x)))
+        k = int(np.searchsorted(self.m, _G1_CUT / x, side="right"))
+        return float(np.dot(self.d_m[:k], self.weight.g1(self.m[:k] * x)))
 
     def H1(self, y: float) -> float:
         if not y * self.y_cap >= 1.0:
@@ -111,12 +124,30 @@ class _KernelTables:
             raise ValueError("H2 tabulated for 1 <= y <= y_cap")
         return 1.0 + self.pref / y * self._g1_sum(1.0 / y)
 
+    @property
+    def tau_cap(self) -> float:
+        """2 log y_cap: the branch-2 tau-integrals stop here."""
+        return 2.0 * math.log(self.y_cap)
+
+    @cached_property
+    def h2_profile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tau, GL weight, H2(e^(tau/2))) on panel_nodes(0, tau_cap, 0.25, 12)."""
+        tau, q = panel_nodes(0.0, self.tau_cap, 0.25, 12)
+        f = np.array([self.H2(math.exp(0.5 * t)) for t in tau])
+        return read_only(tau, q, f)
+
+    @cached_property
+    def h2_envelope(self) -> float:
+        """Fitted constant C with |H2(y)| <= C y^(-3/2) near the cap."""
+        ys = np.geomspace(self.y_cap / 8.0, self.y_cap, 12)
+        return max(abs(self.H2(float(y))) * float(y) ** 1.5 for y in ys)
+
 
 def kernel_tables(weight: WeightFunction | None = None,
                   ctx: ZetaKContext | None = None,
                   y_cap: float = 3000.0) -> _KernelTables:
-    """The kernel lattice sums for (weight, ctx, y_cap): the d(m) array is
-    built once per value and H1, H2 read it."""
+    """The kernel lattice sums for (weight, ctx, y_cap): the d(m) support
+    and the H2 profile are built once per value and H1, H2, J_X read them."""
     return _kernel_tables(weight or make_gaussian_weight(),
                           ctx or default_context(), float(y_cap))
 
@@ -128,17 +159,11 @@ _kernel_tables = lru_cache(maxsize=4)(_KernelTables)
 
 # --- the tau-integral and its expansion ---------------------------------------------
 
-def _h2_envelope(tab: _KernelTables) -> float:
-    """Fitted constant C with |H2(y)| <= C y^(-3/2) near the cap."""
-    ys = np.geomspace(tab.y_cap / 8.0, tab.y_cap, 12)
-    return max(abs(tab.H2(float(y))) * float(y) ** 1.5 for y in ys)
-
-
 def J_X(X: float, test: TestFunction, weight: WeightFunction | None = None,
         ctx: ZetaKContext | None = None, y_cap: float = 3000.0) -> tuple[float, float]:
     """Numeric J(X): value and an error estimate from the y_cap tail."""
-    if X <= math.e:
-        raise ValueError("J_X needs X > e")
+    if not math.e < X < math.inf:
+        raise ValueError("J_X needs finite X > e")
     w = weight or make_gaussian_weight()
     ctx = ctx or default_context()
     tab = kernel_tables(w, ctx, y_cap)
@@ -152,13 +177,25 @@ def J_X(X: float, test: TestFunction, weight: WeightFunction | None = None,
         f1 = np.array([tab.H1(math.exp(0.5 * t)) for t in t1])
         total += float(np.dot(q1, test.phi_hat(1.0 + t1 / L)
                               * np.exp(0.5 * t1) * f1))
-    # branch 2: phi_hat(1 - tau/L), cut at y_cap
-    top2 = min((1.0 + sigma) * L, 2.0 * math.log(y_cap))
-    t2, q2 = panel_nodes(0.0, top2, 0.25, 12)
-    f2 = np.array([tab.H2(math.exp(0.5 * t)) for t in t2])
-    total += float(np.dot(q2, test.phi_hat(1.0 - t2 / L) * f2))
-    c_env = _h2_envelope(tab)
-    tail = c_env * (4.0 / 3.0) * math.exp(-0.75 * top2)
+    # branch 2: phi_hat(1 - tau/L), cut at y_cap.  The whole profile panels
+    # below top2 are read from the table; the partial panel at top2 and the
+    # panel holding phi_hat's kink at tau = L, split there, are summed afresh.
+    top2 = min((1.0 + sigma) * L, tab.tau_cap)
+    n, step = panel_layout(0.0, tab.tau_cap, 0.25)
+    whole = n if top2 >= tab.tau_cap else int(top2 / step)
+    kink = int(L / step)
+    t2, q2, f2 = tab.h2_profile
+    panel = np.arange(t2.size) // 12
+    keep = (panel < whole) & (panel != kink)
+    total += float(np.dot(q2[keep], test.phi_hat(1.0 - t2[keep] / L) * f2[keep]))
+    fresh = [(kink * step, (kink + 1) * step)] if kink < whole else []
+    if whole < n:
+        fresh.append((whole * step, top2))
+    for lo, hi in fresh:
+        t, q = panel_nodes(lo, hi, 0.25, 12, breaks=(L,))
+        f = np.array([tab.H2(math.exp(0.5 * x)) for x in t])
+        total += float(np.dot(q, test.phi_hat(1.0 - t / L) * f))
+    tail = tab.h2_envelope * (4.0 / 3.0) * math.exp(-0.75 * top2)
     err = (tail + 3e-6) / L
     return total / L, err
 
@@ -175,17 +212,15 @@ def c_w_coefficients(M: int, weight: WeightFunction | None = None,
     top1 = 2.0 * math.log(_G1_CUT)
     t1, q1 = panel_nodes(0.0, top1, 0.25, 12)
     f1 = np.array([tab.H1(math.exp(0.5 * t)) for t in t1])
-    top2 = 2.0 * math.log(y_cap)
-    t2, q2 = panel_nodes(0.0, top2, 0.25, 12)
-    f2 = np.array([tab.H2(math.exp(0.5 * t)) for t in t2])
-    c_env = _h2_envelope(tab)
+    t2, q2, f2 = tab.h2_profile
     out = []
     for m in range(1, M + 1):
         fact = math.gamma(m)
         i1 = float(np.dot(q1, t1 ** (m - 1) * np.exp(0.5 * t1) * f1))
         i2 = float(np.dot(q2, (-t2) ** (m - 1) * f2))
-        # tail of int tau^(m-1) C e^(-3 tau/4): (4/3)^m Gamma(m) Q(m, 3 top2/4)
-        tail = c_env * (4.0 / 3.0) ** m * fact * float(gammaincc(m, 0.75 * top2))
+        # tail of int tau^(m-1) C e^(-3 tau/4): (4/3)^m Gamma(m) Q(m, 3 tau_cap/4)
+        tail = (tab.h2_envelope * (4.0 / 3.0) ** m * fact
+                * float(gammaincc(m, 0.75 * tab.tau_cap)))
         out.append(((i1 + i2) / fact, (tail + 3e-6) / fact))
     return out
 
@@ -203,8 +238,8 @@ def c_w1_closed(weight: WeightFunction | None = None,
 def J_first_order(X: float, test: TestFunction,
                   weight: WeightFunction | None = None,
                   ctx: ZetaKContext | None = None) -> float:
-    if X <= math.e:
-        raise ValueError("X > e required")
+    if not math.e < X < math.inf:
+        raise ValueError("J_first_order needs finite X > e")
     return float(test.phi_hat(1.0)) * c_w1_closed(weight, ctx) / math.log(X)
 
 

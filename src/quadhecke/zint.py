@@ -90,10 +90,12 @@ def primary_associate(z: GInt) -> tuple[GInt, GInt]:
     """Unique (u, p) with z = u*p, u a unit, p primary.  Requires z odd."""
     if not z.is_odd():
         raise ValueError(f"{z!r} is not odd")
-    found = [u for u in UNITS if is_primary(u * z)]
-    if len(found) != 1:
-        raise AssertionError(f"primary associate count {len(found)} for {z!r}")
-    u = found[0]
+    # u z is primary when its real part is odd and re + im = 1 mod 4:
+    # u = +-1 keeps an odd real part, u = +-i (i z = -im + i re) swaps it in
+    if z.re % 2:
+        u = ONE if (z.re + z.im) % 4 == 1 else -ONE
+    else:
+        u = I if (z.re - z.im) % 4 == 1 else -I
     return _UNIT_INV[u], u * z
 
 

@@ -146,6 +146,16 @@ def test_bad_x(capsys):
     assert "error[config]" in err
 
 
+@pytest.mark.parametrize("command", ["expand", "compare"])
+@pytest.mark.parametrize("grid", ["inf", "nan", "500,inf", "1e400"])
+def test_non_finite_x_grid(capsys, command, grid):
+    # rejected before any route runs, not reported as a tolerance failure
+    code, out, err = _run(capsys, command, "--X-grid", grid)
+    assert code == 1
+    assert err.startswith("quadhecke: error[config]")
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("density", "--X", "100", "--R-mult", "0"),
     ("density", "--X", "100", "--R-mult", "-1"),

@@ -1,6 +1,7 @@
 """Closed-form expansion: kernels, J(X), and the coefficient ladder."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import scipy.integrate
 
 from quadhecke import expansion, zint
+from quadhecke._numerics import panel_layout, panel_nodes
 from quadhecke.transforms import make_bump, make_fejer
 
 # reference values for the gaussian weight at M = 2, analytic route,
@@ -106,6 +108,88 @@ def test_J_X_reference_and_decay(fejer15, weight, ctx):
                for g, X in zip(gaps, (500.0, 2000.0, 8000.0)))
     with pytest.raises(ValueError):
         expansion.J_X(2.0, fejer15, weight, ctx)
+
+
+@pytest.mark.parametrize("X", [math.inf, -math.inf, math.nan])
+def test_non_finite_X_raises(fejer15, weight, ctx, X):
+    with pytest.raises(ValueError):
+        expansion.J_X(X, fejer15, weight, ctx)
+    with pytest.raises(ValueError):
+        expansion.J_first_order(X, fejer15, weight, ctx)
+
+
+def _J_reference(X, test, tab, h):
+    """J(X) on GL-12 panels of width <= h, branch 2 broken at tau = L."""
+    L = math.log(X)
+    top1 = min(max(test.sigma - 1.0, 0.0) * L, 2.0 * math.log(112.0))
+    t1, q1 = panel_nodes(0.0, top1, h, 12)
+    f1 = np.array([tab.H1(math.exp(0.5 * t)) for t in t1])
+    total = float(np.dot(q1, test.phi_hat(1.0 + t1 / L) * np.exp(0.5 * t1) * f1))
+    top2 = min((1.0 + test.sigma) * L, 2.0 * math.log(tab.y_cap))
+    t2, q2 = panel_nodes(0.0, top2, h, 12, breaks=(L,))
+    f2 = np.array([tab.H2(math.exp(0.5 * t)) for t in t2])
+    return (total + float(np.dot(q2, test.phi_hat(1.0 - t2 / L) * f2))) / L
+
+
+def test_J_X_kink_break(fejer15, weight, ctx):
+    # phi_hat(1 - tau/L) has a kink at tau = L; without a panel edge there
+    # GL-12 errs by ~7e-9 at X = 500.  At X = 50 the partial panel at top2
+    # is 0.17 wide and carries 1.5e-7 of J.
+    tab = expansion.kernel_tables(weight, ctx)
+    for X in (50.0, 500.0, 2000.0):
+        val, _ = expansion.J_X(X, fejer15, weight, ctx)
+        assert abs(val - _J_reference(X, fejer15, tab, 0.0625)) < 1e-10
+
+
+def test_h2_profile_matches_H2(weight, ctx):
+    # one GL-12 panel set on [0, 2 log y_cap]: 65 panels, H2 at y = e^(tau/2)
+    tab = expansion.kernel_tables(weight, ctx)
+    tau, q, f = tab.h2_profile
+    n, step = panel_layout(0.0, 2.0 * math.log(tab.y_cap), 0.25)
+    want_tau, want_q = panel_nodes(0.0, 2.0 * math.log(tab.y_cap), 0.25, 12)
+    assert n == 65 and tau.size == 12 * n
+    assert np.array_equal(tau, want_tau) and np.array_equal(q, want_q)
+    edges = step * np.arange(1, n)
+    assert np.all(tau[11:-1:12] < edges) and np.all(edges < tau[12::12])
+    for t, v in zip(tau, f):
+        assert abs(v - tab.H2(math.exp(0.5 * t))) <= 1e-13
+
+
+def test_J_X_reads_the_profile(fejer15, weight, ctx, monkeypatch):
+    # once the profile exists, J_X sums H2 afresh only on the two halves of
+    # the panel that holds tau = L, and c_w_coefficients not at all
+    tab = expansion.kernel_tables(weight, ctx)
+    tab.h2_profile, tab.h2_envelope
+    calls = []
+    H2 = expansion._KernelTables.H2
+
+    def counted(self, y):
+        calls.append(y)
+        return H2(self, y)
+
+    monkeypatch.setattr(expansion._KernelTables, "H2", counted)
+    for X in (2000.0, 8000.0):
+        calls.clear()
+        expansion.J_X(X, fejer15, weight, ctx)
+        assert len(calls) <= 24
+    calls.clear()
+    expansion.c_w_coefficients(2, weight, ctx)
+    assert calls == []
+
+
+def test_h2_profile_memory(weight, ctx):
+    # the lattice sums run over d's nonzero support, so building the profile
+    # holds no 112 y_cap sized transient
+    expansion.kernel_tables(weight, ctx)
+    tab = expansion._KernelTables(weight, ctx)
+    assert tab.m.size < 0.15 * (112 * tab.y_cap)
+    tracemalloc.start()
+    try:
+        tab.h2_profile
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 def test_J_first_order_dies_below_sigma_one(weight, ctx):

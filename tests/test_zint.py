@@ -57,6 +57,19 @@ def test_primary_associate_roundtrip(z):
     assert unit * prim == z
 
 
+def test_primary_associate_closed_form():
+    # the unit picked from parities matches the four-unit search
+    for a in range(-60, 61):
+        for b in range(-60, 61):
+            z = GInt(a, b)
+            if not z.is_odd():
+                with pytest.raises(ValueError):
+                    zint.primary_associate(z)
+                continue
+            (u,) = [u for u in zint.UNITS if zint.is_primary(u * z)]
+            assert zint.primary_associate(z) == (zint._UNIT_INV[u], u * z)
+
+
 def test_gmod_exact_div():
     for z in odd_gints(40):
         for w in odd_gints(20):
