@@ -11,7 +11,7 @@ independent ways and cross-validated:
 
 Submodules: zint (Gaussian-integer arithmetic), specfun (zeta_K and friends),
 transforms (test functions, weights, Hankel/Mellin machinery), empirical,
-expansion, ratios, cli.
+expansion, ratios, checks (the invariant battery), cli.
 """
 
 __version__ = "0.1.0"

@@ -1,0 +1,192 @@
+"""The invariant battery shared by `quadhecke selftest` and the test suite.
+
+CHECKS holds (name, tier, fn) entries; fn() returns (residual, tolerance)
+and passes when |residual| <= tolerance.  `selftest --quick` runs the quick
+tier, `selftest` quick and full, the suite every tier.  Inputs and sizes
+are bound in the entry, so no check looks at its tier.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from functools import partial
+
+import numpy as np
+
+from . import ratios, zint
+from ._numerics import panel_nodes
+from .empirical import (DensityConfig, digamma_integral_term, poisson_pair,
+                        s_even_main_form, total_weight)
+from .expansion import phi_sf_limit, phi_sf_partial
+from .specfun import (_LOG_32_PI2, _PSI_HALF, A_closed_mr, A_euler, EULER_GAMMA,
+                      X_c, default_context, digamma, zeta_K)
+from .transforms import make_gaussian_weight, mellin_identity_check, parse_test_function
+
+
+def _config(X: float, phi: str = "fejer:1.5") -> DensityConfig:
+    return DensityConfig(X, parse_test_function(phi), make_gaussian_weight())
+
+
+def zeta_k_prime_at_0():
+    ctx = default_context()
+    return (ctx.zetaK0_prime
+            - (ctx.gamma_K / math.pi - (math.log(math.pi) + EULER_GAMMA) / 2.0)), 1e-9
+
+
+def weight_mass(X=1e5):
+    cfg = _config(X)
+    target = math.pi / (3.0 * default_context().zetaK2) * cfg.weight.w_hat0 * X
+    return total_weight(cfg) / target - 1.0, 1e-2
+
+
+def symbol_method_agreement(bound=300):
+    """Mismatches between the fast and the Euler-criterion prime symbol."""
+    bad = 0
+    for pp in zint.primary_primes_up_to(bound):
+        for a in (zint.GInt(x, y) for x in (-3, -1, 1, 3) for y in (-2, 0, 2, 4)):
+            if not zint.divides(pp.value, a):
+                bad += zint._symbol_prime_fast(a, pp) != zint._symbol_prime_euler(a, pp)
+    return bad, 0.5
+
+
+def reciprocity(bound=120):
+    """Mismatches of (m/n) = (n/m) over pairs of distinct primary primes."""
+    bad = 0
+    prims = [pp.value for pp in zint.primary_primes_up_to(bound)]
+    for i, m in enumerate(prims):
+        for n in prims[i + 1:]:
+            if not (zint.divides(m, n) or zint.divides(n, m)):
+                bad += zint.quad_symbol(m, n) != zint.quad_symbol(n, m)
+    return bad, 0.5
+
+
+def gauss_sum(bound=60, residues=((1, 0), (2, 1), (0, 3))):
+    """g(r, varpi) = (i r / varpi) sqrt(N varpi) at prime moduli."""
+    worst = 0.0
+    for pp in zint.primary_primes_up_to(bound):
+        for r in (zint.GInt(*c) for c in residues):
+            want = zint.quad_symbol(zint.I * r, pp.value) * math.sqrt(pp.norm)
+            worst = max(worst, abs(zint.gauss_sum(r, pp.value) - want))
+    return worst, 1e-9
+
+
+def pole_rays(norm_c=5, radii=(0.04, 0.02, 0.01, 0.005, 0.0025)):
+    """|r (combined + dual)| along rays arg r in {0, pi/4, pi/2}; the
+    residues cancel, so the products must sink toward zero with |r|."""
+    ctx = default_context()
+    rays = {"real": 1.0 + 0.0j, "diag": cmath.exp(0.25j * math.pi), "imag": 1j}
+    return {name: [abs(rho * phase * (ratios.combined_prime_term(rho * phase)
+                                      + ratios.dual_term(rho * phase, norm_c, ctx)))
+                   for rho in radii]
+            for name, phase in rays.items()}
+
+
+def xc_form(norm_c=5, ts=(0.1, 0.5, 2.0, 10.0), delta=1e-6):
+    """max |log(32 N/pi^2) + psi(1/2-it) + psi(1/2+it) + X_c'/X_c(1/2+it)|:
+    the bracket's conductor and gamma pieces are -X_c'/X_c of the contour
+    form, checked with a central difference of X_c itself."""
+    worst = 0.0
+    for t in ts:
+        s = 0.5 + 1j * float(t)
+        ld = (X_c(s + delta, norm_c) - X_c(s - delta, norm_c)) / (2.0 * delta * X_c(s, norm_c))
+        three = (ratios._mu_of(norm_c) + complex(digamma(0.5 - 1j * t))
+                 + complex(digamma(0.5 + 1j * t)))
+        worst = max(worst, abs(three + ld))
+    return worst, 1e-6
+
+
+def digamma_pair(phi="fejer:1.5", tol=1e-6, X=2000.0, T=1500.0, h=0.25):
+    """(1/2pi) int psi-pair phi dt on direct panels against the exact
+    psi(1/2) + kernel-integral form.  The pair grows like 2 log t, so the
+    slowly decaying Fejer kernel gets a mean envelope tail (log T + 1)/T
+    past the cut; the bump decays superpolynomially and needs none."""
+    test, L = parse_test_function(phi), math.log(X)
+    nodes, wts = panel_nodes(0.0, T, h, 12)
+    vals = 2.0 * digamma(0.5 + 1j * nodes).real
+    direct = float(np.dot(wts, vals * test.phi(nodes * L / (2.0 * math.pi)))) / math.pi
+    if test.kind == "fejer":
+        direct += 4.0 / (math.pi * test.sigma * L * L) * (math.log(T) + 1.0) / T
+    closed = 2.0 * _PSI_HALF * float(test.phi_hat(0.0)) / L + digamma_integral_term(test, L)
+    return direct - closed, tol
+
+
+def conductor_average(X=2000.0, c=3.0):
+    """Family average of log(32 N(c)/pi^2) against its smoothed closed form
+    L + log(32/pi^2) + 2 Mw'(1)/w_hat(0); the gap decays like X^{-1/2}."""
+    cfg = _config(X)
+    norms, wn, fam = ratios._norm_groups(cfg, True)
+    m1 = float(np.dot(wn, np.log(32.0 * norms / math.pi ** 2))) / fam.W
+    closed = cfg.L + _LOG_32_PI2 + 2.0 * cfg.weight.mw_prime_1 / cfg.weight.w_hat0
+    return m1 - closed, c * X ** -0.5
+
+
+def prime_bridge(X=2000.0, tol=1e-4):
+    """Axis integral of the combined prime term against the even prime-power
+    sum.  Moving the contour off the axis crosses the -1/r pole, so the
+    real-axis value carries an extra phi(0)/2 half residue:
+
+        (1/pi) int_0^inf Re combined(it) phi(tL/2pi) dt - phi(0)/2
+            = -(2/L) sum logN N^-j (1+1/N)^-1 phi_hat(2j logN / L).
+    """
+    cfg = _config(X)
+    nodes, wts, re_comb, _, _ = ratios._axis_profile(
+        ratios._T_CAP, ratios._PANEL_H, default_context())
+    phi_vals = cfg.test.phi(nodes * cfg.L / (2.0 * math.pi))
+    integral = float(np.dot(wts, re_comb * phi_vals)) / math.pi \
+        - float(cfg.test.phi(0.0)) / 2.0
+    return integral - s_even_main_form(cfg), tol
+
+
+def _poisson_twisted():
+    lhs, rhs = poisson_pair(make_gaussian_weight(), 1.0, zint.GInt(-1, -2))
+    return abs(lhs - rhs), 1e-6
+
+
+CHECKS = (
+    ("zetaK_at_0", "quick", lambda: (complex(zeta_K(0.0)).real + 0.25, 1e-8)),
+    ("zetaK_pole_residue", "quick",
+     lambda: (default_context().residue - math.pi / 4.0, 1e-5)),
+    ("psi_half", "quick",
+     lambda: (complex(digamma(0.5)) + EULER_GAMMA + 2.0 * math.log(2.0), 1e-10)),
+    ("zetaK_prime_at_0", "quick", zeta_k_prime_at_0),
+    ("a_diag_unity", "quick",
+     lambda: (max(abs(A_euler(r, r, default_context()) - 1.0)
+                  for r in (0.0, 0.1, 0.1 + 0.2j)), 1e-12)),
+    ("a_closed_vs_euler", "quick",
+     lambda: (A_euler(-0.1, 0.1, default_context())
+              - A_closed_mr(0.1, default_context()), 1e-6)),
+    # the constant folded into expansion.c_w1_closed
+    ("constant_simplification", "quick",
+     lambda: (2.0 * math.log(4.0) + math.log(math.pi ** 2 / 32.0)
+              - (4.0 / 3.0) * math.log(2.0)
+              - math.log(math.pi ** 2 / 2 ** (7.0 / 3.0)), 1e-12)),
+    ("mellin_identity_half", "quick",
+     lambda: (mellin_identity_check(make_gaussian_weight(), 0.5 + 0.0j), 1e-7)),
+    ("mellin_identity_half_i", "quick",
+     lambda: (mellin_identity_check(make_gaussian_weight(), 0.5 + 1.0j), 1e-7)),
+    ("w_tilde_at_0", "quick",
+     lambda: (float(make_gaussian_weight().w_tilde(0.0))
+              - math.pi / 2.0 * make_gaussian_weight().w_hat0, 1e-8)),
+    ("symbol_method_agreement", "quick", symbol_method_agreement),
+    ("reciprocity_spot", "quick", reciprocity),
+    ("gauss_sum_spot", "quick", gauss_sum),
+    ("poisson_twisted_X1", "quick", _poisson_twisted),
+    ("squarefree_density", "quick",
+     lambda: (phi_sf_partial(2 * 10 ** 5) - phi_sf_limit(default_context()), 1e-2)),
+    ("dual_pole_residue", "quick",
+     lambda: (ratios._laurent_data(default_context()).residue_gap, 1e-8)),
+    ("pole_cancellation", "quick",
+     lambda: (max(v[-1] / v[0] for v in pole_rays().values()), 0.5)),
+    ("xc_logderiv_form", "quick", xc_form),
+    ("combined_prime_r_quarter", "quick",
+     lambda: (ratios.combined_prime_term(0.25)
+              - ratios._combined_analytic(0.25, default_context()), 1e-5)),
+    ("weight_mass_1e5", "full", weight_mass),
+    ("digamma_pair_identity", "full", digamma_pair),
+    ("conductor_average", "full", conductor_average),
+    ("prime_bridge", "full", prime_bridge),
+    ("digamma_pair_bump", "exhaustive", partial(digamma_pair, "bump:1.5", 1e-8)),
+    ("conductor_average_500", "exhaustive", partial(conductor_average, 500.0, 1.0)),
+    ("prime_bridge_500", "exhaustive", partial(prime_bridge, 500.0, 1e-6)),
+)

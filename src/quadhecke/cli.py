@@ -5,7 +5,7 @@ compare.  Every run emits a provenance block (tool version, resolved
 config, sieve bound, tolerances) ahead of its payload; JSON payloads carry
 a pinned schema_version.  Outputs are deterministic by construction: floats
 are printed at 15 significant digits, dictionary keys are sorted, reduction
-orders are fixed upstream, and wall-clock fields are stripped.  Files are
+orders are fixed upstream, and no wall-clock value is recorded.  Files are
 written atomically (temp file + rename) so a crashed run never leaves a
 truncated artifact.
 
@@ -27,14 +27,12 @@ import tempfile
 
 import numpy as np
 
-from . import __version__, ratios, zint
-from .empirical import DensityConfig, one_level_density, poisson_pair, total_weight
+from . import __version__, checks, ratios, zint
+from .empirical import DensityConfig, one_level_density
 from .expansion import (expansion_coefficients, J_X, J_first_order,
                         phi_sf_limit, phi_sf_partial, thm_prediction)
-from .specfun import (A_closed_mr, A_euler, EULER_GAMMA, default_context,
-                      constants_dict, digamma, gamma_K, zeta_K)
-from .transforms import (make_gaussian_weight, mellin_identity_check,
-                         parse_test_function, parse_weight)
+from .specfun import EULER_GAMMA, default_context, constants_dict, gamma_K
+from .transforms import parse_test_function, parse_weight
 
 SCHEMA_VERSION = 1
 
@@ -88,14 +86,6 @@ def _to_json(obj, indent: int = 0) -> str:
     raise _ToleranceError(f"unserializable value {obj!r}")
 
 
-def _strip_timing(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_timing(v) for k, v in obj.items() if k != "elapsed_s"}
-    if isinstance(obj, (list, tuple)):
-        return [_strip_timing(v) for v in obj]
-    return obj
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -122,7 +112,7 @@ def _json_doc(command: str, config: dict, extras: dict, result) -> str:
             "config": config,
             **extras,
         },
-        "result": _strip_timing(result),
+        "result": result,
     }
     return _to_json(doc) + "\n"
 
@@ -184,111 +174,18 @@ def _parse_grid(spec: str) -> list[float]:
 
 # --- selftest ----------------------------------------------------------------------
 
-def _selftest_checks(quick: bool) -> list[tuple[str, float, float]]:
-    """(name, |residual|, tolerance) triples for the invariant suite."""
-    ctx = default_context()
-    w = make_gaussian_weight()
-    tf = parse_test_function("fejer:1.5")
-    L = math.log(2000.0)
-    rows: list[tuple[str, float, float]] = []
-
-    def add(name, residual, tol):
-        rows.append((name, float(abs(residual)), float(tol)))
-
-    add("zetaK_at_0", complex(zeta_K(0.0)).real + 0.25, 1e-8)
-    add("zetaK_pole_residue", ctx.residue - math.pi / 4.0, 1e-5)
-    add("psi_half",
-        complex(digamma(0.5)) + EULER_GAMMA + 2.0 * math.log(2.0), 1e-10)
-    add("zetaK_prime_at_0",
-        ctx.zetaK0_prime
-        - (ctx.gamma_K / math.pi - (math.log(math.pi) + EULER_GAMMA) / 2.0),
-        1e-6)
-    add("a_diag_unity",
-        max(abs(A_euler(r, r, ctx) - 1.0) for r in (0.0, 0.1, 0.1 + 0.2j)),
-        1e-12)
-    add("a_closed_vs_euler",
-        A_euler(-0.1, 0.1, ctx) - A_closed_mr(0.1, ctx), 1e-6)
-    add("constant_simplification",
-        2.0 * math.log(4.0) + math.log(math.pi ** 2 / 32.0)
-        - (4.0 / 3.0) * math.log(2.0) - math.log(math.pi ** 2 / 2 ** (7.0 / 3.0)),
-        1e-12)
-    add("mellin_identity_half", mellin_identity_check(w, 0.5 + 0.0j), 1e-4)
-    add("mellin_identity_half_i", mellin_identity_check(w, 0.5 + 1.0j), 1e-4)
-    add("w_tilde_at_0",
-        float(w.w_tilde(0.0)) - math.pi / 2.0 * w.w_hat0, 1e-8)
-
-    worst = 0
-    for pp in zint.primary_primes_up_to(300):
-        for are in (-3, -1, 1, 3):
-            for aim in (-2, 0, 2, 4):
-                a = zint.GInt(are, aim)
-                if zint.divides(pp.value, a):
-                    continue
-                if (zint._symbol_prime_fast(a, pp)
-                        != zint._symbol_prime_euler(a, pp)):
-                    worst += 1
-    add("symbol_method_agreement", worst, 0.5)
-
-    worst = 0
-    prims = [pp.value for pp in zint.primary_primes_up_to(120)]
-    for i, m in enumerate(prims):
-        for n in prims[i + 1:]:
-            if zint.divides(m, n) or zint.divides(n, m):
-                continue
-            if zint.quad_symbol(m, n) != zint.quad_symbol(n, m):
-                worst += 1
-    add("reciprocity_spot", worst, 0.5)
-
-    gs = 0.0
-    for pp in zint.primary_primes_up_to(60):
-        rt = math.sqrt(pp.norm)
-        for r in (zint.GInt(1, 0), zint.GInt(2, 1), zint.GInt(0, 3)):
-            got = zint.gauss_sum(r, pp.value)
-            gs = max(gs, abs(got - zint.quad_symbol(zint.I * r, pp.value) * rt))
-    add("gauss_sum_spot", gs, 1e-9)
-
-    lhs, rhs = poisson_pair(w, 1.0, zint.GInt(-1, -2))
-    add("poisson_twisted_X1", abs(lhs - rhs), 1e-6)
-
-    add("squarefree_density",
-        phi_sf_partial(2 * 10 ** 5) - phi_sf_limit(ctx), 1e-2)
-
-    dat = ratios._laurent_data(ctx)
-    add("dual_pole_residue", dat.residue_gap, 1e-8)
-    rays = ratios.pole_cancellation_check(ctx=ctx)
-    add("pole_cancellation",
-        max(v[-1] / v[0] for v in rays.values()), 0.5)
-    add("xc_logderiv_form", ratios.xc_form_check(), 1e-6)
-    add("combined_prime_r_quarter",
-        ratios.combined_prime_term(0.25)
-        - ratios._combined_analytic(0.25, ctx), 1e-5)
-
-    if not quick:
-        X = 1e5
-        wx = total_weight(DensityConfig(X, tf, w))
-        target = math.pi / (3.0 * ctx.zetaK2) * w.w_hat0 * X
-        add("weight_mass_1e5", wx / target - 1.0, 1e-2)
-        add("digamma_pair_identity",
-            ratios.digamma_pair_check(tf, L)["difference"], 1e-6)
-        cfg = DensityConfig(2000.0, tf, w)
-        add("conductor_average",
-            ratios.conductor_term_check(cfg, ctx)["residual"],
-            3.0 * 2000.0 ** -0.5)
-        add("prime_bridge",
-            ratios.prime_bridge_check(cfg, ctx)["difference"], 1e-4)
-    return rows
-
-
 def _cmd_selftest(ns, cfg) -> int:
     quick = bool(_resolve(ns, cfg, "quick", False, bool))
     scale = float(_resolve(ns, cfg, "tol_scale", 1.0, float))
     if scale <= 0.0:
         raise _ConfigError("tol-scale must be positive")
     out_path = _resolve(ns, cfg, "out", None, str)
-    rows = _selftest_checks(quick)
+    tiers = ("quick",) if quick else ("quick", "full")
+    rows = [(name, *fn()) for name, tier, fn in checks.CHECKS if tier in tiers]
     failures = 0
     report = []
     for name, residual, tol in rows:
+        residual, tol = float(abs(residual)), float(tol)
         ok = residual <= tol * scale
         failures += 0 if ok else 1
         report.append({"check": name, "residual": residual,
@@ -408,6 +305,8 @@ def _cmd_expand(ns, cfg) -> int:
     if route not in ("analytic", "sieve"):
         raise _ConfigError(f"bad route {route!r}")
     xs = None if grid is None else _parse_grid(grid)
+    if xs is not None and min(xs) <= math.e:
+        raise _ConfigError(f"expand needs X > e for J(X): {grid!r}")
     try:
         test = parse_test_function(phi)
         wf = parse_weight(weight)

@@ -23,7 +23,6 @@ by member.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -79,7 +78,6 @@ class DensityReport:
     family_size: int
     primes_odd: int
     primes_even: int
-    elapsed_s: float
 
     def as_dict(self) -> dict:
         return {
@@ -95,7 +93,6 @@ class DensityReport:
             "family_size": self.family_size,
             "primes_odd": self.primes_odd,
             "primes_even": self.primes_even,
-            "elapsed_s": self.elapsed_s,
         }
 
 
@@ -407,7 +404,6 @@ def s_total_family_outer(cfg: DensityConfig) -> float:
 # --- assembly ---------------------------------------------------------------------
 
 def one_level_density(cfg: DensityConfig) -> DensityReport:
-    t0 = time.perf_counter()
     fam = _family(cfg)
     L = cfg.L
     p0 = float(cfg.test.phi_hat(0.0))
@@ -422,8 +418,7 @@ def one_level_density(cfg: DensityConfig) -> DensityReport:
         X=cfg.X, sigma=cfg.test.sigma, W_X=fam.W,
         term_log_conductor=cond, term_gamma_const=gconst, term_integral=integ,
         S_even=sev, S_odd=sod, D_total=total,
-        family_size=fam.size, primes_odd=n_odd, primes_even=n_even,
-        elapsed_s=time.perf_counter() - t0)
+        family_size=fam.size, primes_odd=n_odd, primes_even=n_even)
 
 
 # --- diagnostics ------------------------------------------------------------------

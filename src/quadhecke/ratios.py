@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -281,7 +280,6 @@ class PredictionReport:
     max_error: float
     n_norms: int
     family_size: int
-    elapsed_s: float
 
     def as_dict(self) -> dict:
         out = {
@@ -294,7 +292,6 @@ class PredictionReport:
             "max_error": self.max_error,
             "n_norms": self.n_norms,
             "family_size": self.family_size,
-            "elapsed_s": self.elapsed_s,
         }
         if self.D_ratios_integral is not None:
             out["D_ratios_integral"] = self.D_ratios_integral
@@ -312,7 +309,6 @@ def ratios_first_order(cfg: DensityConfig,
     bracket is the closed first moment of the descending-log kernel.
     """
     ctx = ctx or default_context()
-    start = time.perf_counter()
     test, w, L = cfg.test, cfg.weight, cfg.L
     p0 = float(test.phi_hat(0.0))
     terms = {
@@ -329,8 +325,7 @@ def ratios_first_order(cfg: DensityConfig,
         X=cfg.X, sigma=test.sigma, L=L,
         D_ratios_integral=None, D_ratios_first_order=fo,
         terms=terms, integral_parts={},
-        n_points=0, max_error=0.0, n_norms=0, family_size=0,
-        elapsed_s=time.perf_counter() - start)
+        n_points=0, max_error=0.0, n_norms=0, family_size=0)
 
 
 def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
@@ -347,7 +342,6 @@ def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
     the dual term for ablation runs.
     """
     ctx = ctx or default_context()
-    start = time.perf_counter()
     test, L = cfg.test, cfg.L
     p0 = float(test.phi_hat(0.0))
     norms, wn, fam = _norm_groups(cfg, group_norms)
@@ -386,8 +380,7 @@ def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
         D_ratios_integral=d_int, D_ratios_first_order=fo.D_ratios_first_order,
         terms=fo.terms, integral_parts=parts,
         n_points=int(nodes.size), max_error=tail_est + 5e-6,
-        n_norms=int(norms.size), family_size=fam.size,
-        elapsed_s=time.perf_counter() - start)
+        n_norms=int(norms.size), family_size=fam.size)
 
 
 # --- comparison harness ------------------------------------------------------------
@@ -425,92 +418,3 @@ def compare(xs, test: TestFunction, weight: WeightFunction,
             "rL2_emp_fo": r_fo * L * L,
         })
     return rows
-
-
-# --- structural identity checks ----------------------------------------------------
-
-def pole_cancellation_check(norm_c: int = 5,
-                            radii=(0.04, 0.02, 0.01, 0.005, 0.0025),
-                            ctx: ZetaKContext | None = None) -> dict[str, list[float]]:
-    """|r (combined + dual)| along rays arg r in {0, pi/4, pi/2}; the
-    residues cancel, so the products must sink toward zero with |r|."""
-    ctx = ctx or default_context()
-    rays = {"real": 1.0 + 0.0j, "diag": cmath.exp(0.25j * math.pi), "imag": 1j}
-    out = {}
-    for name, phase in rays.items():
-        vals = []
-        for rho in radii:
-            r = rho * phase
-            s = combined_prime_term(r) + dual_term(r, norm_c, ctx)
-            vals.append(abs(r * s))
-        out[name] = vals
-    return out
-
-
-def conductor_term_check(cfg: DensityConfig,
-                         ctx: ZetaKContext | None = None) -> dict[str, float]:
-    """Family average of log(32 N(c)/pi^2) against its smoothed closed form
-    L + log(32/pi^2) + 2 Mw'(1)/w_hat(0); the gap decays like X^{-1/2}."""
-    norms, wn, fam = _norm_groups(cfg, True)
-    m1 = float(np.dot(wn, np.log(32.0 * norms / math.pi ** 2))) / fam.W
-    closed = cfg.L + _LOG_32_PI2 + 2.0 * cfg.weight.mw_prime_1 / cfg.weight.w_hat0
-    return {"family_average": m1, "closed_form": closed,
-            "residual": m1 - closed, "x_invsqrt": cfg.X ** -0.5}
-
-
-def digamma_pair_check(test: TestFunction, L: float, T: float = 1500.0,
-                       h: float = 0.25) -> dict[str, float]:
-    """(1/2pi) int psi-pair phi dt by direct panels against the exact
-    psi(1/2) + kernel-integral form.
-
-    The pair grows like 2 log t, so for the slowly decaying kernel a mean
-    envelope tail (log T + 1)-over-T is added past the cut; the compactly
-    rough kernel decays superpolynomially and needs none.
-    """
-    nodes, wts = panel_nodes(0.0, T, h, 12)
-    vals = 2.0 * digamma(0.5 + 1j * nodes).real
-    direct = float(np.dot(wts, vals * test.phi(nodes * L / (2.0 * math.pi)))) / math.pi
-    if test.kind == "fejer":
-        direct += 4.0 / (math.pi * test.sigma * L * L) * (math.log(T) + 1.0) / T
-    closed = 2.0 * _PSI_HALF * float(test.phi_hat(0.0)) / L \
-        + digamma_integral_term(test, L)
-    return {"direct": direct, "closed": closed, "difference": direct - closed}
-
-
-def prime_bridge_check(cfg: DensityConfig, ctx: ZetaKContext | None = None,
-                       T: float = _T_CAP, h: float = _PANEL_H) -> dict[str, float]:
-    """Axis integral of the combined prime term against the even prime-power
-    sum.  Moving the contour off the axis crosses the -1/r pole, so the
-    real-axis value carries an extra phi(0)/2 half residue:
-
-        (1/pi) int_0^inf Re combined(it) phi(tL/2pi) dt - phi(0)/2
-            = -(2/L) sum logN N^-j (1+1/N)^-1 phi_hat(2j logN / L).
-    """
-    ctx = ctx or default_context()
-    test, L = cfg.test, cfg.L
-    nodes, wts, re_comb, _, _ = _axis_profile(T, h, ctx)
-    phi_vals = test.phi(nodes * L / (2.0 * math.pi))
-    integral = float(np.dot(wts, re_comb * phi_vals)) / math.pi \
-        - float(test.phi(0.0)) / 2.0
-    sum_side = s_even_main_form(cfg)
-    return {"integral_side": integral, "sum_side": sum_side,
-            "difference": integral - sum_side}
-
-
-def xc_form_check(norm_c: int = 5, ts=(0.1, 0.5, 2.0, 10.0),
-                  delta: float = 1e-6) -> float:
-    """max |log(32 N/pi^2) + psi(1/2-it) + psi(1/2+it) + X_c'/X_c(1/2+it)|.
-
-    The prediction bracket writes the conductor and gamma pieces where the
-    contour form has -X_c'/X_c; both are one logarithmic derivative apart,
-    checked here with a central difference of X_c itself.
-    """
-    worst = 0.0
-    for t in ts:
-        s = 0.5 + 1j * float(t)
-        x0 = X_c(s, norm_c)
-        ld = (X_c(s + delta, norm_c) - X_c(s - delta, norm_c)) / (2.0 * delta * x0)
-        three = (_mu_of(norm_c) + complex(digamma(0.5 - 1j * t))
-                 + complex(digamma(0.5 + 1j * t)))
-        worst = max(worst, abs(three + ld))
-    return worst

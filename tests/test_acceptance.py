@@ -1,5 +1,7 @@
-"""End-to-end acceptance checks: every pinned identity and cross-route
-agreement the package promises, at the advertised tolerances."""
+"""End-to-end acceptance checks: the oracles and cross-route agreements the
+package promises, at the advertised tolerances.  Identities that `selftest`
+also checks are entries of quadhecke.checks, run by tests/test_checks.py;
+item 10 (the prime-sum bridge) lives there whole."""
 
 import math
 import os
@@ -14,8 +16,8 @@ import pytest
 from quadhecke import zint
 from quadhecke.empirical import DensityConfig, poisson_pair, total_weight
 from quadhecke.expansion import J_X, thm_prediction
-from quadhecke.ratios import prime_bridge_check, ratios_first_order
-from quadhecke.specfun import A_closed_mr, A_euler, digamma, hurwitz
+from quadhecke.ratios import ratios_first_order
+from quadhecke.specfun import hurwitz
 from quadhecke.transforms import mellin_identity_check
 from quadhecke.zint import GInt, I, PrimaryPrime
 
@@ -177,17 +179,18 @@ def test_gauss_sum_closed_form_all_residues():
 # --- 4: Poisson summation, plain and twisted ---------------------------------------
 
 def test_poisson_summation_twisted(weight):
-    for n in (GInt(-1, -2), GInt(3, 2), GInt(5, 4)):
+    # n = -1-2i at X = 1 is the selftest row poisson_twisted_X1
+    cases = [(GInt(-1, -2), 10.0)] + [(n, X) for n in (GInt(3, 2), GInt(5, 4))
+                                      for X in (1.0, 10.0)]
+    for n, X in cases:
         assert zint.is_primary(n)
-        for X in (1.0, 10.0):
-            lhs, rhs = poisson_pair(weight, X, n)
-            assert abs(lhs - rhs) < 1e-6, (n, X)
+        lhs, rhs = poisson_pair(weight, X, n)
+        assert abs(lhs - rhs) < 1e-6, (n, X)
 
 
 # --- 5: pinned constants ------------------------------------------------------------
 
 def test_constants(ctx):
-    assert abs(ctx.zetaK0 + 0.25) < 1e-8
     # rebuilt from the Hurwitz factorization: the pole guard on zeta_K
     # itself keeps direct evaluation this close to s = 1 out of reach
     s = 1.0 + 1e-6
@@ -195,18 +198,14 @@ def test_constants(ctx):
     val = (s - 1.0) * complex(hurwitz(s, 1.0)) * l4
     assert abs(val - math.pi / 4.0) < 1e-5
     assert abs(ctx.residue - val.real) < 1e-12
-    assert abs(complex(digamma(0.5)) + ctx.gamma + 2.0 * math.log(2.0)) < 1e-10
-    via_gamma_k = ctx.gamma_K / math.pi - 0.5 * (math.log(math.pi) + ctx.gamma)
-    assert abs(ctx.zetaK0_prime - via_gamma_k) < 1e-6
 
 
 # --- 6: Euler-product normalization -------------------------------------------------
 
 def test_a_factor_normalization(ctx):
-    for r in (0.0, 0.1, 0.1 + 0.2j):
-        assert abs(A_euler(r, r, ctx) - 1.0) < 1e-12
+    # the diagonal and closed-form identities are selftest rows; the rows
+    # hold at the default Euler cutoff
     assert ctx.euler_cutoff == 10 ** 6
-    assert abs(A_closed_mr(0.1, ctx) - A_euler(-0.1, 0.1, ctx)) < 1e-6
 
 
 # --- 7: Mellin route through the weight ---------------------------------------------
@@ -219,12 +218,10 @@ def test_mellin_identity(weight):
 
 # --- 8: family weight density --------------------------------------------------------
 
-def test_family_weight_density(ctx, fejer15, weight):
+def test_family_weight_density(fejer15, weight):
+    # the mass itself is the selftest row weight_mass_1e5; this bounds its cost
     start = time.perf_counter()
-    X = 1e5
-    wx = total_weight(DensityConfig(X, fejer15, weight))
-    limit = math.pi / (3.0 * ctx.zetaK2) * weight.w_hat0
-    assert abs(wx / X - limit) / limit < 0.01
+    total_weight(DensityConfig(1e5, fejer15, weight))
     assert time.perf_counter() - start < 60.0
 
 
@@ -235,13 +232,6 @@ def test_odd_sum_kernel_bridge(emp_grid_15, fejer15, weight, ctx):
     j_val, _ = J_X(2000.0, fejer15, weight, ctx)
     gap = s_odd - fejer15.phi_hat_tail_integral() - j_val
     assert abs(gap) <= 0.05
-
-
-# --- 10: combined prime term against the even prime-power sum -----------------------
-
-def test_prime_sum_bridge(fejer15, weight, ctx):
-    out = prime_bridge_check(DensityConfig(2000.0, fejer15, weight), ctx)
-    assert abs(out["difference"]) < 1e-4
 
 
 # --- 11: measured density against the first-order prediction ------------------------

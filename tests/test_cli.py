@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from quadhecke import cli
+from quadhecke import checks, cli
 from quadhecke.cli import SCHEMA_VERSION, run
 
 
@@ -156,6 +156,18 @@ def test_non_finite_x_grid(capsys, command, grid):
     assert out == ""
 
 
+@pytest.mark.parametrize("grid", ["2", "500,2.5"])
+def test_expand_grid_below_e(capsys, monkeypatch, grid):
+    # J(X) needs X > e; the grid is refused before the coefficients are built
+    def boom(*args, **kwargs):
+        raise RuntimeError("expansion computed before the grid was checked")
+    monkeypatch.setattr(cli, "expansion_coefficients", boom)
+    code, out, err = _run(capsys, "expand", "--M", "1", "--X-grid", grid)
+    assert code == 1
+    assert err.startswith("quadhecke: error[config]")
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("density", "--X", "100", "--R-mult", "0"),
     ("density", "--X", "100", "--R-mult", "-1"),
@@ -195,12 +207,24 @@ def test_selftest_quick_passes(capsys):
     assert lines[-1].endswith("checks passed")
 
 
-def test_selftest_impossible_tolerance(capsys):
+def test_selftest_impossible_tolerance(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "CHECKS", (("one", "quick", lambda: (1e-3, 1.0)),))
     code, out, err = _run(capsys, "selftest", "--quick", "--tol-scale", "1e-12")
     assert code == 2
     assert err.startswith("quadhecke: error[tolerance]")
-    assert any(ln.startswith("FAIL") for ln in capsys.readouterr().out.splitlines()
-               ) or "FAIL" in out
+    assert any(ln.startswith("FAIL") for ln in out.splitlines())
+
+
+def test_selftest_out_document(tmp_path, capsys):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        assert run(["selftest", "--quick", "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    doc = json.loads(paths[0].read_text())
+    quick = {name: fn()[1] for name, tier, fn in checks.CHECKS if tier == "quick"}
+    assert [c["check"] for c in doc["result"]["checks"]] == list(quick)
+    assert doc["result"]["failures"] == 0
+    assert doc["provenance"]["tolerances"] == pytest.approx(quick, rel=1e-14)
 
 
 # --- output files ------------------------------------------------------------------

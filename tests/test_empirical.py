@@ -203,7 +203,7 @@ def test_report_total_is_sum_of_parts(weight):
     d = rep.as_dict()
     assert d["X"] == 90.0 and d["sigma"] == 1.2
     assert d["family_size"] == rep.family_size
-    assert math.isfinite(d["elapsed_s"])
+    assert "elapsed_s" not in d
 
 
 def test_poisson_pair_plain(weight):

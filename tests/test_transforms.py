@@ -279,8 +279,9 @@ def test_table_rows_shapes():
 
 def test_mellin_identity_residual():
     w = make_gaussian_weight()
-    # residual carries the cubic-table error; structural failure would be O(1)
-    for z in (0.5, 1.5, 0.25 + 0.7j):
+    # residual carries the cubic-table error; structural failure would be
+    # O(1).  z = 1/2 and 1/2 + i are the selftest mellin_identity rows.
+    for z in (1.5, 0.25 + 0.7j):
         assert mellin_identity_check(w, z) < 1e-7
 
 
