@@ -27,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from . import __version__, checks, ratios, zint
+from . import __version__, ratios, zint
 from .empirical import DensityConfig, one_level_density
 from .expansion import (expansion_coefficients, J_X, J_first_order,
                         phi_sf_limit, phi_sf_partial, thm_prediction)
@@ -180,6 +180,7 @@ def _cmd_selftest(ns, cfg) -> int:
     if scale <= 0.0:
         raise _ConfigError("tol-scale must be positive")
     out_path = _resolve(ns, cfg, "out", None, str)
+    from . import checks  # loaded here so that other commands start without it
     tiers = ("quick",) if quick else ("quick", "full")
     rows = [(name, *fn()) for name, tier, fn in checks.CHECKS if tier in tiers]
     failures = 0
