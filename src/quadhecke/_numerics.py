@@ -106,12 +106,13 @@ class CubicTable:
         return w0 * v[i - 1] + w1 * v[i] + w2 * v[i + 1] + w3 * v[i + 2]
 
 
-def alternating_sum(a, n: int = 40) -> float:
+def alternating_sum(a) -> float:
     """Sum_{k>=0} (-1)^k a(k) accelerated (Cohen-Villegas-Zagier).
 
     Error ~ 5.83^-n for coefficient sequences that are moments of a (signed)
-    measure on [0, 1]; n=40 is far past double precision for our series.
+    measure on [0, 1]; n = 40 terms is far past double precision for our series.
     """
+    n = 40
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
     b = -1.0
@@ -124,13 +125,14 @@ def alternating_sum(a, n: int = 40) -> float:
     return s / d
 
 
-def cauchy_derivs(f, center: complex, radius: float, mmax: int,
-                  nodes: int = 64) -> np.ndarray:
-    """f^(m)(center) for m = 0..mmax of an analytic f, by FFT on a circle.
+def cauchy_derivs(f, center: complex, radius: float, mmax: int) -> np.ndarray:
+    """f^(m)(center) for m = 0..mmax of an analytic f, by FFT on a circle
+    through 64 nodes.
 
     f must accept a complex ndarray.  Accuracy degrades once radius nears
     the distance to f's closest singularity; callers pick radius with slack.
     """
+    nodes = 64
     th = 2.0 * np.pi * np.arange(nodes) / nodes
     ring = radius * np.exp(1j * th)
     coeffs = np.fft.fft(np.asarray(f(center + ring), dtype=complex)) / nodes

@@ -138,6 +138,20 @@ def prime_bridge(X=2000.0, tol=1e-4):
     return integral - s_even_main_form(cfg), tol
 
 
+def prime_sums(B=200000, modulus=(3, 2)):
+    """Prime sums over norms <= B, each normalized by sqrt(B) log^2(2B):
+    sum log N - B, and the twisted sum of (m/varpi) log N at a fixed
+    modulus m, which has no main term."""
+    scale = math.sqrt(B) * math.log(2.0 * B) ** 2
+    norms = zint.prime_norms_up_to(B).astype(float)
+    principal = (float(np.sum(np.log(norms))) - B) / scale
+    m = zint.GInt(*modulus)
+    twisted = 0.0
+    for pp in zint.primary_primes_up_to(B):
+        twisted += zint._symbol_prime_fast(m, pp) * math.log(pp.norm)
+    return max(abs(principal), abs(twisted / scale)), 0.5
+
+
 def _poisson_twisted():
     lhs, rhs = poisson_pair(make_gaussian_weight(), 1.0, zint.GInt(-1, -2))
     return abs(lhs - rhs), 1e-6
@@ -189,4 +203,5 @@ CHECKS = (
     ("digamma_pair_bump", "exhaustive", partial(digamma_pair, "bump:1.5", 1e-8)),
     ("conductor_average_500", "exhaustive", partial(conductor_average, 500.0, 1.0)),
     ("prime_bridge_500", "exhaustive", partial(prime_bridge, 500.0, 1e-6)),
+    ("prime_sums_2e5", "exhaustive", prime_sums),
 )

@@ -423,28 +423,6 @@ def one_level_density(cfg: DensityConfig) -> DensityReport:
 
 # --- diagnostics ------------------------------------------------------------------
 
-def prime_sum_check(B: int, modulus: zint.GInt | None = None) -> dict[str, float]:
-    """Residuals of the prime-counting and Mertens sums over norms <= B.
-
-    principal: (sum logN - B) / (sqrt(B) log^2(2B)); mertens: sum logN/N - log B.
-    With a modulus m, also the twisted sum_{varpi} (m/varpi) logN normalized
-    the same way.
-    """
-    norms = zint.prime_norms_up_to(B).astype(float)
-    ln = np.log(norms)
-    scale = math.sqrt(B) * math.log(2.0 * B) ** 2
-    out = {
-        "principal_normalized": (float(np.sum(ln)) - B) / scale,
-        "mertens": float(np.sum(ln / norms)) - math.log(B),
-    }
-    if modulus is not None:
-        acc = 0.0
-        for pp in zint.primary_primes_up_to(B):
-            acc += zint._symbol_prime_fast(modulus, pp) * math.log(pp.norm)
-        out["character_normalized"] = acc / scale
-    return out
-
-
 def poisson_pair(w: WeightFunction, X: float, n: zint.GInt | None = None):
     """(lhs, rhs) of the Poisson summation identity at scale X.
 
@@ -483,18 +461,3 @@ def poisson_pair(w: WeightFunction, X: float, n: zint.GInt | None = None):
                     rhs += gs * float(w.w_tilde(math.sqrt(nm * X / nn)))
     rhs *= X / nn
     return lhs, rhs
-
-
-def character_average(cfg: DensityConfig, pp: zint.PrimaryPrime) -> float:
-    """(1/W) sum_c w(N(c)/X) chi_{i(1+i)^5 c}(varpi); decays for growing X."""
-    fam = _family(cfg)
-    ft = zint._symbol_prime_fast(zint.FAMILY_TWIST, pp)
-    eye = 1 if (pp.norm - 1) % 8 == 0 else -1 if pp.kind == "split" else 1
-    if pp.kind == "split":
-        p = pp.norm
-        idx = fam.re + fam.im * zint.split_i_image(pp)
-    else:
-        p = pp.rational()
-        idx = fam.norm
-    sym = zint.legendre_table(p)[idx % p]
-    return ft * 2.0 * (1 + eye) * float(np.dot(fam.w0, sym)) / fam.W

@@ -64,8 +64,9 @@ def prefactor(weight: WeightFunction, ctx: ZetaKContext | None = None) -> float:
 
 def phi_sf_partial(bound: int) -> float:
     """Phi(bound) = sum over primary squarefree N(l) <= bound of mu(l)/N(l)^2."""
-    _, _, norm, mu = zint.primary_squarefree_arrays(bound, with_mu=True)
-    return float(np.sum(mu / norm.astype(float) ** 2))
+    a = zint.mobius_by_norm(bound)
+    n = np.flatnonzero(a)
+    return float(np.sum(a[n] / n.astype(float) ** 2))
 
 
 def phi_sf_limit(ctx: ZetaKContext | None = None) -> float:
@@ -97,13 +98,11 @@ class _KernelTables:
         self.y_cap = y_cap
         self.pref = prefactor(weight, ctx)
         m_max = int(_G1_CUT * y_cap) + 1
-        _, _, norm, mu = zint.primary_squarefree_arrays(m_max, with_mu=True)
-        weights = np.zeros(m_max + 1)          # sum of mu(l)/N(l) by norm
-        np.add.at(weights, norm, mu / norm)
+        a = zint.mobius_by_norm(m_max)         # sum of mu(l) by norm
         r = zint.lattice_norm_counts(m_max)
         c = np.zeros(m_max + 1)
-        for n in np.flatnonzero(weights).tolist():
-            c[n::n] += weights[n] * r[1:m_max // n + 1]
+        for n in np.flatnonzero(a).tolist():
+            c[n::n] += (a[n] / n) * r[1:m_max // n + 1]
         d = -c
         d[2::2] += c[1:m_max // 2 + 1]
         m = np.flatnonzero(d)
@@ -446,28 +445,3 @@ def thm_prediction(X: float, coeffs: ExpansionCoefficients,
     for m in range(1, coeffs.M + 1):
         total += coeffs.R_w[m - 1] / L ** m
     return total
-
-
-def precise_decomposition(X: float, test: TestFunction,
-                          weight: WeightFunction | None = None,
-                          ctx: ZetaKContext | None = None, M: int = 2,
-                          cutoff: int = 10 ** 6, route: str = "analytic",
-                          y_cap: float = 3000.0) -> dict[str, float]:
-    """The five-piece form: unit-window main terms, conductor constants,
-    J(X), the digamma integral, and the even-sum expansion through order M."""
-    from .empirical import digamma_integral_term
-    w = weight or make_gaussian_weight()
-    ctx = ctx or default_context()
-    L = math.log(X)
-    p0 = float(test.phi_hat(0.0))
-    main = p0 - phi_hat_half_integral(test)
-    cond = p0 / L * (_LOG_32_PI2 + 2.0 * _PSI_HALF
-                     + 2.0 * w.mw_prime_1 / w.w_hat0)
-    j_val, j_err = J_X(X, test, w, ctx, y_cap)
-    dig = digamma_integral_term(test, L)
-    ds = d_coefficients(M, cutoff, route, ctx)
-    even = sum(ds[m - 1][0] * float(test.phi_hat_deriv0(m - 1)) / L ** m
-               for m in range(1, M + 1))
-    total = main + cond + j_val + dig + even
-    return {"main": main, "conductor": cond, "J": j_val, "J_err": j_err,
-            "digamma": dig, "even": even, "total": total}

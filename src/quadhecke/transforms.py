@@ -161,7 +161,6 @@ class WeightFunction:
 
     name = "gaussian"
     w_hat0 = 1.0
-    r_support = _R_SUPPORT
 
     def __eq__(self, other):
         return isinstance(other, WeightFunction) and other.name == self.name
@@ -182,11 +181,8 @@ class WeightFunction:
         out = 0.5 * np.exp(_loggamma(0.5 * s) - 0.5 * s * math.log(math.pi))
         return complex(out) if out.ndim == 0 else out
 
-    # Mw'(1)/Mw(1) = (psi(1/2) - log pi)/2; Mw'(1) doubles as the log moment
-    # int_0^inf w log x dx.
-    mw_logderiv_1 = -0.5 * (specfun.EULER_GAMMA + 2.0 * math.log(2.0) + math.log(math.pi))
+    # Mw'(1), also the log moment int_0^inf w log x dx
     mw_prime_1 = -0.25 * (specfun.EULER_GAMMA + math.log(4.0 * math.pi))
-    log_moment = mw_prime_1
 
     def w_tilde(self, t, refine: int = 1):
         """2 pi int_0^inf w(r^2) J0(2 pi t r) r dr, vectorized over t.
@@ -208,11 +204,6 @@ class WeightFunction:
                 2.0 * math.pi * np.multiply.outer(tc, r)) @ prof
         out *= 2.0 * math.pi
         return float(out[0]) if scalar else out
-
-    def w_tilde_with_error(self, t):
-        a = self.w_tilde(t, refine=1)
-        b = self.w_tilde(t, refine=2)
-        return b, np.max(np.abs(a - b))
 
     # -- tables --
 
@@ -240,10 +231,6 @@ class WeightFunction:
         y = np.asarray(y, dtype=float)
         return self._wt_table(2.0 * y * y)
 
-    def g_tilde(self, t):
-        t = np.asarray(t, dtype=float)
-        return self._gt_table(t * t)
-
     def g1(self, y):
         """g1(y) = g~(sqrt y); table-backed, 0 past the decay cutoff."""
         y = np.asarray(y, dtype=float)
@@ -257,32 +244,6 @@ class WeightFunction:
     def g_tilde0(self) -> float:
         return float(self._gt_table(0.0))
 
-    def tail_coefficient(self, kind: str) -> float:
-        """Fitted C with |f(t)| <= C t^-3 on the outer decade of the table."""
-        if kind == "w_tilde":
-            tab, vmax = self._wt_table, _WT_VMAX
-        elif kind == "g_tilde":
-            tab, vmax = self._gt_table, _GT_VMAX
-        else:
-            raise ValueError("kind must be w_tilde or g_tilde")
-        ts = np.linspace(0.4 * math.sqrt(vmax), math.sqrt(vmax), 200)
-        return float(np.max(np.abs(tab(ts * ts)) * ts ** 3))
-
-    def table_rows(self, kind: str, n: int = 400) -> list[tuple[float, float]]:
-        """(t, value) samples for CSV export."""
-        if kind == "w_tilde":
-            tmax, f = math.sqrt(_WT_VMAX), lambda t: self._wt_table(t * t)
-        elif kind == "g_tilde":
-            tmax, f = math.sqrt(_GT_VMAX), lambda t: self._gt_table(t * t)
-        elif kind == "g":
-            tmax, f = math.sqrt(_WT_VMAX / 2.0), self.g
-        elif kind == "g1":
-            tmax, f = _GT_VMAX, self.g1
-        else:
-            raise ValueError(f"unknown table kind {kind!r}")
-        ts = np.linspace(0.0, tmax, n)
-        return list(zip(ts.tolist(), np.asarray(f(ts)).tolist()))
-
 
 @functools.cache
 def make_gaussian_weight() -> WeightFunction:
@@ -292,11 +253,15 @@ def make_gaussian_weight() -> WeightFunction:
 
 # --- numerical Mellin transform ----------------------------------------------------
 
-def mellin_num(f, s: complex, tol: float = 1e-11, max_octaves: int = 60) -> complex:
+_MELLIN_TOL = 1e-11
+_MELLIN_OCTAVES = 60
+
+
+def mellin_num(f, s: complex) -> complex:
     """int_0^inf f(t) t^s dt/t by octave panels around t = 1.
 
     Caller asserts convergence at s (Re s > 0 and f decaying); raises
-    RuntimeError when the octave sums fail to fall below tol.
+    RuntimeError when no octave sum within 60 falls below 1e-11 relative.
     """
     s = complex(s)
     total = 0.0 + 0.0j
@@ -306,17 +271,17 @@ def mellin_num(f, s: complex, tol: float = 1e-11, max_octaves: int = 60) -> comp
         return complex(np.sum(wq * np.asarray(f(x), dtype=complex)
                               * np.exp((s - 1.0) * np.log(x))))
 
-    for k in range(max_octaves):
+    for k in range(_MELLIN_OCTAVES):
         c = octave(2.0 ** (-k - 1), 2.0 ** (-k))
         total += c
-        if abs(c) < tol * max(1.0, abs(total)) and k >= 4:
+        if abs(c) < _MELLIN_TOL * max(1.0, abs(total)) and k >= 4:
             break
     else:
         raise RuntimeError("mellin_num: no convergence at 0")
-    for k in range(max_octaves):
+    for k in range(_MELLIN_OCTAVES):
         c = octave(2.0 ** k, 2.0 ** (k + 1))
         total += c
-        if abs(c) < tol * max(1.0, abs(total)) and k >= 4:
+        if abs(c) < _MELLIN_TOL * max(1.0, abs(total)) and k >= 4:
             break
     else:
         raise RuntimeError("mellin_num: no convergence at infinity")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -76,10 +75,6 @@ FAMILY_TWIST = GInt(4, -4)
 
 _UNIT_INV = {GInt(1, 0): GInt(1, 0), GInt(0, 1): GInt(0, -1),
              GInt(-1, 0): GInt(-1, 0), GInt(0, -1): GInt(0, 1)}
-
-
-def norm(z: GInt) -> int:
-    return z.norm()
 
 
 def is_primary(z: GInt) -> bool:
@@ -383,26 +378,6 @@ def quad_symbol(a: GInt, n: GInt, method: str = "fast") -> int:
     return out
 
 
-_QUARTIC = {(1, 0): 1 + 0j, (0, 1): 1j, (-1, 0): -1 + 0j, (0, -1): -1j}
-
-
-def quartic_symbol(a: GInt, pp: PrimaryPrime) -> complex:
-    """Quartic residue symbol (a/varpi)_4 as a complex fourth root of unity."""
-    w = pp.value
-    r = powmod(a, (pp.norm - 1) // 4, w)
-    if r.is_zero() or divides(w, r):
-        return 0j
-    for (ur, ui), val in _QUARTIC.items():
-        if divides(w, r - GInt(ur, ui)):
-            return val
-    raise AssertionError(f"quartic criterion failed at {pp!r}")
-
-
-def chi_family(c: GInt, n: GInt) -> int:
-    """Family character chi_{i(1+i)^5 c}(n) = (i(1+i)^5 c / n), n odd."""
-    return quad_symbol(FAMILY_TWIST * c, n)
-
-
 # --- Gauss sums ----------------------------------------------------------------
 
 def _residue_system(n: GInt) -> tuple[np.ndarray, np.ndarray]:
@@ -431,16 +406,19 @@ def _symbol_table_prime(pp: PrimaryPrime, X: np.ndarray, Y: np.ndarray) -> np.nd
     return legendre_table(p)[val % p].astype(np.int64)
 
 
-def gauss_sum(r: GInt, n: GInt, cap: int = 10 ** 6) -> complex:
+_GAUSS_CAP = 10 ** 6
+
+
+def gauss_sum(r: GInt, n: GInt) -> complex:
     """g(r, n) = sum over x mod n of (x/n) e(r x / n), e(z) = exp(2 pi i Im z).
 
-    Brute force over a complete residue system; refuses N(n) > cap.
+    Brute force over a complete residue system; refuses N(n) > 10^6.
     """
     if n.is_zero() or n.is_unit() or not n.is_odd():
         raise ValueError(f"modulus must be odd, nonzero, nonunit: {n!r}")
     nn = n.norm()
-    if nn > cap:
-        raise ValueError(f"norm {nn} above brute-force cap {cap}")
+    if nn > _GAUSS_CAP:
+        raise ValueError(f"norm {nn} above brute-force cap {_GAUSS_CAP}")
     X, Y = _residue_system(n)
     _, _, entries = factor(n)
     if len(entries) == 1 and entries[0][1] == 1:
@@ -494,11 +472,10 @@ def prime_norms_up_to(bound: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def primary_squarefree_arrays(bound: int, with_mu: bool = False):
+def primary_squarefree_arrays(bound: int):
     """Primary squarefree odd elements with 0 < norm <= bound.
 
-    Returns (re, im, norm[, mu]) read-only int64 arrays sorted by
-    (norm, re, im).
+    Returns (re, im, norm) read-only int64 arrays sorted by (norm, re, im).
     Squarefreeness is read off the rational factorization of the norm:
     p = 3 mod 4 must not have p^4 | N; p = 1 mod 4 allows v_p <= 1, or
     v_p = 2 exactly when p divides both coordinates (then varpi varpi-bar || c).
@@ -531,45 +508,40 @@ def primary_squarefree_arrays(bound: int, with_mu: bool = False):
                 keep &= ~(m3 | (m2 & ~pc))
     R, M, N = R[keep], M[keep], N[keep]
     order = np.lexsort((M, R, N))
-    R, M, N = R[order], M[order], N[order]
-    if not with_mu:
-        return read_only(R, M, N)
-
-    omega = np.zeros(R.size, dtype=np.int64)
-    Nw = N.copy()
-    for p in _sieve(m if m >= 2 else 2):
-        p = int(p)
-        if p == 2:
-            continue
-        if p % 4 == 1:
-            d1 = (Nw % p) == 0
-            if d1.any():
-                d2 = (N % (p * p)) == 0
-                omega += d1.astype(np.int64) + (d1 & d2).astype(np.int64)
-                for _ in range(2):
-                    div = (Nw % p) == 0
-                    Nw[div] //= p
-        else:
-            p2 = p * p
-            d = (Nw % p2) == 0
-            if d.any():
-                omega += d
-                Nw[d] //= p2
-    omega += Nw > 1
-    mu = 1 - 2 * (omega & 1)
-    return read_only(R, M, N, mu)
+    return read_only(R[order], M[order], N[order])
 
 
-def family_stream(bound: int) -> Iterator[GInt]:
-    """All odd squarefree c with N(c) <= bound, associates included.
+def mobius_by_norm(bound: int) -> np.ndarray:
+    """a[n] = sum of mu(l) over primary squarefree odd l with N(l) = n,
+    for 0 <= n <= bound, as an int64 array.
 
-    Order: primary parts by (norm, re, im), units in order 1, i, -1, -i.
+    a is multiplicative: over p = 1 mod 4 the two conjugate primes give
+    a(p) = -2 and their product a(p^2) = +1; over q = 3 mod 4 the inert
+    prime gives a(q^2) = -1; every other prime power, 2^k included, gives 0.
+    The primes up to sqrt(bound) are sieved out of n, leaving at most one
+    prime factor above sqrt(bound).
     """
-    R, M, _ = primary_squarefree_arrays(bound)
-    for re, im in zip(R, M):
-        c0 = GInt(int(re), int(im))
-        for u in UNITS:
-            yield u * c0
+    bound = int(bound)
+    a = np.ones(bound + 1, dtype=np.int64)
+    a[0] = 0
+    rest = np.arange(bound + 1, dtype=np.int64)   # n without its small primes
+    for p in _sieve(math.isqrt(bound)).tolist():
+        p2 = p * p
+        if p % 4 == 1:
+            a[p::p] *= -2
+            a[p2::p2] //= -2                # (-2)(-2)/(-2): a(p^2) = +1
+        else:
+            sq = -a[p2::p2]
+            a[p::p] = 0
+            if p % 4 == 3:
+                a[p2::p2] = sq              # a(q^2) = -1
+        a[p2 * p::p2 * p] = 0
+        rest[p::p] //= p
+        rest[p2::p2] //= p
+    big = rest > 1
+    a[big & (rest % 4 == 1)] *= -2
+    a[big & (rest % 4 != 1)] = 0
+    return a
 
 
 @lru_cache(maxsize=4)

@@ -287,7 +287,6 @@ def test_memoized_arrays_read_only(weight, ctx):
     from quadhecke.transforms import make_bump
     tab = expansion.kernel_tables(weight, ctx)
     arrays = [*zint.primary_squarefree_arrays(500),
-              *zint.primary_squarefree_arrays(500, with_mu=True),
               zint.prime_norms_up_to(500), zint.lattice_norm_counts(50),
               *_numerics.leggauss(12), tab.m, tab.d_m, *tab.h2_profile,
               weight._wt_table.values, weight._gt_table.values,

@@ -134,6 +134,20 @@ def test_bad_phi_spec(capsys):
     assert err.startswith("quadhecke: error[config]")
 
 
+@pytest.mark.parametrize("command", ["density", "predict", "expand", "compare"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--phi", "welch:1.0", "bad test-function spec 'welch:1.0'"),
+    ("--weight", "flat", "bad weight spec 'flat'"),
+])
+def test_bad_spec_is_a_config_error(capsys, command, flag, value, message):
+    # the parsers raise ValueError; run() maps it to error[config], exit 1
+    x = ("--X", "80") if command in ("density", "predict") else ()
+    code, out, err = _run(capsys, command, *x, flag, value)
+    assert code == 1
+    assert err == f"quadhecke: error[config]: {message}\n"
+    assert out == ""
+
+
 def test_bad_subcommand(capsys):
     code, out, err = _run(capsys, "frobnicate")
     assert code == 1
@@ -213,6 +227,38 @@ def test_selftest_impossible_tolerance(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("quadhecke: error[tolerance]")
     assert any(ln.startswith("FAIL") for ln in out.splitlines())
+
+
+def test_selftest_reports_a_raising_check(tmp_path, capsys, monkeypatch):
+    # a check that raises ArithmeticError is a failed row; the rest still run
+    def raises():
+        raise ArithmeticError("methods disagree")
+    monkeypatch.setattr(checks, "CHECKS", (("raises", "quick", raises),
+                                           ("passes", "quick", lambda: (0.0, 1.0))))
+    path = tmp_path / "selftest.json"
+    code, out, err = _run(capsys, "selftest", "--quick", "--out", str(path))
+    assert code == 2
+    assert err.startswith("quadhecke: error[tolerance]")
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL raises ")
+    assert lines[0].endswith("raised: methods disagree")
+    assert lines[1].startswith("ok   passes ")
+    assert lines[2] == "1/2 checks passed"
+    doc = json.loads(path.read_text())
+    first, second = doc["result"]["checks"]
+    assert first == {"check": "raises", "error": "methods disagree", "ok": False}
+    assert second["ok"] and second["residual"] == 0.0
+    assert doc["result"]["failures"] == 1
+    assert set(doc["provenance"]["tolerances"]) == {"passes"}
+
+
+def test_selftest_other_exception_is_internal(capsys, monkeypatch):
+    def boom():
+        raise RuntimeError("unexpected")
+    monkeypatch.setattr(checks, "CHECKS", (("boom", "quick", boom),))
+    code, out, err = _run(capsys, "selftest", "--quick")
+    assert code == 3
+    assert err.startswith("quadhecke: error[internal]: unexpected")
 
 
 def test_selftest_out_document(tmp_path, capsys):

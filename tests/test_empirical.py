@@ -217,30 +217,3 @@ def test_poisson_pair_twisted(weight):
     lhs, rhs = empirical.poisson_pair(weight, 2.5, pp.value)
     assert abs(complex(rhs).imag) < 1e-10
     assert abs(lhs - complex(rhs).real) < 1e-10 * max(1.0, abs(lhs))
-
-
-def test_prime_sum_check_bounds():
-    out = empirical.prime_sum_check(200000, GInt(3, 2))
-    assert abs(out["principal_normalized"]) < 0.5
-    assert abs(out["character_normalized"]) < 0.5
-    assert math.isfinite(out["mertens"])
-
-
-def test_character_average_brute_and_decay(weight):
-    f = make_fejer(1.5)
-    pp = [p for p in zint.primary_primes_up_to(20) if p.norm == 17][0]
-    cfg = DensityConfig(25.0, f, weight)
-    fam = empirical._family(cfg)
-    acc = 0.0
-    for re, im, w0 in zip(fam.re, fam.im, fam.w0):
-        for u in zint.UNITS:
-            c = u * GInt(int(re), int(im))
-            acc += w0 * zint.quad_symbol(zint.FAMILY_TWIST * c, pp.value)
-    want = acc / fam.W
-    got = empirical.character_average(cfg, pp)
-    assert abs(got - want) < 1e-12
-    # orthogonality: the average decays as the family grows
-    vals = [abs(empirical.character_average(DensityConfig(X, f, weight), pp))
-            for X in (50.0, 200.0, 800.0)]
-    assert vals[2] < vals[0]
-    assert vals[2] < 0.05

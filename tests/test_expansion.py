@@ -1,5 +1,6 @@
 """Closed-form expansion: kernels, J(X), and the coefficient ladder."""
 
+import functools
 import math
 import tracemalloc
 
@@ -35,10 +36,25 @@ def test_phi_sf_converges(ctx):
     assert e5 < 1e-4
 
 
+_SF_BOUND = int(112.0 * 150.0) + 1     # the largest bound the kernel tests ask for
+
+
+@functools.cache
+def _sf_elements():
+    """norm and mu / norm of the primary squarefree elements up to
+    _SF_BOUND, each mu from a factorization."""
+    re, im, norm = zint.primary_squarefree_arrays(_SF_BOUND)
+    mu = np.array([zint.moebius(zint.GInt(a, b))
+                   for a, b in zip(re.tolist(), im.tolist())])
+    return norm.astype(float), mu / norm
+
+
 def _sf_terms(bound):
     """norm and mu / norm of the primary squarefree elements up to bound."""
-    _, _, norm, mu = zint.primary_squarefree_arrays(bound, with_mu=True)
-    return norm.astype(float), mu / norm
+    assert bound <= _SF_BOUND
+    norm, wmu = _sf_elements()
+    k = int(np.searchsorted(norm, bound, side="right"))
+    return norm[:k], wmu[:k]
 
 
 def test_h1_cutoff_and_value(weight, ctx):
@@ -83,7 +99,11 @@ def test_H2_matches_exact_R(weight, ctx):
 
 
 def test_kernel_sums_do_not_resieve(fejer15, weight, ctx):
-    # once the tables exist, J_X and c_w read the d array and sieve nothing
+    # the d array comes from the Moebius weights by norm, not the family
+    # sieve; once the tables exist, J_X and c_w read it and sieve nothing
+    zint.primary_squarefree_arrays.cache_clear()
+    expansion._KernelTables(weight, ctx, y_cap=200.0)
+    assert zint.primary_squarefree_arrays.cache_info().currsize == 0
     expansion.kernel_tables(weight, ctx)
     zint.primary_squarefree_arrays.cache_clear()
     expansion.J_X(2000.0, fejer15, weight, ctx)
@@ -272,10 +292,3 @@ def test_thm_prediction_formula(fejer15, weight, ctx):
     want = (1.0 - expansion.phi_hat_half_integral(fejer15)
             + co.R_w[0] / math.log(X))
     assert abs(expansion.thm_prediction(X, co, fejer15) - want) < 1e-14
-
-
-def test_precise_decomposition_totals(fejer15, weight, ctx):
-    out = expansion.precise_decomposition(500.0, fejer15, weight, ctx)
-    parts = out["main"] + out["conductor"] + out["J"] + out["digamma"] + out["even"]
-    assert abs(out["total"] - parts) < 1e-14
-    assert out["J_err"] >= 0.0

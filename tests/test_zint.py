@@ -141,17 +141,6 @@ def test_symbol_square_set_brute():
             assert zint.quad_symbol(a, w) == want
 
 
-def test_quartic_symbol_squares_to_quadratic():
-    for pp in zint.primary_primes_up_to(80):
-        if pp.kind != "split":
-            continue
-        for a in odd_gints(30):
-            if zint.divides(pp.value, a):
-                continue
-            q4 = zint.quartic_symbol(a, pp)
-            assert abs(q4 * q4 - zint.quad_symbol(a, pp.value)) < 1e-12
-
-
 def test_reciprocity_spot():
     prims = [z for z in primary_gints(150) if not z.is_unit()]
     for i, m in enumerate(prims):
@@ -164,15 +153,6 @@ def _coprime(m, n):
     pm = {(pp.value.re, pp.value.im) for pp, _ in zint.factor(m)[2]}
     pn = {(pp.value.re, pp.value.im) for pp, _ in zint.factor(n)[2]}
     return not (pm & pn)
-
-
-def test_chi_family_is_twisted_symbol():
-    c = GInt(1, 2)
-    for n in primary_gints(60):
-        if n.is_unit():
-            continue
-        assert zint.chi_family(c, n) == \
-            zint.quad_symbol(zint.FAMILY_TWIST * c, n)
 
 
 # --- Gauss sums ---------------------------------------------------------------------
@@ -217,7 +197,7 @@ def test_prime_norms_match_primary_primes():
 
 def test_squarefree_arrays_brute():
     bound = 300
-    re, im, nm, mu = zint.primary_squarefree_arrays(bound, with_mu=True)
+    re, im, nm = zint.primary_squarefree_arrays(bound)
     got = {(int(a), int(b)) for a, b in zip(re, im)}
     want = set()
     for z in primary_gints(bound):
@@ -225,22 +205,24 @@ def test_squarefree_arrays_brute():
         if all(e == 1 for _, e in entries):
             want.add((z.re, z.im))
     assert got == want
-    for a, b, m in zip(re, im, mu):
-        assert m == zint.moebius(GInt(int(a), int(b)))
     # sorted by (norm, re, im)
     key = list(zip(nm.tolist(), re.tolist(), im.tolist()))
     assert key == sorted(key)
 
 
-def test_family_stream_order_and_units():
-    fam = list(zint.family_stream(50))
-    assert len(fam) % 4 == 0
-    for i in range(0, len(fam), 4):
-        c0 = fam[i]
-        assert zint.is_primary(c0)
-        assert fam[i + 1] == zint.I * c0
-        assert fam[i + 2] == -c0
-        assert fam[i + 3] == -(zint.I * c0)
+def test_mobius_by_norm_brute():
+    # a[n] is the sum of mu(l) over the primary odd l of norm n, each mu
+    # from a factorization; the bound 5000 has the leftover prime factor
+    # above sqrt(5000) for most n
+    bound = 5000
+    want = np.zeros(bound + 1, dtype=np.int64)
+    for z in primary_gints(bound):
+        want[z.norm()] += zint.moebius(z)
+    got = zint.mobius_by_norm(bound)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    # the prefix of a longer sieve is the shorter sieve
+    assert np.array_equal(zint.mobius_by_norm(bound + 997)[:bound + 1], want)
 
 
 def test_lattice_norm_counts():
