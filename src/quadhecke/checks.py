@@ -16,8 +16,8 @@ import numpy as np
 
 from . import ratios, zint
 from ._numerics import panel_nodes
-from .empirical import (DensityConfig, digamma_integral_term, poisson_pair,
-                        s_even_main_form, total_weight)
+from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
+                        poisson_pair, s_even_main_form, total_weight)
 from .expansion import phi_sf_limit, phi_sf_partial
 from .specfun import (_LOG_32_PI2, _PSI_HALF, A_closed_mr, A_euler, EULER_GAMMA,
                       X_c, default_context, digamma, zeta_K)
@@ -152,6 +152,34 @@ def prime_sums(B=200000, modulus=(3, 2)):
     return max(abs(principal), abs(twisted / scale)), 0.5
 
 
+def a_diag_unity(rs):
+    """max |A(r, r) - 1|: the Euler factor is 1 on the diagonal."""
+    return max(abs(A_euler(r, r) - 1.0) for r in rs)
+
+
+def a_closed_vs_euler(rs):
+    """Closed form A(-r, r) against the truncated Euler product, relative
+    to max(1, |A|)."""
+    worst = 0.0
+    for r in rs:
+        want = A_euler(-r, r)
+        got = A_closed_mr(r, default_context())
+        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    return worst, 1e-6
+
+
+def route_gap(X, phi="fejer:1.5"):
+    """D_emp - D_int, the explicit formula over the family against the
+    ratios integral, within C X^(-1/2) (the scale of the ratios
+    conjecture's error term) plus the integral's own error estimate.
+    C = 0.5 is fixed: the largest measured |gap| sqrt(X) is 0.35 (fejer:0.8,
+    1.2, 1.5 and bump:0.8, X = 500 to 512000) and 0.32 (fejer:1.9)."""
+    cfg = _config(X, phi)
+    rep = ratios.ratios_density(cfg, default_context())
+    gap = one_level_density(cfg).D_total - rep.D_ratios_integral
+    return gap, 0.5 * X ** -0.5 + rep.max_error
+
+
 def _poisson_twisted():
     lhs, rhs = poisson_pair(make_gaussian_weight(), 1.0, zint.GInt(-1, -2))
     return abs(lhs - rhs), 1e-6
@@ -165,11 +193,8 @@ CHECKS = (
      lambda: (complex(digamma(0.5)) + EULER_GAMMA + 2.0 * math.log(2.0), 1e-10)),
     ("zetaK_prime_at_0", "quick", zeta_k_prime_at_0),
     ("a_diag_unity", "quick",
-     lambda: (max(abs(A_euler(r, r, default_context()) - 1.0)
-                  for r in (0.0, 0.1, 0.1 + 0.2j)), 1e-12)),
-    ("a_closed_vs_euler", "quick",
-     lambda: (A_euler(-0.1, 0.1, default_context())
-              - A_closed_mr(0.1, default_context()), 1e-6)),
+     lambda: (a_diag_unity((0.0, 0.1, 0.1 + 0.2j)), 1e-12)),
+    ("a_closed_vs_euler", "quick", partial(a_closed_vs_euler, (0.1,))),
     # the constant folded into expansion.c_w1_closed
     ("constant_simplification", "quick",
      lambda: (2.0 * math.log(4.0) + math.log(math.pi ** 2 / 32.0)
@@ -195,13 +220,25 @@ CHECKS = (
     ("xc_logderiv_form", "quick", xc_form),
     ("combined_prime_r_quarter", "quick",
      lambda: (ratios.combined_prime_term(0.25)
-              - ratios._combined_analytic(0.25, default_context()), 1e-5)),
+              - ratios._combined_analytic(0.25), 1e-5)),
     ("weight_mass_1e5", "full", weight_mass),
     ("digamma_pair_identity", "full", digamma_pair),
     ("conductor_average", "full", conductor_average),
     ("prime_bridge", "full", prime_bridge),
+    ("route_gap", "full", partial(route_gap, 2000.0)),
     ("digamma_pair_bump", "exhaustive", partial(digamma_pair, "bump:1.5", 1e-8)),
     ("conductor_average_500", "exhaustive", partial(conductor_average, 500.0, 1.0)),
     ("prime_bridge_500", "exhaustive", partial(prime_bridge, 500.0, 1e-6)),
     ("prime_sums_2e5", "exhaustive", prime_sums),
+    ("a_diag_unity_off_axis", "exhaustive",
+     lambda: (a_diag_unity((0.5j, -0.2 + 0.2j)), 1e-8)),
+    ("a_closed_vs_euler_spread", "exhaustive",
+     partial(a_closed_vs_euler, (0.05, 0.21j, 0.1 - 0.07j, 0.05 + 0.1j))),
+    ("route_gap_15_500", "exhaustive", partial(route_gap, 500.0)),
+    ("route_gap_15_8000", "exhaustive", partial(route_gap, 8000.0)),
+    ("route_gap_08_500", "exhaustive", partial(route_gap, 500.0, "fejer:0.8")),
+    ("route_gap_08_2000", "exhaustive", partial(route_gap, 2000.0, "fejer:0.8")),
+    ("route_gap_08_8000", "exhaustive", partial(route_gap, 8000.0, "fejer:0.8")),
+    ("route_gap_19_500", "exhaustive", partial(route_gap, 500.0, "fejer:1.9")),
+    ("route_gap_19_2000", "exhaustive", partial(route_gap, 2000.0, "fejer:1.9")),
 )

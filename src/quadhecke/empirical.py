@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,20 +80,7 @@ class DensityReport:
     primes_even: int
 
     def as_dict(self) -> dict:
-        return {
-            "X": self.X,
-            "sigma": self.sigma,
-            "W_X": self.W_X,
-            "term_log_conductor": self.term_log_conductor,
-            "term_gamma_const": self.term_gamma_const,
-            "term_integral": self.term_integral,
-            "S_even": self.S_even,
-            "S_odd": self.S_odd,
-            "D_total": self.D_total,
-            "family_size": self.family_size,
-            "primes_odd": self.primes_odd,
-            "primes_even": self.primes_even,
-        }
+        return asdict(self)
 
 
 @dataclass

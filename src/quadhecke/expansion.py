@@ -35,8 +35,10 @@ value E(1) = -1 of E(t) = sum_{N <= t} log N - t, and the moments
 M_E(n) = int_1^inf E(t) log^n(t) t^(-2) dt.  M_E comes two ways: exact
 sieve integration below a cutoff with a zero-mean tail model bounded by the
 measured |E|/sqrt(t) envelope, or analytically from
-int_1^inf E(t) t^(-s-1) dt = -(1/s)(1 + Z'/Z(s) + log2/(2^s-1) + PP(s))
-differentiated at s = 1, where PP collects prime powers k >= 2.
+int_1^inf E(t) t^(-s-1) dt = -(1/s)(1 + H(s) + log2/(2^s-1) + PP(s))
+differentiated at s = 1, where H(s) = zeta_K'/zeta_K(s) + 1/(s-1) is
+zeta_K's log-derivative with the pole removed and PP collects prime powers
+k >= 2.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from scipy.special import gammaincc, gammaln
 from . import zint
 from ._numerics import cauchy_derivs, panel_layout, panel_nodes, read_only
 from .specfun import (_LOG_32_PI2, _PSI_HALF, EULER_GAMMA, ZetaKContext,
-                      default_context, hurwitz)
+                      default_context, hurwitz, zeta_K_log_deriv)
 from .transforms import (TestFunction, WeightFunction, make_gaussian_weight)
 
 _G1_CUT = 112.0          # g1(y) below 1e-13 beyond this
@@ -309,29 +311,27 @@ def m_e_moment_sieve(n: int, cutoff: int = 10 ** 6) -> tuple[float, float]:
     return val, tail
 
 
-def m_e_moment_analytic(max_n: int, cutoff: int = 10 ** 6,
-                        ctx: ZetaKContext | None = None) -> list[float]:
+def m_e_moment_analytic(max_n: int, cutoff: int = 10 ** 6) -> list[float]:
     """M_E(0..max_n) from the analytic continuation, differentiated at s = 1."""
-    ctx = ctx or default_context()
     norms, ln = _prime_norm_logs(cutoff)
     b = float(cutoff)
 
     def F(s: np.ndarray) -> np.ndarray:
+        h = zeta_K_log_deriv(s) + 1.0 / (s - 1.0)
         out = np.empty_like(s, dtype=complex)
         for i, si in enumerate(s):
             nz = np.exp(-si * ln)
             pp = np.dot(ln, nz * nz / (1.0 - nz))
             pp += b ** (1.0 - 2.0 * si) / (2.0 * si - 1.0)
-            out[i] = -(1.0 + ctx.Z_log_deriv(si) + math.log(2.0)
-                       / (2.0 ** si - 1.0) + pp) / si
+            out[i] = -(1.0 + h[i] + math.log(2.0) / (2.0 ** si - 1.0) + pp) / si
         return out
 
     ders = cauchy_derivs(F, 1.0, 0.3, max_n)
     return [((-1.0) ** k * ders[k]).real for k in range(max_n + 1)]
 
 
-def d_coefficients(M: int, cutoff: int = 10 ** 6, route: str = "analytic",
-                   ctx: ZetaKContext | None = None) -> list[tuple[float, float]]:
+def d_coefficients(M: int, cutoff: int = 10 ** 6,
+                   route: str = "analytic") -> list[tuple[float, float]]:
     """d_1..d_M with per-entry error estimates.
 
     route "analytic" differentiates the continued E-integral (tight errors);
@@ -340,9 +340,8 @@ def d_coefficients(M: int, cutoff: int = 10 ** 6, route: str = "analytic",
     """
     if not 1 <= M <= 6:
         raise ValueError("order must be in 1..6")
-    ctx = ctx or default_context()
     if route == "analytic":
-        me = m_e_moment_analytic(M - 1, cutoff, ctx)
+        me = m_e_moment_analytic(M - 1, cutoff)
         me_err = [3e-6 * math.factorial(k) / 0.3 ** k for k in range(M)]
     elif route == "sieve":
         pairs = [m_e_moment_sieve(k, cutoff) for k in range(M)]
@@ -369,18 +368,11 @@ def d_coefficients(M: int, cutoff: int = 10 ** 6, route: str = "analytic",
 
 # --- assembly ---------------------------------------------------------------------
 
-def digamma_moment(m: int, refine: int = 1) -> float:
-    """int_0^inf e^(-x/2) x^(m-1) / (1 - e^(-x)) dx, m >= 2, by quadrature."""
+def digamma_moment(m: int) -> float:
+    """int_0^inf e^(-x/2) x^(m-1) / (1 - e^(-x)) dx = Gamma(m) (2^m - 1) zeta(m),
+    the sum over exponents (k + 1/2)^-m; m >= 2."""
     if m < 2:
         raise ValueError("moment diverges for m < 2")
-    top = 80.0 + 10.0 * m
-    x, q = panel_nodes(1e-12, top, 0.5 / refine, 12)
-    kern = np.exp(-0.5 * x) / (-np.expm1(-x))
-    return float(np.dot(q, kern * x ** (m - 1)))
-
-
-def digamma_moment_closed(m: int) -> float:
-    """Gamma(m) (2^m - 1) zeta(m), the sum over exponents (k + 1/2)^-m."""
     z = float(hurwitz(np.array([float(m)], dtype=complex), 1.0)[0].real)
     return math.gamma(m) * (2.0 ** m - 1.0) * z
 
@@ -418,7 +410,7 @@ def expansion_coefficients(M: int, test: TestFunction,
                            y_cap: float = 3000.0) -> ExpansionCoefficients:
     w = weight or make_gaussian_weight()
     ctx = ctx or default_context()
-    ds = d_coefficients(M, cutoff, route, ctx)
+    ds = d_coefficients(M, cutoff, route)
     cs = c_w_coefficients(M, w, ctx, y_cap)
     log_moment_term = 2.0 * w.mw_prime_1 / w.w_hat0
     r_w = []

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -102,34 +102,25 @@ def combined_prime_term(r: complex, cutoff: int | None = None,
     return -2.0 * (head + tail)
 
 
-def _combined_analytic(r: complex, ctx: ZetaKContext | None = None) -> complex:
+def _combined_analytic(r: complex) -> complex:
     """Same function through zeta_K'/zeta_K and the absolutely convergent
     A_alpha series; accurate on the imaginary axis where the truncated
     prime sum's restored tail keeps modulus one."""
-    ctx = ctx or default_context()
     r = complex(r)
-    return complex(2.0 * zeta_K_log_deriv(1.0 + 2.0 * r)
-                   + 2.0 * A_alpha_series(r, ctx))
+    return complex(2.0 * zeta_K_log_deriv(1.0 + 2.0 * r) + 2.0 * A_alpha_series(r))
 
 
-def dual_term(r: complex, norm_c: int, ctx: ZetaKContext | None = None,
-              laurent: bool = False) -> complex:
+def dual_term(r: complex, norm_c: int, ctx: ZetaKContext | None = None) -> complex:
     """-(8/pi) X_c(1/2+r) zeta_K(1-2r) A(-r,r), the swapped-equation term.
 
     Simple pole at r = 0 with residue +1, cancelling the combined prime
-    term's -1.  Direct evaluation needs |r| >= eps0; laurent=True switches
-    to the cached series of r Psi(r) times the exact conductor phase.
+    term's -1.  Direct evaluation needs |r| >= eps0; inside, the bracket
+    runs on the origin series of _laurent_data.
     """
     ctx = ctx or default_context()
     r = complex(r)
     if abs(r) < _EPS0:
-        if not laurent:
-            raise ValueError("dual_term inside eps0 needs laurent=True")
-        if r == 0.0:
-            raise ValueError("dual_term has a pole at r = 0")
-        dat = _laurent_data(ctx)
-        ph = cmath.exp(-_mu_of(norm_c) * r)
-        return (1.0 / r + dat.psi[0] + dat.psi[1] * r + dat.psi[2] * r * r) * ph
+        raise ValueError("dual_term needs |r| >= eps0")
     val = -(8.0 / math.pi) * X_c(0.5 + r, int(norm_c)) \
         * zeta_K(1.0 - 2.0 * r) * A_closed_mr(r, ctx)
     return complex(val)
@@ -146,18 +137,16 @@ class _LaurentData:
 
 @lru_cache(maxsize=4)
 def _laurent_data(ctx: ZetaKContext) -> _LaurentData:
-    # combined(r) = -1/r + g(r); Z'/Z removes the pole before the ring sees it
+    # combined(r) = -1/r + g(r): adding 1/r leaves g, analytic on the ring
     def reg_combined(rs):
-        rs = np.asarray(rs, dtype=complex)
-        aa = np.array([A_alpha_series(rr, ctx) for rr in rs.ravel()],
-                      dtype=complex).reshape(rs.shape)
-        return 2.0 * ctx.Z_log_deriv(1.0 + 2.0 * rs) + 2.0 * aa
+        return np.array([_combined_analytic(r) + 1.0 / r for r in rs])
 
-    # r Psi(r) = (4/pi) G(r) Z(1-2r) A(-r,r), analytic, equals 1 at r = 0
+    # r Psi(r) = (4/pi) G(r) (-2r) zeta_K(1-2r) A(-r,r), analytic, equals 1
+    # at r = 0
     def ring_psi(rs):
-        rs = np.asarray(rs, dtype=complex)
         g = np.exp(_loggamma(0.5 - rs) - _loggamma(0.5 + rs))
-        return (4.0 / math.pi) * g * ctx.Z(1.0 - 2.0 * rs) * A_closed_mr(rs, ctx)
+        return (4.0 / math.pi) * g * (-2.0 * rs) * zeta_K(1.0 - 2.0 * rs) \
+            * A_closed_mr(rs, ctx)
 
     cd = cauchy_derivs(reg_combined, 0.0 + 0.0j, _RING_RADIUS, 2)
     pd = cauchy_derivs(ring_psi, 0.0 + 0.0j, _RING_RADIUS, 3)
@@ -185,7 +174,7 @@ def _bracket_parts(t: np.ndarray, ctx: ZetaKContext):
     if big.any():
         tb = t[big]
         z1, ld1, z2, ld2 = zeta_K_axis(tb)
-        rc[big] = (2.0 * ld1 + 2.0 * A_alpha_diag_it(tb, ctx, ld2)).real
+        rc[big] = (2.0 * ld1 + 2.0 * A_alpha_diag_it(tb, ld2)).real
         g = np.exp(_loggamma(0.5 - 1j * tb) - _loggamma(0.5 + 1j * tb))
         # zeta_K at 1-2it and 2-2it by Schwarz reflection
         pv[big] = -(8.0 / math.pi) * g * np.conj(z1) \
@@ -282,20 +271,9 @@ class PredictionReport:
     family_size: int
 
     def as_dict(self) -> dict:
-        out = {
-            "X": self.X,
-            "sigma": self.sigma,
-            "L": self.L,
-            "D_ratios_first_order": self.D_ratios_first_order,
-            "terms": dict(self.terms),
-            "n_points": self.n_points,
-            "max_error": self.max_error,
-            "n_norms": self.n_norms,
-            "family_size": self.family_size,
-        }
-        if self.D_ratios_integral is not None:
-            out["D_ratios_integral"] = self.D_ratios_integral
-            out["integral_parts"] = dict(self.integral_parts)
+        out = asdict(self)
+        if self.D_ratios_integral is None:
+            del out["D_ratios_integral"], out["integral_parts"]
         return out
 
 

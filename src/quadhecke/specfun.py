@@ -4,14 +4,11 @@ zeta_K(s) = zeta(s) L(s, chi_-4) with L(s, chi_-4) = 4^-s (zeta(s,1/4) -
 zeta(s,3/4)); both factors come from one Euler-Maclaurin Hurwitz-zeta core
 whose shift grows with |Im s|; along the lines 1+2it and 2+2it that core
 runs on one shared phase table per Hurwitz parameter (zeta_K_axis).
-Around s = 1 the regular part
-Z(s) = (s-1) zeta_K(s) is carried as a Taylor series obtained from Cauchy
-integrals, so Z(1) = pi/4 and Z'(1) = gamma_K double as self-tests.
 
 gamma_K = gamma pi/4 + L'(1, chi_-4), the L'-value summed as an accelerated
 alternating series.  Euler products A(alpha, beta) and the diagonal
-derivative A_alpha run over primary primes (conjugates separately) up to a
-configurable norm cutoff with logarithmic tail corrections.
+derivative A_alpha run over primary primes (conjugates separately) up to
+the norm cutoff _EULER_CUTOFF with logarithmic tail corrections.
 """
 
 from __future__ import annotations
@@ -27,11 +24,12 @@ from scipy.special import loggamma as _loggamma
 from scipy.special import psi as _psi
 
 from . import zint
-from ._numerics import alternating_sum, read_only
+from ._numerics import alternating_sum
 
 _EM_ORDER = 12  # Bernoulli pairs
 _EM_SHIFT = 20
 _POLE_GUARD = 1e-4
+_EULER_CUTOFF = 10 ** 6   # prime norm bound of the Euler products
 _B2J = _bernoulli(2 * _EM_ORDER)[2::2]  # B_2, B_4, ..., B_24
 _C2J = _B2J / np.array([math.factorial(2 * j) for j in range(1, _EM_ORDER + 1)])
 
@@ -206,13 +204,12 @@ def _a_factors_log(alpha, beta, norms: np.ndarray):
     return -np.log(1.0 - x) + np.log(1.0 - u - v)
 
 
-def A_euler(alpha: complex, beta: complex, ctx: "ZetaKContext | None" = None) -> complex:
+def A_euler(alpha: complex, beta: complex) -> complex:
     """A(alpha, beta): prefactor times product over primary primes, truncated
-    at euler_cutoff with an exponential-integral tail added."""
-    ctx = ctx or default_context()
+    at _EULER_CUTOFF with an exponential-integral tail added."""
     if np.real(alpha) <= -0.25 + 1e-9 or np.real(beta) <= -0.25 + 1e-9:
         raise ValueError("A_euler needs Re(alpha), Re(beta) > -1/4")
-    B = ctx.euler_cutoff
+    B = _EULER_CUTOFF
     norms = zint.prime_norms_up_to(B)
     logs = _a_factors_log(alpha, beta, norms)
     lb = math.log(B)
@@ -237,12 +234,11 @@ def A_closed_mr(r, ctx: "ZetaKContext | None" = None, zeta_2m2r=None):
     return complex(out) if out.ndim == 0 else out
 
 
-def A_alpha_series(r, ctx: "ZetaKContext | None" = None):
+def A_alpha_series(r):
     """A_alpha(r, r) = log2/(2^{1+2r}-1) + sum logN/((N+1)(N^{1+2r}-1)),
     truncated with integral tail; needs Re(r) > -1/2."""
-    ctx = ctx or default_context()
     r = complex(r)
-    B = ctx.euler_cutoff
+    B = _EULER_CUTOFF
     norms = zint.prime_norms_up_to(B).astype(float)
     la = np.log(norms)
     terms = la / ((norms + 1.0) * (np.exp((1.0 + 2.0 * r) * la) - 1.0))
@@ -250,22 +246,21 @@ def A_alpha_series(r, ctx: "ZetaKContext | None" = None):
     return math.log(2.0) / (2.0 ** (1.0 + 2.0 * r) - 1.0) + complex(np.sum(terms)) + tail
 
 
-def A_alpha_diag(r, ctx: "ZetaKContext | None" = None) -> complex:
+def A_alpha_diag(r) -> complex:
     """d/d alpha A(alpha, beta) at alpha = beta = r, two ways.
 
     (a) complex-step (real r) or central difference of A_euler in alpha;
     (b) the prime-sum identity through zeta_K'/zeta_K(1+2r).
     Disagreement beyond 1e-4 raises ArithmeticError.
     """
-    ctx = ctx or default_context()
     r = complex(r)
-    series = A_alpha_series(r, ctx)
+    series = A_alpha_series(r)
     if r.imag == 0.0:
         h = 1e-20
-        d = A_euler(r + 1j * h, r, ctx).imag / h
+        d = A_euler(r + 1j * h, r).imag / h
     else:
         h = 1e-5
-        d = (A_euler(r + h, r, ctx) - A_euler(r - h, r, ctx)) / (2 * h)
+        d = (A_euler(r + h, r) - A_euler(r - h, r)) / (2 * h)
     if abs(d - series) > 1e-4:
         raise ArithmeticError(
             f"A_alpha methods disagree at r={r}: {d} vs {series}")
@@ -296,7 +291,7 @@ def odd_prime_power_sum(w, log_deriv=None):
     return lam - pp
 
 
-def A_alpha_diag_it(t, ctx: "ZetaKContext | None" = None, log_deriv_2=None):
+def A_alpha_diag_it(t, log_deriv_2=None):
     """A_alpha(it, it) vectorized along real t for oscillatory integrals.
 
     Series summed directly to N <= 1e4, each distinct norm once with its
@@ -306,7 +301,6 @@ def A_alpha_diag_it(t, ctx: "ZetaKContext | None" = None, log_deriv_2=None):
     log_deriv_2, when given, supplies zeta_K'/zeta_K(2+2it) for every t.
     Chunks internally to cap the outer products.
     """
-    ctx = ctx or default_context()
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
@@ -334,35 +328,30 @@ def A_alpha_diag_it(t, ctx: "ZetaKContext | None" = None, log_deriv_2=None):
 
 @dataclass(frozen=True)
 class ZetaKContext:
-    """Immutable bundle of cached constants and the Z(s) Taylor series at 1.
+    """Immutable bundle of the cached zeta_K constants.
 
-    Contexts compare and hash on euler_cutoff, the one parameter; every
-    other field is derived from it, so caches key on the context's value.
+    It takes no parameter, so every context is equal to every other and
+    caches keyed on it share one entry.
     """
 
-    euler_cutoff: int = 10 ** 6
-    gamma: float = field(init=False, compare=False)
-    gamma_K: float = field(init=False, compare=False)
-    zetaK2: float = field(init=False, compare=False)
-    zetaK_logderiv_2: float = field(init=False, compare=False)
-    zetaK0: float = field(init=False, compare=False)
-    zetaK0_prime: float = field(init=False, compare=False)
-    residue: float = field(init=False, compare=False)
-    z_taylor: np.ndarray = field(init=False, compare=False, repr=False)
+    gamma_K: float = field(init=False)
+    zetaK2: float = field(init=False)
+    zetaK_logderiv_2: float = field(init=False)
+    zetaK0: float = field(init=False)
+    zetaK0_prime: float = field(init=False)
+    residue: float = field(init=False)
 
     def __post_init__(self):
         z, dz = hurwitz(0.0, 1.0, True)
         l4, dl4 = _l4(0.0, True)
         s = 1.0 + 1e-6
         derived = {
-            "gamma": EULER_GAMMA,
             "gamma_K": gamma_K(),
             "zetaK2": float(np.real(zeta_K(2.0))),
             "zetaK_logderiv_2": float(np.real(zeta_K_log_deriv(2.0))),
             "zetaK0": float(np.real(z * l4)),
             "zetaK0_prime": float(np.real(dz * l4 + z * dl4)),
             "residue": float(np.real((s - 1.0) * hurwitz(s, 1.0) * _l4(s))),
-            "z_taylor": read_only(_z_taylor_coeffs()),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -374,48 +363,9 @@ class ZetaKContext:
         if abs(self.residue - math.pi / 4.0) > 1e-5:
             raise ArithmeticError(f"residue {self.residue} != pi/4")
         lhs = -self.zetaK0_prime
-        rhs = -self.gamma_K / math.pi + self.gamma / 2.0 + math.log(math.pi) / 2.0
+        rhs = -self.gamma_K / math.pi + EULER_GAMMA / 2.0 + math.log(math.pi) / 2.0
         if abs(lhs - rhs) > 1e-6:
             raise ArithmeticError(f"zeta_K'(0) loop failed: {lhs} vs {rhs}")
-        if abs(self.z_taylor[0] - math.pi / 4.0) > 1e-10:
-            raise ArithmeticError("Z(1) != pi/4")
-        if abs(self.z_taylor[1] - self.gamma_K) > 1e-8:
-            raise ArithmeticError("Z'(1) != gamma_K")
-
-    # Z(s) = (s-1) zeta_K(s) near s = 1
-    def Z(self, s):
-        d = np.asarray(s, dtype=complex) - 1.0
-        out = np.zeros_like(d)
-        for c in self.z_taylor[::-1]:
-            out = out * d + c
-        return out
-
-    def Z_log_deriv(self, s):
-        """H(s) = Z'/Z = zeta_K'/zeta_K(s) + 1/(s-1); Taylor branch |s-1|<=0.35."""
-        d = np.asarray(s, dtype=complex) - 1.0
-        if np.any(np.abs(d) > 0.35):
-            raise ValueError("Z_log_deriv Taylor branch needs |s-1| <= 0.35")
-        num = np.zeros_like(d)
-        den = np.zeros_like(d)
-        cs = self.z_taylor
-        for k in range(len(cs) - 1, 0, -1):
-            num = num * d + k * cs[k]
-        for c in cs[::-1]:
-            den = den * d + c
-        return num / den
-
-
-def _z_taylor_coeffs() -> np.ndarray:
-    """Taylor coefficients of Z(s) at s = 1, orders 0..29, by FFT on the
-    circle |s - 1| = 0.8 through 128 nodes."""
-    nterms, radius, nodes = 30, 0.8, 128
-    th = 2.0 * np.pi * np.arange(nodes) / nodes
-    ring = radius * np.exp(1j * th)
-    s = 1.0 + ring
-    vals = ring * hurwitz(s, 1.0) * _l4(s)
-    coeffs = np.fft.fft(vals) / nodes
-    k = np.arange(nterms)
-    return np.real(coeffs[:nterms]) / radius ** k
 
 
 @functools.cache
@@ -426,7 +376,7 @@ def default_context() -> ZetaKContext:
 def constants_dict(ctx: ZetaKContext | None = None) -> dict[str, float]:
     ctx = ctx or default_context()
     return {
-        "gamma": ctx.gamma,
+        "gamma": EULER_GAMMA,
         "gamma_K": ctx.gamma_K,
         "zetaK2": ctx.zetaK2,
         "zetaK_logderiv_2": ctx.zetaK_logderiv_2,

@@ -18,7 +18,6 @@ from quadhecke.empirical import DensityConfig, poisson_pair, total_weight
 from quadhecke.expansion import J_X, thm_prediction
 from quadhecke.ratios import ratios_first_order
 from quadhecke.specfun import hurwitz
-from quadhecke.transforms import mellin_identity_check
 from quadhecke.zint import GInt, I, PrimaryPrime
 
 X_GRID = (500.0, 2000.0, 8000.0)
@@ -200,22 +199,6 @@ def test_constants(ctx):
     assert abs(ctx.residue - val.real) < 1e-12
 
 
-# --- 6: Euler-product normalization -------------------------------------------------
-
-def test_a_factor_normalization(ctx):
-    # the diagonal and closed-form identities are selftest rows; the rows
-    # hold at the default Euler cutoff
-    assert ctx.euler_cutoff == 10 ** 6
-
-
-# --- 7: Mellin route through the weight ---------------------------------------------
-
-def test_mellin_identity(weight):
-    assert mellin_identity_check(weight, 0.5) < 1e-4
-    assert mellin_identity_check(weight, 0.5 + 1.0j) < 1e-4
-    assert abs(weight.w_tilde(0.0) - 0.5 * math.pi * weight.w_hat0) < 1e-8
-
-
 # --- 8: family weight density --------------------------------------------------------
 
 def test_family_weight_density(fejer15, weight):
@@ -291,7 +274,7 @@ def test_memoized_arrays_read_only(weight, ctx):
               *_numerics.leggauss(12), tab.m, tab.d_m, *tab.h2_profile,
               weight._wt_table.values, weight._gt_table.values,
               *make_bump(1.5)._bump_nodes,
-              *ratios._axis_profile(3.7, 0.25, ctx), ctx.z_taylor]
+              *ratios._axis_profile(3.7, 0.25, ctx)]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0

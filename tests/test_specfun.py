@@ -131,34 +131,18 @@ def test_X_c_explicit():
 
 # --- the ratios Euler factor A ------------------------------------------------------
 
-def test_A_diagonal_normalization():
-    # r = 0 and 0.1 are in the selftest row a_diag_unity
-    ctx = default_context()
-    for r in (0.5j, -0.2 + 0.2j):
-        assert abs(specfun.A_euler(r, r, ctx) - 1.0) < 1e-8
-
-
-def test_A_closed_vs_euler():
-    ctx = default_context()
-    for r in (0.05, 0.21j, 0.1 - 0.07j):
-        got = specfun.A_closed_mr(r, ctx)
-        want = specfun.A_euler(-r, r, ctx)
-        assert abs(got - want) < 1e-6 * max(1.0, abs(want))
-
-
 def test_A_alpha_series_matches_diag():
-    ctx = default_context()
+    # A(r, r) = 1 and the closed form of A(-r, r) are the battery entries
+    # a_diag_unity* and a_closed_vs_euler*
     for r in (0.02, 0.15j, -0.05 + 0.05j):
-        assert abs(specfun.A_alpha_series(r, ctx)
-                   - specfun.A_alpha_diag(r, ctx)) < 1e-7
+        assert abs(specfun.A_alpha_series(r) - specfun.A_alpha_diag(r)) < 1e-7
 
 
 def test_A_alpha_diag_it_matches_scalar():
-    ctx = default_context()
     t = np.array([0.0, 0.01, 0.3, 1.7, 25.0])
-    vec = specfun.A_alpha_diag_it(t, ctx)
+    vec = specfun.A_alpha_diag_it(t)
     for ti, vi in zip(t, vec):
-        want = specfun.A_alpha_diag(1j * float(ti), ctx)
+        want = specfun.A_alpha_diag(1j * float(ti))
         assert abs(vi - want) < 1e-8
 
 
@@ -167,8 +151,8 @@ def test_supplied_zeta_values_match():
     ctx = default_context()
     t = np.array([0.002, 0.7, 13.0, 250.0])
     z1, ld1, z2, ld2 = specfun.zeta_K_axis(t)
-    got = specfun.A_alpha_diag_it(t, ctx, ld2)
-    want = specfun.A_alpha_diag_it(t, ctx)
+    got = specfun.A_alpha_diag_it(t, ld2)
+    want = specfun.A_alpha_diag_it(t)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
     got = specfun.A_closed_mr(1j * t, ctx, np.conj(z2))
     want = specfun.A_closed_mr(1j * t, ctx)
@@ -190,30 +174,40 @@ def test_odd_prime_power_sum_small_w():
 
 def test_context_constants():
     ctx = default_context()
-    assert abs(ctx.gamma - EULER_GAMMA) == 0.0
+    assert specfun.constants_dict()["gamma"] == EULER_GAMMA
     assert abs(ctx.zetaK0 + 0.25) < 1e-10
     assert abs(ctx.zetaK2 - float(_zeta_k_mp(2))) < 1e-12
 
 
+# the Cauchy rings of the origin series (|s - 1| = 0.1) and of the M_E
+# moments (|s - 1| = 0.3)
+_RING_POINTS = [1.0 + rad * complex(math.cos(th), math.sin(th))
+                for rad in (0.1, 0.3) for th in (0.0, 0.9, 2.0, math.pi, 4.4)]
+
+
 def test_context_Z_branch():
-    ctx = default_context()
-    for s in (1.0 + 0.2j, 1.3, 0.75, 1.0 + 1e-8):
-        want = complex((s - 1.0) * _zeta_k_mp(s)) if s != 1.0 else math.pi / 4.0
-        assert abs(complex(ctx.Z(s)) - want) < 1e-10
-    # log derivative against mpmath on the ring
-    for s in (1.2, 1.0 + 0.25j, 0.85):
+    # Z(s) = (s - 1) zeta_K(s) and its log-derivative zeta_K'/zeta_K(s)
+    # + 1/(s - 1) near the pole, through the Hurwitz route
+    for s in (1.0 + 0.2j, 1.3, 0.75, *_RING_POINTS):
+        want = complex((s - 1.0) * _zeta_k_mp(s))
+        assert abs((s - 1.0) * complex(specfun.zeta_K(s)) - want) < 1e-10
+    for s in (1.2, 1.0 + 0.25j, 0.85, *_RING_POINTS):
         want = complex(mp.diff(lambda z: mp.log((z - 1) * _zeta_k_mp(z)), s))
-        assert abs(complex(ctx.Z_log_deriv(s)) - want) < 1e-8
+        got = complex(specfun.zeta_K_log_deriv(s)) + 1.0 / (s - 1.0)
+        assert abs(got - want) < 1e-8
     with pytest.raises(ValueError):
-        ctx.Z_log_deriv(1.6)
+        specfun.zeta_K(1.0 + 1e-8)
+    with pytest.raises(ValueError):
+        specfun.zeta_K_log_deriv(1.0 + 1e-8)
 
 
 def test_context_value_semantics():
-    # one parameter: equal cutoffs are equal contexts with equal hashes
+    # no parameter: every context is equal, with equal hashes
     a, b = specfun.ZetaKContext(), specfun.ZetaKContext()
     assert a == b and hash(a) == hash(b)
-    assert a != specfun.ZetaKContext(euler_cutoff=10 ** 4)
-    assert [f.name for f in dataclasses.fields(a) if f.init] == ["euler_cutoff"]
+    assert [f.name for f in dataclasses.fields(a) if f.init] == []
+    with pytest.raises(TypeError):
+        specfun.ZetaKContext(euler_cutoff=10 ** 4)
     assert specfun.default_context() is specfun.default_context()
 
 

@@ -11,7 +11,6 @@ SRC = ROOT / "src" / "quadhecke"
 # name -> the test that compares production code against it
 TEST_REFERENCES = {
     "s_total_family_outer": "test_prime_split_inert_decomposition",
-    "digamma_moment_closed": "test_digamma_moments",
     "A_alpha_diag": "test_A_alpha_diag_it_matches_scalar",
     "moebius": "test_mobius_by_norm_brute",
     "is_primary": "test_primary_associate_closed_form",
