@@ -76,6 +76,13 @@ def test_dual_conjugate_symmetry(ctx):
     assert abs(a.conjugate() - b) < 1e-10 * abs(a)
 
 
+def test_dual_a_routes_agree():
+    # the dual term's A(-r, r) by both routes; |A| < 1 at these points, so
+    # the bound is absolute
+    err, bound = checks.a_closed_vs_euler((0.1, 0.05 + 0.1j))
+    assert err < bound
+
+
 def test_pole_cancellation_three_rays():
     # the selftest row pole_cancellation bounds each ray's decay ratio
     out = checks.pole_rays()

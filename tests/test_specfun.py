@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from quadhecke import specfun
+from quadhecke import checks, specfun
 from quadhecke.specfun import EULER_GAMMA, default_context
 
 mp.mp.dps = 30
@@ -136,6 +136,13 @@ def test_A_alpha_series_matches_diag():
     # a_diag_unity* and a_closed_vs_euler*
     for r in (0.02, 0.15j, -0.05 + 0.05j):
         assert abs(specfun.A_alpha_series(r) - specfun.A_alpha_diag(r)) < 1e-7
+
+
+def test_A_closed_vs_euler():
+    # the closed form of A(-r, r) against the truncated Euler product, at the
+    # points of the battery entry a_closed_vs_euler_spread
+    err, bound = checks.a_closed_vs_euler((0.05, 0.21j, 0.1 - 0.07j))
+    assert err < bound
 
 
 def test_A_alpha_diag_it_matches_scalar():
