@@ -241,4 +241,8 @@ CHECKS = (
     ("route_gap_08_8000", "exhaustive", partial(route_gap, 8000.0, "fejer:0.8")),
     ("route_gap_19_500", "exhaustive", partial(route_gap, 500.0, "fejer:1.9")),
     ("route_gap_19_2000", "exhaustive", partial(route_gap, 2000.0, "fejer:1.9")),
+    ("route_gap_08_32000", "exhaustive", partial(route_gap, 32000.0, "fejer:0.8")),
+    ("route_gap_08_128000", "exhaustive", partial(route_gap, 128000.0, "fejer:0.8")),
+    ("route_gap_b08_2000", "exhaustive", partial(route_gap, 2000.0, "bump:0.8")),
+    ("route_gap_b08_32000", "exhaustive", partial(route_gap, 32000.0, "bump:0.8")),
 )

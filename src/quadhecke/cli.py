@@ -254,6 +254,16 @@ def _cmd_constants(ns, cfg) -> int:
     return 0
 
 
+def _quadrature_grid(ns, cfg) -> tuple[float, float]:
+    """(t_cap, panel_h) of the ratios integral, checked before any compute."""
+    t_cap = float(_resolve(ns, cfg, "t_cap", ratios._T_CAP, float))
+    h = float(_resolve(ns, cfg, "panel_h", ratios._PANEL_H, float))
+    if not (0.0 < t_cap < math.inf and 0.0 < h < math.inf):
+        raise _ConfigError(
+            f"t-cap and panel-h need finite values > 0: {t_cap!r}, {h!r}")
+    return t_cap, h
+
+
 def _density_config(ns, cfg) -> tuple[DensityConfig, dict]:
     x = _resolve(ns, cfg, "x", None, float)
     if x is None:
@@ -284,8 +294,7 @@ def _cmd_predict(ns, cfg) -> int:
     out_path = _resolve(ns, cfg, "out", None, str)
     first_only = bool(_resolve(ns, cfg, "first_order", False, bool))
     no_dual = bool(_resolve(ns, cfg, "no_dual", False, bool))
-    t_cap = float(_resolve(ns, cfg, "t_cap", ratios._T_CAP, float))
-    h = float(_resolve(ns, cfg, "panel_h", ratios._PANEL_H, float))
+    t_cap, h = _quadrature_grid(ns, cfg)
     dc, config = _density_config(ns, cfg)
     config.update({"first_order": first_only, "no_dual": no_dual,
                    "panel_h": h, "t_cap": t_cap})
@@ -348,8 +357,7 @@ def _cmd_compare(ns, cfg) -> int:
     r_mult = float(_resolve(ns, cfg, "r_mult", 4.0, float))
     threads = int(_resolve(ns, cfg, "threads", 1, int))
     m_order = int(_resolve(ns, cfg, "m_order", 2, int))
-    t_cap = float(_resolve(ns, cfg, "t_cap", ratios._T_CAP, float))
-    h = float(_resolve(ns, cfg, "panel_h", ratios._PANEL_H, float))
+    t_cap, h = _quadrature_grid(ns, cfg)
     xs = _parse_grid(grid_spec)
     test = parse_test_function(phi)
     wf = parse_weight(weight)

@@ -29,9 +29,12 @@ Both t-dependent pieces are built from shared phase tables.  The profile
 needs zeta_K at 1+2it, 2+2it, 1-2it and 2-2it; per block of nodes one
 cos/sin(2t log(n+a)) table per Hurwitz parameter serves both lines
 (specfun.zeta_K_axis), and the values below the axis are the conjugates.
-The dual phase sum factors by panel: a node is a panel start plus one of
-12 offsets, so exp(-it mu) is a panel-start table times a weighted
-12-row offset table, one complex matrix product per block of panels.
+The dual phase sum is a non-uniform FFT: a node is a panel start k step
+plus one of 12 offsets c_j, so for each offset the sum over panels is a
+type-1 NUFFT in k with sources step mu(N) (mod 2 pi).  The twelve share one
+Gaussian spread onto a periodic grid, one FFT and one closed-form
+deconvolution, so the cost grows like n_norms + n_panels log n_panels,
+not n_norms n_panels.
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ _T_CAP = 600.0        # axis truncation; past every stationary phase in range
 _PANEL_H = 0.25       # GL-12 panel width; fastest phase is log(32 N/pi^2)
 _PRIME_CUTOFF = 10 ** 6
 _AXIS_BLOCK = 512     # profile nodes per block: bounds the phase tables, fits K
-_PANEL_BLOCK = 64     # panels per block of the dual phase sum
+_NUFFT_OVERSAMPLE = 3   # dual phase sum: spread grid points per panel
+_NUFFT_HALF_WIDTH = 12  # Gaussian taps each side of a source: 2e-14 cut
+_NUFFT_CHUNK = 1024     # norms per spread chunk: bounds its (n, 24, 12) arrays
 
 
 def _mu_of(norm_c) -> float:
@@ -225,19 +230,43 @@ def _dual_phase_average(T: float, h: float, mu: np.ndarray,
                         weights: np.ndarray) -> np.ndarray:
     """sum_N weights_N exp(-it mu_N) at every node of the [0, T] GL-12 grid.
 
-    Node j of panel k sits at t = k step + c_j, so the phase factors into
-    a panel-start table and a 12-row offset table that carries the
-    weights; each block of panels is one complex matrix product, with one
-    exponential per panel and norm instead of one per node and norm.
+    Node j of panel k sits at t = k step + c_j, so for each offset c_j the
+    sum over k is a type-1 non-uniform FFT with sources x_N = step mu_N
+    (mod 2 pi) and strengths weights_N exp(-i c_j mu_N).  The twelve share
+    one Gaussian spread (Greengard & Lee, SIAM Rev. 46, 2004) onto a
+    periodic grid _NUFFT_OVERSAMPLE times the panel count, one FFT down
+    the (grid, 12) array and the closed-form deconvolution
+    sqrt(pi/tau) exp(kappa^2 tau).  Modes are centred on panel k0 = m//2,
+    whose phase the strengths carry, so |kappa| <= m/2; norms are spread
+    in chunks of _NUFFT_CHUNK to bound memory.
     """
     m, step = panel_layout(0.0, float(T), float(h))
     offsets, _ = gl_nodes(0.0, step, 12)
-    off = (np.exp(-1j * np.multiply.outer(offsets, mu)) * weights).T
-    out = np.empty((m, 12), dtype=complex)
-    for k0 in range(0, m, _PANEL_BLOCK):
-        starts = np.arange(k0, min(k0 + _PANEL_BLOCK, m)) * step
-        out[k0:k0 + starts.size] = np.exp(-1j * np.multiply.outer(starts, mu)) @ off
-    return out.ravel()
+    k0 = m // 2
+    grid = _NUFFT_OVERSAMPLE * m
+    hg = 2.0 * math.pi / grid
+    # balances the Gaussian's cut past w = _NUFFT_HALF_WIDTH grid points,
+    # exp(-pi w (1 - 1/2R)), against aliasing of the outermost mode,
+    # exp(-pi w (R - 1)/(R - 1/2)): 2e-14 and 8e-14 at R = 3, w = 12
+    tau = math.pi * _NUFFT_HALF_WIDTH / (grid * (grid - 0.5 * m))
+    taps = np.arange(1 - _NUFFT_HALF_WIDTH, _NUFFT_HALF_WIDTH + 1)
+    # one row of 24 float columns per grid point: re and im of 12 offsets
+    cols = np.arange(24)
+    spread = np.zeros(grid * 24)
+    for n0 in range(0, mu.size, _NUFFT_CHUNK):
+        mu_c = mu[n0:n0 + _NUFFT_CHUNK]
+        strength = weights[n0:n0 + _NUFFT_CHUNK, None] \
+            * np.exp(-1j * np.multiply.outer(mu_c, k0 * step + offsets))
+        x = step * mu_c
+        near = np.floor(x / hg).astype(np.int64)[:, None] + taps
+        kern = np.exp(-(near * hg - x[:, None]) ** 2 / (4.0 * tau))
+        contrib = (kern[:, :, None] * strength[:, None, :]).view(float)
+        index = (near % grid)[:, :, None] * 24 + cols
+        spread += np.bincount(index.ravel(), contrib.ravel(), grid * 24)
+    modes = np.fft.fft(spread.view(complex).reshape(grid, 12), axis=0)
+    kappa = np.arange(m) - k0
+    deconv = math.sqrt(math.pi / tau) / grid * np.exp(kappa * kappa * tau)
+    return (modes[kappa % grid] * deconv[:, None]).ravel()
 
 
 def _norm_groups(cfg: DensityConfig, group_norms: bool):
@@ -319,6 +348,9 @@ def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
     Psi(it) exp(-it mu(N)) grouped on distinct norms.  with_dual=False drops
     the dual term for ablation runs.
     """
+    if not (0.0 < T < math.inf and 0.0 < h < math.inf):
+        raise ValueError(f"ratios_density needs finite T > 0 and h > 0, "
+                         f"got T={T!r}, h={h!r}")
     ctx = ctx or default_context()
     test, L = cfg.test, cfg.L
     p0 = float(test.phi_hat(0.0))

@@ -196,6 +196,34 @@ def test_bad_density_config(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["predict", "compare"])
+@pytest.mark.parametrize("flag, value", [
+    ("--panel-h", "-1"), ("--panel-h", "0"), ("--panel-h", "nan"),
+    ("--T-cap", "-5"), ("--T-cap", "0"), ("--T-cap", "inf"),
+])
+def test_bad_quadrature_grid(capsys, monkeypatch, command, flag, value):
+    # refused as configuration before any route runs, not computed into a
+    # quiet wrong number or a tolerance failure
+    def boom(*args, **kwargs):
+        raise RuntimeError("computed before the quadrature grid was checked")
+    for name in ("ratios_density", "ratios_first_order", "compare"):
+        monkeypatch.setattr(cli.ratios, name, boom)
+    x = ("--X", "500") if command == "predict" else ("--X-grid", "500")
+    code, out, err = _run(capsys, command, *x, flag, value)
+    assert code == 1
+    assert err.startswith("quadhecke: error[config]: t-cap and panel-h")
+    assert out == ""
+
+
+@pytest.mark.parametrize("line", ["t_cap = -5", "panel-h = 0"])
+def test_bad_quadrature_grid_config_key(tmp_path, capsys, line):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    code, out, err = _run(capsys, "--config", str(cfgfile), "predict", "--X", "500")
+    assert code == 1
+    assert err.startswith("quadhecke: error[config]: t-cap and panel-h")
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def boom(ns, cfg):
         raise RuntimeError("unexpected")

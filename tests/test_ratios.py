@@ -191,18 +191,60 @@ def _dual_average_oracle(T, h, mu, weights):
                            for i in range(0, nodes.size, 256)])
 
 
-@pytest.mark.parametrize("T", [150.0, 100.1])
-def test_dual_phase_average_matches_outer_product(fejer15, weight, T):
-    # every term is bounded by its weight, so the scale is sum |w| = 1;
+def _phases(source, test, weight):
+    """(mu, weights) of a family's norm groups, or synthetic phases whose
+    step mu spans several periods of 2 pi and crosses zero, so sources wrap
+    around the periodic spread grid from both ends."""
+    if source == "synthetic":
+        rng = np.random.default_rng(7)
+        return rng.uniform(-40.0, 80.0, 600), rng.standard_normal(600)
+    X, group_norms = {"X2000": (2000.0, True), "X8000": (8000.0, True),
+                      "X2000-elements": (2000.0, False)}[source]
+    norms, wn, fam = ratios._norm_groups(DensityConfig(X, test, weight), group_norms)
+    return np.log(32.0 * norms / math.pi ** 2), wn / fam.W
+
+
+@pytest.mark.parametrize("source, T", [
+    pytest.param("X2000", 150.0, id="150.0"),
     # T = 100.1 is not a multiple of h, so the panels are narrower than h
-    cfg = DensityConfig(2000.0, fejer15, weight)
-    norms, wn, fam = ratios._norm_groups(cfg, True)
-    mu = np.log(32.0 * norms / math.pi ** 2)
-    w = wn / fam.W
+    pytest.param("X2000", 100.1, id="100.1"),
+    pytest.param("X8000", 150.0, id="X8000"),
+    pytest.param("X2000-elements", 40.0, id="per-element"),
+    # one panel of width T < h: a single mode
+    pytest.param("X2000", 0.2, id="one-panel"),
+    pytest.param("synthetic", 150.0, id="wrap"),
+])
+def test_dual_phase_average_matches_outer_product(fejer15, weight, source, T):
+    # every term is bounded by its weight, so the scale is sum |w|
+    mu, w = _phases(source, fejer15, weight)
     got = ratios._dual_phase_average(T, 0.25, mu, w)
     want = _dual_average_oracle(T, 0.25, mu, w)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-12 * np.sum(np.abs(w))
+
+
+@pytest.mark.parametrize("T, h", [(600.0, 0.0), (600.0, -1.0), (-5.0, 0.25),
+                                  (0.0, 0.25), (math.inf, 0.25), (600.0, math.nan)])
+def test_ratios_density_rejects_bad_grid(fejer15, weight, T, h):
+    with pytest.raises(ValueError, match="finite T > 0 and h > 0"):
+        ratios.ratios_density(DensityConfig(500.0, fejer15, weight), T=T, h=h)
+
+
+def test_dual_phase_average_memory_bound():
+    # 203774 distinct norms, the X = 512000 size: the spread runs in chunks
+    # of norms, so the traced peak does not grow with the norm count
+    import tracemalloc
+    rng = np.random.default_rng(3)
+    mu = np.log(32.0 * rng.uniform(1.0, 2.048e6, 203774) / math.pi ** 2)
+    w = rng.random(mu.size) / mu.size
+    tracemalloc.start()
+    try:
+        out = ratios._dual_phase_average(600.0, 0.25, mu, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (28800,)
+    assert peak <= 32 * 2 ** 20
 
 
 def test_caches_key_on_context_values():
