@@ -180,6 +180,15 @@ def route_gap(X, phi="fejer:1.5"):
     return gap, 0.5 * X ** -0.5 + rep.max_error
 
 
+def refinement(phi, X=2000.0, T=ratios._T_CAP, h=ratios._PANEL_H):
+    """D_int on a refined grid (T doubled or h halved) against the default
+    grid, within the default run's own error estimate max_error."""
+    cfg = _config(X, phi)
+    rep = ratios.ratios_density(cfg, default_context())
+    fine = ratios.ratios_density(cfg, default_context(), T=T, h=h)
+    return fine.D_ratios_integral - rep.D_ratios_integral, rep.max_error
+
+
 def _poisson_twisted():
     lhs, rhs = poisson_pair(make_gaussian_weight(), 1.0, zint.GInt(-1, -2))
     return abs(lhs - rhs), 1e-6
@@ -226,6 +235,10 @@ CHECKS = (
     ("conductor_average", "full", conductor_average),
     ("prime_bridge", "full", prime_bridge),
     ("route_gap", "full", partial(route_gap, 2000.0)),
+    ("refine_T_15_2000", "full", partial(refinement, "fejer:1.5", T=2.0 * ratios._T_CAP)),
+    ("refine_h_15_2000", "full", partial(refinement, "fejer:1.5", h=0.5 * ratios._PANEL_H)),
+    ("refine_T_b08_2000", "full", partial(refinement, "bump:0.8", T=2.0 * ratios._T_CAP)),
+    ("refine_h_b08_2000", "full", partial(refinement, "bump:0.8", h=0.5 * ratios._PANEL_H)),
     ("digamma_pair_bump", "exhaustive", partial(digamma_pair, "bump:1.5", 1e-8)),
     ("conductor_average_500", "exhaustive", partial(conductor_average, 500.0, 1.0)),
     ("prime_bridge_500", "exhaustive", partial(prime_bridge, 500.0, 1e-6)),

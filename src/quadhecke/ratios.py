@@ -25,16 +25,18 @@ What remains under numerical quadrature is mean-zero in t and is summed on
 fixed GL-12 panels sized to the fastest phase, with an a-posteriori tail
 estimate from the trailing panels.
 
-Both t-dependent pieces are built from shared phase tables.  The profile
-needs zeta_K at 1+2it, 2+2it, 1-2it and 2-2it; per block of nodes one
-cos/sin(2t log(n+a)) table per Hurwitz parameter serves both lines
-(specfun.zeta_K_axis), and the values below the axis are the conjugates.
-The dual phase sum is a non-uniform FFT: a node is a panel start k step
-plus one of 12 offsets c_j, so for each offset the sum over panels is a
-type-1 NUFFT in k with sources step mu(N) (mod 2 pi).  The twelve share one
-Gaussian spread onto a periodic grid, one FFT and one closed-form
-deconvolution, so the cost grows like n_norms + n_panels log n_panels,
-not n_norms n_panels.
+Every t-sum left in the bracket has the form sum_n w_n exp(-i t mu_n):
+the Hurwitz heads of zeta_K at 1+2it and 2+2it (mu = 2 log(n+a), four
+amplitude columns per Hurwitz parameter), the prime sums of A_alpha(it,it)
+(mu = 2k log N) and the dual phase sum over the family's norms (mu(N)).
+One primitive, _numerics.phase_sum, evaluates them all on the panel grid:
+a node is a panel start k step plus one of 12 offsets c_j, so for each
+offset the sum over panels is a type-1 NUFFT in k with sources step mu
+(mod 2 pi).  The 12 c sums of one call share one Gaussian spread onto a
+periodic grid, one FFT and one closed-form deconvolution, so the cost grows
+like n_sources + n_panels log n_panels, not n_sources n_panels.  What is
+left per node is closed form: the Euler-Maclaurin tails, loggamma, digamma
+and A(-r, r); the values below the axis are the conjugates.
 """
 
 from __future__ import annotations
@@ -42,13 +44,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from . import zint
-from ._numerics import cauchy_derivs, gl_nodes, panel_layout, panel_nodes, read_only
+from ._numerics import cauchy_derivs, panel_nodes, phase_sum, read_only
 from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         s_even_main_form, _family)
 from .expansion import c_w1_closed, expansion_coefficients, thm_prediction
@@ -62,10 +64,6 @@ _RING_RADIUS = 0.05   # Cauchy ring for the origin data
 _T_CAP = 600.0        # axis truncation; past every stationary phase in range
 _PANEL_H = 0.25       # GL-12 panel width; fastest phase is log(32 N/pi^2)
 _PRIME_CUTOFF = 10 ** 6
-_AXIS_BLOCK = 512     # profile nodes per block: bounds the phase tables, fits K
-_NUFFT_OVERSAMPLE = 3   # dual phase sum: spread grid points per panel
-_NUFFT_HALF_WIDTH = 12  # Gaussian taps each side of a source: 2e-14 cut
-_NUFFT_CHUNK = 1024     # norms per spread chunk: bounds its (n, 24, 12) arrays
 
 
 def _mu_of(norm_c) -> float:
@@ -167,19 +165,23 @@ def _laurent_data(ctx: ZetaKContext) -> _LaurentData:
 
 # --- the bracket on the axis -------------------------------------------------------
 
-def _bracket_parts(t: np.ndarray, ctx: ZetaKContext):
+def _bracket_parts(t: np.ndarray, ctx: ZetaKContext, sums=None):
     """Conductor-independent bracket data at nodes t > 0:
     (Re combined(it), 2 Re psi(1/2+it), Psi(it)), where the dual term is
     Psi(it) exp(-it mu(N)).  Below eps0 both singular pieces come from the
-    matched origin series."""
+    matched origin series.  sums(mu, w), when given, returns
+    sum_n w_n exp(-i t mu_n) at every node (the profile's NUFFT); the
+    Hurwitz heads and prime sums take it at the nodes past eps0, and by
+    default they are outer products there."""
     small = t < _EPS0
     big = ~small
     rc = np.empty(t.size)
     pv = np.empty(t.size, dtype=complex)
     if big.any():
         tb = t[big]
-        z1, ld1, z2, ld2 = zeta_K_axis(tb)
-        rc[big] = (2.0 * ld1 + 2.0 * A_alpha_diag_it(tb, ld2)).real
+        sums_big = None if sums is None else (lambda mu, w: sums(mu, w)[big])
+        z1, ld1, z2, ld2 = zeta_K_axis(tb, sums_big)
+        rc[big] = (2.0 * ld1 + 2.0 * A_alpha_diag_it(tb, ld2, sums_big)).real
         g = np.exp(_loggamma(0.5 - 1j * tb) - _loggamma(0.5 + 1j * tb))
         # zeta_K at 1-2it and 2-2it by Schwarz reflection
         pv[big] = -(8.0 / math.pi) * g * np.conj(z1) \
@@ -218,55 +220,12 @@ def ratios_integrand(t: float, norm_c: int, test: TestFunction, L: float,
 @lru_cache(maxsize=8)
 def _axis_profile(T: float, h: float, ctx: ZetaKContext):
     """Conductor-independent integrand data on the [0, T] panel grid:
-    (nodes, weights, Re combined(it), 2 Re psi(1/2+it), Psi(it)), read-only."""
+    (nodes, weights, Re combined(it), 2 Re psi(1/2+it), Psi(it)), read-only.
+    The bracket's Hurwitz heads and prime sums are phase sums on the same
+    grid (_numerics.phase_sum); everything else is closed form per node."""
     nodes, wts = panel_nodes(0.0, float(T), float(h), 12)
-    parts = [_bracket_parts(nodes[i0:i0 + _AXIS_BLOCK], ctx)
-             for i0 in range(0, nodes.size, _AXIS_BLOCK)]
-    re_comb, two_psi, psi_big = (np.concatenate(p) for p in zip(*parts))
-    return read_only(nodes, wts, re_comb, two_psi, psi_big)
-
-
-def _dual_phase_average(T: float, h: float, mu: np.ndarray,
-                        weights: np.ndarray) -> np.ndarray:
-    """sum_N weights_N exp(-it mu_N) at every node of the [0, T] GL-12 grid.
-
-    Node j of panel k sits at t = k step + c_j, so for each offset c_j the
-    sum over k is a type-1 non-uniform FFT with sources x_N = step mu_N
-    (mod 2 pi) and strengths weights_N exp(-i c_j mu_N).  The twelve share
-    one Gaussian spread (Greengard & Lee, SIAM Rev. 46, 2004) onto a
-    periodic grid _NUFFT_OVERSAMPLE times the panel count, one FFT down
-    the (grid, 12) array and the closed-form deconvolution
-    sqrt(pi/tau) exp(kappa^2 tau).  Modes are centred on panel k0 = m//2,
-    whose phase the strengths carry, so |kappa| <= m/2; norms are spread
-    in chunks of _NUFFT_CHUNK to bound memory.
-    """
-    m, step = panel_layout(0.0, float(T), float(h))
-    offsets, _ = gl_nodes(0.0, step, 12)
-    k0 = m // 2
-    grid = _NUFFT_OVERSAMPLE * m
-    hg = 2.0 * math.pi / grid
-    # balances the Gaussian's cut past w = _NUFFT_HALF_WIDTH grid points,
-    # exp(-pi w (1 - 1/2R)), against aliasing of the outermost mode,
-    # exp(-pi w (R - 1)/(R - 1/2)): 2e-14 and 8e-14 at R = 3, w = 12
-    tau = math.pi * _NUFFT_HALF_WIDTH / (grid * (grid - 0.5 * m))
-    taps = np.arange(1 - _NUFFT_HALF_WIDTH, _NUFFT_HALF_WIDTH + 1)
-    # one row of 24 float columns per grid point: re and im of 12 offsets
-    cols = np.arange(24)
-    spread = np.zeros(grid * 24)
-    for n0 in range(0, mu.size, _NUFFT_CHUNK):
-        mu_c = mu[n0:n0 + _NUFFT_CHUNK]
-        strength = weights[n0:n0 + _NUFFT_CHUNK, None] \
-            * np.exp(-1j * np.multiply.outer(mu_c, k0 * step + offsets))
-        x = step * mu_c
-        near = np.floor(x / hg).astype(np.int64)[:, None] + taps
-        kern = np.exp(-(near * hg - x[:, None]) ** 2 / (4.0 * tau))
-        contrib = (kern[:, :, None] * strength[:, None, :]).view(float)
-        index = (near % grid)[:, :, None] * 24 + cols
-        spread += np.bincount(index.ravel(), contrib.ravel(), grid * 24)
-    modes = np.fft.fft(spread.view(complex).reshape(grid, 12), axis=0)
-    kappa = np.arange(m) - k0
-    deconv = math.sqrt(math.pi / tau) / grid * np.exp(kappa * kappa * tau)
-    return (modes[kappa % grid] * deconv[:, None]).ravel()
+    parts = _bracket_parts(nodes, ctx, partial(phase_sum, T, h))
+    return read_only(nodes, wts, *parts)
 
 
 def _norm_groups(cfg: DensityConfig, group_norms: bool):
@@ -364,7 +323,7 @@ def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
 
     integ = re_comb.copy()
     if with_dual:
-        integ += (psi_big * _dual_phase_average(T, h, mu, wn / weight_sum)).real
+        integ += (psi_big * phase_sum(T, h, mu, wn / weight_sum)).real
     contrib = wts * integ * phi_vals
     i_num = float(np.sum(contrib)) / math.pi
 

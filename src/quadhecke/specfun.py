@@ -2,8 +2,11 @@
 
 zeta_K(s) = zeta(s) L(s, chi_-4) with L(s, chi_-4) = 4^-s (zeta(s,1/4) -
 zeta(s,3/4)); both factors come from one Euler-Maclaurin Hurwitz-zeta core
-whose shift grows with |Im s|; along the lines 1+2it and 2+2it that core
-runs on one shared phase table per Hurwitz parameter (zeta_K_axis).
+whose shift grows with |Im s|.  Along the lines 1+2it and 2+2it the core's
+head sums are phase sums sum w exp(-it mu), one four-column sum per Hurwitz
+parameter (zeta_K_axis), and so are the prime sums of A_alpha(it, it):
+outer products pointwise, or the NUFFT _numerics.phase_sum on the ratios
+panel grid.
 
 gamma_K = gamma pi/4 + L'(1, chi_-4), the L'-value summed as an accelerated
 alternating series.  Euler products A(alpha, beta) and the diagonal
@@ -24,7 +27,7 @@ from scipy.special import loggamma as _loggamma
 from scipy.special import psi as _psi
 
 from . import zint
-from ._numerics import alternating_sum
+from ._numerics import alternating_sum, read_only
 
 _EM_ORDER = 12  # Bernoulli pairs
 _EM_SHIFT = 20
@@ -133,35 +136,45 @@ def zeta_K_log_deriv(s):
     return dz / z + dl4 / l4
 
 
-def zeta_K_axis(t):
+def _outer_phase_sum(t):
+    """sum_n w_n exp(-i t mu_n) at every t, for a weight vector or an (n, c)
+    matrix, by the outer product: the pointwise route of the axis sums."""
+    return lambda mu, w: np.exp(-1j * np.multiply.outer(t, mu)) @ w
+
+
+def _hurwitz_axis(s1, K: int, a: float, sums):
+    """zeta(s, a) and d/ds zeta(s, a) at s1 = 1+2it and at s1 + 1.  The head
+    sums over n < K are one phase sum with sources mu = 2 log(n+a) and the
+    four amplitude columns (n+a)^-sigma and log(n+a) (n+a)^-sigma, sigma =
+    1, 2; the Euler-Maclaurin tails are closed form."""
+    ln = np.log(np.arange(K, dtype=float) + a)
+    inv = np.exp(-ln)
+    head = sums(2.0 * ln, np.stack([inv, ln * inv, inv * inv, ln * inv * inv], axis=1))
+    v1, d1 = _em_tail(s1, K + a, True)
+    v2, d2 = _em_tail(s1 + 1.0, K + a, True)
+    return head[:, 0] + v1, d1 - head[:, 1], head[:, 2] + v2, d2 - head[:, 3]
+
+
+def zeta_K_axis(t, sums=None):
     """zeta_K and zeta_K'/zeta_K at 1+2it and at 2+2it for a real array t.
 
     Returns (zeta_K(1+2it), log-derivative there, zeta_K(2+2it), log
     derivative there); the values at 1-2it and 2-2it are their complex
     conjugates.  Both lines share Im s = 2t and so one Euler-Maclaurin
-    shift K: per Hurwitz parameter a, one phase table cos/sin(2t log(n+a))
-    gives the head sums and their derivatives at sigma = 1 and 2 as matrix
-    products against the amplitudes (n+a)^-sigma and log(n+a) (n+a)^-sigma.
+    shift K, and per Hurwitz parameter a the heads of both lines are one
+    four-column phase sum (_hurwitz_axis).  sums(mu, w), when given,
+    returns sum_n w_n exp(-i t mu_n) at every t (the axis profile's NUFFT
+    on its panel grid); by default it is the outer product.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     s1 = 1.0 + 2j * t
     if np.any(np.abs(s1 - 1.0) < _POLE_GUARD):
         raise ValueError("zeta_K_axis within pole guard of s = 1")
-    s2 = s1 + 1.0
     K = _em_shift(s1)
-    parts = []
-    for a in (1.0, 0.25, 0.75):
-        ln = np.log(np.arange(K, dtype=float) + a)
-        ph = np.multiply.outer(2.0 * t, ln)
-        inv = np.exp(-ln)
-        amp = np.stack([inv, ln * inv, inv * inv, ln * inv * inv], axis=1)
-        head = np.cos(ph) @ amp - 1j * (np.sin(ph) @ amp)
-        v1, d1 = _em_tail(s1, K + a, True)
-        v2, d2 = _em_tail(s2, K + a, True)
-        parts.append((head[:, 0] + v1, d1 - head[:, 1],
-                      head[:, 2] + v2, d2 - head[:, 3]))
+    sums = sums or _outer_phase_sum(t)
+    parts = [_hurwitz_axis(s1, K, a, sums) for a in (1.0, 0.25, 0.75)]
     out = []
-    for k, s in ((0, s1), (2, s2)):
+    for k, s in ((0, s1), (2, s1 + 1.0)):
         (z, dz), (za, dza), (zb, dzb) = ((p[k], p[k + 1]) for p in parts)
         l4, dl4 = _l4_with_deriv(s, za, dza, zb, dzb)
         out += [z * l4, dz / z + dl4 / l4]
@@ -269,58 +282,65 @@ def A_alpha_diag(r) -> complex:
 
 _PP_CUT = 1000
 _AIT_CUT = 10 ** 4
-_AIT_CHUNK = 512
+_AIT_TERM_CUT = 1e-18  # each source series stops below this share of its largest term
 
 
-def odd_prime_power_sum(w, log_deriv=None):
-    """PS(w) = sum over odd primary primes of log N * N^-w, Re w >= 2.
-
-    Extracted from -zeta_K'/zeta_K(w) (or the supplied log_deriv at every
-    w) by removing the (1+i) column and the k >= 2 prime powers (the latter
-    summed directly to N <= 1000; the leftover tail is ~ (Re w - fixed)
-    3e-10 at Re w = 2).
-    """
-    w = np.asarray(w, dtype=complex)
-    lam = -(zeta_K_log_deriv(w) if log_deriv is None else log_deriv)
-    lam = lam - math.log(2.0) / (np.exp(w * math.log(2.0)) - 1.0)
-    # each distinct norm once, weighted by its multiplicity
-    norms, mult = np.unique(zint.prime_norms_up_to(_PP_CUT), return_counts=True)
-    la = np.log(norms.astype(float))
-    nw = np.exp(-np.multiply.outer(w, la))  # N^-w
-    pp = (nw * nw / (1.0 - nw)) @ (mult * la)
-    return lam - pp
+def _geometric_phases(coef, la, power: float, k_min: int):
+    """(mu, w) of sum_N sum_{k >= k_min} coef_N N^(-power k) exp(-2itk log N):
+    mu = 2k log N, cut below _AIT_TERM_CUT of the largest term."""
+    k_max = k_min + math.ceil(-math.log(_AIT_TERM_CUT) / (power * la.min()))
+    kl = np.multiply.outer(la, np.arange(k_min, k_max + 1))
+    w = coef[:, None] * np.exp(-power * kl)
+    keep = np.abs(w) >= _AIT_TERM_CUT * np.abs(w).max()
+    return 2.0 * kl[keep], w[keep]
 
 
-def A_alpha_diag_it(t, log_deriv_2=None):
+@functools.cache
+def _a_alpha_phases():
+    """Sources (mu, w) of the prime sums in A_alpha(it, it) as one phase sum
+    sum w exp(-it mu), each distinct norm once with its multiplicity
+    (a split norm is shared by two conjugate primes):
+
+      direct term sum_{N <= 1e4} w_N N^-z/(1 - N^-z), w_N = logN/(N+1),
+        expanded geometrically: w_N N^-k at mu = 2k log N, k >= 1
+      minus its head sum_{N <= 1e4} logN N^(-z-1): logN/N^2 at k = 1
+      minus the k >= 2 prime powers of sum_{N <= 1000} logN N^-k(z+1):
+        logN N^-2k at mu = 2k log N
+
+    with z = 1+2it; read-only."""
+    norms, mult = np.unique(zint.prime_norms_up_to(_AIT_CUT), return_counts=True)
+    norms = norms.astype(float)
+    la = np.log(norms)
+    pp = norms <= _PP_CUT
+    parts = [_geometric_phases(mult * la / (norms + 1.0), la, 1.0, 1),
+             (2.0 * la, -mult * la / norms ** 2),
+             _geometric_phases(-mult[pp] * la[pp], la[pp], 2.0, 2)]
+    return read_only(*(np.concatenate(col) for col in zip(*parts)))
+
+
+def A_alpha_diag_it(t, log_deriv_2=None, sums=None):
     """A_alpha(it, it) vectorized along real t for oscillatory integrals.
 
-    Series summed directly to N <= 1e4, each distinct norm once with its
-    multiplicity (a split norm is shared by two conjugate primes); the
-    remaining tail's leading part sum log N * N^(-2-2it) is restored
-    exactly through odd_prime_power_sum, leaving ~1e-8 absolute error.
-    log_deriv_2, when given, supplies zeta_K'/zeta_K(2+2it) for every t.
-    Chunks internally to cap the outer products.
+    A_alpha(r, r) = log2/(2^z - 1) + sum w_N N^-z/(1 - N^-z), z = 1+2r,
+    over odd primary primes.  The series runs directly to N <= 1e4; the
+    remaining tail's leading part sum log N N^(-z-1) is restored exactly as
+    the odd prime part of -zeta_K'/zeta_K(z+1) less its prime powers k >= 2
+    (those to N <= 1000), leaving ~1e-8 absolute error.  The three prime
+    sums are one phase sum over _a_alpha_phases; sums(mu, w), when given,
+    returns sum_n w_n exp(-i t mu_n) at every t, and by default it is the
+    outer product.  log_deriv_2, when given, supplies
+    zeta_K'/zeta_K(2+2it) for every t.
     """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    if log_deriv_2 is not None:
-        log_deriv_2 = np.atleast_1d(np.asarray(log_deriv_2, dtype=complex))
-    norms, mult = np.unique(zint.prime_norms_up_to(_AIT_CUT), return_counts=True)
-    norms = norms.astype(float)
-    la = np.log(norms)
-    w_direct = mult * la / (norms + 1.0)
-    w_head = mult * la / norms
-    out = np.empty(t.shape, dtype=complex)
-    for i0 in range(0, t.size, _AIT_CHUNK):
-        tc = t[i0:i0 + _AIT_CHUNK]
-        z = 1.0 + 2j * tc
-        nz = np.exp(-np.multiply.outer(z, la))         # N^-z
-        direct = (nz / (1.0 - nz)) @ w_direct
-        head = nz @ w_head                             # sum_{N<=cut} logN N^-z-1
-        ld = None if log_deriv_2 is None else log_deriv_2[i0:i0 + _AIT_CHUNK]
-        out[i0:i0 + _AIT_CHUNK] = (math.log(2.0) / (np.exp(z * math.log(2.0)) - 1.0)
-                                   + direct + odd_prime_power_sum(z + 1.0, ld) - head)
+    z = 1.0 + 2j * t
+    if log_deriv_2 is None:
+        log_deriv_2 = zeta_K_log_deriv(z + 1.0)
+    sums = sums or _outer_phase_sum(t)
+    lg2 = math.log(2.0)
+    out = (lg2 / (np.exp(z * lg2) - 1.0) - lg2 / (np.exp((z + 1.0) * lg2) - 1.0)
+           - log_deriv_2 + sums(*_a_alpha_phases()))
     return complex(out[0]) if scalar else out
 
 

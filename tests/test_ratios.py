@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from quadhecke import checks, ratios
+from quadhecke._numerics import phase_sum
 from quadhecke.empirical import DensityConfig, s_even_main_form
-from quadhecke.specfun import A_closed_mr, digamma
+from quadhecke.specfun import digamma
 from quadhecke.transforms import make_fejer
 
 # Laurent data at the origin, frozen from the Cauchy-ring extraction
@@ -161,24 +162,22 @@ def test_first_order_terms(fejer15, fejer08, weight, ctx):
     assert d["D_ratios_first_order"] == rep.D_ratios_first_order
 
 
-def test_axis_profile_across_block_edges(ctx):
-    # each block fits its own Euler-Maclaurin shift; nodes on both sides of
-    # a block edge must match the pointwise routes
-    from quadhecke.specfun import A_alpha_diag_it, zeta_K, zeta_K_log_deriv
-    nodes, _, re_comb, _, psi_big = ratios._axis_profile(150.0, 0.25, ctx)
-    edge = ratios._AXIS_BLOCK
-    for i in (edge - 2, edge - 1, edge, edge + 1, 8 * edge - 1, 8 * edge):
+@pytest.mark.parametrize("T", [600.0, 1200.0])
+def test_axis_profile_matches_pointwise(ctx, T):
+    # the profile's NUFFT phase sums against the outer products of the
+    # pointwise bracket, in the first panel, across panel joins and in the
+    # last panel next to T; K grows with T.  re_comb crosses zero, so its
+    # bound is absolute
+    nodes, _, re_comb, _, psi_big = ratios._axis_profile(T, 0.25, ctx)
+    m = nodes.size // 12
+    idx = np.r_[0:12, 12 * (m // 2) - 2:12 * (m // 2) + 2, 12 * m - 14:12 * m]
+    rc, _, pv = ratios._bracket_parts(nodes[idx], ctx)
+    assert np.max(np.abs(re_comb[idx] - rc)) < 5e-11
+    assert np.max(np.abs(psi_big[idx] - pv) / np.abs(pv)) < 5e-12
+    # Psi(it) is the dual term without its conductor phase
+    norm_c = 5
+    for i in idx[::5]:
         t = float(nodes[i])
-        want = (2.0 * complex(zeta_K_log_deriv(1.0 + 2j * t))
-                + 2.0 * complex(A_alpha_diag_it(t))).real
-        assert abs(re_comb[i] - want) < 1e-12 * abs(want)
-        g = cmath.exp(complex(ratios._loggamma(0.5 - 1j * t))
-                      - complex(ratios._loggamma(0.5 + 1j * t)))
-        want = (-(8.0 / math.pi) * g * complex(zeta_K(1.0 - 2j * t))
-                * complex(A_closed_mr(1j * t, ctx)))
-        assert abs(psi_big[i] - want) < 1e-12 * abs(want)
-        # Psi(it) is the dual term without its conductor phase
-        norm_c = 5
         dual = psi_big[i] * cmath.exp(-1j * t * ratios._mu_of(norm_c))
         assert abs(dual - ratios.dual_term(1j * t, norm_c, ctx)) < 1e-10 * abs(dual)
 
@@ -204,23 +203,36 @@ def _phases(source, test, weight):
     return np.log(32.0 * norms / math.pi ** 2), wn / fam.W
 
 
-@pytest.mark.parametrize("source, T", [
-    pytest.param("X2000", 150.0, id="150.0"),
+@pytest.mark.parametrize("source, T, columns", [
+    pytest.param("X2000", 150.0, 1, id="150.0"),
     # T = 100.1 is not a multiple of h, so the panels are narrower than h
-    pytest.param("X2000", 100.1, id="100.1"),
-    pytest.param("X8000", 150.0, id="X8000"),
-    pytest.param("X2000-elements", 40.0, id="per-element"),
+    pytest.param("X2000", 100.1, 1, id="100.1"),
+    pytest.param("X8000", 150.0, 1, id="X8000"),
+    pytest.param("X2000-elements", 40.0, 1, id="per-element"),
     # one panel of width T < h: a single mode
-    pytest.param("X2000", 0.2, id="one-panel"),
-    pytest.param("synthetic", 150.0, id="wrap"),
+    pytest.param("X2000", 0.2, 1, id="one-panel"),
+    pytest.param("synthetic", 150.0, 1, id="wrap"),
+    # four weight columns, twelve orders of magnitude apart, one spread
+    pytest.param("X2000", 150.0, 4, id="matrix"),
+    pytest.param("synthetic", 100.1, 4, id="matrix-wrap"),
 ])
-def test_dual_phase_average_matches_outer_product(fejer15, weight, source, T):
-    # every term is bounded by its weight, so the scale is sum |w|
+def test_dual_phase_average_matches_outer_product(fejer15, weight, source, T, columns):
+    # every term is bounded by its weight, so the scale is sum |w| per column
     mu, w = _phases(source, fejer15, weight)
-    got = ratios._dual_phase_average(T, 0.25, mu, w)
+    if columns > 1:
+        rng = np.random.default_rng(11)
+        w = np.stack([w, 1e-6 * w * rng.standard_normal(w.size),
+                      1e6 * np.abs(w), w * np.cos(mu)], axis=1)
+    got = phase_sum(T, 0.25, mu, w)
     want = _dual_average_oracle(T, 0.25, mu, w)
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) < 1e-12 * np.sum(np.abs(w))
+    scale = np.sum(np.abs(w), axis=0)
+    assert np.all(np.max(np.abs(got - want), axis=0) < 1e-12 * scale)
+    if columns > 1:
+        # a column of the matrix is its own vector sum
+        for col in range(columns):
+            alone = phase_sum(T, 0.25, mu, w[:, col])
+            assert np.max(np.abs(got[:, col] - alone)) <= 1e-15 * scale[col]
 
 
 @pytest.mark.parametrize("T, h", [(600.0, 0.0), (600.0, -1.0), (-5.0, 0.25),
@@ -239,12 +251,26 @@ def test_dual_phase_average_memory_bound():
     w = rng.random(mu.size) / mu.size
     tracemalloc.start()
     try:
-        out = ratios._dual_phase_average(600.0, 0.25, mu, w)
+        out = phase_sum(600.0, 0.25, mu, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert out.shape == (28800,)
     assert peak <= 32 * 2 ** 20
+
+
+def test_axis_profile_memory_bound(ctx):
+    # a cold profile at the default grid: its three four-column Hurwitz
+    # phase sums and the prime phase sum each spread and transform once
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        profile = ratios._axis_profile.__wrapped__(600.0, 0.25, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile[0].shape == (28800,)
+    assert peak <= 20 * 2 ** 20
 
 
 def test_caches_key_on_context_values():
@@ -264,16 +290,21 @@ def test_caches_key_on_context_values():
 
 
 def test_integrand_is_the_profile_bracket(fejer15, ctx):
-    # the pointwise integrand is the profile's per-node bracket with the
-    # conductor phase applied; nodes sit on both sides of eps0
+    # the pointwise integrand is the per-node bracket with the conductor
+    # phase applied; nodes sit on both sides of eps0.  The profile sums the
+    # same bracket's phase sums by NUFFT, which the pointwise outer products
+    # match to ~1e-11 just past eps0
     L, norm_c = math.log(2000.0), 5
     mu = ratios._mu_of(norm_c)
-    nodes, _, re_comb, two_psi, psi_big = ratios._axis_profile(0.02, 0.01, ctx)
+    profile = ratios._axis_profile(0.02, 0.01, ctx)
+    nodes = profile[0]
     assert nodes.min() < ratios._EPS0 < nodes.max()
     phi = fejer15.phi(nodes * L / (2.0 * math.pi))
-    want = (re_comb + (psi_big * np.exp(-1j * nodes * mu)).real + mu + two_psi) * phi
-    got = [ratios.ratios_integrand(t, norm_c, fejer15, L, ctx) for t in nodes]
-    assert np.max(np.abs(np.array(got) - want)) < 1e-12
+    got = np.array([ratios.ratios_integrand(t, norm_c, fejer15, L, ctx) for t in nodes])
+    for (re_comb, two_psi, psi_big), tol in ((profile[2:], 5e-11),
+                                             (ratios._bracket_parts(nodes, ctx), 1e-12)):
+        want = (re_comb + (psi_big * np.exp(-1j * nodes * mu)).real + mu + two_psi) * phi
+        assert np.max(np.abs(got - want)) < tol
     # t = 0: the pole of Psi(it) is odd, Re[Psi(it) exp(-it mu)] -> psi_0 - mu
     dat = ratios._laurent_data(ctx)
     want0 = (dat.c[0] + dat.psi[0] + 2.0 * complex(digamma(0.5)).real) \

@@ -46,8 +46,8 @@ def test_zeta_K_log_deriv_vs_mpmath(s):
 
 
 def test_zeta_K_with_log_deriv_consistent():
-    # one phase table per Hurwitz parameter for both lines, and Schwarz
-    # reflection for 1-2it and 2-2it, against the pointwise routines
+    # one four-column phase sum per Hurwitz parameter for both lines, and
+    # Schwarz reflection for 1-2it and 2-2it, against the pointwise routines
     t = np.concatenate([[1e-3, 0.01, 0.3, 1.7], np.linspace(2.0, 600.0, 31)])
     z1, ld1, z2, ld2 = specfun.zeta_K_axis(t)
     for sigma, z, ld in ((1.0, z1, ld1), (2.0, z2, ld2)):
@@ -166,15 +166,24 @@ def test_supplied_zeta_values_match():
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
 
-def test_odd_prime_power_sum_small_w():
-    # sum over odd primary primes of log N * N^-w; direct sum tail at w=3
-    # is below 1e-9 past norm 1e5
-    w = 3.0
+def test_a_alpha_phases_match_closed_sums():
+    # the geometric expansion of A_alpha(it, it)'s three prime sums, cut at
+    # 1e-18 of each series' largest term, against the sums in closed form:
+    # direct - head - prime powers k >= 2 of -zeta_K'/zeta_K(z+1)
     from quadhecke import zint
-    direct = 0.0
-    for pp in zint.primary_primes_up_to(10 ** 5):
-        direct += math.log(pp.norm) * pp.norm ** -w
-    assert abs(complex(specfun.odd_prime_power_sum(w)) - direct) < 1e-9
+    mu, w = specfun._a_alpha_phases()
+    norms, mult = np.unique(zint.prime_norms_up_to(10 ** 4), return_counts=True)
+    norms = norms.astype(float)
+    la = np.log(norms)
+    pp = norms <= 1000
+    for t in (0.3, 17.0, 250.0):
+        z = 1.0 + 2j * t
+        nz = norms ** -z
+        nw = nz[pp] / norms[pp]
+        want = (np.sum(mult * la / (norms + 1.0) * nz / (1.0 - nz))
+                - np.sum(mult * la * nz / norms)
+                - np.sum(mult[pp] * la[pp] * nw * nw / (1.0 - nw)))
+        assert abs(np.sum(w * np.exp(-1j * t * mu)) - want) < 1e-14
 
 
 # --- cached context -----------------------------------------------------------------
