@@ -115,7 +115,7 @@ def conductor_average(X=2000.0, c=3.0):
     """Family average of log(32 N(c)/pi^2) against its smoothed closed form
     L + log(32/pi^2) + 2 Mw'(1)/w_hat(0); the gap decays like X^{-1/2}."""
     cfg = _config(X)
-    norms, wn, fam = ratios._norm_groups(cfg, True)
+    norms, wn, fam = ratios._norm_groups(cfg)
     m1 = float(np.dot(wn, np.log(32.0 * norms / math.pi ** 2))) / fam.W
     closed = cfg.L + _LOG_32_PI2 + 2.0 * cfg.weight.mw_prime_1 / cfg.weight.w_hat0
     return m1 - closed, c * X ** -0.5
@@ -243,6 +243,8 @@ CHECKS = (
     ("conductor_average_500", "exhaustive", partial(conductor_average, 500.0, 1.0)),
     ("prime_bridge_500", "exhaustive", partial(prime_bridge, 500.0, 1e-6)),
     ("prime_sums_2e5", "exhaustive", prime_sums),
+    ("gauss_sum_80", "exhaustive",
+     partial(gauss_sum, 80, ((1, 0), (2, 1), (0, 3), (-1, 2)))),
     ("a_diag_unity_off_axis", "exhaustive",
      lambda: (a_diag_unity((0.5j, -0.2 + 0.2j)), 1e-8)),
     ("a_closed_vs_euler_spread", "exhaustive",

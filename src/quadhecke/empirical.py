@@ -189,28 +189,27 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     cut = int(cfg.prime_cutoff)
     bound = int(cfg.R * cfg.X)
 
-    jobs: list[tuple[int, int, int]] = []   # (p, sqrt(-1) mod p, symbol factor)
-    if cut >= 17:
-        for p in zint._sieve(cut):
-            p = int(p)
-            if p % 8 != 1:
-                continue
-            s = zint._sqrt_minus_one(p)
-            f = zint._legendre(1 - s, p) + zint._legendre(1 + s, p)
-            if f:
-                jobs.append((p, s, f))
-    qmax = math.isqrt(cut)
-    inert = [int(q) for q in zint._sieve(qmax)] if qmax >= 3 else []
-    inert = [q for q in inert if q % 4 == 3]
+    # the primary prime varpi above each p = 1 mod 8, with i -> s
+    jobs = [zint.prime_above(p) for p in zint._sieve(cut).tolist() if p % 8 == 1]
+    # the twist symbols at varpi and its conjugate, ((1 - s)/p) and
+    # ((1 + s)/p), are equal: (1 - s)(1 + s) = 2 and (2/p) = 1 for p = 1 mod 8
+    f = np.array([2 * zint._legendre(1 + pp.i_image, pp.norm) for pp in jobs],
+                 dtype=float)
+    # p, s, Re varpi and Im varpi as int64 columns; the objects are dropped
+    # so that they do not add to the member side's memory peak
+    P = np.array([pp.norm for pp in jobs], dtype=np.int64)
+    S = np.array([pp.i_image for pp in jobs], dtype=np.int64)
+    A = np.array([pp.value.re for pp in jobs], dtype=np.int64)
+    B = np.array([pp.value.im for pp in jobs], dtype=np.int64)
+    del jobs
+    inert = [q for q in zint._sieve(math.isqrt(cut)).tolist() if q % 4 == 3]
 
-    coefs_p = _sj_coefs(np.array([p for p, _, _ in jobs], dtype=float), L, sigma,
-                        cfg.test, 1) if jobs else np.empty(0)
-    coefs_q = _sj_coefs(np.array(inert, dtype=float) ** 2, L, sigma,
-                        cfg.test, 1) if inert else np.empty(0)
-    g = coefs_p * 4.0 * np.array([f for _, _, f in jobs], dtype=float)
+    coefs_p = _sj_coefs(P.astype(float), L, sigma, cfg.test, 1)
+    coefs_q = _sj_coefs(np.array(inert, dtype=float) ** 2, L, sigma, cfg.test, 1)
+    g = coefs_p * 4.0 * f
 
     # prime side: every p <= bound and every inert q
-    n_small = sum(1 for p, _, _ in jobs if p <= bound)
+    n_small = int(np.count_nonzero(P <= bound))
     n_prime_side = n_small + len(inert)
     contrib = np.zeros(n_prime_side)
     pairs = _Pairs(fam.re, fam.im)
@@ -219,8 +218,8 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     def worker(i0: int, i1: int) -> None:
         for k in range(i0, i1):
             if k < n_small:
-                p, s, _ = jobs[k]
-                contrib[k] = g[k] * float(np.dot(w0, pairs.symbols(s, p)))
+                sym = pairs.symbols(int(S[k]), int(P[k]))
+                contrib[k] = g[k] * float(np.dot(w0, sym))
             else:
                 q = inert[k - n_small]
                 ft = zint._legendre(32, q)
@@ -230,17 +229,17 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
 
     _run_jobs(n_prime_side, worker, cfg.threads)
     parts = [contrib]
-    if n_small < len(jobs):
-        big = jobs[n_small:]
-        parts.append(_member_sums(fam, bound, [p for p, _, _ in big],
-                                  [s for _, s, _ in big], g[n_small:], cfg.threads))
+    if n_small < P.size:
+        parts.append(_member_sums(fam, bound, P[n_small:], A[n_small:], B[n_small:],
+                                  g[n_small:], cfg.threads))
     total = -2.0 / (L * fam.W) * math.fsum(np.concatenate(parts))
-    return total, len(jobs) + len(inert)
+    return total, P.size + len(inert)
 
 
-def _member_sums(fam: _Family, bound: int, ps: list[int], ss: list[int],
-                 g: np.ndarray, threads: int) -> np.ndarray:
-    """w0_c sum_k g_k (c/varpi_k) for every member c, all p_k > bound.
+def _member_sums(fam: _Family, bound: int, P: np.ndarray, A: np.ndarray,
+                 B: np.ndarray, g: np.ndarray, threads: int) -> np.ndarray:
+    """w0_c sum_k g_k (c/varpi_k) for every member c, with varpi_k = A_k + B_k i
+    the primary prime above P_k > bound.
 
     Reciprocity for primary elements gives (c/varpi) = (varpi/c), a product
     over the prime factors of c.  A split factor pi of norm q, with i -> t
@@ -251,15 +250,6 @@ def _member_sums(fam: _Family, bound: int, ps: list[int], ss: list[int],
     it has the largest q, so members are grouped by their largest factor:
     its vector is built once per group, the smaller ones are shared.
     """
-    P = np.array(ps, dtype=np.int64)
-    A = np.empty_like(P)
-    B = np.empty_like(P)
-    for k, (p, s) in enumerate(zip(ps, ss)):
-        a, b = zint._cornacchia(p, s)
-        if (a + b * s) % p:
-            b = -b
-        v = zint.primary_associate(zint.GInt(a, b))[1]
-        A[k], B[k] = v.re, v.im
     pairs = _Pairs(A, B)
 
     def vector(key: tuple[int, int | None]) -> np.ndarray:

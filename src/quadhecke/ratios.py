@@ -228,17 +228,13 @@ def _axis_profile(T: float, h: float, ctx: ZetaKContext):
     return read_only(nodes, wts, *parts)
 
 
-def _norm_groups(cfg: DensityConfig, group_norms: bool):
-    """Distinct norms with folded weights, or the raw per-element family."""
+def _norm_groups(cfg: DensityConfig):
+    """Distinct norms with their family weights folded, and the family."""
     fam = _family(cfg)
-    if group_norms:
-        norms_u, inv = np.unique(fam.norm, return_inverse=True)
-        wn = np.zeros(norms_u.size)
-        np.add.at(wn, inv, fam.w0)
-        wn *= 4.0
-    else:
-        norms_u = fam.norm.copy()
-        wn = 4.0 * fam.w0
+    norms_u, inv = np.unique(fam.norm, return_inverse=True)
+    wn = np.zeros(norms_u.size)
+    np.add.at(wn, inv, fam.w0)
+    wn *= 4.0
     return norms_u.astype(float), wn, fam
 
 
@@ -296,7 +292,6 @@ def ratios_first_order(cfg: DensityConfig,
 
 def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
                    T: float = _T_CAP, h: float = _PANEL_H,
-                   group_norms: bool = True,
                    with_dual: bool = True) -> PredictionReport:
     """Prediction integral (1/W) sum_c w(N(c)/X) (1/2pi) int bracket phi dt.
 
@@ -313,7 +308,7 @@ def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
     ctx = ctx or default_context()
     test, L = cfg.test, cfg.L
     p0 = float(test.phi_hat(0.0))
-    norms, wn, fam = _norm_groups(cfg, group_norms)
+    norms, wn, fam = _norm_groups(cfg)
     weight_sum = fam.W
     mu = np.log(32.0 * norms / math.pi ** 2)
     m1 = float(np.dot(wn, mu)) / weight_sum

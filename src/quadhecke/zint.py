@@ -7,6 +7,12 @@ mod 4.  Every odd z has exactly one primary associate.  Rational p = 1 mod 4
 splits into two conjugate primary primes, p = 3 mod 4 stays inert with
 primary associate -p, and 2 = -i (1+i)^2 ramifies.
 
+prime_above(p) is the one place a split prime is made: it returns the
+primary prime above p with its i-image s (i -> s in Z[i]/(varpi) = F_p),
+and PrimaryPrime.conj() gives the conjugate prime with i -> p - s.  Norms
+are factored by trial division, so factor() and quad_symbol() take norms
+below 2^31.
+
 The family of characters is chi_{i(1+i)^5 c}(n) = (i(1+i)^5 c / n) with c odd
 squarefree; all four associates of c are distinct family members.  The
 quadratic residue symbol (a/varpi) is a^((N(varpi)-1)/2) mod varpi; for split
@@ -26,7 +32,7 @@ import numpy as np
 from ._numerics import read_only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GInt:
     re: int
     im: int
@@ -128,25 +134,50 @@ def powmod(a: GInt, e: int, w: GInt) -> GInt:
     return r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimaryPrime:
     value: GInt
     norm: int
     kind: str  # "split" or "inert"
+    i_image: int | None = None  # split: s with i -> s, Re + Im s = 0 mod p
 
     def rational(self) -> int:
         """Rational prime below: p for split, q for inert."""
         return self.norm if self.kind == "split" else math.isqrt(self.norm)
 
+    def conj(self) -> "PrimaryPrime":
+        """The conjugate split prime, at which i -> p - s."""
+        return PrimaryPrime(self.value.conj(), self.norm, "split",
+                            self.norm - self.i_image)
 
-def split_i_image(pp: PrimaryPrime) -> int:
-    """s in F_p with i -> s under Z[i]/(varpi) = F_p; needs varpi split."""
-    if pp.kind != "split":
-        raise ValueError("i_image only defined for split primes")
-    p = pp.norm
-    x, y = pp.value.re % p, pp.value.im % p
-    # x + y*s = 0 mod p
-    return (-x * pow(y, p - 2, p)) % p
+
+def prime_above(p: int) -> PrimaryPrime:
+    """The primary prime above a rational prime p = 1 mod 4, with its i-image.
+
+    s = d^((p-1)/4) for the least quadratic non-residue d is a square root
+    of -1 mod p.  One Euclid pass on (p, s) stops at a^2 + b^2 = p
+    (Cornacchia); b takes the sign with a + b s = 0 mod p, and the unit
+    taking a + bi to its primary associate keeps that, so i -> s there.
+    """
+    if p % 4 != 1:
+        raise ValueError(f"{p} is not 1 mod 4")
+    d = 2
+    while pow(d, (p - 1) // 2, p) != p - 1:
+        d += 1
+        if d == p:
+            raise ValueError(f"{p} is not prime")
+    s = pow(d, (p - 1) // 4, p)
+    r0, r1 = p, s
+    bound = math.isqrt(p)
+    while r1 > bound:
+        r0, r1 = r1, r0 % r1
+    a = r1
+    b = math.isqrt(p - a * a)
+    if a * a + b * b != p:
+        raise AssertionError(f"cornacchia failed at {p}")
+    if (a + b * s) % p:
+        b = -b
+    return PrimaryPrime(primary_associate(GInt(a, b))[1], p, "split", s)
 
 
 # --- rational prime utilities ------------------------------------------------
@@ -163,67 +194,22 @@ def _sieve(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid well past 2^62."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed on {n}")
+# factor() and quad_symbol() take norms below 2^31, so trial division stops
+# by 46341
+_NORM_CAP = 1 << 31
 
 
 def _factor_int(n: int) -> dict[int, int]:
+    """Rational factorization of 1 <= n < 2^31 by trial division."""
     out: dict[int, int] = {}
-    stack = [n]
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        for p in small:
-            while m % p == 0:
-                out[p] = out.get(p, 0) + 1
-                m //= p
-        if m == 1:
-            continue
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-        else:
-            d = _rho(m)
-            stack.extend((d, m // d))
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
     return out
 
 
@@ -244,40 +230,6 @@ def legendre_table(p: int) -> np.ndarray:
     return tab
 
 
-def _sqrt_minus_one(p: int) -> int:
-    """Solution of t^2 = -1 mod p for p = 1 mod 4."""
-    d = 2
-    while pow(d, (p - 1) // 2, p) != p - 1:
-        d += 1
-    return pow(d, (p - 1) // 4, p)
-
-
-def _cornacchia(p: int, t: int | None = None) -> tuple[int, int]:
-    """(a, b) with a^2 + b^2 = p, for prime p = 1 mod 4.
-
-    One Euclid pass on (p, t) for a square root t of -1 mod p (found here
-    when not given); then a + b t = 0 or a - b t = 0 mod p.
-    """
-    if t is None:
-        t = _sqrt_minus_one(p)
-    r0, r1 = p, t
-    bound = math.isqrt(p)
-    while r1 > bound:
-        r0, r1 = r1, r0 % r1
-    a = r1
-    b = math.isqrt(p - a * a)
-    if a * a + b * b != p:
-        raise AssertionError(f"cornacchia failed at {p}")
-    return a, b
-
-
-def _prime_above(p: int) -> PrimaryPrime:
-    """Primary prime above split p with Im > 0 before conjugation."""
-    a, b = _cornacchia(p)
-    _, v = primary_associate(GInt(a, b))
-    return PrimaryPrime(v, p, "split")
-
-
 # --- factorization in Z[i] ---------------------------------------------------
 
 def factor(z: GInt) -> tuple[GInt, int, list[tuple[PrimaryPrime, int]]]:
@@ -287,6 +239,8 @@ def factor(z: GInt) -> tuple[GInt, int, list[tuple[PrimaryPrime, int]]]:
     """
     if z.is_zero():
         raise ValueError("cannot factor 0")
+    if z.norm() >= _NORM_CAP:
+        raise ValueError(f"norm {z.norm()} of {z!r} is not below 2^31")
     unit = GInt(1, 0)
     work = z
     e2 = 0
@@ -306,8 +260,8 @@ def factor(z: GInt) -> tuple[GInt, int, list[tuple[PrimaryPrime, int]]]:
                 unit = -unit  # p = (-1) * (-p)
             entries.append((PrimaryPrime(GInt(-p, 0), p * p, "inert"), e))
         else:
-            pp = _prime_above(p)
-            for cand in (pp, PrimaryPrime(pp.value.conj(), p, "split")):
+            pp = prime_above(p)
+            for cand in (pp, pp.conj()):
                 e = 0
                 while divides(cand.value, work):
                     work = exact_div(work, cand.value)
@@ -354,8 +308,7 @@ def _symbol_prime_euler(a: GInt, pp: PrimaryPrime) -> int:
 def _symbol_prime_fast(a: GInt, pp: PrimaryPrime) -> int:
     if pp.kind == "split":
         p = pp.norm
-        s = split_i_image(pp)
-        return _legendre((a.re + a.im * s) % p, p)
+        return _legendre((a.re + a.im * pp.i_image) % p, p)
     q = pp.rational()
     return _legendre((a.re * a.re + a.im * a.im) % q, q)
 
@@ -399,7 +352,7 @@ def _symbol_table_prime(pp: PrimaryPrime, X: np.ndarray, Y: np.ndarray) -> np.nd
     """Vectorized (x+yi / varpi) over residue arrays."""
     if pp.kind == "split":
         p = pp.norm
-        val = X + Y * split_i_image(pp)
+        val = X + Y * pp.i_image
     else:
         p = pp.rational()
         val = X * X + Y * Y
@@ -437,16 +390,15 @@ def gauss_sum(r: GInt, n: GInt) -> complex:
 
 def primary_primes_up_to(bound: int) -> list[PrimaryPrime]:
     """All primary primes with norm <= bound, sorted by (norm, re, im)."""
-    if bound >= 1 << 62:
-        raise ValueError("bound too large")
+    if bound >= _NORM_CAP:
+        raise ValueError(f"bound {bound} is not below 2^31")
     out: list[PrimaryPrime] = []
     if bound >= 5:
         for p in _sieve(int(bound)):
             p = int(p)
             if p % 4 == 1:
-                pp = _prime_above(p)
-                out.append(pp)
-                out.append(PrimaryPrime(pp.value.conj(), p, "split"))
+                pp = prime_above(p)
+                out += (pp, pp.conj())
     qmax = math.isqrt(int(bound))
     for q in _sieve(qmax):
         q = int(q)

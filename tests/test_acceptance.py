@@ -81,7 +81,7 @@ def test_symbol_routes_agree_exhaustively():
     for k, pp in enumerate(primes):
         if pp.kind == "split":
             p = pp.norm
-            s = zint.split_i_image(pp)
+            s = pp.i_image
             fast = _legendre_vec((ax + ay * s) % p, p)
             # generic criterion: power the pair in Z[i]/(p), read off mod varpi
             ru, rv = _pair_pow_vec(ax, ay, (p - 1) // 2, p)
@@ -109,7 +109,7 @@ def test_symbol_routes_agree_exhaustively():
         xs, ys = _residue_reps(pp)
         if pp.kind == "split":
             p = pp.norm
-            s = zint.split_i_image(pp)
+            s = pp.i_image
             img = (xs + ys * s) % p
             squares = set(int(t) * int(t) % p for t in range(1, p))
             for x, y, m in zip(xs, ys, img):

@@ -124,7 +124,8 @@ def _s_odd_ladder(cfg: DensityConfig) -> tuple[float, int]:
     n = 0
     for p in zint._sieve(cut).tolist():
         if p % 8 == 1:
-            s = zint._sqrt_minus_one(p)
+            s = zint.prime_above(p).i_image
+            # both twist symbols, not s_odd's 2 ((1 + s)/p)
             f = zint._legendre(1 - s, p) + zint._legendre(1 + s, p)
             sym = _legendre_ladder(fam.re + fam.im * s, p)
             coef = empirical._sj_coefs(np.array([p], float), L, sigma, cfg.test, 1)
@@ -156,7 +157,7 @@ def test_s_odd_against_ladder(weight, X, test, R):
 
 def test_member_sums_are_exact_symbols(weight):
     # one prime at a time, the member side must give w0 (c/varpi) exactly,
-    # with varpi the primary prime above p at which i -> s
+    # with varpi = prime_above(p)
     cfg = DensityConfig(100.0, make_fejer(1.5), weight)
     fam = empirical._family(cfg)
     bound = int(cfg.R * cfg.X)
@@ -164,15 +165,14 @@ def test_member_sums_are_exact_symbols(weight):
     assert any(c.norm() % 9 == 0 for c in members)                # inert 3 | c
     assert any(c.re % 5 == 0 and c.im % 5 == 0 for c in members)  # 5 | c
     assert any(c.norm() % 5 == 0 and c.im % 5 for c in members)   # 2 + i | c
-    ps = [p for p in zint._sieve(1000).tolist() if p > bound and p % 8 == 1]
-    ss = [zint._sqrt_minus_one(p) for p in ps]
-    primes = zint.primary_primes_up_to(1000)
-    for k, (p, s) in enumerate(zip(ps, ss)):
-        varpi = [pp for pp in primes
-                 if pp.norm == p and zint.split_i_image(pp) == s][0]
-        g = np.zeros(len(ps))
+    primes = [zint.prime_above(p) for p in zint._sieve(1000).tolist()
+              if p > bound and p % 8 == 1]
+    P, A, B = (np.array(col, dtype=np.int64) for col in zip(
+        *((pp.norm, pp.value.re, pp.value.im) for pp in primes)))
+    for k, varpi in enumerate(primes):
+        g = np.zeros(len(primes))
         g[k] = 1.0
-        got = empirical._member_sums(fam, bound, ps, ss, g, threads=1)
+        got = empirical._member_sums(fam, bound, P, A, B, g, threads=1)
         want = [zint.quad_symbol(c, varpi.value) for c in members]
         assert np.array_equal(got, fam.w0 * np.array(want, dtype=float))
 

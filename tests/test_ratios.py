@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from quadhecke import checks, ratios
+from quadhecke import checks, empirical, ratios
 from quadhecke._numerics import phase_sum
 from quadhecke.empirical import DensityConfig, s_even_main_form
 from quadhecke.specfun import digamma
@@ -197,9 +197,13 @@ def _phases(source, test, weight):
     if source == "synthetic":
         rng = np.random.default_rng(7)
         return rng.uniform(-40.0, 80.0, 600), rng.standard_normal(600)
-    X, group_norms = {"X2000": (2000.0, True), "X8000": (8000.0, True),
-                      "X2000-elements": (2000.0, False)}[source]
-    norms, wn, fam = ratios._norm_groups(DensityConfig(X, test, weight), group_norms)
+    X = {"X2000": 2000.0, "X8000": 8000.0, "X2000-elements": 2000.0}[source]
+    cfg = DensityConfig(X, test, weight)
+    if source.endswith("-elements"):
+        fam = empirical._family(cfg)
+        norms, wn = fam.norm.astype(float), 4.0 * fam.w0
+    else:
+        norms, wn, fam = ratios._norm_groups(cfg)
     return np.log(32.0 * norms / math.pi ** 2), wn / fam.W
 
 
@@ -313,12 +317,17 @@ def test_integrand_is_the_profile_bracket(fejer15, ctx):
 
 
 def test_norm_grouping_invariant(weight, ctx):
+    # the dual phase sum over distinct norms, weights folded, is the sum
+    # over the family's elements
     cfg = DensityConfig(200.0, make_fejer(1.5), weight)
-    a = ratios.ratios_density(cfg, ctx, T=150.0, group_norms=True)
-    b = ratios.ratios_density(cfg, ctx, T=150.0, group_norms=False)
-    assert abs(a.D_ratios_integral - b.D_ratios_integral) < 1e-12
-    assert a.n_norms < b.n_norms
-    d = a.as_dict()
+    norms, wn, fam = ratios._norm_groups(cfg)
+    assert norms.size < fam.re.size
+    grouped = phase_sum(150.0, 0.25, np.log(32.0 * norms / math.pi ** 2), wn)
+    elements = phase_sum(150.0, 0.25,
+                         np.log(32.0 * fam.norm.astype(float) / math.pi ** 2),
+                         4.0 * fam.w0)
+    assert np.max(np.abs(grouped - elements)) < 1e-12 * np.sum(np.abs(wn))
+    d = ratios.ratios_density(cfg, ctx, T=150.0).as_dict()
     assert "integral_parts" in d and "D_ratios_integral" in d
 
 

