@@ -1,6 +1,6 @@
 """Shared numerical helpers: panel quadrature, phase sums on the panel
-grid by non-uniform FFT, table interpolation, alternating-series
-acceleration.
+grid by non-uniform FFT, Chebyshev table fills, table interpolation,
+alternating-series acceleration.
 
 Nothing here knows about number fields; keep it that way.
 """
@@ -126,6 +126,27 @@ def _gaussian_spread(mu, w, step: float, phase0, grid: int, tau: float) -> np.nd
     return spread.view(complex)
 
 
+def chebyshev_fill(f, x0: float, x1: float, n: int,
+                   size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, coefficients) of the degree n - 1 Chebyshev interpolant of f
+    at the n Chebyshev-Lobatto points of [x0, x1]: its values on the uniform
+    size-point grid over [x0, x1] and its Chebyshev coefficients.
+
+    f is called once, on the n points.  The coefficients are one real FFT of
+    the evenly extended samples (a DCT-I; a cosine matrix would lose ~1e-14
+    to the rounding of k theta_j), and Clenshaw's recurrence sums them on
+    the grid, so no (size, n) array is formed.  For f entire on [x0, x1]
+    the coefficients decay faster than geometrically, and n only needs to
+    reach their rounding floor (Trefethen, Approximation Theory and
+    Approximation Practice, SIAM 2013, ch. 8 and 19).
+    """
+    theta = np.pi * np.arange(n) / (n - 1)
+    fx = np.asarray(f(x0 + 0.5 * (x1 - x0) * (1.0 + np.cos(theta))), dtype=float)
+    coefs = np.fft.rfft(np.concatenate([fx, fx[-2:0:-1]])).real / (n - 1)
+    coefs[[0, -1]] *= 0.5
+    return np.polynomial.chebyshev.chebval(np.linspace(-1.0, 1.0, size), coefs), coefs
+
+
 @dataclass(frozen=True)
 class CubicTable:
     """Cubic Lagrange interpolation on a uniform grid over [x0, x1].
@@ -136,11 +157,6 @@ class CubicTable:
     x0: float
     x1: float
     values: np.ndarray
-
-    @staticmethod
-    def build(f, x0: float, x1: float, n: int) -> "CubicTable":
-        grid = np.linspace(x0, x1, n)
-        return CubicTable(x0, x1, np.asarray(f(grid), dtype=float))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

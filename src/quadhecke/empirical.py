@@ -189,19 +189,13 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     cut = int(cfg.prime_cutoff)
     bound = int(cfg.R * cfg.X)
 
-    # the primary prime varpi above each p = 1 mod 8, with i -> s
-    jobs = [zint.prime_above(p) for p in zint._sieve(cut).tolist() if p % 8 == 1]
+    # p = 1 mod 8 with the primary prime varpi = A + Bi above it, i -> S
+    P = zint._sieve(cut)
+    P = P[P % 8 == 1]
+    S, A, B = zint.primes_above(P)
     # the twist symbols at varpi and its conjugate, ((1 - s)/p) and
     # ((1 + s)/p), are equal: (1 - s)(1 + s) = 2 and (2/p) = 1 for p = 1 mod 8
-    f = np.array([2 * zint._legendre(1 + pp.i_image, pp.norm) for pp in jobs],
-                 dtype=float)
-    # p, s, Re varpi and Im varpi as int64 columns; the objects are dropped
-    # so that they do not add to the member side's memory peak
-    P = np.array([pp.norm for pp in jobs], dtype=np.int64)
-    S = np.array([pp.i_image for pp in jobs], dtype=np.int64)
-    A = np.array([pp.value.re for pp in jobs], dtype=np.int64)
-    B = np.array([pp.value.im for pp in jobs], dtype=np.int64)
-    del jobs
+    f = 2.0 * zint.legendre_symbols(1 + S, P)
     inert = [q for q in zint._sieve(math.isqrt(cut)).tolist() if q % 4 == 3]
 
     coefs_p = _sj_coefs(P.astype(float), L, sigma, cfg.test, 1)

@@ -50,13 +50,13 @@ import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from . import zint
-from ._numerics import cauchy_derivs, panel_nodes, phase_sum, read_only
+from ._numerics import cauchy_derivs, panel_layout, panel_nodes, phase_sum, read_only
 from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         s_even_main_form, _family)
 from .expansion import c_w1_closed, expansion_coefficients, thm_prediction
 from .specfun import (_LOG_32_PI2, _PSI_HALF, A_alpha_series, A_alpha_diag_it,
-                      A_closed_mr, X_c, ZetaKContext, default_context, digamma,
-                      zeta_K, zeta_K_axis, zeta_K_log_deriv)
+                      A_closed_mr, X_c, ZetaKContext, _em_shift, default_context,
+                      digamma, zeta_K, zeta_K_axis, zeta_K_log_deriv)
 from .transforms import TestFunction, WeightFunction
 
 _EPS0 = 1e-3          # Laurent switch radius around the cancelled pole
@@ -64,6 +64,10 @@ _RING_RADIUS = 0.05   # Cauchy ring for the origin data
 _T_CAP = 600.0        # axis truncation; past every stationary phase in range
 _PANEL_H = 0.25       # GL-12 panel width; fastest phase is log(32 N/pi^2)
 _PRIME_CUTOFF = 10 ** 6
+_ERR_FLOOR = 5e-6     # error allowance of max_error beyond the tail estimate
+# GL-12 remainder constant: a panel of width h misses at most
+# h^25 (12!)^4 / (25 (24!)^3) max|f^(24)|
+_GL12_REMAINDER = math.factorial(12) ** 4 / (25 * math.factorial(24) ** 3)
 
 
 def _mu_of(norm_c) -> float:
@@ -228,6 +232,35 @@ def _axis_profile(T: float, h: float, ctx: ZetaKContext):
     return read_only(nodes, wts, *parts)
 
 
+def panel_error_bound(cfg: DensityConfig, T: float, h: float) -> float:
+    """GL-12 panel error of the prediction integral over [0, T], per unit
+    integrand amplitude, for phases up to Omega = mu_max + 2 log K + sigma L:
+    the dual phase of the largest family norm R X, the Hurwitz heads'
+    2 log(n + a) for n < K, and phi(tL/2pi), whose transform has support
+    sigma.  Each panel misses at most step^25 Omega^24 times the GL-12
+    remainder constant; summed over the T/step panels and divided by pi as
+    the integral is."""
+    _, step = panel_layout(0.0, T, h)
+    K = _em_shift(np.array([2j * T]))
+    omega = _mu_of(cfg.R * cfg.X) + 2.0 * math.log(K) + cfg.test.sigma * cfg.L
+    with np.errstate(over="ignore"):
+        return float(T / math.pi * _GL12_REMAINDER * np.float64(omega * step) ** 24)
+
+
+def _check_grid(cfg: DensityConfig, T: float, h: float) -> None:
+    """Raise ValueError for a [0, T] panel grid the prediction integral
+    cannot use: T or h not finite and positive, or panels so wide that
+    panel_error_bound exceeds the error floor of max_error."""
+    if not (0.0 < T < math.inf and 0.0 < h < math.inf):
+        raise ValueError(f"ratios_density needs finite T > 0 and h > 0, "
+                         f"got T={T!r}, h={h!r}")
+    bound = panel_error_bound(cfg, T, h)
+    if bound > _ERR_FLOOR:
+        raise ValueError(f"panel width h={h!r} under-resolves the integrand at "
+                         f"X={cfg.X!r}: GL-12 error bound {bound:.2e} exceeds "
+                         f"{_ERR_FLOOR:.0e}")
+
+
 def _norm_groups(cfg: DensityConfig):
     """Distinct norms with their family weights folded, and the family."""
     fam = _family(cfg)
@@ -302,9 +335,7 @@ def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
     Psi(it) exp(-it mu(N)) grouped on distinct norms.  with_dual=False drops
     the dual term for ablation runs.
     """
-    if not (0.0 < T < math.inf and 0.0 < h < math.inf):
-        raise ValueError(f"ratios_density needs finite T > 0 and h > 0, "
-                         f"got T={T!r}, h={h!r}")
+    _check_grid(cfg, T, h)
     ctx = ctx or default_context()
     test, L = cfg.test, cfg.L
     p0 = float(test.phi_hat(0.0))
@@ -343,7 +374,7 @@ def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
         X=cfg.X, sigma=test.sigma, L=L,
         D_ratios_integral=d_int, D_ratios_first_order=fo.D_ratios_first_order,
         terms=fo.terms, integral_parts=parts,
-        n_points=int(nodes.size), max_error=tail_est + 5e-6,
+        n_points=int(nodes.size), max_error=tail_est + _ERR_FLOOR,
         n_norms=int(norms.size), family_size=fam.size)
 
 
@@ -359,6 +390,8 @@ def compare(xs, test: TestFunction, weight: WeightFunction,
     """One row per X: empirical density, prediction integral, first-order
     expansion, descending-log theorem value, and their residuals."""
     cfgs = [DensityConfig(float(x), test, weight, R=R, threads=threads) for x in xs]
+    for cfg in cfgs:
+        _check_grid(cfg, T, h)
     ctx = ctx or default_context()
     coeffs = expansion_coefficients(M, test, weight, ctx)
     rows = []

@@ -92,7 +92,7 @@ def _em_tail(s, Ka: float, deriv: bool = False):
             f2 = s + (2 * j - 2)
             drise = drise * f1 * f2 + rise * (f1 + f2)
             rise = rise * f1 * f2
-        pw_j = np.exp(-(s + (2 * j - 1)) * lK)
+        pw_j = em * Ka ** -(2 * j - 1)   # Ka^-(s + 2j - 1)
         val = val + _C2J[j - 1] * rise * pw_j
         if deriv:
             dval = dval + _C2J[j - 1] * (drise - rise * lK) * pw_j

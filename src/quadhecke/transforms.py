@@ -14,6 +14,8 @@ applied to g.  Both w~ and g~ are functions of t^2, so the interpolation
 tables are uniform in v = t^2, which keeps them accurate at 0 without a
 geometric mesh.  Empirically |w~(t)| < 1e-13 past t = 10 and |g~(t)| < 1e-13
 past t = 10.6 for the gaussian weight; tables stop there and clamp to 0.
+Both transforms are entire functions of v, so each quadrature rule runs at
+160 Chebyshev points in v only, and the interpolant fills the table grid.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from scipy.special import j0 as _j0
 from scipy.special import loggamma as _loggamma
 
 from . import specfun, zint
-from ._numerics import CubicTable, cauchy_derivs, gl_nodes, panel_nodes, read_only
+from ._numerics import (CubicTable, cauchy_derivs, chebyshev_fill, gl_nodes, panel_nodes,
+                        read_only)
 
 M_MAX = 8
 
@@ -151,6 +154,10 @@ _WT_VMAX = 110.0    # v = t^2; |w~| < 1e-13 past t = 10
 _GT_VMAX = 112.0    # |g~| < 1e-13 past t = 10.6
 _G_RMAX = 2.72      # g(r^2) support for the nested transform
 _R_SUPPORT = 2.2    # w(r^2) = exp(-pi r^4) < 2e-32 beyond
+# Chebyshev samples in v per table: both rules' coefficients fall from 1 to
+# 3e-12 (w~) and 1e-9 (g~) of the largest by k = 60-69 and reach their
+# rounding floor, about 1e-16 absolute, by k = 80; n = 160 doubles that
+_CHEB_SAMPLES = 160
 
 
 class WeightFunction:
@@ -209,22 +216,27 @@ class WeightFunction:
 
     @functools.cached_property
     def _wt_table(self) -> CubicTable:
-        tab = CubicTable.build(lambda v: self.w_tilde(np.sqrt(v)), 0.0, _WT_VMAX, 11001)
-        read_only(tab.values)
-        return tab
+        vals, _ = chebyshev_fill(self._wt_rule, 0.0, _WT_VMAX, _CHEB_SAMPLES, 11001)
+        return CubicTable(0.0, _WT_VMAX, read_only(vals))
 
     @functools.cached_property
     def _gt_table(self) -> CubicTable:
+        vals, _ = chebyshev_fill(self._gt_rule, 0.0, _GT_VMAX, _CHEB_SAMPLES, 11201)
+        return CubicTable(0.0, _GT_VMAX, read_only(vals))
+
+    def _wt_rule(self, v):
+        """w~(sqrt v) by the w_tilde rule."""
+        return self.w_tilde(np.sqrt(v))
+
+    def _gt_rule(self, v):
+        """g~(sqrt v) by the nested rule: 2 pi int g(r^2) J0(2 pi sqrt(v) r) r dr
+        on GL-12 panels over [0, _G_RMAX], g(r^2) = w~(sqrt2 r^2) read from
+        the w~ table."""
         h = 1.0 / (2.0 * math.sqrt(_GT_VMAX) + 6.0)
         r, wq = panel_nodes(0.0, _G_RMAX, h, 12)
-        prof = wq * self._wt_table(2.0 * r ** 4) * r     # g(r^2) = w~(sqrt2 r^2)
-        vg = np.linspace(0.0, _GT_VMAX, 11201)
-        vals = np.empty_like(vg)
-        for i0 in range(0, vg.size, 1024):
-            tc = np.sqrt(vg[i0:i0 + 1024])
-            vals[i0:i0 + 1024] = bessel_j0(
-                2.0 * math.pi * np.multiply.outer(tc, r)) @ prof
-        return CubicTable(0.0, _GT_VMAX, read_only(2.0 * math.pi * vals))
+        prof = wq * self._wt_table(2.0 * r ** 4) * r
+        t = np.sqrt(np.asarray(v, dtype=float))
+        return 2.0 * math.pi * (bessel_j0(2.0 * math.pi * np.multiply.outer(t, r)) @ prof)
 
     def g(self, y):
         """g(y) = w~(sqrt2 y); table-backed, 0 past the decay cutoff."""

@@ -7,11 +7,12 @@ mod 4.  Every odd z has exactly one primary associate.  Rational p = 1 mod 4
 splits into two conjugate primary primes, p = 3 mod 4 stays inert with
 primary associate -p, and 2 = -i (1+i)^2 ramifies.
 
-prime_above(p) is the one place a split prime is made: it returns the
-primary prime above p with its i-image s (i -> s in Z[i]/(varpi) = F_p),
-and PrimaryPrime.conj() gives the conjugate prime with i -> p - s.  Norms
-are factored by trial division, so factor() and quad_symbol() take norms
-below 2^31.
+primes_above(P) is the one place split primes are made: for an array of
+p = 1 mod 4 it returns the primary primes above them with their i-images s
+(i -> s in Z[i]/(varpi) = F_p), all p at once; prime_above(p) is its
+one-prime form, and PrimaryPrime.conj() gives the conjugate prime with
+i -> p - s.  Norms are factored by trial division, so factor() and
+quad_symbol() take norms below 2^31.
 
 The family of characters is chi_{i(1+i)^5 c}(n) = (i(1+i)^5 c / n) with c odd
 squarefree; all four associates of c are distinct family members.  The
@@ -152,32 +153,89 @@ class PrimaryPrime:
 
 
 def prime_above(p: int) -> PrimaryPrime:
-    """The primary prime above a rational prime p = 1 mod 4, with its i-image.
+    """The primary prime above a rational prime p = 1 mod 4, with its
+    i-image; the one-prime form of primes_above."""
+    if p >= _NORM_CAP:      # before it meets int64
+        raise ValueError(f"{p} is not below 2^31")
+    (s,), (a,), (b,) = primes_above(np.array([p], dtype=np.int64))
+    return PrimaryPrime(GInt(int(a), int(b)), p, "split", int(s))
+
+
+def primes_above(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, Re varpi, Im varpi) as int64 arrays for an int64 array of primes
+    p = 1 mod 4 below 2^31: varpi the primary prime above p, with i -> s.
 
     s = d^((p-1)/4) for the least quadratic non-residue d is a square root
     of -1 mod p.  One Euclid pass on (p, s) stops at a^2 + b^2 = p
     (Cornacchia); b takes the sign with a + b s = 0 mod p, and the unit
     taking a + bi to its primary associate keeps that, so i -> s there.
+    Every step runs on all p at once, each Euclid step on the rows not yet
+    done; products stay below 2^62.
     """
-    if p % 4 != 1:
-        raise ValueError(f"{p} is not 1 mod 4")
-    d = 2
-    while pow(d, (p - 1) // 2, p) != p - 1:
-        d += 1
-        if d == p:
-            raise ValueError(f"{p} is not prime")
-    s = pow(d, (p - 1) // 4, p)
-    r0, r1 = p, s
-    bound = math.isqrt(p)
-    while r1 > bound:
-        r0, r1 = r1, r0 % r1
+    P = np.asarray(P, dtype=np.int64)
+    if np.any(P % 4 != 1):
+        raise ValueError(f"{P[P % 4 != 1][0]} is not 1 mod 4")
+    if np.any(P >= _NORM_CAP):
+        raise ValueError(f"{P.max()} is not below 2^31")
+    s = np.zeros_like(P)
+    todo = np.arange(P.size)
+    q = 2   # the least non-residue is prime, so only primes q are tried
+    while todo.size:
+        Pt = P[todo]
+        if np.any(Pt <= q):
+            raise ValueError(f"{Pt[Pt <= q][0]} is not prime")
+        # Euler's criterion: q is a non-residue iff (q^((p-1)/4))^2 = -1
+        r = _powmod_array(np.full(todo.size, q), (Pt - 1) // 4, Pt)
+        hit = r * r % Pt == Pt - 1
+        s[todo[hit]] = r[hit]
+        todo = todo[~hit]
+        q += 1 + (q > 2)
+        while any(q % k == 0 for k in range(3, math.isqrt(q) + 1, 2)):
+            q += 2
+    r0, r1 = P.copy(), s.copy()
+    # floor(sqrt(n)) by float sqrt, exact for n < 2^52
+    bound = np.sqrt(P).astype(np.int64)
+    todo = np.flatnonzero(r1 > bound)
+    while todo.size:
+        r0[todo], r1[todo] = r1[todo], r0[todo] % r1[todo]
+        todo = todo[r1[todo] > bound[todo]]
     a = r1
-    b = math.isqrt(p - a * a)
-    if a * a + b * b != p:
-        raise AssertionError(f"cornacchia failed at {p}")
-    if (a + b * s) % p:
-        b = -b
-    return PrimaryPrime(primary_associate(GInt(a, b))[1], p, "split", s)
+    b = np.sqrt(P - a * a).astype(np.int64)
+    if np.any(a * a + b * b != P):
+        raise AssertionError(f"cornacchia failed at {P[a * a + b * b != P][0]}")
+    b = np.where((a + b * s) % P != 0, -b, b)
+    # primary associate: u = +-1 when a is odd (re + im = 1 mod 4 picks the
+    # sign), else u = +-i with i (a + bi) = -b + ai
+    odd = a % 2 == 1
+    sign = np.where(odd, np.where((a + b) % 4 == 1, 1, -1),
+                    np.where((a - b) % 4 == 1, 1, -1))
+    re = sign * np.where(odd, a, -b)
+    im = sign * np.where(odd, b, a)
+    return s, re, im
+
+
+def _powmod_array(b: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """b^e mod m elementwise for int64 arrays with m < 2^31, by binary
+    powering over the bits of e."""
+    out = np.ones_like(m) % m
+    b = b % m
+    e = e.copy()
+    tmp = np.empty_like(m)
+    while np.any(e):
+        np.multiply(out, b, out=tmp)
+        np.remainder(tmp, m, out=tmp)
+        np.copyto(out, tmp, where=(e & 1) == 1)
+        np.multiply(b, b, out=b)
+        np.remainder(b, m, out=b)
+        e >>= 1
+    return out
+
+
+def legendre_symbols(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Legendre symbols (a/p) in {0, 1, -1} elementwise for int64 arrays,
+    p odd primes below 2^31, by Euler's criterion a^((p-1)/2) mod p."""
+    r = _powmod_array(a, (p - 1) // 2, p)
+    return np.where(r == p - 1, -1, r).astype(np.int64)
 
 
 # --- rational prime utilities ------------------------------------------------
@@ -393,12 +451,11 @@ def primary_primes_up_to(bound: int) -> list[PrimaryPrime]:
     if bound >= _NORM_CAP:
         raise ValueError(f"bound {bound} is not below 2^31")
     out: list[PrimaryPrime] = []
-    if bound >= 5:
-        for p in _sieve(int(bound)):
-            p = int(p)
-            if p % 4 == 1:
-                pp = prime_above(p)
-                out += (pp, pp.conj())
+    ps = _sieve(int(bound))
+    ps = ps[ps % 4 == 1]
+    for p, s, a, b in zip(*(v.tolist() for v in (ps, *primes_above(ps)))):
+        pp = PrimaryPrime(GInt(a, b), p, "split", s)
+        out += (pp, pp.conj())
     qmax = math.isqrt(int(bound))
     for q in _sieve(qmax):
         q = int(q)
@@ -499,8 +556,11 @@ def mobius_by_norm(bound: int) -> np.ndarray:
 @lru_cache(maxsize=4)
 def lattice_norm_counts(nmax: int) -> np.ndarray:
     """r[n] = #{k in Z[i] : N(k) = n} for 0 <= n <= nmax (r[0] counts k=0);
-    read-only."""
+    read-only.  The (2m+1)^2 norm grid is counted 64 rows at a time."""
     m = math.isqrt(nmax)
-    a = np.arange(-m, m + 1, dtype=np.int64)
-    norms = (a * a)[:, None] + (a * a)[None, :]
-    return read_only(np.bincount(norms[norms <= nmax].ravel(), minlength=nmax + 1))
+    sq = np.arange(-m, m + 1, dtype=np.int64) ** 2
+    counts = np.zeros(nmax + 1, dtype=np.int64)
+    for i0 in range(0, sq.size, 64):
+        norms = sq[i0:i0 + 64, None] + sq[None, :]
+        counts += np.bincount(norms[norms <= nmax], minlength=nmax + 1)
+    return read_only(counts)

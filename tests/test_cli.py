@@ -224,6 +224,21 @@ def test_bad_quadrature_grid_config_key(tmp_path, capsys, line):
     assert err.startswith("quadhecke: error[config]: t-cap and panel-h")
 
 
+@pytest.mark.parametrize("command", ["predict", "compare"])
+def test_under_resolved_panel_width(capsys, monkeypatch, command):
+    # a finite but far too wide panel is a configuration error, raised
+    # before the profile, the expansion or the empirical route runs
+    def boom(*args, **kwargs):
+        raise RuntimeError("computed before the panel width was checked")
+    for name in ("_axis_profile", "expansion_coefficients", "one_level_density"):
+        monkeypatch.setattr(cli.ratios, name, boom)
+    x = ("--X", "500") if command == "predict" else ("--X-grid", "500")
+    code, out, err = _run(capsys, command, *x, "--panel-h", "1000")
+    assert code == 1
+    assert err.startswith("quadhecke: error[config]: panel width h=1000.0 under-resolves")
+    assert out == ""
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def boom(ns, cfg):
         raise RuntimeError("unexpected")

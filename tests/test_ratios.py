@@ -246,6 +246,25 @@ def test_ratios_density_rejects_bad_grid(fejer15, weight, T, h):
         ratios.ratios_density(DensityConfig(500.0, fejer15, weight), T=T, h=h)
 
 
+def test_under_resolved_panel_width_rejected(fejer15, weight):
+    # h = 1000 is one panel over [0, 600]: before the bound it returned
+    # D = 0.469 against 0.227 with max_error 0.0024
+    cfg = DensityConfig(500.0, fejer15, weight)
+    with pytest.raises(ValueError, match="under-resolves"):
+        ratios.ratios_density(cfg, h=1000.0)
+    # a GL-12 panel error scales as step^24 per unit length
+    ratio = ratios.panel_error_bound(cfg, 600.0, 0.125) / ratios.panel_error_bound(
+        cfg, 600.0, 0.25)
+    assert abs(ratio / 2.0 ** -24 - 1.0) < 1e-9
+    # the default grid and the refinement grids keep a wide margin at every
+    # X the suite and the benchmark use
+    for sigma, X in ((1.9, 500.0), (1.9, 2000.0), (1.9, 8000.0),
+                     (0.8, 128000.0), (0.8, 512000.0)):
+        cfg = DensityConfig(X, make_fejer(sigma), weight)
+        for T, h in ((600.0, 0.25), (1200.0, 0.25), (600.0, 0.125)):
+            assert ratios.panel_error_bound(cfg, T, h) < 1e-3 * ratios._ERR_FLOOR
+
+
 def test_dual_phase_average_memory_bound():
     # 203774 distinct norms, the X = 512000 size: the spread runs in chunks
     # of norms, so the traced peak does not grow with the norm count

@@ -9,6 +9,7 @@ import scipy.integrate
 import scipy.special
 
 from quadhecke import transforms
+from quadhecke._numerics import chebyshev_fill
 from quadhecke.transforms import (
     M_MAX,
     make_bump,
@@ -250,6 +251,23 @@ def test_g_tilde_against_quadrature():
             * scipy.special.j0(2.0 * math.pi * t * r) * r,
             0.0, 2.72, limit=2000, epsabs=1e-12)
         assert abs(w.g1(t * t) - want) < 1e-8
+
+
+def test_tables_match_their_rules():
+    # each table stores the Chebyshev interpolant of its quadrature rule;
+    # at 64 grid points over [0, v_max] (v_max included, so w_tilde picks
+    # the panel width of the fill) it matches the rule run there directly
+    w = make_gaussian_weight()
+    for rule, tab, vmax in ((w._wt_rule, w._wt_table, transforms._WT_VMAX),
+                            (w._gt_rule, w._gt_table, transforms._GT_VMAX)):
+        size = tab.values.size
+        idx = np.linspace(0, size - 1, 64).round().astype(int)
+        assert np.max(np.abs(tab.values[idx] - rule(idx * (vmax / (size - 1))))) < 5e-14
+        # the coefficients have reached the rules' rounding floor: the last
+        # 16 stay below 1e-15 of the largest value, f(0), where an
+        # unresolved interpolant (n = 80) leaves 1e-13
+        vals, coefs = chebyshev_fill(rule, 0.0, vmax, transforms._CHEB_SAMPLES, 2)
+        assert np.max(np.abs(coefs[-16:])) < 1e-15 * abs(vals[0])
 
 
 def test_tables_clamp_and_tail():

@@ -203,14 +203,16 @@ def test_mobius_by_norm_brute():
 
 
 def test_lattice_norm_counts():
-    counts = zint.lattice_norm_counts(50)
-    brute = np.zeros(51, dtype=np.int64)
-    for a in range(-8, 9):
-        for b in range(-8, 9):
-            n = a * a + b * b
-            if n <= 50:
-                brute[n] += 1
-    assert np.array_equal(counts, brute)
+    # 20000 spans five 64-row blocks of the norm grid, the last one partial
+    for nmax in (50, 20000):
+        m = math.isqrt(nmax)
+        brute = np.zeros(nmax + 1, dtype=np.int64)
+        for a in range(-m - 1, m + 2):
+            for b in range(-m - 1, m + 2):
+                n = a * a + b * b
+                if n <= nmax:
+                    brute[n] += 1
+        assert np.array_equal(zint.lattice_norm_counts(nmax), brute)
 
 
 def test_legendre_table_matches_euler_criterion():
@@ -256,6 +258,36 @@ def test_prime_above():
     for n in (7, 9, 21):
         with pytest.raises(ValueError):
             zint.prime_above(n)
+
+
+def test_primes_above_matches_one_prime_form():
+    # the array form against a loop of the one-prime form, every p = 1 mod 4
+    # below 10^5: rows must not leak into each other through the masked
+    # search and Euclid steps
+    ps = zint._sieve(10 ** 5)
+    ps = ps[ps % 4 == 1]
+    s, re, im = zint.primes_above(ps)
+    loop = [zint.prime_above(p) for p in ps.tolist()]
+    assert s.tolist() == [pp.i_image for pp in loop]
+    assert re.tolist() == [pp.value.re for pp in loop]
+    assert im.tolist() == [pp.value.im for pp in loop]
+    # s comes from the least non-residue d, which fixes S_odd's primes
+    for p, t in zip(ps.tolist(), s.tolist()):
+        d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
+        assert t == pow(d, (p - 1) // 4, p)
+    # the closed-form associate is the primary one of every unit multiple
+    for p, a, b in zip(ps.tolist()[::97], re.tolist()[::97], im.tolist()[::97]):
+        for u in zint.UNITS:
+            assert zint.primary_associate(u * GInt(a, b))[1] == GInt(a, b)
+    # the twist symbols of s_odd, by the same Euler criterion
+    assert zint.legendre_symbols(1 + s, ps).tolist() == [
+        zint._legendre(1 + t, p) for t, p in zip(s.tolist(), ps.tolist())]
+    # products must fit in int64
+    for p in (2 ** 31 + 1, 2 ** 31 + 9):
+        with pytest.raises(ValueError, match="2\\^31"):
+            zint.prime_above(p)
+        with pytest.raises(ValueError, match="2\\^31"):
+            zint.primes_above(np.array([5, p]))
 
 
 def test_norm_cap():
