@@ -1,5 +1,6 @@
 """Shared numerical helpers: panel quadrature, phase sums on the panel
-grid by non-uniform FFT, Chebyshev table fills, table interpolation,
+grid by non-uniform FFT, Dirichlet convolution in loop order, Chebyshev
+table fills, table interpolation, BLAS-free dot products,
 alternating-series acceleration.
 
 Nothing here knows about number fields; keep it that way.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -20,6 +21,12 @@ def read_only(*arrays):
     for a in arrays:
         a.flags.writeable = False
     return arrays[0] if len(arrays) == 1 else arrays
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_k a_k b_k outside BLAS: a threaded BLAS dot splits long vectors by
+    its thread count, so its rounding would depend on that setting."""
+    return float(np.einsum("i,i->", a, b))
 
 
 @lru_cache(maxsize=16)
@@ -126,6 +133,41 @@ def _gaussian_spread(mu, w, step: float, phase0, grid: int, tau: float) -> np.nd
     return spread.view(complex)
 
 
+_PAIR_CHUNK = 1 << 14    # (n, k) pairs per np.add.at call
+
+
+def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """c(m) = sum_{n | m} f(n) g(m/n) for 0 < m < f.size (g at least as
+    long), added in the order of a loop over n ascending with one strided
+    add c[n::n] += f(n) g per n.
+
+    The few n with more than _PAIR_CHUNK multiples take that add; the rest
+    go as chunks of (n, k) pairs with f(n) g(k) != 0 through np.add.at,
+    which adds in list order, so c is bit-identical to the loop while the
+    temporaries stay at one chunk.
+    """
+    m_max = f.size - 1
+    c = np.zeros(m_max + 1)
+    ns = np.flatnonzero(f[1:]) + 1
+    counts = m_max // ns
+    many = counts > _PAIR_CHUNK
+    for n in ns[many].tolist():
+        c[n::n] += f[n] * g[1:m_max // n + 1]
+    ns, counts = ns[~many], counts[~many]
+    ends = np.cumsum(counts)
+    i0 = 0
+    while i0 < ns.size:
+        i1 = int(np.searchsorted(ends, ends[i0] - counts[i0] + _PAIR_CHUNK, side="right"))
+        cnt = counts[i0:i1]
+        n = np.repeat(ns[i0:i1], cnt)
+        k = np.arange(1, n.size + 1) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        live = g[k] != 0
+        n, k = n[live], k[live]
+        np.add.at(c, n * k, f[n] * g[k])
+        i0 = i1
+    return c
+
+
 def chebyshev_fill(f, x0: float, x1: float, n: int,
                    size: int) -> tuple[np.ndarray, np.ndarray]:
     """(values, coefficients) of the degree n - 1 Chebyshev interpolant of f
@@ -151,7 +193,10 @@ def chebyshev_fill(f, x0: float, x1: float, n: int,
 class CubicTable:
     """Cubic Lagrange interpolation on a uniform grid over [x0, x1].
 
-    Values outside [x0, x1] are 0 (no extrapolation).
+    Values outside [x0, x1] are 0 (no extrapolation).  Interval i of the
+    grid reads the cubic through values i-1 .. i+2 (the end intervals read
+    the first and last such cubic), kept as power-basis coefficients in the
+    offset t from node i and summed by Horner's rule.
     """
 
     x0: float
@@ -162,28 +207,31 @@ class CubicTable:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        out = np.zeros(x.shape)
         inside = (x >= self.x0) & (x <= self.x1)
-        if np.any(inside):
+        if inside.all():
+            out = self._eval(x)
+        else:
+            out = np.zeros(x.shape)
             out[inside] = self._eval(x[inside])
         return float(out[0]) if scalar else out
 
-    def _eval(self, x: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _coefs(self) -> tuple[np.ndarray, ...]:
+        """c0..c3 of the cubic through v[i-1..i+2] at t = -1, 0, 1, 2, for
+        i = 1 .. n-3 (entry i-1)."""
         v = self.values
-        n = v.size
-        u = x - self.x0
-        h = (self.x1 - self.x0) / (n - 1)
-        # enclosing interval [i, i+1] with stencil {i-1, i, i+1, i+2}
-        i = np.clip((u / h).astype(np.int64), 1, n - 3)
-        t = u / h - i
-        tm = t - 1.0
-        tp = t + 1.0
-        t2 = t - 2.0
-        w0 = -t * tm * t2 / 6.0
-        w1 = tp * tm * t2 / 2.0
-        w2 = -t * tp * t2 / 2.0
-        w3 = t * tp * tm / 6.0
-        return w0 * v[i - 1] + w1 * v[i] + w2 * v[i + 1] + w3 * v[i + 2]
+        v0, v1, v2, v3 = v[:-3], v[1:-2], v[2:-1], v[3:]
+        return read_only(v1, v2 - 0.5 * v1 - v0 / 3.0 - v3 / 6.0,
+                         0.5 * (v0 + v2) - v1, (v3 - v0) / 6.0 + 0.5 * (v1 - v2))
+
+    def _eval(self, x: np.ndarray) -> np.ndarray:
+        n = self.values.size
+        u = (x - self.x0) * ((n - 1) / (self.x1 - self.x0))
+        i = np.clip(u, 1.0, n - 3.0).astype(np.int64)
+        t = u - i
+        i -= 1
+        c0, c1, c2, c3 = (c[i] for c in self._coefs)
+        return ((c3 * t + c2) * t + c1) * t + c0
 
 
 def alternating_sum(a) -> float:

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import zint
-from ._numerics import panel_nodes
+from ._numerics import dot, panel_nodes
 from .specfun import _LOG_32_PI2, _PSI_HALF
 from .transforms import TestFunction, WeightFunction
 
@@ -156,11 +156,41 @@ class _Pairs:
         self.x_span = int(self.x.max()) + 1
         self.y_vals = np.arange(self.y_lo, int(y.max()) + 1, dtype=np.int64)
 
-    def symbols(self, t: int, p: int) -> np.ndarray:
+    def tiled(self, table: np.ndarray) -> np.ndarray:
+        """A Legendre table mod p repeated over the range x + (y t mod p) covers."""
+        p = table.size
         reps = -(-(self.x_span + 2 * p) // p)
         lo = self.x_lo % p
-        tab = np.tile(zint.legendre_table(p), reps)[lo:lo + self.x_span + p]
-        return tab[self.x + (self.y_vals * t % p)[self.y]]
+        return np.tile(table, reps)[lo:lo + self.x_span + p]
+
+    def symbols(self, tiled: np.ndarray, t: int, p: int) -> np.ndarray:
+        """((x + y t)/p) read from tiled, the tiling of the table mod p."""
+        return tiled[self.x + (self.y_vals * t % p)[self.y]]
+
+
+class _KeyVectors:
+    """The vector ((a + b t)/q), or (p/q) for t None, over primes p = a^2 + b^2
+    for each key (q, t), with keys taken in q order: the Legendre table mod q
+    and its tiling are built once per q, and only the current q's are kept."""
+
+    def __init__(self, pairs: _Pairs, P: np.ndarray):
+        self.pairs, self.P = pairs, P
+        self.q = self.table = self.tiled = None
+
+    def __call__(self, key: tuple[int, int | None]) -> np.ndarray:
+        q, t = key
+        if q != self.q:
+            self.q, self.table, self.tiled = q, zint.legendre_table(q), None
+        if t is None:
+            return self.table[self.P % q]
+        if self.tiled is None:
+            self.tiled = self.pairs.tiled(self.table)
+        return self.pairs.symbols(self.tiled, t, q)
+
+
+def _by_q(key: tuple[int, int | None] | None) -> int:
+    """Sort key putting member keys (q, t) in q order, None first."""
+    return 0 if key is None else key[0]
 
 
 def _run_jobs(n: int, worker, threads: int) -> None:
@@ -212,14 +242,14 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     def worker(i0: int, i1: int) -> None:
         for k in range(i0, i1):
             if k < n_small:
-                sym = pairs.symbols(int(S[k]), int(P[k]))
-                contrib[k] = g[k] * float(np.dot(w0, sym))
+                p = int(P[k])
+                sym = pairs.symbols(pairs.tiled(zint.legendre_table(p)), int(S[k]), p)
+                contrib[k] = g[k] * dot(w0, sym)
             else:
                 q = inert[k - n_small]
                 ft = zint._legendre(32, q)
                 sym = zint.legendre_table(q)[nrm % q]
-                contrib[k] = (coefs_q[k - n_small] * 4.0 * ft
-                              * float(np.dot(w0, sym)))
+                contrib[k] = coefs_q[k - n_small] * 4.0 * ft * dot(w0, sym)
 
     _run_jobs(n_prime_side, worker, cfg.threads)
     parts = [contrib]
@@ -245,11 +275,6 @@ def _member_sums(fam: _Family, bound: int, P: np.ndarray, A: np.ndarray,
     its vector is built once per group, the smaller ones are shared.
     """
     pairs = _Pairs(A, B)
-
-    def vector(key: tuple[int, int | None]) -> np.ndarray:
-        q, t = key
-        return zint.legendre_table(q)[P % q] if t is None else pairs.symbols(t, q)
-
     spf = zint._smallest_prime_factors(bound).tolist()
     groups: dict[tuple[int, int | None] | None, list] = {}
     for i, (c_re, c_im, n) in enumerate(zip(fam.re.tolist(), fam.im.tolist(),
@@ -267,12 +292,14 @@ def _member_sums(fam: _Family, bound: int, P: np.ndarray, A: np.ndarray,
 
     rests = {key for members in groups.values() for _, rest in members
              for key in rest}
-    shared = {key: vector(key) for key in rests}
-    items = list(groups.items())
+    vector = _KeyVectors(pairs, P)
+    shared = {key: vector(key) for key in sorted(rests, key=_by_q)}
+    items = sorted(groups.items(), key=lambda item: _by_q(item[0]))
     out = np.zeros(fam.re.size)
     w0 = fam.w0
 
     def worker(i0: int, i1: int) -> None:
+        vector = _KeyVectors(pairs, P)
         for key, members in items[i0:i1]:
             if key is None:
                 h = g
@@ -285,7 +312,7 @@ def _member_sums(fam: _Family, bound: int, P: np.ndarray, A: np.ndarray,
                 chi = shared[rest[0]]
                 for key2 in rest[1:]:
                     chi = chi * shared[key2]
-                out[i] = w0[i] * float(np.dot(h, chi))
+                out[i] = w0[i] * dot(h, chi)
 
     _run_jobs(len(items), worker, threads)
     return out
@@ -311,7 +338,7 @@ def s_even(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
             tr = re * a + im * b
             ti = im * a - re * b
             mask = (tr % n == 0) & (ti % n == 0)
-            wdiv = float(np.dot(w0, mask))
+            wdiv = dot(w0, mask)
             contrib[k] = coefs[k] * (fam.W - 4.0 * wdiv)
 
     _run_jobs(len(primes), worker, cfg.threads)
@@ -378,8 +405,7 @@ def one_level_density(cfg: DensityConfig) -> DensityReport:
     fam = _family(cfg)
     L = cfg.L
     p0 = float(cfg.test.phi_hat(0.0))
-    cond = p0 / (L * fam.W) * 4.0 * float(
-        np.dot(fam.w0, np.log(fam.norm.astype(float))))
+    cond = p0 / (L * fam.W) * 4.0 * math.fsum(fam.w0 * np.log(fam.norm.astype(float)))
     gconst = p0 / L * (_LOG_32_PI2 + 2.0 * _PSI_HALF)
     integ = digamma_integral_term(cfg.test, L)
     sev, n_even = s_even(cfg, fam)

@@ -38,7 +38,10 @@ measured |E|/sqrt(t) envelope, or analytically from
 int_1^inf E(t) t^(-s-1) dt = -(1/s)(1 + H(s) + log2/(2^s-1) + PP(s))
 differentiated at s = 1, where H(s) = zeta_K'/zeta_K(s) + 1/(s-1) is
 zeta_K's log-derivative with the pole removed and PP collects prime powers
-k >= 2.
+k >= 2 of the norms below the cutoff b, whose tail b^(1-2s)/(2s-1) joins
+the smooth part.  The smooth part is differentiated on a Cauchy ring; PP's
+derivatives at s = 1 are prime-power sums taken exactly, j by j, and
+combined with 1/s by Leibniz.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from . import zint
-from ._numerics import cauchy_derivs, panel_layout, panel_nodes, read_only
+from ._numerics import (cauchy_derivs, dirichlet_convolution, panel_layout, panel_nodes,
+                        read_only)
 from .specfun import (_LOG_32_PI2, _PSI_HALF, EULER_GAMMA, ZetaKContext,
                       default_context, hurwitz, zeta_K_log_deriv)
 from .transforms import (TestFunction, WeightFunction, make_gaussian_weight)
@@ -100,11 +104,10 @@ class _KernelTables:
         self.y_cap = y_cap
         self.pref = prefactor(weight, ctx)
         m_max = int(_G1_CUT * y_cap) + 1
-        a = zint.mobius_by_norm(m_max)         # sum of mu(l) by norm
-        r = zint.lattice_norm_counts(m_max)
-        c = np.zeros(m_max + 1)
-        for n in np.flatnonzero(a).tolist():
-            c[n::n] += (a[n] / n) * r[1:m_max // n + 1]
+        # f(n) = sum of mu(l)/N(l) over primary squarefree l with N(l) = n
+        f = zint.mobius_by_norm(m_max).astype(float)
+        f[1:] /= np.arange(1, m_max + 1)
+        c = dirichlet_convolution(f, zint.lattice_norm_counts(m_max))
         d = -c
         d[2::2] += c[1:m_max // 2 + 1]
         m = np.flatnonzero(d)
@@ -312,22 +315,41 @@ def m_e_moment_sieve(n: int, cutoff: int = 10 ** 6) -> tuple[float, float]:
 
 
 def m_e_moment_analytic(max_n: int, cutoff: int = 10 ** 6) -> list[float]:
-    """M_E(0..max_n) from the analytic continuation, differentiated at s = 1."""
-    norms, ln = _prime_norm_logs(cutoff)
+    """M_E(0..max_n) from the analytic continuation, differentiated at s = 1.
+
+    The smooth part -(1 + H(s) + log2/(2^s-1) + b^(1-2s)/(2s-1))/s is
+    differentiated on the Cauchy ring.  The prime powers -PP(s)/s, with
+    PP(s) = sum_N logN N^(-2s)/(1 - N^(-s)) = sum_N logN sum_{j>=2} N^(-js),
+    are differentiated exactly: PP^(i)(1) = (-1)^i A_i with
+    A_i = sum_N logN sum_{j>=2} (j logN)^i N^(-j), and Leibniz with
+    (1/s)^(k-i)(1) = (-1)^(k-i) (k-i)! gives (-1)^k times the k-th
+    derivative of -PP(s)/s as -k! sum_{i<=k} A_i / i!.
+    """
     b = float(cutoff)
 
-    def F(s: np.ndarray) -> np.ndarray:
+    def smooth(s: np.ndarray) -> np.ndarray:
         h = zeta_K_log_deriv(s) + 1.0 / (s - 1.0)
-        out = np.empty_like(s, dtype=complex)
-        for i, si in enumerate(s):
-            nz = np.exp(-si * ln)
-            pp = np.dot(ln, nz * nz / (1.0 - nz))
-            pp += b ** (1.0 - 2.0 * si) / (2.0 * si - 1.0)
-            out[i] = -(1.0 + h[i] + math.log(2.0) / (2.0 ** si - 1.0) + pp) / si
-        return out
+        return -(1.0 + h + math.log(2.0) / (2.0 ** s - 1.0)
+                 + b ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)) / s
 
-    ders = cauchy_derivs(F, 1.0, 0.3, max_n)
-    return [((-1.0) ** k * ders[k]).real for k in range(max_n + 1)]
+    ders = cauchy_derivs(smooth, 1.0, 0.3, max_n)
+    norms, ln = _prime_norm_logs(cutoff)
+    a = np.zeros(max_n + 1)
+    j = 2
+    while ln.size:
+        term = ln * norms ** (-float(j))
+        jl = j * ln
+        for i in range(max_n + 1):
+            a[i] += float(np.sum(term))
+            term = term * jl
+        # drop a norm once its largest term is negligible: logN (j logN)^n
+        # N^-j still rises with j only while j logN < n, where it exceeds 1
+        keep = term / jl > 1e-20
+        norms, ln = norms[keep], ln[keep]
+        j += 1
+    return [((-1.0) ** k * ders[k]).real
+            - math.factorial(k) * sum(a[i] / math.factorial(i) for i in range(k + 1))
+            for k in range(max_n + 1)]
 
 
 def d_coefficients(M: int, cutoff: int = 10 ** 6,

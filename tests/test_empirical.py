@@ -1,6 +1,10 @@
 """Family enumeration, prime sums, and the assembled empirical density."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -177,6 +181,29 @@ def test_member_sums_are_exact_symbols(weight):
         assert np.array_equal(got, fam.w0 * np.array(want, dtype=float))
 
 
+def test_member_sums_build_tables_per_prime(weight, monkeypatch):
+    # keys run in q order, so each q's Legendre table is built once for the
+    # shared vectors and at most once more for the groups, not once per key:
+    # the q of successive builds rises strictly, but for one restart
+    cfg = DensityConfig(2000.0, make_fejer(1.5), weight)
+    fam = empirical._family(cfg)
+    bound = int(cfg.R * cfg.X)
+    P = zint._sieve(4 * bound)
+    P = P[(P % 8 == 1) & (P > bound)]
+    _, A, B = zint.primes_above(P)
+    calls = []
+    table = zint.legendre_table
+
+    def counted(q):
+        calls.append(q)
+        return table(q)
+
+    monkeypatch.setattr(zint, "legendre_table", counted)
+    empirical._member_sums(fam, bound, P, A, B, np.ones(P.size), threads=1)
+    assert len(calls) > 500
+    assert sum(b <= a for a, b in zip(calls, calls[1:])) <= 1
+
+
 def test_s_odd_threads_bitwise_invariant(weight):
     cfg = DensityConfig(2000.0, make_fejer(1.5), weight, threads=1)
     assert cfg.R * cfg.X < cfg.prime_cutoff    # the member side runs
@@ -184,6 +211,33 @@ def test_s_odd_threads_bitwise_invariant(weight):
     for threads in (2, 3):
         cfg = DensityConfig(2000.0, make_fejer(1.5), weight, threads=threads)
         assert empirical.s_odd(cfg) == want
+
+
+_BLAS_CASE = """
+from quadhecke.empirical import DensityConfig, one_level_density, s_odd
+from quadhecke.transforms import make_fejer, make_gaussian_weight
+w = make_gaussian_weight()
+print(repr(one_level_density(DensityConfig(8000.0, make_fejer(0.5), w))))
+print(repr(s_odd(DensityConfig(1500.0, make_fejer(1.9), w))))
+"""
+
+
+def test_blas_threads_bitwise_invariant():
+    # the family sums over 11117 members (X = 8000) and the member side over
+    # 20k big primes (X = 1500, sigma = 1.9) are long enough for a threaded
+    # BLAS dot to split them; the density must not see the BLAS thread count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for n in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_CASE], capture_output=True,
+                              text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert "DensityReport" in outs[0]
 
 
 def test_threads_bitwise_invariant(weight):

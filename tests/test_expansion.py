@@ -9,7 +9,8 @@ import pytest
 import scipy.integrate
 
 from quadhecke import expansion, zint
-from quadhecke._numerics import panel_layout, panel_nodes
+from quadhecke._numerics import cauchy_derivs, panel_layout, panel_nodes
+from quadhecke.specfun import zeta_K_log_deriv
 from quadhecke.transforms import make_bump, make_fejer
 
 # reference values for the gaussian weight at M = 2, analytic route,
@@ -197,18 +198,81 @@ def test_J_X_reads_the_profile(fejer15, weight, ctx, monkeypatch):
 
 
 def test_h2_profile_memory(weight, ctx):
-    # the lattice sums run over d's nonzero support, so building the profile
-    # holds no 112 y_cap sized transient
-    expansion.kernel_tables(weight, ctx)
-    tab = expansion._KernelTables(weight, ctx)
-    assert tab.m.size < 0.15 * (112 * tab.y_cap)
+    # d(m) is convolved in chunks of (n, k) pairs, so building the tables
+    # holds a few 112 y_cap sized arrays, not a pair list (measured 9.0 MB,
+    # most of it the Moebius sieve; one list of all pairs took 29 MB); the
+    # lattice sums run over d's nonzero support, so building the profile
+    # holds no such transient.  r(n) is memoized: warm it, as a build would.
+    y_cap = expansion.kernel_tables(weight, ctx).y_cap
+    zint.lattice_norm_counts(int(expansion._G1_CUT * y_cap) + 1)
     tracemalloc.start()
     try:
+        tab = expansion._KernelTables(weight, ctx)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         tab.h2_profile
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert tab.m.size < 0.15 * (112 * tab.y_cap)
+    assert built <= 10e6
     assert peak <= 10e6
+
+
+def _d_strided(y_cap):
+    """d(m) on 0..112 y_cap by one strided add per n, the convolution's
+    reference: each c(m) gets its terms in the order of n ascending."""
+    m_max = int(112.0 * y_cap) + 1
+    a = zint.mobius_by_norm(m_max)
+    r = zint.lattice_norm_counts(m_max)
+    c = np.zeros(m_max + 1)
+    for n in np.flatnonzero(a).tolist():
+        c[n::n] += (a[n] / n) * r[1:m_max // n + 1]
+    d = -c
+    d[2::2] += c[1:m_max // 2 + 1]
+    return d
+
+
+@pytest.mark.parametrize("y_cap", [3000.0, 20.0])
+def test_d_support_matches_strided_loop(weight, ctx, y_cap):
+    # at y_cap = 3000 the n below 112 y_cap / 2^14 take strided adds and the
+    # rest go as pair chunks; at y_cap = 20 every n is a pair chunk
+    tab = expansion._KernelTables(weight, ctx, y_cap)
+    d = _d_strided(y_cap)
+    m = np.flatnonzero(d)
+    assert np.array_equal(tab.m, m.astype(float))
+    assert np.array_equal(tab.d_m, d[m])
+
+
+def _m_e_full_ring(max_n, cutoff=10 ** 6):
+    """M_E(0..max_n) with the whole E-integral continuation, the prime
+    powers included, differentiated on the 64-node Cauchy ring."""
+    norms = zint.prime_norms_up_to(cutoff).astype(float)
+    ln = np.log(norms)
+    b = float(cutoff)
+
+    def F(s):
+        h = zeta_K_log_deriv(s) + 1.0 / (s - 1.0)
+        out = np.empty_like(s, dtype=complex)
+        for i, si in enumerate(s):
+            nz = np.exp(-si * ln)
+            pp = np.dot(ln, nz * nz / (1.0 - nz))
+            pp += b ** (1.0 - 2.0 * si) / (2.0 * si - 1.0)
+            out[i] = -(1.0 + h[i] + math.log(2.0) / (2.0 ** si - 1.0) + pp) / si
+        return out
+
+    ders = cauchy_derivs(F, 1.0, 0.3, max_n)
+    return [((-1.0) ** k * ders[k]).real for k in range(max_n + 1)]
+
+
+def test_m_e_moment_analytic_matches_full_ring():
+    # the prime powers' derivatives are summed exactly, the rest on the ring
+    want = _m_e_full_ring(5)
+    for max_n in range(6):
+        got = expansion.m_e_moment_analytic(max_n)
+        assert len(got) == max_n + 1
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * abs(w)
 
 
 def test_J_first_order_dies_below_sigma_one(weight, ctx):

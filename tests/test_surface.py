@@ -3,6 +3,8 @@ package or in perfbench, or is a reference that a named test compares
 production code against.  Anything else is dead code."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,3 +70,22 @@ def test_references_are_live():
     assert set(TEST_REFERENCES) <= _definitions()
     assert not set(TEST_REFERENCES) & used
     assert set(TEST_REFERENCES.values()) <= _test_functions()
+
+
+def test_perfbench_trace_targets_resolve():
+    # the span recorder patches each (owner, attribute) that trace_targets
+    # names: a class attribute through vars(owner), so it must be defined on
+    # that class itself, and a module attribute through getattr
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        spans = importlib.import_module("spans")
+        worker = importlib.import_module("worker")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    import quadhecke.cli  # noqa: F401  (imports every module)
+    q = sys.modules["quadhecke"]
+    targets = worker.trace_targets(q, spans.Tracer(), [])
+    assert len(targets) >= 20
+    for name, owner, attr, _ in targets:
+        found = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+        assert callable(found), f"{name}: {owner.__name__}.{attr} is gone"

@@ -276,6 +276,42 @@ def test_tables_clamp_and_tail():
     assert w.g(np.array([40.0]))[0] == 0.0
 
 
+def _lagrange(tab, x):
+    """The table's cubic Lagrange interpolant, summed in Lagrange form."""
+    v = tab.values
+    n = v.size
+    u = x - tab.x0
+    h = (tab.x1 - tab.x0) / (n - 1)
+    i = np.clip((u / h).astype(np.int64), 1, n - 3)
+    t = u / h - i
+    return (-t * (t - 1.0) * (t - 2.0) / 6.0 * v[i - 1]
+            + (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0 * v[i]
+            - t * (t + 1.0) * (t - 2.0) / 2.0 * v[i + 1]
+            + t * (t + 1.0) * (t - 1.0) / 6.0 * v[i + 2])
+
+
+def test_cubic_table_matches_lagrange_form():
+    # Horner on per-interval coefficients is the same interpolant: within a
+    # few ulp of max|values| on both end intervals, the grid nodes and in
+    # between, and exactly 0 just outside [x0, x1]
+    w = make_gaussian_weight()
+    for tab in (w._wt_table, w._gt_table):
+        h = (tab.x1 - tab.x0) / (tab.values.size - 1)
+        x = np.concatenate([np.linspace(tab.x0, tab.x1, 100003),
+                            tab.x0 + h * np.arange(tab.values.size),
+                            tab.x0 + h * np.array([0.3, 1.7, 2.5]),
+                            tab.x1 - h * np.array([0.3, 1.7, 2.5])])
+        x = np.clip(x, tab.x0, tab.x1)
+        scale = np.max(np.abs(tab.values))
+        assert np.max(np.abs(tab(x) - _lagrange(tab, x))) <= 4e-16 * scale
+        assert abs(tab(float(x[1])) - _lagrange(tab, x[1:2])[0]) <= 4e-16 * scale
+        past = [np.nextafter(tab.x1, np.inf), tab.x1 + 3e-4, np.nextafter(tab.x0, -np.inf)]
+        assert np.array_equal(tab(np.array(past + [tab.x1])) == 0.0, [True] * 3 + [False])
+        assert tab(past[0]) == 0.0
+    # the last term of a g1 lattice sum can land just past the table end
+    assert w.g1(112.0003) == 0.0
+
+
 def test_mellin_identity_residual():
     w = make_gaussian_weight()
     # residual carries the cubic-table error; structural failure would be
