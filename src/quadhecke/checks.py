@@ -18,7 +18,7 @@ from . import ratios, zint
 from ._numerics import panel_nodes
 from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         poisson_pair, s_even_main_form, total_weight)
-from .expansion import phi_sf_limit, phi_sf_partial
+from .expansion import J_X, d_coefficients, phi_sf_limit, phi_sf_partial
 from .specfun import (_LOG_32_PI2, _PSI_HALF, A_closed_mr, A_euler, EULER_GAMMA,
                       X_c, default_context, digamma, zeta_K)
 from .transforms import make_gaussian_weight, mellin_identity_check, parse_test_function
@@ -40,13 +40,30 @@ def weight_mass(X=1e5):
     return total_weight(cfg) / target - 1.0, 1e-2
 
 
-def symbol_method_agreement(bound=300):
-    """Mismatches between the fast and the Euler-criterion prime symbol."""
+def _odd_elements(bound):
+    """The odd elements of Z[i] with norm <= bound."""
+    m = math.isqrt(bound)
+    return [zint.GInt(x, y) for x in range(-m, m + 1) for y in range(-m, m + 1)
+            if (x + y) % 2 and x * x + y * y <= bound]
+
+
+def _euler_symbol(a, entries):
+    """(a/n) as the product of Euler-criterion prime symbols over the
+    factorization entries of n."""
+    out = 1
+    for pp, e in entries:
+        out *= zint._symbol_prime_euler(a, pp) ** e
+    return out
+
+
+def symbol_method_agreement(moduli, elements):
+    """Mismatches between quad_symbol and the Euler-criterion product over
+    each modulus's factorization."""
     bad = 0
-    for pp in zint.primary_primes_up_to(bound):
-        for a in (zint.GInt(x, y) for x in (-3, -1, 1, 3) for y in (-2, 0, 2, 4)):
-            if not zint.divides(pp.value, a):
-                bad += zint._symbol_prime_fast(a, pp) != zint._symbol_prime_euler(a, pp)
+    for n in moduli:
+        entries = zint.factor(n)[2]
+        bad += sum(zint.quad_symbol(a, n) != _euler_symbol(a, entries)
+                   for a in elements)
     return bad, 0.5
 
 
@@ -148,7 +165,7 @@ def prime_sums(B=200000, modulus=(3, 2)):
     m = zint.GInt(*modulus)
     twisted = 0.0
     for pp in zint.primary_primes_up_to(B):
-        twisted += zint._symbol_prime_fast(m, pp) * math.log(pp.norm)
+        twisted += zint.quad_symbol(m, pp.value) * math.log(pp.norm)
     return max(abs(principal), abs(twisted / scale)), 0.5
 
 
@@ -189,6 +206,21 @@ def refinement(phi, X=2000.0, T=ratios._T_CAP, h=ratios._PANEL_H):
     return fine.D_ratios_integral - rep.D_ratios_integral, rep.max_error
 
 
+def refine_ycap(X=2000.0, phi="fejer:1.5"):
+    """J(X) with the kernel tables' y_cap doubled against the default 3000,
+    within the default run's own error estimate."""
+    test = parse_test_function(phi)
+    value, err = J_X(X, test)
+    return J_X(X, test, y_cap=6000.0)[0] - value, err
+
+
+def d_routes_agree(M=3):
+    """The largest |d_m(sieve) - d_m(analytic)| in units of the sieve
+    route's error bar, m = 1..M."""
+    pairs = zip(d_coefficients(M, route="sieve"), d_coefficients(M))
+    return max(abs(sieve - exact) / err for (sieve, err), (exact, _) in pairs), 1.0
+
+
 def _poisson_twisted():
     lhs, rhs = poisson_pair(make_gaussian_weight(), 1.0, zint.GInt(-1, -2))
     return abs(lhs - rhs), 1e-6
@@ -216,7 +248,10 @@ CHECKS = (
     ("w_tilde_at_0", "quick",
      lambda: (float(make_gaussian_weight().w_tilde(0.0))
               - math.pi / 2.0 * make_gaussian_weight().w_hat0, 1e-8)),
-    ("symbol_method_agreement", "quick", symbol_method_agreement),
+    ("symbol_method_agreement", "quick",
+     lambda: symbol_method_agreement(
+         [pp.value for pp in zint.primary_primes_up_to(300)],
+         [zint.GInt(x, y) for x in (-3, -1, 1, 3) for y in (-2, 0, 2, 4)])),
     ("reciprocity_spot", "quick", reciprocity),
     ("gauss_sum_spot", "quick", gauss_sum),
     ("poisson_twisted_X1", "quick", _poisson_twisted),
@@ -239,10 +274,17 @@ CHECKS = (
     ("refine_h_15_2000", "full", partial(refinement, "fejer:1.5", h=0.5 * ratios._PANEL_H)),
     ("refine_T_b08_2000", "full", partial(refinement, "bump:0.8", T=2.0 * ratios._T_CAP)),
     ("refine_h_b08_2000", "full", partial(refinement, "bump:0.8", h=0.5 * ratios._PANEL_H)),
+    ("refine_ycap_J_2000", "full", refine_ycap),
+    ("d_routes_agree", "full", d_routes_agree),
     ("digamma_pair_bump", "exhaustive", partial(digamma_pair, "bump:1.5", 1e-8)),
     ("conductor_average_500", "exhaustive", partial(conductor_average, 500.0, 1.0)),
     ("prime_bridge_500", "exhaustive", partial(prime_bridge, 500.0, 1e-6)),
     ("prime_sums_2e5", "exhaustive", prime_sums),
+    # primary moduli of norm 3..200, composites included, every odd a
+    ("symbol_method_agreement_200", "exhaustive",
+     lambda: symbol_method_agreement(
+         [z for z in _odd_elements(200) if zint.is_primary(z) and not z.is_unit()],
+         _odd_elements(60))),
     ("gauss_sum_80", "exhaustive",
      partial(gauss_sum, 80, ((1, 0), (2, 1), (0, 3), (-1, 2)))),
     ("a_diag_unity_off_axis", "exhaustive",

@@ -247,7 +247,7 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
                 contrib[k] = g[k] * dot(w0, sym)
             else:
                 q = inert[k - n_small]
-                ft = zint._legendre(32, q)
+                ft = zint._jacobi(32, q)
                 sym = zint.legendre_table(q)[nrm % q]
                 contrib[k] = coefs_q[k - n_small] * 4.0 * ft * dot(w0, sym)
 
@@ -348,23 +348,12 @@ def s_even(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
 
 def s_even_main_form(cfg: DensityConfig) -> float:
     """The c-independent form -(2/L) sum logN/N^j (1+1/N)^-1 phi_hat(2j logN/L)."""
-    L, sigma = cfg.L, cfg.test.sigma
     bound = int(cfg.prime_cutoff ** 0.5)
     if bound < 5:
         return 0.0
     norms = zint.prime_norms_up_to(bound).astype(float)
-    ln = np.log(norms)
-    total = 0.0
-    j = 1
-    while True:
-        mask = 2.0 * j * ln < sigma * L
-        if not mask.any():
-            break
-        u = 2.0 * j * ln[mask] / L
-        total += float(np.dot(ln[mask] * norms[mask] ** (-float(j)),
-                              cfg.test.phi_hat(u) / (1.0 + 1.0 / norms[mask])))
-        j += 1
-    return -2.0 * total / L
+    coefs = _sj_coefs(norms, cfg.L, cfg.test.sigma, cfg.test, 2)
+    return -2.0 * math.fsum(coefs / (1.0 + 1.0 / norms)) / cfg.L
 
 
 def s_j_sum(c: zint.GInt, j: int, cfg: DensityConfig) -> float:

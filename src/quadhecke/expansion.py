@@ -54,8 +54,8 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from . import zint
-from ._numerics import (cauchy_derivs, dirichlet_convolution, panel_layout, panel_nodes,
-                        read_only)
+from ._numerics import (cauchy_derivs, dirichlet_convolution, dot, panel_layout,
+                        panel_nodes, read_only)
 from .specfun import (_LOG_32_PI2, _PSI_HALF, EULER_GAMMA, ZetaKContext,
                       default_context, hurwitz, zeta_K_log_deriv)
 from .transforms import (TestFunction, WeightFunction, make_gaussian_weight)
@@ -116,7 +116,7 @@ class _KernelTables:
     def _g1_sum(self, x: float) -> float:
         """sum_{m <= 112/x} d(m) g1(m x): H1 at y = x, H2 at y = 1/x."""
         k = int(np.searchsorted(self.m, _G1_CUT / x, side="right"))
-        return float(np.dot(self.d_m[:k], self.weight.g1(self.m[:k] * x)))
+        return dot(self.d_m[:k], self.weight.g1(self.m[:k] * x))
 
     def H1(self, y: float) -> float:
         if not y * self.y_cap >= 1.0:
@@ -304,7 +304,7 @@ def m_e_moment_sieve(n: int, cutoff: int = 10 ** 6) -> tuple[float, float]:
 
     da = anti_a(ts[1:]) - anti_a(ts[:-1])
     db = anti_b(ts[1:]) - anti_b(ts[:-1])
-    val = float(np.dot(cum, da) - np.sum(db))
+    val = dot(cum, da) - float(np.sum(db))
     sqs = np.sqrt(norms)
     resid = np.abs(np.cumsum(ln) - norms) / sqs
     lo = np.searchsorted(norms, cutoff ** 0.6)

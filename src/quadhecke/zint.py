@@ -11,15 +11,16 @@ primes_above(P) is the one place split primes are made: for an array of
 p = 1 mod 4 it returns the primary primes above them with their i-images s
 (i -> s in Z[i]/(varpi) = F_p), all p at once; prime_above(p) is its
 one-prime form, and PrimaryPrime.conj() gives the conjugate prime with
-i -> p - s.  Norms are factored by trial division, so factor() and
-quad_symbol() take norms below 2^31.
+i -> p - s.  Norms are factored by trial division, so factor() takes norms
+below 2^31.
 
 The family of characters is chi_{i(1+i)^5 c}(n) = (i(1+i)^5 c / n) with c odd
 squarefree; all four associates of c are distinct family members.  The
-quadratic residue symbol (a/varpi) is a^((N(varpi)-1)/2) mod varpi; for split
-varpi it reduces to a Legendre symbol in F_p through i -> s with
-Re(varpi) + Im(varpi) s = 0 mod p, and for inert varpi over q to the Legendre
-symbol of N(a) mod q.
+quadratic residue symbol (a/varpi) is a^((N(varpi)-1)/2) mod varpi, and
+_symbol_prime_euler evaluates it so, as the reference.  quad_symbol(a, n)
+factors nothing: it reduces (a/n) to two rational Jacobi symbols, one mod
+the content g = gcd(Re n, Im n) and one mod the norm of the primitive part
+n/g, and keeps the 2^31 norm cap of factor().
 """
 
 from __future__ import annotations
@@ -142,10 +143,6 @@ class PrimaryPrime:
     kind: str  # "split" or "inert"
     i_image: int | None = None  # split: s with i -> s, Re + Im s = 0 mod p
 
-    def rational(self) -> int:
-        """Rational prime below: p for split, q for inert."""
-        return self.norm if self.kind == "split" else math.isqrt(self.norm)
-
     def conj(self) -> "PrimaryPrime":
         """The conjugate split prime, at which i -> p - s."""
         return PrimaryPrime(self.value.conj(), self.norm, "split",
@@ -252,8 +249,8 @@ def _sieve(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-# factor() and quad_symbol() take norms below 2^31, so trial division stops
-# by 46341
+# factor() takes norms below 2^31, so trial division stops by 46341;
+# quad_symbol() keeps the same cap
 _NORM_CAP = 1 << 31
 
 
@@ -344,11 +341,20 @@ def moebius(z: GInt) -> int:
 
 # --- residue symbols ----------------------------------------------------------
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0, by the binary algorithm."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
 
 
 def _symbol_prime_euler(a: GInt, pp: PrimaryPrime) -> int:
@@ -363,30 +369,27 @@ def _symbol_prime_euler(a: GInt, pp: PrimaryPrime) -> int:
     raise AssertionError(f"euler criterion not in {{0,+-1}} at {pp!r}")
 
 
-def _symbol_prime_fast(a: GInt, pp: PrimaryPrime) -> int:
-    if pp.kind == "split":
-        p = pp.norm
-        return _legendre((a.re + a.im * pp.i_image) % p, p)
-    q = pp.rational()
-    return _legendre((a.re * a.re + a.im * a.im) % q, q)
+def _symbol_moduli(n: GInt) -> tuple[int, int, int]:
+    """(g, m, s) with (a/n) = (N(a)/g) ((Re a + s Im a)/m) in Jacobi symbols,
+    for odd nonunit n with N(n) < 2^31.
 
-
-def quad_symbol(a: GInt, n: GInt, method: str = "fast") -> int:
-    """Quadratic residue symbol (a/n) for odd nonunit n.
-
-    method: "fast" (Legendre reductions) or "euler" (generic criterion).
+    n = g n' with g = gcd(Re n, Im n) and n' = r + ti primitive of norm m.
+    Z[i]/(n') = Z/m through i -> s = -r/t mod m (s = 0 for m = 1), and each
+    rational prime q | g gives (a/q) = (N(a)/q).
     """
     if n.is_zero() or n.is_unit() or not n.is_odd():
         raise ValueError(f"modulus must be odd, nonzero, nonunit: {n!r}")
-    eval_one = _symbol_prime_fast if method == "fast" else _symbol_prime_euler
-    out = 1
-    for pp, e in factor(n)[2]:
-        s = eval_one(a, pp)
-        if s == 0:
-            return 0
-        if e % 2:
-            out *= s
-    return out
+    if n.norm() >= _NORM_CAP:
+        raise ValueError(f"norm {n.norm()} of {n!r} is not below 2^31")
+    g = math.gcd(n.re, n.im)
+    m = n.norm() // (g * g)
+    return g, m, -(n.re // g) * pow(n.im // g, -1, m) % m
+
+
+def quad_symbol(a: GInt, n: GInt) -> int:
+    """Quadratic residue symbol (a/n) for odd nonunit n with N(n) < 2^31."""
+    g, m, s = _symbol_moduli(n)
+    return _jacobi(a.norm(), g) * _jacobi(a.re + s * a.im, m)
 
 
 # --- Gauss sums ----------------------------------------------------------------
@@ -406,17 +409,6 @@ def _residue_system(n: GInt) -> tuple[np.ndarray, np.ndarray]:
     return X.ravel(), Y.ravel()
 
 
-def _symbol_table_prime(pp: PrimaryPrime, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Vectorized (x+yi / varpi) over residue arrays."""
-    if pp.kind == "split":
-        p = pp.norm
-        val = X + Y * pp.i_image
-    else:
-        p = pp.rational()
-        val = X * X + Y * Y
-    return legendre_table(p)[val % p].astype(np.int64)
-
-
 _GAUSS_CAP = 10 ** 6
 
 
@@ -425,23 +417,19 @@ def gauss_sum(r: GInt, n: GInt) -> complex:
 
     Brute force over a complete residue system; refuses N(n) > 10^6.
     """
-    if n.is_zero() or n.is_unit() or not n.is_odd():
-        raise ValueError(f"modulus must be odd, nonzero, nonunit: {n!r}")
+    g, m, s = _symbol_moduli(n)
     nn = n.norm()
     if nn > _GAUSS_CAP:
         raise ValueError(f"norm {nn} above brute-force cap {_GAUSS_CAP}")
     X, Y = _residue_system(n)
-    _, _, entries = factor(n)
-    if len(entries) == 1 and entries[0][1] == 1:
-        chi = _symbol_table_prime(entries[0][0], X, Y)
-    else:
-        chi = np.array([quad_symbol(GInt(int(x), int(y)), n) for x, y in zip(X, Y)],
-                       dtype=np.int64)
+    # quad_symbol's reduction, with the modulus reduced once
+    chi = np.array([_jacobi(x * x + y * y, g) * _jacobi(x + s * y, m)
+                    for x, y in zip(X.tolist(), Y.tolist())], dtype=np.float64)
     # Im(r (x+yi) conj(n)) = x Im(r conj n) + y Re(r conj n)
     rc = r * n.conj()
     t = (X * (rc.im % nn) + Y * (rc.re % nn)) % nn
     phase = np.exp((2j * np.pi / nn) * t)
-    return complex(np.dot(chi.astype(np.float64), phase))
+    return complex(np.dot(chi, phase))
 
 
 # --- enumeration ----------------------------------------------------------------

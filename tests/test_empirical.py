@@ -130,7 +130,7 @@ def _s_odd_ladder(cfg: DensityConfig) -> tuple[float, int]:
         if p % 8 == 1:
             s = zint.prime_above(p).i_image
             # both twist symbols, not s_odd's 2 ((1 + s)/p)
-            f = zint._legendre(1 - s, p) + zint._legendre(1 + s, p)
+            f = int(_legendre_ladder(np.array([1 - s, 1 + s]), p).sum())
             sym = _legendre_ladder(fam.re + fam.im * s, p)
             coef = empirical._sj_coefs(np.array([p], float), L, sigma, cfg.test, 1)
             acc.append(float(coef[0]) * 4.0 * f * float(np.dot(fam.w0, sym)))
@@ -139,7 +139,7 @@ def _s_odd_ladder(cfg: DensityConfig) -> tuple[float, int]:
             sym = _legendre_ladder(fam.norm, p)
             coef = empirical._sj_coefs(np.array([p * p], float), L, sigma,
                                        cfg.test, 1)
-            acc.append(float(coef[0]) * 4.0 * zint._legendre(32, p)
+            acc.append(float(coef[0]) * 4.0 * int(_legendre_ladder(np.array([32]), p)[0])
                        * float(np.dot(fam.w0, sym)))
             n += 1
     return -2.0 / (L * fam.W) * math.fsum(acc), n
@@ -215,17 +215,23 @@ def test_s_odd_threads_bitwise_invariant(weight):
 
 _BLAS_CASE = """
 from quadhecke.empirical import DensityConfig, one_level_density, s_odd
+from quadhecke.expansion import J_X, c_w_coefficients, d_coefficients
 from quadhecke.transforms import make_fejer, make_gaussian_weight
 w = make_gaussian_weight()
 print(repr(one_level_density(DensityConfig(8000.0, make_fejer(0.5), w))))
 print(repr(s_odd(DensityConfig(1500.0, make_fejer(1.9), w))))
+print(repr(c_w_coefficients(2)))
+print(repr(J_X(2000.0, make_fejer(1.5))))
+print(repr(d_coefficients(2, route="sieve")))
 """
 
 
 def test_blas_threads_bitwise_invariant():
-    # the family sums over 11117 members (X = 8000) and the member side over
-    # 20k big primes (X = 1500, sigma = 1.9) are long enough for a threaded
-    # BLAS dot to split them; the density must not see the BLAS thread count
+    # the family sums over 11117 members (X = 8000), the member side over
+    # 20k big primes (X = 1500, sigma = 1.9), the kernel lattice sums over
+    # up to 36841 terms and the sieve moment's 78k-term sum are long enough
+    # for a threaded BLAS dot to split them; no route may see the BLAS
+    # thread count
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for n in ("1", "2"):

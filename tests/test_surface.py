@@ -15,7 +15,6 @@ TEST_REFERENCES = {
     "s_total_family_outer": "test_prime_split_inert_decomposition",
     "A_alpha_diag": "test_A_alpha_diag_it_matches_scalar",
     "moebius": "test_mobius_by_norm_brute",
-    "is_primary": "test_primary_associate_closed_form",
     "primary_associate": "test_primes_above_matches_one_prime_form",
     "ratios_integrand": "test_integrand_is_the_profile_bracket",
 }

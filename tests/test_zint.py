@@ -1,5 +1,6 @@
 """Gaussian-integer layer: arithmetic, factorization, symbols, enumeration."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadhecke import zint
+from quadhecke.checks import _euler_symbol, _odd_elements
 from quadhecke.zint import GInt
 
 small_gint = st.builds(GInt, st.integers(-30, 30), st.integers(-30, 30))
@@ -24,6 +26,12 @@ def odd_gints(bound):
 
 def primary_gints(bound):
     return [z for z in odd_gints(bound) if zint.is_primary(z)]
+
+
+def _euler_criterion(r, p):
+    """(r/p) for an odd prime p as r^((p-1)/2) mod p, read as 0 or +-1."""
+    v = pow(r, (p - 1) // 2, p)
+    return -1 if v == p - 1 else v
 
 
 # --- arithmetic and primary form ---------------------------------------------------
@@ -100,14 +108,43 @@ def test_moebius_values():
 
 # --- residue symbols ----------------------------------------------------------------
 
-def test_symbol_methods_agree_spot():
-    mods = primary_gints(200)
-    for n in mods:
-        if n.is_unit():
-            continue
-        for a in odd_gints(60):
-            assert zint.quad_symbol(a, n, "fast") == \
-                zint.quad_symbol(a, n, "euler")
+def test_symbol_needs_no_factoring(monkeypatch):
+    # the Euler-criterion product over each factorization, taken before
+    # factor and prime_above are made to raise
+    elements = _odd_elements(40) + [GInt(2, 0), GInt(1, 1), GInt(6, 3), GInt(0, 0)]
+    moduli = [GInt(3, 0), GInt(15, 0), GInt(0, 3), GInt(3, 6),
+              GInt(-1, 2) * GInt(-1, 2), GInt(9, 18)]
+    want = {n: [_euler_symbol(a, zint.factor(n)[2]) for a in elements] for n in moduli}
+    gauss = [(r, n, _gauss_brute(r, n)) for r in (GInt(1, 0), GInt(2, 1))
+             for n in (GInt(-1, 2), GInt(3, 6))]
+
+    def refuse(*args):
+        raise AssertionError("the symbol must not factor")
+
+    monkeypatch.setattr(zint, "factor", refuse)
+    monkeypatch.setattr(zint, "prime_above", refuse)
+    for n in moduli:
+        assert [zint.quad_symbol(a, n) for a in elements] == want[n]
+    assert set(want[GInt(9, 18)]) == {-1, 0, 1}
+    for r, n, g in gauss:
+        assert abs(zint.gauss_sum(r, n) - g) < 1e-9
+
+
+def test_symbol_rejects_bad_modulus():
+    for n in (GInt(0, 0), GInt(0, -1), GInt(1, 1), GInt(2, 0), GInt(3, 1)):
+        with pytest.raises(ValueError, match="odd, nonzero, nonunit"):
+            zint.quad_symbol(GInt(1, 2), n)
+
+
+def _gauss_brute(r, n):
+    """g(r, n) over the classes gmod picks out, each symbol an Euler product."""
+    entries = zint.factor(n)[2]
+    nn = n.norm()
+    reps = {zint.gmod(GInt(x, y), n) for x in range(nn) for y in range(nn)}
+    assert len(reps) == nn
+    return sum(_euler_symbol(z, entries)
+               * cmath.exp(2j * math.pi * ((r * z * n.conj()).im % nn) / nn)
+               for z in reps)
 
 
 @given(small_gint, small_gint)
@@ -219,7 +256,7 @@ def test_legendre_table_matches_euler_criterion():
     for p in (3, 5, 7, 13, 17, 97, 1009):
         tab = zint.legendre_table(p)
         assert tab.dtype == np.int8 and tab.size == p
-        assert [int(v) for v in tab] == [zint._legendre(r, p) for r in range(p)]
+        assert [int(v) for v in tab] == [_euler_criterion(r, p) for r in range(p)]
 
 
 def test_smallest_prime_factors_against_factor_int():
@@ -281,7 +318,7 @@ def test_primes_above_matches_one_prime_form():
             assert zint.primary_associate(u * GInt(a, b))[1] == GInt(a, b)
     # the twist symbols of s_odd, by the same Euler criterion
     assert zint.legendre_symbols(1 + s, ps).tolist() == [
-        zint._legendre(1 + t, p) for t, p in zip(s.tolist(), ps.tolist())]
+        _euler_criterion(1 + t, p) for t, p in zip(s.tolist(), ps.tolist())]
     # products must fit in int64
     for p in (2 ** 31 + 1, 2 ** 31 + 9):
         with pytest.raises(ValueError, match="2\\^31"):
