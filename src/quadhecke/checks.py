@@ -226,6 +226,19 @@ def _poisson_twisted():
     return abs(lhs - rhs), 1e-6
 
 
+def poisson_plain(xs=(3.7, 12.0)):
+    """The plain lattice Poisson identity, |lhs - rhs| / max(1, |lhs|)."""
+    gaps = [abs(lhs - rhs) / max(1.0, abs(lhs))
+            for lhs, rhs in (poisson_pair(make_gaussian_weight(), x) for x in xs)]
+    return max(gaps), 1e-10
+
+
+def mellin_identity(zs):
+    """The largest Mellin identity residual over the points zs; it carries the
+    cubic-table error, and a structural failure would be O(1)."""
+    return max(mellin_identity_check(make_gaussian_weight(), z) for z in zs), 1e-7
+
+
 CHECKS = (
     ("zetaK_at_0", "quick", lambda: (complex(zeta_K(0.0)).real + 0.25, 1e-8)),
     ("zetaK_pole_residue", "quick",
@@ -241,10 +254,8 @@ CHECKS = (
      lambda: (2.0 * math.log(4.0) + math.log(math.pi ** 2 / 32.0)
               - (4.0 / 3.0) * math.log(2.0)
               - math.log(math.pi ** 2 / 2 ** (7.0 / 3.0)), 1e-12)),
-    ("mellin_identity_half", "quick",
-     lambda: (mellin_identity_check(make_gaussian_weight(), 0.5 + 0.0j), 1e-7)),
-    ("mellin_identity_half_i", "quick",
-     lambda: (mellin_identity_check(make_gaussian_weight(), 0.5 + 1.0j), 1e-7)),
+    ("mellin_identity_half", "quick", partial(mellin_identity, (0.5 + 0.0j,))),
+    ("mellin_identity_half_i", "quick", partial(mellin_identity, (0.5 + 1.0j,))),
     ("w_tilde_at_0", "quick",
      lambda: (float(make_gaussian_weight().w_tilde(0.0))
               - math.pi / 2.0 * make_gaussian_weight().w_hat0, 1e-8)),
@@ -287,6 +298,8 @@ CHECKS = (
          _odd_elements(60))),
     ("gauss_sum_80", "exhaustive",
      partial(gauss_sum, 80, ((1, 0), (2, 1), (0, 3), (-1, 2)))),
+    ("mellin_identity_spread", "exhaustive", partial(mellin_identity, (1.5, 0.25 + 0.7j))),
+    ("poisson_plain", "exhaustive", poisson_plain),
     ("a_diag_unity_off_axis", "exhaustive",
      lambda: (a_diag_unity((0.5j, -0.2 + 0.2j)), 1e-8)),
     ("a_closed_vs_euler_spread", "exhaustive",

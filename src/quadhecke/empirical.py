@@ -356,38 +356,6 @@ def s_even_main_form(cfg: DensityConfig) -> float:
     return -2.0 * math.fsum(coefs / (1.0 + 1.0 / norms)) / cfg.L
 
 
-def s_j_sum(c: zint.GInt, j: int, cfg: DensityConfig) -> float:
-    """S_j for one character, by direct symbol evaluation (oracle-grade)."""
-    L, sigma = cfg.L, cfg.test.sigma
-    bound = int(cfg.prime_cutoff ** (1.0 / j))
-    tw = zint.FAMILY_TWIST * c
-    total = 0.0
-    for pp in zint.primary_primes_up_to(bound) if bound >= 5 else []:
-        n = pp.norm
-        u = j * math.log(n) / L
-        if u >= sigma:
-            continue
-        chi = zint.quad_symbol(tw, pp.value) ** j
-        if chi:
-            total += math.log(n) / n ** (0.5 * j) * chi * float(cfg.test.phi_hat(u))
-    return total
-
-
-def s_total_family_outer(cfg: DensityConfig) -> float:
-    """-(2/LW) sum_c w sum_j S_j by the naive loop order; small X only."""
-    fam = _family(cfg)
-    jmax = int(math.log(cfg.prime_cutoff) / math.log(5.0)) + 1
-    acc = []
-    for re, im, w0 in zip(fam.re, fam.im, fam.w0):
-        c0 = zint.GInt(int(re), int(im))
-        for unit in zint.UNITS:
-            s = 0.0
-            for j in range(1, jmax + 1):
-                s += s_j_sum(c0 * unit, j, cfg)
-            acc.append(w0 * s)
-    return -2.0 / (cfg.L * fam.W) * math.fsum(acc)
-
-
 # --- assembly ---------------------------------------------------------------------
 
 def one_level_density(cfg: DensityConfig) -> DensityReport:
@@ -425,25 +393,24 @@ def poisson_pair(w: WeightFunction, X: float, n: zint.GInt | None = None):
         rhs = X * float(np.dot(kc, w.w_tilde(np.sqrt(np.arange(kmax + 1) * X))))
         return lhs, rhs
     nn = n.norm()
-    cut = int(4.0 * X) + 2
-    m = math.isqrt(cut)
-    lhs = 0.0
-    for a in range(-m - 1, m + 2):
-        for b in range(-m - 1, m + 2):
-            nm = a * a + b * b
-            if 0 < nm <= cut:
-                chi = zint.quad_symbol(zint.GInt(a, b), n)
-                if chi:
-                    lhs += chi * float(w.w(nm / X))
-    kmax = int(90.0 * nn / X) + 1
-    km = math.isqrt(kmax)
-    rhs = 0.0 + 0.0j
-    for a in range(-km - 1, km + 2):
-        for b in range(-km - 1, km + 2):
-            nm = a * a + b * b
-            if nm <= kmax:
-                gs = zint.gauss_sum(zint.GInt(a, b), n)
-                if gs != 0:
-                    rhs += gs * float(w.w_tilde(math.sqrt(nm * X / nn)))
-    rhs *= X / nn
+    # (0/n) = 0, so m = 0 adds nothing on the left
+    a, b, nm = _disc(int(4.0 * X) + 2)
+    chi = np.array([zint.quad_symbol(zint.GInt(x, y), n)
+                    for x, y in zip(a.tolist(), b.tolist())], dtype=float)
+    lhs = dot(chi, w.w(nm / X))
+    a, b, nm = _disc(int(90.0 * nn / X) + 1)
+    gs = np.array([zint.gauss_sum(zint.GInt(x, y), n)
+                   for x, y in zip(a.tolist(), b.tolist())])
+    rhs = X / nn * complex(np.sum(gs * w.w_tilde(np.sqrt(nm * X / nn))))
     return lhs, rhs
+
+
+def _disc(bound: int):
+    """(Re k, Im k, N(k)) as arrays over the k in Z[i] with N(k) <= bound,
+    in lexicographic order."""
+    m = math.isqrt(bound)
+    a, b = (v.ravel() for v in np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1),
+                                            indexing="ij"))
+    nm = a * a + b * b
+    keep = nm <= bound
+    return a[keep], b[keep], nm[keep]

@@ -169,21 +169,20 @@ def _laurent_data(ctx: ZetaKContext) -> _LaurentData:
 
 # --- the bracket on the axis -------------------------------------------------------
 
-def _bracket_parts(t: np.ndarray, ctx: ZetaKContext, sums=None):
+def _bracket_parts(t: np.ndarray, ctx: ZetaKContext, sums):
     """Conductor-independent bracket data at nodes t > 0:
     (Re combined(it), 2 Re psi(1/2+it), Psi(it)), where the dual term is
     Psi(it) exp(-it mu(N)).  Below eps0 both singular pieces come from the
-    matched origin series.  sums(mu, w), when given, returns
-    sum_n w_n exp(-i t mu_n) at every node (the profile's NUFFT); the
-    Hurwitz heads and prime sums take it at the nodes past eps0, and by
-    default they are outer products there."""
+    matched origin series.  sums(mu, w) returns sum_n w_n exp(-i t mu_n) at
+    every node (the profile's NUFFT); the Hurwitz heads and prime sums take
+    it at the nodes past eps0."""
     small = t < _EPS0
     big = ~small
     rc = np.empty(t.size)
     pv = np.empty(t.size, dtype=complex)
     if big.any():
         tb = t[big]
-        sums_big = None if sums is None else (lambda mu, w: sums(mu, w)[big])
+        sums_big = lambda mu, w: sums(mu, w)[big]
         z1, ld1, z2, ld2 = zeta_K_axis(tb, sums_big)
         rc[big] = (2.0 * ld1 + 2.0 * A_alpha_diag_it(tb, ld2, sums_big)).real
         g = np.exp(_loggamma(0.5 - 1j * tb) - _loggamma(0.5 + 1j * tb))
@@ -198,27 +197,6 @@ def _bracket_parts(t: np.ndarray, ctx: ZetaKContext, sums=None):
         z = 1j * ts
         pv[small] = 1.0 / z + dat.psi[0] + dat.psi[1] * z + dat.psi[2] * z * z
     return rc, 2.0 * digamma(0.5 + 1j * t).real, pv
-
-
-def ratios_integrand(t: float, norm_c: int, test: TestFunction, L: float,
-                     ctx: ZetaKContext | None = None) -> float:
-    """Bracket at r = it, real part, times phi(tL/2pi).
-
-    Only the real part enters: the bracket satisfies conj(B(t)) = B(-t), so
-    the imaginary part is odd and drops from the even integral.  The value
-    is the profile's per-node bracket at |t|; at t = 0 the pole of Psi(it)
-    is odd, and Re[Psi(it) exp(-it mu)] tends to psi_0 - mu.
-    """
-    ctx = ctx or default_context()
-    t = abs(float(t))
-    mu = _mu_of(norm_c)
-    if t == 0.0:
-        dat = _laurent_data(ctx)
-        bracket = dat.c[0] + dat.psi[0] + 2.0 * _PSI_HALF
-    else:
-        (rc,), (two_psi,), (pv,) = _bracket_parts(np.array([t]), ctx)
-        bracket = rc + (pv * cmath.exp(-1j * t * mu)).real + mu + two_psi
-    return bracket * float(test.phi(t * L / (2.0 * math.pi)))
 
 
 @lru_cache(maxsize=8)

@@ -4,9 +4,9 @@ zeta_K(s) = zeta(s) L(s, chi_-4) with L(s, chi_-4) = 4^-s (zeta(s,1/4) -
 zeta(s,3/4)); both factors come from one Euler-Maclaurin Hurwitz-zeta core
 whose shift grows with |Im s|.  Along the lines 1+2it and 2+2it the core's
 head sums are phase sums sum w exp(-it mu), one four-column sum per Hurwitz
-parameter (zeta_K_axis), and so are the prime sums of A_alpha(it, it):
-outer products pointwise, or the NUFFT _numerics.phase_sum on the ratios
-panel grid.
+parameter (zeta_K_axis), and so are the prime sums of A_alpha(it, it);
+the caller supplies the phase sum, in the ratios route the NUFFT
+_numerics.phase_sum on its panel grid.
 
 gamma_K = gamma pi/4 + L'(1, chi_-4), the L'-value summed as an accelerated
 alternating series.  Euler products A(alpha, beta) and the diagonal
@@ -136,12 +136,6 @@ def zeta_K_log_deriv(s):
     return dz / z + dl4 / l4
 
 
-def _outer_phase_sum(t):
-    """sum_n w_n exp(-i t mu_n) at every t, for a weight vector or an (n, c)
-    matrix, by the outer product: the pointwise route of the axis sums."""
-    return lambda mu, w: np.exp(-1j * np.multiply.outer(t, mu)) @ w
-
-
 def _hurwitz_axis(s1, K: int, a: float, sums):
     """zeta(s, a) and d/ds zeta(s, a) at s1 = 1+2it and at s1 + 1.  The head
     sums over n < K are one phase sum with sources mu = 2 log(n+a) and the
@@ -155,23 +149,22 @@ def _hurwitz_axis(s1, K: int, a: float, sums):
     return head[:, 0] + v1, d1 - head[:, 1], head[:, 2] + v2, d2 - head[:, 3]
 
 
-def zeta_K_axis(t, sums=None):
+def zeta_K_axis(t, sums):
     """zeta_K and zeta_K'/zeta_K at 1+2it and at 2+2it for a real array t.
 
     Returns (zeta_K(1+2it), log-derivative there, zeta_K(2+2it), log
     derivative there); the values at 1-2it and 2-2it are their complex
     conjugates.  Both lines share Im s = 2t and so one Euler-Maclaurin
     shift K, and per Hurwitz parameter a the heads of both lines are one
-    four-column phase sum (_hurwitz_axis).  sums(mu, w), when given,
-    returns sum_n w_n exp(-i t mu_n) at every t (the axis profile's NUFFT
-    on its panel grid); by default it is the outer product.
+    four-column phase sum (_hurwitz_axis).  sums(mu, w) returns
+    sum_n w_n exp(-i t mu_n) at every t, for a weight vector or an (n, c)
+    matrix (the axis profile's NUFFT on its panel grid).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     s1 = 1.0 + 2j * t
     if np.any(np.abs(s1 - 1.0) < _POLE_GUARD):
         raise ValueError("zeta_K_axis within pole guard of s = 1")
     K = _em_shift(s1)
-    sums = sums or _outer_phase_sum(t)
     parts = [_hurwitz_axis(s1, K, a, sums) for a in (1.0, 0.25, 0.75)]
     out = []
     for k, s in ((0, s1), (2, s1 + 1.0)):
@@ -259,27 +252,6 @@ def A_alpha_series(r):
     return math.log(2.0) / (2.0 ** (1.0 + 2.0 * r) - 1.0) + complex(np.sum(terms)) + tail
 
 
-def A_alpha_diag(r) -> complex:
-    """d/d alpha A(alpha, beta) at alpha = beta = r, two ways.
-
-    (a) complex-step (real r) or central difference of A_euler in alpha;
-    (b) the prime-sum identity through zeta_K'/zeta_K(1+2r).
-    Disagreement beyond 1e-4 raises ArithmeticError.
-    """
-    r = complex(r)
-    series = A_alpha_series(r)
-    if r.imag == 0.0:
-        h = 1e-20
-        d = A_euler(r + 1j * h, r).imag / h
-    else:
-        h = 1e-5
-        d = (A_euler(r + h, r) - A_euler(r - h, r)) / (2 * h)
-    if abs(d - series) > 1e-4:
-        raise ArithmeticError(
-            f"A_alpha methods disagree at r={r}: {d} vs {series}")
-    return complex(series)
-
-
 _PP_CUT = 1000
 _AIT_CUT = 10 ** 4
 _AIT_TERM_CUT = 1e-18  # each source series stops below this share of its largest term
@@ -318,7 +290,7 @@ def _a_alpha_phases():
     return read_only(*(np.concatenate(col) for col in zip(*parts)))
 
 
-def A_alpha_diag_it(t, log_deriv_2=None, sums=None):
+def A_alpha_diag_it(t, log_deriv_2, sums):
     """A_alpha(it, it) vectorized along real t for oscillatory integrals.
 
     A_alpha(r, r) = log2/(2^z - 1) + sum w_N N^-z/(1 - N^-z), z = 1+2r,
@@ -326,22 +298,14 @@ def A_alpha_diag_it(t, log_deriv_2=None, sums=None):
     remaining tail's leading part sum log N N^(-z-1) is restored exactly as
     the odd prime part of -zeta_K'/zeta_K(z+1) less its prime powers k >= 2
     (those to N <= 1000), leaving ~1e-8 absolute error.  The three prime
-    sums are one phase sum over _a_alpha_phases; sums(mu, w), when given,
-    returns sum_n w_n exp(-i t mu_n) at every t, and by default it is the
-    outer product.  log_deriv_2, when given, supplies
-    zeta_K'/zeta_K(2+2it) for every t.
+    sums are one phase sum over _a_alpha_phases; sums(mu, w) returns
+    sum_n w_n exp(-i t mu_n) at every t, and log_deriv_2 is
+    zeta_K'/zeta_K(2+2it) at every t (both from zeta_K_axis's caller).
     """
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    z = 1.0 + 2j * t
-    if log_deriv_2 is None:
-        log_deriv_2 = zeta_K_log_deriv(z + 1.0)
-    sums = sums or _outer_phase_sum(t)
+    z = 1.0 + 2j * np.asarray(t, dtype=float)
     lg2 = math.log(2.0)
-    out = (lg2 / (np.exp(z * lg2) - 1.0) - lg2 / (np.exp((z + 1.0) * lg2) - 1.0)
-           - log_deriv_2 + sums(*_a_alpha_phases()))
-    return complex(out[0]) if scalar else out
+    return (lg2 / (np.exp(z * lg2) - 1.0) - lg2 / (np.exp((z + 1.0) * lg2) - 1.0)
+            - log_deriv_2 + sums(*_a_alpha_phases()))
 
 
 # --- context ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Arithmetic in Z[i]: primary associates, factorization, residue symbols,
+"""Arithmetic in Z[i]: primary primes, factorization, residue symbols,
 Gauss sums, and enumeration of the quadratic-twist family.
 
 Conventions.  An element is odd when its norm is odd.  An odd z is primary
@@ -9,10 +9,11 @@ primary associate -p, and 2 = -i (1+i)^2 ramifies.
 
 primes_above(P) is the one place split primes are made: for an array of
 p = 1 mod 4 it returns the primary primes above them with their i-images s
-(i -> s in Z[i]/(varpi) = F_p), all p at once; prime_above(p) is its
-one-prime form, and PrimaryPrime.conj() gives the conjugate prime with
-i -> p - s.  Norms are factored by trial division, so factor() takes norms
-below 2^31.
+(i -> s in Z[i]/(varpi) = F_p; the conjugate prime has i -> p - s), all p
+at once.  prime_above(p) is its one-prime form and returns the prime as a
+PrimaryPrime (value, norm), without s; PrimaryPrime.conj() gives the
+conjugate prime.  Norms are factored by trial division, so factor() takes
+norms below 2^31.
 
 The family of characters is chi_{i(1+i)^5 c}(n) = (i(1+i)^5 c / n) with c odd
 squarefree; all four associates of c are distinct family members.  The
@@ -76,30 +77,13 @@ class GInt:
 
 ONE = GInt(1, 0)
 I = GInt(0, 1)
-UNITS = (GInt(1, 0), GInt(0, 1), GInt(-1, 0), GInt(0, -1))
 ONE_PLUS_I = GInt(1, 1)
 # i(1+i)^5 = 4 - 4i, the fixed even part of every family discriminant
 FAMILY_TWIST = GInt(4, -4)
 
-_UNIT_INV = {GInt(1, 0): GInt(1, 0), GInt(0, 1): GInt(0, -1),
-             GInt(-1, 0): GInt(-1, 0), GInt(0, -1): GInt(0, 1)}
-
 
 def is_primary(z: GInt) -> bool:
     return z.re % 2 == 1 and z.im % 2 == 0 and (z.re + z.im) % 4 == 1
-
-
-def primary_associate(z: GInt) -> tuple[GInt, GInt]:
-    """Unique (u, p) with z = u*p, u a unit, p primary.  Requires z odd."""
-    if not z.is_odd():
-        raise ValueError(f"{z!r} is not odd")
-    # u z is primary when its real part is odd and re + im = 1 mod 4:
-    # u = +-1 keeps an odd real part, u = +-i (i z = -im + i re) swaps it in
-    if z.re % 2:
-        u = ONE if (z.re + z.im) % 4 == 1 else -ONE
-    else:
-        u = I if (z.re - z.im) % 4 == 1 else -I
-    return _UNIT_INV[u], u * z
 
 
 def exact_div(z: GInt, w: GInt) -> GInt:
@@ -140,22 +124,19 @@ def powmod(a: GInt, e: int, w: GInt) -> GInt:
 class PrimaryPrime:
     value: GInt
     norm: int
-    kind: str  # "split" or "inert"
-    i_image: int | None = None  # split: s with i -> s, Re + Im s = 0 mod p
 
     def conj(self) -> "PrimaryPrime":
-        """The conjugate split prime, at which i -> p - s."""
-        return PrimaryPrime(self.value.conj(), self.norm, "split",
-                            self.norm - self.i_image)
+        """The conjugate prime."""
+        return PrimaryPrime(self.value.conj(), self.norm)
 
 
 def prime_above(p: int) -> PrimaryPrime:
-    """The primary prime above a rational prime p = 1 mod 4, with its
-    i-image; the one-prime form of primes_above."""
+    """The primary prime above a rational prime p = 1 mod 4; the one-prime
+    form of primes_above."""
     if p >= _NORM_CAP:      # before it meets int64
         raise ValueError(f"{p} is not below 2^31")
-    (s,), (a,), (b,) = primes_above(np.array([p], dtype=np.int64))
-    return PrimaryPrime(GInt(int(a), int(b)), p, "split", int(s))
+    _, (a,), (b,) = primes_above(np.array([p], dtype=np.int64))
+    return PrimaryPrime(GInt(int(a), int(b)), p)
 
 
 def primes_above(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -313,7 +294,7 @@ def factor(z: GInt) -> tuple[GInt, int, list[tuple[PrimaryPrime, int]]]:
                 raise AssertionError(f"inert exponent mismatch at {p}")
             if e % 2 == 1:
                 unit = -unit  # p = (-1) * (-p)
-            entries.append((PrimaryPrime(GInt(-p, 0), p * p, "inert"), e))
+            entries.append((PrimaryPrime(GInt(-p, 0), p * p), e))
         else:
             pp = prime_above(p)
             for cand in (pp, pp.conj()):
@@ -328,15 +309,6 @@ def factor(z: GInt) -> tuple[GInt, int, list[tuple[PrimaryPrime, int]]]:
     unit = unit * work
     entries.sort(key=lambda t: (t[0].norm, t[0].value.re, t[0].value.im))
     return unit, e2, entries
-
-
-def moebius(z: GInt) -> int:
-    if z.is_zero():
-        raise ValueError("moebius(0) undefined")
-    _, e2, entries = factor(z)
-    if e2 >= 2 or any(e >= 2 for _, e in entries):
-        return 0
-    return -1 if (e2 + len(entries)) % 2 else 1
 
 
 # --- residue symbols ----------------------------------------------------------
@@ -441,14 +413,15 @@ def primary_primes_up_to(bound: int) -> list[PrimaryPrime]:
     out: list[PrimaryPrime] = []
     ps = _sieve(int(bound))
     ps = ps[ps % 4 == 1]
-    for p, s, a, b in zip(*(v.tolist() for v in (ps, *primes_above(ps)))):
-        pp = PrimaryPrime(GInt(a, b), p, "split", s)
+    _, re, im = primes_above(ps)
+    for p, a, b in zip(ps.tolist(), re.tolist(), im.tolist()):
+        pp = PrimaryPrime(GInt(a, b), p)
         out += (pp, pp.conj())
     qmax = math.isqrt(int(bound))
     for q in _sieve(qmax):
         q = int(q)
         if q % 4 == 3:
-            out.append(PrimaryPrime(GInt(-q, 0), q * q, "inert"))
+            out.append(PrimaryPrime(GInt(-q, 0), q * q))
     out.sort(key=lambda pp: (pp.norm, pp.value.re, pp.value.im))
     return out
 

@@ -20,6 +20,8 @@ from quadhecke.ratios import ratios_first_order
 from quadhecke.specfun import hurwitz
 from quadhecke.zint import GInt, I, PrimaryPrime
 
+from oracles import i_images
+
 X_GRID = (500.0, 2000.0, 8000.0)
 
 
@@ -78,10 +80,11 @@ def test_symbol_routes_agree_exhaustively():
     ax, ay = _odd_grid(10 ** 3)
     norms = ax * ax + ay * ay
     primes = zint.primary_primes_up_to(10 ** 4)
+    images = i_images(primes)
     for k, pp in enumerate(primes):
-        if pp.kind == "split":
+        if pp.value in images:
             p = pp.norm
-            s = pp.i_image
+            s = images[pp.value]
             fast = _legendre_vec((ax + ay * s) % p, p)
             # generic criterion: power the pair in Z[i]/(p), read off mod varpi
             ru, rv = _pair_pow_vec(ax, ay, (p - 1) // 2, p)
@@ -107,9 +110,9 @@ def test_symbol_routes_agree_exhaustively():
     # small moduli: the symbol is literally the square-set indicator
     for pp in zint.primary_primes_up_to(200):
         xs, ys = _residue_reps(pp)
-        if pp.kind == "split":
+        if pp.value in images:
             p = pp.norm
-            s = pp.i_image
+            s = images[pp.value]
             img = (xs + ys * s) % p
             squares = set(int(t) * int(t) % p for t in range(1, p))
             for x, y, m in zip(xs, ys, img):

@@ -15,6 +15,8 @@ from quadhecke.empirical import DensityConfig, one_level_density
 from quadhecke.transforms import make_bump, make_fejer, make_gaussian_weight
 from quadhecke.zint import GInt
 
+from oracles import s_total_family_outer
+
 
 def test_config_validation():
     w = make_gaussian_weight()
@@ -92,7 +94,7 @@ def test_prime_split_inert_decomposition(weight):
     cfg = DensityConfig(30.0, make_fejer(1.5), weight)
     so, n_odd = empirical.s_odd(cfg)
     se, n_even = empirical.s_even(cfg)
-    outer = empirical.s_total_family_outer(cfg)
+    outer = s_total_family_outer(cfg)
     assert abs(outer - (so + se)) < 1e-12
     assert n_odd > 0
 
@@ -128,7 +130,7 @@ def _s_odd_ladder(cfg: DensityConfig) -> tuple[float, int]:
     n = 0
     for p in zint._sieve(cut).tolist():
         if p % 8 == 1:
-            s = zint.prime_above(p).i_image
+            (s,), _, _ = zint.primes_above(np.array([p]))
             # both twist symbols, not s_odd's 2 ((1 + s)/p)
             f = int(_legendre_ladder(np.array([1 - s, 1 + s]), p).sum())
             sym = _legendre_ladder(fam.re + fam.im * s, p)
@@ -264,12 +266,6 @@ def test_report_total_is_sum_of_parts(weight):
     assert d["X"] == 90.0 and d["sigma"] == 1.2
     assert d["family_size"] == rep.family_size
     assert "elapsed_s" not in d
-
-
-def test_poisson_pair_plain(weight):
-    for X in (3.7, 12.0):
-        lhs, rhs = empirical.poisson_pair(weight, X)
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
 def test_poisson_pair_twisted(weight):

@@ -13,6 +13,8 @@ from quadhecke._numerics import cauchy_derivs, panel_layout, panel_nodes
 from quadhecke.specfun import zeta_K_log_deriv
 from quadhecke.transforms import make_bump, make_fejer
 
+from oracles import moebius
+
 # reference values for the gaussian weight at M = 2, analytic route,
 # cutoff 1e6; reproduced by this code and cross-checked against the
 # Laurent data of the ratios integrand (d_1 equals its constant term)
@@ -45,7 +47,7 @@ def _sf_elements():
     """norm and mu / norm of the primary squarefree elements up to
     _SF_BOUND, each mu from a factorization."""
     re, im, norm = zint.primary_squarefree_arrays(_SF_BOUND)
-    mu = np.array([zint.moebius(zint.GInt(a, b))
+    mu = np.array([moebius(zint.GInt(a, b))
                    for a, b in zip(re.tolist(), im.tolist())])
     return norm.astype(float), mu / norm
 

@@ -12,6 +12,8 @@ from quadhecke.empirical import DensityConfig, s_even_main_form
 from quadhecke.specfun import digamma
 from quadhecke.transforms import make_fejer
 
+from oracles import outer_phase_sum, ratios_integrand
+
 # Laurent data at the origin, frozen from the Cauchy-ring extraction
 C_REF = (3.5316381558144503, -8.202869671680508, 17.71925641477332)
 PSI_REF = (0.3953818944852615, -3.8954522540644145, -1.2985190825256343)
@@ -115,12 +117,12 @@ def test_symplectic_vanishing_at_zero(ctx):
 def test_integrand_even_and_seam(fejer15, ctx):
     L = math.log(2000.0)
     for t in (0.3, 2.0):
-        a = ratios.ratios_integrand(t, 5, fejer15, L, ctx)
-        b = ratios.ratios_integrand(-t, 5, fejer15, L, ctx)
+        a = ratios_integrand(t, 5, fejer15, L, ctx)
+        b = ratios_integrand(-t, 5, fejer15, L, ctx)
         assert a == b
     # continuity across the laurent switch at eps0
-    lo = ratios.ratios_integrand(ratios._EPS0 * (1 - 1e-6), 5, fejer15, L, ctx)
-    hi = ratios.ratios_integrand(ratios._EPS0 * (1 + 1e-6), 5, fejer15, L, ctx)
+    lo = ratios_integrand(ratios._EPS0 * (1 - 1e-6), 5, fejer15, L, ctx)
+    hi = ratios_integrand(ratios._EPS0 * (1 + 1e-6), 5, fejer15, L, ctx)
     assert abs(lo - hi) < 1e-6
 
 
@@ -128,14 +130,14 @@ def test_integrand_at_zero_is_tiny(fejer15, ctx):
     # the symplectic zero: the bracket vanishes at t = 0 for every conductor
     L = math.log(500.0)
     for n in (5, 1234567):
-        assert abs(ratios.ratios_integrand(0.0, n, fejer15, L, ctx)) < 1e-6
+        assert abs(ratios_integrand(0.0, n, fejer15, L, ctx)) < 1e-6
 
 
 def test_integrand_magnitude_profile(fejer15, ctx):
     # bracket grows like 2 log t from the digamma pair; phi supplies decay
     L = math.log(500.0)
     for t in (0.5, 5.0, 50.0, 300.0):
-        val = ratios.ratios_integrand(t, 5, fejer15, L, ctx)
+        val = ratios_integrand(t, 5, fejer15, L, ctx)
         phi = fejer15.phi(t * L / (2.0 * math.pi))
         assert abs(val) <= 40.0 * (1.0 + math.log(2.0 + t)) * abs(phi) + 1e-15
 
@@ -171,7 +173,7 @@ def test_axis_profile_matches_pointwise(ctx, T):
     nodes, _, re_comb, _, psi_big = ratios._axis_profile(T, 0.25, ctx)
     m = nodes.size // 12
     idx = np.r_[0:12, 12 * (m // 2) - 2:12 * (m // 2) + 2, 12 * m - 14:12 * m]
-    rc, _, pv = ratios._bracket_parts(nodes[idx], ctx)
+    rc, _, pv = ratios._bracket_parts(nodes[idx], ctx, outer_phase_sum(nodes[idx]))
     assert np.max(np.abs(re_comb[idx] - rc)) < 5e-11
     assert np.max(np.abs(psi_big[idx] - pv) / np.abs(pv)) < 5e-12
     # Psi(it) is the dual term without its conductor phase
@@ -323,16 +325,16 @@ def test_integrand_is_the_profile_bracket(fejer15, ctx):
     nodes = profile[0]
     assert nodes.min() < ratios._EPS0 < nodes.max()
     phi = fejer15.phi(nodes * L / (2.0 * math.pi))
-    got = np.array([ratios.ratios_integrand(t, norm_c, fejer15, L, ctx) for t in nodes])
-    for (re_comb, two_psi, psi_big), tol in ((profile[2:], 5e-11),
-                                             (ratios._bracket_parts(nodes, ctx), 1e-12)):
+    got = np.array([ratios_integrand(t, norm_c, fejer15, L, ctx) for t in nodes])
+    pointwise = ratios._bracket_parts(nodes, ctx, outer_phase_sum(nodes))
+    for (re_comb, two_psi, psi_big), tol in ((profile[2:], 5e-11), (pointwise, 1e-12)):
         want = (re_comb + (psi_big * np.exp(-1j * nodes * mu)).real + mu + two_psi) * phi
         assert np.max(np.abs(got - want)) < tol
     # t = 0: the pole of Psi(it) is odd, Re[Psi(it) exp(-it mu)] -> psi_0 - mu
     dat = ratios._laurent_data(ctx)
     want0 = (dat.c[0] + dat.psi[0] + 2.0 * complex(digamma(0.5)).real) \
         * float(fejer15.phi(0.0))
-    assert abs(ratios.ratios_integrand(0.0, norm_c, fejer15, L, ctx) - want0) < 1e-14
+    assert abs(ratios_integrand(0.0, norm_c, fejer15, L, ctx) - want0) < 1e-14
 
 
 def test_norm_grouping_invariant(weight, ctx):

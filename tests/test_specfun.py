@@ -10,6 +10,8 @@ import pytest
 from quadhecke import checks, specfun
 from quadhecke.specfun import EULER_GAMMA, default_context
 
+from oracles import A_alpha_diag, outer_phase_sum
+
 mp.mp.dps = 30
 
 
@@ -49,7 +51,7 @@ def test_zeta_K_with_log_deriv_consistent():
     # one four-column phase sum per Hurwitz parameter for both lines, and
     # Schwarz reflection for 1-2it and 2-2it, against the pointwise routines
     t = np.concatenate([[1e-3, 0.01, 0.3, 1.7], np.linspace(2.0, 600.0, 31)])
-    z1, ld1, z2, ld2 = specfun.zeta_K_axis(t)
+    z1, ld1, z2, ld2 = specfun.zeta_K_axis(t, outer_phase_sum(t))
     for sigma, z, ld in ((1.0, z1, ld1), (2.0, z2, ld2)):
         for sign, zs, lds in ((1.0, z, ld), (-1.0, np.conj(z), np.conj(ld))):
             for ti, zi, li in zip(t, zs, lds):
@@ -62,7 +64,8 @@ def test_zeta_K_with_log_deriv_consistent():
 
 def test_zeta_K_axis_vs_mpmath():
     for ti in (0.05, 3.0, 41.0):
-        z1, ld1, z2, ld2 = (complex(v[0]) for v in specfun.zeta_K_axis([ti]))
+        axis = specfun.zeta_K_axis([ti], outer_phase_sum([ti]))
+        z1, ld1, z2, ld2 = (complex(v[0]) for v in axis)
         for s, z, ld in ((1 + 2j * ti, z1, ld1), (2 + 2j * ti, z2, ld2)):
             want = complex(_zeta_k_mp(s))
             assert abs(z - want) < 1e-12 * abs(want)
@@ -74,8 +77,8 @@ def test_zeta_K_axis_pole_guard():
     # s = 1 + 2it sits within the guard for |t| < _POLE_GUARD / 2
     for t in ([0.0], [3.0, 2e-5], [-1e-5]):
         with pytest.raises(ValueError):
-            specfun.zeta_K_axis(np.array(t))
-    specfun.zeta_K_axis(np.array([1e-4]))
+            specfun.zeta_K_axis(np.array(t), outer_phase_sum(np.array(t)))
+    specfun.zeta_K_axis(np.array([1e-4]), outer_phase_sum(np.array([1e-4])))
 
 
 @pytest.mark.parametrize("s", [0.5, 2.0, 0.5 + 3.0j, -1.3, 0.25 - 0.4j])
@@ -135,7 +138,7 @@ def test_A_alpha_series_matches_diag():
     # A(r, r) = 1 and the closed form of A(-r, r) are the battery entries
     # a_diag_unity* and a_closed_vs_euler*
     for r in (0.02, 0.15j, -0.05 + 0.05j):
-        assert abs(specfun.A_alpha_series(r) - specfun.A_alpha_diag(r)) < 1e-7
+        assert abs(specfun.A_alpha_series(r) - A_alpha_diag(r)) < 1e-7
 
 
 def test_A_closed_vs_euler():
@@ -147,9 +150,10 @@ def test_A_closed_vs_euler():
 
 def test_A_alpha_diag_it_matches_scalar():
     t = np.array([0.0, 0.01, 0.3, 1.7, 25.0])
-    vec = specfun.A_alpha_diag_it(t)
+    vec = specfun.A_alpha_diag_it(t, specfun.zeta_K_log_deriv(2.0 + 2j * t),
+                                  outer_phase_sum(t))
     for ti, vi in zip(t, vec):
-        want = specfun.A_alpha_diag(1j * float(ti))
+        want = A_alpha_diag(1j * float(ti))
         assert abs(vi - want) < 1e-8
 
 
@@ -157,9 +161,10 @@ def test_supplied_zeta_values_match():
     # the axis profile hands in zeta_K values computed once per node
     ctx = default_context()
     t = np.array([0.002, 0.7, 13.0, 250.0])
-    z1, ld1, z2, ld2 = specfun.zeta_K_axis(t)
-    got = specfun.A_alpha_diag_it(t, ld2)
-    want = specfun.A_alpha_diag_it(t)
+    sums = outer_phase_sum(t)
+    z1, ld1, z2, ld2 = specfun.zeta_K_axis(t, sums)
+    got = specfun.A_alpha_diag_it(t, ld2, sums)
+    want = specfun.A_alpha_diag_it(t, specfun.zeta_K_log_deriv(2.0 + 2j * t), sums)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
     got = specfun.A_closed_mr(1j * t, ctx, np.conj(z2))
     want = specfun.A_closed_mr(1j * t, ctx)

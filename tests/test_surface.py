@@ -1,6 +1,7 @@
 """Every function, class and method in src/quadhecke has a caller in the
-package or in perfbench, or is a reference that a named test compares
-production code against.  Anything else is dead code."""
+package or in perfbench; anything else is dead code.  Test-only references
+live in tests/oracles.py, and each of its definitions has a caller in a
+test file."""
 
 import ast
 import importlib
@@ -10,20 +11,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "quadhecke"
 
-# name -> the test that compares production code against it
-TEST_REFERENCES = {
-    "s_total_family_outer": "test_prime_split_inert_decomposition",
-    "A_alpha_diag": "test_A_alpha_diag_it_matches_scalar",
-    "moebius": "test_mobius_by_norm_brute",
-    "primary_associate": "test_primes_above_matches_one_prime_form",
-    "ratios_integrand": "test_integrand_is_the_profile_bracket",
-}
 
-
-def _definitions() -> set[str]:
+def _definitions(paths) -> set[str]:
     """Module-level functions and classes, and their non-dunder methods."""
     out = set()
-    for path in SRC.glob("*.py"):
+    for path in paths:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 out.add(node.name)
@@ -49,26 +41,17 @@ def _uses(paths) -> set[str]:
     return out
 
 
-def _test_functions() -> set[str]:
-    return {node.name
-            for path in (ROOT / "tests").glob("test_*.py")
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
-
-
-def test_every_name_has_a_caller_or_a_reference():
+def test_every_name_has_a_caller():
     used = _uses([*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
-    dead = sorted(_definitions() - used - set(TEST_REFERENCES))
-    assert dead == [], f"no caller in src/ or perfbench/ and no reference test: {dead}"
+    dead = sorted(_definitions(SRC.glob("*.py")) - used)
+    assert dead == [], f"no caller in src/ or perfbench/: {dead}"
 
 
-def test_references_are_live():
-    # each entry names a defined reference without a production caller and a
-    # test that exists, so the mapping cannot go stale
-    used = _uses([*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
-    assert set(TEST_REFERENCES) <= _definitions()
-    assert not set(TEST_REFERENCES) & used
-    assert set(TEST_REFERENCES.values()) <= _test_functions()
+def test_every_oracle_has_a_caller():
+    oracles = ROOT / "tests" / "oracles.py"
+    used = _uses((ROOT / "tests").glob("test_*.py"))
+    dead = sorted(_definitions([oracles]) - used)
+    assert dead == [], f"no caller in a test file: {dead}"
 
 
 def test_perfbench_trace_targets_resolve():

@@ -15,7 +15,6 @@ from quadhecke.transforms import (
     make_bump,
     make_fejer,
     make_gaussian_weight,
-    mellin_identity_check,
     mellin_num,
     parse_test_function,
     parse_weight,
@@ -310,14 +309,6 @@ def test_cubic_table_matches_lagrange_form():
         assert tab(past[0]) == 0.0
     # the last term of a g1 lattice sum can land just past the table end
     assert w.g1(112.0003) == 0.0
-
-
-def test_mellin_identity_residual():
-    w = make_gaussian_weight()
-    # residual carries the cubic-table error; structural failure would be
-    # O(1).  z = 1/2 and 1/2 + i are the selftest mellin_identity rows.
-    for z in (1.5, 0.25 + 0.7j):
-        assert mellin_identity_check(w, z) < 1e-7
 
 
 # --- parsers -------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from quadhecke import zint
 from quadhecke.checks import _euler_symbol, _odd_elements
 from quadhecke.zint import GInt
 
+from oracles import UNITS, _UNIT_INV, i_images, moebius, primary_associate
+
 small_gint = st.builds(GInt, st.integers(-30, 30), st.integers(-30, 30))
 
 
@@ -52,7 +54,7 @@ def test_primary_congruence_brute():
     # primary means z = 1 mod (1+i)^3; exactly one associate of each odd z
     eight = zint.ONE_PLUS_I * zint.ONE_PLUS_I * zint.ONE_PLUS_I
     for z in odd_gints(80):
-        flags = [zint.is_primary(u * z) for u in zint.UNITS]
+        flags = [zint.is_primary(u * z) for u in UNITS]
         assert sum(flags) == 1
         if zint.is_primary(z):
             assert zint.divides(eight, z - zint.ONE)
@@ -60,7 +62,7 @@ def test_primary_congruence_brute():
 
 @given(small_gint.filter(lambda z: z.is_odd()))
 def test_primary_associate_roundtrip(z):
-    unit, prim = zint.primary_associate(z)
+    unit, prim = primary_associate(z)
     assert zint.is_primary(prim)
     assert unit * prim == z
 
@@ -72,10 +74,10 @@ def test_primary_associate_closed_form():
             z = GInt(a, b)
             if not z.is_odd():
                 with pytest.raises(ValueError):
-                    zint.primary_associate(z)
+                    primary_associate(z)
                 continue
-            (u,) = [u for u in zint.UNITS if zint.is_primary(u * z)]
-            assert zint.primary_associate(z) == (zint._UNIT_INV[u], u * z)
+            (u,) = [u for u in UNITS if zint.is_primary(u * z)]
+            assert primary_associate(z) == (_UNIT_INV[u], u * z)
 
 
 def test_gmod_exact_div():
@@ -99,11 +101,11 @@ def test_factor_reconstructs():
 
 
 def test_moebius_values():
-    assert zint.moebius(GInt(1, 0)) == 1
-    assert zint.moebius(GInt(-1, 2)) == -1          # prime, norm 5
-    assert zint.moebius(GInt(-1, 2) * GInt(-1, 2)) == 0
-    assert zint.moebius(GInt(-1, 2) * GInt(-1, -2)) == 1
-    assert zint.moebius(GInt(-3, 0)) == -1          # inert 3
+    assert moebius(GInt(1, 0)) == 1
+    assert moebius(GInt(-1, 2)) == -1          # prime, norm 5
+    assert moebius(GInt(-1, 2) * GInt(-1, 2)) == 0
+    assert moebius(GInt(-1, 2) * GInt(-1, -2)) == 1
+    assert moebius(GInt(-3, 0)) == -1          # inert 3
 
 
 # --- residue symbols ----------------------------------------------------------------
@@ -231,7 +233,7 @@ def test_mobius_by_norm_brute():
     bound = 5000
     want = np.zeros(bound + 1, dtype=np.int64)
     for z in primary_gints(bound):
-        want[z.norm()] += zint.moebius(z)
+        want[z.norm()] += moebius(z)
     got = zint.mobius_by_norm(bound)
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
@@ -266,10 +268,13 @@ def test_smallest_prime_factors_against_factor_int():
 
 
 def test_split_i_image():
-    for pp in zint.primary_primes_up_to(200):
-        if pp.kind != "split":
+    primes = zint.primary_primes_up_to(200)
+    images = i_images(primes)
+    assert len(images) == sum(math.isqrt(pp.norm) ** 2 != pp.norm for pp in primes)
+    for pp in primes:
+        if pp.value not in images:
             continue
-        s = pp.i_image
+        s = images[pp.value]
         assert (s * s + 1) % pp.norm == 0
         assert (pp.value.re + pp.value.im * s) % pp.norm == 0
 
@@ -278,8 +283,9 @@ def test_cornacchia_from_given_root():
     # both square roots of -1 mod p: prime_above's and its conjugate's
     for p in (5, 13, 17, 41, 97, 10009, 65537, 1000000009):
         pp = zint.prime_above(p)
-        for q in (pp, pp.conj()):
-            a, b, t = q.value.re, q.value.im, q.i_image
+        (s,), _, _ = zint.primes_above(np.array([p]))
+        for q, t in ((pp, int(s)), (pp.conj(), p - int(s))):
+            a, b = q.value.re, q.value.im
             assert (t * t + 1) % p == 0
             assert a * a + b * b == p
             assert (a + b * t) % p == 0
@@ -288,34 +294,34 @@ def test_cornacchia_from_given_root():
 def test_prime_above():
     for p in (5, 13, 29, 97, 10009):
         pp = zint.prime_above(p)
-        assert (pp.norm, pp.kind) == (p, "split")
+        assert pp.norm == p
         assert zint.is_primary(pp.value)
         bar = pp.conj()
-        assert bar.value == pp.value.conj() and bar.i_image == p - pp.i_image
+        assert bar.value == pp.value.conj() and bar.norm == p
     for n in (7, 9, 21):
         with pytest.raises(ValueError):
             zint.prime_above(n)
 
 
 def test_primes_above_matches_one_prime_form():
-    # the array form against a loop of the one-prime form, every p = 1 mod 4
+    # the array form against a loop of one-prime calls, every p = 1 mod 4
     # below 10^5: rows must not leak into each other through the masked
     # search and Euclid steps
     ps = zint._sieve(10 ** 5)
     ps = ps[ps % 4 == 1]
     s, re, im = zint.primes_above(ps)
-    loop = [zint.prime_above(p) for p in ps.tolist()]
-    assert s.tolist() == [pp.i_image for pp in loop]
-    assert re.tolist() == [pp.value.re for pp in loop]
-    assert im.tolist() == [pp.value.im for pp in loop]
+    loop = np.array([zint.primes_above(np.array([p])) for p in ps.tolist()])[:, :, 0]
+    assert np.array_equal(loop, np.stack([s, re, im], axis=1))
     # s comes from the least non-residue d, which fixes S_odd's primes
     for p, t in zip(ps.tolist(), s.tolist()):
         d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
         assert t == pow(d, (p - 1) // 4, p)
-    # the closed-form associate is the primary one of every unit multiple
+    # prime_above keeps the prime of its one-row call; the closed-form
+    # associate is the primary one of every unit multiple
     for p, a, b in zip(ps.tolist()[::97], re.tolist()[::97], im.tolist()[::97]):
-        for u in zint.UNITS:
-            assert zint.primary_associate(u * GInt(a, b))[1] == GInt(a, b)
+        assert zint.prime_above(p).value == GInt(a, b)
+        for u in UNITS:
+            assert primary_associate(u * GInt(a, b))[1] == GInt(a, b)
     # the twist symbols of s_odd, by the same Euler criterion
     assert zint.legendre_symbols(1 + s, ps).tolist() == [
         _euler_criterion(1 + t, p) for t, p in zip(s.tolist(), ps.tolist())]
