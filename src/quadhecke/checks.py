@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import ratios, zint
-from ._numerics import panel_nodes
+from ._numerics import cauchy_derivs, panel_nodes
 from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         poisson_pair, s_even_main_form, total_weight)
 from .expansion import J_X, d_coefficients, phi_sf_limit, phi_sf_partial
@@ -67,14 +67,11 @@ def symbol_method_agreement(moduli, elements):
     return bad, 0.5
 
 
-def reciprocity(bound=120):
-    """Mismatches of (m/n) = (n/m) over pairs of distinct primary primes."""
-    bad = 0
-    prims = [pp.value for pp in zint.primary_primes_up_to(bound)]
-    for i, m in enumerate(prims):
-        for n in prims[i + 1:]:
-            if not (zint.divides(m, n) or zint.divides(n, m)):
-                bad += zint.quad_symbol(m, n) != zint.quad_symbol(n, m)
+def reciprocity(elements):
+    """Mismatches of (m/n) = (n/m) over all pairs of the primary elements;
+    a pair with a common factor gives 0 on both sides."""
+    bad = sum(zint.quad_symbol(m, n) != zint.quad_symbol(n, m)
+              for i, m in enumerate(elements) for n in elements[i + 1:])
     return bad, 0.5
 
 
@@ -97,6 +94,20 @@ def pole_rays(norm_c=5, radii=(0.04, 0.02, 0.01, 0.005, 0.0025)):
                                       + ratios.dual_term(rho * phase, norm_c, ctx)))
                    for rho in radii]
             for name, phase in rays.items()}
+
+
+def pole_residues(norm_c=5, radius=0.05):
+    """max(|Res dual - 1|, |Res combined + 1|) at r = 0, each residue the
+    mean of r f(r) over a Cauchy ring; pole_cancellation sees only that the
+    two cancel."""
+    ctx = default_context()
+
+    def residue(f):
+        return cauchy_derivs(lambda rs: np.array([r * f(r) for r in rs]),
+                             0.0, radius, 0)[0]
+
+    dual = residue(lambda r: ratios.dual_term(r, norm_c, ctx))
+    return max(abs(dual - 1.0), abs(residue(ratios._combined_analytic) + 1.0)), 1e-8
 
 
 def xc_form(norm_c=5, ts=(0.1, 0.5, 2.0, 10.0), delta=1e-6):
@@ -221,16 +232,12 @@ def d_routes_agree(M=3):
     return max(abs(sieve - exact) / err for (sieve, err), (exact, _) in pairs), 1.0
 
 
-def _poisson_twisted():
-    lhs, rhs = poisson_pair(make_gaussian_weight(), 1.0, zint.GInt(-1, -2))
-    return abs(lhs - rhs), 1e-6
-
-
-def poisson_plain(xs=(3.7, 12.0)):
-    """The plain lattice Poisson identity, |lhs - rhs| / max(1, |lhs|)."""
+def poisson(xs, n=None, tol=1e-10):
+    """The lattice Poisson identity, plain or twisted by the symbol mod the
+    primary n, |lhs - rhs| / max(1, |lhs|) over the scales xs."""
     gaps = [abs(lhs - rhs) / max(1.0, abs(lhs))
-            for lhs, rhs in (poisson_pair(make_gaussian_weight(), x) for x in xs)]
-    return max(gaps), 1e-10
+            for lhs, rhs in (poisson_pair(make_gaussian_weight(), x, n) for x in xs)]
+    return max(gaps), tol
 
 
 def mellin_identity(zs):
@@ -263,13 +270,13 @@ CHECKS = (
      lambda: symbol_method_agreement(
          [pp.value for pp in zint.primary_primes_up_to(300)],
          [zint.GInt(x, y) for x in (-3, -1, 1, 3) for y in (-2, 0, 2, 4)])),
-    ("reciprocity_spot", "quick", reciprocity),
+    ("reciprocity_spot", "quick",
+     lambda: reciprocity([pp.value for pp in zint.primary_primes_up_to(120)])),
     ("gauss_sum_spot", "quick", gauss_sum),
-    ("poisson_twisted_X1", "quick", _poisson_twisted),
+    ("poisson_twisted_X1", "quick", partial(poisson, (1.0,), zint.GInt(-1, -2), 1e-6)),
     ("squarefree_density", "quick",
      lambda: (phi_sf_partial(2 * 10 ** 5) - phi_sf_limit(default_context()), 1e-2)),
-    ("dual_pole_residue", "quick",
-     lambda: (ratios._laurent_data(default_context()).residue_gap, 1e-8)),
+    ("pole_residues", "quick", pole_residues),
     ("pole_cancellation", "quick",
      lambda: (max(v[-1] / v[0] for v in pole_rays().values()), 0.5)),
     ("xc_logderiv_form", "quick", xc_form),
@@ -296,14 +303,22 @@ CHECKS = (
      lambda: symbol_method_agreement(
          [z for z in _odd_elements(200) if zint.is_primary(z) and not z.is_unit()],
          _odd_elements(60))),
+    # every pair of primary elements of norm 2..500, coprime or not
+    ("reciprocity_500", "exhaustive",
+     lambda: reciprocity([z for z in _odd_elements(500)
+                          if zint.is_primary(z) and not z.is_unit()])),
     ("gauss_sum_80", "exhaustive",
      partial(gauss_sum, 80, ((1, 0), (2, 1), (0, 3), (-1, 2)))),
     ("mellin_identity_spread", "exhaustive", partial(mellin_identity, (1.5, 0.25 + 0.7j))),
-    ("poisson_plain", "exhaustive", poisson_plain),
+    ("poisson_plain", "exhaustive", partial(poisson, (3.7, 12.0))),
+    # 1 - 4i, one of the two primary primes of norm 17
+    ("poisson_twisted_17", "exhaustive", partial(poisson, (2.5,), zint.GInt(1, -4))),
     ("a_diag_unity_off_axis", "exhaustive",
      lambda: (a_diag_unity((0.5j, -0.2 + 0.2j)), 1e-8)),
     ("a_closed_vs_euler_spread", "exhaustive",
      partial(a_closed_vs_euler, (0.05, 0.21j, 0.1 - 0.07j, 0.05 + 0.1j))),
+    # h = 0.05 puts the first node at 4.6e-4, near the bracket's cancelled pole
+    ("refine_h_fine_15_2000", "exhaustive", partial(refinement, "fejer:1.5", h=0.05)),
     ("route_gap_15_500", "exhaustive", partial(route_gap, 500.0)),
     ("route_gap_15_8000", "exhaustive", partial(route_gap, 8000.0)),
     ("route_gap_08_500", "exhaustive", partial(route_gap, 500.0, "fejer:0.8")),

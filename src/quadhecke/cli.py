@@ -305,8 +305,7 @@ def _cmd_predict(ns, cfg) -> int:
         rep = ratios.ratios_density(dc, ctx, T=t_cap, h=h,
                                     with_dual=not no_dual)
     extras = {"sieve_bound": int(dc.R * dc.X),
-              "tolerances": {"eps0": ratios._EPS0, "panel_h": h,
-                             "t_cap": t_cap}}
+              "tolerances": {"panel_h": h, "t_cap": t_cap}}
     _emit(_json_doc("predict", config, extras, rep.as_dict()), out_path)
     return 0
 
@@ -367,8 +366,7 @@ def _cmd_compare(ns, cfg) -> int:
               "r_mult": r_mult, "t_cap": t_cap, "threads": threads,
               "weight": weight, "x_grid": grid_spec}
     extras = {"sieve_bound": int(r_mult * max(xs)),
-              "tolerances": {"eps0": ratios._EPS0, "panel_h": h,
-                             "t_cap": t_cap}}
+              "tolerances": {"panel_h": h, "t_cap": t_cap}}
     if fmt == "csv":
         text = _csv_doc("compare", config, extras,
                         ratios.COMPARE_COLUMNS, rows)

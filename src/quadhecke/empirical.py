@@ -224,8 +224,10 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     P = P[P % 8 == 1]
     S, A, B = zint.primes_above(P)
     # the twist symbols at varpi and its conjugate, ((1 - s)/p) and
-    # ((1 + s)/p), are equal: (1 - s)(1 + s) = 2 and (2/p) = 1 for p = 1 mod 8
-    f = 2.0 * zint.legendre_symbols(1 + S, P)
+    # ((1 + s)/p), are equal: (1 - s)(1 + s) = 2 and (2/p) = 1 for p = 1 mod 8.
+    # ((1 + s)/p) = ((1 + i)/varpi) = (-1)^((A + B - 1)/4), the supplement
+    # law for 1 + i at the primary varpi
+    f = 2.0 * (1 - 2 * (((A + B - 1) // 4) & 1))
     inert = [q for q in zint._sieve(math.isqrt(cut)).tolist() if q % 4 == 3]
 
     coefs_p = _sj_coefs(P.astype(float), L, sigma, cfg.test, 1)
@@ -247,9 +249,9 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
                 contrib[k] = g[k] * dot(w0, sym)
             else:
                 q = inert[k - n_small]
-                ft = zint._jacobi(32, q)
-                sym = zint.legendre_table(q)[nrm % q]
-                contrib[k] = coefs_q[k - n_small] * 4.0 * ft * dot(w0, sym)
+                table = zint.legendre_table(q)
+                contrib[k] = coefs_q[k - n_small] * 4.0 * table[32 % q] \
+                    * dot(w0, table[nrm % q])
 
     _run_jobs(n_prime_side, worker, cfg.threads)
     parts = [contrib]

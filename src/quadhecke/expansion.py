@@ -97,8 +97,7 @@ class _KernelTables:
     read both instead of summing the lattice again.
     """
 
-    def __init__(self, weight: WeightFunction, ctx: ZetaKContext,
-                 y_cap: float = 3000.0):
+    def __init__(self, weight: WeightFunction, ctx: ZetaKContext, y_cap: float):
         self.weight = weight
         self.ctx = ctx
         self.y_cap = y_cap
@@ -428,12 +427,12 @@ class ExpansionCoefficients:
 def expansion_coefficients(M: int, test: TestFunction,
                            weight: WeightFunction | None = None,
                            ctx: ZetaKContext | None = None,
-                           cutoff: int = 10 ** 6, route: str = "analytic",
-                           y_cap: float = 3000.0) -> ExpansionCoefficients:
+                           cutoff: int = 10 ** 6,
+                           route: str = "analytic") -> ExpansionCoefficients:
     w = weight or make_gaussian_weight()
     ctx = ctx or default_context()
     ds = d_coefficients(M, cutoff, route)
-    cs = c_w_coefficients(M, w, ctx, y_cap)
+    cs = c_w_coefficients(M, w, ctx)
     log_moment_term = 2.0 * w.mw_prime_1 / w.w_hat0
     r_w = []
     for m in range(1, M + 1):

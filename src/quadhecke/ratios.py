@@ -11,9 +11,9 @@ a four-piece bracket on the critical line r = it:
 times phi(tL/2pi), integrated over the line and divided by 2pi.  The
 combined and dual pieces carry simple poles at t = 0 with residues -1 and
 +1, so their sum is analytic; each piece alone stays integrable on the
-real axis because the pole is odd-imaginary there.  Direct evaluation runs
-for |t| >= eps0 and a matched Laurent branch inside, with the pole pair
-pinned to its analytic cancellation [exp(-it mu) - 1]/(it).
+real axis because the pole is odd-imaginary there.  Every panel node is
+evaluated directly; the grid keeps its first node outside zeta_K's pole
+guard.
 
 Assembly exploits three structural facts.  The conductor piece is constant
 in t, so it integrates to phi_hat(0)/L exactly.  The gamma pair obeys the
@@ -50,17 +50,15 @@ import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from . import zint
-from ._numerics import cauchy_derivs, panel_layout, panel_nodes, phase_sum, read_only
+from ._numerics import gl_nodes, panel_layout, panel_nodes, phase_sum, read_only
 from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         s_even_main_form, _family)
 from .expansion import c_w1_closed, expansion_coefficients, thm_prediction
-from .specfun import (_LOG_32_PI2, _PSI_HALF, A_alpha_series, A_alpha_diag_it,
-                      A_closed_mr, X_c, ZetaKContext, _em_shift, default_context,
-                      digamma, zeta_K, zeta_K_axis, zeta_K_log_deriv)
+from .specfun import (_LOG_32_PI2, _POLE_GUARD, _PSI_HALF, A_alpha_series,
+                      A_alpha_diag_it, A_closed_mr, X_c, ZetaKContext, _em_shift,
+                      default_context, digamma, zeta_K, zeta_K_axis, zeta_K_log_deriv)
 from .transforms import TestFunction, WeightFunction
 
-_EPS0 = 1e-3          # Laurent switch radius around the cancelled pole
-_RING_RADIUS = 0.05   # Cauchy ring for the origin data
 _T_CAP = 600.0        # axis truncation; past every stationary phase in range
 _PANEL_H = 0.25       # GL-12 panel width; fastest phase is log(32 N/pi^2)
 _PRIME_CUTOFF = 10 ** 6
@@ -121,50 +119,13 @@ def dual_term(r: complex, norm_c: int, ctx: ZetaKContext | None = None) -> compl
     """-(8/pi) X_c(1/2+r) zeta_K(1-2r) A(-r,r), the swapped-equation term.
 
     Simple pole at r = 0 with residue +1, cancelling the combined prime
-    term's -1.  Direct evaluation needs |r| >= eps0; inside, the bracket
-    runs on the origin series of _laurent_data.
+    term's -1; zeta_K's pole guard raises at r = 0.
     """
     ctx = ctx or default_context()
     r = complex(r)
-    if abs(r) < _EPS0:
-        raise ValueError("dual_term needs |r| >= eps0")
     val = -(8.0 / math.pi) * X_c(0.5 + r, int(norm_c)) \
         * zeta_K(1.0 - 2.0 * r) * A_closed_mr(r, ctx)
     return complex(val)
-
-
-# --- Laurent data at the origin ----------------------------------------------------
-
-@dataclass(frozen=True)
-class _LaurentData:
-    c: tuple[float, float, float]     # Taylor of combined(r) + 1/r
-    psi: tuple[float, float, float]   # Taylor of r Psi(r) past the pinned 1
-    residue_gap: float                # |computed residue - 1| of r Psi(r)
-
-
-@lru_cache(maxsize=4)
-def _laurent_data(ctx: ZetaKContext) -> _LaurentData:
-    # combined(r) = -1/r + g(r): adding 1/r leaves g, analytic on the ring
-    def reg_combined(rs):
-        return np.array([_combined_analytic(r) + 1.0 / r for r in rs])
-
-    # r Psi(r) = (4/pi) G(r) (-2r) zeta_K(1-2r) A(-r,r), analytic, equals 1
-    # at r = 0
-    def ring_psi(rs):
-        g = np.exp(_loggamma(0.5 - rs) - _loggamma(0.5 + rs))
-        return (4.0 / math.pi) * g * (-2.0 * rs) * zeta_K(1.0 - 2.0 * rs) \
-            * A_closed_mr(rs, ctx)
-
-    cd = cauchy_derivs(reg_combined, 0.0 + 0.0j, _RING_RADIUS, 2)
-    pd = cauchy_derivs(ring_psi, 0.0 + 0.0j, _RING_RADIUS, 3)
-    gap = abs(pd[0] - 1.0) + max(abs(v.imag) for v in cd)
-    dat = _LaurentData(
-        c=(cd[0].real, cd[1].real, cd[2].real / 2.0),
-        psi=(pd[1].real, pd[2].real / 2.0, pd[3].real / 6.0),
-        residue_gap=float(gap))
-    if dat.residue_gap > 1e-8:
-        raise ArithmeticError(f"pole residue drifted: gap {dat.residue_gap:.2e}")
-    return dat
 
 
 # --- the bracket on the axis -------------------------------------------------------
@@ -172,30 +133,13 @@ def _laurent_data(ctx: ZetaKContext) -> _LaurentData:
 def _bracket_parts(t: np.ndarray, ctx: ZetaKContext, sums):
     """Conductor-independent bracket data at nodes t > 0:
     (Re combined(it), 2 Re psi(1/2+it), Psi(it)), where the dual term is
-    Psi(it) exp(-it mu(N)).  Below eps0 both singular pieces come from the
-    matched origin series.  sums(mu, w) returns sum_n w_n exp(-i t mu_n) at
-    every node (the profile's NUFFT); the Hurwitz heads and prime sums take
-    it at the nodes past eps0."""
-    small = t < _EPS0
-    big = ~small
-    rc = np.empty(t.size)
-    pv = np.empty(t.size, dtype=complex)
-    if big.any():
-        tb = t[big]
-        sums_big = lambda mu, w: sums(mu, w)[big]
-        z1, ld1, z2, ld2 = zeta_K_axis(tb, sums_big)
-        rc[big] = (2.0 * ld1 + 2.0 * A_alpha_diag_it(tb, ld2, sums_big)).real
-        g = np.exp(_loggamma(0.5 - 1j * tb) - _loggamma(0.5 + 1j * tb))
-        # zeta_K at 1-2it and 2-2it by Schwarz reflection
-        pv[big] = -(8.0 / math.pi) * g * np.conj(z1) \
-            * A_closed_mr(1j * tb, ctx, np.conj(z2))
-    if small.any():
-        dat = _laurent_data(ctx)
-        ts = t[small]
-        # Re of -1/(it) vanishes; odd Taylor term is imaginary as well
-        rc[small] = dat.c[0] - dat.c[2] * ts * ts
-        z = 1j * ts
-        pv[small] = 1.0 / z + dat.psi[0] + dat.psi[1] * z + dat.psi[2] * z * z
+    Psi(it) exp(-it mu(N)).  sums(mu, w) returns sum_n w_n exp(-i t mu_n) at
+    every node (the profile's NUFFT) for the Hurwitz heads and prime sums."""
+    z1, ld1, z2, ld2 = zeta_K_axis(t, sums)
+    rc = (2.0 * ld1 + 2.0 * A_alpha_diag_it(t, ld2, sums)).real
+    g = np.exp(_loggamma(0.5 - 1j * t) - _loggamma(0.5 + 1j * t))
+    # zeta_K at 1-2it and 2-2it by Schwarz reflection
+    pv = -(8.0 / math.pi) * g * np.conj(z1) * A_closed_mr(1j * t, ctx, np.conj(z2))
     return rc, 2.0 * digamma(0.5 + 1j * t).real, pv
 
 
@@ -227,11 +171,16 @@ def panel_error_bound(cfg: DensityConfig, T: float, h: float) -> float:
 
 def _check_grid(cfg: DensityConfig, T: float, h: float) -> None:
     """Raise ValueError for a [0, T] panel grid the prediction integral
-    cannot use: T or h not finite and positive, or panels so wide that
-    panel_error_bound exceeds the error floor of max_error."""
+    cannot use: T or h not finite and positive, panels so narrow that the
+    first node t1 puts zeta_K(1 + 2 i t1) inside its pole guard, or so wide
+    that panel_error_bound exceeds the error floor of max_error."""
     if not (0.0 < T < math.inf and 0.0 < h < math.inf):
         raise ValueError(f"ratios_density needs finite T > 0 and h > 0, "
                          f"got T={T!r}, h={h!r}")
+    t1 = float(gl_nodes(0.0, panel_layout(0.0, T, h)[1], 12)[0][0])
+    if 2.0 * t1 < _POLE_GUARD:
+        raise ValueError(f"panel width h={h!r} puts the first node t={t1:.3g} "
+                         f"inside zeta_K's pole guard: 2t < {_POLE_GUARD:.0e}")
     bound = panel_error_bound(cfg, T, h)
     if bound > _ERR_FLOOR:
         raise ValueError(f"panel width h={h!r} under-resolves the integrand at "

@@ -78,8 +78,6 @@ class GInt:
 ONE = GInt(1, 0)
 I = GInt(0, 1)
 ONE_PLUS_I = GInt(1, 1)
-# i(1+i)^5 = 4 - 4i, the fixed even part of every family discriminant
-FAMILY_TWIST = GInt(4, -4)
 
 
 def is_primary(z: GInt) -> bool:
@@ -207,13 +205,6 @@ def _powmod_array(b: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
         np.remainder(b, m, out=b)
         e >>= 1
     return out
-
-
-def legendre_symbols(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Legendre symbols (a/p) in {0, 1, -1} elementwise for int64 arrays,
-    p odd primes below 2^31, by Euler's criterion a^((p-1)/2) mod p."""
-    r = _powmod_array(a, (p - 1) // 2, p)
-    return np.where(r == p - 1, -1, r).astype(np.int64)
 
 
 # --- rational prime utilities ------------------------------------------------

@@ -14,11 +14,13 @@ import numpy as np
 
 from quadhecke import ratios, zint
 from quadhecke.empirical import DensityConfig, _family
-from quadhecke.specfun import _PSI_HALF, A_alpha_series, A_euler, ZetaKContext
+from quadhecke.specfun import A_alpha_series, A_euler, ZetaKContext
 from quadhecke.transforms import TestFunction
 from quadhecke.zint import GInt
 
 UNITS = (GInt(1, 0), GInt(0, 1), GInt(-1, 0), GInt(0, -1))
+# i(1+i)^5 = 4 - 4i, the fixed even part of every family discriminant
+FAMILY_TWIST = GInt(4, -4)
 _UNIT_INV = {GInt(1, 0): GInt(1, 0), GInt(0, 1): GInt(0, -1),
              GInt(-1, 0): GInt(-1, 0), GInt(0, -1): GInt(0, 1)}
 
@@ -74,7 +76,7 @@ def s_total_family_outer(cfg: DensityConfig) -> float:
     def s_j_sum(c: GInt, j: int) -> float:
         L, sigma = cfg.L, cfg.test.sigma
         bound = int(cfg.prime_cutoff ** (1.0 / j))
-        tw = zint.FAMILY_TWIST * c
+        tw = FAMILY_TWIST * c
         total = 0.0
         for pp in zint.primary_primes_up_to(bound) if bound >= 5 else []:
             n = pp.norm
@@ -129,16 +131,11 @@ def ratios_integrand(t: float, norm_c: int, test: TestFunction, L: float,
     Only the real part enters: the bracket satisfies conj(B(t)) = B(-t), so
     the imaginary part is odd and drops from the even integral.  The value
     is the profile's per-node bracket at |t|, its phase sums taken as outer
-    products; at t = 0 the pole of Psi(it) is odd, and
-    Re[Psi(it) exp(-it mu)] tends to psi_0 - mu.
+    products; t = 0 is the pole of Psi(it) and raises.
     """
     t = abs(float(t))
     mu = ratios._mu_of(norm_c)
-    if t == 0.0:
-        dat = ratios._laurent_data(ctx)
-        bracket = dat.c[0] + dat.psi[0] + 2.0 * _PSI_HALF
-    else:
-        nodes = np.array([t])
-        (rc,), (two_psi,), (pv,) = ratios._bracket_parts(nodes, ctx, outer_phase_sum(nodes))
-        bracket = rc + (pv * cmath.exp(-1j * t * mu)).real + mu + two_psi
+    nodes = np.array([t])
+    (rc,), (two_psi,), (pv,) = ratios._bracket_parts(nodes, ctx, outer_phase_sum(nodes))
+    bracket = rc + (pv * cmath.exp(-1j * t * mu)).real + mu + two_psi
     return bracket * float(test.phi(t * L / (2.0 * math.pi)))

@@ -133,29 +133,6 @@ def test_symbol_routes_agree_exhaustively():
     assert time.perf_counter() - start < 60.0
 
 
-# --- 2: symbol symmetry between coprime primary elements ---------------------------
-
-def test_reciprocity_all_primary_pairs():
-    elems = []
-    r = math.isqrt(500)
-    for x in range(-r, r + 1):
-        for y in range(-r, r + 1):
-            z = GInt(x, y)
-            if 1 < x * x + y * y <= 500 and zint.is_primary(z):
-                elems.append(z)
-    keys = [frozenset((pp.value.re, pp.value.im) for pp, _ in zint.factor(z)[2])
-            for z in elems]
-    checked = 0
-    for i, m in enumerate(elems):
-        for j in range(i + 1, len(elems)):
-            if keys[i] & keys[j]:
-                continue
-            n = elems[j]
-            assert zint.quad_symbol(m, n) == zint.quad_symbol(n, m), (m, n)
-            checked += 1
-    assert checked > 10 ** 4
-
-
 # --- 3: Gauss sums against the symbol closed form ----------------------------------
 
 def test_gauss_sum_closed_form_all_residues():

@@ -239,6 +239,22 @@ def test_under_resolved_panel_width(capsys, monkeypatch, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["predict", "compare"])
+def test_panel_width_inside_pole_guard(capsys, monkeypatch, command):
+    # a panel so narrow that its first node puts zeta_K(1 + 2it) inside the
+    # pole guard is refused before any route runs, not raised mid-run
+    def boom(*args, **kwargs):
+        raise RuntimeError("computed before the first node was checked")
+    for name in ("_axis_profile", "expansion_coefficients", "one_level_density"):
+        monkeypatch.setattr(cli.ratios, name, boom)
+    x = ("--X", "500") if command == "predict" else ("--X-grid", "500")
+    code, out, err = _run(capsys, command, *x, "--panel-h", "0.005")
+    assert code == 1
+    assert err.startswith("quadhecke: error[config]: panel width h=0.005 puts the first "
+                          "node t=4.61e-05 inside zeta_K's pole guard")
+    assert out == ""
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def boom(ns, cfg):
         raise RuntimeError("unexpected")

@@ -266,10 +266,3 @@ def test_report_total_is_sum_of_parts(weight):
     assert d["X"] == 90.0 and d["sigma"] == 1.2
     assert d["family_size"] == rep.family_size
     assert "elapsed_s" not in d
-
-
-def test_poisson_pair_twisted(weight):
-    pp = [p for p in zint.primary_primes_up_to(20) if p.norm == 17][0]
-    lhs, rhs = empirical.poisson_pair(weight, 2.5, pp.value)
-    assert abs(complex(rhs).imag) < 1e-10
-    assert abs(lhs - complex(rhs).real) < 1e-10 * max(1.0, abs(lhs))

@@ -209,7 +209,7 @@ def test_h2_profile_memory(weight, ctx):
     zint.lattice_norm_counts(int(expansion._G1_CUT * y_cap) + 1)
     tracemalloc.start()
     try:
-        tab = expansion._KernelTables(weight, ctx)
+        tab = expansion._KernelTables(weight, ctx, y_cap)
         built = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         tab.h2_profile

@@ -9,12 +9,12 @@ import pytest
 from quadhecke import checks, empirical, ratios
 from quadhecke._numerics import phase_sum
 from quadhecke.empirical import DensityConfig, s_even_main_form
-from quadhecke.specfun import digamma
 from quadhecke.transforms import make_fejer
 
 from oracles import outer_phase_sum, ratios_integrand
 
-# Laurent data at the origin, frozen from the Cauchy-ring extraction
+# Taylor data at the origin, frozen from a Cauchy-ring extraction: Re
+# combined(it) = C0 - C2 t^2 and Psi(r) = 1/r + P0 + P1 r + P2 r^2 + ...
 C_REF = (3.5316381558144503, -8.202869671680508, 17.71925641477332)
 PSI_REF = (0.3953818944852615, -3.8954522540644145, -1.2985190825256343)
 
@@ -61,13 +61,10 @@ def test_combined_domain_and_envelope():
 # --- dual term -----------------------------------------------------------------------
 
 def test_dual_pole_residue(ctx):
-    # r * dual -> 1 as r -> 0; inside eps0 the bracket runs on the origin
-    # series, whose seam test_integrand_even_and_seam covers
-    for rho in (2e-3, 1e-3):
+    # r * dual -> 1 as r -> 0; at r = 0 itself zeta_K's pole guard raises
+    for rho in (2e-3, 1e-3, 1e-4):
         v = rho * ratios.dual_term(rho, 5, ctx)
         assert abs(v - 1.0) < 4.0 * rho
-    with pytest.raises(ValueError):
-        ratios.dual_term(1e-4, 5, ctx)
     with pytest.raises(ValueError):
         ratios.dual_term(0.0, 5, ctx)
 
@@ -94,43 +91,54 @@ def test_pole_cancellation_three_rays():
         assert vals[-1] < 0.2
 
 
-# --- Laurent data --------------------------------------------------------------------
+# --- the bracket next to the pole ----------------------------------------------------
+
+def _bracket_near_pole(ctx, ts):
+    return ratios._bracket_parts(ts, ctx, outer_phase_sum(ts))
+
 
 def test_laurent_frozen_values(ctx):
-    dat = ratios._laurent_data(ctx)
-    for got, want in zip(dat.c, C_REF):
-        assert abs(got - want) < 1e-9
-    for got, want in zip(dat.psi, PSI_REF):
-        assert abs(got - want) < 1e-9
+    # the direct evaluator against the origin series down to the smallest
+    # node zeta_K's pole guard admits; A_alpha_diag_it carries ~1e-8
+    ts = np.array([5.5e-5, 1e-4, 1e-3])
+    rc, _, pv = _bracket_near_pole(ctx, ts)
+    assert np.max(np.abs(rc - (C_REF[0] - C_REF[2] * ts * ts))) < 2e-8
+    z = 1j * ts
+    series = 1.0 / z + PSI_REF[0] + PSI_REF[1] * z + PSI_REF[2] * z * z
+    assert np.max(np.abs(pv - series) / np.abs(series)) < 1e-12
 
 
 def test_symplectic_vanishing_at_zero(ctx):
-    # bracket(0) = c0 + psi0 + 2 psi(1/2) collapses to zero; equivalently
-    # c0 + psi0 = 2 gamma + 4 log 2, with no term of its own in the formulas
-    dat = ratios._laurent_data(ctx)
-    two_psi_half = 2.0 * complex(digamma(0.5)).real
-    assert abs(dat.c[0] + dat.psi[0] + two_psi_half) < 5e-8
+    # the conductor-free bracket Re combined + Re Psi + 2 Re psi(1/2+it)
+    # tends to c0 + psi0 + 2 psi(1/2) = 0 (c0 + psi0 = 2 gamma + 4 log 2,
+    # with no term of its own in the formulas) and is O(t^2): its t^2
+    # coefficient is the same at t = 1e-3 and 1e-2
+    ts = np.array([5.5e-5, 1e-4, 1e-3, 1e-2])
+    rc, two_psi, pv = _bracket_near_pole(ctx, ts)
+    bracket = rc + pv.real + two_psi
+    assert np.max(np.abs(bracket[:2])) < 5e-8
+    q = bracket[2:] / ts[2:] ** 2
+    assert abs(q[0] - q[1]) < 0.01 * abs(q[1])
 
 
 # --- pointwise integrand -------------------------------------------------------------
 
-def test_integrand_even_and_seam(fejer15, ctx):
+def test_integrand_even(fejer15, ctx):
     L = math.log(2000.0)
     for t in (0.3, 2.0):
         a = ratios_integrand(t, 5, fejer15, L, ctx)
         b = ratios_integrand(-t, 5, fejer15, L, ctx)
         assert a == b
-    # continuity across the laurent switch at eps0
-    lo = ratios_integrand(ratios._EPS0 * (1 - 1e-6), 5, fejer15, L, ctx)
-    hi = ratios_integrand(ratios._EPS0 * (1 + 1e-6), 5, fejer15, L, ctx)
-    assert abs(lo - hi) < 1e-6
 
 
 def test_integrand_at_zero_is_tiny(fejer15, ctx):
-    # the symplectic zero: the bracket vanishes at t = 0 for every conductor
+    # the symplectic zero: for every conductor the integrand is O(t^2) next
+    # to t = 0, with a t^2 coefficient cubic in mu (leading term mu^3/6)
     L = math.log(500.0)
     for n in (5, 1234567):
-        assert abs(ratios_integrand(0.0, n, fejer15, L, ctx)) < 1e-6
+        mu = ratios._mu_of(n)
+        for t in (5.5e-5, 1e-4, 1e-3):
+            assert abs(ratios_integrand(t, n, fejer15, L, ctx)) < (1.0 + mu ** 3) * t * t
 
 
 def test_integrand_magnitude_profile(fejer15, ctx):
@@ -267,6 +275,15 @@ def test_under_resolved_panel_width_rejected(fejer15, weight):
             assert ratios.panel_error_bound(cfg, T, h) < 1e-3 * ratios._ERR_FLOOR
 
 
+def test_first_node_inside_pole_guard_rejected(fejer15, weight):
+    # GL-12 puts the first node at 0.0092197 step, and zeta_K_axis raises
+    # for 2t < 1e-4: the narrowest panel width allowed is 5.42e-3
+    cfg = DensityConfig(500.0, fejer15, weight)
+    with pytest.raises(ValueError, match="pole guard"):
+        ratios.ratios_density(cfg, h=0.0054)
+    ratios._check_grid(cfg, 600.0, 0.0055)
+
+
 def test_dual_phase_average_memory_bound():
     # 203774 distinct norms, the X = 512000 size: the spread runs in chunks
     # of norms, so the traced peak does not grow with the norm count
@@ -308,33 +325,28 @@ def test_caches_key_on_context_values():
     after = ratios._axis_profile.cache_info()
     assert after.misses - before.misses <= 1
     assert after.hits + after.misses - before.hits - before.misses == 2
-    da = ratios._laurent_data(a)
-    before = ratios._laurent_data.cache_info()
-    assert ratios._laurent_data(b) is da
-    assert ratios._laurent_data.cache_info().hits == before.hits + 1
 
 
 def test_integrand_is_the_profile_bracket(fejer15, ctx):
     # the pointwise integrand is the per-node bracket with the conductor
-    # phase applied; nodes sit on both sides of eps0.  The profile sums the
-    # same bracket's phase sums by NUFFT, which the pointwise outer products
-    # match to ~1e-11 just past eps0
+    # phase applied; the first node, 9.2e-5, sits just outside zeta_K's pole
+    # guard.  The profile sums the same bracket's phase sums by NUFFT, which
+    # the pointwise outer products match to ~1e-11 from t = 1e-3 on; nearer
+    # the pole Psi(it) grows like 1/t, and the match is relative
     L, norm_c = math.log(2000.0), 5
     mu = ratios._mu_of(norm_c)
     profile = ratios._axis_profile(0.02, 0.01, ctx)
     nodes = profile[0]
-    assert nodes.min() < ratios._EPS0 < nodes.max()
     phi = fejer15.phi(nodes * L / (2.0 * math.pi))
     got = np.array([ratios_integrand(t, norm_c, fejer15, L, ctx) for t in nodes])
     pointwise = ratios._bracket_parts(nodes, ctx, outer_phase_sum(nodes))
-    for (re_comb, two_psi, psi_big), tol in ((profile[2:], 5e-11), (pointwise, 1e-12)):
+    far = nodes >= 1e-3
+    for (re_comb, two_psi, psi_big), mask, tol in ((profile[2:], far, 5e-11),
+                                                    (pointwise, slice(None), 1e-12)):
         want = (re_comb + (psi_big * np.exp(-1j * nodes * mu)).real + mu + two_psi) * phi
-        assert np.max(np.abs(got - want)) < tol
-    # t = 0: the pole of Psi(it) is odd, Re[Psi(it) exp(-it mu)] -> psi_0 - mu
-    dat = ratios._laurent_data(ctx)
-    want0 = (dat.c[0] + dat.psi[0] + 2.0 * complex(digamma(0.5)).real) \
-        * float(fejer15.phi(0.0))
-    assert abs(ratios_integrand(0.0, norm_c, fejer15, L, ctx) - want0) < 1e-14
+        assert np.max(np.abs(got - want)[mask]) < tol
+    assert np.max(np.abs(profile[2] - pointwise[0])) < 5e-11
+    assert np.max(np.abs(profile[4] - pointwise[2]) / np.abs(pointwise[2])) < 5e-12
 
 
 def test_norm_grouping_invariant(weight, ctx):

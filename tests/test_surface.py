@@ -1,5 +1,6 @@
-"""Every function, class and method in src/quadhecke has a caller in the
-package or in perfbench; anything else is dead code.  Test-only references
+"""Every function, class, method and module-level constant in src/quadhecke
+has a caller or reader in the package or in perfbench; anything else is
+dead code.  Test-only references
 live in tests/oracles.py, and each of its definitions has a caller in a
 test file."""
 
@@ -26,6 +27,22 @@ def _definitions(paths) -> set[str]:
     return out
 
 
+def _constants(paths) -> set[str]:
+    """Non-dunder names bound by module-level assignments."""
+    out = set()
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            out.update(n.id for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name) and not n.id.startswith("__"))
+    return out
+
+
 def _uses(paths) -> set[str]:
     """Names read as a Name or an Attribute, or spelled as a string (perfbench
     patches functions by attribute-name strings)."""
@@ -43,8 +60,8 @@ def _uses(paths) -> set[str]:
 
 def test_every_name_has_a_caller():
     used = _uses([*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
-    dead = sorted(_definitions(SRC.glob("*.py")) - used)
-    assert dead == [], f"no caller in src/ or perfbench/: {dead}"
+    dead = sorted((_definitions(SRC.glob("*.py")) | _constants(SRC.glob("*.py"))) - used)
+    assert dead == [], f"no caller or reader in src/ or perfbench/: {dead}"
 
 
 def test_every_oracle_has_a_caller():

@@ -322,8 +322,10 @@ def test_primes_above_matches_one_prime_form():
         assert zint.prime_above(p).value == GInt(a, b)
         for u in UNITS:
             assert primary_associate(u * GInt(a, b))[1] == GInt(a, b)
-    # the twist symbols of s_odd, by the same Euler criterion
-    assert zint.legendre_symbols(1 + s, ps).tolist() == [
+    # s_odd's twist symbols ((1 + s)/p) = ((1 + i)/varpi) in closed form,
+    # (-1)^((Re + Im - 1)/4), against the Euler criterion
+    closed = 1 - 2 * (((re + im - 1) // 4) & 1)
+    assert closed.tolist() == [
         _euler_criterion(1 + t, p) for t, p in zip(s.tolist(), ps.tolist())]
     # products must fit in int64
     for p in (2 ** 31 + 1, 2 ** 31 + 9):
