@@ -9,9 +9,12 @@ orders are fixed upstream, and no wall-clock value is recorded.  Files are
 written atomically (temp file + rename) so a crashed run never leaves a
 truncated artifact.
 
-Option precedence is flags > config file > built-in defaults.  The config
-file is flat key=value, keys matching the long option names with dashes
-turned into underscores.  Exit codes: 0 success, 1 configuration error,
+Each option is declared once, in `_OPTIONS`; each command lists the options
+it takes with their defaults.  Precedence is flag > config file > default.
+The config file is flat key=value, keyed like the provenance `config` (x,
+r_mult, t_cap, panel_h, m_order, x_grid, ...), not by flag name, with dashes
+accepted for underscores; a key the command does not take is a
+configuration error.  Exit codes: 0 success, 1 configuration error,
 2 numerical tolerance failure, 3 unexpected internal error.  Errors go to
 stderr with the prefix `quadhecke: error[config]:`, `[tolerance]:`, or
 `[internal]:`.
@@ -35,8 +38,6 @@ from .specfun import EULER_GAMMA, default_context, constants_dict, gamma_K
 from .transforms import parse_test_function, parse_weight
 
 SCHEMA_VERSION = 1
-
-_CONFIG_ERRORS = (ValueError, OSError, KeyError)
 
 
 class _ConfigError(Exception):
@@ -102,14 +103,19 @@ def _emit(text: str, out_path: str | None) -> None:
         raise
 
 
-def _json_doc(command: str, config: dict, extras: dict, result) -> str:
+def _config(opts: dict) -> dict:
+    """The provenance record: every resolved option but `out`, none unset."""
+    return {k: v for k, v in opts.items() if k != "out" and v is not None}
+
+
+def _json_doc(command: str, opts: dict, extras: dict, result) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "provenance": {
             "tool": "quadhecke",
             "version": __version__,
             "command": command,
-            "config": config,
+            "config": _config(opts),
             **extras,
         },
         "result": result,
@@ -117,11 +123,11 @@ def _json_doc(command: str, config: dict, extras: dict, result) -> str:
     return _to_json(doc) + "\n"
 
 
-def _csv_doc(command: str, config: dict, extras: dict,
+def _csv_doc(command: str, opts: dict, extras: dict,
              columns, rows: list[dict]) -> str:
     lines = [f"# quadhecke {__version__} {command}"]
-    meta = {**config, **{k: v for k, v in extras.items()
-                         if not isinstance(v, dict)}}
+    meta = {**_config(opts), **{k: v for k, v in extras.items()
+                                if not isinstance(v, dict)}}
     for k in sorted(meta):
         lines.append(f"# {k}={meta[k]}")
     lines.append(",".join(columns))
@@ -130,7 +136,48 @@ def _csv_doc(command: str, config: dict, extras: dict,
     return "\n".join(lines) + "\n"
 
 
-# --- config file / precedence ------------------------------------------------------
+# --- options ----------------------------------------------------------------------
+
+# key: (flag, type or allowed strings, help); the key is the option's config file
+# and provenance key.  Flags carry no defaults: an unset flag reads None.
+_OPTIONS = {
+    "x": ("--X", float, "family norm scale X"),
+    "phi": ("--phi", str, "test function, fejer:SIGMA or bump:SIGMA"),
+    "weight": ("--weight", str, "family weight: gaussian"),
+    "r_mult": ("--R-mult", float, "family norm bound as multiple of X"),
+    "threads": ("--threads", int, "threads of the prime and member loops"),
+    "bound": ("--bound", int, "norm bound of the census"),
+    "quick": ("--quick", bool, "run the quick tier alone"),
+    "tol_scale": ("--tol-scale", float, "factor on every check's tolerance"),
+    "first_order": ("--first-order", bool, "skip the axis integral"),
+    "no_dual": ("--no-dual", bool, "drop the dual term (ablation)"),
+    "t_cap": ("--T-cap", float, "truncation T of the axis integral"),
+    "panel_h": ("--panel-h", float, "GL-12 panel width of the axis integral"),
+    "m_order": ("--M", int, "number of 1/log X coefficients"),
+    "x_grid": ("--X-grid", str, "comma-separated X values"),
+    "route": ("--route", ("analytic", "sieve"), "route of the d_m coefficients"),
+    "cutoff": ("--cutoff", int, "prime-norm cutoff of the d_m sums"),
+    "format": ("--format", ("csv", "json"), "output format"),
+    "out": ("--out", str, "write the document here, atomically"),
+}
+
+_PHI_WEIGHT = {"phi": "fejer:1.5", "weight": "gaussian"}
+_FAMILY = {"x": None, **_PHI_WEIGHT, "r_mult": 4.0, "threads": 1}
+_GRID = {"t_cap": ratios._T_CAP, "panel_h": ratios._PANEL_H}
+
+# command: the option keys it takes, with their defaults
+_TAKES = {
+    "sieve": {"bound": 10 ** 4, "out": None},
+    "constants": {"out": None},
+    "selftest": {"quick": False, "tol_scale": 1.0, "out": None},
+    "density": {**_FAMILY, "out": None},
+    "predict": {**_FAMILY, "first_order": False, "no_dual": False, **_GRID, "out": None},
+    "expand": {"m_order": 2, **_PHI_WEIGHT, "x_grid": None, "route": "analytic",
+               "cutoff": 10 ** 6, "out": None},
+    "compare": {"x_grid": "500,2000,8000", **_PHI_WEIGHT, "r_mult": 4.0, "threads": 1,
+                "m_order": 2, **_GRID, "format": "csv", "out": None},
+}
+
 
 def _load_config(path: str | None) -> dict[str, str]:
     if path is None:
@@ -148,18 +195,25 @@ def _load_config(path: str | None) -> dict[str, str]:
     return out
 
 
-def _resolve(ns, cfg: dict[str, str], key: str, default, cast):
-    flag = getattr(ns, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        raw = cfg[key]
-        if cast is bool:
-            if raw.lower() not in ("true", "false"):
-                raise _ConfigError(f"config key {key}: expected true/false")
-            return raw.lower() == "true"
-        return cast(raw)
-    return default
+def _resolve(ns, cfg: dict[str, str]) -> dict:
+    """Each option the command takes: its flag, else its config key (cast by
+    its type in `_OPTIONS`), else the command's default."""
+    takes = _TAKES[ns.command]
+    for key in cfg:
+        if key not in takes:
+            raise _ConfigError(f"config key {key}: not an option of {ns.command}")
+    opts = {}
+    for key, default in takes.items():
+        value, raw, kind = getattr(ns, key), cfg.get(key), _OPTIONS[key][1]
+        if value is None and raw is not None:
+            allowed = ("true", "false") if kind is bool else kind
+            text = raw.lower() if kind is bool else raw
+            if isinstance(allowed, tuple) and text not in allowed:
+                raise _ConfigError(f"config key {key}: expected {'/'.join(allowed)}")
+            value = (text == "true" if kind is bool
+                     else text if isinstance(kind, tuple) else kind(raw))
+        opts[key] = default if value is None else value
+    return opts
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -172,16 +226,15 @@ def _parse_grid(spec: str) -> list[float]:
     return xs
 
 
-# --- selftest ----------------------------------------------------------------------
+# --- commands: resolved options in, document out; the docstring is the help line ---
 
-def _cmd_selftest(ns, cfg) -> int:
-    quick = bool(_resolve(ns, cfg, "quick", False, bool))
-    scale = float(_resolve(ns, cfg, "tol_scale", 1.0, float))
-    if scale <= 0.0:
-        raise _ConfigError("tol-scale must be positive")
-    out_path = _resolve(ns, cfg, "out", None, str)
+def _cmd_selftest(opts) -> str:
+    """invariant suite; exit 2 on failure"""
+    scale = opts["tol_scale"]
+    if not 0.0 < scale < math.inf:
+        raise _ConfigError(f"tol-scale needs a finite value > 0: {scale!r}")
     from . import checks  # loaded here so that other commands start without it
-    tiers = ("quick",) if quick else ("quick", "full")
+    tiers = ("quick",) if opts["quick"] else ("quick", "full")
     failures = 0
     report = []
     for name, tier, fn in checks.CHECKS:
@@ -203,177 +256,122 @@ def _cmd_selftest(ns, cfg) -> int:
         sys.stdout.write(
             f"{'ok  ' if ok else 'FAIL'} {name:28s} "
             f"residual {_fmt_float(residual):>12s}  tol {_fmt_float(tol * scale)}\n")
-    config = {"quick": quick, "tol_scale": scale}
     extras = {"sieve_bound": 2 * 10 ** 5,
               "tolerances": {r["check"]: r["tolerance"] for r in report
                              if "tolerance" in r}}
-    if out_path is not None:
-        _emit(_json_doc("selftest", config, extras,
-                        {"checks": report, "failures": failures}), out_path)
+    # the report goes to the out file only; stdout carries the table above
+    doc = "" if opts["out"] is None else _json_doc(
+        "selftest", opts, extras, {"checks": report, "failures": failures})
     sys.stdout.write(f"{len(report) - failures}/{len(report)} checks passed\n")
     if failures:
+        _emit(doc, opts["out"])  # a failing run still leaves its report
         raise _ToleranceError(f"{failures} selftest check(s) out of tolerance")
-    return 0
+    return doc
 
 
-# --- plain commands ----------------------------------------------------------------
-
-def _cmd_sieve(ns, cfg) -> int:
-    bound = int(_resolve(ns, cfg, "bound", 10 ** 4, int))
+def _cmd_sieve(opts) -> str:
+    """family and prime-norm sieve counts"""
+    bound = opts["bound"]
     if bound < 2:
         raise _ConfigError("sieve bound must be >= 2")
-    out_path = _resolve(ns, cfg, "out", None, str)
-    ctx = default_context()
     re_, im_, nm = zint.primary_squarefree_arrays(bound)
     n_primary = int(re_.size)
-    norms = zint.prime_norms_up_to(bound)
     result = {
         "bound": bound,
         "n_primary_squarefree": n_primary,
         "n_family_with_units": 4 * n_primary,
-        "n_prime_norms": int(norms.size),
+        "n_prime_norms": int(zint.prime_norms_up_to(bound).size),
         "largest_norm": int(nm[-1]) if n_primary else 0,
         "squarefree_density": phi_sf_partial(bound),
-        "squarefree_density_limit": phi_sf_limit(ctx),
+        "squarefree_density_limit": phi_sf_limit(),
     }
-    config = {"bound": bound}
     extras = {"sieve_bound": bound, "tolerances": {}}
-    _emit(_json_doc("sieve", config, extras, result), out_path)
-    return 0
+    return _json_doc("sieve", opts, extras, result)
 
 
-def _cmd_constants(ns, cfg) -> int:
-    out_path = _resolve(ns, cfg, "out", None, str)
+def _cmd_constants(opts) -> str:
+    """field constants"""
     ctx = default_context()
     result = dict(constants_dict(ctx))
     result["gamma_K_series"] = gamma_K()
     result["zetaK_prime_0_from_gamma_K"] = (
         ctx.gamma_K / math.pi - (math.log(math.pi) + EULER_GAMMA) / 2.0)
     extras = {"sieve_bound": 10 ** 6, "tolerances": {}}
-    _emit(_json_doc("constants", {}, extras, result), out_path)
-    return 0
+    return _json_doc("constants", opts, extras, result)
 
 
-def _quadrature_grid(ns, cfg) -> tuple[float, float]:
-    """(t_cap, panel_h) of the ratios integral, checked before any compute."""
-    t_cap = float(_resolve(ns, cfg, "t_cap", ratios._T_CAP, float))
-    h = float(_resolve(ns, cfg, "panel_h", ratios._PANEL_H, float))
+def _check_grid(opts) -> dict:
+    """The ratios integral's grid as tolerances, checked before any compute."""
+    t_cap, h = opts["t_cap"], opts["panel_h"]
     if not (0.0 < t_cap < math.inf and 0.0 < h < math.inf):
         raise _ConfigError(
             f"t-cap and panel-h need finite values > 0: {t_cap!r}, {h!r}")
-    return t_cap, h
+    return {"panel_h": h, "t_cap": t_cap}
 
 
-def _density_config(ns, cfg) -> tuple[DensityConfig, dict]:
-    x = _resolve(ns, cfg, "x", None, float)
-    if x is None:
-        raise _ConfigError("--X is required")
-    phi = _resolve(ns, cfg, "phi", "fejer:1.5", str)
-    weight = _resolve(ns, cfg, "weight", "gaussian", str)
-    r_mult = float(_resolve(ns, cfg, "r_mult", 4.0, float))
-    threads = int(_resolve(ns, cfg, "threads", 1, int))
-    test = parse_test_function(phi)
-    wf = parse_weight(weight)
-    dc = DensityConfig(float(x), test, wf, R=r_mult, threads=threads)
-    config = {"phi": phi, "r_mult": r_mult, "threads": threads,
-              "weight": weight, "x": float(x)}
-    return dc, config
+def _density_config(opts) -> DensityConfig:
+    if opts["x"] is None:
+        raise _ConfigError(f"{_OPTIONS['x'][0]} is required")
+    test, wf = parse_test_function(opts["phi"]), parse_weight(opts["weight"])
+    return DensityConfig(opts["x"], test, wf, R=opts["r_mult"], threads=opts["threads"])
 
 
-def _cmd_density(ns, cfg) -> int:
-    out_path = _resolve(ns, cfg, "out", None, str)
-    dc, config = _density_config(ns, cfg)
+def _cmd_density(opts) -> str:
+    """explicit-formula one-level density"""
+    dc = _density_config(opts)
     rep = one_level_density(dc)
     extras = {"sieve_bound": int(dc.R * dc.X),
               "tolerances": {"prime_cutoff": float(dc.prime_cutoff)}}
-    _emit(_json_doc("density", config, extras, rep.as_dict()), out_path)
-    return 0
+    return _json_doc("density", opts, extras, rep.as_dict())
 
 
-def _cmd_predict(ns, cfg) -> int:
-    out_path = _resolve(ns, cfg, "out", None, str)
-    first_only = bool(_resolve(ns, cfg, "first_order", False, bool))
-    no_dual = bool(_resolve(ns, cfg, "no_dual", False, bool))
-    t_cap, h = _quadrature_grid(ns, cfg)
-    dc, config = _density_config(ns, cfg)
-    config.update({"first_order": first_only, "no_dual": no_dual,
-                   "panel_h": h, "t_cap": t_cap})
-    ctx = default_context()
-    if first_only:
-        rep = ratios.ratios_first_order(dc, ctx)
+def _cmd_predict(opts) -> str:
+    """ratios-conjecture prediction"""
+    if opts["first_order"]:  # the closed form reads no quadrature grid, no dual term
+        opts.update(no_dual=None, panel_h=None, t_cap=None)
+        tolerances, dc = {}, _density_config(opts)
+        rep = ratios.ratios_first_order(dc)
     else:
-        rep = ratios.ratios_density(dc, ctx, T=t_cap, h=h,
-                                    with_dual=not no_dual)
-    extras = {"sieve_bound": int(dc.R * dc.X),
-              "tolerances": {"panel_h": h, "t_cap": t_cap}}
-    _emit(_json_doc("predict", config, extras, rep.as_dict()), out_path)
-    return 0
+        tolerances, dc = _check_grid(opts), _density_config(opts)
+        rep = ratios.ratios_density(dc, T=opts["t_cap"], h=opts["panel_h"],
+                                    with_dual=not opts["no_dual"])
+    extras = {"sieve_bound": int(dc.R * dc.X), "tolerances": tolerances}
+    return _json_doc("predict", opts, extras, rep.as_dict())
 
 
-def _cmd_expand(ns, cfg) -> int:
-    out_path = _resolve(ns, cfg, "out", None, str)
-    m_order = int(_resolve(ns, cfg, "m_order", 2, int))
-    phi = _resolve(ns, cfg, "phi", "fejer:1.5", str)
-    weight = _resolve(ns, cfg, "weight", "gaussian", str)
-    grid = _resolve(ns, cfg, "x_grid", None, str)
-    route = _resolve(ns, cfg, "route", "analytic", str)
-    cutoff = int(_resolve(ns, cfg, "cutoff", 10 ** 6, int))
-    if route not in ("analytic", "sieve"):
-        raise _ConfigError(f"bad route {route!r}")
-    xs = None if grid is None else _parse_grid(grid)
-    if xs is not None and min(xs) <= math.e:
+def _cmd_expand(opts) -> str:
+    """descending-log expansion coefficients"""
+    grid = opts["x_grid"]
+    xs = [] if grid is None else _parse_grid(grid)
+    if xs and min(xs) <= math.e:
         raise _ConfigError(f"expand needs X > e for J(X): {grid!r}")
-    test = parse_test_function(phi)
-    wf = parse_weight(weight)
-    ctx = default_context()
-    coeffs = expansion_coefficients(m_order, test, wf, ctx, cutoff, route)
-    result = {"M": m_order, "coefficients": coeffs.as_rows()}
-    if xs is not None:
-        vals = []
-        for x in xs:
-            jv, je = J_X(x, test, wf, ctx)
-            vals.append({"X": x, "J": jv, "J_err_bound": je,
-                         "J_first_order": J_first_order(x, test, wf, ctx),
-                         "thm_prediction": thm_prediction(x, coeffs, test)})
-        result["grid"] = vals
-    config = {"cutoff": cutoff, "m_order": m_order, "phi": phi,
-              "route": route, "weight": weight}
-    if grid is not None:
-        config["x_grid"] = grid
-    extras = {"sieve_bound": cutoff, "tolerances": {}}
-    _emit(_json_doc("expand", config, extras, result), out_path)
-    return 0
+    test, wf = parse_test_function(opts["phi"]), parse_weight(opts["weight"])
+    coeffs = expansion_coefficients(opts["m_order"], test, wf,
+                                    cutoff=opts["cutoff"], route=opts["route"])
+    result = {"M": opts["m_order"], "coefficients": coeffs.as_rows()}
+    for x in xs:
+        jv, je = J_X(x, test, wf)
+        result.setdefault("grid", []).append(
+            {"X": x, "J": jv, "J_err_bound": je,
+             "J_first_order": J_first_order(x, test, wf),
+             "thm_prediction": thm_prediction(x, coeffs, test)})
+    extras = {"sieve_bound": opts["cutoff"], "tolerances": {}}
+    return _json_doc("expand", opts, extras, result)
 
 
-def _cmd_compare(ns, cfg) -> int:
-    out_path = _resolve(ns, cfg, "out", None, str)
-    fmt = _resolve(ns, cfg, "format", "csv", str)
-    if fmt not in ("csv", "json"):
-        raise _ConfigError(f"bad format {fmt!r}")
-    grid_spec = _resolve(ns, cfg, "x_grid", "500,2000,8000", str)
-    phi = _resolve(ns, cfg, "phi", "fejer:1.5", str)
-    weight = _resolve(ns, cfg, "weight", "gaussian", str)
-    r_mult = float(_resolve(ns, cfg, "r_mult", 4.0, float))
-    threads = int(_resolve(ns, cfg, "threads", 1, int))
-    m_order = int(_resolve(ns, cfg, "m_order", 2, int))
-    t_cap, h = _quadrature_grid(ns, cfg)
-    xs = _parse_grid(grid_spec)
-    test = parse_test_function(phi)
-    wf = parse_weight(weight)
-    rows = ratios.compare(xs, test, wf, R=r_mult, threads=threads,
-                          M=m_order, T=t_cap, h=h)
-    config = {"format": fmt, "m_order": m_order, "panel_h": h, "phi": phi,
-              "r_mult": r_mult, "t_cap": t_cap, "threads": threads,
-              "weight": weight, "x_grid": grid_spec}
-    extras = {"sieve_bound": int(r_mult * max(xs)),
-              "tolerances": {"panel_h": h, "t_cap": t_cap}}
-    if fmt == "csv":
-        text = _csv_doc("compare", config, extras,
-                        ratios.COMPARE_COLUMNS, rows)
-    else:
-        text = _json_doc("compare", config, extras, {"rows": rows})
-    _emit(text, out_path)
-    return 0
+def _cmd_compare(opts) -> str:
+    """empirical vs predictions table"""
+    tolerances = _check_grid(opts)
+    xs = _parse_grid(opts["x_grid"])
+    rows = ratios.compare(xs, parse_test_function(opts["phi"]),
+                          parse_weight(opts["weight"]), R=opts["r_mult"],
+                          threads=opts["threads"], M=opts["m_order"],
+                          T=opts["t_cap"], h=opts["panel_h"])
+    extras = {"sieve_bound": int(opts["r_mult"] * max(xs)),
+              "tolerances": tolerances}
+    if opts["format"] == "csv":
+        return _csv_doc("compare", opts, extras, ratios.COMPARE_COLUMNS, rows)
+    return _json_doc("compare", opts, extras, {"rows": rows})
 
 
 # --- argument parsing ---------------------------------------------------------------
@@ -389,91 +387,33 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version",
                    version=f"quadhecke {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def dens_flags(sp):
-        sp.add_argument("--X", dest="x", type=float)
-        sp.add_argument("--phi", help="fejer:SIGMA or bump:SIGMA")
-        sp.add_argument("--weight", help="gaussian")
-        sp.add_argument("--R-mult", dest="r_mult", type=float,
-                        help="family norm bound as multiple of X")
-        sp.add_argument("--threads", type=int)
-        sp.add_argument("--out")
-
-    sp = sub.add_parser("sieve", help="family and prime-norm sieve counts")
-    sp.add_argument("--bound", type=int)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("constants", help="field constants")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("selftest", help="invariant suite; exit 2 on failure")
-    sp.add_argument("--quick", action="store_const", const=True)
-    sp.add_argument("--tol-scale", dest="tol_scale", type=float)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("density", help="explicit-formula one-level density")
-    dens_flags(sp)
-
-    sp = sub.add_parser("predict", help="ratios-conjecture prediction")
-    dens_flags(sp)
-    sp.add_argument("--first-order", dest="first_order",
-                    action="store_const", const=True,
-                    help="skip the axis integral")
-    sp.add_argument("--no-dual", dest="no_dual",
-                    action="store_const", const=True,
-                    help="drop the dual term (ablation)")
-    sp.add_argument("--T-cap", dest="t_cap", type=float)
-    sp.add_argument("--panel-h", dest="panel_h", type=float)
-
-    sp = sub.add_parser("expand", help="descending-log expansion coefficients")
-    sp.add_argument("--M", dest="m_order", type=int)
-    sp.add_argument("--phi")
-    sp.add_argument("--weight")
-    sp.add_argument("--X-grid", dest="x_grid")
-    sp.add_argument("--route", choices=("analytic", "sieve"))
-    sp.add_argument("--cutoff", type=int)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("compare", help="empirical vs predictions table")
-    sp.add_argument("--X-grid", dest="x_grid")
-    sp.add_argument("--phi")
-    sp.add_argument("--weight")
-    sp.add_argument("--R-mult", dest="r_mult", type=float)
-    sp.add_argument("--threads", type=int)
-    sp.add_argument("--M", dest="m_order", type=int)
-    sp.add_argument("--T-cap", dest="t_cap", type=float)
-    sp.add_argument("--panel-h", dest="panel_h", type=float)
-    sp.add_argument("--format", choices=("csv", "json"))
-    sp.add_argument("--out")
+    for command, takes in _TAKES.items():
+        sp = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        for key in takes:
+            flag, kind, text = _OPTIONS[key]
+            how = ({"action": "store_const", "const": True} if kind is bool
+                   else {"choices": kind} if isinstance(kind, tuple)
+                   else {"type": kind})
+            sp.add_argument(flag, dest=key, help=text, **how)
     return p
 
 
-_COMMANDS = {
-    "sieve": _cmd_sieve,
-    "constants": _cmd_constants,
-    "selftest": _cmd_selftest,
-    "density": _cmd_density,
-    "predict": _cmd_predict,
-    "expand": _cmd_expand,
-    "compare": _cmd_compare,
-}
+_COMMANDS = {"sieve": _cmd_sieve, "constants": _cmd_constants,
+             "selftest": _cmd_selftest, "density": _cmd_density,
+             "predict": _cmd_predict, "expand": _cmd_expand,
+             "compare": _cmd_compare}
 
 
 def run(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
-        cfg = _load_config(ns.config)
-        return _COMMANDS[ns.command](ns, cfg)
-    except _ConfigError as exc:
-        sys.stderr.write(f"quadhecke: error[config]: {exc}\n")
-        return 1
-    except _ToleranceError as exc:
+        opts = _resolve(ns, _load_config(ns.config))
+        _emit(_COMMANDS[ns.command](opts), opts["out"])
+        return 0
+    except (_ToleranceError, ArithmeticError) as exc:
         sys.stderr.write(f"quadhecke: error[tolerance]: {exc}\n")
         return 2
-    except ArithmeticError as exc:
-        sys.stderr.write(f"quadhecke: error[tolerance]: {exc}\n")
-        return 2
-    except _CONFIG_ERRORS as exc:
+    except (_ConfigError, ValueError, OSError) as exc:
         sys.stderr.write(f"quadhecke: error[config]: {exc}\n")
         return 1
     except Exception as exc:

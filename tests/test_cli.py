@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -65,6 +66,25 @@ def test_predict_first_order_document(capsys):
                                  "digamma_integral", "prime_even", "phi_hat1"}
 
 
+@pytest.mark.parametrize("channel", ["flag", "config"])
+def test_predict_first_order_reads_no_grid(tmp_path, capsys, channel):
+    # the closed form runs no axis integral: its grid and dual switch are
+    # neither checked nor recorded
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("panel_h = 0.005\nt_cap = -5\nno_dual = true\n")
+    if channel == "flag":
+        argv = ("predict", "--X", "80", "--first-order", "--panel-h", "0.005",
+                "--T-cap", "-5", "--no-dual")
+    else:
+        argv = ("--config", str(cfgfile), "predict", "--X", "80", "--first-order")
+    doc = _run_json(capsys, *argv)
+    prov = doc["provenance"]
+    assert set(prov["config"]) == {"first_order", "phi", "r_mult", "threads",
+                                   "weight", "x"}
+    assert prov["tolerances"] == {}
+    assert "D_ratios_first_order" in doc["result"]
+
+
 def test_predict_integral_document(capsys):
     doc = _run_json(capsys, "predict", "--X", "80", "--T-cap", "100")
     res = doc["result"]
@@ -101,6 +121,59 @@ def test_compare_csv_document(capsys):
             float(cell)
 
 
+# the provenance config keys of each command, and the flags it takes
+PROVENANCE = [
+    (("sieve", "--bound", "100"), {"bound"}, {"--bound", "--out"}),
+    (("constants",), set(), {"--out"}),
+    (("selftest", "--quick"), {"quick", "tol_scale"},
+     {"--quick", "--tol-scale", "--out"}),
+    (("density", "--X", "60"), {"phi", "r_mult", "threads", "weight", "x"},
+     {"--X", "--phi", "--weight", "--R-mult", "--threads", "--out"}),
+    (("predict", "--X", "60", "--T-cap", "60"),
+     {"first_order", "no_dual", "panel_h", "phi", "r_mult", "t_cap", "threads",
+      "weight", "x"},
+     {"--X", "--phi", "--weight", "--R-mult", "--threads", "--first-order",
+      "--no-dual", "--T-cap", "--panel-h", "--out"}),
+    (("predict", "--X", "60", "--first-order"),
+     {"first_order", "phi", "r_mult", "threads", "weight", "x"}, None),
+    (("expand", "--M", "1"), {"cutoff", "m_order", "phi", "route", "weight"},
+     {"--M", "--phi", "--weight", "--X-grid", "--route", "--cutoff", "--out"}),
+    (("expand", "--M", "1", "--X-grid", "100"),
+     {"cutoff", "m_order", "phi", "route", "weight", "x_grid"}, None),
+    (("compare", "--X-grid", "60,90", "--M", "1", "--T-cap", "60", "--format", "json"),
+     {"format", "m_order", "panel_h", "phi", "r_mult", "t_cap", "threads",
+      "weight", "x_grid"},
+     {"--X-grid", "--phi", "--weight", "--R-mult", "--threads", "--M",
+      "--T-cap", "--panel-h", "--format", "--out"}),
+]
+
+# the CSV header of `compare --X-grid 60,90 --M 1 --T-cap 60 --format csv`,
+# as recorded before the options moved into one table
+COMPARE_CSV_HEADER = [
+    "# quadhecke 0.1.0 compare", "# format=csv", "# m_order=1", "# panel_h=0.25",
+    "# phi=fejer:1.5", "# r_mult=4.0", "# sieve_bound=360", "# t_cap=60.0",
+    "# threads=1", "# weight=gaussian", "# x_grid=60,90",
+]
+
+
+def test_provenance_pinned(tmp_path, capsys, monkeypatch):
+    code, out, err = _run(capsys, "compare", "--X-grid", "60,90", "--M", "1",
+                          "--T-cap", "60", "--format", "csv")
+    assert code == 0, err
+    assert [ln for ln in out.splitlines() if ln.startswith("#")] == COMPARE_CSV_HEADER
+    monkeypatch.setattr(checks, "CHECKS", (("one", "quick", lambda: (0.0, 1.0)),))
+    for argv, keys, flags in PROVENANCE:
+        path = tmp_path / f"{argv[0]}.json"
+        assert run([*argv, "--out", str(path)]) == 0, argv
+        assert set(json.loads(path.read_text())["provenance"]["config"]) == keys, argv
+        if flags is not None:
+            with pytest.raises(SystemExit) as exc:
+                run([argv[0], "--help"])
+            assert exc.value.code == 0
+            listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+            assert listed == flags | {"--help"}, argv[0]
+
+
 # --- config precedence ------------------------------------------------------------
 
 def test_flag_overrides_config(tmp_path, capsys):
@@ -117,6 +190,50 @@ def test_config_dashed_keys(tmp_path, capsys):
     cfgfile.write_text("t-cap = 80\nx = 60\n")
     doc = _run_json(capsys, "--config", str(cfgfile), "predict")
     assert doc["provenance"]["tolerances"]["t_cap"] == 80.0
+
+
+def _no_compute(monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("computed before the options were checked")
+    for owner, name in ((cli, "one_level_density"), (cli, "expansion_coefficients"),
+                        (cli.ratios, "ratios_density"), (cli.ratios, "compare"),
+                        (cli.zint, "primary_squarefree_arrays")):
+        monkeypatch.setattr(owner, name, boom)
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("density", "X = 50", "X"),         # the flag's spelling, not the key's
+    ("expand", "M = 1", "M"),
+    ("predict", "t_capp = 5", "t_capp"),
+    ("sieve", "x = 50", "x"),           # an option of other commands only
+])
+def test_config_key_not_taken(tmp_path, capsys, monkeypatch, command, line, key):
+    # refused before any route runs, not dropped without a word
+    _no_compute(monkeypatch)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    x = ("--X", "500") if command == "predict" else ()
+    code, out, err = _run(capsys, "--config", str(cfgfile), command, *x)
+    assert code == 1
+    assert err == f"quadhecke: error[config]: config key {key}: not an option of {command}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("compare", "format = xml", "config key format: expected csv/json"),
+    ("expand", "route = exact", "config key route: expected analytic/sieve"),
+    ("selftest", "quick = yes", "config key quick: expected true/false"),
+])
+def test_bad_choice_config_key(tmp_path, capsys, monkeypatch, command, line, message):
+    # a config value is held to the same allowed strings as its flag
+    _no_compute(monkeypatch)
+    monkeypatch.setattr(checks, "CHECKS", ())
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    code, out, err = _run(capsys, "--config", str(cfgfile), command)
+    assert code == 1
+    assert err == f"quadhecke: error[config]: {message}\n"
+    assert out == ""
 
 
 def test_missing_config_file(capsys):
@@ -256,12 +373,22 @@ def test_panel_width_inside_pole_guard(capsys, monkeypatch, command):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    def boom(ns, cfg):
+    def boom(opts):
         raise RuntimeError("unexpected")
     monkeypatch.setitem(cli._COMMANDS, "constants", boom)
     code, out, err = _run(capsys, "constants")
     assert code == 3
     assert err.startswith("quadhecke: error[internal]: unexpected")
+
+
+def test_internal_key_error_exit_code(capsys, monkeypatch):
+    # a KeyError is a fault of the program, not of its configuration
+    def boom(*args):
+        return {}["missing"]
+    monkeypatch.setitem(cli._COMMANDS, "constants", boom)
+    code, out, err = _run(capsys, "constants")
+    assert code == 3
+    assert err == "quadhecke: error[internal]: 'missing'\n"
 
 
 def test_bad_format(capsys):
@@ -286,6 +413,15 @@ def test_selftest_impossible_tolerance(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("quadhecke: error[tolerance]")
     assert any(ln.startswith("FAIL") for ln in out.splitlines())
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_selftest_tol_scale_finite_positive(capsys, scale):
+    # refused before the first check runs, not reported as a tolerance failure
+    code, out, err = _run(capsys, "selftest", "--quick", "--tol-scale", scale)
+    assert code == 1
+    assert err.startswith("quadhecke: error[config]: tol-scale needs a finite value > 0")
+    assert out == ""
 
 
 def test_selftest_reports_a_raising_check(tmp_path, capsys, monkeypatch):
