@@ -13,11 +13,11 @@ p = 5 mod 8 in the odd-power sums and leaves a factor 4 elsewhere; odd sums
 therefore loop over rational p = 1 mod 8 (handling conjugate primes
 together through Legendre symbols at a fixed square root of -1 mod p) plus
 inert q.  Every odd j shares one family sum of symbols per prime.  Primes
-up to the family norm bound R X take that sum prime by prime, as lookups in
-a Legendre table mod p gathered over the family.  Larger primes divide no
-member, and reciprocity (c/varpi) = (varpi/c) turns their symbols into
-products of lookups in tables mod the prime factors of c, summed member
-by member.
+up to the family norm bound R X take that sum prime by prime, reading the
+family in rows of fixed Im c off contiguous windows of the Legendre table
+mod p.  Larger primes divide no member, and reciprocity (c/varpi) =
+(varpi/c) turns their symbols into products of lookups in tables mod the
+prime factors of c, summed member by member.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +96,21 @@ class _Family:
     def size(self) -> int:
         return 4 * self.re.size
 
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(grid, b, a0), grid[r, k] = w0(c) at c = a0_r + 4k + b[0, r] i (primary:
+        a = 1 - b mod 4), 0 off the family.  Rows b >= 0 stand also for their
+        conjugates b[1] = -b[0]; grid[0], the real axis, holds half its weight."""
+        a_lo, b_lo = int(self.re.min()), int(self.im.min())
+        grid = np.zeros((1 - b_lo, int(self.re.max() - a_lo) // 4 + 1))
+        grid[(self.im - b_lo) // 2, (self.re - a_lo) // 4] = self.w0
+        if not np.array_equal(grid, grid[::-1]):
+            raise AssertionError("family not closed under conjugation")
+        grid = grid[-b_lo // 2:].copy()
+        grid[0] *= 0.5
+        b = np.arange(0, 1 - b_lo, 2)
+        return grid, np.stack((b, -b)), a_lo + (1 - b - a_lo) % 4
+
 
 def _family(cfg: DensityConfig) -> _Family:
     bound = int(cfg.R * cfg.X)
@@ -143,11 +159,10 @@ def _sj_coefs(norms: np.ndarray, L: float, sigma: float, test: TestFunction,
 
 
 class _Pairs:
-    """Legendre symbols ((x + y t)/p) over fixed integer arrays x, y, for many (t, p).
-
-    y t is reduced mod p once per distinct y, and the table mod p is repeated
-    over the range that x + (y t mod p) covers, so no division runs per pair.
-    """
+    """Legendre symbols ((x + y t)/p) over the primes x + yi of the member
+    side, for many (t, p): y t is reduced mod p once per distinct y, and the
+    table mod p is tiled over the range of x + (y t mod p), so no division
+    runs per pair."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x_lo, self.y_lo = int(x.min()), int(y.min())
@@ -204,15 +219,28 @@ def _run_jobs(n: int, worker, threads: int) -> None:
             f.result()
 
 
+def _row_sum(rows, table: np.ndarray, s: int, on=slice(None)) -> float:
+    """sum_c w0(c) table[(a + b s) / 4 mod q] over the members c = a + bi in
+    the rows `on` of fam.rows and their conjugates, for a table mod q: row b
+    reads the repeated table's window at (a0 + b s) / 4, as a = a0 + 4k."""
+    grid, b, a0 = rows
+    q, K = table.size, grid.shape[1]
+    c = (a0 + s * b % q) * pow(4, -1, q) % q
+    tiled = np.concatenate((table,) * (K // q + 2))
+    windows = np.ndarray((q, K), tiled.dtype, tiled, strides=tiled.strides * 2)
+    lo, hi = windows[c[:, on]]
+    return dot(grid[on].ravel(), (lo + hi).ravel())
+
+
 def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     """Odd-j prime-power aggregate and the count of primes that survive.
 
     Each split p = 1 mod 8 enters through T_p = sum_c w0 (c/varpi_p), varpi_p
     the primary prime above p with i -> s_p, and each inert q through the
-    family sum of (N(c)/q).  Primes up to the family norm bound are summed
-    prime by prime, one Legendre table gathered over the family.  Larger p
-    divide no member, so those T_p are summed member by member through
-    reciprocity, see _member_sums.
+    family sum of (N(c)/q).  Primes up to the family norm bound read T_p
+    off windows of the Legendre table mod p along the rows of fam.rows, see
+    _row_sum.  Larger p divide no member, so those T_p are summed member by
+    member through reciprocity, see _member_sums.
     """
     fam = fam or _family(cfg)
     L, sigma = cfg.L, cfg.test.sigma
@@ -236,24 +264,21 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
 
     # prime side: every p <= bound and every inert q
     n_small = int(np.count_nonzero(P <= bound))
-    n_prime_side = n_small + len(inert)
-    contrib = np.zeros(n_prime_side)
-    pairs = _Pairs(fam.re, fam.im)
-    nrm, w0 = fam.norm, fam.w0
+    contrib = np.zeros(n_small + len(inert))
+    rows = fam.rows
 
     def worker(i0: int, i1: int) -> None:
         for k in range(i0, i1):
             if k < n_small:
-                p = int(P[k])
-                sym = pairs.symbols(pairs.tiled(zint.legendre_table(p)), int(S[k]), p)
-                contrib[k] = g[k] * dot(w0, sym)
+                table = zint.legendre_table(int(P[k]))
+                contrib[k] = g[k] * _row_sum(rows, table, int(S[k]))
             else:
                 q = inert[k - n_small]
                 table = zint.legendre_table(q)
                 contrib[k] = coefs_q[k - n_small] * 4.0 * table[32 % q] \
-                    * dot(w0, table[nrm % q])
+                    * dot(fam.w0, table[fam.norm % q])
 
-    _run_jobs(n_prime_side, worker, cfg.threads)
+    _run_jobs(contrib.size, worker, cfg.threads)
     parts = [contrib]
     if n_small < P.size:
         parts.append(_member_sums(fam, bound, P[n_small:], A[n_small:], B[n_small:],
@@ -321,7 +346,9 @@ def _member_sums(fam: _Family, bound: int, P: np.ndarray, A: np.ndarray,
 
 
 def s_even(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
-    """Even-j aggregate: (W - 4 sum_{varpi | c0} w0) per prime ideal."""
+    """Even-j aggregate: (W - 4 sum_{varpi | c0} w0) per prime ideal, with
+    varpi | c exactly when a + b s = 0 mod N(varpi), for a split varpi with
+    i -> s, or q | b and q | a, for an inert q: a strided sum along fam.rows."""
     fam = fam or _family(cfg)
     L, sigma = cfg.L, cfg.test.sigma
     bound = int(cfg.prime_cutoff ** 0.5)
@@ -330,17 +357,17 @@ def s_even(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
         return 0.0, 0
     coefs = _sj_coefs(np.array([pp.norm for pp in primes], dtype=float), L, sigma,
                       cfg.test, 2)
-    re, im, w0 = fam.re, fam.im, fam.w0
+    rows = fam.rows
     contrib = np.zeros(len(primes))
 
     def worker(i0: int, i1: int) -> None:
         for k in range(i0, i1):
-            pp = primes[k]
-            a, b, n = pp.value.re, pp.value.im, pp.norm
-            tr = re * a + im * b
-            ti = im * a - re * b
-            mask = (tr % n == 0) & (ti % n == 0)
-            wdiv = dot(w0, mask)
+            v, n = primes[k].value, primes[k].norm
+            zero = (np.arange(n if v.im else -v.re) == 0).astype(np.int8)
+            if v.im:        # split, with i -> s = -re / im mod n
+                wdiv = _row_sum(rows, zero, -v.re * pow(v.im, -1, n) % n)
+            else:           # inert q = -re, in the rows q | b
+                wdiv = _row_sum(rows, zero, 0, rows[1][0] % v.re == 0)
             contrib[k] = coefs[k] * (fam.W - 4.0 * wdiv)
 
     _run_jobs(len(primes), worker, cfg.threads)

@@ -1,7 +1,8 @@
 """Test-only references that the suite compares production code against.
 
 Each is a slower or more literal form of something src/quadhecke computes
-another way: the per-character prime sums, A_alpha by differencing the
+another way: the per-character prime sums, S_even's divisor weights by a
+divisibility mask over the members, A_alpha by differencing the
 Euler product, the Moebius function from a factorization, the primary
 associate, the pointwise ratios integrand and the outer-product phase sum.
 Test files import from here; pytest does not collect it.
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from quadhecke import ratios, zint
-from quadhecke.empirical import DensityConfig, _family
+from quadhecke.empirical import DensityConfig, _family, _sj_coefs
 from quadhecke.specfun import A_alpha_series, A_euler, ZetaKContext
 from quadhecke.transforms import TestFunction
 from quadhecke.zint import GInt
@@ -99,6 +100,27 @@ def s_total_family_outer(cfg: DensityConfig) -> float:
                 s += s_j_sum(c0 * unit, j)
             acc.append(w0 * s)
     return -2.0 / (cfg.L * fam.W) * math.fsum(acc)
+
+
+def s_even_members(cfg: DensityConfig) -> tuple[float, int]:
+    """S_even and its prime count with each divisor weight sum_{varpi | c0} w0
+    taken as a mask over the members: varpi = a + bi of norm n divides c
+    exactly when n divides both coordinates of c conj(varpi)."""
+    fam = _family(cfg)
+    bound = int(cfg.prime_cutoff ** 0.5)
+    primes = zint.primary_primes_up_to(bound) if bound >= 5 else []
+    if not primes:
+        return 0.0, 0
+    coefs = _sj_coefs(np.array([pp.norm for pp in primes], dtype=float), cfg.L,
+                      cfg.test.sigma, cfg.test, 2)
+    contrib = []
+    for pp, coef in zip(primes, coefs):
+        a, b, n = pp.value.re, pp.value.im, pp.norm
+        tr = fam.re * a + fam.im * b
+        ti = fam.im * a - fam.re * b
+        mask = (tr % n == 0) & (ti % n == 0)
+        contrib.append(coef * (fam.W - 4.0 * math.fsum(fam.w0[mask])))
+    return -2.0 / (cfg.L * fam.W) * math.fsum(contrib), len(primes)
 
 
 # --- the ratios bracket ------------------------------------------------------------

@@ -15,7 +15,7 @@ from quadhecke.empirical import DensityConfig, one_level_density
 from quadhecke.transforms import make_bump, make_fejer, make_gaussian_weight
 from quadhecke.zint import GInt
 
-from oracles import s_total_family_outer
+from oracles import s_even_members, s_total_family_outer
 
 
 def test_config_validation():
@@ -90,13 +90,38 @@ def test_digamma_integral_term_refine_stable(fejer15, bump15):
 
 
 def test_prime_split_inert_decomposition(weight):
-    # the vectorized odd/even aggregates equal the naive per-character loop
-    cfg = DensityConfig(30.0, make_fejer(1.5), weight)
-    so, n_odd = empirical.s_odd(cfg)
-    se, n_even = empirical.s_even(cfg)
-    outer = s_total_family_outer(cfg)
-    assert abs(outer - (so + se)) < 1e-12
-    assert n_odd > 0
+    # the vectorized odd/even aggregates equal the naive per-character loop,
+    # down to the one-member, one-row family {1} at R X = 1
+    for X, R in [
+        (30.0, 4.0),
+        (32.0, 1 / 32),
+        (32.0, 1.2 / 32),
+        (32.0, 9 / 32),     # 1, -1 +- 2i, -3: two rows
+        (32.0, 30 / 32),    # 17 <= R X: a prime read off the rows
+    ]:
+        cfg = DensityConfig(X, make_fejer(1.5), weight, R=R)
+        so, n_odd = empirical.s_odd(cfg)
+        se, n_even = empirical.s_even(cfg)
+        outer = s_total_family_outer(cfg)
+        assert abs(outer - (so + se)) < 1e-12, (X, R)
+        assert n_odd > 0 and n_even > 0
+
+
+@pytest.mark.parametrize("X, test", [
+    (2000.0, make_fejer(1.5)),
+    (32000.0, make_fejer(0.8)),
+])
+def test_s_even_against_member_mask(weight, X, test):
+    cfg = DensityConfig(X, test, weight)
+    fam = empirical._family(cfg)
+    # every kind of divisor occurs: inert 3 | c, 5 | c, and 2 + i or 2 - i alone
+    five = (fam.re % 5 == 0) & (fam.im % 5 == 0)
+    assert np.any((fam.re % 3 == 0) & (fam.im % 3 == 0))
+    assert np.any(five) and np.any((fam.norm % 5 == 0) & ~five)
+    got, n_got = empirical.s_even(cfg)
+    want, n_want = s_even_members(cfg)
+    assert n_got == n_want
+    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_s_even_close_to_main_form(weight):
@@ -183,6 +208,46 @@ def test_member_sums_are_exact_symbols(weight):
         assert np.array_equal(got, fam.w0 * np.array(want, dtype=float))
 
 
+@pytest.mark.parametrize("X, R", [
+    (32.0, 1 / 32), (32.0, 1.2 / 32), (32.0, 9 / 32), (32.0, 30 / 32),
+    (2000.0, 4.0), (128000.0, 4.0),
+])
+def test_family_rows_cover_members(weight, X, R):
+    # each member c = a + bi sits at (row |b|, column k) with a = a0 + 4k, its
+    # conjugate at the same cell; the cells of b = 0 hold half the weight, and
+    # every other cell holds 0
+    fam = empirical._family(DensityConfig(X, make_fejer(0.8), weight, R=R))
+    grid, b, a0 = fam.rows
+    assert np.array_equal(b[1], -b[0]) and np.array_equal(b[0], 2 * np.arange(b.shape[1]))
+    r = np.abs(fam.im) // 2
+    k, off = np.divmod(fam.re - a0[r], 4)
+    assert np.all(off == 0) and np.all(k >= 0)
+    assert np.all(grid[r, k] == np.where(fam.im == 0, 0.5, 1.0) * fam.w0)
+    upper = fam.im >= 0
+    cells = r[upper] * grid.shape[1] + k[upper]
+    assert np.unique(cells).size == cells.size          # one member per cell
+    assert np.all(fam.w0 > 0) and np.count_nonzero(grid) == cells.size
+    # the fold: c -> conj(c) maps the family to itself at equal weight
+    w = dict(zip(zip(fam.re.tolist(), fam.im.tolist()), fam.w0.tolist()))
+    assert all(w.get((a, -bb)) == v for (a, bb), v in w.items())
+
+
+def test_prime_side_sums_are_exact_symbols(weight):
+    # one prime at a time, the row windows must give sum_c w0 ((a + b s)/p)
+    # for every p = 1 mod 4 up to the norm bound, s from primes_above; the
+    # error is relative to sum_c w0, the scale of the rounding: T_p cancels
+    # to 2.5e-4 of it
+    cfg = DensityConfig(2000.0, make_fejer(0.8), weight)
+    fam = empirical._family(cfg)
+    P = zint._sieve(int(cfg.R * cfg.X))
+    P = P[P % 4 == 1]
+    S, _, _ = zint.primes_above(P)
+    for p, s in zip(P.tolist(), S.tolist()):
+        got = empirical._row_sum(fam.rows, zint.legendre_table(p), s)
+        want = np.dot(fam.w0, _legendre_ladder(fam.re + fam.im * s, p))
+        assert abs(got - want) <= 1e-13 * np.abs(fam.w0).sum(), p
+
+
 def test_member_sums_build_tables_per_prime(weight, monkeypatch):
     # keys run in q order, so each q's Legendre table is built once for the
     # shared vectors and at most once more for the groups, not once per key:
@@ -207,12 +272,18 @@ def test_member_sums_build_tables_per_prime(weight, monkeypatch):
 
 
 def test_s_odd_threads_bitwise_invariant(weight):
-    cfg = DensityConfig(2000.0, make_fejer(1.5), weight, threads=1)
-    assert cfg.R * cfg.X < cfg.prime_cutoff    # the member side runs
-    want = empirical.s_odd(cfg)
-    for threads in (2, 3):
-        cfg = DensityConfig(2000.0, make_fejer(1.5), weight, threads=threads)
-        assert empirical.s_odd(cfg) == want
+    for X, test in [
+        (2000.0, make_fejer(1.5)),      # the member side runs
+        (32000.0, make_fejer(0.8)),     # every prime read off the rows
+    ]:
+        want = None
+        for threads in (1, 2, 3):
+            cfg = DensityConfig(X, test, weight, threads=threads)
+            got = empirical.s_odd(cfg), empirical.s_even(cfg)
+            assert want is None or got == want, (X, threads)
+            want = got
+        # the member side runs for sigma > 1 only
+        assert (cfg.R * cfg.X < cfg.prime_cutoff) == (test.sigma > 1.0)
 
 
 _BLAS_CASE = """
