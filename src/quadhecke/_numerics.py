@@ -1,7 +1,6 @@
 """Shared numerical helpers: panel quadrature, phase sums on the panel
-grid by non-uniform FFT, Dirichlet convolution in loop order, Chebyshev
-table fills, table interpolation, BLAS-free dot products,
-alternating-series acceleration.
+grid by non-uniform FFT, Chebyshev table fills, table interpolation,
+BLAS-free dot products, alternating-series acceleration.
 
 Nothing here knows about number fields; keep it that way.
 """
@@ -131,41 +130,6 @@ def _gaussian_spread(mu, w, step: float, phase0, grid: int, tau: float) -> np.nd
         for q, col in enumerate(strength.view(float).T):
             spread[:, q] += np.bincount(rows, (kern * col[:, None]).ravel(), grid)
     return spread.view(complex)
-
-
-_PAIR_CHUNK = 1 << 14    # (n, k) pairs per np.add.at call
-
-
-def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """c(m) = sum_{n | m} f(n) g(m/n) for 0 < m < f.size (g at least as
-    long), added in the order of a loop over n ascending with one strided
-    add c[n::n] += f(n) g per n.
-
-    The few n with more than _PAIR_CHUNK multiples take that add; the rest
-    go as chunks of (n, k) pairs with f(n) g(k) != 0 through np.add.at,
-    which adds in list order, so c is bit-identical to the loop while the
-    temporaries stay at one chunk.
-    """
-    m_max = f.size - 1
-    c = np.zeros(m_max + 1)
-    ns = np.flatnonzero(f[1:]) + 1
-    counts = m_max // ns
-    many = counts > _PAIR_CHUNK
-    for n in ns[many].tolist():
-        c[n::n] += f[n] * g[1:m_max // n + 1]
-    ns, counts = ns[~many], counts[~many]
-    ends = np.cumsum(counts)
-    i0 = 0
-    while i0 < ns.size:
-        i1 = int(np.searchsorted(ends, ends[i0] - counts[i0] + _PAIR_CHUNK, side="right"))
-        cnt = counts[i0:i1]
-        n = np.repeat(ns[i0:i1], cnt)
-        k = np.arange(1, n.size + 1) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        live = g[k] != 0
-        n, k = n[live], k[live]
-        np.add.at(c, n * k, f[n] * g[k])
-        i0 = i1
-    return c
 
 
 def chebyshev_fill(f, x0: float, x1: float, n: int,

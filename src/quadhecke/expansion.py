@@ -14,7 +14,16 @@ sum_k g(N(k) z) = (1/z) sum_j g1(N(j)/z).
 
 Grouping the terms by m = n N(l) turns the double sum into one Dirichlet
 convolution c = r * (mu/N), c(m) = sum_{N(l) | m} mu(l)/N(l) r(m/N(l)), and
-folding the g1(2 m z) terms in gives d(m) = c(m/2) [2 | m] - c(m), so
+the g1(2 m z) terms into d(m) = c(m/2) [2 | m] - c(m).  Since r(2n) = r(n)
+and N(l) is odd, c(2m) = c(m): d(m) = -c(m) on odd m and 0 on even m.
+r/4 = 1 * chi_{-4} and mu/N are multiplicative, so c/4 is too, with local
+factors, for e >= 1,
+
+  (e + 1) - 2e/p + (e - 1)/p^2   at p = 1 mod 4,
+  [e even] (1 - 1/q^2)           at q = 3 mod 4,
+  1                              at 2,
+
+and d is one odd-norm sieve over them (zint.multiplicative_odd), so
 
   H1(y) = pref * sum_{m <= 112/y} d(m) g1(m y),
   H2(y) = 1 + (pref/y) sum_{m <= 112 y} d(m) g1(m/y):
@@ -54,8 +63,7 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from . import zint
-from ._numerics import (cauchy_derivs, dirichlet_convolution, dot, panel_layout,
-                        panel_nodes, read_only)
+from ._numerics import cauchy_derivs, dot, panel_layout, panel_nodes, read_only
 from .specfun import (_LOG_32_PI2, _PSI_HALF, EULER_GAMMA, ZetaKContext,
                       default_context, hurwitz, zeta_K_log_deriv)
 from .transforms import (TestFunction, WeightFunction, make_gaussian_weight)
@@ -82,14 +90,25 @@ def phi_sf_limit(ctx: ZetaKContext | None = None) -> float:
 
 # --- full lattice sums ------------------------------------------------------------
 
+def _c_local(p, e):
+    """c/4 at p^e for an odd prime p and e >= 1 (module docstring)."""
+    p = np.asarray(p, dtype=float)
+    split = (e + 1) - 2.0 * e / p + (e - 1) / (p * p)
+    inert = (np.asarray(e) % 2 == 0) * (1.0 - 1.0 / (p * p))
+    return np.where(p % 4 == 1, split, inert)
+
+
 class _KernelTables:
     """H1 and H2 for one (weight, ctx, y_cap), from the shared d(m) support.
 
-    d(m) = c(m/2) [2 | m] - c(m), c = r * (mu/N), is built for m up to
+    d(m) = -4 prod_{p^e || m} c_p(e) on odd m and 0 on even m, with c_p the
+    local factors of c/4 (module docstring), is built for m up to
     112 y_cap, so H1 is defined for y >= 1/y_cap and H2 for 1 <= y <= y_cap.
     Only its nonzero terms are kept, as two read-only arrays m and d_m
-    (36841 of the 336002 entries at y_cap = 3000); a lattice sum stops at
-    m <= 112/x by one searchsorted and is one dot product over that prefix.
+    (36841 of the 336002 entries at y_cap = 3000: d vanishes on even m and
+    wherever a q = 3 mod 4 divides m to an odd power); a lattice sum stops
+    at m <= 112/x by one searchsorted and is one dot product over that
+    prefix.
 
     h2_profile tabulates H2 once on the branch-2 grid of the tau-integral,
     the GL-12 panels panel_nodes(0, 2 log y_cap, 0.25, 12) at y = e^(tau/2),
@@ -102,15 +121,9 @@ class _KernelTables:
         self.ctx = ctx
         self.y_cap = y_cap
         self.pref = prefactor(weight, ctx)
-        m_max = int(_G1_CUT * y_cap) + 1
-        # f(n) = sum of mu(l)/N(l) over primary squarefree l with N(l) = n
-        f = zint.mobius_by_norm(m_max).astype(float)
-        f[1:] /= np.arange(1, m_max + 1)
-        c = dirichlet_convolution(f, zint.lattice_norm_counts(m_max))
-        d = -c
-        d[2::2] += c[1:m_max // 2 + 1]
-        m = np.flatnonzero(d)
-        self.m, self.d_m = read_only(m.astype(float), d[m])
+        c = zint.multiplicative_odd(int(_G1_CUT * y_cap) + 1, _c_local)
+        m = np.flatnonzero(c)
+        self.m, self.d_m = read_only(m.astype(float), -4.0 * c[m])
 
     def _g1_sum(self, x: float) -> float:
         """sum_{m <= 112/x} d(m) g1(m x): H1 at y = x, H2 at y = 1/x."""

@@ -286,11 +286,11 @@ def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
     last = np.abs(pan[-max(8, pan.size // 10):])
     tail_est = float(last.max()) * (T / h) / math.pi + 1e-9
 
+    fo = ratios_first_order(cfg, ctx)
     conductor_avg = m1 * p0 / L
-    digamma_closed = 2.0 * _PSI_HALF * p0 / L + digamma_integral_term(test, L)
+    digamma_closed = 2.0 * _PSI_HALF * p0 / L + fo.terms["digamma_integral"]
     d_int = conductor_avg + digamma_closed + i_num
 
-    fo = ratios_first_order(cfg, ctx)
     parts = {
         "conductor_average": conductor_avg,
         "digamma_closed": digamma_closed,

@@ -472,6 +472,37 @@ def primary_squarefree_arrays(bound: int):
     return read_only(R[order], M[order], N[order])
 
 
+def multiplicative_odd(bound: int, local) -> np.ndarray:
+    """f[n] for 0 <= n <= bound as a float64 array: the multiplicative f with
+    f(p^e) = local(p, e) at odd primes p and e >= 1, and f = 0 at even n.
+
+    local takes int64 arrays of primes and exponents (or an int in place
+    of either) and returns their factors elementwise.  Each odd prime
+    p <= sqrt(bound) counts its exponent in the odd multiples of p by one
+    strided add per power and multiplies in its factor from a table of
+    local(p, 1..e_max); what is left of n is 1 or one prime above
+    sqrt(bound), to the first power.
+    """
+    bound = int(bound)
+    f = np.ones((bound + 1) // 2)                       # n = 2k + 1 at k
+    rest = np.arange(1, bound + 1, 2, dtype=np.int64)   # n without its small primes
+    for p in _sieve(math.isqrt(bound))[1:].tolist():
+        # n = p (2j + 1) sits at k = (p - 1)/2 + p j, and p^i | 2j + 1
+        # exactly when j = (p^i - 1)/2 mod p^i
+        e = np.ones((bound // p + 1) // 2, dtype=np.int64)
+        pk = p
+        while pk * p <= bound:
+            e[(pk - 1) // 2::pk] += 1
+            pk *= p
+        f[(p - 1) // 2::p] *= local(p, np.arange(1, int(e.max()) + 1))[e - 1]
+        rest[(p - 1) // 2::p] //= p ** e
+    big = rest > 1
+    f[big] *= local(rest[big], 1)
+    out = np.zeros(bound + 1)
+    out[1::2] = f
+    return out
+
+
 def mobius_by_norm(bound: int) -> np.ndarray:
     """a[n] = sum of mu(l) over primary squarefree odd l with N(l) = n,
     for 0 <= n <= bound, as an int64 array.
@@ -479,30 +510,14 @@ def mobius_by_norm(bound: int) -> np.ndarray:
     a is multiplicative: over p = 1 mod 4 the two conjugate primes give
     a(p) = -2 and their product a(p^2) = +1; over q = 3 mod 4 the inert
     prime gives a(q^2) = -1; every other prime power, 2^k included, gives 0.
-    The primes up to sqrt(bound) are sieved out of n, leaving at most one
-    prime factor above sqrt(bound).
+    These are the local factors multiplicative_odd builds a from.
     """
-    bound = int(bound)
-    a = np.ones(bound + 1, dtype=np.int64)
-    a[0] = 0
-    rest = np.arange(bound + 1, dtype=np.int64)   # n without its small primes
-    for p in _sieve(math.isqrt(bound)).tolist():
-        p2 = p * p
-        if p % 4 == 1:
-            a[p::p] *= -2
-            a[p2::p2] //= -2                # (-2)(-2)/(-2): a(p^2) = +1
-        else:
-            sq = -a[p2::p2]
-            a[p::p] = 0
-            if p % 4 == 3:
-                a[p2::p2] = sq              # a(q^2) = -1
-        a[p2 * p::p2 * p] = 0
-        rest[p::p] //= p
-        rest[p2::p2] //= p
-    big = rest > 1
-    a[big & (rest % 4 == 1)] *= -2
-    a[big & (rest % 4 != 1)] = 0
-    return a
+    def local(p, e):
+        split = np.asarray(p) % 4 == 1
+        return np.where(e == 1, np.where(split, -2, 0),
+                        np.where(e == 2, np.where(split, 1, -1), 0))
+
+    return multiplicative_odd(bound, local).astype(np.int64)
 
 
 @lru_cache(maxsize=4)

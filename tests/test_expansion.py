@@ -102,8 +102,8 @@ def test_H2_matches_exact_R(weight, ctx):
 
 
 def test_kernel_sums_do_not_resieve(fejer15, weight, ctx):
-    # the d array comes from the Moebius weights by norm, not the family
-    # sieve; once the tables exist, J_X and c_w read it and sieve nothing
+    # the d array comes from its Euler factors, not the family sieve; once
+    # the tables exist, J_X and c_w read it and sieve nothing
     zint.primary_squarefree_arrays.cache_clear()
     expansion._KernelTables(weight, ctx, y_cap=200.0)
     assert zint.primary_squarefree_arrays.cache_info().currsize == 0
@@ -200,13 +200,11 @@ def test_J_X_reads_the_profile(fejer15, weight, ctx, monkeypatch):
 
 
 def test_h2_profile_memory(weight, ctx):
-    # d(m) is convolved in chunks of (n, k) pairs, so building the tables
-    # holds a few 112 y_cap sized arrays, not a pair list (measured 9.0 MB,
-    # most of it the Moebius sieve; one list of all pairs took 29 MB); the
-    # lattice sums run over d's nonzero support, so building the profile
-    # holds no such transient.  r(n) is memoized: warm it, as a build would.
+    # d(m) is sieved from its local factors over the odd m <= 112 y_cap, so
+    # building the tables holds a few 112 y_cap sized arrays and no r(n)
+    # or Moebius array (measured 7.7 MB); the lattice sums run over d's
+    # nonzero support, so building the profile holds no such transient
     y_cap = expansion.kernel_tables(weight, ctx).y_cap
-    zint.lattice_norm_counts(int(expansion._G1_CUT * y_cap) + 1)
     tracemalloc.start()
     try:
         tab = expansion._KernelTables(weight, ctx, y_cap)
@@ -222,8 +220,8 @@ def test_h2_profile_memory(weight, ctx):
 
 
 def _d_strided(y_cap):
-    """d(m) on 0..112 y_cap by one strided add per n, the convolution's
-    reference: each c(m) gets its terms in the order of n ascending."""
+    """d(m) on 0..112 y_cap from the convolution c = r * (mu/N) itself, one
+    strided add per n: the reference for the Euler-factor build."""
     m_max = int(112.0 * y_cap) + 1
     a = zint.mobius_by_norm(m_max)
     r = zint.lattice_norm_counts(m_max)
@@ -237,13 +235,18 @@ def _d_strided(y_cap):
 
 @pytest.mark.parametrize("y_cap", [3000.0, 20.0])
 def test_d_support_matches_strided_loop(weight, ctx, y_cap):
-    # at y_cap = 3000 the n below 112 y_cap / 2^14 take strided adds and the
-    # rest go as pair chunks; at y_cap = 20 every n is a pair chunk
+    # d(m) from the Euler factors of c/4 against the convolution c = r * (mu/N)
+    # summed term by term: the same support, the same values up to rounding
     tab = expansion._KernelTables(weight, ctx, y_cap)
     d = _d_strided(y_cap)
     m = np.flatnonzero(d)
     assert np.array_equal(tab.m, m.astype(float))
-    assert np.array_equal(tab.d_m, d[m])
+    assert np.max(np.abs(tab.d_m / d[m] - 1.0)) <= 1e-15
+    # d = 0 on every even m and on every m with a q = 3 mod 4 to an odd
+    # power, which is where r(m) = 0; elsewhere every local factor is > 0
+    r = zint.lattice_norm_counts(d.size - 1)
+    odd = np.arange(1, d.size, 2)
+    assert np.array_equal(tab.m, odd[r[odd] > 0].astype(float))
 
 
 def _m_e_full_ring(max_n, cutoff=10 ** 6):

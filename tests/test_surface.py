@@ -88,3 +88,17 @@ def test_perfbench_trace_targets_resolve():
     for name, owner, attr, _ in targets:
         found = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
         assert callable(found), f"{name}: {owner.__name__}.{attr} is gone"
+
+
+def test_numerics_imports_no_package_module():
+    # _numerics holds the helpers that know nothing about number fields: it
+    # imports no quadhecke module, relatively or by name
+    tree = ast.parse((SRC / "_numerics.py").read_text())
+    inside = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "quadhecke":
+                inside.append(f"from {'.' * node.level}{node.module or ''}")
+        elif isinstance(node, ast.Import):
+            inside += [a.name for a in node.names if a.name.split(".")[0] == "quadhecke"]
+    assert inside == [], f"_numerics imports from the package: {inside}"

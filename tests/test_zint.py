@@ -226,6 +226,25 @@ def test_squarefree_arrays_brute():
     assert key == sorted(key)
 
 
+def test_multiplicative_odd_brute():
+    # a local factor that tells p and e apart, so a wrong exponent or a
+    # dropped prime above sqrt(bound) changes the product; the products
+    # are integers below 2^53, exact in either order
+    def local(p, e):
+        return np.asarray(p) * e + 1.0
+
+    def brute(n):
+        if n % 2 == 0:
+            return 0.0
+        return math.prod(p * e + 1.0 for p, e in zint._factor_int(n).items())
+
+    # 2999 is prime, so the last entry is a lone prime above sqrt(bound)
+    for bound in (0, 1, 3, 9, 27, 2999, 3000):
+        got = zint.multiplicative_odd(bound, local)
+        assert got.shape == (bound + 1,)
+        assert np.array_equal(got, [brute(n) for n in range(bound + 1)]), bound
+
+
 def test_mobius_by_norm_brute():
     # a[n] is the sum of mu(l) over the primary odd l of norm n, each mu
     # from a factorization; the bound 5000 has the leftover prime factor
