@@ -17,7 +17,7 @@ import numpy as np
 from . import ratios, zint
 from ._numerics import cauchy_derivs, panel_nodes
 from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
-                        poisson_pair, s_even_main_form, total_weight)
+                        _family, poisson_pair, s_even_main_form)
 from .expansion import J_X, d_coefficients, phi_sf_limit, phi_sf_partial
 from .specfun import (_LOG_32_PI2, _PSI_HALF, A_closed_mr, A_euler, EULER_GAMMA,
                       X_c, default_context, digamma, zeta_K)
@@ -37,22 +37,21 @@ def zeta_k_prime_at_0():
 def weight_mass(X=1e5):
     cfg = _config(X)
     target = math.pi / (3.0 * default_context().zetaK2) * cfg.weight.w_hat0 * X
-    return total_weight(cfg) / target - 1.0, 1e-2
+    return _family(cfg).W / target - 1.0, 1e-2
 
 
 def _odd_elements(bound):
     """The odd elements of Z[i] with norm <= bound."""
-    m = math.isqrt(bound)
-    return [zint.GInt(x, y) for x in range(-m, m + 1) for y in range(-m, m + 1)
-            if (x + y) % 2 and x * x + y * y <= bound]
+    re, im, _ = zint.lattice_points(bound)
+    return [zint.GInt(x, y) for x, y in zip(re.tolist(), im.tolist()) if (x + y) % 2]
 
 
 def _euler_symbol(a, entries):
     """(a/n) as the product of Euler-criterion prime symbols over the
     factorization entries of n."""
     out = 1
-    for pp, e in entries:
-        out *= zint._symbol_prime_euler(a, pp) ** e
+    for w, e in entries:
+        out *= zint._symbol_prime_euler(a, w) ** e
     return out
 
 
@@ -78,10 +77,10 @@ def reciprocity(elements):
 def gauss_sum(bound=60, residues=((1, 0), (2, 1), (0, 3))):
     """g(r, varpi) = (i r / varpi) sqrt(N varpi) at prime moduli."""
     worst = 0.0
-    for pp in zint.primary_primes_up_to(bound):
+    for w in zint.primary_primes_up_to(bound):
         for r in (zint.GInt(*c) for c in residues):
-            want = zint.quad_symbol(zint.I * r, pp.value) * math.sqrt(pp.norm)
-            worst = max(worst, abs(zint.gauss_sum(r, pp.value) - want))
+            want = zint.quad_symbol(zint.I * r, w) * math.sqrt(w.norm())
+            worst = max(worst, abs(zint.gauss_sum(r, w) - want))
     return worst, 1e-9
 
 
@@ -144,7 +143,7 @@ def conductor_average(X=2000.0, c=3.0):
     L + log(32/pi^2) + 2 Mw'(1)/w_hat(0); the gap decays like X^{-1/2}."""
     cfg = _config(X)
     norms, wn, fam = ratios._norm_groups(cfg)
-    m1 = float(np.dot(wn, np.log(32.0 * norms / math.pi ** 2))) / fam.W
+    m1 = math.fsum(wn * np.log(32.0 * norms / math.pi ** 2)) / fam.W
     closed = cfg.L + _LOG_32_PI2 + 2.0 * cfg.weight.mw_prime_1 / cfg.weight.w_hat0
     return m1 - closed, c * X ** -0.5
 
@@ -175,8 +174,8 @@ def prime_sums(B=200000, modulus=(3, 2)):
     principal = (float(np.sum(np.log(norms))) - B) / scale
     m = zint.GInt(*modulus)
     twisted = 0.0
-    for pp in zint.primary_primes_up_to(B):
-        twisted += zint.quad_symbol(m, pp.value) * math.log(pp.norm)
+    for w in zint.primary_primes_up_to(B):
+        twisted += zint.quad_symbol(m, w) * math.log(w.norm())
     return max(abs(principal), abs(twisted / scale)), 0.5
 
 
@@ -268,10 +267,10 @@ CHECKS = (
               - math.pi / 2.0 * make_gaussian_weight().w_hat0, 1e-8)),
     ("symbol_method_agreement", "quick",
      lambda: symbol_method_agreement(
-         [pp.value for pp in zint.primary_primes_up_to(300)],
+         zint.primary_primes_up_to(300),
          [zint.GInt(x, y) for x in (-3, -1, 1, 3) for y in (-2, 0, 2, 4)])),
     ("reciprocity_spot", "quick",
-     lambda: reciprocity([pp.value for pp in zint.primary_primes_up_to(120)])),
+     lambda: reciprocity(zint.primary_primes_up_to(120))),
     ("gauss_sum_spot", "quick", gauss_sum),
     ("poisson_twisted_X1", "quick", partial(poisson, (1.0,), zint.GInt(-1, -2), 1e-6)),
     ("squarefree_density", "quick",

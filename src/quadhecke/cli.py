@@ -148,15 +148,11 @@ _OPTIONS = {
     "threads": ("--threads", int, "threads of the prime and member loops"),
     "bound": ("--bound", int, "norm bound of the census"),
     "quick": ("--quick", bool, "run the quick tier alone"),
-    "tol_scale": ("--tol-scale", float, "factor on every check's tolerance"),
     "first_order": ("--first-order", bool, "skip the axis integral"),
-    "no_dual": ("--no-dual", bool, "drop the dual term (ablation)"),
     "t_cap": ("--T-cap", float, "truncation T of the axis integral"),
     "panel_h": ("--panel-h", float, "GL-12 panel width of the axis integral"),
     "m_order": ("--M", int, "number of 1/log X coefficients"),
     "x_grid": ("--X-grid", str, "comma-separated X values"),
-    "route": ("--route", ("analytic", "sieve"), "route of the d_m coefficients"),
-    "cutoff": ("--cutoff", int, "prime-norm cutoff of the d_m sums"),
     "format": ("--format", ("csv", "json"), "output format"),
     "out": ("--out", str, "write the document here, atomically"),
 }
@@ -169,11 +165,10 @@ _GRID = {"t_cap": ratios._T_CAP, "panel_h": ratios._PANEL_H}
 _TAKES = {
     "sieve": {"bound": 10 ** 4, "out": None},
     "constants": {"out": None},
-    "selftest": {"quick": False, "tol_scale": 1.0, "out": None},
+    "selftest": {"quick": False, "out": None},
     "density": {**_FAMILY, "out": None},
-    "predict": {**_FAMILY, "first_order": False, "no_dual": False, **_GRID, "out": None},
-    "expand": {"m_order": 2, **_PHI_WEIGHT, "x_grid": None, "route": "analytic",
-               "cutoff": _EULER_CUTOFF, "out": None},
+    "predict": {**_FAMILY, "first_order": False, **_GRID, "out": None},
+    "expand": {"m_order": 2, **_PHI_WEIGHT, "x_grid": None, "out": None},
     "compare": {"x_grid": "500,2000,8000", **_PHI_WEIGHT, "r_mult": 4.0, "threads": 1,
                 "m_order": 2, **_GRID, "format": "csv", "out": None},
 }
@@ -230,9 +225,6 @@ def _parse_grid(spec: str) -> list[float]:
 
 def _cmd_selftest(opts) -> str:
     """invariant suite; exit 2 on failure"""
-    scale = opts["tol_scale"]
-    if not 0.0 < scale < math.inf:
-        raise _ConfigError(f"tol-scale needs a finite value > 0: {scale!r}")
     from . import checks  # loaded here so that other commands start without it
     tiers = ("quick",) if opts["quick"] else ("quick", "full")
     failures = 0
@@ -249,13 +241,12 @@ def _cmd_selftest(opts) -> str:
             sys.stdout.write(f"FAIL {name:28s} raised: {exc}\n")
             continue
         residual, tol = float(abs(residual)), float(tol)
-        ok = residual <= tol * scale
+        ok = residual <= tol
         failures += 0 if ok else 1
-        report.append({"check": name, "residual": residual,
-                       "tolerance": tol * scale, "ok": ok})
+        report.append({"check": name, "residual": residual, "tolerance": tol, "ok": ok})
         sys.stdout.write(
             f"{'ok  ' if ok else 'FAIL'} {name:28s} "
-            f"residual {_fmt_float(residual):>12s}  tol {_fmt_float(tol * scale)}\n")
+            f"residual {_fmt_float(residual):>12s}  tol {_fmt_float(tol)}\n")
     extras = {"sieve_bound": 2 * 10 ** 5,
               "tolerances": {r["check"]: r["tolerance"] for r in report
                              if "tolerance" in r}}
@@ -327,14 +318,13 @@ def _cmd_density(opts) -> str:
 
 def _cmd_predict(opts) -> str:
     """ratios-conjecture prediction"""
-    if opts["first_order"]:  # the closed form reads no quadrature grid, no dual term
-        opts.update(no_dual=None, panel_h=None, t_cap=None)
+    if opts["first_order"]:  # the closed form reads no quadrature grid
+        opts.update(panel_h=None, t_cap=None)
         tolerances, dc = {}, _density_config(opts)
         rep = ratios.ratios_first_order(dc)
     else:
         tolerances, dc = _check_grid(opts), _density_config(opts)
-        rep = ratios.ratios_density(dc, T=opts["t_cap"], h=opts["panel_h"],
-                                    with_dual=not opts["no_dual"])
+        rep = ratios.ratios_density(dc, T=opts["t_cap"], h=opts["panel_h"])
     extras = {"sieve_bound": int(dc.R * dc.X), "tolerances": tolerances}
     return _json_doc("predict", opts, extras, rep.as_dict())
 
@@ -346,8 +336,7 @@ def _cmd_expand(opts) -> str:
     if xs and min(xs) <= math.e:
         raise _ConfigError(f"expand needs X > e for J(X): {grid!r}")
     test, wf = parse_test_function(opts["phi"]), parse_weight(opts["weight"])
-    coeffs = expansion_coefficients(opts["m_order"], test, wf,
-                                    cutoff=opts["cutoff"], route=opts["route"])
+    coeffs = expansion_coefficients(opts["m_order"], test, wf)
     result = {"M": opts["m_order"], "coefficients": coeffs.as_rows()}
     for x in xs:
         jv, je = J_X(x, test, wf)
@@ -355,7 +344,7 @@ def _cmd_expand(opts) -> str:
             {"X": x, "J": jv, "J_err_bound": je,
              "J_first_order": J_first_order(x, test, wf),
              "thm_prediction": thm_prediction(x, coeffs, test)})
-    extras = {"sieve_bound": opts["cutoff"], "tolerances": {}}
+    extras = {"sieve_bound": _EULER_CUTOFF, "tolerances": {}}
     return _json_doc("expand", opts, extras, result)
 
 

@@ -119,10 +119,6 @@ def _family(cfg: DensityConfig) -> _Family:
     return _Family(re, im, norm, w0, 4.0 * float(math.fsum(w0)))
 
 
-def total_weight(cfg: DensityConfig) -> float:
-    return _family(cfg).W
-
-
 # --- elementary terms -------------------------------------------------------------
 
 def digamma_integral_term(test: TestFunction, L: float, refine: int = 1) -> float:
@@ -355,14 +351,14 @@ def s_even(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     primes = zint.primary_primes_up_to(bound) if bound >= 5 else []
     if not primes:
         return 0.0, 0
-    coefs = _sj_coefs(np.array([pp.norm for pp in primes], dtype=float), L, sigma,
+    coefs = _sj_coefs(np.array([v.norm() for v in primes], dtype=float), L, sigma,
                       cfg.test, 2)
     rows = fam.rows
     contrib = np.zeros(len(primes))
 
     def worker(i0: int, i1: int) -> None:
         for k in range(i0, i1):
-            v, n = primes[k].value, primes[k].norm
+            v, n = primes[k], primes[k].norm()
             zero = (np.arange(n if v.im else -v.re) == 0).astype(np.int8)
             if v.im:        # split, with i -> s = -re / im mod n
                 wdiv = _row_sum(rows, zero, -v.re * pow(v.im, -1, n) % n)
@@ -423,23 +419,12 @@ def poisson_pair(w: WeightFunction, X: float, n: zint.GInt | None = None):
         return lhs, rhs
     nn = n.norm()
     # (0/n) = 0, so m = 0 adds nothing on the left
-    a, b, nm = _disc(int(4.0 * X) + 2)
+    a, b, nm = zint.lattice_points(int(4.0 * X) + 2)
     chi = np.array([zint.quad_symbol(zint.GInt(x, y), n)
                     for x, y in zip(a.tolist(), b.tolist())], dtype=float)
     lhs = dot(chi, w.w(nm / X))
-    a, b, nm = _disc(int(90.0 * nn / X) + 1)
+    a, b, nm = zint.lattice_points(int(90.0 * nn / X) + 1)
     gs = np.array([zint.gauss_sum(zint.GInt(x, y), n)
                    for x, y in zip(a.tolist(), b.tolist())])
     rhs = X / nn * complex(np.sum(gs * w.w_tilde(np.sqrt(nm * X / nn))))
     return lhs, rhs
-
-
-def _disc(bound: int):
-    """(Re k, Im k, N(k)) as arrays over the k in Z[i] with N(k) <= bound,
-    in lexicographic order."""
-    m = math.isqrt(bound)
-    a, b = (v.ravel() for v in np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1),
-                                            indexing="ij"))
-    nm = a * a + b * b
-    keep = nm <= bound
-    return a[keep], b[keep], nm[keep]

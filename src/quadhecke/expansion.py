@@ -439,12 +439,10 @@ class ExpansionCoefficients:
 
 def expansion_coefficients(M: int, test: TestFunction,
                            weight: WeightFunction | None = None,
-                           ctx: ZetaKContext | None = None,
-                           cutoff: int = _EULER_CUTOFF,
-                           route: str = "analytic") -> ExpansionCoefficients:
+                           ctx: ZetaKContext | None = None) -> ExpansionCoefficients:
     w = weight or make_gaussian_weight()
     ctx = ctx or default_context()
-    ds = d_coefficients(M, cutoff, route)
+    ds = d_coefficients(M)
     cs = c_w_coefficients(M, w, ctx)
     log_moment_term = 2.0 * w.mw_prime_1 / w.w_hat0
     r_w = []

@@ -268,7 +268,7 @@ def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
     norms, wn, fam = _norm_groups(cfg)
     weight_sum = fam.W
     mu = np.log(32.0 * norms / math.pi ** 2)
-    m1 = float(np.dot(wn, mu)) / weight_sum
+    m1 = math.fsum(wn * mu) / weight_sum
 
     nodes, wts, re_comb, two_psi, psi_big = _axis_profile(T, h, ctx)
     phi_vals = test.phi(nodes * L / (2.0 * math.pi))

@@ -11,9 +11,9 @@ primes_above(P) is the one place split primes are made: for an array of
 p = 1 mod 4 it returns the primary primes above them with their i-images s
 (i -> s in Z[i]/(varpi) = F_p; the conjugate prime has i -> p - s), all p
 at once.  prime_above(p) is its one-prime form and returns the prime as a
-PrimaryPrime (value, norm), without s; PrimaryPrime.conj() gives the
-conjugate prime.  Norms are factored by trial division, so factor() takes
-norms below 2^31.
+GInt, without s; its conj() is the conjugate prime.  Norms are factored by
+trial division, so factor() takes norms below 2^31.  lattice_points(B) is
+the one enumeration of all of Z[i] by norm.
 
 The family of characters is chi_{i(1+i)^5 c}(n) = (i(1+i)^5 c / n) with c odd
 squarefree; all four associates of c are distinct family members.  The
@@ -68,9 +68,6 @@ class GInt:
     def is_odd(self) -> bool:
         return self.norm() % 2 == 1
 
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
     def __repr__(self) -> str:
         return f"GInt({self.re}, {self.im})"
 
@@ -118,23 +115,13 @@ def powmod(a: GInt, e: int, w: GInt) -> GInt:
     return r
 
 
-@dataclass(frozen=True, slots=True)
-class PrimaryPrime:
-    value: GInt
-    norm: int
-
-    def conj(self) -> "PrimaryPrime":
-        """The conjugate prime."""
-        return PrimaryPrime(self.value.conj(), self.norm)
-
-
-def prime_above(p: int) -> PrimaryPrime:
+def prime_above(p: int) -> GInt:
     """The primary prime above a rational prime p = 1 mod 4; the one-prime
     form of primes_above."""
     if p >= _NORM_CAP:      # before it meets int64
         raise ValueError(f"{p} is not below 2^31")
     _, (a,), (b,) = primes_above(np.array([p], dtype=np.int64))
-    return PrimaryPrime(GInt(int(a), int(b)), p)
+    return GInt(int(a), int(b))
 
 
 def primes_above(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,7 +246,7 @@ def legendre_table(p: int) -> np.ndarray:
 
 # --- factorization in Z[i] ---------------------------------------------------
 
-def factor(z: GInt) -> tuple[GInt, int, list[tuple[PrimaryPrime, int]]]:
+def factor(z: GInt) -> tuple[GInt, int, list[tuple[GInt, int]]]:
     """z = unit * (1+i)^e2 * prod varpi^e over primary primes.
 
     Entries are sorted by (norm, re, im) of varpi.
@@ -274,7 +261,7 @@ def factor(z: GInt) -> tuple[GInt, int, list[tuple[PrimaryPrime, int]]]:
     while work.norm() % 2 == 0:
         work = exact_div(work, ONE_PLUS_I)
         e2 += 1
-    entries: list[tuple[PrimaryPrime, int]] = []
+    entries: list[tuple[GInt, int]] = []
     for p, vp in sorted(_factor_int(work.norm()).items()):
         if p % 4 == 3:
             e = 0
@@ -285,20 +272,20 @@ def factor(z: GInt) -> tuple[GInt, int, list[tuple[PrimaryPrime, int]]]:
                 raise AssertionError(f"inert exponent mismatch at {p}")
             if e % 2 == 1:
                 unit = -unit  # p = (-1) * (-p)
-            entries.append((PrimaryPrime(GInt(-p, 0), p * p), e))
+            entries.append((GInt(-p, 0), e))
         else:
             pp = prime_above(p)
             for cand in (pp, pp.conj()):
                 e = 0
-                while divides(cand.value, work):
-                    work = exact_div(work, cand.value)
+                while divides(cand, work):
+                    work = exact_div(work, cand)
                     e += 1
                 if e:
                     entries.append((cand, e))
     if not work.is_unit():
         raise AssertionError(f"non-unit cofactor {work!r} for {z!r}")
     unit = unit * work
-    entries.sort(key=lambda t: (t[0].norm, t[0].value.re, t[0].value.im))
+    entries.sort(key=lambda t: (t[0].norm(), t[0].re, t[0].im))
     return unit, e2, entries
 
 
@@ -320,16 +307,15 @@ def _jacobi(a: int, n: int) -> int:
     return out if n == 1 else 0
 
 
-def _symbol_prime_euler(a: GInt, pp: PrimaryPrime) -> int:
-    w = pp.value
-    r = powmod(a, (pp.norm - 1) // 2, w)
+def _symbol_prime_euler(a: GInt, w: GInt) -> int:
+    r = powmod(a, (w.norm() - 1) // 2, w)
     if r.is_zero() or divides(w, r):
         return 0
     if divides(w, r - ONE):
         return 1
     if divides(w, r + ONE):
         return -1
-    raise AssertionError(f"euler criterion not in {{0,+-1}} at {pp!r}")
+    raise AssertionError(f"euler criterion not in {{0,+-1}} at {w!r}")
 
 
 def _symbol_moduli(n: GInt) -> tuple[int, int, int]:
@@ -384,23 +370,22 @@ def gauss_sum(r: GInt, n: GInt) -> complex:
 
 # --- enumeration ----------------------------------------------------------------
 
-def primary_primes_up_to(bound: int) -> list[PrimaryPrime]:
+def primary_primes_up_to(bound: int) -> list[GInt]:
     """All primary primes with norm <= bound, sorted by (norm, re, im)."""
     if bound >= _NORM_CAP:
         raise ValueError(f"bound {bound} is not below 2^31")
-    out: list[PrimaryPrime] = []
+    out: list[GInt] = []
     ps = _sieve(int(bound))
     ps = ps[ps % 4 == 1]
     _, re, im = primes_above(ps)
-    for p, a, b in zip(ps.tolist(), re.tolist(), im.tolist()):
-        pp = PrimaryPrime(GInt(a, b), p)
-        out += (pp, pp.conj())
+    for a, b in zip(re.tolist(), im.tolist()):
+        out += (GInt(a, b), GInt(a, -b))
     qmax = math.isqrt(int(bound))
     for q in _sieve(qmax):
         q = int(q)
         if q % 4 == 3:
-            out.append(PrimaryPrime(GInt(-q, 0), q * q))
-    out.sort(key=lambda pp: (pp.norm, pp.value.re, pp.value.im))
+            out.append(GInt(-q, 0))
+    out.sort(key=lambda z: (z.norm(), z.re, z.im))
     return out
 
 
@@ -516,14 +501,17 @@ def mobius_by_norm(bound: int) -> np.ndarray:
     return multiplicative_odd(bound, local).astype(np.int64)
 
 
-@lru_cache(maxsize=4)
+def lattice_points(bound: int):
+    """(Re k, Im k, N(k)) as arrays over the k in Z[i] with N(k) <= bound,
+    in lexicographic order."""
+    m = math.isqrt(bound)
+    a, b = (v.ravel() for v in np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1),
+                                            indexing="ij"))
+    nm = a * a + b * b
+    keep = nm <= bound
+    return a[keep], b[keep], nm[keep]
+
+
 def lattice_norm_counts(nmax: int) -> np.ndarray:
-    """r[n] = #{k in Z[i] : N(k) = n} for 0 <= n <= nmax (r[0] counts k=0);
-    read-only.  The (2m+1)^2 norm grid is counted 64 rows at a time."""
-    m = math.isqrt(nmax)
-    sq = np.arange(-m, m + 1, dtype=np.int64) ** 2
-    counts = np.zeros(nmax + 1, dtype=np.int64)
-    for i0 in range(0, sq.size, 64):
-        norms = sq[i0:i0 + 64, None] + sq[None, :]
-        counts += np.bincount(norms[norms <= nmax], minlength=nmax + 1)
-    return read_only(counts)
+    """r[n] = #{k in Z[i] : N(k) = n} for 0 <= n <= nmax (r[0] counts k=0)."""
+    return np.bincount(lattice_points(nmax)[2], minlength=nmax + 1)

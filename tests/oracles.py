@@ -97,7 +97,7 @@ def i_images(primes) -> dict[GInt, int]:
     """{varpi: s} over the split primes among `primes` (those whose norm is
     not a square), with i -> s mod N(varpi): zint.primes_above's s at the
     prime it returns, p - s at the conjugate."""
-    split = sorted({pp.norm for pp in primes if math.isqrt(pp.norm) ** 2 != pp.norm})
+    split = sorted({w.norm() for w in primes if math.isqrt(w.norm()) ** 2 != w.norm()})
     s, re, im = zint.primes_above(np.array(split, dtype=np.int64))
     out = {}
     for p, t, a, b in zip(split, s.tolist(), re.tolist(), im.tolist()):
@@ -117,12 +117,12 @@ def s_total_family_outer(cfg: DensityConfig) -> float:
         bound = int(cfg.prime_cutoff ** (1.0 / j))
         tw = FAMILY_TWIST * c
         total = 0.0
-        for pp in zint.primary_primes_up_to(bound) if bound >= 5 else []:
-            n = pp.norm
+        for w in zint.primary_primes_up_to(bound) if bound >= 5 else []:
+            n = w.norm()
             u = j * math.log(n) / L
             if u >= sigma:
                 continue
-            chi = zint.quad_symbol(tw, pp.value) ** j
+            chi = zint.quad_symbol(tw, w) ** j
             if chi:
                 total += math.log(n) / n ** (0.5 * j) * chi * float(cfg.test.phi_hat(u))
         return total
@@ -149,11 +149,11 @@ def s_even_members(cfg: DensityConfig) -> tuple[float, int]:
     primes = zint.primary_primes_up_to(bound) if bound >= 5 else []
     if not primes:
         return 0.0, 0
-    coefs = _sj_coefs(np.array([pp.norm for pp in primes], dtype=float), cfg.L,
+    coefs = _sj_coefs(np.array([w.norm() for w in primes], dtype=float), cfg.L,
                       cfg.test.sigma, cfg.test, 2)
     contrib = []
-    for pp, coef in zip(primes, coefs):
-        a, b, n = pp.value.re, pp.value.im, pp.norm
+    for w, coef in zip(primes, coefs):
+        a, b, n = w.re, w.im, w.norm()
         tr = fam.re * a + fam.im * b
         ti = fam.im * a - fam.re * b
         mask = (tr % n == 0) & (ti % n == 0)

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from quadhecke import zint
-from quadhecke.empirical import DensityConfig, poisson_pair, total_weight
+from quadhecke.empirical import DensityConfig, _family, poisson_pair
 from quadhecke.expansion import J_X, thm_prediction
 from quadhecke.ratios import ratios_first_order
 from quadhecke.specfun import hurwitz
-from quadhecke.zint import GInt, I, PrimaryPrime
+from quadhecke.zint import GInt, I
 
 from oracles import i_images
 
@@ -65,11 +65,11 @@ def _odd_grid(norm_cap: int):
     return xs[keep].astype(np.int64), ys[keep].astype(np.int64)
 
 
-def _residue_reps(pp: PrimaryPrime):
+def _residue_reps(pp: GInt):
     """Coset reps X + iY of Z[i]/(varpi) from the column HNF of the ideal."""
-    a, b = pp.value.re, pp.value.im
+    a, b = pp.re, pp.im
     g = math.gcd(abs(a), abs(b))
-    xs, ys = np.meshgrid(np.arange(pp.norm // g), np.arange(g))
+    xs, ys = np.meshgrid(np.arange(pp.norm() // g), np.arange(g))
     return xs.ravel().astype(np.int64), ys.ravel().astype(np.int64)
 
 
@@ -82,9 +82,9 @@ def test_symbol_routes_agree_exhaustively():
     primes = zint.primary_primes_up_to(10 ** 4)
     images = i_images(primes)
     for k, pp in enumerate(primes):
-        if pp.value in images:
-            p = pp.norm
-            s = images[pp.value]
+        if pp in images:
+            p = pp.norm()
+            s = images[pp]
             fast = _legendre_vec((ax + ay * s) % p, p)
             # generic criterion: power the pair in Z[i]/(p), read off mod varpi
             ru, rv = _pair_pow_vec(ax, ay, (p - 1) // 2, p)
@@ -92,7 +92,7 @@ def test_symbol_routes_agree_exhaustively():
             assert np.isin(img, (0, 1, p - 1)).all()
             euler = np.where(img == p - 1, -1, img)
         else:
-            q = math.isqrt(pp.norm)
+            q = math.isqrt(pp.norm())
             fast = _legendre_vec(norms % q, q)
             ru, rv = _pair_pow_vec(ax, ay, (q * q - 1) // 2, q)
             assert ((rv == 0) | ((ax % q == 0) & (ay % q == 0))).all()
@@ -101,7 +101,7 @@ def test_symbol_routes_agree_exhaustively():
         if k % 7 == 0:
             for j in range(0, ax.size, 5):
                 a = GInt(int(ax[j]), int(ay[j]))
-                assert zint.quad_symbol(a, pp.value) == fast[j]
+                assert zint.quad_symbol(a, pp) == fast[j]
         if k % 29 == 0:
             for j in range(0, ax.size, 41):
                 a = GInt(int(ax[j]), int(ay[j]))
@@ -110,16 +110,16 @@ def test_symbol_routes_agree_exhaustively():
     # small moduli: the symbol is literally the square-set indicator
     for pp in zint.primary_primes_up_to(200):
         xs, ys = _residue_reps(pp)
-        if pp.value in images:
-            p = pp.norm
-            s = images[pp.value]
+        if pp in images:
+            p = pp.norm()
+            s = images[pp]
             img = (xs + ys * s) % p
             squares = set(int(t) * int(t) % p for t in range(1, p))
             for x, y, m in zip(xs, ys, img):
                 want = 0 if m == 0 else (1 if int(m) in squares else -1)
-                assert zint.quad_symbol(GInt(int(x), int(y)), pp.value) == want
+                assert zint.quad_symbol(GInt(int(x), int(y)), pp) == want
         else:
-            q = math.isqrt(pp.norm)
+            q = math.isqrt(pp.norm())
             squares = set()
             for u in range(q):
                 for v in range(q):
@@ -129,7 +129,7 @@ def test_symbol_routes_agree_exhaustively():
                 u, v = int(x) % q, int(y) % q
                 want = 0 if (u, v) == (0, 0) else (
                     1 if (u, v) in squares else -1)
-                assert zint.quad_symbol(GInt(int(x), int(y)), pp.value) == want
+                assert zint.quad_symbol(GInt(int(x), int(y)), pp) == want
     assert time.perf_counter() - start < 60.0
 
 
@@ -138,19 +138,19 @@ def test_symbol_routes_agree_exhaustively():
 def test_gauss_sum_closed_form_all_residues():
     worst = 0.0
     for pp in zint.primary_primes_up_to(1000):
-        a, b = pp.value.re, pp.value.im
-        nn = pp.norm
+        a, b = pp.re, pp.im
+        nn = pp.norm()
         xs, ys = _residue_reps(pp)
         u = (a * ys - b * xs) % nn
         v = (a * xs + b * ys) % nn
-        chi = np.array([zint.quad_symbol(GInt(int(x), int(y)), pp.value)
+        chi = np.array([zint.quad_symbol(GInt(int(x), int(y)), pp)
                         for x, y in zip(xs, ys)], dtype=np.int64)
         phase = (np.multiply.outer(xs, u) + np.multiply.outer(ys, v)) % nn
         got = np.exp(2j * math.pi / nn * phase) @ chi.astype(float)
-        want = zint.quad_symbol(I, pp.value) * chi * math.sqrt(nn)
+        want = zint.quad_symbol(I, pp) * chi * math.sqrt(nn)
         worst = max(worst, float(np.max(np.abs(got - want))))
         for j in (0, len(xs) // 3, 2 * len(xs) // 3):
-            lib = zint.gauss_sum(GInt(int(xs[j]), int(ys[j])), pp.value)
+            lib = zint.gauss_sum(GInt(int(xs[j]), int(ys[j])), pp)
             assert abs(lib - got[j]) < 1e-9
     assert worst < 1e-9
 
@@ -184,7 +184,7 @@ def test_constants(ctx):
 def test_family_weight_density(fejer15, weight):
     # the mass itself is the selftest row weight_mass_1e5; this bounds its cost
     start = time.perf_counter()
-    total_weight(DensityConfig(1e5, fejer15, weight))
+    _family(DensityConfig(1e5, fejer15, weight))
     assert time.perf_counter() - start < 60.0
 
 
@@ -250,7 +250,7 @@ def test_memoized_arrays_read_only(weight, ctx):
     from quadhecke.transforms import make_bump
     tab = expansion.kernel_tables(weight, ctx)
     arrays = [*zint.primary_squarefree_arrays(500),
-              zint.prime_norms_up_to(500), zint.lattice_norm_counts(50),
+              zint.prime_norms_up_to(500),
               *_numerics.leggauss(12), tab.m, tab.d_m, *tab.h2_profile,
               weight._wt_table.values, weight._gt_table.values,
               *make_bump(1.5)._bump_nodes,

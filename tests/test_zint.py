@@ -94,10 +94,10 @@ def test_factor_reconstructs():
         unit, e2, entries = zint.factor(z)
         acc = unit
         assert e2 == 0  # odd inputs carry no (1+i) part
-        for pp, e in entries:
-            assert zint.is_primary(pp.value)
+        for w, e in entries:
+            assert zint.is_primary(w)
             for _ in range(e):
-                acc = acc * pp.value
+                acc = acc * w
         assert acc == z
 
 
@@ -166,10 +166,9 @@ def test_symbol_periodic(a, kr, ki):
 
 def test_symbol_square_set_brute():
     # (a/varpi) = 1 exactly on nonzero squares mod varpi
-    for pp in zint.primary_primes_up_to(100):
-        w = pp.value
+    for w in zint.primary_primes_up_to(100):
         seen = set()
-        m = math.isqrt(4 * pp.norm) + 2
+        m = math.isqrt(4 * w.norm()) + 2
         for x in range(-m, m + 1):
             for y in range(-m, m + 1):
                 z = zint.gmod(GInt(x, y) * GInt(x, y), w)
@@ -192,7 +191,7 @@ def test_gauss_sum_rejects_even_modulus():
 
 def test_primary_primes_against_rational_sieve():
     pps = zint.primary_primes_up_to(1000)
-    norms = sorted(pp.norm for pp in pps)
+    norms = sorted(w.norm() for w in pps)
     want = []
     for p in range(2, 1001):
         if all(p % d for d in range(2, math.isqrt(p) + 1)):
@@ -201,14 +200,13 @@ def test_primary_primes_against_rational_sieve():
             elif p % 4 == 3 and p * p <= 1000:
                 want.append(p * p)
     assert norms == sorted(want)
-    for pp in pps:
-        assert zint.is_primary(pp.value)
-        assert pp.value.norm() == pp.norm
+    assert all(zint.is_primary(w) for w in pps)
+    assert pps == sorted(pps, key=lambda w: (w.norm(), w.re, w.im))
 
 
 def test_prime_norms_match_primary_primes():
     got = zint.prime_norms_up_to(500)
-    want = np.sort([pp.norm for pp in zint.primary_primes_up_to(500)])
+    want = np.sort([w.norm() for w in zint.primary_primes_up_to(500)])
     assert np.array_equal(got, want)
 
 
@@ -278,7 +276,6 @@ def test_mobius_by_norm_brute():
 
 
 def test_lattice_norm_counts():
-    # 20000 spans five 64-row blocks of the norm grid, the last one partial
     for nmax in (50, 20000):
         m = math.isqrt(nmax)
         brute = np.zeros(nmax + 1, dtype=np.int64)
@@ -306,13 +303,13 @@ def test_smallest_prime_factors_against_factor_int():
 def test_split_i_image():
     primes = zint.primary_primes_up_to(200)
     images = i_images(primes)
-    assert len(images) == sum(math.isqrt(pp.norm) ** 2 != pp.norm for pp in primes)
-    for pp in primes:
-        if pp.value not in images:
+    assert len(images) == sum(math.isqrt(w.norm()) ** 2 != w.norm() for w in primes)
+    for w in primes:
+        if w not in images:
             continue
-        s = images[pp.value]
-        assert (s * s + 1) % pp.norm == 0
-        assert (pp.value.re + pp.value.im * s) % pp.norm == 0
+        s = images[w]
+        assert (s * s + 1) % w.norm() == 0
+        assert (w.re + w.im * s) % w.norm() == 0
 
 
 def test_cornacchia_from_given_root():
@@ -321,7 +318,7 @@ def test_cornacchia_from_given_root():
         pp = zint.prime_above(p)
         (s,), _, _ = zint.primes_above(np.array([p]))
         for q, t in ((pp, int(s)), (pp.conj(), p - int(s))):
-            a, b = q.value.re, q.value.im
+            a, b = q.re, q.im
             assert (t * t + 1) % p == 0
             assert a * a + b * b == p
             assert (a + b * t) % p == 0
@@ -330,10 +327,10 @@ def test_cornacchia_from_given_root():
 def test_prime_above():
     for p in (5, 13, 29, 97, 10009):
         pp = zint.prime_above(p)
-        assert pp.norm == p
-        assert zint.is_primary(pp.value)
+        assert pp.norm() == p
+        assert zint.is_primary(pp)
         bar = pp.conj()
-        assert bar.value == pp.value.conj() and bar.norm == p
+        assert bar == GInt(pp.re, -pp.im) and zint.is_primary(bar)
     for n in (7, 9, 21):
         with pytest.raises(ValueError):
             zint.prime_above(n)
@@ -355,7 +352,7 @@ def test_primes_above_matches_one_prime_form():
     # prime_above keeps the prime of its one-row call; the closed-form
     # associate is the primary one of every unit multiple
     for p, a, b in zip(ps.tolist()[::97], re.tolist()[::97], im.tolist()[::97]):
-        assert zint.prime_above(p).value == GInt(a, b)
+        assert zint.prime_above(p) == GInt(a, b)
         for u in UNITS:
             assert primary_associate(u * GInt(a, b))[1] == GInt(a, b)
     # s_odd's twist symbols ((1 + s)/p) = ((1 + i)/varpi) in closed form,
@@ -377,9 +374,9 @@ def test_norm_cap():
     assert below.norm() < 2 ** 31 <= above.norm()
     unit, e2, entries = zint.factor(below)
     acc = unit
-    for pp, e in entries:
+    for w, e in entries:
         for _ in range(e):
-            acc = acc * pp.value
+            acc = acc * w
     assert e2 == 0 and acc == below
     for z in (above, GInt(1 << 15, 1 << 15)):       # the second has norm 2^31
         with pytest.raises(ValueError):
