@@ -32,11 +32,12 @@ one sum, taken at y and at 1/y.  g1's hard cutoff (below 1e-13 past 112)
 makes both finite and exact.  d(m) is zero for 89% of m <= 112 y_cap at
 y_cap = 3000, so the sum runs over its nonzero support only.
 H2(y) decays like y^(-3/2), so the tau-integrals are cut at y_cap with a
-fitted-envelope tail estimate reported as error.  H2 is tabulated once per
-kernel table on the fixed GL-12 panels of [0, 2 log y_cap]; J(X) reads the
-whole panels below its upper limit and sums afresh only the partial panel
-there and the panel holding the kink of phi_hat(1 - tau/L) at tau = L,
-split at the kink.
+fitted-envelope tail estimate reported as error.  Both kernels are
+tabulated once per kernel table as profiles in tau = 2 log y on fixed GL-12
+panels: e^(tau/2) H1 on [0, 2 log 112] and H2 on [0, 2 log y_cap].  J(X)
+and the c_w moments read every panel from a profile except one that holds
+a break of the weight, where phi_hat(1 -+ tau/L) ends its support or has
+its kink at tau = L; that panel is summed afresh, split at the break.
 
 The even prime sum expands into coefficients d_m built from four pieces:
 prime powers j >= 2, the alternating-geometric constants C1, the boundary
@@ -98,6 +99,27 @@ def _c_local(p, e):
     return np.where(p % 4 == 1, split, inert)
 
 
+class _Profile:
+    """A kernel k(tau) tabulated on the GL-12 panels of [0, cap], width <= 0.25."""
+
+    def __init__(self, kernel, cap: float):
+        self.kernel, self.cap = kernel, cap
+        tau, q = panel_nodes(0.0, cap, 0.25, 12)
+        self.tau, self.q, self.f = read_only(tau, q, kernel(tau))
+
+    def integral(self, weight, breaks: tuple[float, ...] = ()) -> float:
+        """int_0^cap weight(tau) k(tau) dtau.  A panel holding a break of
+        weight in (0, cap) is summed afresh, split there; the rest are read."""
+        _, step = panel_layout(0.0, self.cap, 0.25)
+        held = sorted({int(b / step) for b in breaks if 0.0 < b < self.cap})
+        keep = ~np.isin(np.arange(self.tau.size) // 12, held)
+        total = float(np.dot(self.q[keep], weight(self.tau[keep]) * self.f[keep]))
+        for k in held:
+            t, q = panel_nodes(k * step, (k + 1) * step, 0.25, 12, breaks)
+            total += float(np.dot(q, weight(t) * self.kernel(t)))
+        return total
+
+
 class _KernelTables:
     """H1 and H2 for one (weight, ctx, y_cap), from the shared d(m) support.
 
@@ -110,15 +132,13 @@ class _KernelTables:
     at m <= 112/x by one searchsorted and is one dot product over that
     prefix.
 
-    h2_profile tabulates H2 once on the branch-2 grid of the tau-integral,
-    the GL-12 panels panel_nodes(0, 2 log y_cap, 0.25, 12) at y = e^(tau/2),
-    and h2_envelope fits the y^(-3/2) tail once; J_X and c_w_coefficients
-    read both instead of summing the lattice again.
+    h1_profile and h2_profile tabulate both kernels once at y = e^(tau/2)
+    (module docstring), and h2_envelope fits the y^(-3/2) tail once; J_X
+    and c_w_coefficients read them instead of summing the lattice again.
     """
 
     def __init__(self, weight: WeightFunction, ctx: ZetaKContext, y_cap: float):
         self.weight = weight
-        self.ctx = ctx
         self.y_cap = y_cap
         self.pref = prefactor(weight, ctx)
         c = zint.multiplicative_odd(int(_G1_CUT * y_cap) + 1, _c_local)
@@ -140,17 +160,17 @@ class _KernelTables:
             raise ValueError("H2 tabulated for 1 <= y <= y_cap")
         return 1.0 + self.pref / y * self._g1_sum(1.0 / y)
 
-    @property
-    def tau_cap(self) -> float:
-        """2 log y_cap: the branch-2 tau-integrals stop here."""
-        return 2.0 * math.log(self.y_cap)
+    @cached_property
+    def h1_profile(self) -> _Profile:
+        """e^(tau/2) H1(e^(tau/2)) up to 2 log 112, past which H1 is 0."""
+        return _Profile(lambda t: np.exp(0.5 * t) * np.array(
+            [self.H1(math.exp(0.5 * x)) for x in t]), 2.0 * math.log(_G1_CUT))
 
     @cached_property
-    def h2_profile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(tau, GL weight, H2(e^(tau/2))) on panel_nodes(0, tau_cap, 0.25, 12)."""
-        tau, q = panel_nodes(0.0, self.tau_cap, 0.25, 12)
-        f = np.array([self.H2(math.exp(0.5 * t)) for t in tau])
-        return read_only(tau, q, f)
+    def h2_profile(self) -> _Profile:
+        """H2(e^(tau/2)) up to 2 log y_cap."""
+        return _Profile(lambda t: np.array(
+            [self.H2(math.exp(0.5 * x)) for x in t]), 2.0 * math.log(self.y_cap))
 
     @cached_property
     def h2_envelope(self) -> float:
@@ -163,7 +183,8 @@ def kernel_tables(weight: WeightFunction | None = None,
                   ctx: ZetaKContext | None = None,
                   y_cap: float = 3000.0) -> _KernelTables:
     """The kernel lattice sums for (weight, ctx, y_cap): the d(m) support
-    and the H2 profile are built once per value and H1, H2, J_X read them."""
+    and the H1 and H2 profiles are built once per value and J_X and
+    c_w_coefficients read them."""
     return _kernel_tables(weight or make_gaussian_weight(),
                           ctx or default_context(), float(y_cap))
 
@@ -180,40 +201,18 @@ def J_X(X: float, test: TestFunction, weight: WeightFunction | None = None,
     """Numeric J(X): value and an error estimate from the y_cap tail."""
     if not math.e < X < math.inf:
         raise ValueError("J_X needs finite X > e")
-    w = weight or make_gaussian_weight()
-    ctx = ctx or default_context()
-    tab = kernel_tables(w, ctx, y_cap)
+    tab = kernel_tables(weight, ctx, y_cap)
     L = math.log(X)
     sigma = test.sigma
-    total = 0.0
-    # branch 1: phi_hat(1 + tau/L), support tau < (sigma-1) L and y <= 112
-    top1 = min(max(sigma - 1.0, 0.0) * L, 2.0 * math.log(_G1_CUT))
-    if top1 > 0.0:
-        t1, q1 = panel_nodes(0.0, top1, 0.25, 12)
-        f1 = np.array([tab.H1(math.exp(0.5 * t)) for t in t1])
-        total += float(np.dot(q1, test.phi_hat(1.0 + t1 / L)
-                              * np.exp(0.5 * t1) * f1))
-    # branch 2: phi_hat(1 - tau/L), cut at y_cap.  The whole profile panels
-    # below top2 are read from the table; the partial panel at top2 and the
-    # panel holding phi_hat's kink at tau = L, split there, are summed afresh.
-    top2 = min((1.0 + sigma) * L, tab.tau_cap)
-    n, step = panel_layout(0.0, tab.tau_cap, 0.25)
-    whole = n if top2 >= tab.tau_cap else int(top2 / step)
-    kink = int(L / step)
-    t2, q2, f2 = tab.h2_profile
-    panel = np.arange(t2.size) // 12
-    keep = (panel < whole) & (panel != kink)
-    total += float(np.dot(q2[keep], test.phi_hat(1.0 - t2[keep] / L) * f2[keep]))
-    fresh = [(kink * step, (kink + 1) * step)] if kink < whole else []
-    if whole < n:
-        fresh.append((whole * step, top2))
-    for lo, hi in fresh:
-        t, q = panel_nodes(lo, hi, 0.25, 12, breaks=(L,))
-        f = np.array([tab.H2(math.exp(0.5 * x)) for x in t])
-        total += float(np.dot(q, test.phi_hat(1.0 - t / L) * f))
+    # phi_hat(1 +- tau/L) is 0 past the ends of its support, the breaks
+    # (sigma -+ 1) L, and phi_hat(1 - tau/L) has its kink at tau = L
+    total = (tab.h1_profile.integral(lambda t: test.phi_hat(1.0 + t / L),
+                                     ((sigma - 1.0) * L,))
+             + tab.h2_profile.integral(lambda t: test.phi_hat(1.0 - t / L),
+                                       ((1.0 - sigma) * L, L, (1.0 + sigma) * L)))
+    top2 = min((1.0 + sigma) * L, tab.h2_profile.cap)
     tail = tab.h2_envelope * (4.0 / 3.0) * math.exp(-0.75 * top2)
-    err = (tail + 3e-6) / L
-    return total / L, err
+    return total / L, (tail + 3e-6) / L
 
 
 def c_w_coefficients(M: int, weight: WeightFunction | None = None,
@@ -222,21 +221,16 @@ def c_w_coefficients(M: int, weight: WeightFunction | None = None,
     """Tau-moment integrals of the two kernel lattice sums, orders 1..M."""
     if not 1 <= M <= 8:
         raise ValueError("order must be in 1..8")
-    w = weight or make_gaussian_weight()
-    ctx = ctx or default_context()
-    tab = kernel_tables(w, ctx, y_cap)
-    top1 = 2.0 * math.log(_G1_CUT)
-    t1, q1 = panel_nodes(0.0, top1, 0.25, 12)
-    f1 = np.array([tab.H1(math.exp(0.5 * t)) for t in t1])
-    t2, q2, f2 = tab.h2_profile
+    tab = kernel_tables(weight, ctx, y_cap)
+    h1, h2 = tab.h1_profile, tab.h2_profile
     out = []
     for m in range(1, M + 1):
         fact = math.gamma(m)
-        i1 = float(np.dot(q1, t1 ** (m - 1) * np.exp(0.5 * t1) * f1))
-        i2 = float(np.dot(q2, (-t2) ** (m - 1) * f2))
-        # tail of int tau^(m-1) C e^(-3 tau/4): (4/3)^m Gamma(m) Q(m, 3 tau_cap/4)
+        i1 = h1.integral(lambda t: t ** (m - 1))
+        i2 = h2.integral(lambda t: (-t) ** (m - 1))
+        # tail of int tau^(m-1) C e^(-3 tau/4): (4/3)^m Gamma(m) Q(m, 3 cap/4)
         tail = (tab.h2_envelope * (4.0 / 3.0) ** m * fact
-                * float(gammaincc(m, 0.75 * tab.tau_cap)))
+                * float(gammaincc(m, 0.75 * h2.cap)))
         out.append(((i1 + i2) / fact, (tail + 3e-6) / fact))
     return out
 

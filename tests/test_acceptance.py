@@ -251,7 +251,8 @@ def test_memoized_arrays_read_only(weight, ctx):
     tab = expansion.kernel_tables(weight, ctx)
     arrays = [*zint.primary_squarefree_arrays(500),
               zint.prime_norms_up_to(500),
-              *_numerics.leggauss(12), tab.m, tab.d_m, *tab.h2_profile,
+              *_numerics.leggauss(12), tab.m, tab.d_m,
+              *(a for p in (tab.h1_profile, tab.h2_profile) for a in (p.tau, p.q, p.f)),
               weight._wt_table.values, weight._gt_table.values,
               *make_bump(1.5)._bump_nodes,
               *ratios._axis_profile(3.7, 0.25, ctx)]

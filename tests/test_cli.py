@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from quadhecke import checks, cli
@@ -36,6 +37,11 @@ def test_constants_document(capsys):
     res = doc["result"]
     assert abs(res["zetaK0"] + 0.25) < 1e-10
     assert "gamma_K" in res and "zetaK_prime_0_from_gamma_K" in res
+    # pi/4 (2 gamma + 2 log 2 + 3 log pi - 4 log Gamma(1/4)) against
+    # gamma pi/4 + L'(1, chi_-4) in 40 digits
+    with mp.workdps(40):
+        want = mp.pi / 4 * mp.euler + mp.dirichlet(1, [0, 1, 0, -1], 1)
+    assert abs(res["gamma_K_closed_form"] - float(want)) < 2e-15
     assert "elapsed_s" not in json.dumps(doc)
 
 

@@ -141,62 +141,74 @@ def test_non_finite_X_raises(fejer15, weight, ctx, X):
 
 
 def _J_reference(X, test, tab, h):
-    """J(X) on GL-12 panels of width <= h, branch 2 broken at tau = L."""
+    """J(X) on GL-12 panels of width <= h, branch 2 broken at tau = L and at
+    the start (1 - sigma) L of phi_hat(1 - tau/L)'s support."""
     L = math.log(X)
     top1 = min(max(test.sigma - 1.0, 0.0) * L, 2.0 * math.log(112.0))
     t1, q1 = panel_nodes(0.0, top1, h, 12)
     f1 = np.array([tab.H1(math.exp(0.5 * t)) for t in t1])
     total = float(np.dot(q1, test.phi_hat(1.0 + t1 / L) * np.exp(0.5 * t1) * f1))
     top2 = min((1.0 + test.sigma) * L, 2.0 * math.log(tab.y_cap))
-    t2, q2 = panel_nodes(0.0, top2, h, 12, breaks=(L,))
+    t2, q2 = panel_nodes(0.0, top2, h, 12, breaks=(L, (1.0 - test.sigma) * L))
     f2 = np.array([tab.H2(math.exp(0.5 * t)) for t in t2])
     return (total + float(np.dot(q2, test.phi_hat(1.0 - t2 / L) * f2))) / L
 
 
-def test_J_X_kink_break(fejer15, weight, ctx):
-    # phi_hat(1 - tau/L) has a kink at tau = L; without a panel edge there
-    # GL-12 errs by ~7e-9 at X = 500.  At X = 50 the partial panel at top2
-    # is 0.17 wide and carries 1.5e-7 of J.
+def test_J_X_kink_break(fejer15, fejer08, weight, ctx):
+    # phi_hat(1 - tau/L) has a kink at tau = L, and for fejer with sigma < 1
+    # another where its support starts, at tau = (1 - sigma) L; without a
+    # panel edge there GL-12 errs by ~7e-9 at X = 500 (fejer:1.5) and up to
+    # 3e-7 (fejer:0.8).  At fejer:1.9 and bump:1.5, X = 8000, the support of
+    # phi_hat(1 + tau/L) ends inside the H1 profile.
     tab = expansion.kernel_tables(weight, ctx)
-    for X in (50.0, 500.0, 2000.0):
-        val, _ = expansion.J_X(X, fejer15, weight, ctx)
-        assert abs(val - _J_reference(X, fejer15, tab, 0.0625)) < 1e-10
+    cases = [(test, X) for test in (fejer15, fejer08, make_fejer(0.5))
+             for X in (50.0, 500.0, 2000.0)]
+    cases += [(make_fejer(1.9), 8000.0), (make_bump(1.5), 8000.0)]
+    for test, X in cases:
+        val, _ = expansion.J_X(X, test, weight, ctx)
+        assert abs(val - _J_reference(X, test, tab, 0.0625)) < 1e-10, (test, X)
 
 
-def test_h2_profile_matches_H2(weight, ctx):
-    # one GL-12 panel set on [0, 2 log y_cap]: 65 panels, H2 at y = e^(tau/2)
+@pytest.mark.parametrize("name", ["h1_profile", "h2_profile"])
+def test_profile_matches_kernel(weight, ctx, name):
+    # one GL-12 panel set on [0, cap] at y = e^(tau/2): e^(tau/2) H1 on 38
+    # panels up to 2 log 112, H2 on 65 panels up to 2 log y_cap
     tab = expansion.kernel_tables(weight, ctx)
-    tau, q, f = tab.h2_profile
-    n, step = panel_layout(0.0, 2.0 * math.log(tab.y_cap), 0.25)
-    want_tau, want_q = panel_nodes(0.0, 2.0 * math.log(tab.y_cap), 0.25, 12)
-    assert n == 65 and tau.size == 12 * n
-    assert np.array_equal(tau, want_tau) and np.array_equal(q, want_q)
+    h1 = name == "h1_profile"
+    cap = 2.0 * math.log(112.0 if h1 else tab.y_cap)
+    prof = getattr(tab, name)
+    n, step = panel_layout(0.0, cap, 0.25)
+    want_tau, want_q = panel_nodes(0.0, cap, 0.25, 12)
+    assert prof.cap == cap and n == (38 if h1 else 65) and prof.tau.size == 12 * n
+    assert np.array_equal(prof.tau, want_tau) and np.array_equal(prof.q, want_q)
     edges = step * np.arange(1, n)
-    assert np.all(tau[11:-1:12] < edges) and np.all(edges < tau[12::12])
-    for t, v in zip(tau, f):
-        assert abs(v - tab.H2(math.exp(0.5 * t))) <= 1e-13
+    assert np.all(prof.tau[11:-1:12] < edges) and np.all(edges < prof.tau[12::12])
+    for t, v in zip(prof.tau, prof.f):
+        y = math.exp(0.5 * t)
+        assert abs(v - (y * tab.H1(y) if h1 else tab.H2(y))) <= 1e-13
 
 
 def test_J_X_reads_the_profile(fejer15, weight, ctx, monkeypatch):
-    # once the profile exists, J_X sums H2 afresh only on the two halves of
-    # the panel that holds tau = L, and c_w_coefficients not at all
+    # once both profiles exist, J_X sums a kernel afresh only on the two
+    # halves of a panel that holds a break, and c_w_coefficients not at all
     tab = expansion.kernel_tables(weight, ctx)
-    tab.h2_profile, tab.h2_envelope
-    calls = []
-    H2 = expansion._KernelTables.H2
+    tab.h1_profile, tab.h2_profile, tab.h2_envelope
+    calls = {"H1": [], "H2": []}
+    for name, seen in calls.items():
+        def counted(self, y, kernel=getattr(expansion._KernelTables, name), seen=seen):
+            seen.append(y)
+            return kernel(self, y)
 
-    def counted(self, y):
-        calls.append(y)
-        return H2(self, y)
-
-    monkeypatch.setattr(expansion._KernelTables, "H2", counted)
+        monkeypatch.setattr(expansion._KernelTables, name, counted)
     for X in (2000.0, 8000.0):
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         expansion.J_X(X, fejer15, weight, ctx)
-        assert len(calls) <= 24
-    calls.clear()
+        assert 0 < len(calls["H1"]) <= 24 and 0 < len(calls["H2"]) <= 24
+    for seen in calls.values():
+        seen.clear()
     expansion.c_w_coefficients(2, weight, ctx)
-    assert calls == []
+    assert calls == {"H1": [], "H2": []}
 
 
 def test_h2_profile_memory(weight, ctx):

@@ -1,6 +1,7 @@
 """Every function, class, method and module-level constant in src/quadhecke
-has a caller or reader in the package or in perfbench; anything else is
-dead code.  Test-only references
+has a caller or reader in the package or in perfbench, and every attribute
+assigned on self is read in the package; anything else is dead code.
+Test-only references
 live in tests/oracles.py, and each of its definitions has a caller in a
 test file."""
 
@@ -62,6 +63,33 @@ def test_every_name_has_a_caller():
     used = _uses([*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
     dead = sorted((_definitions(SRC.glob("*.py")) | _constants(SRC.glob("*.py"))) - used)
     assert dead == [], f"no caller or reader in src/ or perfbench/: {dead}"
+
+
+def _self_attributes(paths) -> set[str]:
+    """Attributes assigned on self."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            out.update(n.attr for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                       and n.value.id == "self")
+    return out
+
+
+def test_every_attribute_is_read():
+    # src only: an attribute of the same name that perfbench reads on its
+    # own objects must not count as a reader
+    src = list(SRC.glob("*.py"))
+    read = {n.attr for path in src for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = sorted(_self_attributes(src) - read)
+    assert unread == [], f"assigned on self and never read in src/: {unread}"
 
 
 def test_every_oracle_has_a_caller():
