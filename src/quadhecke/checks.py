@@ -87,10 +87,9 @@ def gauss_sum(bound=60, residues=((1, 0), (2, 1), (0, 3))):
 def pole_rays(norm_c=5, radii=(0.04, 0.02, 0.01, 0.005, 0.0025)):
     """|r (combined + dual)| along rays arg r in {0, pi/4, pi/2}; the
     residues cancel, so the products must sink toward zero with |r|."""
-    ctx = default_context()
     rays = {"real": 1.0 + 0.0j, "diag": cmath.exp(0.25j * math.pi), "imag": 1j}
     return {name: [abs(rho * phase * (ratios.combined_prime_term(rho * phase)
-                                      + ratios.dual_term(rho * phase, norm_c, ctx)))
+                                      + ratios.dual_term(rho * phase, norm_c)))
                    for rho in radii]
             for name, phase in rays.items()}
 
@@ -99,13 +98,11 @@ def pole_residues(norm_c=5, radius=0.05):
     """max(|Res dual - 1|, |Res combined + 1|) at r = 0, each residue the
     mean of r f(r) over a Cauchy ring; pole_cancellation sees only that the
     two cancel."""
-    ctx = default_context()
-
     def residue(f):
         return cauchy_derivs(lambda rs: np.array([r * f(r) for r in rs]),
                              0.0, radius, 0)[0]
 
-    dual = residue(lambda r: ratios.dual_term(r, norm_c, ctx))
+    dual = residue(lambda r: ratios.dual_term(r, norm_c))
     return max(abs(dual - 1.0), abs(residue(ratios._combined_analytic) + 1.0)), 1e-8
 
 
@@ -157,8 +154,7 @@ def prime_bridge(X=2000.0, tol=1e-4):
             = -(2/L) sum logN N^-j (1+1/N)^-1 phi_hat(2j logN / L).
     """
     cfg = _config(X)
-    nodes, wts, re_comb, _, _ = ratios._axis_profile(
-        ratios._T_CAP, ratios._PANEL_H, default_context())
+    nodes, wts, re_comb, _, _ = ratios._axis_profile(ratios._T_CAP, ratios._PANEL_H)
     phi_vals = cfg.test.phi(nodes * cfg.L / (2.0 * math.pi))
     integral = float(np.dot(wts, re_comb * phi_vals)) / math.pi \
         - float(cfg.test.phi(0.0)) / 2.0
@@ -190,7 +186,7 @@ def a_closed_vs_euler(rs):
     worst = 0.0
     for r in rs:
         want = A_euler(-r, r)
-        got = A_closed_mr(r, default_context())
+        got = A_closed_mr(r)
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     return worst, 1e-6
 
@@ -202,7 +198,7 @@ def route_gap(X, phi="fejer:1.5"):
     C = 0.5 is fixed: the largest measured |gap| sqrt(X) is 0.35 (fejer:0.8,
     1.2, 1.5 and bump:0.8, X = 500 to 512000) and 0.32 (fejer:1.9)."""
     cfg = _config(X, phi)
-    rep = ratios.ratios_density(cfg, default_context())
+    rep = ratios.ratios_density(cfg)
     gap = one_level_density(cfg).D_total - rep.D_ratios_integral
     return gap, 0.5 * X ** -0.5 + rep.max_error
 
@@ -211,8 +207,8 @@ def refinement(phi, X=2000.0, T=ratios._T_CAP, h=ratios._PANEL_H):
     """D_int on a refined grid (T doubled or h halved) against the default
     grid, within the default run's own error estimate max_error."""
     cfg = _config(X, phi)
-    rep = ratios.ratios_density(cfg, default_context())
-    fine = ratios.ratios_density(cfg, default_context(), T=T, h=h)
+    rep = ratios.ratios_density(cfg)
+    fine = ratios.ratios_density(cfg, T=T, h=h)
     return fine.D_ratios_integral - rep.D_ratios_integral, rep.max_error
 
 
@@ -274,7 +270,7 @@ CHECKS = (
     ("gauss_sum_spot", "quick", gauss_sum),
     ("poisson_twisted_X1", "quick", partial(poisson, (1.0,), zint.GInt(-1, -2), 1e-6)),
     ("squarefree_density", "quick",
-     lambda: (phi_sf_partial(2 * 10 ** 5) - phi_sf_limit(default_context()), 1e-2)),
+     lambda: (phi_sf_partial(2 * 10 ** 5) - phi_sf_limit(), 1e-2)),
     ("pole_residues", "quick", pole_residues),
     ("pole_cancellation", "quick",
      lambda: (max(v[-1] / v[0] for v in pole_rays().values()), 0.5)),

@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import zint
-from ._numerics import dot, panel_nodes
+from ._numerics import dot, panel_nodes, read_only
 from .specfun import _LOG_32_PI2, _PSI_HALF
 from .transforms import TestFunction, WeightFunction
 
@@ -109,13 +109,19 @@ class _Family:
         grid = grid[-b_lo // 2:].copy()
         grid[0] *= 0.5
         b = np.arange(0, 1 - b_lo, 2)
-        return grid, np.stack((b, -b)), a_lo + (1 - b - a_lo) % 4
+        return read_only(grid), np.stack((b, -b)), a_lo + (1 - b - a_lo) % 4
 
 
 def _family(cfg: DensityConfig) -> _Family:
-    bound = int(cfg.R * cfg.X)
-    re, im, norm = zint.primary_squarefree_arrays(bound)
-    w0 = cfg.weight.w(norm.astype(float) / cfg.X)
+    """The family of cfg, built once per (X, R, weight): the fields that
+    select it.  Its w0 and rows grid are read-only."""
+    return _family_of(cfg.X, cfg.R, cfg.weight)
+
+
+@lru_cache(maxsize=2)
+def _family_of(X: float, R: float, weight: WeightFunction) -> _Family:
+    re, im, norm = zint.primary_squarefree_arrays(int(R * X))
+    w0 = read_only(weight.w(norm.astype(float) / X))
     return _Family(re, im, norm, w0, 4.0 * float(math.fsum(w0)))
 
 

@@ -66,15 +66,14 @@ from scipy.special import gammaincc, gammaln
 from . import zint
 from ._numerics import cauchy_derivs, dot, panel_layout, panel_nodes, read_only
 from .specfun import (_EULER_CUTOFF, _LOG_32_PI2, _PSI_HALF, EULER_GAMMA,
-                      ZetaKContext, default_context, hurwitz, zeta_K_log_deriv)
+                      default_context, hurwitz, zeta_K_log_deriv)
 from .transforms import (TestFunction, WeightFunction, make_gaussian_weight)
 
 _G1_CUT = 112.0          # g1(y) below 1e-13 beyond this
 
 
-def prefactor(weight: WeightFunction, ctx: ZetaKContext | None = None) -> float:
-    ctx = ctx or default_context()
-    return 3.0 * ctx.zetaK2 / (math.pi * weight.w_hat0)
+def prefactor(weight: WeightFunction) -> float:
+    return 3.0 * default_context().zetaK2 / (math.pi * weight.w_hat0)
 
 
 def phi_sf_partial(bound: int) -> float:
@@ -84,9 +83,8 @@ def phi_sf_partial(bound: int) -> float:
     return float(np.sum(a[n] / n.astype(float) ** 2))
 
 
-def phi_sf_limit(ctx: ZetaKContext | None = None) -> float:
-    ctx = ctx or default_context()
-    return 4.0 / (3.0 * ctx.zetaK2)
+def phi_sf_limit() -> float:
+    return 4.0 / (3.0 * default_context().zetaK2)
 
 
 # --- full lattice sums ------------------------------------------------------------
@@ -121,7 +119,7 @@ class _Profile:
 
 
 class _KernelTables:
-    """H1 and H2 for one (weight, ctx, y_cap), from the shared d(m) support.
+    """H1 and H2 for one (weight, y_cap), from the shared d(m) support.
 
     d(m) = -4 prod_{p^e || m} c_p(e) on odd m and 0 on even m, with c_p the
     local factors of c/4 (module docstring), is built for m up to
@@ -137,10 +135,10 @@ class _KernelTables:
     and c_w_coefficients read them instead of summing the lattice again.
     """
 
-    def __init__(self, weight: WeightFunction, ctx: ZetaKContext, y_cap: float):
+    def __init__(self, weight: WeightFunction, y_cap: float):
         self.weight = weight
         self.y_cap = y_cap
-        self.pref = prefactor(weight, ctx)
+        self.pref = prefactor(weight)
         c = zint.multiplicative_odd(int(_G1_CUT * y_cap) + 1, _c_local)
         m = np.flatnonzero(c)
         self.m, self.d_m = read_only(m.astype(float), -4.0 * c[m])
@@ -180,28 +178,28 @@ class _KernelTables:
 
 
 def kernel_tables(weight: WeightFunction | None = None,
-                  ctx: ZetaKContext | None = None,
+                  ctx=None,  # unread; perfbench/worker.py fills it (ROADMAP item 7)
                   y_cap: float = 3000.0) -> _KernelTables:
-    """The kernel lattice sums for (weight, ctx, y_cap): the d(m) support
-    and the H1 and H2 profiles are built once per value and J_X and
+    """The kernel lattice sums for (weight, y_cap): the d(m) support and
+    the H1 and H2 profiles are built once per value and J_X and
     c_w_coefficients read them."""
-    return _kernel_tables(weight or make_gaussian_weight(),
-                          ctx or default_context(), float(y_cap))
+    return _kernel_tables(weight or make_gaussian_weight(), float(y_cap))
 
 
-# keyed on the resolved values: kernel_tables(w, ctx) and
-# kernel_tables(w, ctx, 3000.0) must hit one entry
+# keyed on the resolved values: kernel_tables(w) and
+# kernel_tables(w, y_cap=3000) must hit one entry
 _kernel_tables = lru_cache(maxsize=4)(_KernelTables)
 
 
 # --- the tau-integral and its expansion ---------------------------------------------
 
 def J_X(X: float, test: TestFunction, weight: WeightFunction | None = None,
-        ctx: ZetaKContext | None = None, y_cap: float = 3000.0) -> tuple[float, float]:
+        ctx=None,  # unread; perfbench/worker.py fills it (ROADMAP item 7)
+        y_cap: float = 3000.0) -> tuple[float, float]:
     """Numeric J(X): value and an error estimate from the y_cap tail."""
     if not math.e < X < math.inf:
         raise ValueError("J_X needs finite X > e")
-    tab = kernel_tables(weight, ctx, y_cap)
+    tab = kernel_tables(weight, y_cap=y_cap)
     L = math.log(X)
     sigma = test.sigma
     # phi_hat(1 +- tau/L) is 0 past the ends of its support, the breaks
@@ -216,12 +214,11 @@ def J_X(X: float, test: TestFunction, weight: WeightFunction | None = None,
 
 
 def c_w_coefficients(M: int, weight: WeightFunction | None = None,
-                     ctx: ZetaKContext | None = None,
                      y_cap: float = 3000.0) -> list[tuple[float, float]]:
     """Tau-moment integrals of the two kernel lattice sums, orders 1..M."""
     if not 1 <= M <= 8:
         raise ValueError("order must be in 1..8")
-    tab = kernel_tables(weight, ctx, y_cap)
+    tab = kernel_tables(weight, y_cap=y_cap)
     h1, h2 = tab.h1_profile, tab.h2_profile
     out = []
     for m in range(1, M + 1):
@@ -235,11 +232,10 @@ def c_w_coefficients(M: int, weight: WeightFunction | None = None,
     return out
 
 
-def c_w1_closed(weight: WeightFunction | None = None,
-                ctx: ZetaKContext | None = None) -> float:
+def c_w1_closed(weight: WeightFunction | None = None) -> float:
     """First-order constant in closed form."""
     w = weight or make_gaussian_weight()
-    ctx = ctx or default_context()
+    ctx = default_context()
     return (2.0 * EULER_GAMMA + math.log(math.pi ** 2 / 2.0 ** (7.0 / 3.0))
             + 2.0 * ctx.zetaK_logderiv_2 - 8.0 / math.pi * ctx.gamma_K
             - w.mw_prime_1 / w.Mw(1.0).real)
@@ -247,10 +243,11 @@ def c_w1_closed(weight: WeightFunction | None = None,
 
 def J_first_order(X: float, test: TestFunction,
                   weight: WeightFunction | None = None,
-                  ctx: ZetaKContext | None = None) -> float:
+                  ctx=None,  # unread; perfbench/worker.py fills it (ROADMAP item 7)
+                  ) -> float:
     if not math.e < X < math.inf:
         raise ValueError("J_first_order needs finite X > e")
-    return float(test.phi_hat(1.0)) * c_w1_closed(weight, ctx) / math.log(X)
+    return float(test.phi_hat(1.0)) * c_w1_closed(weight) / math.log(X)
 
 
 # --- even-sum coefficients d_m ------------------------------------------------------
@@ -433,11 +430,11 @@ class ExpansionCoefficients:
 
 def expansion_coefficients(M: int, test: TestFunction,
                            weight: WeightFunction | None = None,
-                           ctx: ZetaKContext | None = None) -> ExpansionCoefficients:
+                           ctx=None,  # unread; perfbench/worker.py fills it (ROADMAP item 7)
+                           ) -> ExpansionCoefficients:
     w = weight or make_gaussian_weight()
-    ctx = ctx or default_context()
     ds = d_coefficients(M)
-    cs = c_w_coefficients(M, w, ctx)
+    cs = c_w_coefficients(M, w)
     log_moment_term = 2.0 * w.mw_prime_1 / w.w_hat0
     r_w = []
     for m in range(1, M + 1):

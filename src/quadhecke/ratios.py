@@ -55,8 +55,8 @@ from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         s_even_main_form, _family)
 from .expansion import c_w1_closed, expansion_coefficients, thm_prediction
 from .specfun import (_EULER_CUTOFF, _LOG_32_PI2, _POLE_GUARD, _PSI_HALF, A_alpha_series,
-                      A_alpha_diag_it, A_closed_mr, X_c, ZetaKContext, _em_shift,
-                      default_context, digamma, zeta_K, zeta_K_axis, zeta_K_log_deriv)
+                      A_alpha_diag_it, A_closed_mr, X_c, _em_shift, digamma, zeta_K,
+                      zeta_K_axis, zeta_K_log_deriv)
 from .transforms import TestFunction, WeightFunction
 
 _T_CAP = 600.0        # axis truncation; past every stationary phase in range
@@ -114,22 +114,21 @@ def _combined_analytic(r: complex) -> complex:
     return complex(2.0 * zeta_K_log_deriv(1.0 + 2.0 * r) + 2.0 * A_alpha_series(r))
 
 
-def dual_term(r: complex, norm_c: int, ctx: ZetaKContext | None = None) -> complex:
+def dual_term(r: complex, norm_c: int) -> complex:
     """-(8/pi) X_c(1/2+r) zeta_K(1-2r) A(-r,r), the swapped-equation term.
 
     Simple pole at r = 0 with residue +1, cancelling the combined prime
     term's -1; zeta_K's pole guard raises at r = 0.
     """
-    ctx = ctx or default_context()
     r = complex(r)
     val = -(8.0 / math.pi) * X_c(0.5 + r, int(norm_c)) \
-        * zeta_K(1.0 - 2.0 * r) * A_closed_mr(r, ctx)
+        * zeta_K(1.0 - 2.0 * r) * A_closed_mr(r)
     return complex(val)
 
 
 # --- the bracket on the axis -------------------------------------------------------
 
-def _bracket_parts(t: np.ndarray, ctx: ZetaKContext, sums):
+def _bracket_parts(t: np.ndarray, sums):
     """Conductor-independent bracket data at nodes t > 0:
     (Re combined(it), 2 Re psi(1/2+it), Psi(it)), where the dual term is
     Psi(it) exp(-it mu(N)).  sums(mu, w) returns sum_n w_n exp(-i t mu_n) at
@@ -138,18 +137,18 @@ def _bracket_parts(t: np.ndarray, ctx: ZetaKContext, sums):
     rc = (2.0 * ld1 + 2.0 * A_alpha_diag_it(t, ld2, sums)).real
     g = np.exp(_loggamma(0.5 - 1j * t) - _loggamma(0.5 + 1j * t))
     # zeta_K at 1-2it and 2-2it by Schwarz reflection
-    pv = -(8.0 / math.pi) * g * np.conj(z1) * A_closed_mr(1j * t, ctx, np.conj(z2))
+    pv = -(8.0 / math.pi) * g * np.conj(z1) * A_closed_mr(1j * t, np.conj(z2))
     return rc, 2.0 * digamma(0.5 + 1j * t).real, pv
 
 
 @lru_cache(maxsize=8)
-def _axis_profile(T: float, h: float, ctx: ZetaKContext):
+def _axis_profile(T: float, h: float):
     """Conductor-independent integrand data on the [0, T] panel grid:
     (nodes, weights, Re combined(it), 2 Re psi(1/2+it), Psi(it)), read-only.
     The bracket's Hurwitz heads and prime sums are phase sums on the same
     grid (_numerics.phase_sum); everything else is closed form per node."""
     nodes, wts = panel_nodes(0.0, float(T), float(h), 12)
-    parts = _bracket_parts(nodes, ctx, partial(phase_sum, T, h))
+    parts = _bracket_parts(nodes, partial(phase_sum, T, h))
     return read_only(nodes, wts, *parts)
 
 
@@ -221,7 +220,8 @@ class PredictionReport:
 
 
 def ratios_first_order(cfg: DensityConfig,
-                       ctx: ZetaKContext | None = None) -> PredictionReport:
+                       ctx=None,  # unread; perfbench/worker.py fills it (ROADMAP item 7)
+                       ) -> PredictionReport:
     """Six-term closed expansion of the prediction.
 
     phi_hat(0) + int_1^inf phi_hat + conductor bracket/L + digamma kernel
@@ -229,7 +229,6 @@ def ratios_first_order(cfg: DensityConfig,
     is the same code path as the explicit-formula main form; the phi_hat(1)
     bracket is the closed first moment of the descending-log kernel.
     """
-    ctx = ctx or default_context()
     test, w, L = cfg.test, cfg.weight, cfg.L
     p0 = float(test.phi_hat(0.0))
     terms = {
@@ -239,7 +238,7 @@ def ratios_first_order(cfg: DensityConfig,
                                + 2.0 * w.mw_prime_1 / w.w_hat0),
         "digamma_integral": digamma_integral_term(test, L),
         "prime_even": s_even_main_form(cfg),
-        "phi_hat1": float(test.phi_hat(1.0)) * c_w1_closed(w, ctx) / L,
+        "phi_hat1": float(test.phi_hat(1.0)) * c_w1_closed(w) / L,
     }
     fo = math.fsum(terms.values())
     return PredictionReport(
@@ -249,20 +248,18 @@ def ratios_first_order(cfg: DensityConfig,
         n_points=0, max_error=0.0, n_norms=0, family_size=0)
 
 
-def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
-                   T: float = _T_CAP, h: float = _PANEL_H,
-                   with_dual: bool = True) -> PredictionReport:
+def ratios_density(cfg: DensityConfig,
+                   ctx=None,  # unread; perfbench/worker.py fills it (ROADMAP item 7)
+                   T: float = _T_CAP, h: float = _PANEL_H) -> PredictionReport:
     """Prediction integral (1/W) sum_c w(N(c)/X) (1/2pi) int bracket phi dt.
 
     The conductor piece integrates to its family average times phi_hat(0)/L
     exactly; the gamma pair goes through the exact kernel identity.  The
     combined and dual pieces are integrated on [0, T] GL-12 panels (real
     part, doubled by evenness), the dual one through the per-norm phase sum
-    Psi(it) exp(-it mu(N)) grouped on distinct norms.  with_dual=False drops
-    the dual term for ablation runs.
+    Psi(it) exp(-it mu(N)) grouped on distinct norms.
     """
     _check_grid(cfg, T, h)
-    ctx = ctx or default_context()
     test, L = cfg.test, cfg.L
     p0 = float(test.phi_hat(0.0))
     norms, wn, fam = _norm_groups(cfg)
@@ -270,12 +267,10 @@ def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
     mu = np.log(32.0 * norms / math.pi ** 2)
     m1 = math.fsum(wn * mu) / weight_sum
 
-    nodes, wts, re_comb, two_psi, psi_big = _axis_profile(T, h, ctx)
+    nodes, wts, re_comb, two_psi, psi_big = _axis_profile(T, h)
     phi_vals = test.phi(nodes * L / (2.0 * math.pi))
 
-    integ = re_comb.copy()
-    if with_dual:
-        integ += (psi_big * phase_sum(T, h, mu, wn / weight_sum)).real
+    integ = re_comb + (psi_big * phase_sum(T, h, mu, wn / weight_sum)).real
     contrib = wts * integ * phi_vals
     i_num = float(np.sum(contrib)) / math.pi
 
@@ -285,7 +280,7 @@ def ratios_density(cfg: DensityConfig, ctx: ZetaKContext | None = None,
     last = np.abs(pan[-max(8, pan.size // 10):])
     tail_est = float(last.max()) * (T / h) / math.pi + 1e-9
 
-    fo = ratios_first_order(cfg, ctx)
+    fo = ratios_first_order(cfg)
     conductor_avg = m1 * p0 / L
     digamma_closed = 2.0 * _PSI_HALF * p0 / L + fo.terms["digamma_integral"]
     d_int = conductor_avg + digamma_closed + i_num
@@ -311,20 +306,19 @@ COMPARE_COLUMNS = ("X", "L", "D_emp", "D_int", "D_fo", "D_thm11",
 
 
 def compare(xs, test: TestFunction, weight: WeightFunction,
-            ctx: ZetaKContext | None = None, R: float = 4.0, threads: int = 1,
+            R: float = 4.0, threads: int = 1,
             M: int = 2, T: float = _T_CAP, h: float = _PANEL_H) -> list[dict]:
     """One row per X: empirical density, prediction integral, first-order
     expansion, descending-log theorem value, and their residuals."""
     cfgs = [DensityConfig(float(x), test, weight, R=R, threads=threads) for x in xs]
     for cfg in cfgs:
         _check_grid(cfg, T, h)
-    ctx = ctx or default_context()
-    coeffs = expansion_coefficients(M, test, weight, ctx)
+    coeffs = expansion_coefficients(M, test, weight)
     rows = []
     for cfg in cfgs:
         x = cfg.X
         emp = one_level_density(cfg)
-        rep = ratios_density(cfg, ctx, T=T, h=h)
+        rep = ratios_density(cfg, T=T, h=h)
         thm = thm_prediction(x, coeffs, test)
         L = cfg.L
         r_int = emp.D_total - rep.D_ratios_integral

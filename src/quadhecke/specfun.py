@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import bernoulli as _bernoulli
@@ -226,17 +226,16 @@ def A_euler(alpha: complex, beta: complex) -> complex:
     return complex(pref * np.exp(np.sum(logs) + e1a - e1b))
 
 
-def A_closed_mr(r, ctx: "ZetaKContext | None" = None, zeta_2m2r=None):
+def A_closed_mr(r, zeta_2m2r=None):
     """Closed form A(-r, r) = 3(2-2^{2r})/(4-2^{2r}) zeta_K(2)/zeta_K(2-2r).
 
     zeta_2m2r, when given, supplies zeta_K(2-2r) for every r.
     """
-    ctx = ctx or default_context()
     r = np.asarray(r, dtype=complex)
     num = 3.0 * (2.0 - 2.0 ** (2.0 * r)) / (4.0 - 2.0 ** (2.0 * r))
     if zeta_2m2r is None:
         zeta_2m2r = zeta_K(2.0 - 2.0 * r)
-    out = num * ctx.zetaK2 / zeta_2m2r
+    out = num * default_context().zetaK2 / zeta_2m2r
     return complex(out) if out.ndim == 0 else out
 
 
@@ -312,10 +311,10 @@ def A_alpha_diag_it(t, log_deriv_2, sums):
 
 @dataclass(frozen=True)
 class ZetaKContext:
-    """Immutable bundle of the cached zeta_K constants.
+    """Immutable bundle of the zeta_K constants.
 
-    It takes no parameter, so every context is equal to every other and
-    caches keyed on it share one entry.
+    It takes no parameter; default_context() builds it once, and each
+    function that needs a constant reads it there.
     """
 
     gamma_K: float = field(init=False)
@@ -357,14 +356,5 @@ def default_context() -> ZetaKContext:
     return ZetaKContext()
 
 
-def constants_dict(ctx: ZetaKContext | None = None) -> dict[str, float]:
-    ctx = ctx or default_context()
-    return {
-        "gamma": EULER_GAMMA,
-        "gamma_K": ctx.gamma_K,
-        "zetaK2": ctx.zetaK2,
-        "zetaK_logderiv_2": ctx.zetaK_logderiv_2,
-        "zetaK0": ctx.zetaK0,
-        "zetaK0_prime": ctx.zetaK0_prime,
-        "residue": ctx.residue,
-    }
+def constants_dict() -> dict[str, float]:
+    return {"gamma": EULER_GAMMA, **asdict(default_context())}

@@ -3,15 +3,9 @@ import math
 import pytest
 
 from quadhecke.empirical import DensityConfig, one_level_density
-from quadhecke.specfun import default_context
 from quadhecke.transforms import make_bump, make_fejer, make_gaussian_weight
 
 X_GRID = (500.0, 2000.0, 8000.0)
-
-
-@pytest.fixture(scope="session")
-def ctx():
-    return default_context()
 
 
 @pytest.fixture(scope="session")
@@ -53,9 +47,9 @@ def emp_grid_08(fejer08, weight):
 
 
 @pytest.fixture(scope="session")
-def coeffs08_m1(fejer08, weight, ctx):
+def coeffs08_m1(fejer08, weight):
     from quadhecke.expansion import expansion_coefficients
-    return expansion_coefficients(1, fejer08, weight, ctx)
+    return expansion_coefficients(1, fejer08, weight)
 
 
 def approx_log(x: float) -> float:

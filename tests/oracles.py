@@ -16,7 +16,7 @@ import numpy as np
 
 from quadhecke import ratios, zint
 from quadhecke.empirical import DensityConfig, _family, _sj_coefs
-from quadhecke.specfun import A_alpha_series, A_euler, ZetaKContext
+from quadhecke.specfun import A_alpha_series, A_euler
 from quadhecke.transforms import TestFunction
 from quadhecke.zint import GInt
 
@@ -184,8 +184,7 @@ def A_alpha_diag(r) -> complex:
     return complex(series)
 
 
-def ratios_integrand(t: float, norm_c: int, test: TestFunction, L: float,
-                     ctx: ZetaKContext) -> float:
+def ratios_integrand(t: float, norm_c: int, test: TestFunction, L: float) -> float:
     """Bracket at r = it, real part, times phi(tL/2pi).
 
     Only the real part enters: the bracket satisfies conj(B(t)) = B(-t), so
@@ -196,6 +195,6 @@ def ratios_integrand(t: float, norm_c: int, test: TestFunction, L: float,
     t = abs(float(t))
     mu = ratios._mu_of(norm_c)
     nodes = np.array([t])
-    (rc,), (two_psi,), (pv,) = ratios._bracket_parts(nodes, ctx, outer_phase_sum(nodes))
+    (rc,), (two_psi,), (pv,) = ratios._bracket_parts(nodes, outer_phase_sum(nodes))
     bracket = rc + (pv * cmath.exp(-1j * t * mu)).real + mu + two_psi
     return bracket * float(test.phi(t * L / (2.0 * math.pi)))

@@ -17,7 +17,7 @@ from quadhecke import zint
 from quadhecke.empirical import DensityConfig, _family, poisson_pair
 from quadhecke.expansion import J_X, thm_prediction
 from quadhecke.ratios import ratios_first_order
-from quadhecke.specfun import hurwitz
+from quadhecke.specfun import default_context, hurwitz
 from quadhecke.zint import GInt, I
 
 from oracles import i_images
@@ -169,20 +169,23 @@ def test_poisson_summation_twisted(weight):
 
 # --- 5: pinned constants ------------------------------------------------------------
 
-def test_constants(ctx):
+def test_constants():
     # rebuilt from the Hurwitz factorization: the pole guard on zeta_K
     # itself keeps direct evaluation this close to s = 1 out of reach
     s = 1.0 + 1e-6
     l4 = 4.0 ** -s * (complex(hurwitz(s, 0.25)) - complex(hurwitz(s, 0.75)))
     val = (s - 1.0) * complex(hurwitz(s, 1.0)) * l4
     assert abs(val - math.pi / 4.0) < 1e-5
-    assert abs(ctx.residue - val.real) < 1e-12
+    assert abs(default_context().residue - val.real) < 1e-12
 
 
 # --- 8: family weight density --------------------------------------------------------
 
 def test_family_weight_density(fejer15, weight):
-    # the mass itself is the selftest row weight_mass_1e5; this bounds its cost
+    # the mass itself is the selftest row weight_mass_1e5; this bounds the
+    # cost of a build, so the family memo is cleared first
+    from quadhecke import empirical
+    empirical._family_of.cache_clear()
     start = time.perf_counter()
     _family(DensityConfig(1e5, fejer15, weight))
     assert time.perf_counter() - start < 60.0
@@ -190,19 +193,19 @@ def test_family_weight_density(fejer15, weight):
 
 # --- 9: odd prime sum against the resummed kernel -----------------------------------
 
-def test_odd_sum_kernel_bridge(emp_grid_15, fejer15, weight, ctx):
+def test_odd_sum_kernel_bridge(emp_grid_15, fejer15, weight):
     s_odd = emp_grid_15[2000.0].S_odd
-    j_val, _ = J_X(2000.0, fejer15, weight, ctx)
+    j_val, _ = J_X(2000.0, fejer15, weight)
     gap = s_odd - fejer15.phi_hat_tail_integral() - j_val
     assert abs(gap) <= 0.05
 
 
 # --- 11: measured density against the first-order prediction ------------------------
 
-def test_density_matches_prediction(emp_grid_15, fejer15, weight, ctx):
+def test_density_matches_prediction(emp_grid_15, fejer15, weight):
     resid = {}
     for x in X_GRID:
-        fo = ratios_first_order(DensityConfig(x, fejer15, weight), ctx)
+        fo = ratios_first_order(DensityConfig(x, fejer15, weight))
         resid[x] = emp_grid_15[x].D_total - fo.D_ratios_first_order
     assert abs(resid[2000.0]) <= 0.1
     for x in X_GRID:
@@ -244,18 +247,18 @@ def test_compare_runs_byte_identical(tmp_path):
 
 # --- memoized data ---------------------------------------------------------------
 
-def test_memoized_arrays_read_only(weight, ctx):
+def test_memoized_arrays_read_only(weight):
     # every cache hands out shared arrays; a caller writing into one must fail
     from quadhecke import _numerics, expansion, ratios
     from quadhecke.transforms import make_bump
-    tab = expansion.kernel_tables(weight, ctx)
+    tab = expansion.kernel_tables(weight)
     arrays = [*zint.primary_squarefree_arrays(500),
               zint.prime_norms_up_to(500),
               *_numerics.leggauss(12), tab.m, tab.d_m,
               *(a for p in (tab.h1_profile, tab.h2_profile) for a in (p.tau, p.q, p.f)),
               weight._wt_table.values, weight._gt_table.values,
               *make_bump(1.5)._bump_nodes,
-              *ratios._axis_profile(3.7, 0.25, ctx)]
+              *ratios._axis_profile(3.7, 0.25)]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0

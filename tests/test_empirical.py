@@ -231,6 +231,21 @@ def test_family_rows_cover_members(weight, X, R):
     assert all(w.get((a, -bb)) == v for (a, bb), v in w.items())
 
 
+def test_family_memo_keys_on_selecting_fields(weight):
+    # X, R and the weight select the family; phi and threads do not, so
+    # configs that differ only there share one object
+    fam = empirical._family(DensityConfig(500.0, make_fejer(1.5), weight))
+    assert empirical._family(DensityConfig(500.0, make_bump(0.8), weight, threads=2)) is fam
+    other_x = empirical._family(DensityConfig(501.0, make_fejer(1.5), weight))
+    other_r = empirical._family(DensityConfig(500.0, make_fejer(1.5), weight, R=2.0))
+    assert other_x is not fam and other_r is not fam and other_x is not other_r
+    assert fam.W not in (other_x.W, other_r.W) and other_x.W != other_r.W
+    # the memoized weights and rows grid are shared, so they are read-only
+    for a in (fam.w0, fam.rows[0]):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 def test_prime_side_sums_are_exact_symbols(weight):
     # one prime at a time, the row windows must give sum_c w0 ((a + b s)/p)
     # for every p = 1 mod 4 up to the norm bound, s from primes_above; the

@@ -10,7 +10,7 @@ import scipy.integrate
 
 from quadhecke import expansion, zint
 from quadhecke._numerics import cauchy_derivs, panel_layout, panel_nodes
-from quadhecke.specfun import zeta_K_log_deriv
+from quadhecke.specfun import default_context, zeta_K_log_deriv
 from quadhecke.transforms import make_bump, make_fejer
 
 from oracles import moebius
@@ -26,13 +26,13 @@ CW2_REF = 3.05782650086198
 RW2_REF = -0.927434022331608
 
 
-def test_prefactor(weight, ctx):
-    assert abs(expansion.prefactor(weight, ctx)
-               - 3.0 * ctx.zetaK2 / math.pi) < 1e-15
+def test_prefactor(weight):
+    assert abs(expansion.prefactor(weight)
+               - 3.0 * default_context().zetaK2 / math.pi) < 1e-15
 
 
-def test_phi_sf_converges(ctx):
-    lim = expansion.phi_sf_limit(ctx)
+def test_phi_sf_converges():
+    lim = expansion.phi_sf_limit()
     e4 = abs(expansion.phi_sf_partial(10 ** 4) - lim)
     e5 = abs(expansion.phi_sf_partial(10 ** 5) - lim)
     assert e5 < e4
@@ -60,11 +60,11 @@ def _sf_terms(bound):
     return norm[:k], wmu[:k]
 
 
-def test_h1_cutoff_and_value(weight, ctx):
+def test_h1_cutoff_and_value(weight):
     # H1(y) = sum_n r(n) h1(n y), h1 rebuilt from its definition
     # h1(x) = pref sum_l mu(l)/N(l) (g1(2 N(l) x) - g1(N(l) x))
-    tab = expansion.kernel_tables(weight, ctx)
-    pref = expansion.prefactor(weight, ctx)
+    tab = expansion.kernel_tables(weight)
+    pref = expansion.prefactor(weight)
 
     def h1(x):
         norm, wmu = _sf_terms(int(112.0 / x) + 1)
@@ -83,11 +83,11 @@ def test_h1_cutoff_and_value(weight, ctx):
             tab.H1(y)
 
 
-def test_H2_matches_exact_R(weight, ctx):
+def test_H2_matches_exact_R(weight):
     # H2(y) = 1 + (pref/y) sum_n r(n) (R(2n/y) - R(n/y)) with
     # R(v) = sum_l mu(l)/N(l) g1(v N(l)) summed directly, no table
-    tab = expansion.kernel_tables(weight, ctx)
-    pref = expansion.prefactor(weight, ctx)
+    tab = expansion.kernel_tables(weight)
+    pref = expansion.prefactor(weight)
     for y in (1.0, 2.9, 17.0, 64.5, 150.0):
         norm, wmu = _sf_terms(int(112.0 * y) + 1)
 
@@ -101,43 +101,43 @@ def test_H2_matches_exact_R(weight, ctx):
         assert abs(tab.H2(y) - (1.0 + pref / y * total)) < 1e-13
 
 
-def test_kernel_sums_do_not_resieve(fejer15, weight, ctx):
+def test_kernel_sums_do_not_resieve(fejer15, weight):
     # the d array comes from its Euler factors, not the family sieve; once
     # the tables exist, J_X and c_w read it and sieve nothing
     zint.primary_squarefree_arrays.cache_clear()
-    expansion._KernelTables(weight, ctx, y_cap=200.0)
+    expansion._KernelTables(weight, y_cap=200.0)
     assert zint.primary_squarefree_arrays.cache_info().currsize == 0
-    expansion.kernel_tables(weight, ctx)
+    expansion.kernel_tables(weight)
     zint.primary_squarefree_arrays.cache_clear()
-    expansion.J_X(2000.0, fejer15, weight, ctx)
-    expansion.c_w_coefficients(2, weight, ctx)
+    expansion.J_X(2000.0, fejer15, weight)
+    expansion.c_w_coefficients(2, weight)
     assert zint.primary_squarefree_arrays.cache_info().misses == 0
 
 
-def test_J_X_reference_and_decay(fejer15, weight, ctx):
-    val, err = expansion.J_X(500.0, fejer15, weight, ctx)
+def test_J_X_reference_and_decay(fejer15, weight):
+    val, err = expansion.J_X(500.0, fejer15, weight)
     assert abs(val - (-0.010088966)) < 1e-6
     assert err < 1e-3
-    fo = expansion.J_first_order(500.0, fejer15, weight, ctx)
+    fo = expansion.J_first_order(500.0, fejer15, weight)
     assert abs(fo - 0.041473558) < 1e-8
     # |J - J_fo| L^2 stays bounded while |J - J_fo| itself shrinks
     gaps = []
     for X in (500.0, 2000.0, 8000.0):
-        j, _ = expansion.J_X(X, fejer15, weight, ctx)
-        gaps.append(abs(j - expansion.J_first_order(X, fejer15, weight, ctx)))
+        j, _ = expansion.J_X(X, fejer15, weight)
+        gaps.append(abs(j - expansion.J_first_order(X, fejer15, weight)))
     assert gaps[2] < gaps[1] < gaps[0]
     assert all(g * math.log(X) ** 2 < 6.0
                for g, X in zip(gaps, (500.0, 2000.0, 8000.0)))
     with pytest.raises(ValueError):
-        expansion.J_X(2.0, fejer15, weight, ctx)
+        expansion.J_X(2.0, fejer15, weight)
 
 
 @pytest.mark.parametrize("X", [math.inf, -math.inf, math.nan])
-def test_non_finite_X_raises(fejer15, weight, ctx, X):
+def test_non_finite_X_raises(fejer15, weight, X):
     with pytest.raises(ValueError):
-        expansion.J_X(X, fejer15, weight, ctx)
+        expansion.J_X(X, fejer15, weight)
     with pytest.raises(ValueError):
-        expansion.J_first_order(X, fejer15, weight, ctx)
+        expansion.J_first_order(X, fejer15, weight)
 
 
 def _J_reference(X, test, tab, h):
@@ -154,26 +154,26 @@ def _J_reference(X, test, tab, h):
     return (total + float(np.dot(q2, test.phi_hat(1.0 - t2 / L) * f2))) / L
 
 
-def test_J_X_kink_break(fejer15, fejer08, weight, ctx):
+def test_J_X_kink_break(fejer15, fejer08, weight):
     # phi_hat(1 - tau/L) has a kink at tau = L, and for fejer with sigma < 1
     # another where its support starts, at tau = (1 - sigma) L; without a
     # panel edge there GL-12 errs by ~7e-9 at X = 500 (fejer:1.5) and up to
     # 3e-7 (fejer:0.8).  At fejer:1.9 and bump:1.5, X = 8000, the support of
     # phi_hat(1 + tau/L) ends inside the H1 profile.
-    tab = expansion.kernel_tables(weight, ctx)
+    tab = expansion.kernel_tables(weight)
     cases = [(test, X) for test in (fejer15, fejer08, make_fejer(0.5))
              for X in (50.0, 500.0, 2000.0)]
     cases += [(make_fejer(1.9), 8000.0), (make_bump(1.5), 8000.0)]
     for test, X in cases:
-        val, _ = expansion.J_X(X, test, weight, ctx)
+        val, _ = expansion.J_X(X, test, weight)
         assert abs(val - _J_reference(X, test, tab, 0.0625)) < 1e-10, (test, X)
 
 
 @pytest.mark.parametrize("name", ["h1_profile", "h2_profile"])
-def test_profile_matches_kernel(weight, ctx, name):
+def test_profile_matches_kernel(weight, name):
     # one GL-12 panel set on [0, cap] at y = e^(tau/2): e^(tau/2) H1 on 38
     # panels up to 2 log 112, H2 on 65 panels up to 2 log y_cap
-    tab = expansion.kernel_tables(weight, ctx)
+    tab = expansion.kernel_tables(weight)
     h1 = name == "h1_profile"
     cap = 2.0 * math.log(112.0 if h1 else tab.y_cap)
     prof = getattr(tab, name)
@@ -188,10 +188,10 @@ def test_profile_matches_kernel(weight, ctx, name):
         assert abs(v - (y * tab.H1(y) if h1 else tab.H2(y))) <= 1e-13
 
 
-def test_J_X_reads_the_profile(fejer15, weight, ctx, monkeypatch):
+def test_J_X_reads_the_profile(fejer15, weight, monkeypatch):
     # once both profiles exist, J_X sums a kernel afresh only on the two
     # halves of a panel that holds a break, and c_w_coefficients not at all
-    tab = expansion.kernel_tables(weight, ctx)
+    tab = expansion.kernel_tables(weight)
     tab.h1_profile, tab.h2_profile, tab.h2_envelope
     calls = {"H1": [], "H2": []}
     for name, seen in calls.items():
@@ -203,23 +203,23 @@ def test_J_X_reads_the_profile(fejer15, weight, ctx, monkeypatch):
     for X in (2000.0, 8000.0):
         for seen in calls.values():
             seen.clear()
-        expansion.J_X(X, fejer15, weight, ctx)
+        expansion.J_X(X, fejer15, weight)
         assert 0 < len(calls["H1"]) <= 24 and 0 < len(calls["H2"]) <= 24
     for seen in calls.values():
         seen.clear()
-    expansion.c_w_coefficients(2, weight, ctx)
+    expansion.c_w_coefficients(2, weight)
     assert calls == {"H1": [], "H2": []}
 
 
-def test_h2_profile_memory(weight, ctx):
+def test_h2_profile_memory(weight):
     # d(m) is sieved from its local factors over the odd m <= 112 y_cap, so
     # building the tables holds a few 112 y_cap sized arrays and no r(n)
     # or Moebius array (measured 7.7 MB); the lattice sums run over d's
     # nonzero support, so building the profile holds no such transient
-    y_cap = expansion.kernel_tables(weight, ctx).y_cap
+    y_cap = expansion.kernel_tables(weight).y_cap
     tracemalloc.start()
     try:
-        tab = expansion._KernelTables(weight, ctx, y_cap)
+        tab = expansion._KernelTables(weight, y_cap)
         built = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         tab.h2_profile
@@ -246,10 +246,10 @@ def _d_strided(y_cap):
 
 
 @pytest.mark.parametrize("y_cap", [3000.0, 20.0])
-def test_d_support_matches_strided_loop(weight, ctx, y_cap):
+def test_d_support_matches_strided_loop(weight, y_cap):
     # d(m) from the Euler factors of c/4 against the convolution c = r * (mu/N)
     # summed term by term: the same support, the same values up to rounding
-    tab = expansion._KernelTables(weight, ctx, y_cap)
+    tab = expansion._KernelTables(weight, y_cap)
     d = _d_strided(y_cap)
     m = np.flatnonzero(d)
     assert np.array_equal(tab.m, m.astype(float))
@@ -292,34 +292,34 @@ def test_m_e_moment_analytic_matches_full_ring():
             assert abs(g - w) <= 1e-13 * abs(w)
 
 
-def test_J_first_order_dies_below_sigma_one(weight, ctx):
+def test_J_first_order_dies_below_sigma_one(weight):
     # phi_hat(1) = 0 for sigma <= 1, so the first-order term vanishes
-    assert expansion.J_first_order(500.0, make_fejer(0.8), weight, ctx) == 0.0
-    assert expansion.J_first_order(500.0, make_bump(1.0), weight, ctx) == 0.0
+    assert expansion.J_first_order(500.0, make_fejer(0.8), weight) == 0.0
+    assert expansion.J_first_order(500.0, make_bump(1.0), weight) == 0.0
 
 
-def test_c_w1_closed_matches_quadrature(weight, ctx):
-    closed = expansion.c_w1_closed(weight, ctx)
-    (num, err), = expansion.c_w_coefficients(1, weight, ctx)
+def test_c_w1_closed_matches_quadrature(weight):
+    closed = expansion.c_w1_closed(weight)
+    (num, err), = expansion.c_w_coefficients(1, weight)
     assert abs(num - CW1_REF) < 1e-12
     # table-backed quadrature carries ~5e-8; the closed form is the anchor
     assert abs(num - closed) <= max(err, 1e-6)
 
 
-def test_kernel_tables_built_once(fejer15, weight, ctx):
+def test_kernel_tables_built_once(fejer15, weight):
     # the memo keys on resolved values, so the default y_cap, an explicit
     # one and the calls inside J_X and c_w_coefficients share one entry
     before = expansion._kernel_tables.cache_info()
-    tab = expansion.kernel_tables(weight, ctx)
-    expansion.J_X(2000.0, fejer15, weight, ctx)
-    expansion.c_w_coefficients(1, weight, ctx)
-    assert expansion.kernel_tables(weight, ctx, 3000) is tab
+    tab = expansion.kernel_tables(weight)
+    expansion.J_X(2000.0, fejer15, weight)
+    expansion.c_w_coefficients(1, weight)
+    assert expansion.kernel_tables(weight, y_cap=3000) is tab
     after = expansion._kernel_tables.cache_info()
     assert after.misses - before.misses <= 1
     assert after.hits + after.misses - before.hits - before.misses == 4
 
 
-def test_d_routes_agree(ctx):
+def test_d_routes_agree():
     an = expansion.d_coefficients(2, 10 ** 6, "analytic")
     sv = expansion.d_coefficients(2, 10 ** 6, "sieve")
     for (va, ea), (vs, es) in zip(an, sv):
@@ -358,8 +358,8 @@ def test_phi_hat_half_integral(fejer15, fejer08, bump15):
     assert abs(expansion.phi_hat_half_integral(bump15) - want) < 1e-10
 
 
-def test_expansion_coefficients_reference(fejer15, weight, ctx):
-    co = expansion.expansion_coefficients(2, fejer15, weight, ctx)
+def test_expansion_coefficients_reference(fejer15, weight):
+    co = expansion.expansion_coefficients(2, fejer15, weight)
     assert abs(co.d[0] - D1_REF) < 1e-9
     assert abs(co.d[1] - D2_REF) < 1e-7
     assert abs(co.c_w[0] - CW1_REF) < 1e-6
@@ -373,8 +373,8 @@ def test_expansion_coefficients_reference(fejer15, weight, ctx):
         assert r["error_m"] >= 0.0
 
 
-def test_thm_prediction_formula(fejer15, weight, ctx):
-    co = expansion.expansion_coefficients(1, fejer15, weight, ctx)
+def test_thm_prediction_formula(fejer15, weight):
+    co = expansion.expansion_coefficients(1, fejer15, weight)
     X = 8000.0
     want = (1.0 - expansion.phi_hat_half_integral(fejer15)
             + co.R_w[0] / math.log(X))

@@ -34,7 +34,7 @@ def test_combined_at_zero_truncated_sum():
     assert ratios.combined_prime_term(0.0, cutoff=10 ** 6).real < want
 
 
-def test_combined_matches_analytic_route(ctx):
+def test_combined_matches_analytic_route():
     # the truncated route's own envelope governs: ~2e-4 at Re r = 0.1,
     # ~1e-6 by Re r = 0.25 (the selftest row combined_prime_r_quarter)
     for r, tol in ((0.1 + 0.3j, 5e-4), (0.5, 1e-5)):
@@ -60,19 +60,19 @@ def test_combined_domain_and_envelope():
 
 # --- dual term -----------------------------------------------------------------------
 
-def test_dual_pole_residue(ctx):
+def test_dual_pole_residue():
     # r * dual -> 1 as r -> 0; at r = 0 itself zeta_K's pole guard raises
     for rho in (2e-3, 1e-3, 1e-4):
-        v = rho * ratios.dual_term(rho, 5, ctx)
+        v = rho * ratios.dual_term(rho, 5)
         assert abs(v - 1.0) < 4.0 * rho
     with pytest.raises(ValueError):
-        ratios.dual_term(0.0, 5, ctx)
+        ratios.dual_term(0.0, 5)
 
 
-def test_dual_conjugate_symmetry(ctx):
+def test_dual_conjugate_symmetry():
     r = 0.07 + 0.21j
-    a = ratios.dual_term(r, 5, ctx)
-    b = ratios.dual_term(r.conjugate(), 5, ctx)
+    a = ratios.dual_term(r, 5)
+    b = ratios.dual_term(r.conjugate(), 5)
     assert abs(a.conjugate() - b) < 1e-10 * abs(a)
 
 
@@ -93,28 +93,28 @@ def test_pole_cancellation_three_rays():
 
 # --- the bracket next to the pole ----------------------------------------------------
 
-def _bracket_near_pole(ctx, ts):
-    return ratios._bracket_parts(ts, ctx, outer_phase_sum(ts))
+def _bracket_near_pole(ts):
+    return ratios._bracket_parts(ts, outer_phase_sum(ts))
 
 
-def test_laurent_frozen_values(ctx):
+def test_laurent_frozen_values():
     # the direct evaluator against the origin series down to the smallest
     # node zeta_K's pole guard admits; A_alpha_diag_it carries ~1e-8
     ts = np.array([5.5e-5, 1e-4, 1e-3])
-    rc, _, pv = _bracket_near_pole(ctx, ts)
+    rc, _, pv = _bracket_near_pole(ts)
     assert np.max(np.abs(rc - (C_REF[0] - C_REF[2] * ts * ts))) < 2e-8
     z = 1j * ts
     series = 1.0 / z + PSI_REF[0] + PSI_REF[1] * z + PSI_REF[2] * z * z
     assert np.max(np.abs(pv - series) / np.abs(series)) < 1e-12
 
 
-def test_symplectic_vanishing_at_zero(ctx):
+def test_symplectic_vanishing_at_zero():
     # the conductor-free bracket Re combined + Re Psi + 2 Re psi(1/2+it)
     # tends to c0 + psi0 + 2 psi(1/2) = 0 (c0 + psi0 = 2 gamma + 4 log 2,
     # with no term of its own in the formulas) and is O(t^2): its t^2
     # coefficient is the same at t = 1e-3 and 1e-2
     ts = np.array([5.5e-5, 1e-4, 1e-3, 1e-2])
-    rc, two_psi, pv = _bracket_near_pole(ctx, ts)
+    rc, two_psi, pv = _bracket_near_pole(ts)
     bracket = rc + pv.real + two_psi
     assert np.max(np.abs(bracket[:2])) < 5e-8
     q = bracket[2:] / ts[2:] ** 2
@@ -123,38 +123,38 @@ def test_symplectic_vanishing_at_zero(ctx):
 
 # --- pointwise integrand -------------------------------------------------------------
 
-def test_integrand_even(fejer15, ctx):
+def test_integrand_even(fejer15):
     L = math.log(2000.0)
     for t in (0.3, 2.0):
-        a = ratios_integrand(t, 5, fejer15, L, ctx)
-        b = ratios_integrand(-t, 5, fejer15, L, ctx)
+        a = ratios_integrand(t, 5, fejer15, L)
+        b = ratios_integrand(-t, 5, fejer15, L)
         assert a == b
 
 
-def test_integrand_at_zero_is_tiny(fejer15, ctx):
+def test_integrand_at_zero_is_tiny(fejer15):
     # the symplectic zero: for every conductor the integrand is O(t^2) next
     # to t = 0, with a t^2 coefficient cubic in mu (leading term mu^3/6)
     L = math.log(500.0)
     for n in (5, 1234567):
         mu = ratios._mu_of(n)
         for t in (5.5e-5, 1e-4, 1e-3):
-            assert abs(ratios_integrand(t, n, fejer15, L, ctx)) < (1.0 + mu ** 3) * t * t
+            assert abs(ratios_integrand(t, n, fejer15, L)) < (1.0 + mu ** 3) * t * t
 
 
-def test_integrand_magnitude_profile(fejer15, ctx):
+def test_integrand_magnitude_profile(fejer15):
     # bracket grows like 2 log t from the digamma pair; phi supplies decay
     L = math.log(500.0)
     for t in (0.5, 5.0, 50.0, 300.0):
-        val = ratios_integrand(t, 5, fejer15, L, ctx)
+        val = ratios_integrand(t, 5, fejer15, L)
         phi = fejer15.phi(t * L / (2.0 * math.pi))
         assert abs(val) <= 40.0 * (1.0 + math.log(2.0 + t)) * abs(phi) + 1e-15
 
 
 # --- assembled prediction ------------------------------------------------------------
 
-def test_first_order_terms(fejer15, fejer08, weight, ctx):
+def test_first_order_terms(fejer15, fejer08, weight):
     cfg = DensityConfig(500.0, fejer15, weight)
-    rep = ratios.ratios_first_order(cfg, ctx)
+    rep = ratios.ratios_first_order(cfg)
     t = rep.terms
     assert set(t) == {"phi_hat0", "tail_integral", "conductor",
                       "digamma_integral", "prime_even", "phi_hat1"}
@@ -164,7 +164,7 @@ def test_first_order_terms(fejer15, fejer08, weight, ctx):
     assert t["prime_even"] == s_even_main_form(cfg)
     assert abs(rep.D_ratios_first_order - math.fsum(t.values())) < 1e-15
     # sigma <= 1 kills both support-boundary terms
-    rep08 = ratios.ratios_first_order(DensityConfig(500.0, fejer08, weight), ctx)
+    rep08 = ratios.ratios_first_order(DensityConfig(500.0, fejer08, weight))
     assert rep08.terms["tail_integral"] == 0.0
     assert rep08.terms["phi_hat1"] == 0.0
     d = rep.as_dict()
@@ -173,15 +173,15 @@ def test_first_order_terms(fejer15, fejer08, weight, ctx):
 
 
 @pytest.mark.parametrize("T", [600.0, 1200.0])
-def test_axis_profile_matches_pointwise(ctx, T):
+def test_axis_profile_matches_pointwise(T):
     # the profile's NUFFT phase sums against the outer products of the
     # pointwise bracket, in the first panel, across panel joins and in the
     # last panel next to T; K grows with T.  re_comb crosses zero, so its
     # bound is absolute
-    nodes, _, re_comb, _, psi_big = ratios._axis_profile(T, 0.25, ctx)
+    nodes, _, re_comb, _, psi_big = ratios._axis_profile(T, 0.25)
     m = nodes.size // 12
     idx = np.r_[0:12, 12 * (m // 2) - 2:12 * (m // 2) + 2, 12 * m - 14:12 * m]
-    rc, _, pv = ratios._bracket_parts(nodes[idx], ctx, outer_phase_sum(nodes[idx]))
+    rc, _, pv = ratios._bracket_parts(nodes[idx], outer_phase_sum(nodes[idx]))
     assert np.max(np.abs(re_comb[idx] - rc)) < 5e-11
     assert np.max(np.abs(psi_big[idx] - pv) / np.abs(pv)) < 5e-12
     # Psi(it) is the dual term without its conductor phase
@@ -189,7 +189,7 @@ def test_axis_profile_matches_pointwise(ctx, T):
     for i in idx[::5]:
         t = float(nodes[i])
         dual = psi_big[i] * cmath.exp(-1j * t * ratios._mu_of(norm_c))
-        assert abs(dual - ratios.dual_term(1j * t, norm_c, ctx)) < 1e-10 * abs(dual)
+        assert abs(dual - ratios.dual_term(1j * t, norm_c)) < 1e-10 * abs(dual)
 
 
 def _dual_average_oracle(T, h, mu, weights):
@@ -301,13 +301,13 @@ def test_dual_phase_average_memory_bound():
     assert peak <= 32 * 2 ** 20
 
 
-def test_axis_profile_memory_bound(ctx):
+def test_axis_profile_memory_bound():
     # a cold profile at the default grid: its three four-column Hurwitz
     # phase sums and the prime phase sum each spread and transform once
     import tracemalloc
     tracemalloc.start()
     try:
-        profile = ratios._axis_profile.__wrapped__(600.0, 0.25, ctx)
+        profile = ratios._axis_profile.__wrapped__(600.0, 0.25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -315,19 +315,7 @@ def test_axis_profile_memory_bound(ctx):
     assert peak <= 20 * 2 ** 20
 
 
-def test_caches_key_on_context_values():
-    # equal contexts share one entry
-    from quadhecke.specfun import ZetaKContext
-    a, b = ZetaKContext(), ZetaKContext()
-    before = ratios._axis_profile.cache_info()
-    pa = ratios._axis_profile(3.7, 0.25, a)
-    assert ratios._axis_profile(3.7, 0.25, b) is pa
-    after = ratios._axis_profile.cache_info()
-    assert after.misses - before.misses <= 1
-    assert after.hits + after.misses - before.hits - before.misses == 2
-
-
-def test_integrand_is_the_profile_bracket(fejer15, ctx):
+def test_integrand_is_the_profile_bracket(fejer15):
     # the pointwise integrand is the per-node bracket with the conductor
     # phase applied; the first node, 9.2e-5, sits just outside zeta_K's pole
     # guard.  The profile sums the same bracket's phase sums by NUFFT, which
@@ -335,11 +323,11 @@ def test_integrand_is_the_profile_bracket(fejer15, ctx):
     # the pole Psi(it) grows like 1/t, and the match is relative
     L, norm_c = math.log(2000.0), 5
     mu = ratios._mu_of(norm_c)
-    profile = ratios._axis_profile(0.02, 0.01, ctx)
+    profile = ratios._axis_profile(0.02, 0.01)
     nodes = profile[0]
     phi = fejer15.phi(nodes * L / (2.0 * math.pi))
-    got = np.array([ratios_integrand(t, norm_c, fejer15, L, ctx) for t in nodes])
-    pointwise = ratios._bracket_parts(nodes, ctx, outer_phase_sum(nodes))
+    got = np.array([ratios_integrand(t, norm_c, fejer15, L) for t in nodes])
+    pointwise = ratios._bracket_parts(nodes, outer_phase_sum(nodes))
     far = nodes >= 1e-3
     for (re_comb, two_psi, psi_big), mask, tol in ((profile[2:], far, 5e-11),
                                                     (pointwise, slice(None), 1e-12)):
@@ -349,7 +337,7 @@ def test_integrand_is_the_profile_bracket(fejer15, ctx):
     assert np.max(np.abs(profile[4] - pointwise[2]) / np.abs(pointwise[2])) < 5e-12
 
 
-def test_norm_grouping_invariant(weight, ctx):
+def test_norm_grouping_invariant(weight):
     # the dual phase sum over distinct norms, weights folded, is the sum
     # over the family's elements
     cfg = DensityConfig(200.0, make_fejer(1.5), weight)
@@ -360,13 +348,13 @@ def test_norm_grouping_invariant(weight, ctx):
                          np.log(32.0 * fam.norm.astype(float) / math.pi ** 2),
                          4.0 * fam.w0)
     assert np.max(np.abs(grouped - elements)) < 1e-12 * np.sum(np.abs(wn))
-    d = ratios.ratios_density(cfg, ctx, T=150.0).as_dict()
+    d = ratios.ratios_density(cfg, T=150.0).as_dict()
     assert "integral_parts" in d and "D_ratios_integral" in d
 
 
-def test_density_report_consistency(fejer15, weight, ctx):
+def test_density_report_consistency(fejer15, weight):
     cfg = DensityConfig(500.0, fejer15, weight)
-    rep = ratios.ratios_density(cfg, ctx)
+    rep = ratios.ratios_density(cfg)
     p = rep.integral_parts
     total = (p["conductor_average"] + p["digamma_closed"]
              + p["integral_prime_pieces"])
@@ -375,26 +363,28 @@ def test_density_report_consistency(fejer15, weight, ctx):
     assert rep.n_points > 0 and rep.family_size > 0
 
 
-def test_dual_ablation_identity(fejer15, weight, ctx):
-    # dropping the dual term removes int_1^inf phi_hat + phi_hat(1) c_w1 / L
-    # and the half residue phi(0)/2 picked up on the axis; the leftover is
-    # the second-order tail, about 2/L^2
+def test_dual_ablation_identity(fejer15, weight):
+    # the dual piece, the axis integral's prime pieces less the combined
+    # term alone (as checks.prime_bridge integrates it), carries
+    # int_1^inf phi_hat + phi_hat(1) c_w1 / L and the half residue phi(0)/2
+    # picked up on the axis; the leftover is the second-order tail, about 2/L^2
     from quadhecke.expansion import c_w1_closed
     cfg = DensityConfig(2000.0, fejer15, weight)
     L = cfg.L
-    full = ratios.ratios_density(cfg, ctx)
-    bare = ratios.ratios_density(cfg, ctx, with_dual=False)
-    gap = full.D_ratios_integral - bare.D_ratios_integral
+    full = ratios.ratios_density(cfg)
+    nodes, wts, re_comb, _, _ = ratios._axis_profile(ratios._T_CAP, ratios._PANEL_H)
+    combined = float(np.dot(wts, re_comb * fejer15.phi(nodes * L / (2.0 * math.pi)))) / math.pi
+    gap = full.integral_parts["integral_prime_pieces"] - combined
     want = (fejer15.phi_hat_tail_integral()
-            + float(fejer15.phi_hat(1.0)) * c_w1_closed(weight, ctx) / L
+            + float(fejer15.phi_hat(1.0)) * c_w1_closed(weight) / L
             - float(fejer15.phi(0.0)) / 2.0)
     assert abs(gap - want) < 0.06
     # without the half residue the books are off by a unit of phi(0)/2
     assert abs(gap - (want + float(fejer15.phi(0.0)) / 2.0)) > 0.5
 
 
-def test_compare_rows(fejer15, weight, ctx):
-    rows = ratios.compare((100.0, 200.0), fejer15, weight, ctx, M=1, T=150.0)
+def test_compare_rows(fejer15, weight):
+    rows = ratios.compare((100.0, 200.0), fejer15, weight, M=1, T=150.0)
     assert len(rows) == 2
     for row in rows:
         assert set(row) == set(ratios.COMPARE_COLUMNS)

@@ -159,15 +159,14 @@ def test_A_alpha_diag_it_matches_scalar():
 
 def test_supplied_zeta_values_match():
     # the axis profile hands in zeta_K values computed once per node
-    ctx = default_context()
     t = np.array([0.002, 0.7, 13.0, 250.0])
     sums = outer_phase_sum(t)
     z1, ld1, z2, ld2 = specfun.zeta_K_axis(t, sums)
     got = specfun.A_alpha_diag_it(t, ld2, sums)
     want = specfun.A_alpha_diag_it(t, specfun.zeta_K_log_deriv(2.0 + 2j * t), sums)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
-    got = specfun.A_closed_mr(1j * t, ctx, np.conj(z2))
-    want = specfun.A_closed_mr(1j * t, ctx)
+    got = specfun.A_closed_mr(1j * t, np.conj(z2))
+    want = specfun.A_closed_mr(1j * t)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
 
@@ -223,10 +222,8 @@ def test_context_Z_branch():
 
 
 def test_context_value_semantics():
-    # no parameter: every context is equal, with equal hashes
-    a, b = specfun.ZetaKContext(), specfun.ZetaKContext()
-    assert a == b and hash(a) == hash(b)
-    assert [f.name for f in dataclasses.fields(a) if f.init] == []
+    # no init parameter, and one cached instance
+    assert [f.name for f in dataclasses.fields(specfun.ZetaKContext) if f.init] == []
     with pytest.raises(TypeError):
         specfun.ZetaKContext(euler_cutoff=10 ** 4)
     assert specfun.default_context() is specfun.default_context()

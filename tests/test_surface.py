@@ -1,12 +1,14 @@
 """Every function, class, method and module-level constant in src/quadhecke
-has a caller or reader in the package or in perfbench, and every attribute
-assigned on self is read in the package; anything else is dead code.
+has a caller or reader in the package or in perfbench, every attribute
+assigned on self is read in the package, and every parameter is read in
+its function; anything else is dead code.
 Test-only references
 live in tests/oracles.py, and each of its definitions has a caller in a
 test file."""
 
 import ast
 import importlib
+import math
 import sys
 from pathlib import Path
 
@@ -92,6 +94,44 @@ def test_every_attribute_is_read():
     assert unread == [], f"assigned on self and never read in src/: {unread}"
 
 
+# perfbench/worker.py passes ctx positionally to these six entry points, so
+# each keeps an unread ctx slot until the benchmark calls them without it
+# (ROADMAP item 7)
+PERFBENCH_CTX_SLOTS = [
+    "expansion.J_X(ctx)",
+    "expansion.J_first_order(ctx)",
+    "expansion.expansion_coefficients(ctx)",
+    "expansion.kernel_tables(ctx)",
+    "ratios.ratios_density(ctx)",
+    "ratios.ratios_first_order(ctx)",
+]
+
+
+def _unread_parameters(paths) -> list[str]:
+    """module.function(parameter) for each parameter, lambdas' included,
+    that its function's body never reads; a method's self is fixed by the
+    calling convention and not counted."""
+    out = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *(p for p in (a.vararg, a.kwarg) if p)]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            out += [f"{path.stem}.{name}({p.arg})" for p in params
+                    if p.arg not in read | {"self"}]
+    return sorted(out)
+
+
+def test_every_parameter_is_read():
+    assert _unread_parameters(SRC.glob("*.py")) == PERFBENCH_CTX_SLOTS
+
+
 def test_every_oracle_has_a_caller():
     oracles = ROOT / "tests" / "oracles.py"
     used = _uses((ROOT / "tests").glob("test_*.py"))
@@ -99,23 +139,51 @@ def test_every_oracle_has_a_caller():
     assert dead == [], f"no caller in a test file: {dead}"
 
 
+def _perfbench(*names):
+    """The named perfbench modules, imported as the worker script sees them,
+    and the package with every module loaded."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        mods = [importlib.import_module(name) for name in names]
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    import quadhecke.cli  # noqa: F401  (imports every module)
+    return (*mods, sys.modules["quadhecke"])
+
+
 def test_perfbench_trace_targets_resolve():
     # the span recorder patches each (owner, attribute) that trace_targets
     # names: a class attribute through vars(owner), so it must be defined on
     # that class itself, and a module attribute through getattr
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        spans = importlib.import_module("spans")
-        worker = importlib.import_module("worker")
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    import quadhecke.cli  # noqa: F401  (imports every module)
-    q = sys.modules["quadhecke"]
+    spans, worker, q = _perfbench("spans", "worker")
     targets = worker.trace_targets(q, spans.Tracer(), [])
     assert len(targets) >= 20
     for name, owner, attr, _ in targets:
         found = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
         assert callable(found), f"{name}: {owner.__name__}.{attr} is gone"
+
+
+def test_perfbench_in_process_workloads_run():
+    # the benchmark's own calls, in its own order, at seed 0: a package
+    # change that breaks one of them fails here, not only in the benchmark
+    worker, q = _perfbench("worker")
+    counts = {}
+    for workload in (worker.RoutesWarm(q, 0), worker.DensityNarrow(q, 0)):
+        workload.fill()
+        ops, c = workload.check(workload.round())
+        counts.update(c)
+        for op in ops:
+            assert math.isfinite(op["value"]), op
+            if "agree" in op:
+                assert abs(op["value"] - op["agree"]) <= 0.1, op
+    assert counts == {
+        "X=2000 n_points": 28800, "X=8000 n_points": 28800,
+        "X=2000 n_norms": 1024, "X=8000 n_norms": 3793,
+        "X=2000 family_size": 11116, "X=8000 family_size": 44468,
+        **{f"{phi} {key}": n for phi in ("fejer:0.8", "bump:0.8")
+           for key, n in (("family_size", 711696), ("primes_odd", 362),
+                          ("primes_even", 28))},
+    }
 
 
 def test_numerics_imports_no_package_module():
