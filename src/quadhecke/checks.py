@@ -154,7 +154,7 @@ def prime_bridge(X=2000.0, tol=1e-4):
             = -(2/L) sum logN N^-j (1+1/N)^-1 phi_hat(2j logN / L).
     """
     cfg = _config(X)
-    nodes, wts, re_comb, _, _ = ratios._axis_profile(ratios._T_CAP, ratios._PANEL_H)
+    nodes, wts, re_comb, _ = ratios._axis_profile(ratios._T_CAP, ratios._PANEL_H)
     phi_vals = cfg.test.phi(nodes * cfg.L / (2.0 * math.pi))
     integral = float(np.dot(wts, re_comb * phi_vals)) / math.pi \
         - float(cfg.test.phi(0.0)) / 2.0

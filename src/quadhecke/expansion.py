@@ -213,12 +213,12 @@ def J_X(X: float, test: TestFunction, weight: WeightFunction | None = None,
     return total / L, (tail + 3e-6) / L
 
 
-def c_w_coefficients(M: int, weight: WeightFunction | None = None,
-                     y_cap: float = 3000.0) -> list[tuple[float, float]]:
+def c_w_coefficients(M: int,
+                     weight: WeightFunction | None = None) -> list[tuple[float, float]]:
     """Tau-moment integrals of the two kernel lattice sums, orders 1..M."""
     if not 1 <= M <= 8:
         raise ValueError("order must be in 1..8")
-    tab = kernel_tables(weight, y_cap=y_cap)
+    tab = kernel_tables(weight)
     h1, h2 = tab.h1_profile, tab.h2_profile
     out = []
     for m in range(1, M + 1):
@@ -398,7 +398,7 @@ def digamma_moment(m: int) -> float:
     the sum over exponents (k + 1/2)^-m; m >= 2."""
     if m < 2:
         raise ValueError("moment diverges for m < 2")
-    z = float(hurwitz(np.array([float(m)], dtype=complex), 1.0)[0].real)
+    z = hurwitz(float(m), 1.0)[0].real
     return math.gamma(m) * (2.0 ** m - 1.0) * z
 
 

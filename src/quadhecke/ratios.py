@@ -35,8 +35,8 @@ offset the sum over panels is a type-1 NUFFT in k with sources step mu
 (mod 2 pi).  The 12 c sums of one call share one Gaussian spread onto a
 periodic grid, one FFT and one closed-form deconvolution, so the cost grows
 like n_sources + n_panels log n_panels, not n_sources n_panels.  What is
-left per node is closed form: the Euler-Maclaurin tails, loggamma, digamma
-and A(-r, r); the values below the axis are the conjugates.
+left per node is closed form: the Euler-Maclaurin tails, loggamma and
+A(-r, r); the values below the axis are the conjugates.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         s_even_main_form, _family)
 from .expansion import c_w1_closed, expansion_coefficients, thm_prediction
 from .specfun import (_EULER_CUTOFF, _LOG_32_PI2, _POLE_GUARD, _PSI_HALF, A_alpha_series,
-                      A_alpha_diag_it, A_closed_mr, X_c, _em_shift, digamma, zeta_K,
+                      A_alpha_diag_it, A_closed_mr, X_c, _em_shift, zeta_K,
                       zeta_K_axis, zeta_K_log_deriv)
 from .transforms import TestFunction, WeightFunction
 
@@ -130,21 +130,21 @@ def dual_term(r: complex, norm_c: int) -> complex:
 
 def _bracket_parts(t: np.ndarray, sums):
     """Conductor-independent bracket data at nodes t > 0:
-    (Re combined(it), 2 Re psi(1/2+it), Psi(it)), where the dual term is
-    Psi(it) exp(-it mu(N)).  sums(mu, w) returns sum_n w_n exp(-i t mu_n) at
-    every node (the profile's NUFFT) for the Hurwitz heads and prime sums."""
+    (Re combined(it), Psi(it)), where the dual term is Psi(it) exp(-it mu(N)).
+    sums(mu, w) returns sum_n w_n exp(-i t mu_n) at every node (the
+    profile's NUFFT) for the Hurwitz heads and prime sums."""
     z1, ld1, z2, ld2 = zeta_K_axis(t, sums)
     rc = (2.0 * ld1 + 2.0 * A_alpha_diag_it(t, ld2, sums)).real
     g = np.exp(_loggamma(0.5 - 1j * t) - _loggamma(0.5 + 1j * t))
     # zeta_K at 1-2it and 2-2it by Schwarz reflection
     pv = -(8.0 / math.pi) * g * np.conj(z1) * A_closed_mr(1j * t, np.conj(z2))
-    return rc, 2.0 * digamma(0.5 + 1j * t).real, pv
+    return rc, pv
 
 
 @lru_cache(maxsize=8)
 def _axis_profile(T: float, h: float):
     """Conductor-independent integrand data on the [0, T] panel grid:
-    (nodes, weights, Re combined(it), 2 Re psi(1/2+it), Psi(it)), read-only.
+    (nodes, weights, Re combined(it), Psi(it)), read-only.
     The bracket's Hurwitz heads and prime sums are phase sums on the same
     grid (_numerics.phase_sum); everything else is closed form per node."""
     nodes, wts = panel_nodes(0.0, float(T), float(h), 12)
@@ -267,7 +267,7 @@ def ratios_density(cfg: DensityConfig,
     mu = np.log(32.0 * norms / math.pi ** 2)
     m1 = math.fsum(wn * mu) / weight_sum
 
-    nodes, wts, re_comb, two_psi, psi_big = _axis_profile(T, h)
+    nodes, wts, re_comb, psi_big = _axis_profile(T, h)
     phi_vals = test.phi(nodes * L / (2.0 * math.pi))
 
     integ = re_comb + (psi_big * phase_sum(T, h, mu, wn / weight_sum)).real

@@ -2,11 +2,13 @@
 
 zeta_K(s) = zeta(s) L(s, chi_-4) with L(s, chi_-4) = 4^-s (zeta(s,1/4) -
 zeta(s,3/4)); both factors come from one Euler-Maclaurin Hurwitz-zeta core
-whose shift grows with |Im s|.  Along the lines 1+2it and 2+2it the core's
-head sums are phase sums sum w exp(-it mu), one four-column sum per Hurwitz
-parameter (zeta_K_axis), and so are the prime sums of A_alpha(it, it);
-the caller supplies the phase sum, in the ratios route the NUFFT
-_numerics.phase_sum on its panel grid.
+that returns value and s-derivative together, with a shift that grows with
+|Im s|.  Along the lines 1+2it and 2+2it the core's head sums are phase
+sums sum w exp(-it mu), one four-column sum per Hurwitz parameter
+(zeta_K_axis), and so are the prime sums of A_alpha(it, it); the caller
+supplies the phase sum, in the ratios route the NUFFT _numerics.phase_sum
+on its panel grid.  default_context() computes the zeta_K constants once
+and checks them.
 
 gamma_K = gamma pi/4 + L'(1, chi_-4), the L'-value summed as an accelerated
 alternating series.  Euler products A(alpha, beta) and the diagonal
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import bernoulli as _bernoulli
@@ -42,12 +44,13 @@ _LOG_32_PI2 = math.log(32.0 / math.pi ** 2)
 _LOG4 = math.log(4.0)
 
 
-def hurwitz(s, a: float, deriv: bool = False):
-    """Hurwitz zeta(s, a) for complex s (scalar or array), 0 < a <= 1.
+def hurwitz(s, a: float):
+    """Hurwitz zeta(s, a) and its s-derivative for complex s (scalar or
+    array), 0 < a <= 1.
 
     Euler-Maclaurin with shift max(20, 0.55 |Im s|); relative error around
     (|s| / 2 pi K)^24, i.e. ~1e-13 throughout the strips used here.
-    Returns value or (value, d/ds value).
+    Returns (value, d/ds value).
     """
     s = np.asarray(s, dtype=complex)
     scalar = s.ndim == 0
@@ -56,16 +59,12 @@ def hurwitz(s, a: float, deriv: bool = False):
     n = np.arange(K, dtype=float) + a
     ln = np.log(n)
     pw = np.exp(-np.multiply.outer(s, ln))
-    head = pw.sum(axis=-1)
-    if deriv:
-        tail, dtail = _em_tail(s, K + a, True)
-        val = head + tail
-        dval = -(pw * ln).sum(axis=-1) + dtail
-        if scalar:
-            return complex(val[0]), complex(dval[0])
-        return val, dval
-    val = head + _em_tail(s, K + a)
-    return complex(val[0]) if scalar else val
+    tail, dtail = _em_tail(s, K + a)
+    val = pw.sum(axis=-1) + tail
+    dval = -(pw * ln).sum(axis=-1) + dtail
+    if scalar:
+        return complex(val[0]), complex(dval[0])
+    return val, dval
 
 
 def _em_shift(s) -> int:
@@ -73,17 +72,15 @@ def _em_shift(s) -> int:
     return int(max(_EM_SHIFT, math.ceil(0.55 * float(np.max(np.abs(s.imag))))))
 
 
-def _em_tail(s, Ka: float, deriv: bool = False):
+def _em_tail(s, Ka: float):
     """Remainder of zeta(s, a) past the head sum over n < K, for complex
     array s and Ka = K + a: the integral term, the half endpoint term and
-    the Bernoulli corrections.  Returns the remainder, or (remainder,
-    d/ds remainder)."""
+    the Bernoulli corrections.  Returns (remainder, d/ds remainder)."""
     lK = math.log(Ka)
     em = np.exp(-s * lK)  # Ka^-s
     sm1 = s - 1.0
     val = em * Ka / sm1 + 0.5 * em
-    if deriv:
-        dval = em * Ka * (-lK / sm1 - 1.0 / (sm1 * sm1)) - 0.5 * lK * em
+    dval = em * Ka * (-lK / sm1 - 1.0 / (sm1 * sm1)) - 0.5 * lK * em
     rise = s.copy()                      # (s)_1
     drise = np.ones_like(s)              # d/ds (s)_1
     for j in range(1, _EM_ORDER + 1):
@@ -94,9 +91,8 @@ def _em_tail(s, Ka: float, deriv: bool = False):
             rise = rise * f1 * f2
         pw_j = em * Ka ** -(2 * j - 1)   # Ka^-(s + 2j - 1)
         val = val + _C2J[j - 1] * rise * pw_j
-        if deriv:
-            dval = dval + _C2J[j - 1] * (drise - rise * lK) * pw_j
-    return (val, dval) if deriv else val
+        dval = dval + _C2J[j - 1] * (drise - rise * lK) * pw_j
+    return val, dval
 
 
 def _l4_with_deriv(s, za, dza, zb, dzb):
@@ -107,12 +103,12 @@ def _l4_with_deriv(s, za, dza, zb, dzb):
     return val, -_LOG4 * val + f * (dza - dzb)
 
 
-def _l4(s, deriv: bool = False):
-    if deriv:
-        za, dza = hurwitz(s, 0.25, True)
-        zb, dzb = hurwitz(s, 0.75, True)
-        return _l4_with_deriv(s, za, dza, zb, dzb)
-    return np.exp(-s * _LOG4) * (hurwitz(s, 0.25) - hurwitz(s, 0.75))
+def _zeta_K_parts(s):
+    """zeta(s), zeta'(s), L(s, chi_-4) and L'(s, chi_-4): three Hurwitz
+    evaluations, the zeta_K factors and their s-derivatives."""
+    z, dz = hurwitz(s, 1.0)
+    l4, dl4 = _l4_with_deriv(s, *hurwitz(s, 0.25), *hurwitz(s, 0.75))
+    return z, dz, l4, dl4
 
 
 def zeta_K(s):
@@ -122,8 +118,8 @@ def zeta_K(s):
         raise ValueError("zeta_K within pole guard of s = 1")
     if np.any(arr.real < -0.5):
         raise ValueError("zeta_K outside implemented strip Re(s) > -1/2")
-    out = hurwitz(s, 1.0) * _l4(s)
-    return out
+    z, _, l4, _ = _zeta_K_parts(s)
+    return z * l4
 
 
 def zeta_K_log_deriv(s):
@@ -131,8 +127,7 @@ def zeta_K_log_deriv(s):
     arr = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(np.abs(arr - 1.0) < _POLE_GUARD):
         raise ValueError("zeta_K_log_deriv within pole guard of s = 1")
-    z, dz = hurwitz(s, 1.0, True)
-    l4, dl4 = _l4(s, True)
+    z, dz, l4, dl4 = _zeta_K_parts(s)
     return dz / z + dl4 / l4
 
 
@@ -144,8 +139,8 @@ def _hurwitz_axis(s1, K: int, a: float, sums):
     ln = np.log(np.arange(K, dtype=float) + a)
     inv = np.exp(-ln)
     head = sums(2.0 * ln, np.stack([inv, ln * inv, inv * inv, ln * inv * inv], axis=1))
-    v1, d1 = _em_tail(s1, K + a, True)
-    v2, d2 = _em_tail(s1 + 1.0, K + a, True)
+    v1, d1 = _em_tail(s1, K + a)
+    v2, d2 = _em_tail(s1 + 1.0, K + a)
     return head[:, 0] + v1, d1 - head[:, 1], head[:, 2] + v2, d2 - head[:, 3]
 
 
@@ -307,54 +302,44 @@ def A_alpha_diag_it(t, log_deriv_2, sums):
             - log_deriv_2 + sums(*_a_alpha_phases()))
 
 
-# --- context ---------------------------------------------------------------------
+# --- constants -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZetaKContext:
-    """Immutable bundle of the zeta_K constants.
+class ZetaKConstants(NamedTuple):
+    """The zeta_K constants, as default_context() computes and checks them."""
 
-    It takes no parameter; default_context() builds it once, and each
-    function that needs a constant reads it there.
-    """
-
-    gamma_K: float = field(init=False)
-    zetaK2: float = field(init=False)
-    zetaK_logderiv_2: float = field(init=False)
-    zetaK0: float = field(init=False)
-    zetaK0_prime: float = field(init=False)
-    residue: float = field(init=False)
-
-    def __post_init__(self):
-        z, dz = hurwitz(0.0, 1.0, True)
-        l4, dl4 = _l4(0.0, True)
-        s = 1.0 + 1e-6
-        derived = {
-            "gamma_K": gamma_K(),
-            "zetaK2": float(np.real(zeta_K(2.0))),
-            "zetaK_logderiv_2": float(np.real(zeta_K_log_deriv(2.0))),
-            "zetaK0": float(np.real(z * l4)),
-            "zetaK0_prime": float(np.real(dz * l4 + z * dl4)),
-            "residue": float(np.real((s - 1.0) * hurwitz(s, 1.0) * _l4(s))),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-        self._check()
-
-    def _check(self):
-        if abs(self.zetaK0 + 0.25) > 1e-8:
-            raise ArithmeticError(f"zeta_K(0) = {self.zetaK0}, expected -1/4")
-        if abs(self.residue - math.pi / 4.0) > 1e-5:
-            raise ArithmeticError(f"residue {self.residue} != pi/4")
-        lhs = -self.zetaK0_prime
-        rhs = -self.gamma_K / math.pi + EULER_GAMMA / 2.0 + math.log(math.pi) / 2.0
-        if abs(lhs - rhs) > 1e-6:
-            raise ArithmeticError(f"zeta_K'(0) loop failed: {lhs} vs {rhs}")
+    gamma_K: float
+    zetaK2: float
+    zetaK_logderiv_2: float
+    zetaK0: float
+    zetaK0_prime: float
+    residue: float
 
 
 @functools.cache
-def default_context() -> ZetaKContext:
-    return ZetaKContext()
+def default_context() -> ZetaKConstants:
+    """The zeta_K constants, computed once per process and checked against
+    zeta_K(0) = -1/4, the residue pi/4 at s = 1 and the functional
+    equation's value of zeta_K'(0); a failed check raises ArithmeticError."""
+    z, dz, l4, dl4 = _zeta_K_parts(0.0)
+    s = 1.0 + 1e-6
+    z1, _, l1, _ = _zeta_K_parts(s)
+    ctx = ZetaKConstants(
+        gamma_K=gamma_K(),
+        zetaK2=float(np.real(zeta_K(2.0))),
+        zetaK_logderiv_2=float(np.real(zeta_K_log_deriv(2.0))),
+        zetaK0=float(np.real(z * l4)),
+        zetaK0_prime=float(np.real(dz * l4 + z * dl4)),
+        residue=float(np.real((s - 1.0) * z1 * l1)))
+    if abs(ctx.zetaK0 + 0.25) > 1e-8:
+        raise ArithmeticError(f"zeta_K(0) = {ctx.zetaK0}, expected -1/4")
+    if abs(ctx.residue - math.pi / 4.0) > 1e-5:
+        raise ArithmeticError(f"residue {ctx.residue} != pi/4")
+    lhs = -ctx.zetaK0_prime
+    rhs = -ctx.gamma_K / math.pi + EULER_GAMMA / 2.0 + math.log(math.pi) / 2.0
+    if abs(lhs - rhs) > 1e-6:
+        raise ArithmeticError(f"zeta_K'(0) loop failed: {lhs} vs {rhs}")
+    return ctx
 
 
 def constants_dict() -> dict[str, float]:
-    return {"gamma": EULER_GAMMA, **asdict(default_context())}
+    return {"gamma": EULER_GAMMA, **default_context()._asdict()}

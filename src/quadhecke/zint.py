@@ -407,11 +407,11 @@ def prime_norms_up_to(bound: int) -> np.ndarray:
 _FAMILY_CAP = 10 ** 8      # the family sieve peaks near 15 bytes per unit of bound
 
 
-@lru_cache(maxsize=4)
 def primary_squarefree_arrays(bound: int):
     """Primary squarefree odd elements with 0 < norm <= bound <= _FAMILY_CAP.
 
-    Returns (re, im, norm) read-only int64 arrays sorted by (norm, re, im).
+    Returns (re, im, norm) int64 arrays sorted by (norm, re, im), read-only
+    because the family memo shares them.
     The primary c = a + bi lie on the rows of odd a, at b = b0(a) + 4k.  c is
     not squarefree exactly when varpi^2 | c for a split varpi, that is
     b = a s2 mod p^2 with s2 the Hensel lift of primes_above's s or of p - s,

@@ -16,7 +16,7 @@ import numpy as np
 
 from quadhecke import ratios, zint
 from quadhecke.empirical import DensityConfig, _family, _sj_coefs
-from quadhecke.specfun import A_alpha_series, A_euler
+from quadhecke.specfun import A_alpha_series, A_euler, digamma
 from quadhecke.transforms import TestFunction
 from quadhecke.zint import GInt
 
@@ -190,11 +190,13 @@ def ratios_integrand(t: float, norm_c: int, test: TestFunction, L: float) -> flo
     Only the real part enters: the bracket satisfies conj(B(t)) = B(-t), so
     the imaginary part is odd and drops from the even integral.  The value
     is the profile's per-node bracket at |t|, its phase sums taken as outer
-    products; t = 0 is the pole of Psi(it) and raises.
+    products, plus the gamma pair 2 Re psi(1/2+it); t = 0 is the pole of
+    Psi(it) and raises.
     """
     t = abs(float(t))
     mu = ratios._mu_of(norm_c)
     nodes = np.array([t])
-    (rc,), (two_psi,), (pv,) = ratios._bracket_parts(nodes, outer_phase_sum(nodes))
+    (rc,), (pv,) = ratios._bracket_parts(nodes, outer_phase_sum(nodes))
+    two_psi = 2.0 * digamma(0.5 + 1j * t).real
     bracket = rc + (pv * cmath.exp(-1j * t * mu)).real + mu + two_psi
     return bracket * float(test.phi(t * L / (2.0 * math.pi)))

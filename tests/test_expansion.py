@@ -101,17 +101,21 @@ def test_H2_matches_exact_R(weight):
         assert abs(tab.H2(y) - (1.0 + pref / y * total)) < 1e-13
 
 
-def test_kernel_sums_do_not_resieve(fejer15, weight):
-    # the d array comes from its Euler factors, not the family sieve; once
-    # the tables exist, J_X and c_w read it and sieve nothing
-    zint.primary_squarefree_arrays.cache_clear()
+def test_kernel_sums_do_not_resieve(fejer15, weight, monkeypatch):
+    # the d array comes from its Euler factors, not the family sieve: the
+    # tables, J_X and c_w call the sieve not once
+    calls = []
+    sieve = zint.primary_squarefree_arrays
+
+    def counted(bound):
+        calls.append(bound)
+        return sieve(bound)
+    monkeypatch.setattr(zint, "primary_squarefree_arrays", counted)
     expansion._KernelTables(weight, y_cap=200.0)
-    assert zint.primary_squarefree_arrays.cache_info().currsize == 0
     expansion.kernel_tables(weight)
-    zint.primary_squarefree_arrays.cache_clear()
     expansion.J_X(2000.0, fejer15, weight)
     expansion.c_w_coefficients(2, weight)
-    assert zint.primary_squarefree_arrays.cache_info().misses == 0
+    assert calls == []
 
 
 def test_J_X_reference_and_decay(fejer15, weight):

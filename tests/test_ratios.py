@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from quadhecke import checks, empirical, ratios
+from quadhecke import checks, empirical, ratios, specfun
 from quadhecke._numerics import phase_sum
 from quadhecke.empirical import DensityConfig, s_even_main_form
 from quadhecke.transforms import make_fejer
@@ -101,7 +101,7 @@ def test_laurent_frozen_values():
     # the direct evaluator against the origin series down to the smallest
     # node zeta_K's pole guard admits; A_alpha_diag_it carries ~1e-8
     ts = np.array([5.5e-5, 1e-4, 1e-3])
-    rc, _, pv = _bracket_near_pole(ts)
+    rc, pv = _bracket_near_pole(ts)
     assert np.max(np.abs(rc - (C_REF[0] - C_REF[2] * ts * ts))) < 2e-8
     z = 1j * ts
     series = 1.0 / z + PSI_REF[0] + PSI_REF[1] * z + PSI_REF[2] * z * z
@@ -114,8 +114,8 @@ def test_symplectic_vanishing_at_zero():
     # with no term of its own in the formulas) and is O(t^2): its t^2
     # coefficient is the same at t = 1e-3 and 1e-2
     ts = np.array([5.5e-5, 1e-4, 1e-3, 1e-2])
-    rc, two_psi, pv = _bracket_near_pole(ts)
-    bracket = rc + pv.real + two_psi
+    rc, pv = _bracket_near_pole(ts)
+    bracket = rc + pv.real + 2.0 * specfun.digamma(0.5 + 1j * ts).real
     assert np.max(np.abs(bracket[:2])) < 5e-8
     q = bracket[2:] / ts[2:] ** 2
     assert abs(q[0] - q[1]) < 0.01 * abs(q[1])
@@ -178,10 +178,10 @@ def test_axis_profile_matches_pointwise(T):
     # pointwise bracket, in the first panel, across panel joins and in the
     # last panel next to T; K grows with T.  re_comb crosses zero, so its
     # bound is absolute
-    nodes, _, re_comb, _, psi_big = ratios._axis_profile(T, 0.25)
+    nodes, _, re_comb, psi_big = ratios._axis_profile(T, 0.25)
     m = nodes.size // 12
     idx = np.r_[0:12, 12 * (m // 2) - 2:12 * (m // 2) + 2, 12 * m - 14:12 * m]
-    rc, _, pv = ratios._bracket_parts(nodes[idx], outer_phase_sum(nodes[idx]))
+    rc, pv = ratios._bracket_parts(nodes[idx], outer_phase_sum(nodes[idx]))
     assert np.max(np.abs(re_comb[idx] - rc)) < 5e-11
     assert np.max(np.abs(psi_big[idx] - pv) / np.abs(pv)) < 5e-12
     # Psi(it) is the dual term without its conductor phase
@@ -328,13 +328,14 @@ def test_integrand_is_the_profile_bracket(fejer15):
     phi = fejer15.phi(nodes * L / (2.0 * math.pi))
     got = np.array([ratios_integrand(t, norm_c, fejer15, L) for t in nodes])
     pointwise = ratios._bracket_parts(nodes, outer_phase_sum(nodes))
+    two_psi = 2.0 * specfun.digamma(0.5 + 1j * nodes).real
     far = nodes >= 1e-3
-    for (re_comb, two_psi, psi_big), mask, tol in ((profile[2:], far, 5e-11),
-                                                    (pointwise, slice(None), 1e-12)):
+    for (re_comb, psi_big), mask, tol in ((profile[2:], far, 5e-11),
+                                          (pointwise, slice(None), 1e-12)):
         want = (re_comb + (psi_big * np.exp(-1j * nodes * mu)).real + mu + two_psi) * phi
         assert np.max(np.abs(got - want)[mask]) < tol
     assert np.max(np.abs(profile[2] - pointwise[0])) < 5e-11
-    assert np.max(np.abs(profile[4] - pointwise[2]) / np.abs(pointwise[2])) < 5e-12
+    assert np.max(np.abs(profile[3] - pointwise[1]) / np.abs(pointwise[1])) < 5e-12
 
 
 def test_norm_grouping_invariant(weight):
@@ -372,7 +373,7 @@ def test_dual_ablation_identity(fejer15, weight):
     cfg = DensityConfig(2000.0, fejer15, weight)
     L = cfg.L
     full = ratios.ratios_density(cfg)
-    nodes, wts, re_comb, _, _ = ratios._axis_profile(ratios._T_CAP, ratios._PANEL_H)
+    nodes, wts, re_comb, _ = ratios._axis_profile(ratios._T_CAP, ratios._PANEL_H)
     combined = float(np.dot(wts, re_comb * fejer15.phi(nodes * L / (2.0 * math.pi)))) / math.pi
     gap = full.integral_parts["integral_prime_pieces"] - combined
     want = (fejer15.phi_hat_tail_integral()

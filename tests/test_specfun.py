@@ -1,6 +1,5 @@
 """Special functions against mpmath oracles and internal identities."""
 
-import dataclasses
 import math
 
 import mpmath as mp
@@ -28,9 +27,13 @@ def _zeta_k_mp(s):
 @pytest.mark.parametrize("s", [2.0, 1.3, 0.5, -0.5, 3.0 + 2.0j, 1.0 + 1.5j, 0.25 - 0.7j])
 @pytest.mark.parametrize("a", [1.0, 0.25, 0.75])
 def test_hurwitz_vs_mpmath(s, a):
-    got = complex(specfun.hurwitz(s, a))
+    # the value and the s-derivative, which one Euler-Maclaurin pass returns
+    # together
+    got, dgot = specfun.hurwitz(s, a)
     want = complex(mp.zeta(s, a))
+    dwant = complex(mp.zeta(s, a, 1))
     assert abs(got - want) < 1e-11 * max(1.0, abs(want))
+    assert abs(dgot - dwant) < 1e-11 * max(1.0, abs(dwant))
 
 
 @pytest.mark.parametrize("s", [2.0, 1.5, 0.3, 1.0 + 2.0j, 0.5 + 0.5j, -0.25])
@@ -221,12 +224,24 @@ def test_context_Z_branch():
         specfun.zeta_K_log_deriv(1.0 + 1e-8)
 
 
-def test_context_value_semantics():
-    # no init parameter, and one cached instance
-    assert [f.name for f in dataclasses.fields(specfun.ZetaKContext) if f.init] == []
-    with pytest.raises(TypeError):
-        specfun.ZetaKContext(euler_cutoff=10 ** 4)
-    assert specfun.default_context() is specfun.default_context()
+def test_context_value_semantics(monkeypatch):
+    # one cached, immutable record, its fields in constants_dict() order
+    ctx = specfun.default_context()
+    assert specfun.default_context() is ctx
+    with pytest.raises(AttributeError):
+        ctx.zetaK2 = 0.0
+    assert list(specfun.constants_dict()) == ["gamma", *ctx._fields]
+    # a wrong constant fails its check: gamma_K off by 1e-3 breaks the
+    # zeta_K'(0) loop through the functional equation
+    monkeypatch.setattr(specfun, "gamma_K", lambda: ctx.gamma_K + 1e-3)
+    specfun.default_context.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="loop failed"):
+            specfun.default_context()
+    finally:
+        monkeypatch.undo()
+        specfun.default_context.cache_clear()
+    assert specfun.default_context() == ctx
 
 
 def test_constants_dict_keys():

@@ -1,7 +1,8 @@
 """Every function, class, method and module-level constant in src/quadhecke
 has a caller or reader in the package or in perfbench, every attribute
-assigned on self is read in the package, and every parameter is read in
-its function; anything else is dead code.
+assigned on self is read in the package, every parameter is read in its
+function, and every default is overridden by some call; anything else is
+dead code.
 Test-only references
 live in tests/oracles.py, and each of its definitions has a caller in a
 test file."""
@@ -130,6 +131,69 @@ def _unread_parameters(paths) -> list[str]:
 
 def test_every_parameter_is_read():
     assert _unread_parameters(SRC.glob("*.py")) == PERFBENCH_CTX_SLOTS
+
+
+def _defaulted_parameters(paths) -> list[tuple[str, str, int | None, str]]:
+    """(module, function, position or None, parameter) for each parameter
+    with a default; the position counts from the first argument a call
+    spells out, so a method's self is not counted."""
+    out = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            positional = [*a.posonlyargs, *a.args]
+            skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(a.defaults)
+            out += [(path.stem, node.name, i - skip, p.arg)
+                    for i, p in enumerate(positional) if i >= first]
+            out += [(path.stem, node.name, None, p.arg)
+                    for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _callee(func) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _passes(paths) -> dict[str, list[tuple[int, set[str], bool]]]:
+    """callee name -> (positional count, keywords, spreads) per call; a call
+    through functools.partial counts as a call of its first argument, and
+    *args or **kwargs in a call as passing everything."""
+    out = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = _callee(node.func), node.args
+            if name == "partial" and args:
+                name, args = _callee(args[0]), args[1:]
+            spreads = (any(isinstance(x, ast.Starred) for x in args)
+                       or any(k.arg is None for k in node.keywords))
+            out.setdefault(name, []).append(
+                (len(args), {k.arg for k in node.keywords}, spreads))
+    return out
+
+
+def test_every_default_is_passed():
+    # a default that no call in src/, perfbench/ or tests/ overrides is a
+    # constant dressed as a parameter.  checks.py is exempt by design: the
+    # battery calls each entry with no argument, and the entry's defaults
+    # are the case it checks
+    calls = _passes([*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+                     *(ROOT / "tests").glob("*.py")])
+    never = []
+    src = [path for path in SRC.glob("*.py") if path.stem != "checks"]
+    for module, func, pos, param in _defaulted_parameters(src):
+        if not any(spreads or param in kws or (pos is not None and n > pos)
+                   for n, kws, spreads in calls.get(func, [])):
+            never.append(f"{module}.{func}({param})")
+    assert never == [], f"defaults that no call passes: {never}"
 
 
 def test_every_oracle_has_a_caller():
