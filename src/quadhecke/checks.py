@@ -46,6 +46,30 @@ def _odd_elements(bound):
     return [zint.GInt(x, y) for x, y in zip(re.tolist(), im.tolist()) if (x + y) % 2]
 
 
+def primary_products(bound):
+    """{n: [(varpi, e), ...]} over the primary n with 1 < N(n) <= bound.
+
+    Each n is built as a product of primary primes taken in their (norm,
+    re, im) order, so its entries are its factorization by construction.
+    """
+    primes = zint.primary_primes_up_to(bound)
+    out = {}
+
+    def extend(n, entries, start):
+        for k in range(start, len(primes)):
+            w = primes[k]
+            if n.norm() * w.norm() > bound:
+                break
+            m, e = n * w, 1
+            while m.norm() <= bound:
+                out[m] = entries + [(w, e)]
+                extend(m, out[m], k + 1)
+                m, e = m * w, e + 1
+
+    extend(zint.ONE, [], 0)
+    return out
+
+
 def _euler_symbol(a, entries):
     """(a/n) as the product of Euler-criterion prime symbols over the
     factorization entries of n."""
@@ -57,10 +81,9 @@ def _euler_symbol(a, entries):
 
 def symbol_method_agreement(moduli, elements):
     """Mismatches between quad_symbol and the Euler-criterion product over
-    each modulus's factorization."""
+    the prime factors of each modulus, given as (n, entries) pairs."""
     bad = 0
-    for n in moduli:
-        entries = zint.factor(n)[2]
+    for n, entries in moduli:
         bad += sum(zint.quad_symbol(a, n) != _euler_symbol(a, entries)
                    for a in elements)
     return bad, 0.5
@@ -263,7 +286,7 @@ CHECKS = (
               - math.pi / 2.0 * make_gaussian_weight().w_hat0, 1e-8)),
     ("symbol_method_agreement", "quick",
      lambda: symbol_method_agreement(
-         zint.primary_primes_up_to(300),
+         [(w, [(w, 1)]) for w in zint.primary_primes_up_to(300)],
          [zint.GInt(x, y) for x in (-3, -1, 1, 3) for y in (-2, 0, 2, 4)])),
     ("reciprocity_spot", "quick",
      lambda: reciprocity(zint.primary_primes_up_to(120))),
@@ -293,11 +316,9 @@ CHECKS = (
     ("conductor_average_500", "exhaustive", partial(conductor_average, 500.0, 1.0)),
     ("prime_bridge_500", "exhaustive", partial(prime_bridge, 500.0, 1e-6)),
     ("prime_sums_2e5", "exhaustive", prime_sums),
-    # primary moduli of norm 3..200, composites included, every odd a
+    # the 78 primary moduli of norm 5..200, composites included, every odd a
     ("symbol_method_agreement_200", "exhaustive",
-     lambda: symbol_method_agreement(
-         [z for z in _odd_elements(200) if zint.is_primary(z) and not z.is_unit()],
-         _odd_elements(60))),
+     lambda: symbol_method_agreement(primary_products(200).items(), _odd_elements(60))),
     # every pair of primary elements of norm 2..500, coprime or not
     ("reciprocity_500", "exhaustive",
      lambda: reciprocity([z for z in _odd_elements(500)

@@ -190,9 +190,7 @@ def _norm_groups(cfg: DensityConfig):
     """Distinct norms with their family weights folded, and the family."""
     fam = _family(cfg)
     norms_u, inv = np.unique(fam.norm, return_inverse=True)
-    wn = np.zeros(norms_u.size)
-    np.add.at(wn, inv, fam.w0)
-    wn *= 4.0
+    wn = 4.0 * np.bincount(inv, weights=fam.w0)
     return norms_u.astype(float), wn, fam
 
 

@@ -61,8 +61,7 @@ class TestFunction:
         else:
             out = np.zeros_like(u)
             inside = u < self.sigma
-            s2 = (u[inside] / self.sigma) ** 2
-            out[inside] = np.exp(1.0 - 1.0 / (1.0 - s2))
+            out[inside] = self._bump_analytic(u[inside])
         return float(out[0]) if scalar else out
 
     def phi(self, x):
@@ -76,8 +75,7 @@ class TestFunction:
             # past sigma|x| = 150 the true transform is below 2e-15 while the
             # unresolved sum would return node noise, so zero is the honest value
             un, uw = self._bump_nodes
-            vals = np.exp(1.0 - 1.0 / (1.0 - (un / self.sigma) ** 2))
-            wv = uw * vals
+            wv = uw * self._bump_analytic(un)
             out = np.zeros_like(x)
             live = self.sigma * np.abs(x) <= 150.0
             xl = x[live]
@@ -121,6 +119,8 @@ class TestFunction:
         return float(np.real(d[m]))
 
     def _bump_analytic(self, z):
+        """The bump profile exp(1 - 1/(1 - (z/sigma)^2)), real or complex z
+        inside the support."""
         return np.exp(1.0 - 1.0 / (1.0 - (z / self.sigma) ** 2))
 
     def phi_hat_tail_integral(self) -> float:
@@ -132,8 +132,7 @@ class TestFunction:
         # dedicated panels: the cut at u = 1 is not a node boundary of the
         # shared phi rule, and a straddled panel costs ~2e-4
         un, uw = panel_nodes(1.0, self.sigma, (self.sigma - 1.0) / 16.0, 12)
-        vals = np.exp(1.0 - 1.0 / (1.0 - (un / self.sigma) ** 2))
-        return float(np.dot(uw, vals))
+        return float(np.dot(uw, self._bump_analytic(un)))
 
 
 def make_fejer(sigma: float) -> TestFunction:
@@ -149,6 +148,23 @@ def make_bump(sigma: float) -> TestFunction:
 
 
 # --- gaussian weight -------------------------------------------------------------
+
+def _radial_rule(f, rmax: float, t: np.ndarray, refine: int = 1) -> np.ndarray:
+    """2 pi int_0^rmax f(r) J0(2 pi t r) r dr on GL-12 panels, over a 1-D t.
+
+    Panel width tracks the fastest oscillation in the batch, its largest
+    |t|; refine=2 halves it (the grid-refinement oracle).
+    """
+    tmax = float(np.max(np.abs(t))) if t.size else 0.0
+    r, wq = panel_nodes(0.0, rmax, 1.0 / ((2.0 * tmax + 6.0) * refine), 12)
+    prof = wq * f(r) * r
+    out = np.empty(t.shape)
+    for i0 in range(0, t.size, 1024):
+        out[i0:i0 + 1024] = bessel_j0(
+            2.0 * math.pi * np.multiply.outer(t[i0:i0 + 1024], r)) @ prof
+    out *= 2.0 * math.pi
+    return out
+
 
 _WT_VMAX = 110.0    # v = t^2; |w~| < 1e-13 past t = 10
 _GT_VMAX = 112.0    # |g~| < 1e-13 past t = 10.6
@@ -192,25 +208,12 @@ class WeightFunction:
     mw_prime_1 = -0.25 * (specfun.EULER_GAMMA + math.log(4.0 * math.pi))
 
     def w_tilde(self, t, refine: int = 1):
-        """2 pi int_0^inf w(r^2) J0(2 pi t r) r dr, vectorized over t.
-
-        Panel width tracks the fastest oscillation in the batch; refine=2
-        halves it (the grid-refinement oracle).
-        """
+        """2 pi int_0^inf w(r^2) J0(2 pi t r) r dr, vectorized over t, by
+        the radial rule over [0, _R_SUPPORT]."""
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        tmax = float(np.max(np.abs(t))) if t.size else 0.0
-        h = 1.0 / ((2.0 * tmax + 6.0) * refine)
-        r, wq = panel_nodes(0.0, _R_SUPPORT, h, 12)
-        prof = wq * np.exp(-math.pi * r ** 4) * r
-        out = np.empty(t.shape)
-        for i0 in range(0, t.size, 1024):
-            tc = t[i0:i0 + 1024]
-            out[i0:i0 + 1024] = bessel_j0(
-                2.0 * math.pi * np.multiply.outer(tc, r)) @ prof
-        out *= 2.0 * math.pi
-        return float(out[0]) if scalar else out
+        out = _radial_rule(lambda r: np.exp(-math.pi * r ** 4), _R_SUPPORT,
+                           np.atleast_1d(t), refine)
+        return float(out[0]) if t.ndim == 0 else out
 
     # -- tables --
 
@@ -229,14 +232,10 @@ class WeightFunction:
         return self.w_tilde(np.sqrt(v))
 
     def _gt_rule(self, v):
-        """g~(sqrt v) by the nested rule: 2 pi int g(r^2) J0(2 pi sqrt(v) r) r dr
-        on GL-12 panels over [0, _G_RMAX], g(r^2) = w~(sqrt2 r^2) read from
-        the w~ table."""
-        h = 1.0 / (2.0 * math.sqrt(_GT_VMAX) + 6.0)
-        r, wq = panel_nodes(0.0, _G_RMAX, h, 12)
-        prof = wq * self._wt_table(2.0 * r ** 4) * r
-        t = np.sqrt(np.asarray(v, dtype=float))
-        return 2.0 * math.pi * (bessel_j0(2.0 * math.pi * np.multiply.outer(t, r)) @ prof)
+        """g~(sqrt v) by the nested rule: the radial rule over [0, _G_RMAX]
+        on g(r^2) = w~(sqrt2 r^2), read from the w~ table."""
+        return _radial_rule(lambda r: self._wt_table(2.0 * r ** 4), _G_RMAX,
+                            np.sqrt(np.asarray(v, dtype=float)))
 
     def g(self, y):
         """g(y) = w~(sqrt2 y); table-backed, 0 past the decay cutoff."""

@@ -1,5 +1,5 @@
-"""Arithmetic in Z[i]: primary primes, factorization, residue symbols,
-Gauss sums, and enumeration of the quadratic-twist family.
+"""Arithmetic in Z[i]: primary primes, residue symbols, Gauss sums, and
+enumeration of the quadratic-twist family.
 
 Conventions.  An element is odd when its norm is odd.  An odd z is primary
 when z = 1 mod (1+i)^3, equivalently Re z odd, Im z even, Re z + Im z = 1
@@ -10,10 +10,7 @@ primary associate -p, and 2 = -i (1+i)^2 ramifies.
 primes_above(P) is the one place split primes are made: for an array of
 p = 1 mod 4 it returns the primary primes above them with their i-images s
 (i -> s in Z[i]/(varpi) = F_p; the conjugate prime has i -> p - s), all p
-at once.  prime_above(p) is its one-prime form and returns the prime as a
-GInt, without s; its conj() is the conjugate prime.  Norms are factored by
-trial division, so factor() takes norms below 2^31.  lattice_points(B) is
-the one enumeration of all of Z[i] by norm.
+at once.  lattice_points(B) is the one enumeration of all of Z[i] by norm.
 
 The family of characters is chi_{i(1+i)^5 c}(n) = (i(1+i)^5 c / n) with c odd
 squarefree; all four associates of c are distinct family members.  The
@@ -21,7 +18,7 @@ quadratic residue symbol (a/varpi) is a^((N(varpi)-1)/2) mod varpi, and
 _symbol_prime_euler evaluates it so, as the reference.  quad_symbol(a, n)
 factors nothing: it reduces (a/n) to two rational Jacobi symbols, one mod
 the content g = gcd(Re n, Im n) and one mod the norm of the primitive part
-n/g, and keeps the 2^31 norm cap of factor().
+n/g, and keeps the 2^31 norm cap of primes_above().
 """
 
 from __future__ import annotations
@@ -74,19 +71,10 @@ class GInt:
 
 ONE = GInt(1, 0)
 I = GInt(0, 1)
-ONE_PLUS_I = GInt(1, 1)
 
 
 def is_primary(z: GInt) -> bool:
     return z.re % 2 == 1 and z.im % 2 == 0 and (z.re + z.im) % 4 == 1
-
-
-def exact_div(z: GInt, w: GInt) -> GInt:
-    n = w.norm()
-    q = z * w.conj()
-    if q.re % n or q.im % n:
-        raise ValueError(f"{w!r} does not divide {z!r}")
-    return GInt(q.re // n, q.im // n)
 
 
 def divides(w: GInt, z: GInt) -> bool:
@@ -113,15 +101,6 @@ def powmod(a: GInt, e: int, w: GInt) -> GInt:
         b = gmod(b * b, w)
         e >>= 1
     return r
-
-
-def prime_above(p: int) -> GInt:
-    """The primary prime above a rational prime p = 1 mod 4; the one-prime
-    form of primes_above."""
-    if p >= _NORM_CAP:      # before it meets int64
-        raise ValueError(f"{p} is not below 2^31")
-    _, (a,), (b,) = primes_above(np.array([p], dtype=np.int64))
-    return GInt(int(a), int(b))
 
 
 def primes_above(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,23 +187,9 @@ def _sieve(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-# factor() takes norms below 2^31, so trial division stops by 46341;
-# quad_symbol() keeps the same cap
+# primes_above() squares residues mod p in int64, so p stays below 2^31;
+# quad_symbol() and primary_primes_up_to() keep the same cap
 _NORM_CAP = 1 << 31
-
-
-def _factor_int(n: int) -> dict[int, int]:
-    """Rational factorization of 1 <= n < 2^31 by trial division."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def _smallest_prime_factors(limit: int) -> np.ndarray:
@@ -242,51 +207,6 @@ def legendre_table(p: int) -> np.ndarray:
     tab[r * r % p] = 1
     tab[0] = 0
     return tab
-
-
-# --- factorization in Z[i] ---------------------------------------------------
-
-def factor(z: GInt) -> tuple[GInt, int, list[tuple[GInt, int]]]:
-    """z = unit * (1+i)^e2 * prod varpi^e over primary primes.
-
-    Entries are sorted by (norm, re, im) of varpi.
-    """
-    if z.is_zero():
-        raise ValueError("cannot factor 0")
-    if z.norm() >= _NORM_CAP:
-        raise ValueError(f"norm {z.norm()} of {z!r} is not below 2^31")
-    unit = GInt(1, 0)
-    work = z
-    e2 = 0
-    while work.norm() % 2 == 0:
-        work = exact_div(work, ONE_PLUS_I)
-        e2 += 1
-    entries: list[tuple[GInt, int]] = []
-    for p, vp in sorted(_factor_int(work.norm()).items()):
-        if p % 4 == 3:
-            e = 0
-            while work.re % p == 0 and work.im % p == 0:
-                work = GInt(work.re // p, work.im // p)
-                e += 1
-            if 2 * e != vp:
-                raise AssertionError(f"inert exponent mismatch at {p}")
-            if e % 2 == 1:
-                unit = -unit  # p = (-1) * (-p)
-            entries.append((GInt(-p, 0), e))
-        else:
-            pp = prime_above(p)
-            for cand in (pp, pp.conj()):
-                e = 0
-                while divides(cand, work):
-                    work = exact_div(work, cand)
-                    e += 1
-                if e:
-                    entries.append((cand, e))
-    if not work.is_unit():
-        raise AssertionError(f"non-unit cofactor {work!r} for {z!r}")
-    unit = unit * work
-    entries.sort(key=lambda t: (t[0].norm(), t[0].re, t[0].im))
-    return unit, e2, entries
 
 
 # --- residue symbols ----------------------------------------------------------

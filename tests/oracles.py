@@ -4,8 +4,8 @@ Each is a slower or more literal form of something src/quadhecke computes
 another way: the family sieve by one remainder pass per prime, the
 per-character prime sums, S_even's divisor weights by a divisibility mask
 over the members, A_alpha by differencing the Euler product, the Moebius
-function from a factorization, the primary associate, the pointwise ratios
-integrand and the outer-product phase sum.
+function read off checks.primary_products, the primary associate, the
+pointwise ratios integrand and the outer-product phase sum.
 Test files import from here; pytest does not collect it.
 """
 
@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from quadhecke import ratios, zint
+from quadhecke.checks import primary_products
 from quadhecke.empirical import DensityConfig, _family, _sj_coefs
 from quadhecke.specfun import A_alpha_series, A_euler, digamma
 from quadhecke.transforms import TestFunction
@@ -47,13 +48,13 @@ def primary_associate(z: GInt) -> tuple[GInt, GInt]:
     return _UNIT_INV[u], u * z
 
 
-def moebius(z: GInt) -> int:
-    if z.is_zero():
-        raise ValueError("moebius(0) undefined")
-    _, e2, entries = zint.factor(z)
-    if e2 >= 2 or any(e >= 2 for _, e in entries):
-        return 0
-    return -1 if (e2 + len(entries)) % 2 else 1
+def moebius(bound: int) -> dict[GInt, int]:
+    """{n: mu(n)} over the primary n with N(n) <= bound, 1 included: a
+    product of k distinct primes gives (-1)^k, any other product 0."""
+    out = {zint.ONE: 1}
+    for n, entries in primary_products(bound).items():
+        out[n] = (-1) ** len(entries) if all(e == 1 for _, e in entries) else 0
+    return out
 
 
 def squarefree_arrays_by_remainders(bound: int):

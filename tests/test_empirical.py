@@ -15,7 +15,7 @@ from quadhecke.empirical import DensityConfig, one_level_density
 from quadhecke.transforms import make_bump, make_fejer, make_gaussian_weight
 from quadhecke.zint import GInt
 
-from oracles import s_even_members, s_total_family_outer
+from oracles import moebius, s_even_members, s_total_family_outer
 
 
 def test_config_validation():
@@ -48,17 +48,7 @@ def test_family_against_brute(weight):
     cfg = DensityConfig(40.0, make_fejer(1.5), weight)
     fam = empirical._family(cfg)
     bound = int(cfg.R * cfg.X)
-    want = []
-    m = math.isqrt(bound)
-    for a in range(-m - 1, m + 2):
-        for b in range(-m - 1, m + 2):
-            z = GInt(a, b)
-            n = z.norm()
-            if 0 < n <= bound and z.is_odd() and zint.is_primary(z):
-                _, _, entries = zint.factor(z)
-                if all(e == 1 for _, e in entries):
-                    want.append((n, a, b))
-    want.sort()
+    want = sorted((z.norm(), z.re, z.im) for z, mu in moebius(bound).items() if mu)
     got = list(zip(fam.norm.tolist(), fam.re.tolist(), fam.im.tolist()))
     assert got == want
     assert fam.size == 4 * len(want)
@@ -187,7 +177,7 @@ def test_s_odd_against_ladder(weight, X, test, R):
 
 def test_member_sums_are_exact_symbols(weight):
     # one prime at a time, the member side must give w0 (c/varpi) exactly,
-    # with varpi = prime_above(p)
+    # with varpi the primes_above row of p
     cfg = DensityConfig(100.0, make_fejer(1.5), weight)
     fam = empirical._family(cfg)
     bound = int(cfg.R * cfg.X)
@@ -195,10 +185,10 @@ def test_member_sums_are_exact_symbols(weight):
     assert any(c.norm() % 9 == 0 for c in members)                # inert 3 | c
     assert any(c.re % 5 == 0 and c.im % 5 == 0 for c in members)  # 5 | c
     assert any(c.norm() % 5 == 0 and c.im % 5 for c in members)   # 2 + i | c
-    primes = [zint.prime_above(p) for p in zint._sieve(1000).tolist()
-              if p > bound and p % 8 == 1]
-    P, A, B = (np.array(col, dtype=np.int64) for col in zip(
-        *((pp.norm(), pp.re, pp.im) for pp in primes)))
+    P = zint._sieve(1000)
+    P = P[(P > bound) & (P % 8 == 1)]
+    _, A, B = zint.primes_above(P)
+    primes = [GInt(a, b) for a, b in zip(A.tolist(), B.tolist())]
     for k, varpi in enumerate(primes):
         g = np.zeros(len(primes))
         g[k] = 1.0

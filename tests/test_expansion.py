@@ -45,10 +45,10 @@ _SF_BOUND = int(112.0 * 150.0) + 1     # the largest bound the kernel tests ask 
 @functools.cache
 def _sf_elements():
     """norm and mu / norm of the primary squarefree elements up to
-    _SF_BOUND, each mu from a factorization."""
+    _SF_BOUND, each mu from the product table."""
     re, im, norm = zint.primary_squarefree_arrays(_SF_BOUND)
-    mu = np.array([moebius(zint.GInt(a, b))
-                   for a, b in zip(re.tolist(), im.tolist())])
+    mu_of = moebius(_SF_BOUND)
+    mu = np.array([mu_of[zint.GInt(a, b)] for a, b in zip(re.tolist(), im.tolist())])
     return norm.astype(float), mu / norm
 
 

@@ -1,4 +1,7 @@
-"""Gaussian-integer layer: arithmetic, factorization, symbols, enumeration."""
+"""Gaussian-integer layer: arithmetic, symbols, enumeration.
+
+Factorizations come from checks.primary_products, which builds each primary
+modulus as a product of primary primes."""
 
 import cmath
 import math
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadhecke import zint
-from quadhecke.checks import _euler_symbol, _odd_elements
+from quadhecke.checks import _euler_symbol, _odd_elements, primary_products
 from quadhecke.zint import GInt
 
 from oracles import (UNITS, _UNIT_INV, i_images, moebius, primary_associate,
@@ -25,10 +28,6 @@ def odd_gints(bound):
             if (a + b) % 2 and 0 < a * a + b * b <= bound:
                 out.append(GInt(a, b))
     return out
-
-
-def primary_gints(bound):
-    return [z for z in odd_gints(bound) if zint.is_primary(z)]
 
 
 def _euler_criterion(r, p):
@@ -53,7 +52,7 @@ def test_conj_involution(a):
 
 def test_primary_congruence_brute():
     # primary means z = 1 mod (1+i)^3; exactly one associate of each odd z
-    eight = zint.ONE_PLUS_I * zint.ONE_PLUS_I * zint.ONE_PLUS_I
+    eight = GInt(-2, 2)     # (1+i)^3
     for z in odd_gints(80):
         flags = [zint.is_primary(u * z) for u in UNITS]
         assert sum(flags) == 1
@@ -89,48 +88,52 @@ def test_gmod_exact_div():
             assert r.norm() <= w.norm()  # canonical small representative
 
 
-def test_factor_reconstructs():
-    for z in odd_gints(150):
-        unit, e2, entries = zint.factor(z)
-        acc = unit
-        assert e2 == 0  # odd inputs carry no (1+i) part
+def test_primary_products_factor_their_keys():
+    # every primary non-unit of norm <= 200 once, each key the product of
+    # its entries' primary primes, taken in (norm, re, im) order
+    table = primary_products(200)
+    assert set(table) == {z for z in _odd_elements(200)
+                          if zint.is_primary(z) and not z.is_unit()}
+    primes = zint.primary_primes_up_to(200)
+    for n, entries in table.items():
+        ws = [w for w, _ in entries]
+        assert all(w in primes for w in ws)
+        assert ws == sorted(set(ws), key=primes.index)
+        acc = zint.ONE
         for w, e in entries:
-            assert zint.is_primary(w)
+            assert e >= 1
             for _ in range(e):
                 acc = acc * w
-        assert acc == z
+        assert acc == n
 
 
 def test_moebius_values():
-    assert moebius(GInt(1, 0)) == 1
-    assert moebius(GInt(-1, 2)) == -1          # prime, norm 5
-    assert moebius(GInt(-1, 2) * GInt(-1, 2)) == 0
-    assert moebius(GInt(-1, 2) * GInt(-1, -2)) == 1
-    assert moebius(GInt(-3, 0)) == -1          # inert 3
+    mu = moebius(25)
+    assert mu[GInt(1, 0)] == 1
+    assert mu[GInt(-1, 2)] == -1          # prime, norm 5
+    assert mu[GInt(-1, 2) * GInt(-1, 2)] == 0
+    assert mu[GInt(-1, 2) * GInt(-1, -2)] == 1
+    assert mu[GInt(-3, 0)] == -1          # inert 3
 
 
 # --- residue symbols ----------------------------------------------------------------
 
-def test_symbol_needs_no_factoring(monkeypatch):
-    # the Euler-criterion product over each factorization, taken before
-    # factor and prime_above are made to raise
+def test_symbol_needs_no_factoring():
+    # composite, non-squarefree and non-primary moduli against the
+    # Euler-criterion product over the prime factors of their primary
+    # associates, read from the product table
     elements = _odd_elements(40) + [GInt(2, 0), GInt(1, 1), GInt(6, 3), GInt(0, 0)]
     moduli = [GInt(3, 0), GInt(15, 0), GInt(0, 3), GInt(3, 6),
               GInt(-1, 2) * GInt(-1, 2), GInt(9, 18)]
-    want = {n: [_euler_symbol(a, zint.factor(n)[2]) for a in elements] for n in moduli}
-    gauss = [(r, n, _gauss_brute(r, n)) for r in (GInt(1, 0), GInt(2, 1))
-             for n in (GInt(-1, 2), GInt(3, 6))]
-
-    def refuse(*args):
-        raise AssertionError("the symbol must not factor")
-
-    monkeypatch.setattr(zint, "factor", refuse)
-    monkeypatch.setattr(zint, "prime_above", refuse)
+    table = primary_products(max(n.norm() for n in moduli))
     for n in moduli:
-        assert [zint.quad_symbol(a, n) for a in elements] == want[n]
-    assert set(want[GInt(9, 18)]) == {-1, 0, 1}
-    for r, n, g in gauss:
-        assert abs(zint.gauss_sum(r, n) - g) < 1e-9
+        entries = table[primary_associate(n)[1]]
+        want = [_euler_symbol(a, entries) for a in elements]
+        assert [zint.quad_symbol(a, n) for a in elements] == want
+    assert {zint.quad_symbol(a, GInt(9, 18)) for a in elements} == {-1, 0, 1}
+    for r in (GInt(1, 0), GInt(2, 1)):
+        for n in (GInt(-1, 2), GInt(3, 6)):
+            assert abs(zint.gauss_sum(r, n) - _gauss_brute(r, n)) < 1e-9
 
 
 def test_symbol_rejects_bad_modulus():
@@ -140,8 +143,9 @@ def test_symbol_rejects_bad_modulus():
 
 
 def _gauss_brute(r, n):
-    """g(r, n) over the classes gmod picks out, each symbol an Euler product."""
-    entries = zint.factor(n)[2]
+    """g(r, n) over the classes gmod picks out, each symbol an Euler product;
+    n primary."""
+    entries = primary_products(n.norm())[n]
     nn = n.norm()
     reps = {zint.gmod(GInt(x, y), n) for x in range(nn) for y in range(nn)}
     assert len(reps) == nn
@@ -214,12 +218,7 @@ def test_squarefree_arrays_brute():
     bound = 300
     re, im, nm = zint.primary_squarefree_arrays(bound)
     got = {(int(a), int(b)) for a, b in zip(re, im)}
-    want = set()
-    for z in primary_gints(bound):
-        unit, e2, entries = zint.factor(z)
-        if all(e == 1 for _, e in entries):
-            want.add((z.re, z.im))
-    assert got == want
+    assert got == {(z.re, z.im) for z, mu in moebius(bound).items() if mu}
     # sorted by (norm, re, im)
     key = list(zip(nm.tolist(), re.tolist(), im.tolist()))
     assert key == sorted(key)
@@ -249,9 +248,18 @@ def test_multiplicative_odd_brute():
         return np.asarray(p) * e + 1.0
 
     def brute(n):
+        # local(p, e) over the odd p^e || n by trial division; local(p, 0) = 1
         if n % 2 == 0:
             return 0.0
-        return math.prod(p * e + 1.0 for p, e in zint._factor_int(n).items())
+        out, p = 1.0, 3
+        while p * p <= n:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out *= p * e + 1.0
+            p += 2
+        return out * (n + 1.0 if n > 1 else 1.0)
 
     # 2999 is prime, so the last entry is a lone prime above sqrt(bound)
     for bound in (0, 1, 3, 9, 27, 2999, 3000):
@@ -262,12 +270,12 @@ def test_multiplicative_odd_brute():
 
 def test_mobius_by_norm_brute():
     # a[n] is the sum of mu(l) over the primary odd l of norm n, each mu
-    # from a factorization; the bound 5000 has the leftover prime factor
+    # from the product table; the bound 5000 has the leftover prime factor
     # above sqrt(5000) for most n
     bound = 5000
     want = np.zeros(bound + 1, dtype=np.int64)
-    for z in primary_gints(bound):
-        want[z.norm()] += moebius(z)
+    for z, mu in moebius(bound).items():
+        want[z.norm()] += mu
     got = zint.mobius_by_norm(bound)
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
@@ -297,7 +305,7 @@ def test_legendre_table_matches_euler_criterion():
 def test_smallest_prime_factors_against_factor_int():
     spf = zint._smallest_prime_factors(3000)
     for n in range(2, 3001):
-        assert spf[n] == min(zint._factor_int(n))
+        assert spf[n] == next(d for d in range(2, n + 1) if n % d == 0)
 
 
 def test_split_i_image():
@@ -313,27 +321,14 @@ def test_split_i_image():
 
 
 def test_cornacchia_from_given_root():
-    # both square roots of -1 mod p: prime_above's and its conjugate's
-    for p in (5, 13, 17, 41, 97, 10009, 65537, 1000000009):
-        pp = zint.prime_above(p)
-        (s,), _, _ = zint.primes_above(np.array([p]))
-        for q, t in ((pp, int(s)), (pp.conj(), p - int(s))):
-            a, b = q.re, q.im
+    # both square roots of -1 mod p: primes_above's and its conjugate's
+    ps = np.array([5, 13, 17, 41, 97, 10009, 65537, 1000000009])
+    s, re, im = zint.primes_above(ps)
+    for p, r, a, b in zip(ps.tolist(), s.tolist(), re.tolist(), im.tolist()):
+        for b, t in ((b, r), (-b, p - r)):
             assert (t * t + 1) % p == 0
             assert a * a + b * b == p
             assert (a + b * t) % p == 0
-
-
-def test_prime_above():
-    for p in (5, 13, 29, 97, 10009):
-        pp = zint.prime_above(p)
-        assert pp.norm() == p
-        assert zint.is_primary(pp)
-        bar = pp.conj()
-        assert bar == GInt(pp.re, -pp.im) and zint.is_primary(bar)
-    for n in (7, 9, 21):
-        with pytest.raises(ValueError):
-            zint.prime_above(n)
 
 
 def test_primes_above_matches_one_prime_form():
@@ -349,10 +344,8 @@ def test_primes_above_matches_one_prime_form():
     for p, t in zip(ps.tolist(), s.tolist()):
         d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
         assert t == pow(d, (p - 1) // 4, p)
-    # prime_above keeps the prime of its one-row call; the closed-form
-    # associate is the primary one of every unit multiple
-    for p, a, b in zip(ps.tolist()[::97], re.tolist()[::97], im.tolist()[::97]):
-        assert zint.prime_above(p) == GInt(a, b)
+    # the closed-form associate is the primary one of every unit multiple
+    for a, b in zip(re.tolist()[::97], im.tolist()[::97]):
         for u in UNITS:
             assert primary_associate(u * GInt(a, b))[1] == GInt(a, b)
     # s_odd's twist symbols ((1 + s)/p) = ((1 + i)/varpi) in closed form,
@@ -360,26 +353,17 @@ def test_primes_above_matches_one_prime_form():
     closed = 1 - 2 * (((re + im - 1) // 4) & 1)
     assert closed.tolist() == [
         _euler_criterion(1 + t, p) for t, p in zip(s.tolist(), ps.tolist())]
-    # products must fit in int64
-    for p in (2 ** 31 + 1, 2 ** 31 + 9):
-        with pytest.raises(ValueError, match="2\\^31"):
-            zint.prime_above(p)
-        with pytest.raises(ValueError, match="2\\^31"):
-            zint.primes_above(np.array([5, p]))
+    # only primes p = 1 mod 4, and products must fit in int64
+    for n, match in ((7, "not 1 mod 4"), (9, "not prime"), (21, "not prime"),
+                     (2 ** 31 + 1, "2\\^31"), (2 ** 31 + 9, "2\\^31")):
+        with pytest.raises(ValueError, match=match):
+            zint.primes_above(np.array([5, n]))
 
 
 def test_norm_cap():
-    # norms are factored by trial division, below 2^31 only
+    # the symbol keeps primes_above's cap: moduli of norm below 2^31 only
     below, above = GInt(46340, 1), GInt(46341, 0)
     assert below.norm() < 2 ** 31 <= above.norm()
-    unit, e2, entries = zint.factor(below)
-    acc = unit
-    for w, e in entries:
-        for _ in range(e):
-            acc = acc * w
-    assert e2 == 0 and acc == below
-    for z in (above, GInt(1 << 15, 1 << 15)):       # the second has norm 2^31
-        with pytest.raises(ValueError):
-            zint.factor(z)
-    with pytest.raises(ValueError):
+    assert zint.quad_symbol(GInt(1, 2), below) in (-1, 0, 1)
+    with pytest.raises(ValueError, match="2\\^31"):
         zint.quad_symbol(GInt(1, 2), above)
