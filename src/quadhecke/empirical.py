@@ -17,7 +17,9 @@ up to the family norm bound R X take that sum prime by prime, reading the
 family in rows of fixed Im c off contiguous windows of the Legendre table
 mod p.  Larger primes divide no member, and reciprocity (c/varpi) =
 (varpi/c) turns their symbols into products of lookups in tables mod the
-prime factors of c, summed member by member.
+prime factors of c, summed member by member.  Even j need only which
+members a prime divides: a strided row sum, one per split p for both
+primes above it, at the i-images of zint.primes_above as for odd j.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def digamma_integral_term(test: TestFunction, L: float, refine: int = 1) -> floa
 
 # --- prime sums -------------------------------------------------------------------
 
-def _sj_coefs(norms: np.ndarray, L: float, sigma: float, test: TestFunction,
+def _sj_coefs(norms: np.ndarray, L: float, test: TestFunction,
               first_j: int) -> np.ndarray:
     """sum over j = first_j, first_j+2, ... of logN N^{-j/2} phi_hat(j logN / L)."""
     norms = np.asarray(norms, dtype=float)
@@ -151,7 +153,7 @@ def _sj_coefs(norms: np.ndarray, L: float, sigma: float, test: TestFunction,
     out = np.zeros_like(ln)
     j = first_j
     while True:
-        mask = j * ln < sigma * L
+        mask = j * ln < test.sigma * L
         if not mask.any():
             break
         u = j * ln[mask] / L
@@ -160,38 +162,19 @@ def _sj_coefs(norms: np.ndarray, L: float, sigma: float, test: TestFunction,
     return out
 
 
-class _Pairs:
-    """Legendre symbols ((x + y t)/p) over the primes x + yi of the member
-    side, for many (t, p): y t is reduced mod p once per distinct y, and the
-    table mod p is tiled over the range of x + (y t mod p), so no division
-    runs per pair."""
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x_lo, self.y_lo = int(x.min()), int(y.min())
-        self.x = x - self.x_lo
-        self.y = y - self.y_lo
-        self.x_span = int(self.x.max()) + 1
-        self.y_vals = np.arange(self.y_lo, int(y.max()) + 1, dtype=np.int64)
-
-    def tiled(self, table: np.ndarray) -> np.ndarray:
-        """A Legendre table mod p repeated over the range x + (y t mod p) covers."""
-        p = table.size
-        reps = -(-(self.x_span + 2 * p) // p)
-        lo = self.x_lo % p
-        return np.tile(table, reps)[lo:lo + self.x_span + p]
-
-    def symbols(self, tiled: np.ndarray, t: int, p: int) -> np.ndarray:
-        """((x + y t)/p) read from tiled, the tiling of the table mod p."""
-        return tiled[self.x + (self.y_vals * t % p)[self.y]]
-
-
 class _KeyVectors:
-    """The vector ((a + b t)/q), or (p/q) for t None, over primes p = a^2 + b^2
-    for each key (q, t), with keys taken in q order: the Legendre table mod q
-    and its tiling are built once per q, and only the current q's are kept."""
+    """The vector ((a + b t)/q), or (p/q) for t None, over the primes
+    p = a^2 + b^2 of the member side, for each key (q, t).  Keys come in q
+    order, so the Legendre table mod q and its repetition over the span of
+    a + (b t mod q) are built once per q, and only the current q's are kept;
+    b t is reduced mod q once per distinct b, so no division runs per prime."""
 
-    def __init__(self, pairs: _Pairs, P: np.ndarray):
-        self.pairs, self.P = pairs, P
+    def __init__(self, P: np.ndarray, A: np.ndarray, B: np.ndarray):
+        b_lo = int(B.min())
+        self.P, self.a_lo = P, int(A.min())
+        self.a, self.b = A - self.a_lo, B - b_lo
+        self.b_vals = np.arange(b_lo, int(B.max()) + 1, dtype=np.int64)
+        self.span = int(self.a.max()) + 1
         self.q = self.table = self.tiled = None
 
     def __call__(self, key: tuple[int, int | None]) -> np.ndarray:
@@ -201,8 +184,9 @@ class _KeyVectors:
         if t is None:
             return self.table[self.P % q]
         if self.tiled is None:
-            self.tiled = self.pairs.tiled(self.table)
-        return self.pairs.symbols(self.tiled, t, q)
+            self.tiled = np.resize(self.table, self.span + q)
+        # a + b t = (a - a_lo) + (a_lo + b t), the second part reduced mod q
+        return self.tiled[self.a + ((self.a_lo + self.b_vals * t) % q)[self.b]]
 
 
 def _by_q(key: tuple[int, int | None] | None) -> int:
@@ -228,7 +212,7 @@ def _row_sum(rows, table: np.ndarray, s: int, on=slice(None)) -> float:
     grid, b, a0 = rows
     q, K = table.size, grid.shape[1]
     c = (a0 + s * b % q) * pow(4, -1, q) % q
-    tiled = np.concatenate((table,) * (K // q + 2))
+    tiled = np.resize(table, q + K)
     windows = np.ndarray((q, K), tiled.dtype, tiled, strides=tiled.strides * 2)
     lo, hi = windows[c[:, on]]
     return dot(grid[on].ravel(), (lo + hi).ravel())
@@ -245,7 +229,7 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     member through reciprocity, see _member_sums.
     """
     fam = fam or _family(cfg)
-    L, sigma = cfg.L, cfg.test.sigma
+    L = cfg.L
     cut = int(cfg.prime_cutoff)
     bound = int(cfg.R * cfg.X)
 
@@ -260,8 +244,8 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     f = 2.0 * (1 - 2 * (((A + B - 1) // 4) & 1))
     inert = [q for q in zint._sieve(math.isqrt(cut)).tolist() if q % 4 == 3]
 
-    coefs_p = _sj_coefs(P.astype(float), L, sigma, cfg.test, 1)
-    coefs_q = _sj_coefs(np.array(inert, dtype=float) ** 2, L, sigma, cfg.test, 1)
+    coefs_p = _sj_coefs(P.astype(float), L, cfg.test, 1)
+    coefs_q = _sj_coefs(np.array(inert, dtype=float) ** 2, L, cfg.test, 1)
     g = coefs_p * 4.0 * f
 
     # prime side: every p <= bound and every inert q
@@ -301,9 +285,9 @@ def _member_sums(fam: _Family, bound: int, P: np.ndarray, A: np.ndarray,
     way the factor's vector over the p_k depends only on (q, t), with t None
     for rational q.  A member has at most one factor with q^2 > bound and
     it has the largest q, so members are grouped by their largest factor:
-    its vector is built once per group, the smaller ones are shared.
+    its vector is built once per group, the smaller ones are shared, all of
+    them by _KeyVectors.
     """
-    pairs = _Pairs(A, B)
     spf = zint._smallest_prime_factors(bound).tolist()
     groups: dict[tuple[int, int | None] | None, list] = {}
     for i, (c_re, c_im, n) in enumerate(zip(fam.re.tolist(), fam.im.tolist(),
@@ -321,14 +305,14 @@ def _member_sums(fam: _Family, bound: int, P: np.ndarray, A: np.ndarray,
 
     rests = {key for members in groups.values() for _, rest in members
              for key in rest}
-    vector = _KeyVectors(pairs, P)
+    vector = _KeyVectors(P, A, B)
     shared = {key: vector(key) for key in sorted(rests, key=_by_q)}
     items = sorted(groups.items(), key=lambda item: _by_q(item[0]))
     out = np.zeros(fam.re.size)
     w0 = fam.w0
 
     def worker(i0: int, i1: int) -> None:
-        vector = _KeyVectors(pairs, P)
+        vector = _KeyVectors(P, A, B)
         for key, members in items[i0:i1]:
             if key is None:
                 h = g
@@ -350,31 +334,39 @@ def _member_sums(fam: _Family, bound: int, P: np.ndarray, A: np.ndarray,
 def s_even(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     """Even-j aggregate: (W - 4 sum_{varpi | c0} w0) per prime ideal, with
     varpi | c exactly when a + b s = 0 mod N(varpi), for a split varpi with
-    i -> s, or q | b and q | a, for an inert q: a strided sum along fam.rows."""
+    i -> s, or q | b and q | a, for an inert q: a strided sum along fam.rows.
+
+    The split p = 1 mod 4 and their i-images s come from zint.primes_above.
+    The conjugate prime, with i -> p - s, swaps each row for its conjugate,
+    which fam.rows holds at the same weight: one row sum serves both.
+    """
     fam = fam or _family(cfg)
-    L, sigma = cfg.L, cfg.test.sigma
     bound = int(cfg.prime_cutoff ** 0.5)
-    primes = zint.primary_primes_up_to(bound) if bound >= 5 else []
-    if not primes:
+    ps = zint._sieve(bound)
+    split = ps[ps % 4 == 1]
+    inert = ps[(ps % 4 == 3) & (ps * ps <= bound)]
+    if not split.size + inert.size:
         return 0.0, 0
-    coefs = _sj_coefs(np.array([v.norm() for v in primes], dtype=float), L, sigma,
+    S = zint.primes_above(split)[0]
+    P = np.concatenate((split, inert))
+    coefs = _sj_coefs(np.concatenate((split, inert * inert)).astype(float), cfg.L,
                       cfg.test, 2)
     rows = fam.rows
-    contrib = np.zeros(len(primes))
+    contrib = np.zeros(P.size)
 
     def worker(i0: int, i1: int) -> None:
         for k in range(i0, i1):
-            v, n = primes[k], primes[k].norm()
-            zero = (np.arange(n if v.im else -v.re) == 0).astype(np.int8)
-            if v.im:        # split, with i -> s = -re / im mod n
-                wdiv = _row_sum(rows, zero, -v.re * pow(v.im, -1, n) % n)
-            else:           # inert q = -re, in the rows q | b
-                wdiv = _row_sum(rows, zero, 0, rows[1][0] % v.re == 0)
-            contrib[k] = coefs[k] * (fam.W - 4.0 * wdiv)
+            q = int(P[k])
+            zero = (np.arange(q) == 0).astype(np.int8)
+            if k < split.size:      # varpi with i -> s and its conjugate
+                wdiv, n_ideals = _row_sum(rows, zero, int(S[k])), 2.0
+            else:                   # inert q, in the rows q | b
+                wdiv, n_ideals = _row_sum(rows, zero, 0, rows[1][0] % q == 0), 1.0
+            contrib[k] = n_ideals * coefs[k] * (fam.W - 4.0 * wdiv)
 
-    _run_jobs(len(primes), worker, cfg.threads)
-    total = -2.0 / (L * fam.W) * math.fsum(contrib)
-    return total, len(primes)
+    _run_jobs(P.size, worker, cfg.threads)
+    total = -2.0 / (cfg.L * fam.W) * math.fsum(contrib)
+    return total, 2 * split.size + inert.size
 
 
 def s_even_main_form(cfg: DensityConfig) -> float:
@@ -383,7 +375,7 @@ def s_even_main_form(cfg: DensityConfig) -> float:
     if bound < 5:
         return 0.0
     norms = zint.prime_norms_up_to(bound).astype(float)
-    coefs = _sj_coefs(norms, cfg.L, cfg.test.sigma, cfg.test, 2)
+    coefs = _sj_coefs(norms, cfg.L, cfg.test, 2)
     return -2.0 * math.fsum(coefs / (1.0 + 1.0 / norms)) / cfg.L
 
 

@@ -402,16 +402,6 @@ def digamma_moment(m: int) -> float:
     return math.gamma(m) * (2.0 ** m - 1.0) * z
 
 
-def phi_hat_half_integral(test: TestFunction) -> float:
-    """int_0^1 phi_hat(u) du = half of the symmetric unit-window integral."""
-    if test.kind == "fejer":
-        s = test.sigma
-        return 1.0 - 0.5 / s if s >= 1.0 else 0.5 * s
-    top = min(1.0, test.sigma)
-    u, q = panel_nodes(0.0, top, top / 16.0, 12)
-    return float(np.dot(q, test.phi_hat(u)))
-
-
 @dataclass
 class ExpansionCoefficients:
     M: int
@@ -438,8 +428,8 @@ def expansion_coefficients(M: int, test: TestFunction,
     log_moment_term = 2.0 * w.mw_prime_1 / w.w_hat0
     r_w = []
     for m in range(1, M + 1):
-        p0 = float(test.phi_hat_deriv0(m - 1))
-        p1 = float(test.phi_hat_deriv1(m - 1))
+        p0 = test.phi_hat_deriv(0.0, m - 1)
+        p1 = test.phi_hat_deriv(1.0, m - 1)
         if m == 1:
             r = (p0 * (_LOG_32_PI2 + 2.0 * _PSI_HALF + log_moment_term
                        + ds[0][0]) + cs[0][0] * p1)
@@ -456,7 +446,7 @@ def thm_prediction(X: float, coeffs: ExpansionCoefficients,
                    test: TestFunction) -> float:
     """phi_hat(0) - int_0^1 phi_hat + sum_m R_wm / L^m."""
     L = math.log(X)
-    total = float(test.phi_hat(0.0)) - phi_hat_half_integral(test)
+    total = float(test.phi_hat(0.0)) - test.phi_hat_integral(0.0, 1.0)
     for m in range(1, coeffs.M + 1):
         total += coeffs.R_w[m - 1] / L ** m
     return total

@@ -231,7 +231,7 @@ def ratios_first_order(cfg: DensityConfig,
     p0 = float(test.phi_hat(0.0))
     terms = {
         "phi_hat0": p0,
-        "tail_integral": test.phi_hat_tail_integral(),
+        "tail_integral": test.phi_hat_integral(1.0, math.inf),
         "conductor": p0 / L * (_LOG_32_PI2 + 2.0 * _PSI_HALF
                                + 2.0 * w.mw_prime_1 / w.w_hat0),
         "digamma_integral": digamma_integral_term(test, L),

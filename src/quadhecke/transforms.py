@@ -93,29 +93,19 @@ class TestFunction:
         # the count is set by the largest resolved phase, not by the integrand
         return read_only(*panel_nodes(0.0, self.sigma, self.sigma / 128.0, 12))
 
-    def phi_hat_deriv0(self, m: int) -> float:
-        """d^m/du^m phi_hat at u = 0+, m <= M_MAX (right-sided for fejer)."""
+    def phi_hat_deriv(self, u0: float, m: int) -> float:
+        """d^m/du^m phi_hat at u0 >= 0, m <= M_MAX; one-sided at the kinks of
+        the fejer triangle: right-sided at 0, left-sided at u0 > 0.  The
+        bump's Cauchy ring reaches 0.45 of the way to its singularity at sigma."""
         if not 0 <= m <= M_MAX:
             raise ValueError("derivative order out of range")
         if self.kind == "fejer":
-            return (1.0, -1.0 / self.sigma)[m] if m <= 1 else 0.0
-        d = cauchy_derivs(self._bump_analytic, 0.0 + 0.0j, 0.45 * self.sigma, m)
-        return float(np.real(d[m]))
-
-    def phi_hat_deriv1(self, m: int) -> float:
-        """d^m/du^m phi_hat at u = 1 (left-sided; 0 when sigma < 1)."""
-        if not 0 <= m <= M_MAX:
-            raise ValueError("derivative order out of range")
-        if self.sigma < 1.0:
+            if u0 > self.sigma:
+                return 0.0
+            return (1.0 - u0 / self.sigma, -1.0 / self.sigma)[m] if m <= 1 else 0.0
+        if u0 >= self.sigma:
             return 0.0
-        if self.kind == "fejer":
-            if m == 0:
-                return 1.0 - 1.0 / self.sigma
-            return -1.0 / self.sigma if m == 1 else 0.0
-        if self.sigma == 1.0:
-            return 0.0
-        r = 0.45 * min(self.sigma - 1.0, 1.0)
-        d = cauchy_derivs(self._bump_analytic, 1.0 + 0.0j, r, m)
+        d = cauchy_derivs(self._bump_analytic, u0 + 0.0j, 0.45 * (self.sigma - u0), m)
         return float(np.real(d[m]))
 
     def _bump_analytic(self, z):
@@ -123,15 +113,17 @@ class TestFunction:
         inside the support."""
         return np.exp(1.0 - 1.0 / (1.0 - (z / self.sigma) ** 2))
 
-    def phi_hat_tail_integral(self) -> float:
-        """int_1^inf phi_hat(u) du."""
-        if self.sigma <= 1.0:
+    def phi_hat_integral(self, a: float, b: float) -> float:
+        """int_a^b phi_hat(u) du for 0 <= a <= b <= inf."""
+        hi = min(b, self.sigma)
+        if hi <= a:
             return 0.0
         if self.kind == "fejer":
-            return (self.sigma - 1.0) ** 2 / (2.0 * self.sigma)
-        # dedicated panels: the cut at u = 1 is not a node boundary of the
+            # width times the mean height 1 - (a + hi) / (2 sigma)
+            return (hi - a) * (2.0 * self.sigma - a - hi) / (2.0 * self.sigma)
+        # panels of its own: a cut at a or b is not a node boundary of the
         # shared phi rule, and a straddled panel costs ~2e-4
-        un, uw = panel_nodes(1.0, self.sigma, (self.sigma - 1.0) / 16.0, 12)
+        un, uw = panel_nodes(a, hi, (hi - a) / 16.0, 12)
         return float(np.dot(uw, self._bump_analytic(un)))
 
 

@@ -18,7 +18,7 @@ quadratic residue symbol (a/varpi) is a^((N(varpi)-1)/2) mod varpi, and
 _symbol_prime_euler evaluates it so, as the reference.  quad_symbol(a, n)
 factors nothing: it reduces (a/n) to two rational Jacobi symbols, one mod
 the content g = gcd(Re n, Im n) and one mod the norm of the primitive part
-n/g, and keeps the 2^31 norm cap of primes_above().
+n/g, on Python ints, so any norm will do.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def _sieve(limit: int) -> np.ndarray:
 
 
 # primes_above() squares residues mod p in int64, so p stays below 2^31;
-# quad_symbol() and primary_primes_up_to() keep the same cap
+# primary_primes_up_to(), which calls it, keeps the same cap
 _NORM_CAP = 1 << 31
 
 
@@ -240,7 +240,7 @@ def _symbol_prime_euler(a: GInt, w: GInt) -> int:
 
 def _symbol_moduli(n: GInt) -> tuple[int, int, int]:
     """(g, m, s) with (a/n) = (N(a)/g) ((Re a + s Im a)/m) in Jacobi symbols,
-    for odd nonunit n with N(n) < 2^31.
+    for odd nonunit n.
 
     n = g n' with g = gcd(Re n, Im n) and n' = r + ti primitive of norm m.
     Z[i]/(n') = Z/m through i -> s = -r/t mod m (s = 0 for m = 1), and each
@@ -248,15 +248,13 @@ def _symbol_moduli(n: GInt) -> tuple[int, int, int]:
     """
     if n.is_zero() or n.is_unit() or not n.is_odd():
         raise ValueError(f"modulus must be odd, nonzero, nonunit: {n!r}")
-    if n.norm() >= _NORM_CAP:
-        raise ValueError(f"norm {n.norm()} of {n!r} is not below 2^31")
     g = math.gcd(n.re, n.im)
     m = n.norm() // (g * g)
     return g, m, -(n.re // g) * pow(n.im // g, -1, m) % m
 
 
 def quad_symbol(a: GInt, n: GInt) -> int:
-    """Quadratic residue symbol (a/n) for odd nonunit n with N(n) < 2^31."""
+    """Quadratic residue symbol (a/n) for odd nonunit n."""
     g, m, s = _symbol_moduli(n)
     return _jacobi(a.norm(), g) * _jacobi(a.re + s * a.im, m)
 

@@ -3,9 +3,10 @@
 Each is a slower or more literal form of something src/quadhecke computes
 another way: the family sieve by one remainder pass per prime, the
 per-character prime sums, S_even's divisor weights by a divisibility mask
-over the members, A_alpha by differencing the Euler product, the Moebius
-function read off checks.primary_products, the primary associate, the
-pointwise ratios integrand and the outer-product phase sum.
+over the members, Legendre symbols by Euler's criterion, A_alpha by
+differencing the Euler product, the Moebius function read off
+checks.primary_products, the primary associate, the pointwise ratios
+integrand and the outer-product phase sum.
 Test files import from here; pytest does not collect it.
 """
 
@@ -94,6 +95,22 @@ def squarefree_arrays_by_remainders(bound: int):
     return R[order], M[order], N[order]
 
 
+def legendre_euler(a, p: int):
+    """(a/p) for an odd prime p < 2^31 by Euler's criterion: a^((p-1)/2) mod
+    p by binary powering on int64, read as 0 or +-1, elementwise over an
+    int array or for one int."""
+    base = np.asarray(a, dtype=np.int64) % p
+    out = np.ones_like(base)
+    e = (p - 1) // 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    out = np.where(out == p - 1, -1, out)
+    return out if out.ndim else int(out)
+
+
 def i_images(primes) -> dict[GInt, int]:
     """{varpi: s} over the split primes among `primes` (those whose norm is
     not a square), with i -> s mod N(varpi): zint.primes_above's s at the
@@ -151,7 +168,7 @@ def s_even_members(cfg: DensityConfig) -> tuple[float, int]:
     if not primes:
         return 0.0, 0
     coefs = _sj_coefs(np.array([w.norm() for w in primes], dtype=float), cfg.L,
-                      cfg.test.sigma, cfg.test, 2)
+                      cfg.test, 2)
     contrib = []
     for w, coef in zip(primes, coefs):
         a, b, n = w.re, w.im, w.norm()

@@ -20,24 +20,12 @@ from quadhecke.ratios import ratios_first_order
 from quadhecke.specfun import default_context, hurwitz
 from quadhecke.zint import GInt, I
 
-from oracles import i_images
+from oracles import i_images, legendre_euler
 
 X_GRID = (500.0, 2000.0, 8000.0)
 
 
 # --- vector helpers: independent symbol routes over whole arrays -------------------
-
-def _modpow_vec(base: np.ndarray, exp: int, mod: int) -> np.ndarray:
-    """base**exp mod `mod` elementwise; mod < 2**15 keeps int64 exact."""
-    b = base % mod
-    out = np.ones_like(b)
-    while exp:
-        if exp & 1:
-            out = out * b % mod
-        b = b * b % mod
-        exp >>= 1
-    return out
-
 
 def _pair_pow_vec(u0, v0, exp: int, mod: int):
     """(u + v i)**exp in Z[i]/(mod) as coordinate pairs, elementwise."""
@@ -52,19 +40,6 @@ def _pair_pow_vec(u0, v0, exp: int, mod: int):
     return ru, rv
 
 
-def _legendre_vec(t: np.ndarray, p: int) -> np.ndarray:
-    out = _modpow_vec(t, (p - 1) // 2, p)
-    return np.where(out == p - 1, -1, out)
-
-
-def _odd_grid(norm_cap: int):
-    r = math.isqrt(norm_cap)
-    xs, ys = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1))
-    xs, ys = xs.ravel(), ys.ravel()
-    keep = (xs * xs + ys * ys <= norm_cap) & ((xs + ys) % 2 != 0)
-    return xs[keep].astype(np.int64), ys[keep].astype(np.int64)
-
-
 def _residue_reps(pp: GInt):
     """Coset reps X + iY of Z[i]/(varpi) from the column HNF of the ideal."""
     a, b = pp.re, pp.im
@@ -77,15 +52,16 @@ def _residue_reps(pp: GInt):
 
 def test_symbol_routes_agree_exhaustively():
     start = time.perf_counter()
-    ax, ay = _odd_grid(10 ** 3)
-    norms = ax * ax + ay * ay
+    ax, ay, norms = zint.lattice_points(10 ** 3)
+    odd = (ax + ay) % 2 == 1
+    ax, ay, norms = ax[odd], ay[odd], norms[odd]
     primes = zint.primary_primes_up_to(10 ** 4)
     images = i_images(primes)
     for k, pp in enumerate(primes):
         if pp in images:
             p = pp.norm()
             s = images[pp]
-            fast = _legendre_vec((ax + ay * s) % p, p)
+            fast = legendre_euler(ax + ay * s, p)
             # generic criterion: power the pair in Z[i]/(p), read off mod varpi
             ru, rv = _pair_pow_vec(ax, ay, (p - 1) // 2, p)
             img = (ru + rv * s) % p
@@ -93,7 +69,7 @@ def test_symbol_routes_agree_exhaustively():
             euler = np.where(img == p - 1, -1, img)
         else:
             q = math.isqrt(pp.norm())
-            fast = _legendre_vec(norms % q, q)
+            fast = legendre_euler(norms, q)
             ru, rv = _pair_pow_vec(ax, ay, (q * q - 1) // 2, q)
             assert ((rv == 0) | ((ax % q == 0) & (ay % q == 0))).all()
             euler = np.where(rv != 0, 0, np.where(ru == q - 1, -1, ru))
@@ -196,7 +172,7 @@ def test_family_weight_density(fejer15, weight):
 def test_odd_sum_kernel_bridge(emp_grid_15, fejer15, weight):
     s_odd = emp_grid_15[2000.0].S_odd
     j_val, _ = J_X(2000.0, fejer15, weight)
-    gap = s_odd - fejer15.phi_hat_tail_integral() - j_val
+    gap = s_odd - fejer15.phi_hat_integral(1.0, math.inf) - j_val
     assert abs(gap) <= 0.05
 
 

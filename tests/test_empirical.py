@@ -15,7 +15,7 @@ from quadhecke.empirical import DensityConfig, one_level_density
 from quadhecke.transforms import make_bump, make_fejer, make_gaussian_weight
 from quadhecke.zint import GInt
 
-from oracles import moebius, s_even_members, s_total_family_outer
+from oracles import legendre_euler, moebius, s_even_members, s_total_family_outer
 
 
 def test_config_validation():
@@ -123,39 +123,25 @@ def test_s_even_close_to_main_form(weight):
 
 # --- S_odd against the per-prime Euler-criterion ladder ---------------------------
 
-def _legendre_ladder(a: np.ndarray, p: int) -> np.ndarray:
-    """a^((p-1)/2) mod p by repeated squaring over the array, as +-1/0."""
-    base = a % p
-    out = np.ones_like(base)
-    e = (p - 1) // 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return np.where(out == p - 1, -1, out)
-
-
 def _s_odd_ladder(cfg: DensityConfig) -> tuple[float, int]:
     """S_odd prime by prime, one ladder per prime over the whole family."""
     fam = empirical._family(cfg)
-    L, sigma, cut = cfg.L, cfg.test.sigma, int(cfg.prime_cutoff)
+    L, cut = cfg.L, int(cfg.prime_cutoff)
     acc = []
     n = 0
     for p in zint._sieve(cut).tolist():
         if p % 8 == 1:
             (s,), _, _ = zint.primes_above(np.array([p]))
             # both twist symbols, not s_odd's 2 ((1 + s)/p)
-            f = int(_legendre_ladder(np.array([1 - s, 1 + s]), p).sum())
-            sym = _legendre_ladder(fam.re + fam.im * s, p)
-            coef = empirical._sj_coefs(np.array([p], float), L, sigma, cfg.test, 1)
+            f = int(legendre_euler(np.array([1 - s, 1 + s]), p).sum())
+            sym = legendre_euler(fam.re + fam.im * s, p)
+            coef = empirical._sj_coefs(np.array([p], float), L, cfg.test, 1)
             acc.append(float(coef[0]) * 4.0 * f * float(np.dot(fam.w0, sym)))
             n += 1
         elif p % 4 == 3 and p * p <= cut:
-            sym = _legendre_ladder(fam.norm, p)
-            coef = empirical._sj_coefs(np.array([p * p], float), L, sigma,
-                                       cfg.test, 1)
-            acc.append(float(coef[0]) * 4.0 * int(_legendre_ladder(np.array([32]), p)[0])
+            sym = legendre_euler(fam.norm, p)
+            coef = empirical._sj_coefs(np.array([p * p], float), L, cfg.test, 1)
+            acc.append(float(coef[0]) * 4.0 * legendre_euler(32, p)
                        * float(np.dot(fam.w0, sym)))
             n += 1
     return -2.0 / (L * fam.W) * math.fsum(acc), n
@@ -248,8 +234,23 @@ def test_prime_side_sums_are_exact_symbols(weight):
     S, _, _ = zint.primes_above(P)
     for p, s in zip(P.tolist(), S.tolist()):
         got = empirical._row_sum(fam.rows, zint.legendre_table(p), s)
-        want = np.dot(fam.w0, _legendre_ladder(fam.re + fam.im * s, p))
+        want = np.dot(fam.w0, legendre_euler(fam.re + fam.im * s, p))
         assert abs(got - want) <= 1e-13 * np.abs(fam.w0).sum(), p
+
+
+@pytest.mark.parametrize("X, test", [(2000.0, make_fejer(1.5)), (32000.0, make_fejer(0.8))])
+def test_row_sum_serves_both_conjugates(weight, X, test):
+    # s_even reads both primes above a split p off one row sum: i -> p - s in
+    # place of i -> s swaps each row for its conjugate, which fam.rows holds
+    # at the same weight, so the two divisor sums agree bit for bit
+    cfg = DensityConfig(X, test, weight)
+    rows = empirical._family(cfg).rows
+    P = zint._sieve(int(cfg.prime_cutoff ** 0.5))
+    P = P[P % 4 == 1]
+    for p, s in zip(P.tolist(), zint.primes_above(P)[0].tolist()):
+        zero = (np.arange(p) == 0).astype(np.int8)
+        got = empirical._row_sum(rows, zero, s), empirical._row_sum(rows, zero, p - s)
+        assert got[0] == got[1], p
 
 
 def test_member_sums_build_tables_per_prime(weight, monkeypatch):

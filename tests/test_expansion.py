@@ -356,10 +356,11 @@ def test_digamma_moments():
 
 
 def test_phi_hat_half_integral(fejer15, fejer08, bump15):
-    assert abs(expansion.phi_hat_half_integral(fejer15) - (1.0 - 0.5 / 1.5)) < 1e-15
-    assert abs(expansion.phi_hat_half_integral(fejer08) - 0.4) < 1e-15
+    # int_0^1 phi_hat, the integral thm_prediction subtracts
+    assert abs(fejer15.phi_hat_integral(0.0, 1.0) - (1.0 - 0.5 / 1.5)) < 1e-15
+    assert abs(fejer08.phi_hat_integral(0.0, 1.0) - 0.4) < 1e-15
     want, _ = scipy.integrate.quad(bump15.phi_hat, 0.0, 1.0, limit=200)
-    assert abs(expansion.phi_hat_half_integral(bump15) - want) < 1e-10
+    assert abs(bump15.phi_hat_integral(0.0, 1.0) - want) < 1e-10
 
 
 def test_expansion_coefficients_reference(fejer15, weight):
@@ -380,6 +381,6 @@ def test_expansion_coefficients_reference(fejer15, weight):
 def test_thm_prediction_formula(fejer15, weight):
     co = expansion.expansion_coefficients(1, fejer15, weight)
     X = 8000.0
-    want = (1.0 - expansion.phi_hat_half_integral(fejer15)
+    want = (1.0 - fejer15.phi_hat_integral(0.0, 1.0)
             + co.R_w[0] / math.log(X))
     assert abs(expansion.thm_prediction(X, co, fejer15) - want) < 1e-14

@@ -376,7 +376,7 @@ def test_dual_ablation_identity(fejer15, weight):
     nodes, wts, re_comb, _ = ratios._axis_profile(ratios._T_CAP, ratios._PANEL_H)
     combined = float(np.dot(wts, re_comb * fejer15.phi(nodes * L / (2.0 * math.pi)))) / math.pi
     gap = full.integral_parts["integral_prime_pieces"] - combined
-    want = (fejer15.phi_hat_tail_integral()
+    want = (fejer15.phi_hat_integral(1.0, math.inf)
             + float(fejer15.phi_hat(1.0)) * c_w1_closed(weight) / L
             - float(fejer15.phi(0.0)) / 2.0)
     assert abs(gap - want) < 0.06

@@ -2,7 +2,7 @@
 has a caller or reader in the package or in perfbench, every attribute
 assigned on self is read in the package, every parameter is read in its
 function, and every default is overridden by some call; anything else is
-dead code.
+dead code.  A test function's kind is read in transforms alone.
 Test-only references
 live in tests/oracles.py, and each of its definitions has a caller in a
 test file."""
@@ -194,6 +194,19 @@ def test_every_default_is_passed():
                    for n, kws, spreads in calls.get(func, [])):
             never.append(f"{module}.{func}({param})")
     assert never == [], f"defaults that no call passes: {never}"
+
+
+def test_kind_is_read_in_transforms_only():
+    # which kind a test function is decides how transforms computes phi_hat,
+    # its derivatives and its integrals; every other module asks
+    # TestFunction for those.  checks.py is exempt: digamma_pair's Fejer
+    # tail envelope is the check's own physics
+    readers = sorted(f"{path.stem}.py:{node.lineno}" for path in SRC.glob("*.py")
+                     if path.stem not in ("transforms", "checks")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and node.attr == "kind"
+                     and isinstance(node.ctx, ast.Load))
+    assert readers == [], f"reads .kind outside transforms: {readers}"
 
 
 def test_every_oracle_has_a_caller():

@@ -73,17 +73,17 @@ def test_fejer_pair_identity():
 
 def test_fejer_derivs():
     f = make_fejer(1.5)
-    assert f.phi_hat_deriv0(0) == 1.0
-    assert f.phi_hat_deriv0(1) == -1.0 / 1.5
-    assert f.phi_hat_deriv0(5) == 0.0
-    assert abs(f.phi_hat_deriv1(0) - (1.0 - 1.0 / 1.5)) < 1e-15
-    assert f.phi_hat_deriv1(1) == -1.0 / 1.5
-    assert f.phi_hat_deriv1(2) == 0.0
+    assert f.phi_hat_deriv(0.0, 0) == 1.0
+    assert f.phi_hat_deriv(0.0, 1) == -1.0 / 1.5
+    assert f.phi_hat_deriv(0.0, 5) == 0.0
+    assert abs(f.phi_hat_deriv(1.0, 0) - (1.0 - 1.0 / 1.5)) < 1e-15
+    assert f.phi_hat_deriv(1.0, 1) == -1.0 / 1.5
+    assert f.phi_hat_deriv(1.0, 2) == 0.0
     # int_1^sigma (1 - u/sigma) du = (sigma-1)^2 / (2 sigma)
-    assert abs(f.phi_hat_tail_integral() - 0.25 / 3.0) < 1e-15
-    assert make_fejer(0.8).phi_hat_tail_integral() == 0.0
+    assert abs(f.phi_hat_integral(1.0, math.inf) - 0.25 / 3.0) < 1e-15
+    assert make_fejer(0.8).phi_hat_integral(1.0, math.inf) == 0.0
     with pytest.raises(ValueError):
-        f.phi_hat_deriv0(M_MAX + 1)
+        f.phi_hat_deriv(0.0, M_MAX + 1)
 
 
 # --- bump test function ------------------------------------------------------------
@@ -142,21 +142,44 @@ def test_bump_derivs_vs_finite_difference():
     assert abs(float(np.real(c[1])) - d1) < 1e-8
     assert abs(float(np.real(c[2])) - d2) < 1e-5
     # the packaged endpoints
-    assert abs(b.phi_hat_deriv0(0) - 1.0) < 1e-12
-    assert abs(b.phi_hat_deriv0(1)) < 1e-12  # even function, flat at 0
+    assert abs(b.phi_hat_deriv(0.0, 0) - 1.0) < 1e-12
+    assert abs(b.phi_hat_deriv(0.0, 1)) < 1e-12  # even function, flat at 0
     fd2 = (b.phi_hat(h) - 2 * b.phi_hat(0.0) + b.phi_hat(-h)) / (h * h)
-    assert abs(b.phi_hat_deriv0(2) - fd2) < 1e-4
+    assert abs(b.phi_hat_deriv(0.0, 2) - fd2) < 1e-4
     st1 = [b.phi_hat(1.0 + k * h) for k in (-2, -1, 0, 1, 2)]
     d1_at1 = (st1[0] - 8 * st1[1] + 8 * st1[3] - st1[4]) / (12 * h)
-    assert abs(b.phi_hat_deriv1(1) - d1_at1) < 1e-7
-    assert abs(b.phi_hat_deriv1(0) - b.phi_hat(1.0)) < 1e-12
+    assert abs(b.phi_hat_deriv(1.0, 1) - d1_at1) < 1e-7
+    assert abs(b.phi_hat_deriv(1.0, 0) - b.phi_hat(1.0)) < 1e-12
 
 
 def test_bump_tail_integral():
     b = make_bump(1.5)
     want, _ = scipy.integrate.quad(b.phi_hat, 1.0, 1.5, limit=400)
-    assert abs(b.phi_hat_tail_integral() - want) < 1e-12
-    assert make_bump(0.9).phi_hat_tail_integral() == 0.0
+    assert abs(b.phi_hat_integral(1.0, math.inf) - want) < 1e-12
+    assert make_bump(0.9).phi_hat_integral(1.0, math.inf) == 0.0
+
+
+def test_phi_hat_integral_against_mpmath():
+    # windows other than [0, 1] and [1, inf): inside the support, b past
+    # sigma, a at or past sigma, and a = b
+    for f in (make_fejer(1.5), make_bump(1.5)):
+        for a, b in ((0.2, 0.9), (0.3, 1.7), (1.1, math.inf), (0.0, 1.5)):
+            want = mp.quad(lambda u: f.phi_hat(float(u)), [a, min(b, 1.5)])
+            assert abs(f.phi_hat_integral(a, b) - float(want)) < 1e-13, (f, a, b)
+        for a, b in ((1.5, 2.0), (1.6, math.inf), (0.7, 0.7)):
+            assert f.phi_hat_integral(a, b) == 0.0
+
+
+def test_phi_hat_deriv_at_unit_support():
+    # sigma = 1 puts u0 = 1 on the support edge: the fejer triangle keeps
+    # its left-sided slope there, the bump is flat to every order; at 0 the
+    # bump is exp(-u^2 - u^4 - ...) = 1 - u^2 - u^4/2 - ...
+    f, b = make_fejer(1.0), make_bump(1.0)
+    assert [f.phi_hat_deriv(0.0, m) for m in range(4)] == [1.0, -1.0, 0.0, 0.0]
+    assert [f.phi_hat_deriv(1.0, m) for m in range(4)] == [0.0, -1.0, 0.0, 0.0]
+    assert [b.phi_hat_deriv(1.0, m) for m in range(4)] == [0.0] * 4
+    got = [b.phi_hat_deriv(0.0, m) for m in range(5)]
+    assert np.allclose(got, [1.0, 0.0, -2.0, 0.0, -12.0], rtol=0.0, atol=1e-11), got
 
 
 def test_test_function_equality():
@@ -175,8 +198,8 @@ def test_sigma_below_one_degenerate_values():
     for mk in (make_fejer, make_bump):
         f = mk(0.8)
         assert f.phi_hat(1.0) == 0.0
-        assert f.phi_hat_deriv1(0) == 0.0
-        assert f.phi_hat_tail_integral() == 0.0
+        assert f.phi_hat_deriv(1.0, 0) == 0.0
+        assert f.phi_hat_integral(1.0, math.inf) == 0.0
 
 
 # --- gaussian weight ----------------------------------------------------------------

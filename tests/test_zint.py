@@ -14,26 +14,10 @@ from quadhecke import zint
 from quadhecke.checks import _euler_symbol, _odd_elements, primary_products
 from quadhecke.zint import GInt
 
-from oracles import (UNITS, _UNIT_INV, i_images, moebius, primary_associate,
-                     squarefree_arrays_by_remainders)
+from oracles import (UNITS, _UNIT_INV, i_images, legendre_euler, moebius,
+                     primary_associate, squarefree_arrays_by_remainders)
 
 small_gint = st.builds(GInt, st.integers(-30, 30), st.integers(-30, 30))
-
-
-def odd_gints(bound):
-    out = []
-    m = math.isqrt(bound)
-    for a in range(-m - 1, m + 2):
-        for b in range(-m - 1, m + 2):
-            if (a + b) % 2 and 0 < a * a + b * b <= bound:
-                out.append(GInt(a, b))
-    return out
-
-
-def _euler_criterion(r, p):
-    """(r/p) for an odd prime p as r^((p-1)/2) mod p, read as 0 or +-1."""
-    v = pow(r, (p - 1) // 2, p)
-    return -1 if v == p - 1 else v
 
 
 # --- arithmetic and primary form ---------------------------------------------------
@@ -53,7 +37,7 @@ def test_conj_involution(a):
 def test_primary_congruence_brute():
     # primary means z = 1 mod (1+i)^3; exactly one associate of each odd z
     eight = GInt(-2, 2)     # (1+i)^3
-    for z in odd_gints(80):
+    for z in _odd_elements(80):
         flags = [zint.is_primary(u * z) for u in UNITS]
         assert sum(flags) == 1
         if zint.is_primary(z):
@@ -81,8 +65,8 @@ def test_primary_associate_closed_form():
 
 
 def test_gmod_exact_div():
-    for z in odd_gints(40):
-        for w in odd_gints(20):
+    for z in _odd_elements(40):
+        for w in _odd_elements(20):
             r = zint.gmod(z, w)
             assert zint.divides(w, z - r)
             assert r.norm() <= w.norm()  # canonical small representative
@@ -177,7 +161,7 @@ def test_symbol_square_set_brute():
             for y in range(-m, m + 1):
                 z = zint.gmod(GInt(x, y) * GInt(x, y), w)
                 seen.add((z.re, z.im))
-        for a in odd_gints(50):
+        for a in _odd_elements(50):
             r = zint.gmod(a, w)
             want = 0 if zint.divides(w, a) else \
                 (1 if (r.re, r.im) in seen else -1)
@@ -299,7 +283,7 @@ def test_legendre_table_matches_euler_criterion():
     for p in (3, 5, 7, 13, 17, 97, 1009):
         tab = zint.legendre_table(p)
         assert tab.dtype == np.int8 and tab.size == p
-        assert [int(v) for v in tab] == [_euler_criterion(r, p) for r in range(p)]
+        assert tab.tolist() == legendre_euler(np.arange(p), p).tolist()
 
 
 def test_smallest_prime_factors_against_factor_int():
@@ -352,7 +336,7 @@ def test_primes_above_matches_one_prime_form():
     # (-1)^((Re + Im - 1)/4), against the Euler criterion
     closed = 1 - 2 * (((re + im - 1) // 4) & 1)
     assert closed.tolist() == [
-        _euler_criterion(1 + t, p) for t, p in zip(s.tolist(), ps.tolist())]
+        legendre_euler(1 + t, p) for t, p in zip(s.tolist(), ps.tolist())]
     # only primes p = 1 mod 4, and products must fit in int64
     for n, match in ((7, "not 1 mod 4"), (9, "not prime"), (21, "not prime"),
                      (2 ** 31 + 1, "2\\^31"), (2 ** 31 + 9, "2\\^31")):
@@ -361,9 +345,19 @@ def test_primes_above_matches_one_prime_form():
 
 
 def test_norm_cap():
-    # the symbol keeps primes_above's cap: moduli of norm below 2^31 only
-    below, above = GInt(46340, 1), GInt(46341, 0)
-    assert below.norm() < 2 ** 31 <= above.norm()
-    assert zint.quad_symbol(GInt(1, 2), below) in (-1, 0, 1)
-    with pytest.raises(ValueError, match="2\\^31"):
-        zint.quad_symbol(GInt(1, 2), above)
+    # the symbol reduces on Python ints, past the 2^31 cap of primes_above:
+    # at a primary prime of norm 2^31 + 45 it matches the Euler criterion
+    varpi = GInt(-39677, -23942)
+    assert zint.is_primary(varpi) and varpi.norm() == 2 ** 31 + 45
+    box = [GInt(x, y) for x in range(-7, 8) for y in range(-7, 8) if x or y]
+    assert len(box) == 224
+    got = [zint.quad_symbol(a, varpi) for a in box]
+    assert got == [zint._symbol_prime_euler(a, varpi) for a in box]
+    assert set(got) == {-1, 1}
+    # the two constructors of primes still refuse 2^31 and above
+    for n in (2 ** 31 + 1, 2 ** 31 + 45):
+        with pytest.raises(ValueError, match="2\\^31"):
+            zint.primes_above(np.array([n]))
+    for bound in (2 ** 31, 2 ** 31 + 45):
+        with pytest.raises(ValueError, match="2\\^31"):
+            zint.primary_primes_up_to(bound)
