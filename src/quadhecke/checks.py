@@ -243,11 +243,15 @@ def refine_ycap(X=2000.0, phi="fejer:1.5"):
     return J_X(X, test, y_cap=6000.0)[0] - value, err
 
 
-def d_routes_agree(M=3):
-    """The largest |d_m(sieve) - d_m(analytic)| in units of the sieve
-    route's error bar, m = 1..M."""
-    pairs = zip(d_coefficients(M, route="sieve"), d_coefficients(M))
-    return max(abs(sieve - exact) / err for (sieve, err), (exact, _) in pairs), 1.0
+def d_ring_vs_combined():
+    """expansion's d_1..d_5 against route 2's own scalar combined prime
+    term: d_m = (-1)^(m-1) G^(m-1)(0)/(m-1)! with G(r) =
+    ratios._combined_analytic(r) + 1/r on a 64-point Cauchy ring of radius
+    0.2; the largest relative gap."""
+    ders = cauchy_derivs(lambda rs: np.array([ratios._combined_analytic(r) + 1.0 / r
+                                              for r in rs]), 0.0, 0.2, 4)
+    ring = [(-1) ** k * ders[k].real / math.factorial(k) for k in range(5)]
+    return max(abs(d - w) / abs(w) for (d, _), w in zip(d_coefficients(5), ring)), 1e-10
 
 
 def poisson(xs, n=None, tol=1e-10):
@@ -311,7 +315,7 @@ CHECKS = (
     ("refine_T_b08_2000", "full", partial(refinement, "bump:0.8", T=2.0 * ratios._T_CAP)),
     ("refine_h_b08_2000", "full", partial(refinement, "bump:0.8", h=0.5 * ratios._PANEL_H)),
     ("refine_ycap_J_2000", "full", refine_ycap),
-    ("d_routes_agree", "full", d_routes_agree),
+    ("d_ring_vs_combined", "full", d_ring_vs_combined),
     ("digamma_pair_bump", "exhaustive", partial(digamma_pair, "bump:1.5", 1e-8)),
     ("conductor_average_500", "exhaustive", partial(conductor_average, 500.0, 1.0)),
     ("prime_bridge_500", "exhaustive", partial(prime_bridge, 500.0, 1e-6)),

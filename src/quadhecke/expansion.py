@@ -39,19 +39,14 @@ and the c_w moments read every panel from a profile except one that holds
 a break of the weight, where phi_hat(1 -+ tau/L) ends its support or has
 its kink at tau = L; that panel is summed afresh, split at the break.
 
-The even prime sum expands into coefficients d_m built from four pieces:
-prime powers j >= 2, the alternating-geometric constants C1, the boundary
-value E(1) = -1 of E(t) = sum_{N <= t} log N - t, and the moments
-M_E(n) = int_1^inf E(t) log^n(t) t^(-2) dt.  M_E comes two ways: exact
-sieve integration below a cutoff with a zero-mean tail model bounded by the
-measured |E|/sqrt(t) envelope, or analytically from
-int_1^inf E(t) t^(-s-1) dt = -(1/s)(1 + H(s) + log2/(2^s-1) + PP(s))
-differentiated at s = 1, where H(s) = zeta_K'/zeta_K(s) + 1/(s-1) is
-zeta_K's log-derivative with the pole removed and PP collects prime powers
-k >= 2 of the norms below the cutoff b, whose tail b^(1-2s)/(2s-1) joins
-the smooth part.  The smooth part is differentiated on a Cauchy ring; PP's
-derivatives at s = 1 are prime-power sums taken exactly, j by j, and
-combined with 1/s by Leibniz.
+The even prime sum expands into coefficients d_m that are the Taylor
+coefficients at r = 0 of route 2's combined prime term with its pole
+removed, G(r) = 2 zeta_K'/zeta_K(1+2r) + 2 A_alpha(r, r) + 1/r:
+G(r) = sum_k g_k r^k and d_m = (-1)^(m-1) g_(m-1).  G is regular for
+|r| < 1/2.  A_alpha's prime sum is cut at the Euler-product cutoff with
+its integral tail in closed form (specfun.a_alpha_outside), so each d_m's
+error is refinement: its change when the cutoff drops tenfold plus its
+change when the Cauchy ring shrinks.
 """
 
 from __future__ import annotations
@@ -61,12 +56,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
+import numpy.polynomial.polynomial as npoly
+from scipy.special import gammaincc
 
 from . import zint
 from ._numerics import cauchy_derivs, dot, panel_layout, panel_nodes, read_only
 from .specfun import (_EULER_CUTOFF, _LOG_32_PI2, _PSI_HALF, EULER_GAMMA,
-                      default_context, hurwitz, zeta_K_log_deriv)
+                      a_alpha_outside, default_context, hurwitz, zeta_K_log_deriv)
 from .transforms import (TestFunction, WeightFunction, make_gaussian_weight)
 
 _G1_CUT = 112.0          # g1(y) below 1e-13 beyond this
@@ -252,143 +248,44 @@ def J_first_order(X: float, test: TestFunction,
 
 # --- even-sum coefficients d_m ------------------------------------------------------
 
-def _prime_norm_logs(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+def _g_taylor(M: int, cutoff: int, radius: float) -> np.ndarray:
+    """Taylor coefficients g_0..g_(M-1) of G at r = 0 (module docstring),
+    with A_alpha's odd prime sum cut at norm cutoff.
+
+    The smooth part 2 zeta_K'/zeta_K(1+2r) + 1/r + 2 a_alpha_outside goes
+    on the Cauchy ring of the given radius; G's nearest singularity is at
+    |r| = 1/2.  The prime sum 2 sum_N a_N sum_j N^-j e^(-2jr logN),
+    a_N = logN/(N+1), is taken exactly: its r^k coefficient is
+    2 sum_N a_N ((-2 logN)^k/k!) Li_(-k)(1/N), with
+    Li_(-k)(z) = P_k(z)/(1-z)^(k+1), P_0 = z and
+    P_(k+1) = z (P_k' (1-z) + (k+1) P_k).
+    """
+    fact = np.array([math.factorial(k) for k in range(M)], dtype=float)
+    ring = cauchy_derivs(lambda r: 2.0 * zeta_K_log_deriv(1.0 + 2.0 * r) + 1.0 / r
+                         + 2.0 * a_alpha_outside(r, cutoff), 0.0, radius, M - 1)
     norms = zint.prime_norms_up_to(cutoff).astype(float)
-    return norms, np.log(norms)
+    ln, z = np.log(norms), 1.0 / norms
+    term = 2.0 * ln / (norms + 1.0)
+    p = np.array([0.0, 1.0])              # P_0, lowest order first
+    out = ring.real / fact
+    for k in range(M):
+        out[k] += np.sum(term * npoly.polyval(z, p) / (1.0 - z) ** (k + 1)) / fact[k]
+        term = term * (-2.0 * ln)
+        p = npoly.polymulx(npoly.polyadd(npoly.polymul(npoly.polyder(p), [1.0, -1.0]),
+                                         (k + 1) * p))
+    return out
 
 
-def t_a_sum(n: int, cutoff: int = _EULER_CUTOFF) -> tuple[float, float]:
-    """sum over primary varpi, j >= 2 of logN (2j logN)^n N^-j / (1 + 1/N)."""
-    norms, ln = _prime_norm_logs(cutoff)
-    total = 0.0
-    j = 2
-    while True:
-        terms = ln * (2.0 * j * ln) ** n * norms ** (-float(j)) / (1.0 + 1.0 / norms)
-        s = float(np.sum(terms))
-        total += s
-        if s < 1e-18 * max(1.0, total) and j > 4:
-            break
-        j += 1
-    lb = math.log(cutoff)
-    tail = 4.0 ** n * math.exp(gammaln(n + 1)) * float(gammaincc(n + 1, lb))
-    return total, tail
-
-
-def c1_sum(n: int, cutoff: int = _EULER_CUTOFF) -> tuple[float, float]:
-    """C1(n) = -sum over varpi of (2 logN)^(n+1) / (N (N+1))."""
-    norms, ln = _prime_norm_logs(cutoff)
-    total = -float(np.sum((2.0 * ln) ** (n + 1) / (norms * (norms + 1.0))))
-    lb = math.log(cutoff)
-    tail = 2.0 ** (n + 1) * math.exp(gammaln(n + 2)) * float(gammaincc(n + 2, lb))
-    return total, tail
-
-
-def m_e_moment_sieve(n: int, cutoff: int = _EULER_CUTOFF) -> tuple[float, float]:
-    """int_1^cutoff E(t) log^n(t) t^-2 dt exactly from the sieve, zero tail model.
-
-    The reported error bounds the dropped tail by the measured |E|/sqrt(t)
-    envelope times int_cutoff^inf t^(-3/2) log^n t dt.
-    """
-    norms, ln = _prime_norm_logs(cutoff)
-    ts = np.concatenate(([1.0], norms, [float(cutoff)]))
-    cum = np.concatenate(([0.0], np.cumsum(ln)))   # sum logN on [t_k, t_{k+1})
-
-    def anti_a(t: np.ndarray) -> np.ndarray:
-        # int log^n t / t^2 dt = -(1/t) sum_{i<=n} (n!/i!) log^i t
-        lt = np.log(t)
-        s = np.zeros_like(t)
-        for i in range(n, -1, -1):
-            coef = math.factorial(n) / math.factorial(i)
-            s += coef * lt ** i
-        return -s / t
-
-    def anti_b(t: np.ndarray) -> np.ndarray:
-        return np.log(t) ** (n + 1) / (n + 1)
-
-    da = anti_a(ts[1:]) - anti_a(ts[:-1])
-    db = anti_b(ts[1:]) - anti_b(ts[:-1])
-    val = dot(cum, da) - float(np.sum(db))
-    sqs = np.sqrt(norms)
-    resid = np.abs(np.cumsum(ln) - norms) / sqs
-    lo = np.searchsorted(norms, cutoff ** 0.6)
-    env = float(np.max(resid[lo:])) if lo < norms.size else 3.0
-    lb = 0.5 * math.log(cutoff)
-    tail = env * 2.0 ** (n + 1) * math.exp(gammaln(n + 1)) * float(gammaincc(n + 1, lb))
-    return val, tail
-
-
-def m_e_moment_analytic(max_n: int, cutoff: int = _EULER_CUTOFF) -> list[float]:
-    """M_E(0..max_n) from the analytic continuation, differentiated at s = 1.
-
-    The smooth part -(1 + H(s) + log2/(2^s-1) + b^(1-2s)/(2s-1))/s is
-    differentiated on the Cauchy ring.  The prime powers -PP(s)/s, with
-    PP(s) = sum_N logN N^(-2s)/(1 - N^(-s)) = sum_N logN sum_{j>=2} N^(-js),
-    are differentiated exactly: PP^(i)(1) = (-1)^i A_i with
-    A_i = sum_N logN sum_{j>=2} (j logN)^i N^(-j), and Leibniz with
-    (1/s)^(k-i)(1) = (-1)^(k-i) (k-i)! gives (-1)^k times the k-th
-    derivative of -PP(s)/s as -k! sum_{i<=k} A_i / i!.
-    """
-    b = float(cutoff)
-
-    def smooth(s: np.ndarray) -> np.ndarray:
-        h = zeta_K_log_deriv(s) + 1.0 / (s - 1.0)
-        return -(1.0 + h + math.log(2.0) / (2.0 ** s - 1.0)
-                 + b ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)) / s
-
-    ders = cauchy_derivs(smooth, 1.0, 0.3, max_n)
-    norms, ln = _prime_norm_logs(cutoff)
-    a = np.zeros(max_n + 1)
-    j = 2
-    while ln.size:
-        term = ln * norms ** (-float(j))
-        jl = j * ln
-        for i in range(max_n + 1):
-            a[i] += float(np.sum(term))
-            term = term * jl
-        # drop a norm once its largest term is negligible: logN (j logN)^n
-        # N^-j still rises with j only while j logN < n, where it exceeds 1
-        keep = term / jl > 1e-20
-        norms, ln = norms[keep], ln[keep]
-        j += 1
-    return [((-1.0) ** k * ders[k]).real
-            - math.factorial(k) * sum(a[i] / math.factorial(i) for i in range(k + 1))
-            for k in range(max_n + 1)]
-
-
-def d_coefficients(M: int, cutoff: int = _EULER_CUTOFF,
-                   route: str = "analytic") -> list[tuple[float, float]]:
-    """d_1..d_M with per-entry error estimates.
-
-    route "analytic" differentiates the continued E-integral (tight errors);
-    route "sieve" integrates sieve data with a zero-mean tail model and
-    GRH-envelope error bars.
-    """
+def d_coefficients(M: int) -> list[tuple[float, float]]:
+    """d_1..d_M, d_m = (-1)^(m-1) g_(m-1) (module docstring), each with an
+    error from refinement: its change when the prime cutoff drops tenfold
+    plus its change when the ring radius drops from 0.2 to 0.15."""
     if not 1 <= M <= 6:
         raise ValueError("order must be in 1..6")
-    if route == "analytic":
-        me = m_e_moment_analytic(M - 1, cutoff)
-        me_err = [3e-6 * math.factorial(k) / 0.3 ** k for k in range(M)]
-    elif route == "sieve":
-        pairs = [m_e_moment_sieve(k, cutoff) for k in range(M)]
-        me = [p[0] for p in pairs]
-        me_err = [p[1] for p in pairs]
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    out = []
-    for m in range(1, M + 1):
-        fct = math.factorial(m - 1)
-        ta, ta_err = t_a_sum(m - 1, cutoff)
-        c1, c1_err = c1_sum(m - 1, cutoff)
-        val = -2.0 * ta / fct - c1 / fct - 2.0 ** m * me[m - 1] / fct
-        err = 2.0 * ta_err / fct + c1_err / fct + 2.0 ** m * me_err[m - 1] / fct
-        if m == 1:
-            val -= 2.0
-        if m >= 2:
-            f2 = math.factorial(m - 2)
-            val += 2.0 ** m * me[m - 2] / f2
-            err += 2.0 ** m * me_err[m - 2] / f2
-        out.append((val, err))
-    return out
+    g = _g_taylor(M, _EULER_CUTOFF, 0.2)
+    err = (np.abs(g - _g_taylor(M, _EULER_CUTOFF // 10, 0.2))
+           + np.abs(g - _g_taylor(M, _EULER_CUTOFF, 0.15)))
+    return [(float((-1) ** k * g[k]), float(err[k])) for k in range(M)]
 
 
 # --- assembly ---------------------------------------------------------------------

@@ -234,16 +234,22 @@ def A_closed_mr(r, zeta_2m2r=None):
     return complex(out) if out.ndim == 0 else out
 
 
+def a_alpha_outside(r, cutoff: int):
+    """The parts of A_alpha(r, r) outside its odd prime sum to norm cutoff
+    B: the term log2/(2^{1+2r}-1) of the prime 1+i and the integral tail
+    B^(-1-2r)/(1+2r) past B; complex scalar or array r."""
+    z = 1.0 + 2.0 * np.asarray(r, dtype=complex)
+    return math.log(2.0) / (2.0 ** z - 1.0) + float(cutoff) ** -z / z
+
+
 def A_alpha_series(r):
     """A_alpha(r, r) = log2/(2^{1+2r}-1) + sum logN/((N+1)(N^{1+2r}-1)),
     truncated with integral tail; needs Re(r) > -1/2."""
     r = complex(r)
-    B = _EULER_CUTOFF
-    norms = zint.prime_norms_up_to(B).astype(float)
+    norms = zint.prime_norms_up_to(_EULER_CUTOFF).astype(float)
     la = np.log(norms)
     terms = la / ((norms + 1.0) * (np.exp((1.0 + 2.0 * r) * la) - 1.0))
-    tail = B ** (-1.0 - 2.0 * r) / (1.0 + 2.0 * r)
-    return math.log(2.0) / (2.0 ** (1.0 + 2.0 * r) - 1.0) + complex(np.sum(terms)) + tail
+    return complex(a_alpha_outside(r, _EULER_CUTOFF) + np.sum(terms))
 
 
 _PP_CUT = 1000

@@ -6,7 +6,8 @@ per-character prime sums, S_even's divisor weights by a divisibility mask
 over the members, Legendre symbols by Euler's criterion, A_alpha by
 differencing the Euler product, the Moebius function read off
 checks.primary_products, the primary associate, the pointwise ratios
-integrand and the outer-product phase sum.
+integrand, the outer-product phase sum, and the even-sum coefficients d_m
+from four prime sums cut at a norm bound.
 Test files import from here; pytest does not collect it.
 """
 
@@ -15,10 +16,13 @@ import math
 
 import numpy as np
 
+from scipy.special import gammaincc, gammaln
+
 from quadhecke import ratios, zint
+from quadhecke._numerics import cauchy_derivs
 from quadhecke.checks import primary_products
 from quadhecke.empirical import DensityConfig, _family, _sj_coefs
-from quadhecke.specfun import A_alpha_series, A_euler, digamma
+from quadhecke.specfun import A_alpha_series, A_euler, digamma, zeta_K_log_deriv
 from quadhecke.transforms import TestFunction
 from quadhecke.zint import GInt
 
@@ -218,3 +222,73 @@ def ratios_integrand(t: float, norm_c: int, test: TestFunction, L: float) -> flo
     two_psi = 2.0 * digamma(0.5 + 1j * t).real
     bracket = rc + (pv * cmath.exp(-1j * t * mu)).real + mu + two_psi
     return bracket * float(test.phi(t * L / (2.0 * math.pi)))
+
+
+# --- the even-sum coefficients -------------------------------------------------------
+
+def d_four_pieces(M: int) -> list[tuple[float, float]]:
+    """d_1..d_M with error bars, from four pieces over the prime norms N <=
+    B = 10^6: the prime powers j >= 2, T(n) = sum logN (2j logN)^n N^-j /
+    (1 + 1/N); the constants C1(n) = -sum (2 logN)^(n+1) / (N(N+1)); the
+    boundary value E(1) = -1 of E(t) = sum_{N <= t} logN - t; and the
+    moments M_E(n) = int_1^inf E(t) log^n(t) t^-2 dt.  M_E comes from the
+    continuation int_1^inf E(t) t^(-s-1) dt = -(1 + H(s) + log2/(2^s-1) +
+    PP(s))/s at s = 1, H(s) = zeta_K'/zeta_K(s) + 1/(s-1) and PP(s) =
+    sum logN sum_{j>=2} N^-js: the smooth part, with PP's tail
+    B^(1-2s)/(2s-1), on a Cauchy ring, PP's derivatives exactly by
+    Leibniz.  T and C1 carry integral tail bounds, M_E a fixed
+    3e-6 k!/0.3^k."""
+    b = 1e6
+    norms = zint.prime_norms_up_to(int(b)).astype(float)
+    ln, lb = np.log(norms), math.log(b)
+
+    def t_a(n):
+        total, j = 0.0, 2
+        while True:
+            s = float(np.sum(ln * (2.0 * j * ln) ** n * norms ** (-float(j))
+                             / (1.0 + 1.0 / norms)))
+            total += s
+            if s < 1e-18 * max(1.0, total) and j > 4:
+                break
+            j += 1
+        return total, 4.0 ** n * math.exp(gammaln(n + 1)) * float(gammaincc(n + 1, lb))
+
+    def c1(n):
+        total = -float(np.sum((2.0 * ln) ** (n + 1) / (norms * (norms + 1.0))))
+        return total, 2.0 ** (n + 1) * math.exp(gammaln(n + 2)) * float(gammaincc(n + 2, lb))
+
+    def smooth(s):
+        h = zeta_K_log_deriv(s) + 1.0 / (s - 1.0)
+        return -(1.0 + h + math.log(2.0) / (2.0 ** s - 1.0)
+                 + b ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)) / s
+
+    # PP^(i)(1) = (-1)^i A_i, A_i = sum logN sum_{j>=2} (j logN)^i N^-j
+    ders = cauchy_derivs(smooth, 1.0, 0.3, M - 1)
+    a = np.zeros(M)
+    nn, ll, j = norms, ln, 2
+    while ll.size:
+        term, jl = ll * nn ** (-float(j)), j * ll
+        for i in range(M):
+            a[i] += float(np.sum(term))
+            term = term * jl
+        keep = term / jl > 1e-20
+        nn, ll, j = nn[keep], ll[keep], j + 1
+    me = [((-1.0) ** k * ders[k]).real
+          - math.factorial(k) * sum(a[i] / math.factorial(i) for i in range(k + 1))
+          for k in range(M)]
+    me_err = [3e-6 * math.factorial(k) / 0.3 ** k for k in range(M)]
+
+    out = []
+    for m in range(1, M + 1):
+        fct = math.factorial(m - 1)
+        (ta, ta_err), (cc, cc_err) = t_a(m - 1), c1(m - 1)
+        val = -2.0 * ta / fct - cc / fct - 2.0 ** m * me[m - 1] / fct
+        err = 2.0 * ta_err / fct + cc_err / fct + 2.0 ** m * me_err[m - 1] / fct
+        if m == 1:
+            val -= 2.0
+        else:
+            f2 = math.factorial(m - 2)
+            val += 2.0 ** m * me[m - 2] / f2
+            err += 2.0 ** m * me_err[m - 2] / f2
+        out.append((val, err))
+    return out

@@ -9,21 +9,22 @@ import pytest
 import scipy.integrate
 
 from quadhecke import expansion, zint
-from quadhecke._numerics import cauchy_derivs, panel_layout, panel_nodes
-from quadhecke.specfun import default_context, zeta_K_log_deriv
+from quadhecke._numerics import panel_layout, panel_nodes
+from quadhecke.specfun import default_context
 from quadhecke.transforms import make_bump, make_fejer
 
-from oracles import moebius
+from oracles import d_four_pieces, moebius
 
-# reference values for the gaussian weight at M = 2, analytic route,
-# cutoff 1e6; reproduced by this code and cross-checked against the
-# Laurent data of the ratios integrand (d_1 equals its constant term)
+# reference values for the gaussian weight at M = 2, the d_m from the
+# Taylor coefficients of G with A_alpha's prime sum cut at norm 1e6;
+# reproduced by this code and cross-checked against the Laurent data of
+# the ratios integrand (d_1 equals its constant term)
 D1_REF = 3.53163815581448
 CW1_REF = 0.773225665995813
 RW1_REF = -0.515483829572399
-D2_REF = 8.20292893372279
+D2_REF = 8.2028696716805
 CW2_REF = 3.05782650086198
-RW2_REF = -0.927434022331608
+RW2_REF = -0.927394520876965
 
 
 def test_prefactor(weight):
@@ -265,37 +266,6 @@ def test_d_support_matches_strided_loop(weight, y_cap):
     assert np.array_equal(tab.m, odd[r[odd] > 0].astype(float))
 
 
-def _m_e_full_ring(max_n, cutoff=10 ** 6):
-    """M_E(0..max_n) with the whole E-integral continuation, the prime
-    powers included, differentiated on the 64-node Cauchy ring."""
-    norms = zint.prime_norms_up_to(cutoff).astype(float)
-    ln = np.log(norms)
-    b = float(cutoff)
-
-    def F(s):
-        h = zeta_K_log_deriv(s) + 1.0 / (s - 1.0)
-        out = np.empty_like(s, dtype=complex)
-        for i, si in enumerate(s):
-            nz = np.exp(-si * ln)
-            pp = np.dot(ln, nz * nz / (1.0 - nz))
-            pp += b ** (1.0 - 2.0 * si) / (2.0 * si - 1.0)
-            out[i] = -(1.0 + h[i] + math.log(2.0) / (2.0 ** si - 1.0) + pp) / si
-        return out
-
-    ders = cauchy_derivs(F, 1.0, 0.3, max_n)
-    return [((-1.0) ** k * ders[k]).real for k in range(max_n + 1)]
-
-
-def test_m_e_moment_analytic_matches_full_ring():
-    # the prime powers' derivatives are summed exactly, the rest on the ring
-    want = _m_e_full_ring(5)
-    for max_n in range(6):
-        got = expansion.m_e_moment_analytic(max_n)
-        assert len(got) == max_n + 1
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-13 * abs(w)
-
-
 def test_J_first_order_dies_below_sigma_one(weight):
     # phi_hat(1) = 0 for sigma <= 1, so the first-order term vanishes
     assert expansion.J_first_order(500.0, make_fejer(0.8), weight) == 0.0
@@ -323,17 +293,32 @@ def test_kernel_tables_built_once(fejer15, weight):
     assert after.hits + after.misses - before.hits - before.misses == 4
 
 
-def test_d_routes_agree():
-    an = expansion.d_coefficients(2, 10 ** 6, "analytic")
-    sv = expansion.d_coefficients(2, 10 ** 6, "sieve")
-    for (va, ea), (vs, es) in zip(an, sv):
-        assert abs(va - vs) <= ea + es
-    assert abs(an[0][0] - D1_REF) < 1e-9
-    assert abs(an[1][0] - D2_REF) < 1e-7
+def test_d_matches_four_piece_oracle():
+    # the four prime sums cut at 1e6 approach G's Taylor coefficients by a
+    # factor 6 to 9 per decade of cutoff, inside their own bars; d_1 has
+    # no cutoff bias
+    got = expansion.d_coefficients(5)
+    want = d_four_pieces(5)
+    for (g, _), (w, bar) in zip(got, want):
+        assert abs(g - w) <= bar
+    assert abs(got[0][0] - want[0][0]) <= 1e-12
+    assert abs(got[0][0] - D1_REF) < 1e-9
+    assert abs(got[1][0] - D2_REF) < 1e-7
     with pytest.raises(ValueError):
         expansion.d_coefficients(0)
-    with pytest.raises(ValueError):
-        expansion.d_coefficients(2, route="bogus")
+
+
+def test_d_error_covers_refinement():
+    # the bar is derived, not fixed: the cutoff dropped tenfold plus the
+    # ring radius dropped to 0.15, and it covers the cutoff raised tenfold
+    d = expansion.d_coefficients(5)
+    g = expansion._g_taylor(5, 10 ** 6, 0.2)
+    derived = (np.abs(g - expansion._g_taylor(5, 10 ** 5, 0.2))
+               + np.abs(g - expansion._g_taylor(5, 10 ** 6, 0.15)))
+    assert [e for _, e in d] == derived.tolist()
+    fine = expansion._g_taylor(5, 10 ** 7, 0.2)
+    for k, (v, e) in enumerate(d):
+        assert abs((-1) ** k * fine[k] - v) <= e
 
 
 def _digamma_moment_quad(m: int, refine: int = 1) -> float:

@@ -275,3 +275,18 @@ def test_numerics_imports_no_package_module():
         elif isinstance(node, ast.Import):
             inside += [a.name for a in node.names if a.name.split(".")[0] == "quadhecke"]
     assert inside == [], f"_numerics imports from the package: {inside}"
+
+
+def test_expansion_imports_no_route_module():
+    # ratios imports expansion, so expansion importing ratios would be a
+    # cycle; route 3 builds its d_m from specfun, not from route 2 or route 1
+    tree = ast.parse((SRC / "expansion.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").split(".")[-1])
+            if node.level and not node.module:
+                names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[-1] for a in node.names)
+    assert not names & {"ratios", "empirical"}, f"expansion imports {names}"
