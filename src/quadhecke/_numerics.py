@@ -1,6 +1,8 @@
 """Shared numerical helpers: panel quadrature, phase sums on the panel
-grid by non-uniform FFT, Chebyshev table fills, table interpolation,
-BLAS-free dot products, alternating-series acceleration.
+grid by non-uniform FFT (the Gaussian spread one sparse product per chunk
+of sources, a scipy sparsetools C loop that calls no BLAS), Chebyshev
+table fills, table interpolation, BLAS-free dot products,
+alternating-series acceleration.
 
 Nothing here knows about number fields; keep it that way.
 """
@@ -47,18 +49,18 @@ def panel_nodes(a: float, b: float, h: float, n: int = 12,
     Panel layout depends only on (a, b, h, n, breaks), so repeated runs
     reduce in identical order.
     """
-    edges = [a]
-    for c in sorted(set(breaks)):
-        if a < c < b:
-            edges.append(c)
-    edges.append(b)
+    edges = [a, *(c for c in sorted(set(breaks)) if a < c < b), b]
+    x, w = leggauss(n)
     xs, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
+        # every panel of the segment at once, by gl_nodes' own float
+        # operations, so the nodes equal a per-panel gl_nodes loop's
         m, step = panel_layout(lo, hi, h)
-        for k in range(m):
-            x, w = gl_nodes(lo + k * step, lo + (k + 1) * step, n)
-            xs.append(x)
-            ws.append(w)
+        k = np.arange(m)[:, None]
+        start = lo + k * step
+        half = 0.5 * ((lo + (k + 1) * step) - start)
+        xs.append((start + half * (x + 1.0)).ravel())
+        ws.append((half * w).ravel())
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -84,8 +86,9 @@ def phase_sum(T: float, h: float, mu: np.ndarray, weights: np.ndarray) -> np.nda
     sum over k is a type-1 non-uniform FFT with sources x_n = step mu_n
     (mod 2 pi) and strengths weights_n exp(-i c_j mu_n).  All 12 c of them
     share one Gaussian spread (Greengard & Lee, SIAM Rev. 46, 2004) onto a
-    periodic grid _NUFFT_OVERSAMPLE times the panel count, one FFT down
-    the (grid, 12 c) array and the closed-form deconvolution
+    periodic grid _NUFFT_OVERSAMPLE times the panel count, one sparse
+    product per chunk of sources (no BLAS, so no thread-count dependence),
+    one FFT down the (grid, 12 c) array and the closed-form deconvolution
     sqrt(pi/tau) exp(kappa^2 tau).  Modes are centred on panel k0 = m//2,
     whose phase the strengths carry, so |kappa| <= m/2.
     """
@@ -112,8 +115,12 @@ def _gaussian_spread(mu, w, step: float, phase0, grid: int, tau: float) -> np.nd
     """The strengths w_n exp(-i phase0 mu_n), one column per phase0 entry
     and column of w, spread by the Gaussian exp(-d^2/4 tau) onto the
     periodic grid at x_n = step mu_n: a (grid, len(phase0) c) array.  Each
-    float column is one bincount over the sources' tap rows, so memory
-    stays at the spread and one chunk of sources."""
+    chunk of sources is one sparse product, the (grid, sources) CSC matrix
+    of their taps times their float strengths; scipy's sparsetools loop
+    adds each cell's terms in source order, without BLAS, so the sum does
+    not depend on the thread count, and memory stays at the spread and one
+    chunk of sources."""
+    from scipy.sparse import csc_array  # loaded here: start-up and density runs never spread
     hg = 2.0 * math.pi / grid
     taps = np.arange(1 - _NUFFT_HALF_WIDTH, _NUFFT_HALF_WIDTH + 1)
     chunk = max(1, _NUFFT_CHUNK // w.shape[1])
@@ -126,9 +133,9 @@ def _gaussian_spread(mu, w, step: float, phase0, grid: int, tau: float) -> np.nd
         x = step * mu_c
         near = np.floor(x / hg).astype(np.int64)[:, None] + taps
         kern = np.exp(-(near * hg - x[:, None]) ** 2 / (4.0 * tau))
-        rows = (near % grid).ravel()
-        for q, col in enumerate(strength.view(float).T):
-            spread[:, q] += np.bincount(rows, (kern * col[:, None]).ravel(), grid)
+        spread_op = csc_array((kern.ravel(), (near % grid).ravel(),
+                               np.arange(0, near.size + 1, taps.size)), shape=(grid, mu_c.size))
+        spread += spread_op @ strength.view(float)
     return spread.view(complex)
 
 

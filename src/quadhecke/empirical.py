@@ -113,6 +113,11 @@ class _Family:
         b = np.arange(0, 1 - b_lo, 2)
         return read_only(grid), np.stack((b, -b)), a_lo + (1 - b - a_lo) % 4
 
+    @cached_property
+    def log_norm_sum(self) -> float:
+        """sum of w0(c) log N(c) over one associate of each member."""
+        return math.fsum(self.w0 * np.log(self.norm.astype(float)))
+
 
 def _family(cfg: DensityConfig) -> _Family:
     """The family of cfg, built once per (X, R, weight): the fields that
@@ -385,7 +390,7 @@ def one_level_density(cfg: DensityConfig) -> DensityReport:
     fam = _family(cfg)
     L = cfg.L
     p0 = float(cfg.test.phi_hat(0.0))
-    cond = p0 / (L * fam.W) * 4.0 * math.fsum(fam.w0 * np.log(fam.norm.astype(float)))
+    cond = p0 / (L * fam.W) * 4.0 * fam.log_norm_sum
     gconst = p0 / L * (_LOG_32_PI2 + 2.0 * _PSI_HALF)
     integ = digamma_integral_term(cfg.test, L)
     sev, n_even = s_even(cfg, fam)

@@ -6,8 +6,9 @@ per-character prime sums, S_even's divisor weights by a divisibility mask
 over the members, Legendre symbols by Euler's criterion, A_alpha by
 differencing the Euler product, the Moebius function read off
 checks.primary_products, the primary associate, the pointwise ratios
-integrand, the outer-product phase sum, and the even-sum coefficients d_m
-from four prime sums cut at a norm bound.
+integrand, the outer-product phase sum, the even-sum coefficients d_m
+from four prime sums cut at a norm bound, GL panels one gl_nodes call at a
+time, and the NUFFT's Gaussian spread one bincount per float column.
 Test files import from here; pytest does not collect it.
 """
 
@@ -19,7 +20,8 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from quadhecke import ratios, zint
-from quadhecke._numerics import cauchy_derivs
+from quadhecke._numerics import (_NUFFT_CHUNK, _NUFFT_HALF_WIDTH, cauchy_derivs, gl_nodes,
+                                 panel_layout)
 from quadhecke.checks import primary_products
 from quadhecke.empirical import DensityConfig, _family, _sj_coefs
 from quadhecke.specfun import A_alpha_series, A_euler, digamma, zeta_K_log_deriv
@@ -36,6 +38,39 @@ _UNIT_INV = {GInt(1, 0): GInt(1, 0), GInt(0, 1): GInt(0, -1),
 def outer_phase_sum(t):
     """sums(mu, w) = sum_n w_n exp(-i t mu_n) at every t by the outer product."""
     return lambda mu, w: np.exp(-1j * np.multiply.outer(t, mu)) @ w
+
+
+def panel_nodes_by_panel(a, b, h, n, breaks):
+    """_numerics.panel_nodes one gl_nodes call per panel."""
+    edges = [a] + [c for c in sorted(set(breaks)) if a < c < b] + [b]
+    xs, ws = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m, step = panel_layout(lo, hi, h)
+        for k in range(m):
+            x, w = gl_nodes(lo + k * step, lo + (k + 1) * step, n)
+            xs.append(x)
+            ws.append(w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def gaussian_spread_columns(mu, w, step, phase0, grid, tau):
+    """_numerics._gaussian_spread one bincount over the tap rows per float
+    column of the strengths, in the same chunks of sources."""
+    hg = 2.0 * math.pi / grid
+    taps = np.arange(1 - _NUFFT_HALF_WIDTH, _NUFFT_HALF_WIDTH + 1)
+    chunk = max(1, _NUFFT_CHUNK // w.shape[1])
+    spread = np.zeros((grid, 2 * phase0.size * w.shape[1]))
+    for n0 in range(0, mu.size, chunk):
+        mu_c = mu[n0:n0 + chunk]
+        phase = np.exp(-1j * np.multiply.outer(mu_c, phase0))
+        strength = (phase[:, :, None] * w[n0:n0 + chunk, None, :]).reshape(mu_c.size, -1)
+        x = step * mu_c
+        near = np.floor(x / hg).astype(np.int64)[:, None] + taps
+        kern = np.exp(-(near * hg - x[:, None]) ** 2 / (4.0 * tau))
+        rows = (near % grid).ravel()
+        for q, col in enumerate(strength.view(float).T):
+            spread[:, q] += np.bincount(rows, (kern * col[:, None]).ravel(), grid)
+    return spread.view(complex)
 
 
 # --- Z[i] --------------------------------------------------------------------------

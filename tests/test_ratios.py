@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from quadhecke import checks, empirical, ratios, specfun
-from quadhecke._numerics import phase_sum
+from quadhecke import _numerics, checks, empirical, ratios, specfun
+from quadhecke._numerics import _NUFFT_CHUNK, panel_nodes, phase_sum
 from quadhecke.empirical import DensityConfig, s_even_main_form
 from quadhecke.transforms import make_fejer
 
-from oracles import outer_phase_sum, ratios_integrand
+from oracles import (gaussian_spread_columns, outer_phase_sum, panel_nodes_by_panel,
+                     ratios_integrand)
 
 # Taylor data at the origin, frozen from a Cauchy-ring extraction: Re
 # combined(it) = C0 - C2 t^2 and Psi(r) = 1/r + P0 + P1 r + P2 r^2 + ...
@@ -194,7 +195,6 @@ def test_axis_profile_matches_pointwise(T):
 
 def _dual_average_oracle(T, h, mu, weights):
     # the direct outer product over every node, in blocks of 256 nodes
-    from quadhecke._numerics import panel_nodes
     nodes, _ = panel_nodes(0.0, T, h, 12)
     return np.concatenate([np.exp(-1j * np.multiply.outer(nodes[i:i + 256], mu)) @ weights
                            for i in range(0, nodes.size, 256)])
@@ -247,6 +247,50 @@ def test_dual_phase_average_matches_outer_product(fejer15, weight, source, T, co
         for col in range(columns):
             alone = phase_sum(T, 0.25, mu, w[:, col])
             assert np.max(np.abs(got[:, col] - alone)) <= 1e-15 * scale[col]
+
+
+@pytest.mark.parametrize("T, n, columns", [
+    pytest.param(150.0, 2 * _NUFFT_CHUNK + 100, 1, id="chunks"),
+    # four columns, twelve orders of magnitude apart, in chunks of 2048
+    pytest.param(150.0, 3000, 4, id="matrix"),
+    pytest.param(100.1, 600, 1, id="wrap"),
+    # grid 3 < 24 taps: every source lands on each grid row eight times
+    pytest.param(0.2, 50, 1, id="one-panel"),
+])
+def test_spread_matches_bincount_oracle(monkeypatch, T, n, columns):
+    # the sparse product adds each grid cell's terms in source order, and
+    # so does one bincount per float column: the spreads agree bit for bit.
+    # Step mu spans several periods of 2 pi and crosses zero, so sources
+    # wrap around the periodic grid from both ends
+    rng = np.random.default_rng(5)
+    mu = rng.uniform(-40.0, 80.0, n)
+    w = rng.standard_normal((n, columns)) * 10.0 ** (4.0 * np.arange(columns))
+    spreads = []
+    sparse_spread = _numerics._gaussian_spread
+
+    def both(*args):
+        got = sparse_spread(*args)
+        spreads.append((got, gaussian_spread_columns(*args)))
+        return got
+
+    monkeypatch.setattr(_numerics, "_gaussian_spread", both)
+    phase_sum(T, 0.25, mu, w)
+    [(got, want)] = spreads
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("a, b, h, breaks", [
+    pytest.param(0.0, 10.0, 0.7, (-1.0, 12.0), id="breaks-outside"),
+    pytest.param(0.0, 10.0, 0.7, (0.0, 10.0), id="breaks-at-ends"),
+    pytest.param(0.0, 10.0, 0.7, (6.1, 3.3, 3.3), id="duplicate-breaks"),
+    pytest.param(0.0, 0.2, 0.25, (), id="one-panel"),
+    pytest.param(1e-12, 60.0, 0.5, (7.3,), id="digamma-integral"),
+])
+def test_panel_nodes_match_per_panel_loop(a, b, h, breaks):
+    # all panels of a segment in one broadcast, with gl_nodes' operations
+    x, w = panel_nodes(a, b, h, 12, breaks)
+    want_x, want_w = panel_nodes_by_panel(a, b, h, 12, breaks)
+    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
 
 
 @pytest.mark.parametrize("T, h", [(600.0, 0.0), (600.0, -1.0), (-5.0, 0.25),

@@ -10,6 +10,8 @@ test file."""
 import ast
 import importlib
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -275,6 +277,18 @@ def test_numerics_imports_no_package_module():
         elif isinstance(node, ast.Import):
             inside += [a.name for a in node.names if a.name.split(".")[0] == "quadhecke"]
     assert inside == [], f"_numerics imports from the package: {inside}"
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # only the NUFFT spread needs scipy.sparse, and it loads it there: the
+    # CLI's start-up (--version) and the density route do without it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quadhecke.cli; print('scipy.sparse' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_expansion_imports_no_route_module():
