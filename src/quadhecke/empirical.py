@@ -25,8 +25,9 @@ primes above it, at the i-images of zint.primes_above as for odd j.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -93,6 +94,9 @@ class _Family:
     norm: np.ndarray
     w0: np.ndarray          # weight of one associate; each c0 stands for 4
     W: float                # total family weight, all associates
+    # s_odd's test-function-free family sum per rational prime on the prime
+    # side: split p = 1 mod 8 up to R X and inert q, see s_odd
+    prime_sums: dict[int, float] = field(default_factory=dict, repr=False)
 
     @property
     def size(self) -> int:
@@ -200,12 +204,16 @@ def _by_q(key: tuple[int, int | None] | None) -> int:
 
 
 def _run_jobs(n: int, worker, threads: int) -> None:
+    """worker(i0, i1) over [0, n) in up to `threads` chunks, run by at most
+    one OS thread per CPU.  Workers write their results by index, so
+    neither the chunk layout nor the worker count changes the bits."""
     if threads <= 1 or n < 8:
         worker(0, n)
         return
     step = -(-n // threads)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = [ex.submit(worker, i, min(i + step, n)) for i in range(0, n, step)]
+    starts = range(0, n, step)
+    with ThreadPoolExecutor(max_workers=min(len(starts), os.cpu_count() or 1)) as ex:
+        futs = [ex.submit(worker, i, min(i + step, n)) for i in starts]
         for f in futs:
             f.result()
 
@@ -231,7 +239,10 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     family sum of (N(c)/q).  Primes up to the family norm bound read T_p
     off windows of the Legendre table mod p along the rows of fam.rows, see
     _row_sum.  Larger p divide no member, so those T_p are summed member by
-    member through reciprocity, see _member_sums.
+    member through reciprocity, see _member_sums.  The prime side's sums
+    depend on the family alone: they are kept in fam.prime_sums, so a later
+    call on the same family, at any test function, computes only the
+    primes it does not yet hold.
     """
     fam = fam or _family(cfg)
     L = cfg.L
@@ -253,23 +264,29 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     coefs_q = _sj_coefs(np.array(inert, dtype=float) ** 2, L, cfg.test, 1)
     g = coefs_p * 4.0 * f
 
-    # prime side: every p <= bound and every inert q
+    # prime side: every p <= bound and every inert q, each through its sum
+    # in fam.prime_sums, filled here for the primes it lacks
     n_small = int(np.count_nonzero(P <= bound))
-    contrib = np.zeros(n_small + len(inert))
+    keys = P[:n_small].tolist() + inert
+    sums = fam.prime_sums
+    todo = [k for k, p in enumerate(keys) if p not in sums]
+    new = np.zeros(len(todo))
     rows = fam.rows
 
     def worker(i0: int, i1: int) -> None:
-        for k in range(i0, i1):
+        for j in range(i0, i1):
+            k = todo[j]
+            table = zint.legendre_table(keys[k])
             if k < n_small:
-                table = zint.legendre_table(int(P[k]))
-                contrib[k] = g[k] * _row_sum(rows, table, int(S[k]))
+                new[j] = _row_sum(rows, table, int(S[k]))
             else:
-                q = inert[k - n_small]
-                table = zint.legendre_table(q)
-                contrib[k] = coefs_q[k - n_small] * 4.0 * table[32 % q] \
-                    * dot(fam.w0, table[fam.norm % q])
+                q = keys[k]
+                new[j] = table[32 % q] * dot(fam.w0, table[fam.norm % q])
 
-    _run_jobs(contrib.size, worker, cfg.threads)
+    _run_jobs(len(todo), worker, cfg.threads)
+    sums.update(zip((keys[k] for k in todo), new.tolist()))
+    contrib = np.concatenate((g[:n_small], coefs_q * 4.0)) \
+        * np.array([sums[p] for p in keys])
     parts = [contrib]
     if n_small < P.size:
         parts.append(_member_sums(fam, bound, P[n_small:], A[n_small:], B[n_small:],

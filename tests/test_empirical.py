@@ -3,6 +3,7 @@
 import math
 import os
 import subprocess
+from concurrent.futures import Future
 import sys
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import pytest
 
 from quadhecke import empirical, zint
 from quadhecke.empirical import DensityConfig, one_level_density
-from quadhecke.transforms import make_bump, make_fejer, make_gaussian_weight
+from quadhecke.transforms import (WeightFunction, make_bump, make_fejer,
+                                  make_gaussian_weight)
 from quadhecke.zint import GInt
 
 from oracles import legendre_euler, moebius, s_even_members, s_total_family_outer
@@ -276,15 +278,127 @@ def test_member_sums_build_tables_per_prime(weight, monkeypatch):
     assert sum(b <= a for a, b in zip(calls, calls[1:])) <= 1
 
 
-def test_s_odd_threads_bitwise_invariant(weight):
+class _NarrowWeight(WeightFunction):
+    """w(x) = exp(-2 pi x^2): another weight, so another family."""
+
+    name = "gaussian-narrow"
+
+    @staticmethod
+    def w(x):
+        return WeightFunction.w(math.sqrt(2.0) * np.asarray(x, dtype=float))
+
+
+@pytest.mark.parametrize("first, then", [
+    # the same family, so the later call reads the prime side's sums
+    ((8000.0, make_fejer(0.8)), (8000.0, make_bump(0.8))),      # the same primes
+    ((8000.0, make_fejer(0.8)), (8000.0, make_fejer(0.5))),     # fewer primes
+    ((8000.0, make_fejer(0.5)), (8000.0, make_fejer(0.8))),     # more primes
+    ((2000.0, make_fejer(0.8)), (2000.0, make_fejer(1.5))),     # more, and the member side
+    ((2000.0, make_fejer(1.5)), (2000.0, make_bump(1.2))),      # fewer, and the member side
+    # another family, differing in X, in R or in the weight: none of its
+    # sums are read
+    ((2001.0, make_fejer(0.8)), (2000.0, make_fejer(0.8))),
+    ((2000.0, make_fejer(0.8), 3.0), (2000.0, make_fejer(0.8))),
+    ((2000.0, make_fejer(0.8), 4.0, _NarrowWeight()), (2000.0, make_fejer(0.8))),
+])
+def test_s_odd_memo_matches_cold_calls(weight, first, then):
+    # a call after another one gives the bits of a call on a fresh family
+    def config(X, test, R=4.0, w=weight):
+        return DensityConfig(X, test, w, R=R)
+
+    cfg = config(*then)
+    empirical._family_of.cache_clear()
+    cold = empirical.s_odd(cfg)
+    empirical._family_of.cache_clear()
+    empirical.s_odd(config(*first))
+    assert empirical._family(config(*first)).prime_sums
+    assert empirical.s_odd(cfg) == cold
+
+
+def test_s_odd_memo_hit_builds_nothing(weight, monkeypatch):
+    # once a prime's sum is on the family, no later call builds its table or
+    # row sum again; a wider support builds its new primes alone, once each
+    X = 8000.0
+    empirical._family_of.cache_clear()
+    empirical.s_odd(DensityConfig(X, make_fejer(0.8), weight))
+    sums = empirical._family(DensityConfig(X, make_fejer(0.8), weight)).prime_sums
+    held = set(sums)
+    built, summed = [], []
+    table, row_sum = zint.legendre_table, empirical._row_sum
+    monkeypatch.setattr(zint, "legendre_table", lambda q: built.append(q) or table(q))
+    monkeypatch.setattr(empirical, "_row_sum", lambda rows, tab, s, *on:
+                        summed.append(tab.size) or row_sum(rows, tab, s, *on))
+    for test in (make_bump(0.8), make_fejer(0.5), make_fejer(0.8)):
+        empirical.s_odd(DensityConfig(X, test, weight))
+    assert built == [] and summed == []
+    empirical.s_odd(DensityConfig(X, make_fejer(0.95), weight))
+    new = set(sums) - held
+    assert len(new) > 50 and sorted(built) == sorted(new)
+    assert sorted(summed) == sorted(p for p in new if p % 8 == 1)
+    # another family holds none of them: it builds every sum it holds
+    other = DensityConfig(X + 1.0, make_fejer(0.95), weight)
+    built.clear()
+    empirical.s_odd(other)
+    assert sorted(built) == sorted(empirical._family(other).prime_sums)
+
+
+class _InlineExecutor:
+    """Stands in for ThreadPoolExecutor: records each max_workers and runs
+    every job inline, so no thread starts."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_run_jobs_caps_os_threads(monkeypatch):
+    # any thread count is accepted, but at most one OS thread per CPU
+    # starts; the chunks stay one per thread asked for
+    sizes = _InlineExecutor.sizes
+    monkeypatch.setattr(empirical, "ThreadPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(empirical.os, "cpu_count", lambda: 4)
+    for n, threads, size, chunks in [
+        (3449, 100000, 4, [(i, i + 1) for i in range(3449)]),
+        (10, 3, 3, [(0, 4), (4, 8), (8, 10)]),
+        (10, 5, 4, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]),
+    ]:
+        ran = []
+        sizes.clear()
+        empirical._run_jobs(n, lambda i0, i1: ran.append((i0, i1)), threads)
+        assert sizes == [size] and ran == chunks, (n, threads)
+    monkeypatch.setattr(empirical.os, "cpu_count", lambda: None)
+    sizes.clear()
+    empirical._run_jobs(100, lambda i0, i1: None, 8)
+    assert sizes == [1]
+
+
+def test_s_odd_threads_bitwise_invariant(weight, monkeypatch):
     for X, test in [
         (2000.0, make_fejer(1.5)),      # the member side runs
         (32000.0, make_fejer(0.8)),     # every prime read off the rows
     ]:
         want = None
-        for threads in (1, 2, 3):
-            cfg = DensityConfig(X, test, weight, threads=threads)
-            got = empirical.s_odd(cfg), empirical.s_even(cfg)
+        for threads in (1, 2, 3, 100000):
+            with monkeypatch.context() as m:
+                if threads > 3:
+                    # one chunk per prime and per member group, run inline
+                    m.setattr(empirical, "ThreadPoolExecutor", _InlineExecutor)
+                # a fresh family, so each count computes the prime side's sums
+                empirical._family_of.cache_clear()
+                cfg = DensityConfig(X, test, weight, threads=threads)
+                got = empirical.s_odd(cfg), empirical.s_even(cfg)
             assert want is None or got == want, (X, threads)
             want = got
         # the member side runs for sigma > 1 only
@@ -329,7 +443,9 @@ def test_blas_threads_bitwise_invariant():
 
 def test_threads_bitwise_invariant(weight):
     f = make_fejer(1.5)
+    empirical._family_of.cache_clear()
     r1 = one_level_density(DensityConfig(120.0, f, weight, threads=1))
+    empirical._family_of.cache_clear()
     r3 = one_level_density(DensityConfig(120.0, f, weight, threads=3))
     assert r1.S_odd == r3.S_odd
     assert r1.S_even == r3.S_even
