@@ -20,7 +20,8 @@ from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         _family, poisson_pair, s_even_main_form)
 from .expansion import J_X, d_coefficients, phi_sf_limit, phi_sf_partial
 from .specfun import (_LOG_32_PI2, _PSI_HALF, A_closed_mr, A_euler, EULER_GAMMA,
-                      X_c, default_context, digamma, zeta_K)
+                      X_c, default_context, digamma, log_conductor, zeta_K,
+                      zeta_K_prime_0)
 from .transforms import make_gaussian_weight, mellin_identity_check, parse_test_function
 
 
@@ -30,8 +31,7 @@ def _config(X: float, phi: str = "fejer:1.5") -> DensityConfig:
 
 def zeta_k_prime_at_0():
     ctx = default_context()
-    return (ctx.zetaK0_prime
-            - (ctx.gamma_K / math.pi - (math.log(math.pi) + EULER_GAMMA) / 2.0)), 1e-9
+    return ctx.zetaK0_prime - zeta_K_prime_0(ctx.gamma_K), 1e-9
 
 
 def weight_mass(X=1e5):
@@ -137,7 +137,7 @@ def xc_form(norm_c=5, ts=(0.1, 0.5, 2.0, 10.0), delta=1e-6):
     for t in ts:
         s = 0.5 + 1j * float(t)
         ld = (X_c(s + delta, norm_c) - X_c(s - delta, norm_c)) / (2.0 * delta * X_c(s, norm_c))
-        three = (ratios._mu_of(norm_c) + complex(digamma(0.5 - 1j * t))
+        three = (log_conductor(norm_c) + complex(digamma(0.5 - 1j * t))
                  + complex(digamma(0.5 + 1j * t)))
         worst = max(worst, abs(three + ld))
     return worst, 1e-6
@@ -162,8 +162,7 @@ def conductor_average(X=2000.0, c=3.0):
     """Family average of log(32 N(c)/pi^2) against its smoothed closed form
     L + log(32/pi^2) + 2 Mw'(1)/w_hat(0); the gap decays like X^{-1/2}."""
     cfg = _config(X)
-    norms, wn, fam = ratios._norm_groups(cfg)
-    m1 = math.fsum(wn * np.log(32.0 * norms / math.pi ** 2)) / fam.W
+    m1 = _family(cfg).conductors[2]
     closed = cfg.L + _LOG_32_PI2 + 2.0 * cfg.weight.mw_prime_1 / cfg.weight.w_hat0
     return m1 - closed, c * X ** -0.5
 

@@ -34,7 +34,7 @@ from . import __version__, ratios, zint
 from .empirical import DensityConfig, one_level_density
 from .expansion import (expansion_coefficients, J_X, J_first_order,
                         phi_sf_limit, phi_sf_partial, thm_prediction)
-from .specfun import _EULER_CUTOFF, EULER_GAMMA, constants_dict
+from .specfun import _EULER_CUTOFF, EULER_GAMMA, constants_dict, zeta_K_prime_0
 from .transforms import parse_test_function, parse_weight
 
 SCHEMA_VERSION = 1
@@ -286,8 +286,7 @@ def _cmd_constants(opts) -> str:
     result["gamma_K_closed_form"] = math.pi / 4.0 * (
         2.0 * EULER_GAMMA + 2.0 * math.log(2.0) + 3.0 * math.log(math.pi)
         - 4.0 * math.lgamma(0.25))
-    result["zetaK_prime_0_from_gamma_K"] = (
-        result["gamma_K"] / math.pi - (math.log(math.pi) + EULER_GAMMA) / 2.0)
+    result["zetaK_prime_0_from_gamma_K"] = zeta_K_prime_0(result["gamma_K"])
     extras = {"sieve_bound": _EULER_CUTOFF, "tolerances": {}}
     return _json_doc("constants", opts, extras, result)
 

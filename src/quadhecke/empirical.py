@@ -34,7 +34,7 @@ import numpy as np
 
 from . import zint
 from ._numerics import dot, panel_nodes, read_only
-from .specfun import _LOG_32_PI2, _PSI_HALF
+from .specfun import _LOG_32_PI2, _PSI_HALF, log_conductor
 from .transforms import TestFunction, WeightFunction
 
 
@@ -52,8 +52,8 @@ class DensityConfig:
         if not (math.isfinite(self.R) and self.R * self.X >= 1.0):
             # the family runs over N(c) <= R X; below 1 it is empty
             raise ValueError(f"R must be finite with R X >= 1, got R = {self.R}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
+        if type(self.threads) is not int or self.threads < 1:
+            raise ValueError(f"threads must be an int >= 1, got {self.threads!r}")
         if self.prime_cutoff >= 2 ** 31:
             # the prime sieve takes one byte per integer up to the cutoff
             raise ValueError(f"prime cutoff X^sigma = {self.prime_cutoff:.4g} "
@@ -121,6 +121,16 @@ class _Family:
     def log_norm_sum(self) -> float:
         """sum of w0(c) log N(c) over one associate of each member."""
         return math.fsum(self.w0 * np.log(self.norm.astype(float)))
+
+    @cached_property
+    def conductors(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The ratios route's view: (mu, share, m1), the log-conductor at each
+        distinct norm, its folded weight 4 sum w0 over W, and their mean."""
+        norms, inv = np.unique(self.norm, return_inverse=True)
+        wn = 4.0 * np.bincount(inv, weights=self.w0)
+        mu = log_conductor(norms)
+        m1 = math.fsum(wn * mu) / self.W
+        return *read_only(mu, wn / self.W), m1
 
 
 def _family(cfg: DensityConfig) -> _Family:
@@ -375,18 +385,14 @@ def s_even(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
                       cfg.test, 2)
     rows = fam.rows
     contrib = np.zeros(P.size)
-
-    def worker(i0: int, i1: int) -> None:
-        for k in range(i0, i1):
-            q = int(P[k])
-            zero = (np.arange(q) == 0).astype(np.int8)
-            if k < split.size:      # varpi with i -> s and its conjugate
-                wdiv, n_ideals = _row_sum(rows, zero, int(S[k])), 2.0
-            else:                   # inert q, in the rows q | b
-                wdiv, n_ideals = _row_sum(rows, zero, 0, rows[1][0] % q == 0), 1.0
-            contrib[k] = n_ideals * coefs[k] * (fam.W - 4.0 * wdiv)
-
-    _run_jobs(P.size, worker, cfg.threads)
+    for k in range(P.size):
+        q = int(P[k])
+        zero = (np.arange(q) == 0).astype(np.int8)
+        if k < split.size:      # varpi with i -> s and its conjugate
+            wdiv, n_ideals = _row_sum(rows, zero, int(S[k])), 2.0
+        else:                   # inert q, in the rows q | b
+            wdiv, n_ideals = _row_sum(rows, zero, 0, rows[1][0] % q == 0), 1.0
+        contrib[k] = n_ideals * coefs[k] * (fam.W - 4.0 * wdiv)
     total = -2.0 / (cfg.L * fam.W) * math.fsum(contrib)
     return total, 2 * split.size + inert.size
 

@@ -55,8 +55,8 @@ from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         s_even_main_form, _family)
 from .expansion import c_w1_closed, expansion_coefficients, thm_prediction
 from .specfun import (_EULER_CUTOFF, _LOG_32_PI2, _POLE_GUARD, _PSI_HALF, A_alpha_series,
-                      A_alpha_diag_it, A_closed_mr, X_c, _em_shift, zeta_K,
-                      zeta_K_axis, zeta_K_log_deriv)
+                      A_alpha_diag_it, A_closed_mr, X_c, _em_shift, log_conductor,
+                      zeta_K, zeta_K_axis, zeta_K_log_deriv)
 from .transforms import TestFunction, WeightFunction
 
 _T_CAP = 600.0        # axis truncation; past every stationary phase in range
@@ -65,10 +65,6 @@ _ERR_FLOOR = 5e-6     # error allowance of max_error beyond the tail estimate
 # GL-12 remainder constant: a panel of width h misses at most
 # h^25 (12!)^4 / (25 (24!)^3) max|f^(24)|
 _GL12_REMAINDER = math.factorial(12) ** 4 / (25 * math.factorial(24) ** 3)
-
-
-def _mu_of(norm_c) -> float:
-    return math.log(32.0 * float(norm_c) / math.pi ** 2)
 
 
 # --- the two prime-driven pieces ---------------------------------------------------
@@ -162,7 +158,7 @@ def panel_error_bound(cfg: DensityConfig, T: float, h: float) -> float:
     the integral is."""
     _, step = panel_layout(0.0, T, h)
     K = _em_shift(np.array([2j * T]))
-    omega = _mu_of(cfg.R * cfg.X) + 2.0 * math.log(K) + cfg.test.sigma * cfg.L
+    omega = log_conductor(cfg.R * cfg.X) + 2.0 * math.log(K) + cfg.test.sigma * cfg.L
     with np.errstate(over="ignore"):
         return float(T / math.pi * _GL12_REMAINDER * np.float64(omega * step) ** 24)
 
@@ -184,14 +180,6 @@ def _check_grid(cfg: DensityConfig, T: float, h: float) -> None:
         raise ValueError(f"panel width h={h!r} under-resolves the integrand at "
                          f"X={cfg.X!r}: GL-12 error bound {bound:.2e} exceeds "
                          f"{_ERR_FLOOR:.0e}")
-
-
-def _norm_groups(cfg: DensityConfig):
-    """Distinct norms with their family weights folded, and the family."""
-    fam = _family(cfg)
-    norms_u, inv = np.unique(fam.norm, return_inverse=True)
-    wn = 4.0 * np.bincount(inv, weights=fam.w0)
-    return norms_u.astype(float), wn, fam
 
 
 # --- reports -----------------------------------------------------------------------
@@ -260,15 +248,13 @@ def ratios_density(cfg: DensityConfig,
     _check_grid(cfg, T, h)
     test, L = cfg.test, cfg.L
     p0 = float(test.phi_hat(0.0))
-    norms, wn, fam = _norm_groups(cfg)
-    weight_sum = fam.W
-    mu = np.log(32.0 * norms / math.pi ** 2)
-    m1 = math.fsum(wn * mu) / weight_sum
+    fam = _family(cfg)
+    mu, share, m1 = fam.conductors
 
     nodes, wts, re_comb, psi_big = _axis_profile(T, h)
     phi_vals = test.phi(nodes * L / (2.0 * math.pi))
 
-    integ = re_comb + (psi_big * phase_sum(T, h, mu, wn / weight_sum)).real
+    integ = re_comb + (psi_big * phase_sum(T, h, mu, share)).real
     contrib = wts * integ * phi_vals
     i_num = float(np.sum(contrib)) / math.pi
 
@@ -294,7 +280,7 @@ def ratios_density(cfg: DensityConfig,
         D_ratios_integral=d_int, D_ratios_first_order=fo.D_ratios_first_order,
         terms=fo.terms, integral_parts=parts,
         n_points=int(nodes.size), max_error=tail_est + _ERR_FLOOR,
-        n_norms=int(norms.size), family_size=fam.size)
+        n_norms=int(mu.size), family_size=fam.size)
 
 
 # --- comparison harness ------------------------------------------------------------

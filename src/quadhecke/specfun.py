@@ -44,6 +44,11 @@ _LOG_32_PI2 = math.log(32.0 / math.pi ** 2)
 _LOG4 = math.log(4.0)
 
 
+def log_conductor(norm):
+    """log(32 N/pi^2), the log-conductor of a member of norm N; scalar or array."""
+    return np.log(32.0 * norm / math.pi ** 2)
+
+
 def hurwitz(s, a: float):
     """Hurwitz zeta(s, a) and its s-derivative for complex s (scalar or
     array), 0 < a <= 1.
@@ -95,40 +100,35 @@ def _em_tail(s, Ka: float):
     return val, dval
 
 
-def _l4_with_deriv(s, za, dza, zb, dzb):
-    """L(s, chi_-4) = 4^-s (zeta(s,1/4) - zeta(s,3/4)) and its s-derivative
-    from the two Hurwitz values and derivatives."""
+def _pole_guard(s, name: str) -> None:
+    """Raise ValueError for a point s within _POLE_GUARD of zeta_K's pole."""
+    if np.any(np.abs(np.asarray(s) - 1.0) < _POLE_GUARD):
+        raise ValueError(f"{name} within pole guard of s = 1")
+
+
+def _zeta_K_parts(s, hz=None):
+    """zeta_K(s), zeta_K'/zeta_K(s) = zeta'/zeta + L'/L(s, chi_-4) and zeta_K'(s),
+    from hz, the Hurwitz values and s-derivatives at a = 1, 1/4, 3/4 (three
+    hurwitz calls when None); L(s, chi_-4) = 4^-s (zeta(s,1/4) - zeta(s,3/4))."""
+    (z, dz), (za, dza), (zb, dzb) = hz or [hurwitz(s, a) for a in (1.0, 0.25, 0.75)]
     f = np.exp(-s * _LOG4)
-    val = f * (za - zb)
-    return val, -_LOG4 * val + f * (dza - dzb)
-
-
-def _zeta_K_parts(s):
-    """zeta(s), zeta'(s), L(s, chi_-4) and L'(s, chi_-4): three Hurwitz
-    evaluations, the zeta_K factors and their s-derivatives."""
-    z, dz = hurwitz(s, 1.0)
-    l4, dl4 = _l4_with_deriv(s, *hurwitz(s, 0.25), *hurwitz(s, 0.75))
-    return z, dz, l4, dl4
+    l4 = f * (za - zb)
+    dl4 = -_LOG4 * l4 + f * (dza - dzb)
+    return z * l4, dz / z + dl4 / l4, dz * l4 + z * dl4
 
 
 def zeta_K(s):
     """Dedekind zeta of Q(i); scalar or array, Re(s) > -1/2, away from s=1."""
-    arr = np.atleast_1d(np.asarray(s, dtype=complex))
-    if np.any(np.abs(arr - 1.0) < _POLE_GUARD):
-        raise ValueError("zeta_K within pole guard of s = 1")
-    if np.any(arr.real < -0.5):
+    _pole_guard(s, "zeta_K")
+    if np.any(np.real(s) < -0.5):
         raise ValueError("zeta_K outside implemented strip Re(s) > -1/2")
-    z, _, l4, _ = _zeta_K_parts(s)
-    return z * l4
+    return _zeta_K_parts(s)[0]
 
 
 def zeta_K_log_deriv(s):
     """zeta_K'/zeta_K(s) = zeta'/zeta(s) + L'/L(s, chi_-4)."""
-    arr = np.atleast_1d(np.asarray(s, dtype=complex))
-    if np.any(np.abs(arr - 1.0) < _POLE_GUARD):
-        raise ValueError("zeta_K_log_deriv within pole guard of s = 1")
-    z, dz, l4, dl4 = _zeta_K_parts(s)
-    return dz / z + dl4 / l4
+    _pole_guard(s, "zeta_K_log_deriv")
+    return _zeta_K_parts(s)[1]
 
 
 def _hurwitz_axis(s1, K: int, a: float, sums):
@@ -157,16 +157,11 @@ def zeta_K_axis(t, sums):
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     s1 = 1.0 + 2j * t
-    if np.any(np.abs(s1 - 1.0) < _POLE_GUARD):
-        raise ValueError("zeta_K_axis within pole guard of s = 1")
+    _pole_guard(s1, "zeta_K_axis")
     K = _em_shift(s1)
     parts = [_hurwitz_axis(s1, K, a, sums) for a in (1.0, 0.25, 0.75)]
-    out = []
-    for k, s in ((0, s1), (2, s1 + 1.0)):
-        (z, dz), (za, dza), (zb, dzb) = ((p[k], p[k + 1]) for p in parts)
-        l4, dl4 = _l4_with_deriv(s, za, dza, zb, dzb)
-        out += [z * l4, dz / z + dl4 / l4]
-    return tuple(out)
+    return (*_zeta_K_parts(s1, [(p[0], p[1]) for p in parts])[:2],
+            *_zeta_K_parts(s1 + 1.0, [(p[2], p[3]) for p in parts])[:2])
 
 
 def gamma_K() -> float:
@@ -189,8 +184,7 @@ def digamma(s):
 def X_c(s, norm_c: int):
     """Gamma(1-s)/Gamma(s) (pi^2/(32 N(c)))^(s-1/2)."""
     s = np.asarray(s, dtype=complex)
-    lam = math.log(math.pi ** 2 / (32.0 * norm_c))
-    out = np.exp(_loggamma(1.0 - s) - _loggamma(s) + (s - 0.5) * lam)
+    out = np.exp(_loggamma(1.0 - s) - _loggamma(s) - (s - 0.5) * log_conductor(norm_c))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -326,25 +320,29 @@ def default_context() -> ZetaKConstants:
     """The zeta_K constants, computed once per process and checked against
     zeta_K(0) = -1/4, the residue pi/4 at s = 1 and the functional
     equation's value of zeta_K'(0); a failed check raises ArithmeticError."""
-    z, dz, l4, dl4 = _zeta_K_parts(0.0)
+    z0, _, dz0 = _zeta_K_parts(0.0)
+    z2, ld2, _ = _zeta_K_parts(2.0)
     s = 1.0 + 1e-6
-    z1, _, l1, _ = _zeta_K_parts(s)
     ctx = ZetaKConstants(
         gamma_K=gamma_K(),
-        zetaK2=float(np.real(zeta_K(2.0))),
-        zetaK_logderiv_2=float(np.real(zeta_K_log_deriv(2.0))),
-        zetaK0=float(np.real(z * l4)),
-        zetaK0_prime=float(np.real(dz * l4 + z * dl4)),
-        residue=float(np.real((s - 1.0) * z1 * l1)))
+        zetaK2=float(np.real(z2)),
+        zetaK_logderiv_2=float(np.real(ld2)),
+        zetaK0=float(np.real(z0)),
+        zetaK0_prime=float(np.real(dz0)),
+        residue=float(np.real((s - 1.0) * _zeta_K_parts(s)[0])))
     if abs(ctx.zetaK0 + 0.25) > 1e-8:
         raise ArithmeticError(f"zeta_K(0) = {ctx.zetaK0}, expected -1/4")
     if abs(ctx.residue - math.pi / 4.0) > 1e-5:
         raise ArithmeticError(f"residue {ctx.residue} != pi/4")
-    lhs = -ctx.zetaK0_prime
-    rhs = -ctx.gamma_K / math.pi + EULER_GAMMA / 2.0 + math.log(math.pi) / 2.0
-    if abs(lhs - rhs) > 1e-6:
-        raise ArithmeticError(f"zeta_K'(0) loop failed: {lhs} vs {rhs}")
+    want = zeta_K_prime_0(ctx.gamma_K)
+    if abs(ctx.zetaK0_prime - want) > 1e-6:
+        raise ArithmeticError(f"zeta_K'(0) loop failed: {ctx.zetaK0_prime} vs {want}")
     return ctx
+
+
+def zeta_K_prime_0(gamma_k: float) -> float:
+    """zeta_K'(0) = gamma_K/pi - (log pi + gamma)/2, the functional equation."""
+    return gamma_k / math.pi - (math.log(math.pi) + EULER_GAMMA) / 2.0
 
 
 def constants_dict() -> dict[str, float]:

@@ -24,7 +24,7 @@ from quadhecke._numerics import (_NUFFT_CHUNK, _NUFFT_HALF_WIDTH, cauchy_derivs,
                                  panel_layout)
 from quadhecke.checks import primary_products
 from quadhecke.empirical import DensityConfig, _family, _sj_coefs
-from quadhecke.specfun import A_alpha_series, A_euler, digamma, zeta_K_log_deriv
+from quadhecke.specfun import A_alpha_series, A_euler, digamma, log_conductor, zeta_K_log_deriv
 from quadhecke.transforms import TestFunction
 from quadhecke.zint import GInt
 
@@ -251,7 +251,7 @@ def ratios_integrand(t: float, norm_c: int, test: TestFunction, L: float) -> flo
     Psi(it) and raises.
     """
     t = abs(float(t))
-    mu = ratios._mu_of(norm_c)
+    mu = log_conductor(norm_c)
     nodes = np.array([t])
     (rc,), (pv,) = ratios._bracket_parts(nodes, outer_phase_sum(nodes))
     two_psi = 2.0 * digamma(0.5 + 1j * t).real

@@ -38,6 +38,9 @@ def test_config_validation():
     ({"X": float("nan")}, "X must exceed 1"),
     ({"threads": 0}, "threads"),
     ({"X": 1e5, "test": make_fejer(1.9)}, "2\\^31"),
+    ({"threads": 2.0}, "threads"),
+    ({"threads": 1.5}, "threads"),
+    ({"threads": True}, "threads"),
 ])
 def test_config_guards(kwargs, match):
     args = {"X": 100.0, "test": make_fejer(1.5), "weight": make_gaussian_weight()}
@@ -398,7 +401,10 @@ def test_s_odd_threads_bitwise_invariant(weight, monkeypatch):
                 # a fresh family, so each count computes the prime side's sums
                 empirical._family_of.cache_clear()
                 cfg = DensityConfig(X, test, weight, threads=threads)
-                got = empirical.s_odd(cfg), empirical.s_even(cfg)
+                odd = empirical.s_odd(cfg)
+                # S_even runs in the calling thread: it starts no executor
+                m.setattr(empirical, "ThreadPoolExecutor", None)
+                got = odd, empirical.s_even(cfg)
             assert want is None or got == want, (X, threads)
             want = got
         # the member side runs for sigma > 1 only
@@ -447,9 +453,7 @@ def test_threads_bitwise_invariant(weight):
     r1 = one_level_density(DensityConfig(120.0, f, weight, threads=1))
     empirical._family_of.cache_clear()
     r3 = one_level_density(DensityConfig(120.0, f, weight, threads=3))
-    assert r1.S_odd == r3.S_odd
-    assert r1.S_even == r3.S_even
-    assert r1.D_total == r3.D_total
+    assert (r1.S_odd, r1.S_even, r1.D_total) == (r3.S_odd, r3.S_even, r3.D_total)
 
 
 def test_report_total_is_sum_of_parts(weight):

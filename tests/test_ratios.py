@@ -137,7 +137,7 @@ def test_integrand_at_zero_is_tiny(fejer15):
     # to t = 0, with a t^2 coefficient cubic in mu (leading term mu^3/6)
     L = math.log(500.0)
     for n in (5, 1234567):
-        mu = ratios._mu_of(n)
+        mu = specfun.log_conductor(n)
         for t in (5.5e-5, 1e-4, 1e-3):
             assert abs(ratios_integrand(t, n, fejer15, L)) < (1.0 + mu ** 3) * t * t
 
@@ -189,7 +189,7 @@ def test_axis_profile_matches_pointwise(T):
     norm_c = 5
     for i in idx[::5]:
         t = float(nodes[i])
-        dual = psi_big[i] * cmath.exp(-1j * t * ratios._mu_of(norm_c))
+        dual = psi_big[i] * cmath.exp(-1j * t * specfun.log_conductor(norm_c))
         assert abs(dual - ratios.dual_term(1j * t, norm_c)) < 1e-10 * abs(dual)
 
 
@@ -208,13 +208,9 @@ def _phases(source, test, weight):
         rng = np.random.default_rng(7)
         return rng.uniform(-40.0, 80.0, 600), rng.standard_normal(600)
     X = {"X2000": 2000.0, "X8000": 8000.0, "X2000-elements": 2000.0}[source]
-    cfg = DensityConfig(X, test, weight)
-    if source.endswith("-elements"):
-        fam = empirical._family(cfg)
-        norms, wn = fam.norm.astype(float), 4.0 * fam.w0
-    else:
-        norms, wn, fam = ratios._norm_groups(cfg)
-    return np.log(32.0 * norms / math.pi ** 2), wn / fam.W
+    fam = empirical._family(DensityConfig(X, test, weight))
+    return ((specfun.log_conductor(fam.norm), 4.0 * fam.w0 / fam.W)
+            if source.endswith("-elements") else fam.conductors[:2])
 
 
 @pytest.mark.parametrize("source, T, columns", [
@@ -333,7 +329,7 @@ def test_dual_phase_average_memory_bound():
     # of norms, so the traced peak does not grow with the norm count
     import tracemalloc
     rng = np.random.default_rng(3)
-    mu = np.log(32.0 * rng.uniform(1.0, 2.048e6, 203774) / math.pi ** 2)
+    mu = specfun.log_conductor(rng.uniform(1.0, 2.048e6, 203774))
     w = rng.random(mu.size) / mu.size
     tracemalloc.start()
     try:
@@ -366,7 +362,7 @@ def test_integrand_is_the_profile_bracket(fejer15):
     # the pointwise outer products match to ~1e-11 from t = 1e-3 on; nearer
     # the pole Psi(it) grows like 1/t, and the match is relative
     L, norm_c = math.log(2000.0), 5
-    mu = ratios._mu_of(norm_c)
+    mu = specfun.log_conductor(norm_c)
     profile = ratios._axis_profile(0.02, 0.01)
     nodes = profile[0]
     phi = fejer15.phi(nodes * L / (2.0 * math.pi))
@@ -382,19 +378,26 @@ def test_integrand_is_the_profile_bracket(fejer15):
     assert np.max(np.abs(profile[3] - pointwise[1]) / np.abs(pointwise[1])) < 5e-12
 
 
-def test_norm_grouping_invariant(weight):
+def test_norm_grouping_invariant(weight, monkeypatch):
     # the dual phase sum over distinct norms, weights folded, is the sum
-    # over the family's elements
+    # over the family's elements; the grouping is built once per family
+    builds = []
+    monkeypatch.setattr(empirical, "log_conductor",
+                        lambda n: builds.append(n.size) or specfun.log_conductor(n))
+    empirical._family_of.cache_clear()
     cfg = DensityConfig(200.0, make_fejer(1.5), weight)
-    norms, wn, fam = ratios._norm_groups(cfg)
-    assert norms.size < fam.re.size
-    grouped = phase_sum(150.0, 0.25, np.log(32.0 * norms / math.pi ** 2), wn)
-    elements = phase_sum(150.0, 0.25,
-                         np.log(32.0 * fam.norm.astype(float) / math.pi ** 2),
-                         4.0 * fam.w0)
-    assert np.max(np.abs(grouped - elements)) < 1e-12 * np.sum(np.abs(wn))
-    d = ratios.ratios_density(cfg, T=150.0).as_dict()
-    assert "integral_parts" in d and "D_ratios_integral" in d
+    fam = empirical._family(cfg)
+    mu, share, m1 = fam.conductors
+    elements = specfun.log_conductor(fam.norm), 4.0 * fam.w0 / fam.W
+    assert mu.size < fam.re.size and abs(m1 - math.fsum(elements[0] * elements[1])) < 1e-12
+    grouped = phase_sum(150.0, 0.25, mu, share)
+    assert np.max(np.abs(grouped - phase_sum(150.0, 0.25, *elements))) < 1e-12
+    reps = [ratios.ratios_density(cfg, T=150.0) for _ in range(2)]
+    assert builds == [mu.size] and reps[1].n_norms == mu.size
+    assert {"integral_parts", "D_ratios_integral"} <= set(reps[1].as_dict())
+    # another family builds its own view
+    assert empirical._family(DensityConfig(201.0, make_fejer(1.5), weight)).conductors[2] != m1
+    assert len(builds) == 2
 
 
 def test_density_report_consistency(fejer15, weight):
@@ -406,6 +409,11 @@ def test_density_report_consistency(fejer15, weight):
     assert abs(rep.D_ratios_integral - total) < 1e-14
     assert 0.0 <= rep.max_error < 1e-2
     assert rep.n_points > 0 and rep.family_size > 0
+    # the conductor piece and the conductor_average check read one m1
+    m1 = empirical._family(cfg).conductors[2]
+    assert p["conductor_average"] == m1 * float(fejer15.phi_hat(0.0)) / cfg.L
+    closed = cfg.L + specfun._LOG_32_PI2 + 2.0 * weight.mw_prime_1 / weight.w_hat0
+    assert checks.conductor_average(500.0)[0] == m1 - closed
 
 
 def test_dual_ablation_identity(fejer15, weight):
