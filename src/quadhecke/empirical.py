@@ -18,8 +18,10 @@ family in rows of fixed Im c off contiguous windows of the Legendre table
 mod p.  Larger primes divide no member, and reciprocity (c/varpi) =
 (varpi/c) turns their symbols into products of lookups in tables mod the
 prime factors of c, summed member by member.  Even j need only which
-members a prime divides: a strided row sum, one per split p for both
-primes above it, at the i-images of zint.primes_above as for odd j.
+members a prime divides, and for a squarefree c that is a function of
+N(c): [varpi | c] + [conj(varpi) | c] = v_p(N(c)) for a split p and
+[q | c] = [q^2 | N(c)] for an inert q, so each divisor sum is a strided sum
+over the multiples of p and p^2 (or q^2) in the family's weight by norm.
 """
 
 from __future__ import annotations
@@ -123,12 +125,25 @@ class _Family:
         return math.fsum(self.w0 * np.log(self.norm.astype(float)))
 
     @cached_property
+    def by_norm(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w4, occupied): w4[j] = sum of w0(c) over the members with
+        N(c) = 4j + 1, and whether any member has that norm, so a norm whose
+        weight underflows to 0 is still occupied."""
+        if np.any(self.norm & 3 != 1):
+            raise ValueError("a primary squarefree norm is 1 mod 4")
+        j = self.norm >> 2
+        occupied = np.zeros(j.max() + 1, dtype=bool)
+        occupied[j] = True
+        return read_only(np.bincount(j, weights=self.w0), occupied)
+
+    @cached_property
     def conductors(self) -> tuple[np.ndarray, np.ndarray, float]:
         """The ratios route's view: (mu, share, m1), the log-conductor at each
         distinct norm, its folded weight 4 sum w0 over W, and their mean."""
-        norms, inv = np.unique(self.norm, return_inverse=True)
-        wn = 4.0 * np.bincount(inv, weights=self.w0)
-        mu = log_conductor(norms)
+        w4, occupied = self.by_norm
+        j = np.flatnonzero(occupied)
+        wn = 4.0 * w4[j]
+        mu = log_conductor(4 * j + 1)
         m1 = math.fsum(wn * mu) / self.W
         return *read_only(mu, wn / self.W), m1
 
@@ -228,17 +243,17 @@ def _run_jobs(n: int, worker, threads: int) -> None:
             f.result()
 
 
-def _row_sum(rows, table: np.ndarray, s: int, on=slice(None)) -> float:
+def _row_sum(rows, table: np.ndarray, s: int) -> float:
     """sum_c w0(c) table[(a + b s) / 4 mod q] over the members c = a + bi in
-    the rows `on` of fam.rows and their conjugates, for a table mod q: row b
+    the rows of fam.rows and their conjugates, for a table mod q: row b
     reads the repeated table's window at (a0 + b s) / 4, as a = a0 + 4k."""
     grid, b, a0 = rows
     q, K = table.size, grid.shape[1]
     c = (a0 + s * b % q) * pow(4, -1, q) % q
     tiled = np.resize(table, q + K)
     windows = np.ndarray((q, K), tiled.dtype, tiled, strides=tiled.strides * 2)
-    lo, hi = windows[c[:, on]]
-    return dot(grid[on].ravel(), (lo + hi).ravel())
+    lo, hi = windows[c]
+    return dot(grid.ravel(), (lo + hi).ravel())
 
 
 def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
@@ -246,13 +261,13 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
 
     Each split p = 1 mod 8 enters through T_p = sum_c w0 (c/varpi_p), varpi_p
     the primary prime above p with i -> s_p, and each inert q through the
-    family sum of (N(c)/q).  Primes up to the family norm bound read T_p
-    off windows of the Legendre table mod p along the rows of fam.rows, see
-    _row_sum.  Larger p divide no member, so those T_p are summed member by
-    member through reciprocity, see _member_sums.  The prime side's sums
-    depend on the family alone: they are kept in fam.prime_sums, so a later
-    call on the same family, at any test function, computes only the
-    primes it does not yet hold.
+    family sum of (N(c)/q), taken over the norms in fam.by_norm.  Primes
+    up to the family norm bound read T_p off windows of the Legendre table
+    mod p along the rows of fam.rows, see _row_sum.  Larger p divide no
+    member, so those T_p are summed member by member through reciprocity,
+    see _member_sums.  The prime side's sums depend on the family alone:
+    they are kept in fam.prime_sums, so a later call on the same family, at
+    any test function, computes only the primes it does not yet hold.
     """
     fam = fam or _family(cfg)
     L = cfg.L
@@ -282,6 +297,10 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     todo = [k for k, p in enumerate(keys) if p not in sums]
     new = np.zeros(len(todo))
     rows = fam.rows
+    if any(k >= n_small for k in todo):
+        w4, occupied = fam.by_norm
+        j = np.flatnonzero(occupied)
+        w_occ, norms = w4[j], 4 * j + 1
 
     def worker(i0: int, i1: int) -> None:
         for j in range(i0, i1):
@@ -291,7 +310,7 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
                 new[j] = _row_sum(rows, table, int(S[k]))
             else:
                 q = keys[k]
-                new[j] = table[32 % q] * dot(fam.w0, table[fam.norm % q])
+                new[j] = table[32 % q] * dot(w_occ, table[norms % q])
 
     _run_jobs(len(todo), worker, cfg.threads)
     sums.update(zip((keys[k] for k in todo), new.tolist()))
@@ -364,13 +383,13 @@ def _member_sums(fam: _Family, bound: int, P: np.ndarray, A: np.ndarray,
 
 
 def s_even(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
-    """Even-j aggregate: (W - 4 sum_{varpi | c0} w0) per prime ideal, with
-    varpi | c exactly when a + b s = 0 mod N(varpi), for a split varpi with
-    i -> s, or q | b and q | a, for an inert q: a strided sum along fam.rows.
+    """Even-j aggregate: (W - 4 sum_{varpi | c0} w0) per prime ideal.
 
-    The split p = 1 mod 4 and their i-images s come from zint.primes_above.
-    The conjugate prime, with i -> p - s, swaps each row for its conjugate,
-    which fam.rows holds at the same weight: one row sum serves both.
+    For squarefree c, [varpi | c] + [conj(varpi) | c] = v_p(N(c)) at a split
+    p and [q | c] = [q^2 | N(c)] at an inert q, so the divisor sums read the
+    family's weight by norm, w4[j] at N = 4j + 1 (fam.by_norm): the norms
+    divisible by an n = 1 mod 4 are n (1 + 4k), at j = (n - 1)/4 + n k.  The
+    two primes above p share one sum, half the strided sums at p and p^2.
     """
     fam = fam or _family(cfg)
     bound = int(cfg.prime_cutoff ** 0.5)
@@ -379,19 +398,22 @@ def s_even(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
     inert = ps[(ps % 4 == 3) & (ps * ps <= bound)]
     if not split.size + inert.size:
         return 0.0, 0
-    S = zint.primes_above(split)[0]
     P = np.concatenate((split, inert))
     coefs = _sj_coefs(np.concatenate((split, inert * inert)).astype(float), cfg.L,
                       cfg.test, 2)
-    rows = fam.rows
+    w4 = fam.by_norm[0]
+
+    def over(n: int) -> float:
+        """sum of w0(c) over the members with n | N(c), for n = 1 mod 4"""
+        return w4[(n - 1) // 4::n].sum()
+
     contrib = np.zeros(P.size)
     for k in range(P.size):
         q = int(P[k])
-        zero = (np.arange(q) == 0).astype(np.int8)
-        if k < split.size:      # varpi with i -> s and its conjugate
-            wdiv, n_ideals = _row_sum(rows, zero, int(S[k])), 2.0
-        else:                   # inert q, in the rows q | b
-            wdiv, n_ideals = _row_sum(rows, zero, 0, rows[1][0] % q == 0), 1.0
+        if k < split.size:      # varpi and its conjugate
+            wdiv, n_ideals = 0.5 * (over(q) + over(q * q)), 2.0
+        else:                   # inert q
+            wdiv, n_ideals = over(q * q), 1.0
         contrib[k] = n_ideals * coefs[k] * (fam.W - 4.0 * wdiv)
     total = -2.0 / (cfg.L * fam.W) * math.fsum(contrib)
     return total, 2 * split.size + inert.size

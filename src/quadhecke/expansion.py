@@ -66,6 +66,7 @@ from .specfun import (_EULER_CUTOFF, _LOG_32_PI2, _PSI_HALF, EULER_GAMMA,
 from .transforms import (TestFunction, WeightFunction, make_gaussian_weight)
 
 _G1_CUT = 112.0          # g1(y) below 1e-13 beyond this
+_G1_BATCH = 1 << 15      # g1 points per batch of _g1_sum, about one sum's longest prefix
 
 
 def prefactor(weight: WeightFunction) -> float:
@@ -124,7 +125,8 @@ class _KernelTables:
     (36841 of the 336002 entries at y_cap = 3000: d vanishes on even m and
     wherever a q = 3 mod 4 divides m to an odd power); a lattice sum stops
     at m <= 112/x by one searchsorted and is one dot product over that
-    prefix.
+    prefix.  H1 and H2 take a profile's or a held panel's nodes in one
+    call, which reads g1 at all of them at once.
 
     h1_profile and h2_profile tabulate both kernels once at y = e^(tau/2)
     (module docstring), and h2_envelope fits the y^(-3/2) tail once; J_X
@@ -139,38 +141,63 @@ class _KernelTables:
         m = np.flatnonzero(c)
         self.m, self.d_m = read_only(m.astype(float), -4.0 * c[m])
 
-    def _g1_sum(self, x: float) -> float:
-        """sum_{m <= 112/x} d(m) g1(m x): H1 at y = x, H2 at y = 1/x."""
-        k = int(np.searchsorted(self.m, _G1_CUT / x, side="right"))
-        return dot(self.d_m[:k], self.weight.g1(self.m[:k] * x))
+    def _g1_sum(self, x):
+        """sum_{m <= 112/x} d(m) g1(m x) at each x of a float or an array:
+        H1 at y = x, H2 at y = 1/x.  One searchsorted finds every prefix,
+        g1 is read once per batch of at most _G1_BATCH points, and each x
+        takes one dot over its own prefix, so each sum keeps the bits it
+        has when taken alone."""
+        x = np.asarray(x, dtype=float)
+        xs = x.ravel()
+        k = np.searchsorted(self.m, _G1_CUT / xs, side="right")
+        out = np.empty(xs.size)
+        i = 0
+        while i < xs.size:
+            # the x from i on whose points fit in one batch, at least one
+            j = i + max(1, int(np.searchsorted(np.cumsum(k[i:]), _G1_BATCH, side="right")))
+            g = self.weight.g1(np.concatenate([self.m[:n] * v for n, v in zip(k[i:j], xs[i:j])]))
+            start = 0
+            for r in range(i, j):
+                out[r] = dot(self.d_m[:k[r]], g[start:start + k[r]])
+                start += k[r]
+            i = j
+        return out.reshape(x.shape)
 
-    def H1(self, y: float) -> float:
-        if not y * self.y_cap >= 1.0:
+    def H1(self, y):
+        """H1 at a float or an array of y."""
+        if not np.all(np.asarray(y) * self.y_cap >= 1.0):
             raise ValueError("H1 needs y >= 1/y_cap")
         return self.pref * self._g1_sum(y)
 
-    def H2(self, y: float) -> float:
-        if not 1.0 <= y <= self.y_cap * (1.0 + 1e-12):
+    def H2(self, y):
+        """H2 at a float or an array of y."""
+        y = np.asarray(y, dtype=float)
+        if not np.all((1.0 <= y) & (y <= self.y_cap * (1.0 + 1e-12))):
             raise ValueError("H2 tabulated for 1 <= y <= y_cap")
         return 1.0 + self.pref / y * self._g1_sum(1.0 / y)
 
     @cached_property
     def h1_profile(self) -> _Profile:
         """e^(tau/2) H1(e^(tau/2)) up to 2 log 112, past which H1 is 0."""
-        return _Profile(lambda t: np.exp(0.5 * t) * np.array(
-            [self.H1(math.exp(0.5 * x)) for x in t]), 2.0 * math.log(_G1_CUT))
+        return _Profile(lambda t: np.exp(0.5 * t) * self.H1(_y_of(t)),
+                        2.0 * math.log(_G1_CUT))
 
     @cached_property
     def h2_profile(self) -> _Profile:
         """H2(e^(tau/2)) up to 2 log y_cap."""
-        return _Profile(lambda t: np.array(
-            [self.H2(math.exp(0.5 * x)) for x in t]), 2.0 * math.log(self.y_cap))
+        return _Profile(lambda t: self.H2(_y_of(t)), 2.0 * math.log(self.y_cap))
 
     @cached_property
     def h2_envelope(self) -> float:
         """Fitted constant C with |H2(y)| <= C y^(-3/2) near the cap."""
         ys = np.geomspace(self.y_cap / 8.0, self.y_cap, 12)
-        return max(abs(self.H2(float(y))) * float(y) ** 1.5 for y in ys)
+        return max(abs(h) * y ** 1.5 for h, y in zip(self.H2(ys).tolist(), ys.tolist()))
+
+
+def _y_of(tau: np.ndarray) -> np.ndarray:
+    """y = e^(tau/2) at each node, by math.exp: np.exp differs from it in
+    the last bit at some profile nodes, and the profiles keep its bits."""
+    return np.array([math.exp(0.5 * t) for t in tau.tolist()])
 
 
 def kernel_tables(weight: WeightFunction | None = None,

@@ -235,7 +235,8 @@ def test_memoized_arrays_read_only(weight):
               weight._wt_table.values, weight._gt_table.values,
               *make_bump(1.5)._bump_nodes,
               *ratios._axis_profile(3.7, 0.25),
-              *_family(DensityConfig(500.0, make_bump(1.5), weight)).conductors[:2]]
+              *_family(DensityConfig(500.0, make_bump(1.5), weight)).conductors[:2],
+              *_family(DensityConfig(500.0, make_bump(1.5), weight)).by_norm]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0

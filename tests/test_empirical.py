@@ -104,16 +104,26 @@ def test_prime_split_inert_decomposition(weight):
 @pytest.mark.parametrize("X, test", [
     (2000.0, make_fejer(1.5)),
     (32000.0, make_fejer(0.8)),
+    (8000.0, make_fejer(1.9)),
+    (128000.0, make_fejer(0.8)),
 ])
-def test_s_even_against_member_mask(weight, X, test):
+def test_s_even_against_member_mask(weight, X, test, monkeypatch):
     cfg = DensityConfig(X, test, weight)
     fam = empirical._family(cfg)
-    # every kind of divisor occurs: inert 3 | c, 5 | c, and 2 + i or 2 - i alone
+    # every kind of divisor occurs: inert 3 | c, 5 | c (v_5(N(c)) = 2), and
+    # 2 + i or 2 - i alone
     five = (fam.re % 5 == 0) & (fam.im % 5 == 0)
     assert np.any((fam.re % 3 == 0) & (fam.im % 3 == 0))
     assert np.any(five) and np.any((fam.norm % 5 == 0) & ~five)
-    got, n_got = empirical.s_even(cfg)
     want, n_want = s_even_members(cfg)
+    # s_even reads the weight by norm alone: no row sum, no prime above p
+    # and no Legendre table
+    calls = []
+    for owner, name in ((empirical, "_row_sum"), (zint, "primes_above"),
+                        (zint, "legendre_table")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name: calls.append(name))
+    got, n_got = empirical.s_even(cfg)
+    assert calls == []
     assert n_got == n_want
     assert abs(got - want) <= 1e-14 * abs(want)
 
@@ -245,16 +255,17 @@ def test_prime_side_sums_are_exact_symbols(weight):
 
 @pytest.mark.parametrize("X, test", [(2000.0, make_fejer(1.5)), (32000.0, make_fejer(0.8))])
 def test_row_sum_serves_both_conjugates(weight, X, test):
-    # s_even reads both primes above a split p off one row sum: i -> p - s in
-    # place of i -> s swaps each row for its conjugate, which fam.rows holds
-    # at the same weight, so the two divisor sums agree bit for bit
+    # S_odd's prime side reads the rows at i -> s; i -> p - s in its place
+    # swaps each row for its conjugate, which fam.rows holds at the same
+    # weight, so the two Legendre row sums agree bit for bit (every split p
+    # that S_odd reads off the rows)
     cfg = DensityConfig(X, test, weight)
     rows = empirical._family(cfg).rows
-    P = zint._sieve(int(cfg.prime_cutoff ** 0.5))
+    P = zint._sieve(int(min(cfg.R * cfg.X, cfg.prime_cutoff)))
     P = P[P % 4 == 1]
     for p, s in zip(P.tolist(), zint.primes_above(P)[0].tolist()):
-        zero = (np.arange(p) == 0).astype(np.int8)
-        got = empirical._row_sum(rows, zero, s), empirical._row_sum(rows, zero, p - s)
+        table = zint.legendre_table(p)
+        got = empirical._row_sum(rows, table, s), empirical._row_sum(rows, table, p - s)
         assert got[0] == got[1], p
 
 
@@ -329,8 +340,8 @@ def test_s_odd_memo_hit_builds_nothing(weight, monkeypatch):
     built, summed = [], []
     table, row_sum = zint.legendre_table, empirical._row_sum
     monkeypatch.setattr(zint, "legendre_table", lambda q: built.append(q) or table(q))
-    monkeypatch.setattr(empirical, "_row_sum", lambda rows, tab, s, *on:
-                        summed.append(tab.size) or row_sum(rows, tab, s, *on))
+    monkeypatch.setattr(empirical, "_row_sum", lambda rows, tab, s:
+                        summed.append(tab.size) or row_sum(rows, tab, s))
     for test in (make_bump(0.8), make_fejer(0.5), make_fejer(0.8)):
         empirical.s_odd(DensityConfig(X, test, weight))
     assert built == [] and summed == []

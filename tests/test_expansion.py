@@ -188,14 +188,18 @@ def test_profile_matches_kernel(weight, name):
     assert np.array_equal(prof.tau, want_tau) and np.array_equal(prof.q, want_q)
     edges = step * np.arange(1, n)
     assert np.all(prof.tau[11:-1:12] < edges) and np.all(edges < prof.tau[12::12])
+    # the batched lattice sums keep the bits of one sum at a time
     for t, v in zip(prof.tau, prof.f):
         y = math.exp(0.5 * t)
-        assert abs(v - (y * tab.H1(y) if h1 else tab.H2(y))) <= 1e-13
+        assert v == (np.exp(0.5 * t) * tab.H1(y) if h1 else tab.H2(y))
 
 
 def test_J_X_reads_the_profile(fejer15, weight, monkeypatch):
     # once both profiles exist, J_X sums a kernel afresh only on the two
-    # halves of a panel that holds a break, and c_w_coefficients not at all
+    # halves of a panel that holds a break, in one call per panel; below the
+    # caps lie one break of each kernel's weight, (sigma - 1) L, where
+    # phi_hat(1 + tau/L)'s support ends, and L, phi_hat(1 - tau/L)'s kink.
+    # c_w_coefficients sums none
     tab = expansion.kernel_tables(weight)
     tab.h1_profile, tab.h2_profile, tab.h2_envelope
     calls = {"H1": [], "H2": []}
@@ -209,7 +213,8 @@ def test_J_X_reads_the_profile(fejer15, weight, monkeypatch):
         for seen in calls.values():
             seen.clear()
         expansion.J_X(X, fejer15, weight)
-        assert 0 < len(calls["H1"]) <= 24 and 0 < len(calls["H2"]) <= 24
+        assert len(calls["H1"]) == 1 and len(calls["H2"]) == 1
+        assert all(np.size(y) == 24 for seen in calls.values() for y in seen)
     for seen in calls.values():
         seen.clear()
     expansion.c_w_coefficients(2, weight)

@@ -1,6 +1,7 @@
 """Prediction bracket: pole bookkeeping, axis integral, structural identities."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -381,12 +382,19 @@ def test_integrand_is_the_profile_bracket(fejer15):
 def test_norm_grouping_invariant(weight, monkeypatch):
     # the dual phase sum over distinct norms, weights folded, is the sum
     # over the family's elements; the grouping is built once per family
-    builds = []
+    builds, views = [], []
     monkeypatch.setattr(empirical, "log_conductor",
                         lambda n: builds.append(n.size) or specfun.log_conductor(n))
+    by_norm = empirical._Family.by_norm
+    counted = functools.cached_property(lambda fam: views.append(fam) or by_norm.func(fam))
+    counted.__set_name__(empirical._Family, "by_norm")
+    monkeypatch.setattr(empirical._Family, "by_norm", counted)
     empirical._family_of.cache_clear()
     cfg = DensityConfig(200.0, make_fejer(1.5), weight)
     fam = empirical._family(cfg)
+    # one weight by norm serves S_even, S_odd's inert primes and the view
+    empirical.s_even(cfg), empirical.s_odd(cfg)
+    assert views == [fam] and 3 in fam.prime_sums and fam.by_norm is fam.by_norm
     mu, share, m1 = fam.conductors
     elements = specfun.log_conductor(fam.norm), 4.0 * fam.w0 / fam.W
     assert mu.size < fam.re.size and abs(m1 - math.fsum(elements[0] * elements[1])) < 1e-12
@@ -396,8 +404,28 @@ def test_norm_grouping_invariant(weight, monkeypatch):
     assert builds == [mu.size] and reps[1].n_norms == mu.size
     assert {"integral_parts", "D_ratios_integral"} <= set(reps[1].as_dict())
     # another family builds its own view
-    assert empirical._family(DensityConfig(201.0, make_fejer(1.5), weight)).conductors[2] != m1
-    assert len(builds) == 2
+    other = empirical._family(DensityConfig(201.0, make_fejer(1.5), weight))
+    assert other.conductors[2] != m1
+    assert len(builds) == 2 and views == [fam, other]
+
+
+@pytest.mark.parametrize("X, R, n_norms, n_empty", [(200.0, 4.0, 120, 0), (50.0, 20.0, 148, 32)])
+def test_norm_view_counts_every_member_norm(weight, X, R, n_norms, n_empty):
+    # the view groups by member counts, not by weight: past N/X = 15.4 the
+    # gaussian w0 underflows to 0, and those norms still count, as they do
+    # in a grouping of the members' norms by np.unique
+    fam = empirical._family(DensityConfig(X, make_fejer(1.5), weight, R=R))
+    norms, inv = np.unique(fam.norm, return_inverse=True)
+    mu, share, _ = fam.conductors
+    assert np.array_equal(mu, specfun.log_conductor(norms)) and mu.size == n_norms
+    assert np.array_equal(share, 4.0 * np.bincount(inv, weights=fam.w0) / fam.W)
+    assert np.count_nonzero(share == 0.0) == n_empty
+    assert ratios.ratios_density(DensityConfig(X, make_fejer(1.5), weight, R=R),
+                                 T=150.0).n_norms == n_norms
+    # a norm that is not 1 mod 4 is no primary norm: the view refuses it
+    bad = empirical._Family(fam.re, fam.im, fam.norm + 2, fam.w0, fam.W)
+    with pytest.raises(ValueError, match="1 mod 4"):
+        bad.by_norm
 
 
 def test_density_report_consistency(fejer15, weight):
