@@ -2,7 +2,8 @@
 grid by non-uniform FFT (the Gaussian spread one sparse product per chunk
 of sources, a scipy sparsetools C loop that calls no BLAS), Chebyshev
 table fills, table interpolation, BLAS-free dot products,
-alternating-series acceleration.
+alternating-series acceleration, and a thread pool for jobs that write
+their results by index.
 
 Nothing here knows about number fields; keep it that way.
 """
@@ -10,6 +11,8 @@ Nothing here knows about number fields; keep it that way.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -22,6 +25,21 @@ def read_only(*arrays):
     for a in arrays:
         a.flags.writeable = False
     return arrays[0] if len(arrays) == 1 else arrays
+
+
+def _run_jobs(n: int, worker, threads: int) -> None:
+    """worker(i0, i1) over [0, n) in up to `threads` chunks, run by at most
+    one OS thread per CPU.  Workers write their results by index, so
+    neither the chunk layout nor the worker count changes the bits."""
+    if threads <= 1 or n < 8:
+        worker(0, n)
+        return
+    step = -(-n // threads)
+    starts = range(0, n, step)
+    with ThreadPoolExecutor(max_workers=min(len(starts), os.cpu_count() or 1)) as ex:
+        futs = [ex.submit(worker, i, min(i + step, n)) for i in starts]
+        for f in futs:
+            f.result()
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:

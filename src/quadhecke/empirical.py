@@ -16,26 +16,26 @@ inert q.  Every odd j shares one family sum of symbols per prime.  Primes
 up to the family norm bound R X take that sum prime by prime, reading the
 family in rows of fixed Im c off contiguous windows of the Legendre table
 mod p.  Larger primes divide no member, and reciprocity (c/varpi) =
-(varpi/c) turns their symbols into products of lookups in tables mod the
-prime factors of c, summed member by member.  Even j need only which
-members a prime divides, and for a squarefree c that is a function of
-N(c): [varpi | c] + [conj(varpi) | c] = v_p(N(c)) for a split p and
-[q | c] = [q^2 | N(c)] for an inert q, so each divisor sum is a strided sum
-over the multiples of p and p^2 (or q^2) in the family's weight by norm.
+(varpi/c) turns their symbols into products over the prime factors of c,
+summed member by member as rows of packed sign bits (members.py).  Even j
+need only which members a prime divides, and for a squarefree c that is
+a function of N(c): [varpi | c] + [conj(varpi) | c] = v_p(N(c)) for a
+split p and [q | c] = [q^2 | N(c)] for an inert q, so each divisor sum is
+a strided sum over the multiples of p and p^2 (or q^2) in the family's
+weight by norm.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import zint
-from ._numerics import dot, panel_nodes, read_only
+from ._numerics import _run_jobs, dot, panel_nodes, read_only
+from .members import _member_sums
 from .specfun import _LOG_32_PI2, _PSI_HALF, log_conductor
 from .transforms import TestFunction, WeightFunction
 
@@ -121,8 +121,13 @@ class _Family:
 
     @cached_property
     def log_norm_sum(self) -> float:
-        """sum of w0(c) log N(c) over one associate of each member."""
-        return math.fsum(self.w0 * np.log(self.norm.astype(float)))
+        """sum of w0(c) log N(c) over one associate of each member, one fsum
+        over the terms taken a chunk at a time, so no temporary is member
+        sized and the bits are those of one fsum over all of them."""
+        step = 1 << 14
+        terms = (self.w0[i:i + step] * np.log(self.norm[i:i + step])
+                 for i in range(0, self.norm.size, step))
+        return math.fsum(x for chunk in terms for x in chunk.tolist())
 
     @cached_property
     def by_norm(self) -> tuple[np.ndarray, np.ndarray]:
@@ -194,53 +199,6 @@ def _sj_coefs(norms: np.ndarray, L: float, test: TestFunction,
         out[mask] += ln[mask] * norms[mask] ** (-0.5 * j) * test.phi_hat(u)
         j += 2
     return out
-
-
-class _KeyVectors:
-    """The vector ((a + b t)/q), or (p/q) for t None, over the primes
-    p = a^2 + b^2 of the member side, for each key (q, t).  Keys come in q
-    order, so the Legendre table mod q and its repetition over the span of
-    a + (b t mod q) are built once per q, and only the current q's are kept;
-    b t is reduced mod q once per distinct b, so no division runs per prime."""
-
-    def __init__(self, P: np.ndarray, A: np.ndarray, B: np.ndarray):
-        b_lo = int(B.min())
-        self.P, self.a_lo = P, int(A.min())
-        self.a, self.b = A - self.a_lo, B - b_lo
-        self.b_vals = np.arange(b_lo, int(B.max()) + 1, dtype=np.int64)
-        self.span = int(self.a.max()) + 1
-        self.q = self.table = self.tiled = None
-
-    def __call__(self, key: tuple[int, int | None]) -> np.ndarray:
-        q, t = key
-        if q != self.q:
-            self.q, self.table, self.tiled = q, zint.legendre_table(q), None
-        if t is None:
-            return self.table[self.P % q]
-        if self.tiled is None:
-            self.tiled = np.resize(self.table, self.span + q)
-        # a + b t = (a - a_lo) + (a_lo + b t), the second part reduced mod q
-        return self.tiled[self.a + ((self.a_lo + self.b_vals * t) % q)[self.b]]
-
-
-def _by_q(key: tuple[int, int | None] | None) -> int:
-    """Sort key putting member keys (q, t) in q order, None first."""
-    return 0 if key is None else key[0]
-
-
-def _run_jobs(n: int, worker, threads: int) -> None:
-    """worker(i0, i1) over [0, n) in up to `threads` chunks, run by at most
-    one OS thread per CPU.  Workers write their results by index, so
-    neither the chunk layout nor the worker count changes the bits."""
-    if threads <= 1 or n < 8:
-        worker(0, n)
-        return
-    step = -(-n // threads)
-    starts = range(0, n, step)
-    with ThreadPoolExecutor(max_workers=min(len(starts), os.cpu_count() or 1)) as ex:
-        futs = [ex.submit(worker, i, min(i + step, n)) for i in starts]
-        for f in futs:
-            f.result()
 
 
 def _row_sum(rows, table: np.ndarray, s: int) -> float:
@@ -322,64 +280,6 @@ def s_odd(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:
                                   g[n_small:], cfg.threads))
     total = -2.0 / (L * fam.W) * math.fsum(np.concatenate(parts))
     return total, P.size + len(inert)
-
-
-def _member_sums(fam: _Family, bound: int, P: np.ndarray, A: np.ndarray,
-                 B: np.ndarray, g: np.ndarray, threads: int) -> np.ndarray:
-    """w0_c sum_k g_k (c/varpi_k) for every member c, with varpi_k = A_k + B_k i
-    the primary prime above P_k > bound.
-
-    Reciprocity for primary elements gives (c/varpi) = (varpi/c), a product
-    over the prime factors of c.  A split factor pi of norm q, with i -> t
-    in Z[i]/(pi) = F_q, gives ((a + b t)/q) for varpi = a + bi; a rational
-    factor q (inert, or both primes above a split q) gives (p/q).  Either
-    way the factor's vector over the p_k depends only on (q, t), with t None
-    for rational q.  A member has at most one factor with q^2 > bound and
-    it has the largest q, so members are grouped by their largest factor:
-    its vector is built once per group, the smaller ones are shared, all of
-    them by _KeyVectors.
-    """
-    spf = zint._smallest_prime_factors(bound).tolist()
-    groups: dict[tuple[int, int | None] | None, list] = {}
-    for i, (c_re, c_im, n) in enumerate(zip(fam.re.tolist(), fam.im.tolist(),
-                                            fam.norm.tolist())):
-        keys = []
-        while n > 1:
-            q = spf[n]
-            n //= q
-            if n % q:
-                keys.append((q, -c_re * pow(c_im, -1, q) % q))
-            else:
-                n //= q
-                keys.append((q, None))
-        groups.setdefault(keys[-1] if keys else None, []).append((i, keys[:-1]))
-
-    rests = {key for members in groups.values() for _, rest in members
-             for key in rest}
-    vector = _KeyVectors(P, A, B)
-    shared = {key: vector(key) for key in sorted(rests, key=_by_q)}
-    items = sorted(groups.items(), key=lambda item: _by_q(item[0]))
-    out = np.zeros(fam.re.size)
-    w0 = fam.w0
-
-    def worker(i0: int, i1: int) -> None:
-        vector = _KeyVectors(P, A, B)
-        for key, members in items[i0:i1]:
-            if key is None:
-                h = g
-            else:
-                h = g * (shared[key] if key in shared else vector(key))
-            for i, rest in members:
-                if not rest:
-                    out[i] = w0[i] * float(h.sum())
-                    continue
-                chi = shared[rest[0]]
-                for key2 in rest[1:]:
-                    chi = chi * shared[key2]
-                out[i] = w0[i] * dot(h, chi)
-
-    _run_jobs(len(items), worker, threads)
-    return out
 
 
 def s_even(cfg: DensityConfig, fam: _Family | None = None) -> tuple[float, int]:

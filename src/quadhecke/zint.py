@@ -200,11 +200,28 @@ def _smallest_prime_factors(limit: int) -> np.ndarray:
     return spf
 
 
+def nonresidue_mask(p: int, length: int) -> np.ndarray:
+    """[r is a quadratic non-residue mod p] for r = 0, ..., length-1 as bool,
+    p an odd prime: the mask of the residues mod p, repeated."""
+    mask = np.ones(max(p, length), dtype=bool)
+    r = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    r *= r
+    # r^2 - (r^2 // p) p: numpy divides by a scalar far faster than it takes
+    # % by one
+    r -= r // p * p
+    mask[r] = False
+    mask[0] = False
+    done = p
+    while done < length:
+        n = min(done, length - done)
+        mask[done:done + n] = mask[:n]
+        done += n
+    return mask[:length]
+
+
 def legendre_table(p: int) -> np.ndarray:
     """Legendre symbols (r/p) for r = 0, ..., p-1 as int8, p an odd prime."""
-    tab = np.full(p, -1, dtype=np.int8)
-    r = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    tab[r * r % p] = 1
+    tab = 1 - 2 * nonresidue_mask(p, p).view(np.int8)
     tab[0] = 0
     return tab
 

@@ -3,7 +3,8 @@
 Each is a slower or more literal form of something src/quadhecke computes
 another way: the family sieve by one remainder pass per prime, the
 per-character prime sums, S_even's divisor weights by a divisibility mask
-over the members, Legendre symbols by Euler's criterion, A_alpha by
+over the members, S_odd's member side by float products of +-1 symbol
+vectors, Legendre symbols by Euler's criterion, A_alpha by
 differencing the Euler product, the Moebius function read off
 checks.primary_products, the primary associate, the pointwise ratios
 integrand, the outer-product phase sum, the even-sum coefficients d_m
@@ -20,8 +21,8 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from quadhecke import ratios, zint
-from quadhecke._numerics import (_NUFFT_CHUNK, _NUFFT_HALF_WIDTH, cauchy_derivs, gl_nodes,
-                                 panel_layout)
+from quadhecke._numerics import (_NUFFT_CHUNK, _NUFFT_HALF_WIDTH, cauchy_derivs, dot,
+                                 gl_nodes, panel_layout)
 from quadhecke.checks import primary_products
 from quadhecke.empirical import DensityConfig, _family, _sj_coefs
 from quadhecke.specfun import A_alpha_series, A_euler, digamma, log_conductor, zeta_K_log_deriv
@@ -195,6 +196,48 @@ def s_total_family_outer(cfg: DensityConfig) -> float:
                 s += s_j_sum(c0 * unit, j)
             acc.append(w0 * s)
     return -2.0 / (cfg.L * fam.W) * math.fsum(acc)
+
+
+def member_sums_float(fam, bound: int, P: np.ndarray, A: np.ndarray, B: np.ndarray,
+                      g: np.ndarray) -> np.ndarray:
+    """members._member_sums by float products: members grouped by their
+    largest key (q, t), each group's int8 symbol vector over the primes
+    times g, times the product of the member's smaller keys' vectors, in
+    one dot per member."""
+    def by_q(key):
+        return 0 if key is None else key[0]
+
+    spf = zint._smallest_prime_factors(bound).tolist()
+    groups: dict = {}
+    for i, (c_re, c_im, n) in enumerate(zip(fam.re.tolist(), fam.im.tolist(),
+                                            fam.norm.tolist())):
+        keys = []
+        while n > 1:
+            q = spf[n]
+            n //= q
+            if n % q:
+                keys.append((q, -c_re * pow(c_im, -1, q) % q))
+            else:
+                n //= q
+                keys.append((q, None))
+        groups.setdefault(keys[-1] if keys else None, []).append((i, keys[:-1]))
+    def vector(key):
+        """((a + b t)/q) over the primes a + bi, or (p/q) for t None"""
+        q, t = key
+        table = zint.legendre_table(q)
+        return table[P % q] if t is None else table[(A + B * t) % q]
+
+    rests = {key for members in groups.values() for _, rest in members for key in rest}
+    shared = {key: vector(key) for key in sorted(rests, key=by_q)}
+    out = np.zeros(fam.re.size)
+    for key, members in sorted(groups.items(), key=lambda item: by_q(item[0])):
+        h = g if key is None else g * (shared[key] if key in shared else vector(key))
+        for i, rest in members:
+            chi = np.ones(P.size)
+            for key2 in rest:
+                chi = chi * shared[key2]
+            out[i] = fam.w0[i] * dot(h, chi)
+    return out
 
 
 def s_even_members(cfg: DensityConfig) -> tuple[float, int]:

@@ -11,13 +11,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from quadhecke import empirical, zint
+from quadhecke import _numerics, empirical, members, zint
 from quadhecke.empirical import DensityConfig, one_level_density
 from quadhecke.transforms import (WeightFunction, make_bump, make_fejer,
                                   make_gaussian_weight)
 from quadhecke.zint import GInt
 
-from oracles import legendre_euler, moebius, s_even_members, s_total_family_outer
+from oracles import (legendre_euler, member_sums_float, moebius, s_even_members,
+                     s_total_family_outer)
 
 
 def test_config_validation():
@@ -222,6 +223,14 @@ def test_family_rows_cover_members(weight, X, R):
     assert all(w.get((a, -bb)) == v for (a, bb), v in w.items())
 
 
+def test_log_norm_sum_is_one_fsum(weight):
+    # the conductor term's sum runs chunk by chunk (44496 members here,
+    # three chunks) but is one exact fsum over every term
+    fam = empirical._family(DensityConfig(32000.0, make_fejer(0.8), weight))
+    assert fam.re.size > 2 * (1 << 14)
+    assert fam.log_norm_sum == math.fsum((fam.w0 * np.log(fam.norm.astype(float))).tolist())
+
+
 def test_family_memo_keys_on_selecting_fields(weight):
     # X, R and the weight select the family; phi and threads do not, so
     # configs that differ only there share one object
@@ -269,27 +278,85 @@ def test_row_sum_serves_both_conjugates(weight, X, test):
         assert got[0] == got[1], p
 
 
+def _member_side(cfg: DensityConfig):
+    """s_odd's arguments to _member_sums: the primes p = 1 mod 8 past R X
+    with their primary primes and coefficients g."""
+    fam = empirical._family(cfg)
+    bound = int(cfg.R * cfg.X)
+    P = zint._sieve(int(cfg.prime_cutoff))
+    P = P[(P % 8 == 1) & (P > bound)]
+    _, A, B = zint.primes_above(P)
+    f = 2.0 * (1 - 2 * (((A + B - 1) // 4) & 1))
+    g = empirical._sj_coefs(P.astype(float), cfg.L, cfg.test, 1) * 4.0 * f
+    return fam, bound, P, A, B, g
+
+
+@pytest.mark.parametrize("X, test, n", [
+    (2000.0, make_fejer(1.5), None),
+    (1500.0, make_fejer(1.9), None),    # 21k primes: two chunks
+    (2000.0, make_fejer(1.5), 1003),    # a padded last byte
+])
+def test_member_sums_against_float_products(weight, X, test, n):
+    # the byte tables and sign bits give each member's sum of the float
+    # products, to rounding: the error is relative to w0 sum |g|, the scale
+    # of the terms
+    fam, bound, P, A, B, g = _member_side(DensityConfig(X, test, weight))
+    P, A, B, g = P[:n], A[:n], B[:n], g[:n]
+    assert n is None or n % 8
+    got = members._member_sums(fam, bound, P, A, B, g, threads=1)
+    want = member_sums_float(fam, bound, P, A, B, g)
+    assert np.all(np.abs(got - want) <= 1e-14 * fam.w0 * np.abs(g).sum())
+    assert (P.size > members._CHUNK) == (test.sigma > 1.8)
+
+
+@pytest.mark.parametrize("X, test", [(8000.0, make_fejer(1.5)), (2000.0, make_fejer(1.9))])
+def test_member_sums_peak_memory(weight, X, test):
+    # the rows stream chunk by chunk and batch by batch: one byte table, a
+    # batch's masks and rows, and the smaller keys' rows over all primes
+    import tracemalloc
+    args = _member_side(DensityConfig(X, test, weight))
+    tracemalloc.start()
+    try:
+        members._member_sums(*args, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
 def test_member_sums_build_tables_per_prime(weight, monkeypatch):
-    # keys run in q order, so each q's Legendre table is built once for the
-    # shared vectors and at most once more for the groups, not once per key:
-    # the q of successive builds rises strictly, but for one restart
+    # the smaller keys' masks are built first, then the groups' in q order
+    # across every chunk: each q once per role, in rising q
     cfg = DensityConfig(2000.0, make_fejer(1.5), weight)
     fam = empirical._family(cfg)
     bound = int(cfg.R * cfg.X)
-    P = zint._sieve(4 * bound)
+    P = zint._sieve(150 * bound)
     P = P[(P % 8 == 1) & (P > bound)]
+    assert P.size > members._CHUNK            # two chunks
     _, A, B = zint.primes_above(P)
+    spf = zint._smallest_prime_factors(bound)
+    smaller, largest = set(), set()
+    for n in fam.norm.tolist():
+        qs = []     # the distinct primes q | N(c), rising
+        while n > 1:
+            q = int(spf[n])
+            n //= q
+            if q not in qs:
+                qs.append(q)
+        if qs:
+            smaller.update(qs[:-1])
+            largest.add(qs[-1])
     calls = []
-    table = zint.legendre_table
+    mask = zint.nonresidue_mask
 
-    def counted(q):
+    def counted(q, length):
         calls.append(q)
-        return table(q)
+        return mask(q, length)
 
-    monkeypatch.setattr(zint, "legendre_table", counted)
-    empirical._member_sums(fam, bound, P, A, B, np.ones(P.size), threads=1)
+    monkeypatch.setattr(zint, "nonresidue_mask", counted)
+    members._member_sums(fam, bound, P, A, B, np.ones(P.size), threads=1)
     assert len(calls) > 500
-    assert sum(b <= a for a, b in zip(calls, calls[1:])) <= 1
+    assert calls == sorted(smaller) + sorted(largest)
 
 
 class _NarrowWeight(WeightFunction):
@@ -381,8 +448,8 @@ def test_run_jobs_caps_os_threads(monkeypatch):
     # any thread count is accepted, but at most one OS thread per CPU
     # starts; the chunks stay one per thread asked for
     sizes = _InlineExecutor.sizes
-    monkeypatch.setattr(empirical, "ThreadPoolExecutor", _InlineExecutor)
-    monkeypatch.setattr(empirical.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_numerics, "ThreadPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_numerics.os, "cpu_count", lambda: 4)
     for n, threads, size, chunks in [
         (3449, 100000, 4, [(i, i + 1) for i in range(3449)]),
         (10, 3, 3, [(0, 4), (4, 8), (8, 10)]),
@@ -390,17 +457,18 @@ def test_run_jobs_caps_os_threads(monkeypatch):
     ]:
         ran = []
         sizes.clear()
-        empirical._run_jobs(n, lambda i0, i1: ran.append((i0, i1)), threads)
+        _numerics._run_jobs(n, lambda i0, i1: ran.append((i0, i1)), threads)
         assert sizes == [size] and ran == chunks, (n, threads)
-    monkeypatch.setattr(empirical.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(_numerics.os, "cpu_count", lambda: None)
     sizes.clear()
-    empirical._run_jobs(100, lambda i0, i1: None, 8)
+    _numerics._run_jobs(100, lambda i0, i1: None, 8)
     assert sizes == [1]
 
 
 def test_s_odd_threads_bitwise_invariant(weight, monkeypatch):
     for X, test in [
         (2000.0, make_fejer(1.5)),      # the member side runs
+        (1500.0, make_fejer(1.9)),      # over two chunks of primes
         (32000.0, make_fejer(0.8)),     # every prime read off the rows
     ]:
         want = None
@@ -408,13 +476,13 @@ def test_s_odd_threads_bitwise_invariant(weight, monkeypatch):
             with monkeypatch.context() as m:
                 if threads > 3:
                     # one chunk per prime and per member group, run inline
-                    m.setattr(empirical, "ThreadPoolExecutor", _InlineExecutor)
+                    m.setattr(_numerics, "ThreadPoolExecutor", _InlineExecutor)
                 # a fresh family, so each count computes the prime side's sums
                 empirical._family_of.cache_clear()
                 cfg = DensityConfig(X, test, weight, threads=threads)
                 odd = empirical.s_odd(cfg)
                 # S_even runs in the calling thread: it starts no executor
-                m.setattr(empirical, "ThreadPoolExecutor", None)
+                m.setattr(_numerics, "ThreadPoolExecutor", None)
                 got = odd, empirical.s_even(cfg)
             assert want is None or got == want, (X, threads)
             want = got

@@ -284,6 +284,11 @@ def test_legendre_table_matches_euler_criterion():
         tab = zint.legendre_table(p)
         assert tab.dtype == np.int8 and tab.size == p
         assert tab.tolist() == legendre_euler(np.arange(p), p).tolist()
+        # the non-residue mask, repeated past p: shorter, one period, longer
+        for length in (p - 1, p, p + 1, 3 * p + 2):
+            mask = zint.nonresidue_mask(p, length)
+            assert mask.dtype == bool
+            assert mask.tolist() == (legendre_euler(np.arange(length), p) == -1).tolist()
 
 
 def test_smallest_prime_factors_against_factor_int():
