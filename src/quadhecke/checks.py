@@ -14,14 +14,14 @@ from functools import partial
 
 import numpy as np
 
-from . import ratios, zint
+from . import expansion, ratios, zint
 from ._numerics import cauchy_derivs, panel_nodes
 from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         _family, poisson_pair, s_even_main_form)
 from .expansion import J_X, d_coefficients, phi_sf_limit, phi_sf_partial
 from .specfun import (_LOG_32_PI2, _PSI_HALF, A_closed_mr, A_euler, EULER_GAMMA,
-                      X_c, default_context, digamma, log_conductor, zeta_K,
-                      zeta_K_prime_0)
+                      X_c, _axis_profile, default_context, digamma, dual_term,
+                      log_conductor, zeta_K, zeta_K_prime_0)
 from .transforms import make_gaussian_weight, mellin_identity_check, parse_test_function
 
 
@@ -112,7 +112,7 @@ def pole_rays(norm_c=5, radii=(0.04, 0.02, 0.01, 0.005, 0.0025)):
     residues cancel, so the products must sink toward zero with |r|."""
     rays = {"real": 1.0 + 0.0j, "diag": cmath.exp(0.25j * math.pi), "imag": 1j}
     return {name: [abs(rho * phase * (ratios.combined_prime_term(rho * phase)
-                                      + ratios.dual_term(rho * phase, norm_c)))
+                                      + dual_term(rho * phase, norm_c)))
                    for rho in radii]
             for name, phase in rays.items()}
 
@@ -125,7 +125,7 @@ def pole_residues(norm_c=5, radius=0.05):
         return cauchy_derivs(lambda rs: np.array([r * f(r) for r in rs]),
                              0.0, radius, 0)[0]
 
-    dual = residue(lambda r: ratios.dual_term(r, norm_c))
+    dual = residue(lambda r: dual_term(r, norm_c))
     return max(abs(dual - 1.0), abs(residue(ratios._combined_analytic) + 1.0)), 1e-8
 
 
@@ -176,7 +176,7 @@ def prime_bridge(X=2000.0, tol=1e-4):
             = -(2/L) sum logN N^-j (1+1/N)^-1 phi_hat(2j logN / L).
     """
     cfg = _config(X)
-    nodes, wts, re_comb, _ = ratios._axis_profile(ratios._T_CAP, ratios._PANEL_H)
+    nodes, wts, re_comb, _ = _axis_profile(ratios._T_CAP, ratios._PANEL_H)
     phi_vals = cfg.test.phi(nodes * cfg.L / (2.0 * math.pi))
     integral = float(np.dot(wts, re_comb * phi_vals)) / math.pi \
         - float(cfg.test.phi(0.0)) / 2.0
@@ -234,12 +234,14 @@ def refinement(phi, X=2000.0, T=ratios._T_CAP, h=ratios._PANEL_H):
     return fine.D_ratios_integral - rep.D_ratios_integral, rep.max_error
 
 
-def refine_ycap(X=2000.0, phi="fejer:1.5"):
-    """J(X) with the kernel tables' y_cap doubled against the default 3000,
-    within the default run's own error estimate."""
-    test = parse_test_function(phi)
-    value, err = J_X(X, test)
-    return J_X(X, test, y_cap=6000.0)[0] - value, err
+def refine_J(phi, X=2000.0, T_scale=1.0, h_scale=1.0):
+    """J(X) with its t-range and panel width scaled, within J_X's error,
+    which holds the change at half the width; the h entries quarter it."""
+    test, w = parse_test_function(phi), make_gaussian_weight()
+    value, err = J_X(X, test, w)
+    fine, _ = expansion._dual_integral(X, test, w, T_scale * expansion._mw_cut(w)[0],
+                                       h_scale * expansion._J_PANEL_H)
+    return fine - value, err
 
 
 def d_ring_vs_combined():
@@ -282,6 +284,8 @@ CHECKS = (
      lambda: (2.0 * math.log(4.0) + math.log(math.pi ** 2 / 32.0)
               - (4.0 / 3.0) * math.log(2.0)
               - math.log(math.pi ** 2 / 2 ** (7.0 / 3.0)), 1e-12)),
+    ("cw1_ring_vs_closed", "quick",
+     lambda: (expansion.c_w_coefficients(1)[0][0] - expansion.c_w1_closed(), 1e-14)),
     ("mellin_identity_half", "quick", partial(mellin_identity, (0.5 + 0.0j,))),
     ("mellin_identity_half_i", "quick", partial(mellin_identity, (0.5 + 1.0j,))),
     ("w_tilde_at_0", "quick",
@@ -313,7 +317,10 @@ CHECKS = (
     ("refine_h_15_2000", "full", partial(refinement, "fejer:1.5", h=0.5 * ratios._PANEL_H)),
     ("refine_T_b08_2000", "full", partial(refinement, "bump:0.8", T=2.0 * ratios._T_CAP)),
     ("refine_h_b08_2000", "full", partial(refinement, "bump:0.8", h=0.5 * ratios._PANEL_H)),
-    ("refine_ycap_J_2000", "full", refine_ycap),
+    ("refine_J_T_08_2000", "full", partial(refine_J, "fejer:0.8", T_scale=2.0)),
+    ("refine_J_h_08_2000", "full", partial(refine_J, "fejer:0.8", h_scale=0.25)),
+    ("refine_J_T_15_2000", "full", partial(refine_J, "fejer:1.5", T_scale=2.0)),
+    ("refine_J_h_15_2000", "full", partial(refine_J, "fejer:1.5", h_scale=0.25)),
     ("d_ring_vs_combined", "full", d_ring_vs_combined),
     ("digamma_pair_bump", "exhaustive", partial(digamma_pair, "bump:1.5", 1e-8)),
     ("conductor_average_500", "exhaustive", partial(conductor_average, 500.0, 1.0)),

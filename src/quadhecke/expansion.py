@@ -1,7 +1,21 @@
-"""Descending powers of log X: kernel lattice sums and expansion coefficients.
+"""Descending powers of log X: J(X), the expansion coefficients, and the
+Poisson-side kernel lattice sums kept as their reference.
 
-The odd prime sum, after Poisson summation and Moebius inversion, reduces to
-a tau-integral J(X) over two lattice sums of the nested weight transform g1,
+J(X) and the c_wm are route 2's dual term on the smooth family, whose
+average of exp(-r mu(N)) is (32X/pi^2)^(-r) M_w(1-r)/M_w(1).  With X^(-r)
+taken out it is F(r) = Psi(r) (32/pi^2)^(-r) M_w(1-r)/M_w(1), Psi(r) =
+-(8/pi) Gamma(1/2-r)/Gamma(1/2+r) zeta_K(1-2r) A(-r, r), and
+
+  J(X) = int_0^1 phi_hat + (1/pi) int_0^inf phi(tL/2pi) Re[F(it) e^(-itL)] dt,
+  c_wm = (-1)^(m-1) g_(m-1),  F(r) - 1/r = sum_k g_k r^k  (|r| < 1/2).
+
+J reads Psi(it) off the axis profile (specfun._axis_profile); the g_k come
+from a Cauchy ring.  That these equal the Poisson-side J and c_wm below is
+a measurement, not a proof (tests/oracles.py).
+
+The Poisson side.  The odd prime sum, after Poisson summation and Moebius
+inversion, reduces to a tau-integral of two lattice sums of the nested
+weight transform g1,
 
   H1(y) = pref * sum_n r(n) sum_l mu(l)/N(l) (g1(2 n N(l) y) - g1(n N(l) y)),
   H2(y) = 1 + (pref/y) sum_n r(n) sum_l mu(l)/N(l) (g1(2 n N(l)/y) - g1(n N(l)/y)),
@@ -30,14 +44,12 @@ and d is one odd-norm sieve over them (zint.multiplicative_odd), so
 
 one sum, taken at y and at 1/y.  g1's hard cutoff (below 1e-13 past 112)
 makes both finite and exact.  d(m) is zero for 89% of m <= 112 y_cap at
-y_cap = 3000, so the sum runs over its nonzero support only.
-H2(y) decays like y^(-3/2), so the tau-integrals are cut at y_cap with a
-fitted-envelope tail estimate reported as error.  Both kernels are
-tabulated once per kernel table as profiles in tau = 2 log y on fixed GL-12
-panels: e^(tau/2) H1 on [0, 2 log 112] and H2 on [0, 2 log y_cap].  J(X)
-and the c_w moments read every panel from a profile except one that holds
-a break of the weight, where phi_hat(1 -+ tau/L) ends its support or has
-its kink at tau = L; that panel is summed afresh, split at the break.
+y_cap = 3000, so the sum runs over its nonzero support only.  With
+tau = 2 log y, J(X) L = int e^(tau/2) H1 phi_hat(1 + tau/L) + H2
+phi_hat(1 - tau/L) dtau and (m-1)! c_wm = int tau^(m-1) e^(tau/2) H1 +
+(-tau)^(m-1) H2 dtau.  No route reads them: they are the independent
+reference that the tests integrate and the benchmark times, since routes
+2 and 3 share zeta_K, A(-r, r) and Psi.
 
 The even prime sum expands into coefficients d_m that are the Taylor
 coefficients at r = 0 of route 2's combined prime term with its pole
@@ -53,20 +65,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy.special import gammaincc
 
 from . import zint
-from ._numerics import cauchy_derivs, dot, panel_layout, panel_nodes, read_only
-from .specfun import (_EULER_CUTOFF, _LOG_32_PI2, _PSI_HALF, EULER_GAMMA,
-                      a_alpha_outside, default_context, hurwitz, zeta_K_log_deriv)
+from ._numerics import cauchy_derivs, dot, read_only
+from .specfun import (_EM_REL, _EULER_CUTOFF, _LOG_32_PI2, _PSI_HALF, EULER_GAMMA,
+                      _axis_profile, a_alpha_outside, default_context, dual_term, hurwitz,
+                      zeta_K_log_deriv)
 from .transforms import (TestFunction, WeightFunction, make_gaussian_weight)
 
 _G1_CUT = 112.0          # g1(y) below 1e-13 beyond this
-_G1_BATCH = 1 << 15      # g1 points per batch of _g1_sum, about one sum's longest prefix
+_J_PANEL_H = 0.25        # GL-12 panel width of J's t-integral
+_MW_CUT = 1e-15          # J's t-range ends where |M_w(1-it)/M_w(1)| falls below this
 
 
 def prefactor(weight: WeightFunction) -> float:
@@ -94,27 +107,6 @@ def _c_local(p, e):
     return np.where(p % 4 == 1, split, inert)
 
 
-class _Profile:
-    """A kernel k(tau) tabulated on the GL-12 panels of [0, cap], width <= 0.25."""
-
-    def __init__(self, kernel, cap: float):
-        self.kernel, self.cap = kernel, cap
-        tau, q = panel_nodes(0.0, cap, 0.25, 12)
-        self.tau, self.q, self.f = read_only(tau, q, kernel(tau))
-
-    def integral(self, weight, breaks: tuple[float, ...] = ()) -> float:
-        """int_0^cap weight(tau) k(tau) dtau.  A panel holding a break of
-        weight in (0, cap) is summed afresh, split there; the rest are read."""
-        _, step = panel_layout(0.0, self.cap, 0.25)
-        held = sorted({int(b / step) for b in breaks if 0.0 < b < self.cap})
-        keep = ~np.isin(np.arange(self.tau.size) // 12, held)
-        total = float(np.dot(self.q[keep], weight(self.tau[keep]) * self.f[keep]))
-        for k in held:
-            t, q = panel_nodes(k * step, (k + 1) * step, 0.25, 12, breaks)
-            total += float(np.dot(q, weight(t) * self.kernel(t)))
-        return total
-
-
 class _KernelTables:
     """H1 and H2 for one (weight, y_cap), from the shared d(m) support.
 
@@ -125,12 +117,7 @@ class _KernelTables:
     (36841 of the 336002 entries at y_cap = 3000: d vanishes on even m and
     wherever a q = 3 mod 4 divides m to an odd power); a lattice sum stops
     at m <= 112/x by one searchsorted and is one dot product over that
-    prefix.  H1 and H2 take a profile's or a held panel's nodes in one
-    call, which reads g1 at all of them at once.
-
-    h1_profile and h2_profile tabulate both kernels once at y = e^(tau/2)
-    (module docstring), and h2_envelope fits the y^(-3/2) tail once; J_X
-    and c_w_coefficients read them instead of summing the lattice again.
+    prefix.
     """
 
     def __init__(self, weight: WeightFunction, y_cap: float):
@@ -143,25 +130,11 @@ class _KernelTables:
 
     def _g1_sum(self, x):
         """sum_{m <= 112/x} d(m) g1(m x) at each x of a float or an array:
-        H1 at y = x, H2 at y = 1/x.  One searchsorted finds every prefix,
-        g1 is read once per batch of at most _G1_BATCH points, and each x
-        takes one dot over its own prefix, so each sum keeps the bits it
-        has when taken alone."""
+        H1 at y = x, H2 at y = 1/x, one dot over each x's prefix of d."""
         x = np.asarray(x, dtype=float)
-        xs = x.ravel()
-        k = np.searchsorted(self.m, _G1_CUT / xs, side="right")
-        out = np.empty(xs.size)
-        i = 0
-        while i < xs.size:
-            # the x from i on whose points fit in one batch, at least one
-            j = i + max(1, int(np.searchsorted(np.cumsum(k[i:]), _G1_BATCH, side="right")))
-            g = self.weight.g1(np.concatenate([self.m[:n] * v for n, v in zip(k[i:j], xs[i:j])]))
-            start = 0
-            for r in range(i, j):
-                out[r] = dot(self.d_m[:k[r]], g[start:start + k[r]])
-                start += k[r]
-            i = j
-        return out.reshape(x.shape)
+        k = np.searchsorted(self.m, _G1_CUT / x.ravel(), side="right")
+        return np.array([dot(self.d_m[:n], self.weight.g1(self.m[:n] * v))
+                         for n, v in zip(k, x.ravel().tolist())]).reshape(x.shape)
 
     def H1(self, y):
         """H1 at a float or an array of y."""
@@ -176,36 +149,12 @@ class _KernelTables:
             raise ValueError("H2 tabulated for 1 <= y <= y_cap")
         return 1.0 + self.pref / y * self._g1_sum(1.0 / y)
 
-    @cached_property
-    def h1_profile(self) -> _Profile:
-        """e^(tau/2) H1(e^(tau/2)) up to 2 log 112, past which H1 is 0."""
-        return _Profile(lambda t: np.exp(0.5 * t) * self.H1(_y_of(t)),
-                        2.0 * math.log(_G1_CUT))
-
-    @cached_property
-    def h2_profile(self) -> _Profile:
-        """H2(e^(tau/2)) up to 2 log y_cap."""
-        return _Profile(lambda t: self.H2(_y_of(t)), 2.0 * math.log(self.y_cap))
-
-    @cached_property
-    def h2_envelope(self) -> float:
-        """Fitted constant C with |H2(y)| <= C y^(-3/2) near the cap."""
-        ys = np.geomspace(self.y_cap / 8.0, self.y_cap, 12)
-        return max(abs(h) * y ** 1.5 for h, y in zip(self.H2(ys).tolist(), ys.tolist()))
-
-
-def _y_of(tau: np.ndarray) -> np.ndarray:
-    """y = e^(tau/2) at each node, by math.exp: np.exp differs from it in
-    the last bit at some profile nodes, and the profiles keep its bits."""
-    return np.array([math.exp(0.5 * t) for t in tau.tolist()])
-
 
 def kernel_tables(weight: WeightFunction | None = None,
                   ctx=None,  # unread; perfbench/worker.py fills it (ROADMAP item 7)
                   y_cap: float = 3000.0) -> _KernelTables:
-    """The kernel lattice sums for (weight, y_cap): the d(m) support and
-    the H1 and H2 profiles are built once per value and J_X and
-    c_w_coefficients read them."""
+    """The kernel lattice sums for (weight, y_cap), built once per value:
+    the Poisson-side reference of J and the c_wm (module docstring)."""
     return _kernel_tables(weight or make_gaussian_weight(), float(y_cap))
 
 
@@ -214,45 +163,80 @@ def kernel_tables(weight: WeightFunction | None = None,
 _kernel_tables = lru_cache(maxsize=4)(_KernelTables)
 
 
-# --- the tau-integral and its expansion ---------------------------------------------
+# --- the smooth dual term: J(X) and the c_wm ---------------------------------------
+
+def _smooth_dual(r, weight: WeightFunction, psi=None):
+    """F(r) (module docstring) at a complex array r: route 2's dual term at
+    norm 1, whose conductor is 32/pi^2, times M_w(1-r)/M_w(1); psi, when
+    given, supplies Psi at every r."""
+    dual = dual_term(r, 1) if psi is None else psi * np.exp(-r * _LOG_32_PI2)
+    return dual * weight.Mw(1.0 - r) / weight.Mw(1.0)
+
+
+@lru_cache(maxsize=4)
+def _mw_cut(weight: WeightFunction) -> tuple[float, float]:
+    """(T, ell): the first panel end T with |M_w(1-iT)/M_w(1)| <= _MW_CUT,
+    and M_w's decay length there, from its fall over the last panel."""
+    def ratio(t):
+        return abs(weight.Mw(1.0 - 1j * t) / weight.Mw(1.0))
+    T = _J_PANEL_H
+    while ratio(T) > _MW_CUT:
+        if T > 1000.0:
+            raise ValueError(f"|M_w(1 - it)| stays above {_MW_CUT:.0e} past t = 1000")
+        T += _J_PANEL_H
+    return T, _J_PANEL_H / math.log(ratio(T - _J_PANEL_H) / ratio(T))
+
+
+@lru_cache(maxsize=4)
+def _dual_axis(weight: WeightFunction, T: float, h: float):
+    """Nodes, weights and F(it) on the axis profile's [0, T] grid, read-only."""
+    nodes, wts, _, psi = _axis_profile(T, h)
+    return read_only(nodes, wts, _smooth_dual(1j * nodes, weight, psi))
+
+
+def _dual_integral(X: float, test: TestFunction, weight: WeightFunction,
+                   T: float, h: float) -> tuple[float, float]:
+    """J(X) on the [0, T] grid of panel width h, and (1/pi) int |phi F| dt."""
+    L = math.log(X)
+    t, wts, f = _dual_axis(weight, T, h)
+    phi = wts * test.phi(t * L / (2.0 * math.pi))
+    value = dot(phi, (f * np.exp(-1j * L * t)).real) / math.pi
+    return test.phi_hat_integral(0.0, 1.0) + value, dot(np.abs(phi), np.abs(f)) / math.pi
+
 
 def J_X(X: float, test: TestFunction, weight: WeightFunction | None = None,
         ctx=None,  # unread; perfbench/worker.py fills it (ROADMAP item 7)
-        y_cap: float = 3000.0) -> tuple[float, float]:
-    """Numeric J(X): value and an error estimate from the y_cap tail."""
+        ) -> tuple[float, float]:
+    """J(X) from the smooth dual term and its error: the change when the
+    panel width halves, the M_w tail past the cut, and zeta_K's relative
+    error twice (Psi holds zeta_K(1-2it)/zeta_K(2-2it)) on |phi F|."""
     if not math.e < X < math.inf:
         raise ValueError("J_X needs finite X > e")
-    tab = kernel_tables(weight, y_cap=y_cap)
-    L = math.log(X)
-    sigma = test.sigma
-    # phi_hat(1 +- tau/L) is 0 past the ends of its support, the breaks
-    # (sigma -+ 1) L, and phi_hat(1 - tau/L) has its kink at tau = L
-    total = (tab.h1_profile.integral(lambda t: test.phi_hat(1.0 + t / L),
-                                     ((sigma - 1.0) * L,))
-             + tab.h2_profile.integral(lambda t: test.phi_hat(1.0 - t / L),
-                                       ((1.0 - sigma) * L, L, (1.0 + sigma) * L)))
-    top2 = min((1.0 + sigma) * L, tab.h2_profile.cap)
-    tail = tab.h2_envelope * (4.0 / 3.0) * math.exp(-0.75 * top2)
-    return total / L, (tail + 3e-6) / L
+    w = weight or make_gaussian_weight()
+    T, ell = _mw_cut(w)
+    value, modulus = _dual_integral(X, test, w, T, _J_PANEL_H)
+    fine, _ = _dual_integral(X, test, w, T, 0.5 * _J_PANEL_H)
+    # |phi| <= phi(0) as phi_hat >= 0, and |F(it)| falls past T like M_w
+    tail = float(test.phi(0.0) * abs(_dual_axis(w, T, _J_PANEL_H)[2][-1])) * ell / math.pi
+    return value, abs(fine - value) + tail + 2.0 * _EM_REL * modulus
+
+
+def _ring_taylor(M: int, weight: WeightFunction, radius: float) -> np.ndarray:
+    """g_0..g_(M-1) of F(r) - 1/r from the Cauchy ring of the given radius."""
+    ring = cauchy_derivs(lambda r: _smooth_dual(r, weight) - 1.0 / r, 0.0, radius, M - 1)
+    return ring.real / np.array([math.factorial(k) for k in range(M)], dtype=float)
 
 
 def c_w_coefficients(M: int,
                      weight: WeightFunction | None = None) -> list[tuple[float, float]]:
-    """Tau-moment integrals of the two kernel lattice sums, orders 1..M."""
+    """c_w1..c_wM, c_wm = (-1)^(m-1) g_(m-1) (module docstring), each with
+    its change when the ring radius drops from 0.2 to 0.1 as its error."""
     if not 1 <= M <= 8:
         raise ValueError("order must be in 1..8")
-    tab = kernel_tables(weight)
-    h1, h2 = tab.h1_profile, tab.h2_profile
-    out = []
-    for m in range(1, M + 1):
-        fact = math.gamma(m)
-        i1 = h1.integral(lambda t: t ** (m - 1))
-        i2 = h2.integral(lambda t: (-t) ** (m - 1))
-        # tail of int tau^(m-1) C e^(-3 tau/4): (4/3)^m Gamma(m) Q(m, 3 cap/4)
-        tail = (tab.h2_envelope * (4.0 / 3.0) ** m * fact
-                * float(gammaincc(m, 0.75 * h2.cap)))
-        out.append(((i1 + i2) / fact, (tail + 3e-6) / fact))
-    return out
+    w = weight or make_gaussian_weight()
+    g = _ring_taylor(M, w, 0.2)
+    err = np.abs(g - _ring_taylor(M, w, 0.1))
+    return [(float((-1) ** k * g[k]), float(err[k])) for k in range(M)]
 
 
 def c_w1_closed(weight: WeightFunction | None = None) -> float:

@@ -20,7 +20,8 @@ in t, so it integrates to phi_hat(0)/L exactly.  The gamma pair obeys the
 exact kernel identity 2 psi(1/2) phi_hat(0)/L plus the e^{-x/2}/(1-e^{-x})
 integral, shared with the explicit-formula side.  The dual term factors as
 Psi(it) exp(-it mu(N)) with Psi independent of the conductor, so the family
-collapses to distinct norms and one cached t-profile serves every config.
+collapses to distinct norms and one cached t-profile (specfun._axis_profile,
+which route 3 reads too) serves every config.
 What remains under numerical quadrature is mean-zero in t and is summed on
 fixed GL-12 panels sized to the fastest phase, with an a-posteriori tail
 estimate from the trailing panels.
@@ -44,24 +45,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import loggamma as _loggamma
 
 from . import zint
-from ._numerics import gl_nodes, panel_layout, panel_nodes, phase_sum, read_only
+from ._numerics import gl_nodes, panel_layout, phase_sum
 from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         s_even_main_form, _family)
 from .expansion import c_w1_closed, expansion_coefficients, thm_prediction
 from .specfun import (_EULER_CUTOFF, _LOG_32_PI2, _POLE_GUARD, _PSI_HALF, A_alpha_series,
-                      A_alpha_diag_it, A_closed_mr, X_c, _em_shift, log_conductor,
-                      zeta_K, zeta_K_axis, zeta_K_log_deriv)
+                      _axis_profile, _em_shift, log_conductor, zeta_K_log_deriv)
 from .transforms import TestFunction, WeightFunction
 
 _T_CAP = 600.0        # axis truncation; past every stationary phase in range
 _PANEL_H = 0.25       # GL-12 panel width; fastest phase is log(32 N/pi^2)
 _ERR_FLOOR = 5e-6     # error allowance of max_error beyond the tail estimate
+# the axis profile's build peaks at about 0.6 kB per node (76 MB at 144000,
+# the battery's finest grid): 2^18 nodes stay under about 170 MB
+_MAX_NODES = 2 ** 18
 # GL-12 remainder constant: a panel of width h misses at most
 # h^25 (12!)^4 / (25 (24!)^3) max|f^(24)|
 _GL12_REMAINDER = math.factorial(12) ** 4 / (25 * math.factorial(24) ** 3)
@@ -110,44 +111,6 @@ def _combined_analytic(r: complex) -> complex:
     return complex(2.0 * zeta_K_log_deriv(1.0 + 2.0 * r) + 2.0 * A_alpha_series(r))
 
 
-def dual_term(r: complex, norm_c: int) -> complex:
-    """-(8/pi) X_c(1/2+r) zeta_K(1-2r) A(-r,r), the swapped-equation term.
-
-    Simple pole at r = 0 with residue +1, cancelling the combined prime
-    term's -1; zeta_K's pole guard raises at r = 0.
-    """
-    r = complex(r)
-    val = -(8.0 / math.pi) * X_c(0.5 + r, int(norm_c)) \
-        * zeta_K(1.0 - 2.0 * r) * A_closed_mr(r)
-    return complex(val)
-
-
-# --- the bracket on the axis -------------------------------------------------------
-
-def _bracket_parts(t: np.ndarray, sums):
-    """Conductor-independent bracket data at nodes t > 0:
-    (Re combined(it), Psi(it)), where the dual term is Psi(it) exp(-it mu(N)).
-    sums(mu, w) returns sum_n w_n exp(-i t mu_n) at every node (the
-    profile's NUFFT) for the Hurwitz heads and prime sums."""
-    z1, ld1, z2, ld2 = zeta_K_axis(t, sums)
-    rc = (2.0 * ld1 + 2.0 * A_alpha_diag_it(t, ld2, sums)).real
-    g = np.exp(_loggamma(0.5 - 1j * t) - _loggamma(0.5 + 1j * t))
-    # zeta_K at 1-2it and 2-2it by Schwarz reflection
-    pv = -(8.0 / math.pi) * g * np.conj(z1) * A_closed_mr(1j * t, np.conj(z2))
-    return rc, pv
-
-
-@lru_cache(maxsize=8)
-def _axis_profile(T: float, h: float):
-    """Conductor-independent integrand data on the [0, T] panel grid:
-    (nodes, weights, Re combined(it), Psi(it)), read-only.
-    The bracket's Hurwitz heads and prime sums are phase sums on the same
-    grid (_numerics.phase_sum); everything else is closed form per node."""
-    nodes, wts = panel_nodes(0.0, float(T), float(h), 12)
-    parts = _bracket_parts(nodes, partial(phase_sum, T, h))
-    return read_only(nodes, wts, *parts)
-
-
 def panel_error_bound(cfg: DensityConfig, T: float, h: float) -> float:
     """GL-12 panel error of the prediction integral over [0, T], per unit
     integrand amplitude, for phases up to Omega = mu_max + 2 log K + sigma L:
@@ -166,15 +129,20 @@ def panel_error_bound(cfg: DensityConfig, T: float, h: float) -> float:
 def _check_grid(cfg: DensityConfig, T: float, h: float) -> None:
     """Raise ValueError for a [0, T] panel grid the prediction integral
     cannot use: T or h not finite and positive, panels so narrow that the
-    first node t1 puts zeta_K(1 + 2 i t1) inside its pole guard, or so wide
-    that panel_error_bound exceeds the error floor of max_error."""
+    first node t1 puts zeta_K(1 + 2 i t1) inside its pole guard, more than
+    _MAX_NODES nodes, or panels so wide that panel_error_bound exceeds the
+    error floor of max_error."""
     if not (0.0 < T < math.inf and 0.0 < h < math.inf):
         raise ValueError(f"ratios_density needs finite T > 0 and h > 0, "
                          f"got T={T!r}, h={h!r}")
-    t1 = float(gl_nodes(0.0, panel_layout(0.0, T, h)[1], 12)[0][0])
+    panels, step = panel_layout(0.0, T, h)
+    t1 = float(gl_nodes(0.0, step, 12)[0][0])
     if 2.0 * t1 < _POLE_GUARD:
         raise ValueError(f"panel width h={h!r} puts the first node t={t1:.3g} "
                          f"inside zeta_K's pole guard: 2t < {_POLE_GUARD:.0e}")
+    if 12 * panels > _MAX_NODES:
+        raise ValueError(f"grid T={T!r}, h={h!r} needs {12.0 * panels:.3g} nodes; the "
+                         f"axis profile is built on at most {_MAX_NODES}")
     bound = panel_error_bound(cfg, T, h)
     if bound > _ERR_FLOOR:
         raise ValueError(f"panel width h={h!r} under-resolves the integrand at "

@@ -10,6 +10,9 @@ supplies the phase sum, in the ratios route the NUFFT _numerics.phase_sum
 on its panel grid.  default_context() computes the zeta_K constants once
 and checks them.
 
+_axis_profile holds Re of the combined prime term and the dual factor Psi
+on a panel grid of r = it; routes 2 and 3 both read it.
+
 gamma_K = gamma pi/4 + L'(1, chi_-4), the L'-value summed as an accelerated
 alternating series.  Euler products A(alpha, beta) and the diagonal
 derivative A_alpha run over primary primes (conjugates separately) up to
@@ -29,10 +32,11 @@ from scipy.special import loggamma as _loggamma
 from scipy.special import psi as _psi
 
 from . import zint
-from ._numerics import alternating_sum, read_only
+from ._numerics import alternating_sum, panel_nodes, phase_sum, read_only
 
 _EM_ORDER = 12  # Bernoulli pairs
 _EM_SHIFT = 20
+_EM_REL = (2.0 * math.pi * 0.55) ** -24  # hurwitz's (|s|/2 pi K)^24 at K = 0.55 |Im s|
 _POLE_GUARD = 1e-4
 _EULER_CUTOFF = 10 ** 6   # prime norm bound of the Euler products
 _B2J = _bernoulli(2 * _EM_ORDER)[2::2]  # B_2, B_4, ..., B_24
@@ -54,7 +58,7 @@ def hurwitz(s, a: float):
     array), 0 < a <= 1.
 
     Euler-Maclaurin with shift max(20, 0.55 |Im s|); relative error around
-    (|s| / 2 pi K)^24, i.e. ~1e-13 throughout the strips used here.
+    (|s| / 2 pi K)^24, i.e. ~1e-13 (_EM_REL) throughout the strips used here.
     Returns (value, d/ds value).
     """
     s = np.asarray(s, dtype=complex)
@@ -300,6 +304,41 @@ def A_alpha_diag_it(t, log_deriv_2, sums):
     lg2 = math.log(2.0)
     return (lg2 / (np.exp(z * lg2) - 1.0) - lg2 / (np.exp((z + 1.0) * lg2) - 1.0)
             - log_deriv_2 + sums(*_a_alpha_phases()))
+
+
+def dual_term(r, norm_c: int):
+    """-(8/pi) X_c(1/2+r) zeta_K(1-2r) A(-r,r), the swapped-equation term,
+    at a complex scalar or array r.  Simple pole at r = 0 with residue +1,
+    cancelling the combined prime term's -1; the pole guard raises there."""
+    r = np.asarray(r, dtype=complex)
+    out = -(8.0 / math.pi) * X_c(0.5 + r, norm_c) * zeta_K(1.0 - 2.0 * r) * A_closed_mr(r)
+    return complex(out) if np.ndim(out) == 0 else out
+
+
+# --- the bracket on the axis -------------------------------------------------------
+
+def _bracket_parts(t: np.ndarray, sums):
+    """Conductor-independent bracket data at nodes t > 0:
+    (Re combined(it), Psi(it)), where the dual term is Psi(it) exp(-it mu(N)).
+    sums(mu, w) returns sum_n w_n exp(-i t mu_n) at every node (the
+    profile's NUFFT) for the Hurwitz heads and prime sums."""
+    z1, ld1, z2, ld2 = zeta_K_axis(t, sums)
+    rc = (2.0 * ld1 + 2.0 * A_alpha_diag_it(t, ld2, sums)).real
+    g = np.exp(_loggamma(0.5 - 1j * t) - _loggamma(0.5 + 1j * t))
+    # zeta_K at 1-2it and 2-2it by Schwarz reflection
+    pv = -(8.0 / math.pi) * g * np.conj(z1) * A_closed_mr(1j * t, np.conj(z2))
+    return rc, pv
+
+
+@functools.lru_cache(maxsize=8)
+def _axis_profile(T: float, h: float):
+    """Conductor-independent integrand data on the [0, T] panel grid:
+    (nodes, weights, Re combined(it), Psi(it)), read-only.
+    The bracket's Hurwitz heads and prime sums are phase sums on the same
+    grid (_numerics.phase_sum); everything else is closed form per node."""
+    nodes, wts = panel_nodes(0.0, float(T), float(h), 12)
+    parts = _bracket_parts(nodes, functools.partial(phase_sum, T, h))
+    return read_only(nodes, wts, *parts)
 
 
 # --- constants -------------------------------------------------------------------

@@ -8,14 +8,15 @@ closed-form Mellin data.
 The 2-D radial transform is
     w~(t) = 2 pi int_0^inf w(r^2) J0(2 pi t r) r dr,
 the Fourier transform over Z[i] of w(N(x+iy)) evaluated radially, with J0
-from scipy.special.j0 (through bessel_j0).  Derived
-kernels: g(y) = w~(sqrt2 y), g1(y) = g~(sqrt y) with g~ the same transform
-applied to g.  Both w~ and g~ are functions of t^2, so the interpolation
-tables are uniform in v = t^2, which keeps them accurate at 0 without a
-geometric mesh.  Empirically |w~(t)| < 1e-13 past t = 10 and |g~(t)| < 1e-13
-past t = 10.6 for the gaussian weight; tables stop there and clamp to 0.
-Both transforms are entire functions of v, so each quadrature rule runs at
-160 Chebyshev points in v only, and the interpolant fills the table grid.
+from scipy.special.j0 (through bessel_j0).  Derived kernels: g(y) =
+w~(sqrt2 y), g1(y) = g~(sqrt y) with g~ the same transform applied to g;
+only the Poisson-side reference (expansion's kernel lattice sums, the
+Mellin identity check) reads them.  Both are functions of t^2, so their
+tables are uniform in v = t^2, accurate at 0 without a geometric mesh.
+Empirically |w~(t)| < 1e-13 past t = 10 and |g~(t)| < 1e-13 past t = 10.6
+for the gaussian weight; tables stop there and clamp to 0.  Both are
+entire functions of v, so each quadrature rule runs at 160 Chebyshev
+points in v only, and the interpolant fills the table grid.
 """
 
 from __future__ import annotations

@@ -8,24 +8,27 @@ vectors, Legendre symbols by Euler's criterion, A_alpha by
 differencing the Euler product, the Moebius function read off
 checks.primary_products, the primary associate, the pointwise ratios
 integrand, the outer-product phase sum, the even-sum coefficients d_m
-from four prime sums cut at a norm bound, GL panels one gl_nodes call at a
-time, and the NUFFT's Gaussian spread one bincount per float column.
+from four prime sums cut at a norm bound, J(X) and the c_wm from the
+Poisson-side kernel lattice sums, GL panels one gl_nodes call at a time,
+and the NUFFT's Gaussian spread one bincount per float column.
 Test files import from here; pytest does not collect it.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
 from scipy.special import gammaincc, gammaln
 
-from quadhecke import ratios, zint
+from quadhecke import expansion, zint
 from quadhecke._numerics import (_NUFFT_CHUNK, _NUFFT_HALF_WIDTH, cauchy_derivs, dot,
-                                 gl_nodes, panel_layout)
+                                 gl_nodes, panel_layout, panel_nodes, read_only)
 from quadhecke.checks import primary_products
 from quadhecke.empirical import DensityConfig, _family, _sj_coefs
-from quadhecke.specfun import A_alpha_series, A_euler, digamma, log_conductor, zeta_K_log_deriv
+from quadhecke.specfun import (A_alpha_series, A_euler, _bracket_parts, digamma,
+                               log_conductor, zeta_K_log_deriv)
 from quadhecke.transforms import TestFunction
 from quadhecke.zint import GInt
 
@@ -296,7 +299,7 @@ def ratios_integrand(t: float, norm_c: int, test: TestFunction, L: float) -> flo
     t = abs(float(t))
     mu = log_conductor(norm_c)
     nodes = np.array([t])
-    (rc,), (pv,) = ratios._bracket_parts(nodes, outer_phase_sum(nodes))
+    (rc,), (pv,) = _bracket_parts(nodes, outer_phase_sum(nodes))
     two_psi = 2.0 * digamma(0.5 + 1j * t).real
     bracket = rc + (pv * cmath.exp(-1j * t * mu)).real + mu + two_psi
     return bracket * float(test.phi(t * L / (2.0 * math.pi)))
@@ -369,4 +372,76 @@ def d_four_pieces(M: int) -> list[tuple[float, float]]:
             val += 2.0 ** m * me[m - 2] / f2
             err += 2.0 ** m * me_err[m - 2] / f2
         out.append((val, err))
+    return out
+
+
+# --- route 3 on the Poisson side ----------------------------------------------------
+
+class KernelProfile:
+    """A kernel k(tau) tabulated on the GL-12 panels of [0, cap], width <= 0.25."""
+
+    def __init__(self, kernel, cap: float):
+        self.kernel, self.cap = kernel, cap
+        tau, q = panel_nodes(0.0, cap, 0.25, 12)
+        self.tau, self.q, self.f = read_only(tau, q, kernel(tau))
+
+    def integral(self, weight, breaks=()) -> float:
+        """int_0^cap weight(tau) k(tau) dtau.  A panel holding a break of
+        weight in (0, cap) is summed afresh, split there; the rest are read."""
+        _, step = panel_layout(0.0, self.cap, 0.25)
+        held = sorted({int(b / step) for b in breaks if 0.0 < b < self.cap})
+        keep = ~np.isin(np.arange(self.tau.size) // 12, held)
+        total = float(np.dot(self.q[keep], weight(self.tau[keep]) * self.f[keep]))
+        for k in held:
+            t, q = panel_nodes(k * step, (k + 1) * step, 0.25, 12, breaks)
+            total += float(np.dot(q, weight(t) * self.kernel(t)))
+        return total
+
+
+@functools.lru_cache(maxsize=2)
+def kernel_profiles(weight, y_cap: float = 3000.0):
+    """(h1, h2, C): e^(tau/2) H1(e^(tau/2)) up to 2 log 112, past which H1
+    is 0, H2(e^(tau/2)) up to 2 log y_cap, and the fitted constant C with
+    |H2(y)| <= C y^(-3/2) near the cap."""
+    tab = expansion.kernel_tables(weight, y_cap=y_cap)
+
+    def y_of(tau):
+        # by math.exp: np.exp differs from it in the last bit at some nodes
+        return np.array([math.exp(0.5 * t) for t in tau.tolist()])
+    h1 = KernelProfile(lambda t: np.exp(0.5 * t) * tab.H1(y_of(t)), 2.0 * math.log(112.0))
+    h2 = KernelProfile(lambda t: tab.H2(y_of(t)), 2.0 * math.log(y_cap))
+    ys = np.geomspace(y_cap / 8.0, y_cap, 12)
+    env = max(abs(h) * y ** 1.5 for h, y in zip(tab.H2(ys).tolist(), ys.tolist()))
+    return h1, h2, env
+
+
+def J_lattice(X: float, test: TestFunction, weight, y_cap: float = 3000.0):
+    """J(X) from the kernel lattice sums, (tau-integral)/L: value and its
+    error, the y_cap tail estimate plus a fixed 3e-6, over L."""
+    h1, h2, env = kernel_profiles(weight, y_cap)
+    L = math.log(X)
+    sigma = test.sigma
+    # phi_hat(1 +- tau/L) is 0 past the ends of its support, the breaks
+    # (sigma -+ 1) L, and phi_hat(1 - tau/L) has its kink at tau = L
+    total = (h1.integral(lambda t: test.phi_hat(1.0 + t / L), ((sigma - 1.0) * L,))
+             + h2.integral(lambda t: test.phi_hat(1.0 - t / L),
+                           ((1.0 - sigma) * L, L, (1.0 + sigma) * L)))
+    top2 = min((1.0 + sigma) * L, h2.cap)
+    tail = env * (4.0 / 3.0) * math.exp(-0.75 * top2)
+    return total / L, (tail + 3e-6) / L
+
+
+def c_w_lattice(M: int, weight, y_cap: float = 3000.0):
+    """c_w1..c_wM as tau-moments of the kernel lattice sums, each with its
+    y_cap tail estimate; the lattice code added a fixed 3e-6/(m-1)! to
+    each as its error."""
+    h1, h2, env = kernel_profiles(weight, y_cap)
+    out = []
+    for m in range(1, M + 1):
+        fact = math.gamma(m)
+        i1 = h1.integral(lambda t: t ** (m - 1))
+        i2 = h2.integral(lambda t: (-t) ** (m - 1))
+        # tail of int tau^(m-1) C e^(-3 tau/4): (4/3)^m Gamma(m) Q(m, 3 cap/4)
+        tail = env * (4.0 / 3.0) ** m * fact * float(gammaincc(m, 0.75 * h2.cap))
+        out.append(((i1 + i2) / fact, tail / fact))
     return out

@@ -225,16 +225,16 @@ def test_compare_runs_byte_identical(tmp_path):
 
 def test_memoized_arrays_read_only(weight):
     # every cache hands out shared arrays; a caller writing into one must fail
-    from quadhecke import _numerics, expansion, ratios
+    from quadhecke import _numerics, expansion, specfun
     from quadhecke.transforms import make_bump
     tab = expansion.kernel_tables(weight)
     arrays = [*zint.primary_squarefree_arrays(500),
               zint.prime_norms_up_to(500),
               *_numerics.leggauss(12), tab.m, tab.d_m,
-              *(a for p in (tab.h1_profile, tab.h2_profile) for a in (p.tau, p.q, p.f)),
               weight._wt_table.values, weight._gt_table.values,
               *make_bump(1.5)._bump_nodes,
-              *ratios._axis_profile(3.7, 0.25),
+              *specfun._axis_profile(3.7, 0.25),
+              *expansion._dual_axis(weight, 3.7, 0.25),
               *_family(DensityConfig(500.0, make_bump(1.5), weight)).conductors[:2],
               *_family(DensityConfig(500.0, make_bump(1.5), weight)).by_norm]
     for a in arrays:

@@ -385,6 +385,59 @@ def test_panel_width_inside_pole_guard(capsys, monkeypatch, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["predict", "compare"])
+@pytest.mark.parametrize("grid, T, h, nodes", [
+    (("--T-cap", "1e6"), 1e6, 0.25, "4.8e+07"),
+    (("--panel-h", "0.006"), 600.0, 0.006, "1.2e+06"),
+])
+def test_oversize_grid_refused(capsys, monkeypatch, command, grid, T, h, nodes):
+    # a grid fine enough for the panel error bound but with more nodes
+    # than the axis profile is built on (about 0.6 kB each) is a
+    # configuration error, raised before any route runs; the grid is
+    # never built
+    def boom(*args, **kwargs):
+        raise RuntimeError("computed before the node count was checked")
+    for name in ("_axis_profile", "expansion_coefficients", "one_level_density"):
+        monkeypatch.setattr(cli.ratios, name, boom)
+    x = ("--X", "2000") if command == "predict" else ("--X-grid", "2000")
+    code, out, err = _run(capsys, command, *x, *grid)
+    assert code == 1
+    assert err.startswith(f"quadhecke: error[config]: grid T={T!r}, h={h!r} needs "
+                          f"{nodes} nodes; the axis profile is built on at most 262144")
+    assert out == ""
+    # the node cap alone refuses it: every other check passes
+    cfg = cli.DensityConfig(2000.0, cli.parse_test_function("fejer:1.5"),
+                            cli.parse_weight("gaussian"))
+    monkeypatch.setattr(cli.ratios, "_MAX_NODES", float("inf"))
+    cli.ratios._check_grid(cfg, T, h)
+
+
+def test_node_cap_admits_the_grids_in_use():
+    # the finest grid the battery and the tests build, h = 0.05 at T = 600
+    # (144000 nodes), and the battery's T = 1200 pass the cap
+    cfg = cli.DensityConfig(2000.0, cli.parse_test_function("fejer:1.5"),
+                            cli.parse_weight("gaussian"))
+    for T, h in ((600.0, 0.05), (1200.0, 0.25), (600.0, 0.125)):
+        cli.ratios._check_grid(cfg, T, h)
+    assert 12 * 600 / 0.05 <= cli.ratios._MAX_NODES
+
+
+def test_compare_builds_no_kernel_table(capsys, monkeypatch):
+    # the headline run reads route 3's c_wm from the smooth dual term's
+    # Cauchy ring: it builds no kernel table and sums no lattice
+    from quadhecke import expansion
+
+    def boom(*args, **kwargs):
+        raise AssertionError("compare reached the kernel lattice sums")
+    for name in ("kernel_tables", "_kernel_tables"):
+        monkeypatch.setattr(expansion, name, boom)
+    for name in ("__init__", "H1", "H2"):
+        monkeypatch.setattr(expansion._KernelTables, name, boom)
+    code, out, err = _run(capsys, "compare", "--X-grid", "500,2000,8000")
+    assert code == 0, err
+    assert len([ln for ln in out.splitlines() if ln and not ln.startswith("#")]) == 4
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def boom(opts):
         raise RuntimeError("unexpected")

@@ -507,11 +507,11 @@ print(repr(ratios_density(DensityConfig(32000.0, make_fejer(0.8), w))))
 
 def test_blas_threads_bitwise_invariant():
     # the family sums over 11117 members (X = 8000), the member side over
-    # 20k big primes (X = 1500, sigma = 1.9), the kernel lattice sums over
-    # up to 36841 terms and the d_m prime sums over 78k norms are long
-    # enough for a threaded BLAS dot to split them, and so are the ratios
-    # route's 14207 distinct norms (X = 32000); no route may see the BLAS
-    # thread count
+    # 20k big primes (X = 1500, sigma = 1.9), J's sums over 2136 and 4272
+    # profile nodes and the d_m prime sums over 78k norms are long enough
+    # for a threaded BLAS dot to split them, and so are the ratios route's
+    # 14207 distinct norms (X = 32000); no route may see the BLAS thread
+    # count
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for n in ("1", "2"):

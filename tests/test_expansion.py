@@ -8,23 +8,26 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from quadhecke import expansion, zint
+from quadhecke import expansion, specfun, zint
 from quadhecke._numerics import panel_layout, panel_nodes
 from quadhecke.specfun import default_context
-from quadhecke.transforms import make_bump, make_fejer
+from quadhecke.transforms import make_bump, make_fejer, parse_test_function
 
-from oracles import d_four_pieces, moebius
+from oracles import (J_lattice, KernelProfile, c_w_lattice, d_four_pieces, kernel_profiles,
+                     moebius)
 
 # reference values for the gaussian weight at M = 2, the d_m from the
 # Taylor coefficients of G with A_alpha's prime sum cut at norm 1e6;
 # reproduced by this code and cross-checked against the Laurent data of
-# the ratios integrand (d_1 equals its constant term)
+# the ratios integrand (d_1 equals its constant term).  The c_wm are the
+# Cauchy ring's Taylor coefficients of the smooth dual term, which the
+# kernel lattice sums match within their bars (test_c_w_matches_lattice_oracle)
 D1_REF = 3.53163815581448
-CW1_REF = 0.773225665995813
-RW1_REF = -0.515483829572399
+CW1_REF = 0.77322571931975
+RW1_REF = -0.515483814622967
 D2_REF = 8.2028696716805
-CW2_REF = 3.05782650086198
-RW2_REF = -0.927394520876965
+CW2_REF = 3.05782639373094
+RW2_REF = -0.927394442881387
 
 
 def test_prefactor(weight):
@@ -104,7 +107,7 @@ def test_H2_matches_exact_R(weight):
 
 def test_kernel_sums_do_not_resieve(fejer15, weight, monkeypatch):
     # the d array comes from its Euler factors, not the family sieve: the
-    # tables, J_X and c_w call the sieve not once
+    # tables, their lattice-sum J and c_w, J_X and c_w call the sieve not once
     calls = []
     sieve = zint.primary_squarefree_arrays
 
@@ -114,6 +117,8 @@ def test_kernel_sums_do_not_resieve(fejer15, weight, monkeypatch):
     monkeypatch.setattr(zint, "primary_squarefree_arrays", counted)
     expansion._KernelTables(weight, y_cap=200.0)
     expansion.kernel_tables(weight)
+    J_lattice(2000.0, fejer15, weight)
+    c_w_lattice(2, weight)
     expansion.J_X(2000.0, fejer15, weight)
     expansion.c_w_coefficients(2, weight)
     assert calls == []
@@ -146,8 +151,8 @@ def test_non_finite_X_raises(fejer15, weight, X):
 
 
 def _J_reference(X, test, tab, h):
-    """J(X) on GL-12 panels of width <= h, branch 2 broken at tau = L and at
-    the start (1 - sigma) L of phi_hat(1 - tau/L)'s support."""
+    """The lattice-sum J(X) on GL-12 panels of width <= h, branch 2 broken
+    at tau = L and at the start (1 - sigma) L of phi_hat(1 - tau/L)'s support."""
     L = math.log(X)
     top1 = min(max(test.sigma - 1.0, 0.0) * L, 2.0 * math.log(112.0))
     t1, q1 = panel_nodes(0.0, top1, h, 12)
@@ -160,28 +165,77 @@ def _J_reference(X, test, tab, h):
 
 
 def test_J_X_kink_break(fejer15, fejer08, weight):
-    # phi_hat(1 - tau/L) has a kink at tau = L, and for fejer with sigma < 1
-    # another where its support starts, at tau = (1 - sigma) L; without a
-    # panel edge there GL-12 errs by ~7e-9 at X = 500 (fejer:1.5) and up to
-    # 3e-7 (fejer:0.8).  At fejer:1.9 and bump:1.5, X = 8000, the support of
-    # phi_hat(1 + tau/L) ends inside the H1 profile.
+    # in tau, phi_hat(1 - tau/L) has a kink at tau = L, and for fejer with
+    # sigma < 1 another where its support starts, at tau = (1 - sigma) L;
+    # without a panel edge there GL-12 errs by ~7e-9 at X = 500 (fejer:1.5)
+    # and up to 3e-7 (fejer:0.8).  At fejer:1.9 and bump:1.5, X = 8000, the
+    # support of phi_hat(1 + tau/L) ends inside the H1 profile.  The
+    # lattice-sum J splits its held panels there; J_X integrates the smooth
+    # phi(tL/2pi) over t and meets no break, and lands inside the lattice
+    # J's own error
     tab = expansion.kernel_tables(weight)
     cases = [(test, X) for test in (fejer15, fejer08, make_fejer(0.5))
              for X in (50.0, 500.0, 2000.0)]
     cases += [(make_fejer(1.9), 8000.0), (make_bump(1.5), 8000.0)]
     for test, X in cases:
-        val, _ = expansion.J_X(X, test, weight)
-        assert abs(val - _J_reference(X, test, tab, 0.0625)) < 1e-10, (test, X)
+        lattice, bar = J_lattice(X, test, weight)
+        assert abs(lattice - _J_reference(X, test, tab, 0.0625)) < 1e-10, (test, X)
+        assert abs(expansion.J_X(X, test, weight)[0] - lattice) <= bar, (test, X)
+
+
+# ROADMAP item 17's ten (phi, X) points: sigma 0.5 to 1.9, X 500 to 10^16
+_J_POINTS = [("fejer:0.8", 2000.0), ("fejer:0.8", 128000.0), ("fejer:0.5", 128000.0),
+             ("fejer:1.5", 2000.0), ("fejer:1.5", 8000.0), ("fejer:1.9", 8000.0),
+             ("bump:0.8", 128000.0), ("bump:1.5", 500.0), ("fejer:0.8", 1e12),
+             ("bump:0.8", 1e16)]
+
+
+def test_J_X_matches_lattice_oracle(weight):
+    # the smooth dual J against the Poisson-side lattice sums at y_cap =
+    # 3000, within the lattice J's own error (its tail plus 3e-6, over L);
+    # measured gaps 1.8e-10 to 8.6e-9 against bars of 1.6e-7 to 2.7e-6
+    for phi, X in _J_POINTS:
+        test = parse_test_function(phi)
+        value, err = expansion.J_X(X, test, weight)
+        lattice, bar = J_lattice(X, test, weight)
+        assert abs(value - lattice) <= bar, (phi, X)
+        assert 0.0 < err < 1e-12, (phi, X)
+
+
+def test_J_X_error_covers_refinement(weight):
+    # J_X's error is its change at half the panel width, plus the M_w tail
+    # past the cut, plus zeta_K's relative error twice on the integrand's
+    # modulus; it covers the panel width quartered and the cut doubled
+    w = weight
+    T, ell = expansion._mw_cut(w)
+    # the cut is M_w's: |M_w(1 - iT)/M_w(1)| first falls below 1e-15 there
+    ratio = [abs(w.Mw(1.0 - 1j * t) / w.Mw(1.0)) for t in (T - expansion._J_PANEL_H, T)]
+    assert ratio[1] <= expansion._MW_CUT < ratio[0] and T == 44.5
+    assert abs(ell - 4.0 / math.pi) < 1e-3        # |M_w(1 - it)| ~ e^(-pi t/4)
+    for phi, X in _J_POINTS[:6]:
+        test = parse_test_function(phi)
+        value, err = expansion.J_X(X, test, w)
+        base, modulus = expansion._dual_integral(X, test, w, T, expansion._J_PANEL_H)
+        half, _ = expansion._dual_integral(X, test, w, T, 0.5 * expansion._J_PANEL_H)
+        last = abs(expansion._dual_axis(w, T, 0.25)[2][-1])
+        tail = float(test.phi(0.0)) * last * ell / math.pi
+        assert value == base
+        assert err == abs(half - base) + tail + 2.0 * specfun._EM_REL * modulus
+        for scale_T, scale_h in ((1.0, 0.25), (2.0, 1.0)):
+            fine, _ = expansion._dual_integral(X, test, w, scale_T * T,
+                                               scale_h * expansion._J_PANEL_H)
+            assert abs(fine - value) <= err, (phi, X, scale_T, scale_h)
 
 
 @pytest.mark.parametrize("name", ["h1_profile", "h2_profile"])
 def test_profile_matches_kernel(weight, name):
-    # one GL-12 panel set on [0, cap] at y = e^(tau/2): e^(tau/2) H1 on 38
-    # panels up to 2 log 112, H2 on 65 panels up to 2 log y_cap
+    # the lattice-sum J's profiles: one GL-12 panel set on [0, cap] at
+    # y = e^(tau/2), e^(tau/2) H1 on 38 panels up to 2 log 112, H2 on 65
+    # panels up to 2 log y_cap
     tab = expansion.kernel_tables(weight)
     h1 = name == "h1_profile"
     cap = 2.0 * math.log(112.0 if h1 else tab.y_cap)
-    prof = getattr(tab, name)
+    prof = kernel_profiles(weight)[0 if h1 else 1]
     n, step = panel_layout(0.0, cap, 0.25)
     want_tau, want_q = panel_nodes(0.0, cap, 0.25, 12)
     assert prof.cap == cap and n == (38 if h1 else 65) and prof.tau.size == 12 * n
@@ -192,47 +246,52 @@ def test_profile_matches_kernel(weight, name):
     for t, v in zip(prof.tau, prof.f):
         y = math.exp(0.5 * t)
         assert v == (np.exp(0.5 * t) * tab.H1(y) if h1 else tab.H2(y))
+    # a held panel is summed afresh, split at its break, and equals the
+    # kernel summed on those two halves
+    brk = 5.5 * step
+    ones = prof.integral(lambda t: np.ones_like(t))
+    assert ones == float(np.dot(prof.q, prof.f))
+    t, q = panel_nodes(5.0 * step, 6.0 * step, 0.25, 12, (brk,))
+    keep = prof.tau // step != 5
+    want = float(np.dot(prof.q[keep], prof.f[keep])) + float(np.dot(q, prof.kernel(t)))
+    assert abs(prof.integral(lambda t: np.ones_like(t), (brk,)) - want) < 1e-15 * abs(want)
 
 
 def test_J_X_reads_the_profile(fejer15, weight, monkeypatch):
-    # once both profiles exist, J_X sums a kernel afresh only on the two
-    # halves of a panel that holds a break, in one call per panel; below the
-    # caps lie one break of each kernel's weight, (sigma - 1) L, where
-    # phi_hat(1 + tau/L)'s support ends, and L, phi_hat(1 - tau/L)'s kink.
-    # c_w_coefficients sums none
-    tab = expansion.kernel_tables(weight)
-    tab.h1_profile, tab.h2_profile, tab.h2_envelope
-    calls = {"H1": [], "H2": []}
-    for name, seen in calls.items():
-        def counted(self, y, kernel=getattr(expansion._KernelTables, name), seen=seen):
-            seen.append(y)
-            return kernel(self, y)
-
-        monkeypatch.setattr(expansion._KernelTables, name, counted)
-    for X in (2000.0, 8000.0):
-        for seen in calls.values():
-            seen.clear()
+    # J_X reads Psi from the axis profile, cut where M_w has decayed, and
+    # c_w_coefficients evaluates the smooth dual term on its Cauchy ring:
+    # neither builds a kernel table or sums a lattice, and a warm J_X
+    # builds no profile
+    def boom(*args, **kwargs):
+        raise AssertionError("a route read the kernel lattice sums")
+    for name in ("kernel_tables", "_kernel_tables"):
+        monkeypatch.setattr(expansion, name, boom)
+    for name in ("__init__", "H1", "H2"):
+        monkeypatch.setattr(expansion._KernelTables, name, boom)
+    expansion.J_X(2000.0, fejer15, weight)
+    before = specfun._axis_profile.cache_info()
+    for X in (8000.0, 1e6):
         expansion.J_X(X, fejer15, weight)
-        assert len(calls["H1"]) == 1 and len(calls["H2"]) == 1
-        assert all(np.size(y) == 24 for seen in calls.values() for y in seen)
-    for seen in calls.values():
-        seen.clear()
-    expansion.c_w_coefficients(2, weight)
-    assert calls == {"H1": [], "H2": []}
+    after = specfun._axis_profile.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits
+    t, wts, f = expansion._dual_axis(weight, 44.5, expansion._J_PANEL_H)
+    assert t.size == 12 * 178 and t[-1] < 44.5
+    assert np.array_equal(t, panel_nodes(0.0, 44.5, expansion._J_PANEL_H, 12)[0])
+    expansion.c_w_coefficients(8, weight)
 
 
 def test_h2_profile_memory(weight):
     # d(m) is sieved from its local factors over the odd m <= 112 y_cap, so
     # building the tables holds a few 112 y_cap sized arrays and no r(n)
     # or Moebius array (measured 7.7 MB); the lattice sums run over d's
-    # nonzero support, so building the profile holds no such transient
+    # nonzero support, so tabulating H2 on its profile holds no such transient
     y_cap = expansion.kernel_tables(weight).y_cap
     tracemalloc.start()
     try:
         tab = expansion._KernelTables(weight, y_cap)
         built = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        tab.h2_profile
+        KernelProfile(lambda t: tab.H2(np.exp(0.5 * t)), 2.0 * math.log(y_cap))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -278,24 +337,51 @@ def test_J_first_order_dies_below_sigma_one(weight):
 
 
 def test_c_w1_closed_matches_quadrature(weight):
+    # the ring's g_0 is c_w1's closed form to rounding; the lattice sums'
+    # tau-moment carries ~5e-8 and lands inside its bar (tail plus 3e-6)
     closed = expansion.c_w1_closed(weight)
     (num, err), = expansion.c_w_coefficients(1, weight)
     assert abs(num - CW1_REF) < 1e-12
-    # table-backed quadrature carries ~5e-8; the closed form is the anchor
-    assert abs(num - closed) <= max(err, 1e-6)
+    assert abs(num - closed) <= 1e-14 and err <= 1e-14
+    (lattice, tail), = c_w_lattice(1, weight)
+    assert abs(lattice - closed) <= tail + 3e-6
 
 
-def test_kernel_tables_built_once(fejer15, weight):
-    # the memo keys on resolved values, so the default y_cap, an explicit
-    # one and the calls inside J_X and c_w_coefficients share one entry
+def test_c_w_matches_lattice_oracle(weight):
+    # the lattice sums' tau-moments taken to y_cap = 48000 against the ring,
+    # within their own tail estimates alone, without the fixed 3e-6 the
+    # lattice code added; measured gaps 3.3e-8 (m = 1, bar 4.0e-8) to
+    # 3.3e-5 (m = 6, bar 2.2e-3)
+    ring = expansion.c_w_coefficients(6, weight)
+    for m, ((value, _), (lattice, tail)) in enumerate(
+            zip(ring, c_w_lattice(6, weight, y_cap=48000.0)), 1):
+        assert abs(value - lattice) <= tail, m
+
+
+def test_c_w_error_covers_refinement(weight):
+    # the bar is the change when the ring radius drops from 0.2 to 0.1, and
+    # it covers the ring at 0.15 and at 0.3
+    cw = expansion.c_w_coefficients(8, weight)
+    g = expansion._ring_taylor(8, weight, 0.2)
+    assert [e for _, e in cw] == np.abs(g - expansion._ring_taylor(8, weight, 0.1)).tolist()
+    for radius in (0.15, 0.3):
+        other = expansion._ring_taylor(8, weight, radius)
+        for k, (v, e) in enumerate(cw):
+            assert abs((-1) ** k * other[k] - v) <= e, (radius, k)
+    with pytest.raises(ValueError):
+        expansion.c_w_coefficients(9, weight)
+
+
+def test_kernel_tables_built_once(weight):
+    # the memo keys on resolved values, so the default y_cap and an explicit
+    # one share one entry, which the lattice-sum oracles read too
     before = expansion._kernel_tables.cache_info()
     tab = expansion.kernel_tables(weight)
-    expansion.J_X(2000.0, fejer15, weight)
-    expansion.c_w_coefficients(1, weight)
     assert expansion.kernel_tables(weight, y_cap=3000) is tab
+    assert expansion.kernel_tables(weight, None, 3000.0) is tab
     after = expansion._kernel_tables.cache_info()
     assert after.misses - before.misses <= 1
-    assert after.hits + after.misses - before.hits - before.misses == 4
+    assert after.hits + after.misses - before.hits - before.misses == 3
 
 
 def test_d_matches_four_piece_oracle():

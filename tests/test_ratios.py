@@ -65,16 +65,16 @@ def test_combined_domain_and_envelope():
 def test_dual_pole_residue():
     # r * dual -> 1 as r -> 0; at r = 0 itself zeta_K's pole guard raises
     for rho in (2e-3, 1e-3, 1e-4):
-        v = rho * ratios.dual_term(rho, 5)
+        v = rho * specfun.dual_term(rho, 5)
         assert abs(v - 1.0) < 4.0 * rho
     with pytest.raises(ValueError):
-        ratios.dual_term(0.0, 5)
+        specfun.dual_term(0.0, 5)
 
 
 def test_dual_conjugate_symmetry():
     r = 0.07 + 0.21j
-    a = ratios.dual_term(r, 5)
-    b = ratios.dual_term(r.conjugate(), 5)
+    a = specfun.dual_term(r, 5)
+    b = specfun.dual_term(r.conjugate(), 5)
     assert abs(a.conjugate() - b) < 1e-10 * abs(a)
 
 
@@ -96,7 +96,7 @@ def test_pole_cancellation_three_rays():
 # --- the bracket next to the pole ----------------------------------------------------
 
 def _bracket_near_pole(ts):
-    return ratios._bracket_parts(ts, outer_phase_sum(ts))
+    return specfun._bracket_parts(ts, outer_phase_sum(ts))
 
 
 def test_laurent_frozen_values():
@@ -180,10 +180,10 @@ def test_axis_profile_matches_pointwise(T):
     # pointwise bracket, in the first panel, across panel joins and in the
     # last panel next to T; K grows with T.  re_comb crosses zero, so its
     # bound is absolute
-    nodes, _, re_comb, psi_big = ratios._axis_profile(T, 0.25)
+    nodes, _, re_comb, psi_big = specfun._axis_profile(T, 0.25)
     m = nodes.size // 12
     idx = np.r_[0:12, 12 * (m // 2) - 2:12 * (m // 2) + 2, 12 * m - 14:12 * m]
-    rc, pv = ratios._bracket_parts(nodes[idx], outer_phase_sum(nodes[idx]))
+    rc, pv = specfun._bracket_parts(nodes[idx], outer_phase_sum(nodes[idx]))
     assert np.max(np.abs(re_comb[idx] - rc)) < 5e-11
     assert np.max(np.abs(psi_big[idx] - pv) / np.abs(pv)) < 5e-12
     # Psi(it) is the dual term without its conductor phase
@@ -191,7 +191,7 @@ def test_axis_profile_matches_pointwise(T):
     for i in idx[::5]:
         t = float(nodes[i])
         dual = psi_big[i] * cmath.exp(-1j * t * specfun.log_conductor(norm_c))
-        assert abs(dual - ratios.dual_term(1j * t, norm_c)) < 1e-10 * abs(dual)
+        assert abs(dual - specfun.dual_term(1j * t, norm_c)) < 1e-10 * abs(dual)
 
 
 def _dual_average_oracle(T, h, mu, weights):
@@ -318,11 +318,15 @@ def test_under_resolved_panel_width_rejected(fejer15, weight):
 
 def test_first_node_inside_pole_guard_rejected(fejer15, weight):
     # GL-12 puts the first node at 0.0092197 step, and zeta_K_axis raises
-    # for 2t < 1e-4: the narrowest panel width allowed is 5.42e-3
+    # for 2t < 1e-4: the narrowest panel width allowed is 5.42e-3.  At
+    # T = 600 that width needs 1.3M nodes, past the node cap, so the width
+    # that passes is checked on [0, 60]
     cfg = DensityConfig(500.0, fejer15, weight)
     with pytest.raises(ValueError, match="pole guard"):
         ratios.ratios_density(cfg, h=0.0054)
-    ratios._check_grid(cfg, 600.0, 0.0055)
+    with pytest.raises(ValueError, match="1.31e[+]06 nodes"):
+        ratios._check_grid(cfg, 600.0, 0.0055)
+    ratios._check_grid(cfg, 60.0, 0.0055)
 
 
 def test_dual_phase_average_memory_bound():
@@ -348,7 +352,7 @@ def test_axis_profile_memory_bound():
     import tracemalloc
     tracemalloc.start()
     try:
-        profile = ratios._axis_profile.__wrapped__(600.0, 0.25)
+        profile = specfun._axis_profile.__wrapped__(600.0, 0.25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -364,11 +368,11 @@ def test_integrand_is_the_profile_bracket(fejer15):
     # the pole Psi(it) grows like 1/t, and the match is relative
     L, norm_c = math.log(2000.0), 5
     mu = specfun.log_conductor(norm_c)
-    profile = ratios._axis_profile(0.02, 0.01)
+    profile = specfun._axis_profile(0.02, 0.01)
     nodes = profile[0]
     phi = fejer15.phi(nodes * L / (2.0 * math.pi))
     got = np.array([ratios_integrand(t, norm_c, fejer15, L) for t in nodes])
-    pointwise = ratios._bracket_parts(nodes, outer_phase_sum(nodes))
+    pointwise = specfun._bracket_parts(nodes, outer_phase_sum(nodes))
     two_psi = 2.0 * specfun.digamma(0.5 + 1j * nodes).real
     far = nodes >= 1e-3
     for (re_comb, psi_big), mask, tol in ((profile[2:], far, 5e-11),
@@ -453,7 +457,7 @@ def test_dual_ablation_identity(fejer15, weight):
     cfg = DensityConfig(2000.0, fejer15, weight)
     L = cfg.L
     full = ratios.ratios_density(cfg)
-    nodes, wts, re_comb, _ = ratios._axis_profile(ratios._T_CAP, ratios._PANEL_H)
+    nodes, wts, re_comb, _ = specfun._axis_profile(ratios._T_CAP, ratios._PANEL_H)
     combined = float(np.dot(wts, re_comb * fejer15.phi(nodes * L / (2.0 * math.pi)))) / math.pi
     gap = full.integral_parts["integral_prime_pieces"] - combined
     want = (fejer15.phi_hat_integral(1.0, math.inf)

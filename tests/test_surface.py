@@ -291,16 +291,30 @@ def test_cli_import_leaves_scipy_sparse_out():
     assert proc.stdout.strip() == "False"
 
 
-def test_expansion_imports_no_route_module():
-    # ratios imports expansion, so expansion importing ratios would be a
-    # cycle; route 3 builds its d_m from specfun, not from route 2 or route 1
-    tree = ast.parse((SRC / "expansion.py").read_text())
+def _imported_modules(path) -> set[str]:
+    """The last dotted component of every module a file imports, and each
+    name a bare relative import (`from . import x`) takes."""
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
             names.add((node.module or "").split(".")[-1])
             if node.level and not node.module:
                 names.update(a.name for a in node.names)
         elif isinstance(node, ast.Import):
             names.update(a.name.split(".")[-1] for a in node.names)
+    return names
+
+
+def test_expansion_imports_no_route_module():
+    # ratios imports expansion, so expansion importing ratios would be a
+    # cycle; route 3 builds its d_m, J and c_wm from specfun, not from
+    # route 2 or route 1
+    names = _imported_modules(SRC / "expansion.py")
     assert not names & {"ratios", "empirical"}, f"expansion imports {names}"
+
+
+def test_specfun_imports_no_route_module():
+    # the axis profile that routes 2 and 3 both read lives in specfun, below
+    # every route: specfun importing a route module would be a cycle
+    names = _imported_modules(SRC / "specfun.py")
+    assert not names & {"ratios", "expansion", "empirical"}, f"specfun imports {names}"
