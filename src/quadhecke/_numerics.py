@@ -91,7 +91,7 @@ def panel_layout(a: float, b: float, h: float) -> tuple[int, float]:
 
 _NUFFT_OVERSAMPLE = 3   # spread grid points per panel
 _NUFFT_HALF_WIDTH = 12  # Gaussian taps each side of a source: 2e-14 cut
-_NUFFT_CHUNK = 8192     # sources x columns per spread chunk: bounds its arrays
+_NUFFT_CHUNK = 8192     # sources per spread chunk: bounds its arrays
 
 
 def phase_sum(T: float, h: float, mu: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -108,10 +108,14 @@ def phase_sum(T: float, h: float, mu: np.ndarray, weights: np.ndarray) -> np.nda
     product per chunk of sources (no BLAS, so no thread-count dependence),
     one FFT down the (grid, 12 c) array and the closed-form deconvolution
     sqrt(pi/tau) exp(kappa^2 tau).  Modes are centred on panel k0 = m//2,
-    whose phase the strengths carry, so |kappa| <= m/2.
+    whose phase the strengths carry, so |kappa| <= m/2.  The columns are
+    spread and transformed one at a time, so the transient arrays are one
+    column's whatever c is, and each column of the result is, bit for bit,
+    the sum of that column alone.
     """
     w = np.asarray(weights, dtype=float)
-    c = w.shape[1] if w.ndim == 2 else 1
+    cols = w[:, None] if w.ndim == 1 else w
+    mu = np.asarray(mu, dtype=float)
     m, step = panel_layout(0.0, float(T), float(h))
     offsets, _ = gl_nodes(0.0, step, 12)
     k0 = m // 2
@@ -120,34 +124,34 @@ def phase_sum(T: float, h: float, mu: np.ndarray, weights: np.ndarray) -> np.nda
     # exp(-pi w (1 - 1/2R)), against aliasing of the outermost mode,
     # exp(-pi w (R - 1)/(R - 1/2)): 2e-14 and 8e-14 at R = 3, w = 12
     tau = math.pi * _NUFFT_HALF_WIDTH / (grid * (grid - 0.5 * m))
-    # the spread is a temporary, freed as soon as the FFT returns
-    modes = np.fft.fft(_gaussian_spread(np.asarray(mu, dtype=float), w.reshape(-1, c),
-                                        step, k0 * step + offsets, grid, tau), axis=0)
     kappa = np.arange(m) - k0
     deconv = math.sqrt(math.pi / tau) / grid * np.exp(kappa * kappa * tau)
-    out = (modes[kappa % grid] * deconv[:, None]).reshape(12 * m, c)
+    phase0 = k0 * step + offsets
+    out = np.empty((12 * m, cols.shape[1]), dtype=complex)
+    for j in range(cols.shape[1]):
+        # one expression: the spread and its modes are freed before the next column
+        out[:, j] = (np.fft.fft(_gaussian_spread(mu, cols[:, j], step, phase0, grid, tau),
+                                axis=0)[kappa % grid] * deconv[:, None]).ravel()
     return out.reshape(12 * m) if w.ndim == 1 else out
 
 
 def _gaussian_spread(mu, w, step: float, phase0, grid: int, tau: float) -> np.ndarray:
-    """The strengths w_n exp(-i phase0 mu_n), one column per phase0 entry
-    and column of w, spread by the Gaussian exp(-d^2/4 tau) onto the
-    periodic grid at x_n = step mu_n: a (grid, len(phase0) c) array.  Each
-    chunk of sources is one sparse product, the (grid, sources) CSC matrix
-    of their taps times their float strengths; scipy's sparsetools loop
-    adds each cell's terms in source order, without BLAS, so the sum does
-    not depend on the thread count, and memory stays at the spread and one
-    chunk of sources."""
+    """The strengths w_n exp(-i phase0 mu_n), one column per phase0 entry,
+    spread by the Gaussian exp(-d^2/4 tau) onto the periodic grid at
+    x_n = step mu_n: a (grid, len(phase0)) array.  Each chunk of sources is
+    one sparse product, the (grid, sources) CSC matrix of their taps times
+    their float strengths; scipy's sparsetools loop adds each cell's terms
+    in source order, without BLAS, so the sum does not depend on the
+    thread count, and memory stays at the spread and one chunk of sources."""
     from scipy.sparse import csc_array  # loaded here: start-up and density runs never spread
     hg = 2.0 * math.pi / grid
     taps = np.arange(1 - _NUFFT_HALF_WIDTH, _NUFFT_HALF_WIDTH + 1)
-    chunk = max(1, _NUFFT_CHUNK // w.shape[1])
     # re and im side by side: the taps are real
-    spread = np.zeros((grid, 2 * phase0.size * w.shape[1]))
-    for n0 in range(0, mu.size, chunk):
-        mu_c = mu[n0:n0 + chunk]
-        phase = np.exp(-1j * np.multiply.outer(mu_c, phase0))
-        strength = (phase[:, :, None] * w[n0:n0 + chunk, None, :]).reshape(mu_c.size, -1)
+    spread = np.zeros((grid, 2 * phase0.size))
+    for n0 in range(0, mu.size, _NUFFT_CHUNK):
+        mu_c = mu[n0:n0 + _NUFFT_CHUNK]
+        strength = np.exp(-1j * np.multiply.outer(mu_c, phase0)) \
+            * w[n0:n0 + _NUFFT_CHUNK, None]
         x = step * mu_c
         near = np.floor(x / hg).astype(np.int64)[:, None] + taps
         kern = np.exp(-(near * hg - x[:, None]) ** 2 / (4.0 * tau))

@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import zint
-from ._numerics import _run_jobs, dot, panel_nodes, read_only
+from ._numerics import _run_jobs, dot, panel_nodes, phase_sum, read_only
 from .members import _member_sums
 from .specfun import _LOG_32_PI2, _PSI_HALF, log_conductor
 from .transforms import TestFunction, WeightFunction
@@ -99,6 +99,8 @@ class _Family:
     # s_odd's test-function-free family sum per rational prime on the prime
     # side: split p = 1 mod 8 up to R X and inert q, see s_odd
     prime_sums: dict[int, float] = field(default_factory=dict, repr=False)
+    # ratios_density's dual phase sum on one [0, T] panel grid: ((T, h), sums)
+    dual_sums: tuple = field(default=(), repr=False)
 
     @property
     def size(self) -> int:
@@ -151,6 +153,19 @@ class _Family:
         mu = log_conductor(4 * j + 1)
         m1 = math.fsum(wn * mu) / self.W
         return *read_only(mu, wn / self.W), m1
+
+    def dual_phase_sum(self, T: float, h: float) -> np.ndarray:
+        """sum over the distinct norms of share exp(-i t mu) at every node of
+        the [0, T] GL-12 panel grid of width h (_numerics.phase_sum over
+        conductors), read-only.  It depends on the family and the grid
+        alone, so it is kept for the exact (T, h) of the last call: a later
+        call on that grid, at any test function, computes nothing, and a
+        call on another grid replaces it, so the family holds one grid."""
+        key = (float(T), float(h))
+        if not self.dual_sums or self.dual_sums[0] != key:
+            mu, share, _ = self.conductors
+            self.dual_sums = key, read_only(phase_sum(*key, mu, share))
+        return self.dual_sums[1]
 
 
 def _family(cfg: DensityConfig) -> _Family:

@@ -21,7 +21,10 @@ exact kernel identity 2 psi(1/2) phi_hat(0)/L plus the e^{-x/2}/(1-e^{-x})
 integral, shared with the explicit-formula side.  The dual term factors as
 Psi(it) exp(-it mu(N)) with Psi independent of the conductor, so the family
 collapses to distinct norms and one cached t-profile (specfun._axis_profile,
-which route 3 reads too) serves every config.
+which route 3 reads too) serves every config.  The family's phase sum
+over its norms depends on the family and the grid, not on phi, so it is
+kept on the family (empirical._Family.dual_phase_sum): a second phi at the
+same X and grid costs one phi evaluation and one dot.
 What remains under numerical quadrature is mean-zero in t and is summed on
 fixed GL-12 panels sized to the fastest phase, with an a-posteriori tail
 estimate from the trailing panels.
@@ -49,7 +52,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import zint
-from ._numerics import gl_nodes, panel_layout, phase_sum
+from ._numerics import gl_nodes, panel_layout
 from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         s_even_main_form, _family)
 from .expansion import c_w1_closed, expansion_coefficients, thm_prediction
@@ -60,8 +63,8 @@ from .transforms import TestFunction, WeightFunction
 _T_CAP = 600.0        # axis truncation; past every stationary phase in range
 _PANEL_H = 0.25       # GL-12 panel width; fastest phase is log(32 N/pi^2)
 _ERR_FLOOR = 5e-6     # error allowance of max_error beyond the tail estimate
-# the axis profile's build peaks at about 0.6 kB per node (76 MB at 144000,
-# the battery's finest grid): 2^18 nodes stay under about 170 MB
+# the axis profile's build peaks at about 0.45 kB per node (61 MB at 144000,
+# the battery's finest grid): 2^18 nodes stay under about 120 MB
 _MAX_NODES = 2 ** 18
 # GL-12 remainder constant: a panel of width h misses at most
 # h^25 (12!)^4 / (25 (24!)^3) max|f^(24)|
@@ -135,14 +138,16 @@ def _check_grid(cfg: DensityConfig, T: float, h: float) -> None:
     if not (0.0 < T < math.inf and 0.0 < h < math.inf):
         raise ValueError(f"ratios_density needs finite T > 0 and h > 0, "
                          f"got T={T!r}, h={h!r}")
+    too_many = f"; the axis profile is built on at most {_MAX_NODES}"
+    if T / h == math.inf:   # the panel count would overflow panel_layout
+        raise ValueError(f"grid T={T!r}, h={h!r} needs {12.0 * T / h:.3g} nodes{too_many}")
     panels, step = panel_layout(0.0, T, h)
     t1 = float(gl_nodes(0.0, step, 12)[0][0])
     if 2.0 * t1 < _POLE_GUARD:
         raise ValueError(f"panel width h={h!r} puts the first node t={t1:.3g} "
                          f"inside zeta_K's pole guard: 2t < {_POLE_GUARD:.0e}")
     if 12 * panels > _MAX_NODES:
-        raise ValueError(f"grid T={T!r}, h={h!r} needs {12.0 * panels:.3g} nodes; the "
-                         f"axis profile is built on at most {_MAX_NODES}")
+        raise ValueError(f"grid T={T!r}, h={h!r} needs {12.0 * panels:.3g} nodes{too_many}")
     bound = panel_error_bound(cfg, T, h)
     if bound > _ERR_FLOOR:
         raise ValueError(f"panel width h={h!r} under-resolves the integrand at "
@@ -211,18 +216,19 @@ def ratios_density(cfg: DensityConfig,
     exactly; the gamma pair goes through the exact kernel identity.  The
     combined and dual pieces are integrated on [0, T] GL-12 panels (real
     part, doubled by evenness), the dual one through the per-norm phase sum
-    Psi(it) exp(-it mu(N)) grouped on distinct norms.
+    Psi(it) exp(-it mu(N)) grouped on distinct norms, which the family keeps
+    for the grid after _check_grid has passed it.
     """
     _check_grid(cfg, T, h)
     test, L = cfg.test, cfg.L
     p0 = float(test.phi_hat(0.0))
     fam = _family(cfg)
-    mu, share, m1 = fam.conductors
+    mu, _, m1 = fam.conductors
 
     nodes, wts, re_comb, psi_big = _axis_profile(T, h)
     phi_vals = test.phi(nodes * L / (2.0 * math.pi))
 
-    integ = re_comb + (psi_big * phase_sum(T, h, mu, share)).real
+    integ = re_comb + (psi_big * fam.dual_phase_sum(T, h)).real
     contrib = wts * integ * phi_vals
     i_num = float(np.sum(contrib)) / math.pi
 

@@ -62,12 +62,10 @@ def gaussian_spread_columns(mu, w, step, phase0, grid, tau):
     column of the strengths, in the same chunks of sources."""
     hg = 2.0 * math.pi / grid
     taps = np.arange(1 - _NUFFT_HALF_WIDTH, _NUFFT_HALF_WIDTH + 1)
-    chunk = max(1, _NUFFT_CHUNK // w.shape[1])
-    spread = np.zeros((grid, 2 * phase0.size * w.shape[1]))
-    for n0 in range(0, mu.size, chunk):
-        mu_c = mu[n0:n0 + chunk]
-        phase = np.exp(-1j * np.multiply.outer(mu_c, phase0))
-        strength = (phase[:, :, None] * w[n0:n0 + chunk, None, :]).reshape(mu_c.size, -1)
+    spread = np.zeros((grid, 2 * phase0.size))
+    for n0 in range(0, mu.size, _NUFFT_CHUNK):
+        mu_c = mu[n0:n0 + _NUFFT_CHUNK]
+        strength = np.exp(-1j * np.multiply.outer(mu_c, phase0)) * w[n0:n0 + _NUFFT_CHUNK, None]
         x = step * mu_c
         near = np.floor(x / hg).astype(np.int64)[:, None] + taps
         kern = np.exp(-(near * hg - x[:, None]) ** 2 / (4.0 * tau))

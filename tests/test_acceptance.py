@@ -236,7 +236,8 @@ def test_memoized_arrays_read_only(weight):
               *specfun._axis_profile(3.7, 0.25),
               *expansion._dual_axis(weight, 3.7, 0.25),
               *_family(DensityConfig(500.0, make_bump(1.5), weight)).conductors[:2],
-              *_family(DensityConfig(500.0, make_bump(1.5), weight)).by_norm]
+              *_family(DensityConfig(500.0, make_bump(1.5), weight)).by_norm,
+              _family(DensityConfig(500.0, make_bump(1.5), weight)).dual_phase_sum(3.7, 0.25)]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0

@@ -389,12 +389,15 @@ def test_panel_width_inside_pole_guard(capsys, monkeypatch, command):
 @pytest.mark.parametrize("grid, T, h, nodes", [
     (("--T-cap", "1e6"), 1e6, 0.25, "4.8e+07"),
     (("--panel-h", "0.006"), 600.0, 0.006, "1.2e+06"),
+    # T/h overflows to inf, so the panel count has no integer value
+    (("--T-cap", "1e308", "--panel-h", "0.01"), 1e308, 0.01, "inf"),
 ])
 def test_oversize_grid_refused(capsys, monkeypatch, command, grid, T, h, nodes):
     # a grid fine enough for the panel error bound but with more nodes
-    # than the axis profile is built on (about 0.6 kB each) is a
+    # than the axis profile is built on (about 0.45 kB each) is a
     # configuration error, raised before any route runs; the grid is
-    # never built
+    # never built, and an overflowing T/h is refused before the panel
+    # layout is taken
     def boom(*args, **kwargs):
         raise RuntimeError("computed before the node count was checked")
     for name in ("_axis_profile", "expansion_coefficients", "one_level_density"):
@@ -405,6 +408,10 @@ def test_oversize_grid_refused(capsys, monkeypatch, command, grid, T, h, nodes):
     assert err.startswith(f"quadhecke: error[config]: grid T={T!r}, h={h!r} needs "
                           f"{nodes} nodes; the axis profile is built on at most 262144")
     assert out == ""
+    if nodes == "inf":
+        with pytest.raises(OverflowError):
+            cli.ratios.panel_layout(0.0, T, h)
+        return
     # the node cap alone refuses it: every other check passes
     cfg = cli.DensityConfig(2000.0, cli.parse_test_function("fejer:1.5"),
                             cli.parse_weight("gaussian"))
@@ -436,6 +443,21 @@ def test_compare_builds_no_kernel_table(capsys, monkeypatch):
     code, out, err = _run(capsys, "compare", "--X-grid", "500,2000,8000")
     assert code == 0, err
     assert len([ln for ln in out.splitlines() if ln and not ln.startswith("#")]) == 4
+
+
+def test_compare_sums_each_family_once(capsys, monkeypatch):
+    # a cold headline run takes one dual phase sum per X, on its family
+    from quadhecke import _numerics, empirical
+    sums = []
+
+    def counted(*args):
+        sums.append(args[2].size)
+        return _numerics.phase_sum(*args)
+    monkeypatch.setattr(empirical, "phase_sum", counted)
+    empirical._family_of.cache_clear()
+    code, out, err = _run(capsys, "compare", "--X-grid", "500,2000,8000")
+    assert code == 0, err
+    assert len(sums) == 3 and len(set(sums)) == 3
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from quadhecke import _numerics, checks, empirical, ratios, specfun
 from quadhecke._numerics import _NUFFT_CHUNK, panel_nodes, phase_sum
 from quadhecke.empirical import DensityConfig, s_even_main_form
-from quadhecke.transforms import make_fejer
+from quadhecke.transforms import make_bump, make_fejer
 
 from oracles import (gaussian_spread_columns, outer_phase_sum, panel_nodes_by_panel,
                      ratios_integrand)
@@ -240,16 +240,15 @@ def test_dual_phase_average_matches_outer_product(fejer15, weight, source, T, co
     scale = np.sum(np.abs(w), axis=0)
     assert np.all(np.max(np.abs(got - want), axis=0) < 1e-12 * scale)
     if columns > 1:
-        # a column of the matrix is its own vector sum
+        # a column of the matrix is its own vector sum, bit for bit
         for col in range(columns):
-            alone = phase_sum(T, 0.25, mu, w[:, col])
-            assert np.max(np.abs(got[:, col] - alone)) <= 1e-15 * scale[col]
+            assert np.array_equal(got[:, col], phase_sum(T, 0.25, mu, w[:, col]))
 
 
 @pytest.mark.parametrize("T, n, columns", [
     pytest.param(150.0, 2 * _NUFFT_CHUNK + 100, 1, id="chunks"),
-    # four columns, twelve orders of magnitude apart, in chunks of 2048
-    pytest.param(150.0, 3000, 4, id="matrix"),
+    # four columns, twelve orders of magnitude apart, one spread each
+    pytest.param(150.0, _NUFFT_CHUNK + 3000, 4, id="matrix"),
     pytest.param(100.1, 600, 1, id="wrap"),
     # grid 3 < 24 taps: every source lands on each grid row eight times
     pytest.param(0.2, 50, 1, id="one-panel"),
@@ -272,8 +271,9 @@ def test_spread_matches_bincount_oracle(monkeypatch, T, n, columns):
 
     monkeypatch.setattr(_numerics, "_gaussian_spread", both)
     phase_sum(T, 0.25, mu, w)
-    [(got, want)] = spreads
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(spreads) == columns
+    for got, want in spreads:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("a, b, h, breaks", [
@@ -348,8 +348,11 @@ def test_dual_phase_average_memory_bound():
 
 def test_axis_profile_memory_bound():
     # a cold profile at the default grid: its three four-column Hurwitz
-    # phase sums and the prime phase sum each spread and transform once
+    # phase sums spread and transform one column at a time, and the prime
+    # phase sum once.  With the prime sources built beforehand, 16.0 MB is
+    # traced when the four columns share a spread, 12.3 MB one at a time
     import tracemalloc
+    specfun._axis_profile.__wrapped__(1.0, 0.25)
     tracemalloc.start()
     try:
         profile = specfun._axis_profile.__wrapped__(600.0, 0.25)
@@ -357,7 +360,30 @@ def test_axis_profile_memory_bound():
     finally:
         tracemalloc.stop()
     assert profile[0].shape == (28800,)
-    assert peak <= 20 * 2 ** 20
+    assert peak <= 14 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [660, _NUFFT_CHUNK + 3000])
+def test_phase_sum_columns_memory(n):
+    # the columns of a weight matrix are spread and transformed one at a
+    # time: a four-column sum's traced peak is a one-column sum's plus the
+    # larger result, and each column is that column's vector sum.  660 is
+    # the Hurwitz head's length at T = 600
+    import tracemalloc
+    ln = np.log(np.arange(n, dtype=float) + 0.25)
+    inv = np.exp(-ln)
+    w = np.stack([inv, ln * inv, inv * inv, ln * inv * inv], axis=1)
+    peaks, outs = [], []
+    for weights in (w[:, 0], w):
+        tracemalloc.start()
+        try:
+            outs.append(phase_sum(600.0, 0.25, 2.0 * ln, weights))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one, four = outs
+    assert np.array_equal(four[:, 0], one)
+    assert peaks[1] <= peaks[0] + (four.nbytes - one.nbytes) + 2 ** 18
 
 
 def test_integrand_is_the_profile_bracket(fejer15):
@@ -411,6 +437,68 @@ def test_norm_grouping_invariant(weight, monkeypatch):
     other = empirical._family(DensityConfig(201.0, make_fejer(1.5), weight))
     assert other.conductors[2] != m1
     assert len(builds) == 2 and views == [fam, other]
+
+
+def _count_dual_sums(monkeypatch) -> list:
+    """The grids of the dual phase sums the families compute from now on."""
+    calls = []
+
+    def counted(T, h, mu, weights):
+        calls.append((T, h))
+        return phase_sum(T, h, mu, weights)
+    monkeypatch.setattr(empirical, "phase_sum", counted)
+    return calls
+
+
+def test_warm_ratios_density_reads_the_stored_sum(weight, monkeypatch):
+    # the dual phase sum depends on the family and the grid alone: a warm
+    # call on the same family and grid computes none and reports the same
+    calls = _count_dual_sums(monkeypatch)
+    empirical._family_of.cache_clear()
+    cfg = DensityConfig(2000.0, make_fejer(1.5), weight)
+    cold = ratios.ratios_density(cfg)
+    warm = ratios.ratios_density(cfg)
+    assert calls == [(600.0, 0.25)]
+    assert warm.as_dict() == cold.as_dict()
+
+
+def test_other_phi_reads_the_stored_sum(weight, monkeypatch):
+    # fejer:0.8 and bump:0.8 after fejer:1.5 at one X read fejer:1.5's sum;
+    # their values are a fresh family's, bit for bit
+    X = 2000.0
+    calls = _count_dual_sums(monkeypatch)
+    empirical._family_of.cache_clear()
+    ratios.ratios_density(DensityConfig(X, make_fejer(1.5), weight))
+    phis = (make_fejer(0.8), make_bump(0.8))
+    stored = [ratios.ratios_density(DensityConfig(X, phi, weight)) for phi in phis]
+    assert len(calls) == 1
+    for phi, rep in zip(phis, stored):
+        empirical._family_of.cache_clear()
+        fresh = ratios.ratios_density(DensityConfig(X, phi, weight))
+        assert (rep.D_ratios_integral, rep.max_error) == \
+            (fresh.D_ratios_integral, fresh.max_error)
+    assert len(calls) == 3
+
+
+def test_new_grid_recomputes_the_stored_sum(weight, monkeypatch):
+    # the sum is kept for the exact (T, h) of the last call; another grid
+    # replaces it, so the family holds one grid, and a grid that
+    # _check_grid refuses never reaches the store
+    calls = _count_dual_sums(monkeypatch)
+    empirical._family_of.cache_clear()
+    cfg = DensityConfig(500.0, make_fejer(1.5), weight)
+    fam = empirical._family(cfg)
+    first = ratios.ratios_density(cfg, T=150.0)
+    finer = ratios.ratios_density(cfg, T=150.0, h=0.125)
+    assert fam.dual_sums[0] == (150.0, 0.125)
+    assert finer.n_points == 2 * first.n_points
+    with pytest.raises(ValueError, match="under-resolves"):
+        ratios.ratios_density(cfg, T=150.0, h=1000.0)
+    again = ratios.ratios_density(cfg, T=150)
+    assert ratios.ratios_density(cfg, T=150.0).as_dict() == again.as_dict() == first.as_dict()
+    assert calls == [(150.0, 0.25), (150.0, 0.125), (150.0, 0.25)]
+    key, sums = fam.dual_sums
+    assert key == (150.0, 0.25) and sums.shape == (first.n_points,)
 
 
 @pytest.mark.parametrize("X, R, n_norms, n_empty", [(200.0, 4.0, 120, 0), (50.0, 20.0, 148, 32)])
