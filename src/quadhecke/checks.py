@@ -163,7 +163,7 @@ def conductor_average(X=2000.0, c=3.0):
     L + log(32/pi^2) + 2 Mw'(1)/w_hat(0); the gap decays like X^{-1/2}."""
     cfg = _config(X)
     m1 = _family(cfg).conductors[2]
-    closed = cfg.L + _LOG_32_PI2 + 2.0 * cfg.weight.mw_prime_1 / cfg.weight.w_hat0
+    closed = cfg.L + _LOG_32_PI2 + cfg.weight.mean_log
     return m1 - closed, c * X ** -0.5
 
 

@@ -1,10 +1,11 @@
 """One-level density by the explicit formula, summed over the actual family.
 
-D(phi; w, X) assembles five pieces: the weighted log-conductor sum, the
-closed-form Gamma constant, the digamma integral, and the prime sums split
-by parity of the power j.  The prime sums are exact finite sums (phi_hat's
-compact support truncates them); the only approximations anywhere are the
-weight tail beyond N(c) > R X and quadrature in the integral term.
+D(phi; w, X) assembles five pieces: the family mean of log(32 N(c)/pi^2)
+off the weight by norm (the ratios route's conductor average), psi(1/2),
+the digamma integral, and the prime sums split by parity of the power j.
+The prime sums are exact finite sums (phi_hat's compact support truncates
+them); the only approximations anywhere are the weight tail beyond
+N(c) > R X and quadrature in the integral term.
 
 The family runs over all four unit multiples of each primary squarefree c0,
 since chi_{i(1+i)^5 c} genuinely depends on the unit.  Summing a symbol over
@@ -36,7 +37,7 @@ import numpy as np
 from . import zint
 from ._numerics import _run_jobs, dot, panel_nodes, phase_sum, read_only
 from .members import _member_sums
-from .specfun import _LOG_32_PI2, _PSI_HALF, log_conductor
+from .specfun import _PSI_HALF, log_conductor
 from .transforms import TestFunction, WeightFunction
 
 
@@ -122,16 +123,6 @@ class _Family:
         return read_only(grid), np.stack((b, -b)), a_lo + (1 - b - a_lo) % 4
 
     @cached_property
-    def log_norm_sum(self) -> float:
-        """sum of w0(c) log N(c) over one associate of each member, one fsum
-        over the terms taken a chunk at a time, so no temporary is member
-        sized and the bits are those of one fsum over all of them."""
-        step = 1 << 14
-        terms = (self.w0[i:i + step] * np.log(self.norm[i:i + step])
-                 for i in range(0, self.norm.size, step))
-        return math.fsum(x for chunk in terms for x in chunk.tolist())
-
-    @cached_property
     def by_norm(self) -> tuple[np.ndarray, np.ndarray]:
         """(w4, occupied): w4[j] = sum of w0(c) over the members with
         N(c) = 4j + 1, and whether any member has that norm, so a norm whose
@@ -145,8 +136,9 @@ class _Family:
 
     @cached_property
     def conductors(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The ratios route's view: (mu, share, m1), the log-conductor at each
-        distinct norm, its folded weight 4 sum w0 over W, and their mean."""
+        """The conductor view both routes read: (mu, share, m1), the
+        log-conductor at each distinct norm, its folded weight 4 sum w0 over
+        W, and their mean."""
         w4, occupied = self.by_norm
         j = np.flatnonzero(occupied)
         wn = 4.0 * w4[j]
@@ -350,8 +342,9 @@ def one_level_density(cfg: DensityConfig) -> DensityReport:
     fam = _family(cfg)
     L = cfg.L
     p0 = float(cfg.test.phi_hat(0.0))
-    cond = p0 / (L * fam.W) * 4.0 * fam.log_norm_sum
-    gconst = p0 / L * (_LOG_32_PI2 + 2.0 * _PSI_HALF)
+    # booked as ratios_density's conductor_average and digamma_closed
+    cond = fam.conductors[2] * p0 / L
+    gconst = 2.0 * _PSI_HALF * p0 / L
     integ = digamma_integral_term(cfg.test, L)
     sev, n_even = s_even(cfg, fam)
     sod, n_odd = s_odd(cfg, fam)

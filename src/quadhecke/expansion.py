@@ -333,14 +333,13 @@ def expansion_coefficients(M: int, test: TestFunction,
     w = weight or make_gaussian_weight()
     ds = d_coefficients(M)
     cs = c_w_coefficients(M, w)
-    log_moment_term = 2.0 * w.mw_prime_1 / w.w_hat0
     r_w = []
     for m in range(1, M + 1):
         p0 = test.phi_hat_deriv(0.0, m - 1)
         p1 = test.phi_hat_deriv(1.0, m - 1)
         if m == 1:
-            r = (p0 * (_LOG_32_PI2 + 2.0 * _PSI_HALF + log_moment_term
-                       + ds[0][0]) + cs[0][0] * p1)
+            r = (p0 * (_LOG_32_PI2 + 2.0 * _PSI_HALF + w.mean_log + ds[0][0])
+                 + cs[0][0] * p1)
         else:
             r = (cs[m - 1][0] * p1 + ds[m - 1][0] * p0
                  - 2.0 * p0 / math.factorial(m - 1) * digamma_moment(m))

@@ -193,8 +193,7 @@ def ratios_first_order(cfg: DensityConfig,
     terms = {
         "phi_hat0": p0,
         "tail_integral": test.phi_hat_integral(1.0, math.inf),
-        "conductor": p0 / L * (_LOG_32_PI2 + 2.0 * _PSI_HALF
-                               + 2.0 * w.mw_prime_1 / w.w_hat0),
+        "conductor": p0 / L * (_LOG_32_PI2 + 2.0 * _PSI_HALF + w.mean_log),
         "digamma_integral": digamma_integral_term(test, L),
         "prime_even": s_even_main_form(cfg),
         "phi_hat1": float(test.phi_hat(1.0)) * c_w1_closed(w) / L,

@@ -35,7 +35,8 @@ from ._numerics import (CubicTable, cauchy_derivs, chebyshev_fill, gl_nodes, pan
 
 M_MAX = 8
 # points per cosine block of the bump's phi: 1.5 MB per block array against
-# its 1536 nodes; at one BLAS thread the values are those of 4096-point blocks
+# its 1536 nodes; each value is its own row's einsum sum, so the block size
+# and the BLAS thread count leave its bits alone
 _PHI_BLOCK = 128
 
 
@@ -86,8 +87,8 @@ class TestFunction:
             acc = np.empty(xl.size)
             for i0 in range(0, xl.size, _PHI_BLOCK):
                 blk = xl[i0:i0 + _PHI_BLOCK]
-                acc[i0:i0 + _PHI_BLOCK] = \
-                    2.0 * np.cos(2.0 * math.pi * np.multiply.outer(blk, un)) @ wv
+                acc[i0:i0 + _PHI_BLOCK] = 2.0 * np.einsum(
+                    "ij,j->i", np.cos(2.0 * math.pi * np.multiply.outer(blk, un)), wv)
             out[live] = acc
         return float(out[0]) if scalar else out
 
@@ -202,6 +203,8 @@ class WeightFunction:
 
     # Mw'(1), also the log moment int_0^inf w log x dx
     mw_prime_1 = -0.25 * (specfun.EULER_GAMMA + math.log(4.0 * math.pi))
+    # the smooth family's mean of log(N/X); w_hat(0) integrates w over R
+    mean_log = 2.0 * mw_prime_1 / w_hat0
 
     def w_tilde(self, t, refine: int = 1):
         """2 pi int_0^inf w(r^2) J0(2 pi t r) r dr, vectorized over t, by

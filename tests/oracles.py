@@ -9,8 +9,9 @@ differencing the Euler product, the Moebius function read off
 checks.primary_products, the primary associate, the pointwise ratios
 integrand, the outer-product phase sum, the even-sum coefficients d_m
 from four prime sums cut at a norm bound, J(X) and the c_wm from the
-Poisson-side kernel lattice sums, GL panels one gl_nodes call at a time,
-and the NUFFT's Gaussian spread one bincount per float column.
+Poisson-side kernel lattice sums, route 2 on the smooth family (D_sm), GL
+panels one gl_nodes call at a time, and the NUFFT's Gaussian spread one
+bincount per float column.
 Test files import from here; pytest does not collect it.
 """
 
@@ -26,9 +27,10 @@ from quadhecke import expansion, zint
 from quadhecke._numerics import (_NUFFT_CHUNK, _NUFFT_HALF_WIDTH, cauchy_derivs, dot,
                                  gl_nodes, panel_layout, panel_nodes, read_only)
 from quadhecke.checks import primary_products
-from quadhecke.empirical import DensityConfig, _family, _sj_coefs
-from quadhecke.specfun import (A_alpha_series, A_euler, _bracket_parts, digamma,
-                               log_conductor, zeta_K_log_deriv)
+from quadhecke.empirical import DensityConfig, _family, _sj_coefs, digamma_integral_term
+from quadhecke.specfun import (_LOG_32_PI2, _PSI_HALF, A_alpha_series, A_euler,
+                               _axis_profile, _bracket_parts, digamma, log_conductor,
+                               zeta_K_log_deriv)
 from quadhecke.transforms import TestFunction
 from quadhecke.zint import GInt
 
@@ -443,3 +445,20 @@ def c_w_lattice(M: int, weight, y_cap: float = 3000.0):
         tail = env * (4.0 / 3.0) ** m * fact * float(gammaincc(m, 0.75 * h2.cap))
         out.append(((i1 + i2) / fact, tail / fact))
     return out
+
+
+def smooth_route_two(X: float, test: TestFunction, weight) -> float:
+    """D_sm: route 2's integral on _axis_profile(600, 0.25) with the family
+    replaced by its smooth density, so the conductor mean is m1_sm =
+    L + log(32/pi^2) + 2 M_w'(1)/w_hat(0) and the dual phase sum is
+    e^(-it(L + log(32/pi^2))) M_w(1 - it)/M_w(1)."""
+    L = math.log(X)
+    p0 = float(test.phi_hat(0.0))
+    nodes, wts, re_comb, psi = _axis_profile(600.0, 0.25)
+    phase = (np.exp(-1j * nodes * (L + _LOG_32_PI2))
+             * weight.Mw(1.0 - 1j * nodes) / weight.Mw(1.0))
+    phi = wts * test.phi(nodes * L / (2.0 * math.pi))
+    integral = dot(phi, re_comb + (psi * phase).real) / math.pi
+    m1 = L + _LOG_32_PI2 + 2.0 * weight.mw_prime_1 / weight.w_hat0
+    return (m1 * p0 / L + 2.0 * _PSI_HALF * p0 / L + digamma_integral_term(test, L)
+            + integral)

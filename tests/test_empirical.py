@@ -223,14 +223,6 @@ def test_family_rows_cover_members(weight, X, R):
     assert all(w.get((a, -bb)) == v for (a, bb), v in w.items())
 
 
-def test_log_norm_sum_is_one_fsum(weight):
-    # the conductor term's sum runs chunk by chunk (44496 members here,
-    # three chunks) but is one exact fsum over every term
-    fam = empirical._family(DensityConfig(32000.0, make_fejer(0.8), weight))
-    assert fam.re.size > 2 * (1 << 14)
-    assert fam.log_norm_sum == math.fsum((fam.w0 * np.log(fam.norm.astype(float))).tolist())
-
-
 def test_family_memo_keys_on_selecting_fields(weight):
     # X, R and the weight select the family; phi and threads do not, so
     # configs that differ only there share one object
@@ -491,10 +483,12 @@ def test_s_odd_threads_bitwise_invariant(weight, monkeypatch):
 
 
 _BLAS_CASE = """
+import math
 from quadhecke.empirical import DensityConfig, one_level_density, s_odd
 from quadhecke.expansion import J_X, c_w_coefficients, d_coefficients
 from quadhecke.ratios import ratios_density
-from quadhecke.transforms import make_fejer, make_gaussian_weight
+from quadhecke.specfun import _axis_profile
+from quadhecke.transforms import make_bump, make_fejer, make_gaussian_weight
 w = make_gaussian_weight()
 print(repr(one_level_density(DensityConfig(8000.0, make_fejer(0.5), w))))
 print(repr(s_odd(DensityConfig(1500.0, make_fejer(1.9), w))))
@@ -502,6 +496,11 @@ print(repr(c_w_coefficients(2)))
 print(repr(J_X(2000.0, make_fejer(1.5))))
 print(repr(d_coefficients(5)))
 print(repr(ratios_density(DensityConfig(32000.0, make_fejer(0.8), w))))
+t = _axis_profile(600.0, 0.25)[0]
+for sigma, X in ((0.8, 500.0), (1.5, 8000.0)):
+    cfg = DensityConfig(X, make_bump(sigma), w)
+    print(cfg.test.phi(t * cfg.L / (2.0 * math.pi)).tobytes().hex())
+    print(repr(ratios_density(cfg)))
 """
 
 
@@ -510,8 +509,9 @@ def test_blas_threads_bitwise_invariant():
     # 20k big primes (X = 1500, sigma = 1.9), J's sums over 2136 and 4272
     # profile nodes and the d_m prime sums over 78k norms are long enough
     # for a threaded BLAS dot to split them, and so are the ratios route's
-    # 14207 distinct norms (X = 32000); no route may see the BLAS thread
-    # count
+    # 14207 distinct norms (X = 32000), and the bump's phi, a cosine block
+    # times the quadrature weights, at the axis profile's 28800 nodes; no
+    # route may see the BLAS thread count
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for n in ("1", "2"):

@@ -10,10 +10,10 @@ import pytest
 from quadhecke import _numerics, checks, empirical, ratios, specfun
 from quadhecke._numerics import _NUFFT_CHUNK, panel_nodes, phase_sum
 from quadhecke.empirical import DensityConfig, s_even_main_form
-from quadhecke.transforms import make_bump, make_fejer
+from quadhecke.transforms import make_bump, make_fejer, parse_test_function
 
 from oracles import (gaussian_spread_columns, outer_phase_sum, panel_nodes_by_panel,
-                     ratios_integrand)
+                     ratios_integrand, smooth_route_two)
 
 # Taylor data at the origin, frozen from a Cauchy-ring extraction: Re
 # combined(it) = C0 - C2 t^2 and Psi(r) = 1/r + P0 + P1 r + P2 r^2 + ...
@@ -532,8 +532,44 @@ def test_density_report_consistency(fejer15, weight):
     # the conductor piece and the conductor_average check read one m1
     m1 = empirical._family(cfg).conductors[2]
     assert p["conductor_average"] == m1 * float(fejer15.phi_hat(0.0)) / cfg.L
-    closed = cfg.L + specfun._LOG_32_PI2 + 2.0 * weight.mw_prime_1 / weight.w_hat0
+    assert weight.mean_log == 2.0 * weight.mw_prime_1 / weight.w_hat0
+    closed = cfg.L + specfun._LOG_32_PI2 + weight.mean_log
     assert checks.conductor_average(500.0)[0] == m1 - closed
+
+
+@pytest.mark.parametrize("phi", ["fejer:1.5", "bump:0.8"])
+@pytest.mark.parametrize("X", [500.0, 2000.0])
+def test_routes_share_the_conductor_terms(phi, X, weight):
+    # routes 1 and 2 book the family's mean of log(32 N(c)/pi^2) as one float
+    # off the by-norm view, and psi(1/2) with the digamma integral as another,
+    # so both cancel in D_emp - D_int by construction
+    cfg = DensityConfig(X, parse_test_function(phi), weight)
+    emp = empirical.one_level_density(cfg)
+    parts = ratios.ratios_density(cfg).integral_parts
+    assert emp.term_log_conductor == parts["conductor_average"]
+    assert emp.term_gamma_const + emp.term_integral == parts["digamma_closed"]
+
+
+@pytest.mark.parametrize("phi, X, tol", [
+    ("bump:0.8", 2000.0, 1e-11),
+    ("fejer:0.8", 2000.0, None),
+    ("fejer:1.5", 8000.0, None),
+])
+def test_smooth_route_two_is_first_order_plus_dual(phi, X, tol, weight):
+    # D_sm = D_fo + J(X) - J_fo(X) in exact arithmetic: m1_sm phi_hat(0)/L is
+    # phi_hat(0) plus D_fo's conductor bracket less psi(1/2), the two phi_hat
+    # integrals make phi(0)/2, and prime_bridge turns the combined term less
+    # that half residue into the even prime sum.  The bump's phi is resolved
+    # on the profile; the Fejer kernel's t^-2 tail is cut at T, which the
+    # ratios route's tail estimate bounds.
+    from quadhecke.expansion import J_X, J_first_order
+    test = parse_test_function(phi)
+    cfg = DensityConfig(X, test, weight)
+    want = (ratios.ratios_first_order(cfg).D_ratios_first_order
+            + J_X(X, test, weight)[0] - J_first_order(X, test, weight))
+    if tol is None:
+        tol = ratios.ratios_density(cfg).integral_parts["tail_estimate"]
+    assert abs(smooth_route_two(X, test, weight) - want) <= tol
 
 
 def test_dual_ablation_identity(fejer15, weight):

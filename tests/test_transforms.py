@@ -1,10 +1,6 @@
 """Fourier pair (phi, phi_hat), the gaussian weight transforms, Mellin checks."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -134,47 +130,26 @@ def test_bump_phi_cutoff():
     assert arr[1] == 0.0 and arr[0] > 0.0
 
 
-# the bump's phi against one gemv per 4096-point block, at the axis
-# profile's 28800 nodes and J's 6408 (panel widths 0.25 and 0.125 to its
-# M_w cut), x = t L / 2 pi; the rows of a multi-threaded gemv depend on how
-# the threads split the block, so both run at one BLAS thread
-_PHI_BLOCK_CASE = """
-import math
-import numpy as np
-from quadhecke import expansion, specfun
-from quadhecke.transforms import make_bump, make_gaussian_weight
-w = make_gaussian_weight()
-T = expansion._mw_cut(w)[0]
-t = np.concatenate([specfun._axis_profile(600.0, 0.25)[0],
-                    expansion._dual_axis(w, T, 0.25)[0], expansion._dual_axis(w, T, 0.125)[0]])
-assert t.size == 28800 + 6408
-for sigma, X in ((1.5, 2000.0), (0.8, 500.0), (1.5, 8000.0)):
-    b = make_bump(sigma)
-    x = t * math.log(X) / (2.0 * math.pi)
-    un, uw = b._bump_nodes
-    wv = uw * b._bump_analytic(un)
-    want = np.zeros_like(x)
-    live = sigma * np.abs(x) <= 150.0
-    xl = x[live]
-    acc = np.empty(xl.size)
-    for i0 in range(0, xl.size, 4096):
-        blk = xl[i0:i0 + 4096]
-        acc[i0:i0 + 4096] = 2.0 * np.cos(2.0 * math.pi * np.multiply.outer(blk, un)) @ wv
-    want[live] = acc
-    print(sigma, X, np.array_equal(b.phi(x), want))
-"""
-
-
-def test_bump_phi_blocks_keep_bits():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", _PHI_BLOCK_CASE], capture_output=True,
-                          text=True, timeout=300, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1.5", "2000.0", "True", "0.8", "500.0", "True",
-                                   "1.5", "8000.0", "True"]
+def test_bump_phi_blocks_keep_bits(monkeypatch):
+    # each value of the bump's phi is its own row's einsum sum, so blocks of
+    # any size give the bits of the 1-row product; at the axis profile's
+    # 28800 nodes and J's 6408 (panel widths 0.25 and 0.125 to its M_w cut),
+    # x = t L / 2 pi
+    from quadhecke import expansion, specfun
+    w = make_gaussian_weight()
+    T = expansion._mw_cut(w)[0]
+    t = np.concatenate([specfun._axis_profile(600.0, 0.25)[0],
+                        expansion._dual_axis(w, T, 0.25)[0],
+                        expansion._dual_axis(w, T, 0.125)[0]])
+    assert t.size == 28800 + 6408
+    for sigma, X in ((1.5, 2000.0), (0.8, 500.0), (1.5, 8000.0)):
+        b = make_bump(sigma)
+        x = t * math.log(X) / (2.0 * math.pi)
+        got = b.phi(x)
+        for block in (1, 32, 4096):
+            monkeypatch.setattr(transforms, "_PHI_BLOCK", block)
+            assert np.array_equal(b.phi(x), got), (sigma, X, block)
+        monkeypatch.undo()
 
 
 def test_bump_phi_memory_bound():
