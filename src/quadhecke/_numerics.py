@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -34,6 +33,7 @@ def _run_jobs(n: int, worker, threads: int) -> None:
     if threads <= 1 or n < 8:
         worker(0, n)
         return
+    from concurrent.futures import ThreadPoolExecutor  # loaded here: one-thread runs never pool
     step = -(-n // threads)
     starts = range(0, n, step)
     with ThreadPoolExecutor(max_workers=min(len(starts), os.cpu_count() or 1)) as ex:

@@ -245,15 +245,17 @@ def c_w1_closed(weight: WeightFunction | None = None) -> float:
     ctx = default_context()
     return (2.0 * EULER_GAMMA + math.log(math.pi ** 2 / 2.0 ** (7.0 / 3.0))
             + 2.0 * ctx.zetaK_logderiv_2 - 8.0 / math.pi * ctx.gamma_K
-            - w.mw_prime_1 / w.Mw(1.0).real)
+            - w.mw_prime_1 / w.mw_1)
 
 
 def J_first_order(X: float, test: TestFunction,
                   weight: WeightFunction | None = None,
                   ctx=None,  # unread; perfbench/worker.py fills it (ROADMAP item 7)
                   ) -> float:
-    if not math.e < X < math.inf:
-        raise ValueError("J_first_order needs finite X > e")
+    """phi_hat(1) c_w1/L, J(X)'s first-order term and ratios_first_order's
+    phi_hat(1) term, so any finite X > 1, as DensityConfig admits."""
+    if not 1.0 < X < math.inf:
+        raise ValueError("J_first_order needs finite X > 1")
     return float(test.phi_hat(1.0)) * c_w1_closed(weight) / math.log(X)
 
 

@@ -55,7 +55,7 @@ from . import zint
 from ._numerics import gl_nodes, panel_layout
 from .empirical import (DensityConfig, digamma_integral_term, one_level_density,
                         s_even_main_form, _family)
-from .expansion import c_w1_closed, expansion_coefficients, thm_prediction
+from .expansion import J_first_order, expansion_coefficients, thm_prediction
 from .specfun import (_EULER_CUTOFF, _LOG_32_PI2, _POLE_GUARD, _PSI_HALF, A_alpha_series,
                       _axis_profile, _em_shift, log_conductor, zeta_K_log_deriv)
 from .transforms import TestFunction, WeightFunction
@@ -186,7 +186,8 @@ def ratios_first_order(cfg: DensityConfig,
     phi_hat(0) + int_1^inf phi_hat + conductor bracket/L + digamma kernel
     integral + even prime-power sum + phi_hat(1) bracket/L.  The prime sum
     is the same code path as the explicit-formula main form; the phi_hat(1)
-    bracket is the closed first moment of the descending-log kernel.
+    bracket is the closed first moment of the descending-log kernel,
+    expansion.J_first_order.
     """
     test, w, L = cfg.test, cfg.weight, cfg.L
     p0 = float(test.phi_hat(0.0))
@@ -196,7 +197,7 @@ def ratios_first_order(cfg: DensityConfig,
         "conductor": p0 / L * (_LOG_32_PI2 + 2.0 * _PSI_HALF + w.mean_log),
         "digamma_integral": digamma_integral_term(test, L),
         "prime_even": s_even_main_form(cfg),
-        "phi_hat1": float(test.phi_hat(1.0)) * c_w1_closed(w) / L,
+        "phi_hat1": J_first_order(cfg.X, test, w),
     }
     fo = math.fsum(terms.values())
     return PredictionReport(

@@ -17,6 +17,10 @@ gamma_K = gamma pi/4 + L'(1, chi_-4), the L'-value summed as an accelerated
 alternating series.  Euler products A(alpha, beta) and the diagonal
 derivative A_alpha run over primary primes (conjugates separately) up to
 the norm cutoff _EULER_CUTOFF with logarithmic tail corrections.
+
+scipy.special (log Gamma, psi, E1) is imported inside the functions that
+call it: route 1 calls none of them, and the import would double a
+density run's start-up.
 """
 
 from __future__ import annotations
@@ -26,10 +30,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import bernoulli as _bernoulli
-from scipy.special import exp1 as _exp1
-from scipy.special import loggamma as _loggamma
-from scipy.special import psi as _psi
 
 from . import zint
 from ._numerics import alternating_sum, panel_nodes, phase_sum, read_only
@@ -39,7 +39,10 @@ _EM_SHIFT = 20
 _EM_REL = (2.0 * math.pi * 0.55) ** -24  # hurwitz's (|s|/2 pi K)^24 at K = 0.55 |Im s|
 _POLE_GUARD = 1e-4
 _EULER_CUTOFF = 10 ** 6   # prime norm bound of the Euler products
-_B2J = _bernoulli(2 * _EM_ORDER)[2::2]  # B_2, B_4, ..., B_24
+# B_2, B_4, ..., B_24, each the correctly rounded float of its exact rational
+_B2J = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                 -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+                 -236364091 / 2730])
 _C2J = _B2J / np.array([math.factorial(2 * j) for j in range(1, _EM_ORDER + 1)])
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -178,17 +181,19 @@ def gamma_K() -> float:
 def digamma(s):
     """psi(s), complex scalar or array (scipy.special.psi); raises
     ValueError at the poles s = 0, -1, -2, ..., where scipy returns NaN."""
+    from scipy.special import psi
     arr = np.asarray(s, dtype=complex)
     if np.any((arr.real <= 0) & (np.abs(arr - np.round(arr.real)) < 1e-12)):
         raise ValueError("digamma pole")
-    out = _psi(arr)
+    out = psi(arr)
     return complex(out) if out.ndim == 0 else out
 
 
 def X_c(s, norm_c: int):
     """Gamma(1-s)/Gamma(s) (pi^2/(32 N(c)))^(s-1/2)."""
+    from scipy.special import loggamma
     s = np.asarray(s, dtype=complex)
-    out = np.exp(_loggamma(1.0 - s) - _loggamma(s) - (s - 0.5) * log_conductor(norm_c))
+    out = np.exp(loggamma(1.0 - s) - loggamma(s) - (s - 0.5) * log_conductor(norm_c))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -206,14 +211,15 @@ def _a_factors_log(alpha, beta, norms: np.ndarray):
 def A_euler(alpha: complex, beta: complex) -> complex:
     """A(alpha, beta): prefactor times product over primary primes, truncated
     at _EULER_CUTOFF with an exponential-integral tail added."""
+    from scipy.special import exp1
     if np.real(alpha) <= -0.25 + 1e-9 or np.real(beta) <= -0.25 + 1e-9:
         raise ValueError("A_euler needs Re(alpha), Re(beta) > -1/4")
     B = _EULER_CUTOFF
     norms = zint.prime_norms_up_to(B)
     logs = _a_factors_log(alpha, beta, norms)
     lb = math.log(B)
-    e1a = _exp1((1.0 + alpha + beta) * lb)
-    e1b = _exp1((1.0 + 2.0 * alpha) * lb)
+    e1a = exp1((1.0 + alpha + beta) * lb)
+    e1b = exp1((1.0 + 2.0 * alpha) * lb)
     two = 2.0 ** (1.0 + alpha + beta)
     pref = (two - 2.0 ** (beta - alpha)) / (two - 1.0)
     return complex(pref * np.exp(np.sum(logs) + e1a - e1b))
@@ -322,9 +328,10 @@ def _bracket_parts(t: np.ndarray, sums):
     (Re combined(it), Psi(it)), where the dual term is Psi(it) exp(-it mu(N)).
     sums(mu, w) returns sum_n w_n exp(-i t mu_n) at every node (the
     profile's NUFFT) for the Hurwitz heads and prime sums."""
+    from scipy.special import loggamma
     z1, ld1, z2, ld2 = zeta_K_axis(t, sums)
     rc = (2.0 * ld1 + 2.0 * A_alpha_diag_it(t, ld2, sums)).real
-    g = np.exp(_loggamma(0.5 - 1j * t) - _loggamma(0.5 + 1j * t))
+    g = np.exp(loggamma(0.5 - 1j * t) - loggamma(0.5 + 1j * t))
     # zeta_K at 1-2it and 2-2it by Schwarz reflection
     pv = -(8.0 / math.pi) * g * np.conj(z1) * A_closed_mr(1j * t, np.conj(z2))
     return rc, pv

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0 as _j0
-from scipy.special import loggamma as _loggamma
 
 from . import specfun, zint
 from ._numerics import (CubicTable, cauchy_derivs, chebyshev_fill, gl_nodes, panel_nodes,
@@ -45,7 +43,8 @@ _PHI_BLOCK = 128
 def bessel_j0(x):
     """J0 on real arrays (scipy.special.j0); every J0 call in the package
     goes through this name."""
-    return _j0(x)
+    from scipy.special import j0
+    return j0(x)
 
 
 # --- test functions --------------------------------------------------------------
@@ -197,10 +196,13 @@ class WeightFunction:
     @staticmethod
     def Mw(s):
         """Mellin transform Gamma(s/2) / (2 pi^{s/2}), Re s > 0."""
+        from scipy.special import loggamma
         s = np.asarray(s, dtype=complex)
-        out = 0.5 * np.exp(_loggamma(0.5 * s) - 0.5 * s * math.log(math.pi))
+        out = 0.5 * np.exp(loggamma(0.5 * s) - 0.5 * s * math.log(math.pi))
         return complex(out) if out.ndim == 0 else out
 
+    # Mw(1) = Gamma(1/2)/(2 sqrt(pi)), also int_0^inf w dx
+    mw_1 = 0.5
     # Mw'(1), also the log moment int_0^inf w log x dx
     mw_prime_1 = -0.25 * (specfun.EULER_GAMMA + math.log(4.0 * math.pi))
     # the smooth family's mean of log(N/X); w_hat(0) integrates w over R

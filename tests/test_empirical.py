@@ -3,6 +3,7 @@
 import math
 import os
 import subprocess
+import concurrent.futures
 from concurrent.futures import Future
 import sys
 from pathlib import Path
@@ -440,7 +441,7 @@ def test_run_jobs_caps_os_threads(monkeypatch):
     # any thread count is accepted, but at most one OS thread per CPU
     # starts; the chunks stay one per thread asked for
     sizes = _InlineExecutor.sizes
-    monkeypatch.setattr(_numerics, "ThreadPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(_numerics.os, "cpu_count", lambda: 4)
     for n, threads, size, chunks in [
         (3449, 100000, 4, [(i, i + 1) for i in range(3449)]),
@@ -468,13 +469,13 @@ def test_s_odd_threads_bitwise_invariant(weight, monkeypatch):
             with monkeypatch.context() as m:
                 if threads > 3:
                     # one chunk per prime and per member group, run inline
-                    m.setattr(_numerics, "ThreadPoolExecutor", _InlineExecutor)
+                    m.setattr(concurrent.futures, "ThreadPoolExecutor", _InlineExecutor)
                 # a fresh family, so each count computes the prime side's sums
                 empirical._family_of.cache_clear()
                 cfg = DensityConfig(X, test, weight, threads=threads)
                 odd = empirical.s_odd(cfg)
                 # S_even runs in the calling thread: it starts no executor
-                m.setattr(_numerics, "ThreadPoolExecutor", None)
+                m.setattr(concurrent.futures, "ThreadPoolExecutor", None)
                 got = odd, empirical.s_even(cfg)
             assert want is None or got == want, (X, threads)
             want = got

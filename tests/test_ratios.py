@@ -165,6 +165,13 @@ def test_first_order_terms(fejer15, fejer08, weight):
     # the even prime sum is literally the explicit-formula main form
     assert t["prime_even"] == s_even_main_form(cfg)
     assert abs(rep.D_ratios_first_order - math.fsum(t.values())) < 1e-15
+    # the phi_hat(1) term is route 3's first-order J, at every X > 1 that
+    # DensityConfig admits, X <= e included
+    from quadhecke.expansion import J_first_order, c_w1_closed
+    assert t["phi_hat1"] == J_first_order(500.0, fejer15, weight)
+    low = ratios.ratios_first_order(DensityConfig(2.0, fejer15, weight))
+    assert low.terms["phi_hat1"] == (float(fejer15.phi_hat(1.0)) * c_w1_closed(weight)
+                                     / math.log(2.0))
     # sigma <= 1 kills both support-boundary terms
     rep08 = ratios.ratios_first_order(DensityConfig(500.0, fejer08, weight))
     assert rep08.terms["tail_integral"] == 0.0

@@ -1,6 +1,7 @@
 """Special functions against mpmath oracles and internal identities."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -23,6 +24,27 @@ def _zeta_k_mp(s):
 
 
 # --- building blocks ----------------------------------------------------------------
+
+def _bernoulli_exact(n):
+    """B_0..B_n as Fractions, by the Akiyama-Tanigawa recurrence."""
+    a, out = [], []
+    for m in range(n + 1):
+        a.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        out.append(a[0])
+    return out
+
+
+def test_em_bernoulli_closed_forms():
+    # the Euler-Maclaurin B_2..B_24 are the correctly rounded floats of the
+    # exact rationals; scipy's bernoulli agrees to its own error, which at
+    # B_4 is 1.7e-12 relative
+    from scipy.special import bernoulli
+    exact = [float(b) for b in _bernoulli_exact(2 * specfun._EM_ORDER)[2::2]]
+    assert specfun._B2J.tolist() == exact
+    assert np.max(np.abs(bernoulli(24)[2::2] / exact - 1.0)) < 2e-12
+
 
 @pytest.mark.parametrize("s", [2.0, 1.3, 0.5, -0.5, 3.0 + 2.0j, 1.0 + 1.5j, 0.25 - 0.7j])
 @pytest.mark.parametrize("a", [1.0, 0.25, 0.75])

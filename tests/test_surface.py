@@ -279,16 +279,67 @@ def test_numerics_imports_no_package_module():
     assert inside == [], f"_numerics imports from the package: {inside}"
 
 
+_ROUTE_ONE_RUN = """
+import contextlib, io, sys
+from quadhecke import cli, empirical, ratios, specfun, transforms
+LAZY = ("scipy", "scipy.special", "scipy.sparse", "concurrent.futures")
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["--version"], ["density", "--X", "2000", "--phi", "fejer:0.8"],
+                 ["predict", "--X", "2000", "--phi", "fejer:1.5", "--first-order"],
+                 ["constants"]):
+        try:
+            assert cli.run(argv) == 0, argv
+        except SystemExit as e:
+            assert e.code == 0, argv
+w = transforms.make_gaussian_weight()
+for phi in ("fejer:0.8", "bump:0.8"):
+    cfg = empirical.DensityConfig(128000.0, transforms.parse_test_function(phi), w,
+                                  R=4.0, threads=1)
+    empirical.one_level_density(cfg)
+    ratios.ratios_first_order(cfg, specfun.default_context())
+print(*[m for m in LAZY if m in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["predict", "--X", "500"]) == 0
+print("scipy.special" in sys.modules)
+"""
+
+
 def test_cli_import_leaves_scipy_sparse_out():
-    # only the NUFFT spread needs scipy.sparse, and it loads it there: the
-    # CLI's start-up (--version) and the density route do without it
+    # route 1 needs no scipy and one thread needs no pool: start-up
+    # (--version, constants), density, predict --first-order and the
+    # density-narrow workload (one_level_density and ratios_first_order at
+    # X = 128000) load neither; routes 2 and 3 load scipy.special at their
+    # first call into it, as a cold predict shows
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, quadhecke.cli; print('scipy.sparse' in sys.modules)"],
-        capture_output=True, text=True, timeout=120, env=env)
+    proc = subprocess.run([sys.executable, "-c", _ROUTE_ONE_RUN],
+                          capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["", "True"]
+
+
+def test_no_module_level_scipy_or_thread_pool_import():
+    # scipy.special (about 0.2 s and 24 MB of start-up under scipy 1.17),
+    # scipy.sparse and concurrent.futures are imported inside the functions
+    # that call them, never at module level
+    def at_import_time(node):
+        # every statement that runs on import: function bodies do not
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield child
+                yield from at_import_time(child)
+
+    for path in sorted(SRC.glob("*.py")):
+        for node in at_import_time(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in {"scipy", "concurrent"}, (
+                    f"{path.name} imports {name} at module level")
 
 
 def _imported_modules(path) -> set[str]:

@@ -263,6 +263,9 @@ def test_mellin_closed_form():
 
 def test_mellin_derivative_constants():
     w = make_gaussian_weight()
+    # Mw(1) = 1/2 exactly; scipy's complex loggamma(1/2) puts Mw(1.0) at
+    # 0.4999999999999993
+    assert abs(w.mw_1 - w.Mw(1.0)) < 2e-15
     # Mw'(1) via central difference of the closed form
     h = 1e-6
     fd = (w.Mw(1.0 + h) - w.Mw(1.0 - h)).real / (2 * h)
